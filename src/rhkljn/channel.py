@@ -88,16 +88,34 @@ def noise_sources(state: ChipState, params: SystemParams) -> tuple[NoiseSource, 
     return source(state.b_a, state.s_a), source(state.b_b, state.s_b)
 
 
+def divider_moments(r_a, r_b, bias_a, bias_b, noise_var_per_ohm):
+    """(mean, variance) of the common voltage for given resistors and biases.
+
+    Accepts scalars or broadcastable arrays, so one formula serves a single
+    chip state and a whole chunk of chips.  Each source is weighted by the
+    other party's resistor; the thermal variances add through the squared
+    weights.
+    """
+    total = r_a + r_b
+    w_a = r_b / total
+    w_b = r_a / total
+    mean = w_a * bias_a + w_b * bias_b
+    var = w_a**2 * (noise_var_per_ohm * r_a) + w_b**2 * (noise_var_per_ohm * r_b)
+    return mean, var
+
+
 def chip_distribution(state: ChipState, params: SystemParams) -> tuple[float, float]:
     """Exact (mean, variance) of the common voltage for a chip state.
 
     Matches the corresponding mixture-table entry of the derived statistics.
     """
-    src_a, src_b = noise_sources(state, params)
-    w_a, w_b = divider_weights(src_a.resistor, src_b.resistor)
-    mean = w_a * src_a.bias + w_b * src_b.bias
-    var = w_a**2 * src_a.std**2 + w_b**2 * src_b.std**2
-    return mean, var
+    return divider_moments(
+        params.resistor(state.b_a, state.s_a),
+        params.resistor(state.b_b, state.s_b),
+        params.bias(state.b_a),
+        params.bias(state.b_b),
+        params.noise_var_per_ohm,
+    )
 
 
 def sample_chip(state: ChipState, n: int, rng: np.random.Generator, params: SystemParams) -> ChipSamples:

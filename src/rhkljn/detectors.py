@@ -149,37 +149,59 @@ def map_detect(samples, hyps: Sequence[GaussianHypothesis]) -> int:
     return hyps[best].label
 
 
-def _batch_costs(values: np.ndarray, hyps, use_priors: bool):
-    values = np.asarray(values, dtype=float)
+def detect_moments(
+    m_hat: np.ndarray,
+    scatter: np.ndarray,
+    n: int,
+    hyps: Sequence[GaussianHypothesis],
+    use_priors: bool = False,
+) -> np.ndarray:
+    """ML labels of chips given only their sufficient statistics.
+
+    For N i.i.d. Gaussian samples the ML cost depends on the samples only
+    through the mean m_hat and the scatter S = sum((v - m_hat)^2):
+    M_g = N*ln(sigma_g) + (S + N*(m_hat - m_g)^2) / (2*sigma_g^2).
+    With ``use_priors`` the cost is reduced by ln(prior_g) (the MAP rule).
+    A zero-variance hypothesis matches exactly when m_hat is within the
+    point-mass tolerance of its mean and S <= N*tol^2.  Ties break toward
+    the smaller variance, matching the scalar rule.
+    """
+    m_hat = np.asarray(m_hat, dtype=float)
+    scatter = np.asarray(scatter, dtype=float)
     order = sorted(range(len(hyps)), key=lambda i: hyps[i].std)
-    n = values.shape[-1]
-    costs = np.empty(values.shape[:-1] + (len(hyps),))
+    costs = np.empty(m_hat.shape + (len(hyps),))
     for j, i in enumerate(order):
         h = hyps[i]
         shift = -math.log(h.prior) if use_priors and h.prior > 0 else 0.0
         if h.std == 0.0:
-            exact = _matches_point_mass(values, h.mean)
+            tol = _DEGENERATE_RTOL * max(abs(h.mean), 1e-300)
+            exact = (np.abs(m_hat - h.mean) <= tol) & (scatter <= n * tol**2)
             costs[..., j] = np.where(exact, -np.inf, np.inf)
         else:
-            sq = np.sum((values - h.mean) ** 2, axis=-1)
+            sq = scatter + n * (m_hat - h.mean) ** 2
             costs[..., j] = n * math.log(h.std) + sq / (2.0 * h.std**2) + shift
     labels = np.array([hyps[i].label for i in order])
-    return costs, labels
+    return labels[np.argmin(costs, axis=-1)]
+
+
+def _moments(values) -> tuple[np.ndarray, np.ndarray, int]:
+    values = np.asarray(values, dtype=float)
+    m_hat = values.mean(axis=-1)
+    scatter = np.sum((values - m_hat[..., None]) ** 2, axis=-1)
+    return m_hat, scatter, values.shape[-1]
 
 
 def ml_detect_batch(values: np.ndarray, hyps: Sequence[GaussianHypothesis]) -> np.ndarray:
     """Vectorized ml_detect over a (..., N) array; returns integer labels.
 
-    Ties break toward the smaller variance, matching the scalar rule.
+    The samples are reduced to (m_hat, S) and scored by :func:`detect_moments`.
     """
-    costs, labels = _batch_costs(values, hyps, use_priors=False)
-    return labels[np.argmin(costs, axis=-1)]
+    return detect_moments(*_moments(values), hyps)
 
 
 def map_detect_batch(values: np.ndarray, hyps: Sequence[GaussianHypothesis]) -> np.ndarray:
     """Vectorized map_detect over a (..., N) array."""
-    costs, labels = _batch_costs(values, hyps, use_priors=True)
-    return labels[np.argmin(costs, axis=-1)]
+    return detect_moments(*_moments(values), hyps, use_priors=True)
 
 
 def midpoint_thresholds(m1: float, m2: float, m3: float) -> tuple[float, float]:

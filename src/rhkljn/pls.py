@@ -123,30 +123,33 @@ class ResistorTolerance:
                 f"relative_width must be in [0, 1), got {self.relative_width}"
             )
 
-    def draw(self, params: SystemParams, rng: np.random.Generator) -> tuple[float, float, float, float]:
-        """Jittered (r_l0, r_l1, r_h0, r_h1)."""
+    def draw(self, params: SystemParams, rng: np.random.Generator, trials: int) -> np.ndarray:
+        """Jittered (r_l0, r_l1, r_h0, r_h1), one row per trial: shape (trials, 4).
+
+        The stream is consumed row by row, so the first k rows are the same
+        whatever ``trials`` is.
+        """
         nominal = np.array([params.r_l0, params.r_l1, params.r_h0, params.r_h1])
-        factors = 1.0 + self.relative_width * rng.uniform(-1.0, 1.0, 4)
-        jittered = nominal * factors
-        return tuple(float(r) for r in jittered)
+        return nominal * (1.0 + self.relative_width * rng.uniform(-1.0, 1.0, (trials, 4)))
 
 
 def middle_stats_from_resistors(
-    r_l0: float,
-    r_l1: float,
-    r_h0: float,
-    r_h1: float,
+    r_l0,
+    r_l1,
+    r_h0,
+    r_h1,
     m_l: float,
     m_h: float,
     noise_var_per_ohm: float,
-) -> tuple[float, float, float, float, float, float]:
+):
     """(m1, m2, m3, sigma1, sigma2, sigma3) from explicit resistor values.
 
     Used by the outage Monte Carlo, where jittered resistors no longer obey
-    the nominal ratio structure.
+    the nominal ratio structure.  The resistors may be scalars or arrays of
+    one value per trial.
     """
 
-    def divider(r_low: float, r_high: float) -> tuple[float, float]:
+    def divider(r_low, r_high):
         w_low = r_high / (r_low + r_high)
         w_high = r_low / (r_low + r_high)
         mean = m_l * w_low + m_h * w_high
@@ -156,7 +159,7 @@ def middle_stats_from_resistors(
     m1, v1 = divider(r_l0, r_h0)
     m2, v2 = divider(r_l0, r_h1)
     m3, v3 = divider(r_l1, r_h0)
-    return m1, m2, m3, math.sqrt(v1), math.sqrt(v2), math.sqrt(v3)
+    return m1, m2, m3, np.sqrt(v1), np.sqrt(v2), np.sqrt(v3)
 
 
 def sop(
@@ -182,16 +185,13 @@ def sop(
     if params is None:
         raise ValueError("params required for perturbed outage estimation")
     rng = substream(seed, (0xE0,))
-    outages = 0
-    for _ in range(trials):
-        r_l0, r_l1, r_h0, r_h1 = perturbation.draw(params, rng)
-        m1, m2, m3, s1, s2, s3 = middle_stats_from_resistors(
-            r_l0, r_l1, r_h0, r_h1, params.m_l, params.m_h, params.noise_var_per_ohm
-        )
-        gap = min(abs(m1 - m2), abs(m1 - m3))
-        spread = max(s2, s3)
-        if gap / (2.0 * spread) < gamma_t:
-            outages += 1
+    jittered = perturbation.draw(params, rng, trials)
+    m1, m2, m3, _, s2, s3 = middle_stats_from_resistors(
+        *jittered.T, params.m_l, params.m_h, params.noise_var_per_ohm
+    )
+    gap = np.minimum(np.abs(m1 - m2), np.abs(m1 - m3))
+    spread = np.maximum(s2, s3)
+    outages = int(np.count_nonzero(gap / (2.0 * spread) < gamma_t))
     return outages / trials
 
 

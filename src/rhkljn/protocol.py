@@ -9,10 +9,17 @@ same samples and the same public thresholds, so their keep/discard verdicts
 and detected labels are always identical.
 
 Sessions draw i.i.d. uniform secrets, run every chip, and reduce to integer
-tallies.  Work is split into fixed-size chunks of bits, each with its own
-seed substream, so results are bit-identical across worker counts.  The
-classical two-resistor baseline (variance trisection on zero-mean noise) is
-provided for rate-matched comparisons.
+tallies.  The session engine draws each chip as its sufficient statistics,
+the sample mean m_hat and the scatter S = sum((v - m_hat)^2), instead of n
+raw samples: the gate, the threshold detectors and the ML/MAP costs depend
+on the samples only through these two, so the work per chip does not grow
+with n.  Per chunk the draw order is mains, subs, Eve coins, m_hat, S.
+Work is split into fixed-size chunks of bits, each with its own seed
+substream, so results are bit-identical across worker counts.  The
+classical two-resistor baseline (variance trisection on zero-mean noise,
+its mean of squares drawn as a scaled chi-square) is provided for
+rate-matched comparisons.  Raw samples are drawn only by the per-chip
+path (:func:`run_chip`, :func:`rhkljn.channel.sample_chip`).
 """
 
 from __future__ import annotations
@@ -24,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import detectors as det
-from .channel import ChipState, classical_kljn_variance, sample_chip
+from .channel import ChipState, classical_kljn_variance, divider_moments, sample_chip
 from .params import DerivedStats, SystemParams, derive_stats
 from .rng import substream
 
@@ -326,10 +333,18 @@ class _ChunkSpec:
 
 
 def _rh_chunk_arrays(spec: _ChunkSpec):
-    """Sample one chunk of bits and return the per-chip arrays.
+    """Draw one chunk of bits and return the per-chip arrays.
 
-    Draw order is fixed (mains, subs, Alice noise, Bob noise, Eve coins) so
-    the stream is a pure function of the chunk key.
+    A chip is drawn as its sufficient statistics, not as raw samples: given
+    the chip state, the n samples are i.i.d. N(mu, sigma^2), so their mean
+    is m_hat ~ N(mu, sigma^2/n) and, independently, their scatter
+    S = sum((v - m_hat)^2) ~ sigma^2 * chi^2(n - 1), drawn as
+    sigma^2 * 2 * Gamma((n - 1)/2) (identically zero at n = 1).  Every
+    detector sees a chip only through (m_hat, S).
+
+    Draw order is fixed (mains, subs, Eve coins, m_hat, S) so the stream is
+    a pure function of the chunk key; the coins come before any channel
+    noise, so they do not depend on n.
     """
     p = spec.params
     n_bits, chips, n = spec.n_bits, p.chips_per_bit, p.samples_per_chip
@@ -339,6 +354,7 @@ def _rh_chunk_arrays(spec: _ChunkSpec):
     b_main = rng.integers(0, 2, n_bits)
     a_sub = rng.integers(0, 2, (n_bits, chips))
     b_sub = rng.integers(0, 2, (n_bits, chips))
+    eve_guess_a = rng.integers(0, 2, (n_bits, chips))
 
     r_a = np.where(
         a_main[:, None] == 0,
@@ -352,25 +368,19 @@ def _rh_chunk_arrays(spec: _ChunkSpec):
     )
     bias_a = np.where(a_main == 0, p.m_l, p.m_h)[:, None]
     bias_b = np.where(b_main == 0, p.m_l, p.m_h)[:, None]
-    a_v = p.noise_var_per_ohm
-    total = r_a + r_b
-    w_a = r_b / total
-    w_b = r_a / total
+    mu, var = divider_moments(r_a, r_b, bias_a, bias_b, p.noise_var_per_ohm)
 
-    x = bias_a[..., None] + np.sqrt(a_v * r_a)[..., None] * rng.standard_normal((n_bits, chips, n))
-    y = bias_b[..., None] + np.sqrt(a_v * r_b)[..., None] * rng.standard_normal((n_bits, chips, n))
-    v = w_a[..., None] * x + w_b[..., None] * y
-    m_hat = v.mean(axis=2)
-    eve_guess_a = rng.integers(0, 2, (n_bits, chips))
-    return a_main, b_main, a_sub, b_sub, v, m_hat, eve_guess_a
+    m_hat = mu + np.sqrt(var / n) * rng.standard_normal((n_bits, chips))
+    scatter = var * (2.0 * rng.standard_gamma(0.5 * (n - 1), (n_bits, chips)))
+    return a_main, b_main, a_sub, b_sub, scatter, m_hat, eve_guess_a
 
 
 def _rh_chunk(spec: _ChunkSpec) -> dict[str, DetectorTally]:
-    a_main, b_main, a_sub, b_sub, v, m_hat, eve_guess_a = _rh_chunk_arrays(spec)
-    return _tally_chunk(spec, a_main, b_main, a_sub, b_sub, v, m_hat, eve_guess_a)[0]
+    a_main, b_main, a_sub, b_sub, scatter, m_hat, eve_guess_a = _rh_chunk_arrays(spec)
+    return _tally_chunk(spec, a_main, b_main, a_sub, b_sub, scatter, m_hat, eve_guess_a)[0]
 
 
-def _tally_chunk(spec, a_main, b_main, a_sub, b_sub, v, m_hat, eve_guess_a):
+def _tally_chunk(spec, a_main, b_main, a_sub, b_sub, scatter, m_hat, eve_guess_a):
     stats = spec.stats
     gate_keep = (m_hat >= stats.th1) & (m_hat <= stats.th2)
     subs_equal = a_sub == b_sub
@@ -381,10 +391,14 @@ def _tally_chunk(spec, a_main, b_main, a_sub, b_sub, v, m_hat, eve_guess_a):
         if name in ("simple", "optimum"):
             th_lo, th_hi = stats.thresholds().pair(name)
             g = np.where(m_hat > th_hi, 3, np.where(m_hat > th_lo, 1, 2))
-        elif name == "ml":
-            g = det.ml_detect_batch(v, stats.middle_hypotheses())
-        elif name == "map":
-            g = det.map_detect_batch(v, stats.middle_hypotheses())
+        elif name in ("ml", "map"):
+            g = det.detect_moments(
+                m_hat,
+                scatter,
+                spec.params.samples_per_chip,
+                stats.middle_hypotheses(),
+                use_priors=name == "map",
+            )
         else:
             raise ValueError(f"unknown detector {name!r}")
         labels[name] = g
@@ -468,8 +482,10 @@ def run_session(
 
 
 def _traced_chunk(spec: _ChunkSpec, trace, base_bit: int) -> dict[str, DetectorTally]:
-    a_main, b_main, a_sub, b_sub, v, m_hat, eve_guess_a = _rh_chunk_arrays(spec)
-    tallies, labels, gate_keep = _tally_chunk(spec, a_main, b_main, a_sub, b_sub, v, m_hat, eve_guess_a)
+    a_main, b_main, a_sub, b_sub, scatter, m_hat, eve_guess_a = _rh_chunk_arrays(spec)
+    tallies, labels, gate_keep = _tally_chunk(
+        spec, a_main, b_main, a_sub, b_sub, scatter, m_hat, eve_guess_a
+    )
     for i in range(spec.n_bits):
         for c in range(spec.params.chips_per_bit):
             verdicts = []
@@ -514,10 +530,10 @@ def _classical_chunk(spec: _ClassicalChunkSpec) -> dict[str, DetectorTally]:
     var_11 = classical_kljn_variance("11", p)
     var_true = np.where(a_main == b_main, np.where(a_main == 0, var_00, var_11), var_01)
 
-    z = rng.standard_normal((spec.n_bits, spec.n_per_bit))
+    # the mean of squares of n zero-mean normals is var * chi^2(n) / n
     eve_guess_a = rng.integers(0, 2, spec.n_bits)
-    v_hat = var_true[:, None] * (z**2)
-    v_hat = v_hat.mean(axis=1)
+    n = spec.n_per_bit
+    v_hat = var_true * (2.0 * rng.standard_gamma(0.5 * n, spec.n_bits)) / n
 
     th_lo = 0.5 * (var_00 + var_01)
     th_hi = 0.5 * (var_01 + var_11)

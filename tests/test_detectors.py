@@ -8,11 +8,14 @@ import pytest
 from scipy.stats import norm
 
 from rhkljn import (
+    ChipState,
     GaussianHypothesis,
     SystemParams,
+    chip_distribution,
     derive_stats,
     gate,
     map_detect,
+    map_detect_batch,
     min_error_threshold,
     ml_detect,
     ml_detect_batch,
@@ -20,6 +23,7 @@ from rhkljn import (
     pe1,
     pe2,
     q_function,
+    sample_chip,
     sample_mean,
     simple_thresholds,
     stationarity_residual,
@@ -195,6 +199,65 @@ class TestMlDetect:
         }
         assert map_label == min(costs, key=costs.get)
         assert ml_label in (1, 2)
+
+
+class TestMomentForm:
+    """The batch detectors score (m_hat, S); the oracle sums per-sample log densities."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 20, 40])
+    def test_matches_log_density_brute_force(self, default_stats, n):
+        hyps = default_stats.middle_hypotheses()
+        means = np.array([h.mean for h in hyps])
+        stds = np.array([h.std for h in hyps])
+        priors = np.array([h.prior for h in hyps])
+        labels = np.array([h.label for h in hyps])
+        rng = np.random.default_rng(100 + n)
+        pick = rng.integers(0, 3, 20_000)
+        values = means[pick][:, None] + stds[pick][:, None] * rng.standard_normal((20_000, n))
+        log_liks = norm.logpdf(values[:, :, None], loc=means, scale=stds).sum(axis=1)
+        assert np.array_equal(ml_detect_batch(values, hyps), labels[np.argmax(log_liks, axis=1)])
+        log_post = log_liks + np.log(priors)
+        assert np.array_equal(map_detect_batch(values, hyps), labels[np.argmax(log_post, axis=1)])
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 20, 40])
+    def test_noiseless_point_masses(self, n):
+        # temperature 0: every middle hypothesis is a point mass and every
+        # mixed-state chip repeats its exact mean n times
+        params = SystemParams(temperature=0.0)
+        hyps = derive_stats(params).middle_hypotheses()
+        assert all(h.std == 0.0 for h in hyps)
+        rng = np.random.default_rng(n)
+        for b_a in (0, 1):
+            for s_a in (0, 1):
+                for s_b in (0, 1):
+                    state = ChipState(b_a, 1 - b_a, s_a, s_b)
+                    mean, _ = chip_distribution(state, params)
+                    expected = min(hyps, key=lambda h: abs(h.mean - mean)).label
+                    values = sample_chip(state, n, rng, params).values[None, :]
+                    assert ml_detect_batch(values, hyps)[0] == expected
+                    assert map_detect_batch(values, hyps)[0] == expected
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 20, 40])
+    def test_point_mass_beside_gaussians(self, n):
+        hyps = (
+            GaussianHypothesis(label=1, mean=0.25, std=0.0, prior=0.5),
+            GaussianHypothesis(label=2, mean=-1.0, std=0.5, prior=0.25),
+            GaussianHypothesis(label=3, mean=1.0, std=0.8, prior=0.25),
+        )
+        rng = np.random.default_rng(200 + n)
+        noisy = 0.6 * rng.standard_normal((5_000, n))
+        values = np.concatenate([np.full((10, n), 0.25), noisy])
+        # brute force: the point mass has infinite density on its mean, zero elsewhere
+        on_mass = np.all(values == 0.25, axis=1)
+        gauss = [h for h in hyps if h.std > 0]
+        log_liks = np.stack(
+            [norm.logpdf(values, loc=h.mean, scale=h.std).sum(axis=1) for h in gauss], axis=1
+        )
+        gauss_labels = np.array([h.label for h in gauss])
+        oracle = np.where(on_mass, 1, gauss_labels[np.argmax(log_liks, axis=1)])
+        assert not on_mass[10:].any()
+        assert np.array_equal(ml_detect_batch(values, hyps), oracle)
+        assert np.array_equal(map_detect_batch(values, hyps), oracle)
 
 
 class TestErrorProbabilities:

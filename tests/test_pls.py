@@ -26,6 +26,7 @@ from rhkljn import (
     sop,
 )
 from rhkljn.pls import middle_stats_from_resistors
+from rhkljn.rng import substream
 
 
 class TestCapacityAndRate:
@@ -110,6 +111,26 @@ class TestOutage:
         ]
         assert results == sorted(results)
         assert 0.0 < results[-1] < 1.0
+
+    def test_vectorised_outage_equals_per_trial_loop(self, default_params, default_stats):
+        # reference: one four-resistor draw and one scalar margin per trial
+        p = default_params
+        margin = delta_m(default_stats) / (2 * sigma_max(default_stats))
+        nominal = np.array([p.r_l0, p.r_l1, p.r_h0, p.r_h1])
+        cases = ((0.01, 1, margin), (0.05, 7, margin * 0.99), (0.002, 3, margin * 1.001))
+        for width, seed, gamma_t in cases:
+            rng = substream(seed, (0xE0,))
+            outages = 0
+            for _ in range(2_000):
+                r = nominal * (1.0 + width * rng.uniform(-1.0, 1.0, 4))
+                m1, m2, m3, _, s2, s3 = middle_stats_from_resistors(
+                    *(float(x) for x in r), p.m_l, p.m_h, p.noise_var_per_ohm
+                )
+                if min(abs(m1 - m2), abs(m1 - m3)) / (2.0 * max(s2, s3)) < gamma_t:
+                    outages += 1
+            assert 0 < outages < 2_000
+            got = sop(default_stats, gamma_t, ResistorTolerance(width), 2_000, p, seed)
+            assert got == outages / 2_000
 
     def test_perturbation_requires_params(self, default_stats):
         with pytest.raises(ValueError):

@@ -1,17 +1,19 @@
 """Per-chip protocol, session aggregation and eavesdropper behavior."""
 
 import io
+import itertools
 import math
 
 import numpy as np
 import pytest
-from scipy.stats import binomtest
+from scipy.stats import binomtest, chi2, kstest, norm
 
 from rhkljn import (
     ChipState,
     PartySecret,
     ProtocolConfig,
     SystemParams,
+    chip_distribution,
     derive_stats,
     eve_observe,
     ideal_discard_fraction,
@@ -20,6 +22,7 @@ from rhkljn import (
     run_session,
     sample_chip,
 )
+from rhkljn.protocol import _ChunkSpec, _rh_chunk_arrays
 
 
 def make_cfg(detector="optimum", **param_overrides):
@@ -203,6 +206,63 @@ class TestRunSession:
             run_session(0, cfg, seed=1)
         with pytest.raises(ValueError):
             run_session(10, cfg, seed=1, detectors=("bogus",))
+
+
+class TestChunkSampler:
+    """The engine draws each chip as (m_hat, S); check them against the closed forms."""
+
+    # fixed before the first run: about 1% family-wise false alarm over the
+    # 119 KS tests below (per state and pooled over the 16 states; m_hat at
+    # 4 sample counts, S at 3)
+    KS_P_FLOOR = 1e-4
+
+    @staticmethod
+    def chunk(params, n_bits, seed):
+        spec = _ChunkSpec(
+            params=params,
+            stats=derive_stats(params),
+            detectors=("optimum",),
+            n_bits=n_bits,
+            master_seed=seed,
+            key=(0,),
+        )
+        return _rh_chunk_arrays(spec)
+
+    @staticmethod
+    def by_state(a_main, b_main, a_sub, b_sub):
+        for b_a, b_b, s_a, s_b in itertools.product((0, 1), repeat=4):
+            mains = (a_main[:, None] == b_a) & (b_main[:, None] == b_b)
+            sel = mains & (a_sub == s_a) & (b_sub == s_b)
+            yield ChipState(b_a, b_b, s_a, s_b), sel
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 20])
+    def test_moments_follow_chip_distribution(self, n):
+        params = SystemParams(samples_per_chip=n)
+        a_main, b_main, a_sub, b_sub, scatter, m_hat, _ = self.chunk(params, 4_000, seed=41)
+        z = np.empty_like(m_hat)
+        s_over_var = np.empty_like(scatter)
+        for state, sel in self.by_state(a_main, b_main, a_sub, b_sub):
+            mean, var = chip_distribution(state, params)
+            assert sel.sum() > 1_000
+            z[sel] = (m_hat[sel] - mean) / math.sqrt(var / n)
+            s_over_var[sel] = scatter[sel] / var
+            assert kstest(z[sel], norm.cdf).pvalue >= self.KS_P_FLOOR, state
+            if n > 1:
+                assert kstest(s_over_var[sel], chi2(n - 1).cdf).pvalue >= self.KS_P_FLOOR, state
+        # pooled over all states: ~16x the power of one state against a common bias
+        assert kstest(z.ravel(), norm.cdf).pvalue >= self.KS_P_FLOOR
+        if n == 1:
+            assert np.all(scatter == 0.0)
+        else:
+            assert kstest(s_over_var.ravel(), chi2(n - 1).cdf).pvalue >= self.KS_P_FLOOR
+
+    def test_noiseless_chunk_is_exact(self):
+        params = SystemParams(temperature=0.0, samples_per_chip=5)
+        a_main, b_main, a_sub, b_sub, scatter, m_hat, _ = self.chunk(params, 200, seed=3)
+        for state, sel in self.by_state(a_main, b_main, a_sub, b_sub):
+            mean, _ = chip_distribution(state, params)
+            assert np.all(m_hat[sel] == mean), state
+        assert np.all(scatter == 0.0)
 
 
 class TestClassicalSession:
