@@ -31,8 +31,7 @@ print("secure chip   -> Eve's main-bit posterior:", {k: round(v, 4) for k, v in 
 print("her guess is a coin flip:", obs.guess_main)
 
 # over a session her accuracy on exchanged chips stays at chance
-result = run_session(20_000, ProtocolConfig.from_params(params), seed=5)
-tally = result.tally()
+tally = run_session(20_000, ProtocolConfig.from_params(params), seed=5)["optimum"]
 print(f"\nsession: kept={tally.kept_chips} eve accuracy={tally.eve_correct_fraction:.4f}")
 print(f"discard fraction={tally.discard_fraction:.4f} (ideal 0.75)")
 

@@ -5,7 +5,7 @@ The library is organized around the protocol pipeline:
 * :mod:`rhkljn.params`    -- parameters and every closed-form statistic
 * :mod:`rhkljn.channel`   -- common-voltage sampling for one chip
 * :mod:`rhkljn.detectors` -- gate, ML and threshold detectors
-* :mod:`rhkljn.protocol`  -- per-chip exchange, sessions, eavesdropper
+* :mod:`rhkljn.protocol`  -- exchange protocol, session engine, eavesdropper
 * :mod:`rhkljn.pls`       -- physical-layer-security metrics
 * :mod:`rhkljn.sweep`     -- experiment grids and CSV emission
 * :mod:`rhkljn.cli`       -- the ``rhkljn`` command
@@ -27,8 +27,6 @@ from .detectors import (
     GaussianHypothesis,
     ThresholdSet,
     gate,
-    map_detect,
-    map_detect_batch,
     ml_detect,
     ml_detect_batch,
     min_error_threshold,
@@ -36,7 +34,6 @@ from .detectors import (
     pe1,
     pe2,
     q_function,
-    sample_mean,
     simple_thresholds,
     stationarity_residual,
     threshold_detect,
@@ -70,15 +67,11 @@ from .pls import (
     sop,
 )
 from .protocol import (
-    ChipOutcome,
     DetectorTally,
     EveObservation,
-    PartySecret,
     ProtocolConfig,
-    SessionResult,
     eve_observe,
     ideal_discard_fraction,
-    run_chip,
     run_classical_session,
     run_session,
 )

@@ -286,14 +286,14 @@ def _cmd_pls(args) -> int:
     measured_eve = None
     if args.measure:
         cfg = ProtocolConfig.from_params(params)
-        result = run_session(
+        tally = run_session(
             int(_pick(args, harness, "bits", 100_000)),
             cfg,
             seed=int(_pick(args, harness, "seed", 1)),
             jobs=int(_pick(args, harness, "jobs", 1)),
-        )
-        measured_xi = result.discard_fraction
-        measured_eve = result.eve_correct_fraction
+        )[cfg.detector]
+        measured_xi = tally.discard_fraction
+        measured_eve = tally.eve_correct_fraction
 
     perturbation = ResistorTolerance(args.tolerance) if args.tolerance else None
     report = build_report(

@@ -1,14 +1,22 @@
 """Gaussian detection for the middle band: gate, ML, simple and optimum thresholds.
 
-A chip is first gated on its sample mean (anything near the all-low or
-all-high clusters is discarded), then one of three detectors assigns the
-label g of the middle Gaussian that produced it:
+A chip is first gated on its sample mean (``gate``: anything near the
+all-low or all-high clusters is discarded), then one of three detectors
+assigns the label g of the middle Gaussian that produced it:
 
-* ``ml_detect``      -- maximum-likelihood over the three hypotheses,
-                        cost M_g = N*ln(sigma_g) + ||v - m_g||^2 / (2*sigma_g^2);
-* ``threshold_detect`` with the simple midpoints (m2+m1)/2 and (m1+m3)/2;
-* ``threshold_detect`` with the minimum-error thresholds obtained from the
-  weighted two-Gaussian decision problem (quadratic in the threshold).
+* ML            -- maximum-likelihood over the three hypotheses, cost
+                   M_g = N*ln(sigma_g) + ||v - m_g||^2 / (2*sigma_g^2):
+                   ``detect_moments`` scores chips from their sufficient
+                   statistics (the session engine's path), ``ml_detect_batch``
+                   from (..., N) raw samples and ``ml_detect`` from one
+                   chip's samples (the scalar reference);
+* simple        -- ``threshold_detect`` with the midpoints (m2+m1)/2 and
+                   (m1+m3)/2;
+* optimum       -- ``threshold_detect`` with the minimum-error thresholds
+                   obtained from the weighted two-Gaussian decision problem
+                   (quadratic in the threshold).
+
+``gate`` and ``threshold_detect`` take a scalar or an array of sample means.
 
 Label convention: g indexes the mean, so g=1 is the center Gaussian (mean
 m1, discarded by the protocol), g=2 the left one (m2) and g=3 the right one
@@ -76,26 +84,24 @@ class ThresholdSet:
         raise ValueError(f"unknown threshold kind {kind!r}")
 
 
-def sample_mean(samples) -> float:
-    """Arithmetic mean of the chip samples; rejects empty input."""
-    values = np.asarray(getattr(samples, "values", samples), dtype=float)
-    if values.size == 0:
-        raise ValueError("cannot take the mean of zero samples")
-    return float(values.mean())
+def gate(m_hat, ts: ThresholdSet):
+    """True where the chip is kept: th1 <= m_hat <= th2, discard outside.
+
+    Accepts a scalar (returns bool) or an array (returns a bool array).
+    """
+    m_hat = np.asarray(m_hat)
+    keep = (m_hat >= ts.th1) & (m_hat <= ts.th2)
+    return bool(keep) if keep.ndim == 0 else keep
 
 
-def gate(m_hat: float, ts: ThresholdSet) -> bool:
-    """True when the chip is kept: th1 <= m_hat <= th2, discard outside."""
-    return not (m_hat < ts.th1 or m_hat > ts.th2)
+def threshold_detect(m_hat, th3: float, th4: float):
+    """g=3 above th4, g=1 above th3, else g=2.
 
-
-def threshold_detect(m_hat: float, th3: float, th4: float) -> int:
-    """g=3 above th4, g=1 above th3, else g=2."""
-    if m_hat > th4:
-        return 3
-    if m_hat > th3:
-        return 1
-    return 2
+    Accepts a scalar (returns int) or an array (returns an int array).
+    """
+    m_hat = np.asarray(m_hat)
+    g = np.where(m_hat > th4, 3, np.where(m_hat > th3, 1, 2))
+    return int(g) if g.ndim == 0 else g
 
 
 # zero-variance hypotheses are point masses; "equals the mean" allows a few
@@ -135,33 +141,17 @@ def ml_detect(samples, hyps: Sequence[GaussianHypothesis]) -> int:
     return hyps[best].label
 
 
-def map_detect(samples, hyps: Sequence[GaussianHypothesis]) -> int:
-    """ML variant with the prior folded in: minimizes M_g - ln(prior_g)."""
-    values = np.asarray(getattr(samples, "values", samples), dtype=float)
-    if values.size == 0:
-        raise ValueError("cannot detect on zero samples")
-    costs = _ml_costs(values, hyps)
-    adjusted = [
-        c - (math.log(h.prior) if h.prior > 0 else -math.inf)
-        for c, h in zip(costs, hyps)
-    ]
-    best = min(range(len(hyps)), key=lambda i: (adjusted[i], hyps[i].std))
-    return hyps[best].label
-
-
 def detect_moments(
     m_hat: np.ndarray,
     scatter: np.ndarray,
     n: int,
     hyps: Sequence[GaussianHypothesis],
-    use_priors: bool = False,
 ) -> np.ndarray:
     """ML labels of chips given only their sufficient statistics.
 
     For N i.i.d. Gaussian samples the ML cost depends on the samples only
     through the mean m_hat and the scatter S = sum((v - m_hat)^2):
     M_g = N*ln(sigma_g) + (S + N*(m_hat - m_g)^2) / (2*sigma_g^2).
-    With ``use_priors`` the cost is reduced by ln(prior_g) (the MAP rule).
     A zero-variance hypothesis matches exactly when m_hat is within the
     point-mass tolerance of its mean and S <= N*tol^2.  Ties break toward
     the smaller variance, matching the scalar rule.
@@ -172,14 +162,13 @@ def detect_moments(
     costs = np.empty(m_hat.shape + (len(hyps),))
     for j, i in enumerate(order):
         h = hyps[i]
-        shift = -math.log(h.prior) if use_priors and h.prior > 0 else 0.0
         if h.std == 0.0:
             tol = _DEGENERATE_RTOL * max(abs(h.mean), 1e-300)
             exact = (np.abs(m_hat - h.mean) <= tol) & (scatter <= n * tol**2)
             costs[..., j] = np.where(exact, -np.inf, np.inf)
         else:
             sq = scatter + n * (m_hat - h.mean) ** 2
-            costs[..., j] = n * math.log(h.std) + sq / (2.0 * h.std**2) + shift
+            costs[..., j] = n * math.log(h.std) + sq / (2.0 * h.std**2)
     labels = np.array([hyps[i].label for i in order])
     return labels[np.argmin(costs, axis=-1)]
 
@@ -197,11 +186,6 @@ def ml_detect_batch(values: np.ndarray, hyps: Sequence[GaussianHypothesis]) -> n
     The samples are reduced to (m_hat, S) and scored by :func:`detect_moments`.
     """
     return detect_moments(*_moments(values), hyps)
-
-
-def map_detect_batch(values: np.ndarray, hyps: Sequence[GaussianHypothesis]) -> np.ndarray:
-    """Vectorized map_detect over a (..., N) array."""
-    return detect_moments(*_moments(values), hyps, use_priors=True)
 
 
 def midpoint_thresholds(m1: float, m2: float, m3: float) -> tuple[float, float]:

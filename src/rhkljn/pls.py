@@ -179,6 +179,8 @@ def sop(
     """
     if gamma_t <= 0:
         raise ValueError(f"gamma_t must be > 0, got {gamma_t}")
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
     if perturbation is None:
         margin = delta_m(stats) / (2.0 * sigma_max(stats))
         return 1.0 if margin < gamma_t else 0.0

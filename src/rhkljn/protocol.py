@@ -1,4 +1,4 @@
-"""Per-chip exchange protocol, session aggregation and the passive eavesdropper.
+"""Exchange protocol, session engine and the passive eavesdropper.
 
 One chip runs in three steps from either party's perspective: gate the
 sample mean against th1/th2 (rejects the all-low/all-high states), detect
@@ -11,66 +11,35 @@ and detected labels are always identical.
 Sessions draw i.i.d. uniform secrets, run every chip, and reduce to integer
 tallies.  The session engine draws each chip as its sufficient statistics,
 the sample mean m_hat and the scatter S = sum((v - m_hat)^2), instead of n
-raw samples: the gate, the threshold detectors and the ML/MAP costs depend
-on the samples only through these two, so the work per chip does not grow
+raw samples: the gate, the threshold detectors and the ML costs depend on
+the samples only through these two, so the work per chip does not grow
 with n.  Per chunk the draw order is mains, subs, Eve coins, m_hat, S.
 Work is split into fixed-size chunks of bits, each with its own seed
 substream, so results are bit-identical across worker counts.  The
 classical two-resistor baseline (variance trisection on zero-mean noise,
-its mean of squares drawn as a scaled chi-square) is provided for
-rate-matched comparisons.  Raw samples are drawn only by the per-chip
-path (:func:`run_chip`, :func:`rhkljn.channel.sample_chip`).
+its mean of squares drawn as a scaled chi-square) runs on the same chunk
+engine for rate-matched comparisons.  Raw samples are drawn only by
+:func:`rhkljn.channel.sample_chip` and
+:func:`rhkljn.channel.dump_chip_samples`, the oracles for the sampled
+distributions.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 from . import detectors as det
-from .channel import ChipState, classical_kljn_variance, divider_moments, sample_chip
+from .channel import classical_kljn_variance, divider_moments
 from .params import DerivedStats, SystemParams, derive_stats
 from .rng import substream
 
-DETECTOR_CHOICES = ("ml", "simple", "optimum", "map")
+DETECTOR_CHOICES = ("ml", "simple", "optimum")
 DEFAULT_CHUNK_BITS = 1024
-
-
-@dataclass(frozen=True)
-class PartySecret:
-    """One party's secret for a bit duration: the main bit and its sub-bits."""
-
-    main_bit: int
-    sub_bits: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if self.main_bit not in (0, 1):
-            raise ValueError(f"main_bit must be 0 or 1, got {self.main_bit}")
-        if any(s not in (0, 1) for s in self.sub_bits):
-            raise ValueError("sub_bits must all be 0 or 1")
-
-
-@dataclass(frozen=True)
-class ChipOutcome:
-    """One party's verdict for a chip.
-
-    ``detected_g`` and the inferred partner bits are present exactly when
-    the chip was exchanged.
-    """
-
-    decision: str  # discarded_gate | discarded_g1 | exchanged
-    detected_g: int | None = None
-    inferred_partner_main: int | None = None
-    inferred_partner_sub: int | None = None
-
-    def __post_init__(self) -> None:
-        exchanged = self.decision == "exchanged"
-        have = self.inferred_partner_main is not None and self.inferred_partner_sub is not None
-        if exchanged != have:
-            raise ValueError("inferred partner bits present iff decision is 'exchanged'")
 
 
 @dataclass(frozen=True)
@@ -115,16 +84,9 @@ class DetectorTally:
     eve_correct: int = 0
 
     def __add__(self, other: "DetectorTally") -> "DetectorTally":
-        return DetectorTally(
-            total_chips=self.total_chips + other.total_chips,
-            kept_chips=self.kept_chips + other.kept_chips,
-            sub_bit_errors=self.sub_bit_errors + other.sub_bit_errors,
-            main_bits_decided=self.main_bits_decided + other.main_bits_decided,
-            main_bit_errors=self.main_bit_errors + other.main_bit_errors,
-            discarded_gate=self.discarded_gate + other.discarded_gate,
-            discarded_g1=self.discarded_g1 + other.discarded_g1,
-            eve_correct=self.eve_correct + other.eve_correct,
-        )
+        # field by field: dataclasses.astuple deep-copies every value, which
+        # cost about a tenth of a small sweep's wall time
+        return DetectorTally(*(getattr(self, f.name) + getattr(other, f.name) for f in fields(self)))
 
     @property
     def bep(self) -> float:
@@ -144,46 +106,6 @@ class DetectorTally:
         return self.eve_correct / self.kept_chips if self.kept_chips else 0.0
 
 
-@dataclass(frozen=True)
-class SessionResult:
-    """Aggregate of a session; per-detector tallies plus the primary view."""
-
-    total_bits: int
-    detector: str
-    tallies: dict[str, DetectorTally] = field(repr=False)
-
-    def tally(self, detector: str | None = None) -> DetectorTally:
-        return self.tallies[detector or self.detector]
-
-    @property
-    def total_chips(self) -> int:
-        return self.tally().total_chips
-
-    @property
-    def kept_chips(self) -> int:
-        return self.tally().kept_chips
-
-    @property
-    def sub_bit_errors(self) -> int:
-        return self.tally().sub_bit_errors
-
-    @property
-    def main_bit_errors(self) -> int:
-        return self.tally().main_bit_errors
-
-    @property
-    def bep(self) -> float:
-        return self.tally().bep
-
-    @property
-    def discard_fraction(self) -> float:
-        return self.tally().discard_fraction
-
-    @property
-    def eve_correct_fraction(self) -> float:
-        return self.tally().eve_correct_fraction
-
-
 def ideal_discard_fraction() -> float:
     """Discard fraction with perfect detection: enumeration of the 16 cases.
 
@@ -198,64 +120,6 @@ def ideal_discard_fraction() -> float:
                     if not (b_a != b_b and s_a != s_b):
                         discarded += 1
     return discarded / 16.0
-
-
-def _detect(values: np.ndarray, m_hat: float, detector: str, cfg: ProtocolConfig) -> int:
-    ts = cfg.stats.thresholds()
-    if detector == "ml":
-        return det.ml_detect(values, cfg.stats.middle_hypotheses())
-    if detector == "map":
-        return det.map_detect(values, cfg.stats.middle_hypotheses())
-    th_lo, th_hi = ts.pair(detector)
-    return det.threshold_detect(m_hat, th_lo, th_hi)
-
-
-def run_chip(
-    alice: PartySecret,
-    bob: PartySecret,
-    p: int,
-    cfg: ProtocolConfig,
-    rng: np.random.Generator,
-) -> tuple[ChipOutcome, ChipOutcome, EveObservation]:
-    """Run one chip; returns both parties' outcomes and Eve's observation.
-
-    Both outcomes are computed from the same sample mean and thresholds, so
-    the keep/discard verdicts always agree.  Misdetections become data in
-    the outcomes, never errors raised.
-    """
-    state = ChipState(
-        b_a=alice.main_bit,
-        b_b=bob.main_bit,
-        s_a=alice.sub_bits[p - 1],
-        s_b=bob.sub_bits[p - 1],
-        p=p,
-    )
-    samples = sample_chip(state, cfg.params.samples_per_chip, rng, cfg.params)
-    m_hat = det.sample_mean(samples)
-    eve = eve_observe(samples, cfg.stats, rng=rng)
-
-    if not det.gate(m_hat, cfg.stats.thresholds()):
-        outcome = ChipOutcome(decision="discarded_gate")
-        return outcome, outcome, eve
-
-    g = _detect(samples.values, m_hat, cfg.detector, cfg)
-    if g == 1:
-        outcome = ChipOutcome(decision="discarded_g1", detected_g=None)
-        return outcome, outcome, eve
-
-    out_a = ChipOutcome(
-        decision="exchanged",
-        detected_g=g,
-        inferred_partner_main=1 - alice.main_bit,
-        inferred_partner_sub=1 - alice.sub_bits[p - 1],
-    )
-    out_b = ChipOutcome(
-        decision="exchanged",
-        detected_g=g,
-        inferred_partner_main=1 - bob.main_bit,
-        inferred_partner_sub=1 - bob.sub_bits[p - 1],
-    )
-    return out_a, out_b, eve
 
 
 def eve_observe(
@@ -376,31 +240,24 @@ def _rh_chunk_arrays(spec: _ChunkSpec):
 
 
 def _rh_chunk(spec: _ChunkSpec) -> dict[str, DetectorTally]:
-    a_main, b_main, a_sub, b_sub, scatter, m_hat, eve_guess_a = _rh_chunk_arrays(spec)
-    return _tally_chunk(spec, a_main, b_main, a_sub, b_sub, scatter, m_hat, eve_guess_a)[0]
+    return _tally_chunk(spec, *_rh_chunk_arrays(spec))[0]
 
 
 def _tally_chunk(spec, a_main, b_main, a_sub, b_sub, scatter, m_hat, eve_guess_a):
     stats = spec.stats
-    gate_keep = (m_hat >= stats.th1) & (m_hat <= stats.th2)
+    thresholds = stats.thresholds()
+    gate_keep = det.gate(m_hat, thresholds)
     subs_equal = a_sub == b_sub
 
     tallies: dict[str, DetectorTally] = {}
     labels: dict[str, np.ndarray] = {}
     for name in spec.detectors:
-        if name in ("simple", "optimum"):
-            th_lo, th_hi = stats.thresholds().pair(name)
-            g = np.where(m_hat > th_hi, 3, np.where(m_hat > th_lo, 1, 2))
-        elif name in ("ml", "map"):
+        if name == "ml":
             g = det.detect_moments(
-                m_hat,
-                scatter,
-                spec.params.samples_per_chip,
-                stats.middle_hypotheses(),
-                use_priors=name == "map",
+                m_hat, scatter, spec.params.samples_per_chip, stats.middle_hypotheses()
             )
         else:
-            raise ValueError(f"unknown detector {name!r}")
+            g = det.threshold_detect(m_hat, *thresholds.pair(name))
         labels[name] = g
 
         kept = gate_keep & (g != 1)
@@ -424,7 +281,29 @@ def _chunk_sizes(num_bits: int, chunk_bits: int) -> list[int]:
     return [chunk_bits] * full + ([rest] if rest else [])
 
 
-def _merge(parts: list[dict[str, DetectorTally]]) -> dict[str, DetectorTally]:
+def _run_chunks(chunk, spec: _ChunkSpec, num_bits: int, chunk_bits: int, jobs: int):
+    """Run ``chunk`` over ``num_bits`` bits in chunks and merge the tallies.
+
+    ``spec`` is the session's template: chunk ``i`` gets its own size as
+    ``n_bits`` and ``spec.key + (i,)`` as its substream key, so the merged
+    tallies are the same for every ``jobs``.
+    """
+    if num_bits < 1:
+        raise ValueError(f"num_bits must be >= 1, got {num_bits}")
+    if chunk_bits < 1:
+        raise ValueError(f"chunk_bits must be >= 1, got {chunk_bits}")
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
+    specs = [
+        replace(spec, n_bits=size, key=spec.key + (idx,))
+        for idx, size in enumerate(_chunk_sizes(num_bits, chunk_bits))
+    ]
+    if jobs > 1 and len(specs) > 1:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            parts = list(pool.map(chunk, specs, chunksize=4))
+    else:
+        parts = [chunk(s) for s in specs]
+
     merged: dict[str, DetectorTally] = {}
     for part in parts:
         for name, tally in part.items():
@@ -441,8 +320,8 @@ def run_session(
     point_key: tuple[int, ...] = (),
     trace=None,
     chunk_bits: int = DEFAULT_CHUNK_BITS,
-) -> SessionResult:
-    """Run ``num_bits`` main bits of the protocol and aggregate the tallies.
+) -> dict[str, DetectorTally]:
+    """Run ``num_bits`` main bits of the protocol; returns one tally per detector.
 
     Secrets are i.i.d. uniform.  Every detector in ``detectors`` (default:
     the configured one) is evaluated on the same sampled chips, so detector
@@ -451,41 +330,23 @@ def run_session(
     (a writable text file) forces serial execution and logs one line per
     chip.
     """
-    if num_bits < 1:
-        raise ValueError(f"num_bits must be >= 1, got {num_bits}")
     names = tuple(detectors) if detectors else (cfg.detector,)
     for name in names:
         if name not in DETECTOR_CHOICES:
             raise ValueError(f"detector must be one of {DETECTOR_CHOICES}, got {name!r}")
-
-    specs = [
-        _ChunkSpec(
-            params=cfg.params,
-            stats=cfg.stats,
-            detectors=names,
-            n_bits=size,
-            master_seed=seed,
-            key=point_key + (idx,),
-        )
-        for idx, size in enumerate(_chunk_sizes(num_bits, chunk_bits))
-    ]
-
-    if trace is not None:
-        parts = [_traced_chunk(spec, trace, base_bit=i * chunk_bits) for i, spec in enumerate(specs)]
-    elif jobs > 1 and len(specs) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            parts = list(pool.map(_rh_chunk, specs, chunksize=4))
-    else:
-        parts = [_rh_chunk(spec) for spec in specs]
-
-    return SessionResult(total_bits=num_bits, detector=names[0], tallies=_merge(parts))
+    spec = _ChunkSpec(cfg.params, cfg.stats, names, num_bits, seed, point_key)
+    if trace is None:
+        return _run_chunks(_rh_chunk, spec, num_bits, chunk_bits, jobs)
+    # one trace file, written in bit order: never more than one worker
+    traced = functools.partial(_traced_chunk, trace=trace, chunk_bits=chunk_bits)
+    return _run_chunks(traced, spec, num_bits, chunk_bits, min(jobs, 1))
 
 
-def _traced_chunk(spec: _ChunkSpec, trace, base_bit: int) -> dict[str, DetectorTally]:
-    a_main, b_main, a_sub, b_sub, scatter, m_hat, eve_guess_a = _rh_chunk_arrays(spec)
-    tallies, labels, gate_keep = _tally_chunk(
-        spec, a_main, b_main, a_sub, b_sub, scatter, m_hat, eve_guess_a
-    )
+def _traced_chunk(spec: _ChunkSpec, trace, chunk_bits: int) -> dict[str, DetectorTally]:
+    arrays = _rh_chunk_arrays(spec)
+    a_main, b_main, a_sub, b_sub, _, m_hat, _ = arrays
+    tallies, labels, gate_keep = _tally_chunk(spec, *arrays)
+    base_bit = spec.key[-1] * chunk_bits
     for i in range(spec.n_bits):
         for c in range(spec.params.chips_per_bit):
             verdicts = []
@@ -510,16 +371,7 @@ def _traced_chunk(spec: _ChunkSpec, trace, base_bit: int) -> dict[str, DetectorT
 # ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _ClassicalChunkSpec:
-    params: SystemParams
-    n_bits: int
-    n_per_bit: int
-    master_seed: int
-    key: tuple[int, ...]
-
-
-def _classical_chunk(spec: _ClassicalChunkSpec) -> dict[str, DetectorTally]:
+def _classical_chunk(spec: _ChunkSpec) -> dict[str, DetectorTally]:
     p = spec.params
     rng = substream(spec.master_seed, spec.key)
     a_main = rng.integers(0, 2, spec.n_bits)
@@ -532,7 +384,7 @@ def _classical_chunk(spec: _ClassicalChunkSpec) -> dict[str, DetectorTally]:
 
     # the mean of squares of n zero-mean normals is var * chi^2(n) / n
     eve_guess_a = rng.integers(0, 2, spec.n_bits)
-    n = spec.n_per_bit
+    n = p.samples_per_chip
     v_hat = var_true * (2.0 * rng.standard_gamma(0.5 * n, spec.n_bits)) / n
 
     th_lo = 0.5 * (var_00 + var_01)
@@ -561,32 +413,18 @@ def run_classical_session(
     jobs: int = 1,
     point_key: tuple[int, ...] = (),
     chunk_bits: int = DEFAULT_CHUNK_BITS,
-) -> SessionResult:
+) -> dict[str, DetectorTally]:
     """Classical two-resistor baseline with variance trisection.
 
     Per bit: estimate the common-voltage variance from ``n_per_bit``
     zero-mean samples (mean of squares), pick the nearest of the three
     case variances via midpoint thresholds, discard detections of the
     equal-bit cases, and infer the partner bit by the flip rule otherwise.
-    The decision unit is the bit, so ``total_chips`` counts bits here.
+    The decision unit is the bit, so ``total_chips`` counts bits here; the
+    result holds one tally, under ``"classical"``.
     """
-    if num_bits < 1:
-        raise ValueError(f"num_bits must be >= 1, got {num_bits}")
     if n_per_bit < 1:
         raise ValueError(f"n_per_bit must be >= 1, got {n_per_bit}")
-    specs = [
-        _ClassicalChunkSpec(
-            params=cfg.params,
-            n_bits=size,
-            n_per_bit=n_per_bit,
-            master_seed=seed,
-            key=point_key + (idx,),
-        )
-        for idx, size in enumerate(_chunk_sizes(num_bits, chunk_bits))
-    ]
-    if jobs > 1 and len(specs) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            parts = list(pool.map(_classical_chunk, specs, chunksize=4))
-    else:
-        parts = [_classical_chunk(spec) for spec in specs]
-    return SessionResult(total_bits=num_bits, detector="classical", tallies=_merge(parts))
+    params = cfg.params.replace(samples_per_chip=n_per_bit)
+    spec = _ChunkSpec(params, cfg.stats, ("classical",), num_bits, seed, point_key)
+    return _run_chunks(_classical_chunk, spec, num_bits, chunk_bits, jobs)

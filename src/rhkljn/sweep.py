@@ -20,8 +20,9 @@ from dataclasses import dataclass
 from .config import SCENARIOS, apply_scenario
 from .params import SystemParams, derive_stats, drif
 from .protocol import (
+    DETECTOR_CHOICES,
+    DetectorTally,
     ProtocolConfig,
-    SessionResult,
     run_classical_session,
     run_session,
 )
@@ -30,7 +31,7 @@ from .rng import value_key
 logger = logging.getLogger(__name__)
 
 SWEEP_PARAMETERS = ("n", "beta", "alpha", "gamma", "rate")
-SWEEP_DETECTORS = ("ml", "simple", "optimum")
+SWEEP_DETECTORS = DETECTOR_CHOICES
 
 # substream tags keep the harness streams disjoint from ad-hoc session keys
 _TAG_SWEEP = 0x51
@@ -180,7 +181,7 @@ def _point_params(base: SystemParams, parameter: str, value: float) -> SystemPar
 
 
 def _session_rows(
-    result: SessionResult,
+    tallies: dict[str, DetectorTally],
     scheme: str,
     spec_param: str,
     value: float,
@@ -195,7 +196,7 @@ def _session_rows(
 ) -> list[ResultRow]:
     rows = []
     for name in detectors:
-        tally = result.tally(name)
+        tally = tallies[name]
         lo, hi = binomial_ci95(tally.sub_bit_errors, tally.kept_chips)
         if tally.sub_bit_errors < _MIN_ERRORS_FOR_CI:
             logger.warning(
@@ -257,7 +258,7 @@ def run_sweep(
                 detector=spec.detectors[0],
             )
             started = time.perf_counter()
-            result = run_session(
+            tallies = run_session(
                 spec.num_bits,
                 cfg,
                 seed=spec.master_seed,
@@ -269,7 +270,7 @@ def run_sweep(
             elapsed = time.perf_counter() - started
             rows.extend(
                 _session_rows(
-                    result,
+                    tallies,
                     scheme="rh",
                     spec_param=spec.swept_parameter,
                     value=value,
@@ -320,32 +321,20 @@ def run_compare(
             point_key=(_TAG_CLASSICAL, value_key(rate)),
         )
         elapsed = time.perf_counter() - started
-        tally = classical.tally("classical")
-        lo, hi = binomial_ci95(tally.sub_bit_errors, tally.kept_chips)
-        rows.append(
-            ResultRow(
+        rows.extend(
+            _session_rows(
+                classical,
                 scheme="classical",
-                swept_parameter="rate",
-                value=float(rate),
+                spec_param="rate",
+                value=rate,
                 scenario="-",
-                detector="classical",
-                alpha=base_params.alpha,
-                beta=base_params.beta,
-                gamma=base_params.gamma,
-                m_l=0.0,
+                # the classical pair is unbiased and decides once per bit
+                params=base_params.replace(m_l=0.0, chips_per_bit=1),
                 samples=n_classical,
-                chips_per_bit=1,
                 num_bits=num_bits,
                 seed=master_seed,
-                total_units=tally.total_chips,
-                kept_units=tally.kept_chips,
-                errors=tally.sub_bit_errors,
-                bep=tally.bep,
-                bep_ci_lo=lo,
-                bep_ci_hi=hi,
-                discard_fraction=tally.discard_fraction,
-                eve_accuracy=tally.eve_correct_fraction,
-                drif=1.0,
+                detectors=("classical",),
+                drif_value=1.0,
                 wall_time=elapsed,
             )
         )
@@ -358,7 +347,7 @@ def run_compare(
                 detector=detectors[0],
             )
             started = time.perf_counter()
-            result = run_session(
+            tallies = run_session(
                 num_bits,
                 cfg,
                 seed=master_seed,
@@ -369,7 +358,7 @@ def run_compare(
             elapsed = time.perf_counter() - started
             rows.extend(
                 _session_rows(
-                    result,
+                    tallies,
                     scheme="rh",
                     spec_param="rate",
                     value=rate,

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from rhkljn import SystemParams, derive_stats
+from rhkljn.protocol import _ChunkSpec, _rh_chunk_arrays, _tally_chunk
 
 
 @pytest.fixture(scope="session")
@@ -28,3 +29,23 @@ def random_valid_params(rng, **overrides):
     kwargs = dict(alpha=alpha, beta=beta, gamma=gamma)
     kwargs.update(overrides)
     return SystemParams(**kwargs)
+
+
+def assert_parties_agree(params, n_bits, seed, detectors):
+    """Tally fresh chips as Alice (a, b) and as Bob (b, a) on the same (m_hat, S).
+
+    Both parties see only the public statistics, so every label, gate
+    verdict, kept count and error count must be identical.  Returns the
+    number of chips checked.
+    """
+    spec = _ChunkSpec(params, derive_stats(params), tuple(detectors), n_bits, seed, (0,))
+    a_main, b_main, a_sub, b_sub, scatter, m_hat, eve = _rh_chunk_arrays(spec)
+    alice = _tally_chunk(spec, a_main, b_main, a_sub, b_sub, scatter, m_hat, eve)
+    bob = _tally_chunk(spec, b_main, a_main, b_sub, a_sub, scatter, m_hat, eve)
+    assert np.array_equal(alice[2], bob[2])
+    for name in detectors:
+        assert np.array_equal(alice[1][name], bob[1][name]), name
+        ta, tb = alice[0][name], bob[0][name]
+        counts = ("kept_chips", "sub_bit_errors", "main_bit_errors")
+        assert [getattr(ta, c) for c in counts] == [getattr(tb, c) for c in counts], name
+    return m_hat.size

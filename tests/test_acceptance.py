@@ -12,7 +12,6 @@ from scipy.stats import norm, spearmanr
 
 from rhkljn import (
     ChipState,
-    PartySecret,
     ProtocolConfig,
     ResistorTolerance,
     SystemParams,
@@ -26,7 +25,6 @@ from rhkljn import (
     pe1,
     pe2,
     rho,
-    run_chip,
     run_compare,
     run_session,
     run_sweep,
@@ -37,7 +35,7 @@ from rhkljn import (
     SweepSpec,
 )
 from rhkljn.cli import main
-from conftest import random_valid_params
+from conftest import assert_parties_agree, random_valid_params
 
 # fixture seed for every Monte Carlo criterion; seed 1 happens to hit a
 # one-in-thousands single-leak fluctuation at n=10 that breaks the strict
@@ -259,21 +257,15 @@ def test_criterion_7_classical_comparison():
 
 
 def test_criterion_8_security_properties(security_session):
-    tally = security_session.tally("optimum")
+    tally = security_session["optimum"]
     assert tally.kept_chips >= 100_000
     eve = tally.eve_correct_fraction
     assert 0.49 <= eve <= 0.51, eve
     assert abs(tally.discard_fraction - ideal_discard_fraction()) <= 0.01 * ideal_discard_fraction()
 
-    # both parties decide from the same sample mean: verify on fresh chips
-    params = SystemParams()
-    cfg = ProtocolConfig.from_params(params)
-    rng = np.random.default_rng(SEED + 8)
-    for _ in range(10_000):
-        alice = PartySecret(int(rng.integers(2)), tuple(rng.integers(0, 2, params.chips_per_bit)))
-        bob = PartySecret(int(rng.integers(2)), tuple(rng.integers(0, 2, params.chips_per_bit)))
-        out_a, out_b, _ = run_chip(alice, bob, int(rng.integers(1, 11)), cfg, rng)
-        assert out_a.decision == out_b.decision and out_a.detected_g == out_b.detected_g
+    # both parties decide from the same public statistics: verify on fresh chips
+    chips = assert_parties_agree(SystemParams(), 1_000, seed=SEED + 8, detectors=DETECTORS)
+    assert chips >= 10_000
     report(8, f"Eve accuracy {eve:.4f} on {tally.kept_chips} kept chips; discard fraction "
               f"{tally.discard_fraction:.4f}; parties agree on 100% of chips")
 

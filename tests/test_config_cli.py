@@ -252,6 +252,17 @@ class TestCli:
         assert "measured_xi=" in out
         assert "measured_eve_accuracy=" in out
 
+    def test_pls_zero_trials_exits_one(self, capsys):
+        assert main(["pls", "--tolerance", "0.01", "--trials", "0"]) == 1
+        assert "error: trials must be >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("jobs", ["0", "-4"])
+    def test_jobs_below_one_exits_one(self, tmp_path, capsys, jobs):
+        out = tmp_path / "rows.csv"
+        args = ["sweep", "--sweep", "n", "--values", "3", "--bits", "100", "--out", str(out)]
+        assert main(args + ["--jobs", jobs]) == 1
+        assert "error: jobs must be >= 1" in capsys.readouterr().err
+
     def test_pls_csv_row(self, tmp_path, capsys):
         csv = tmp_path / "pls.csv"
         assert main(["pls", "--csv", str(csv)]) == 0

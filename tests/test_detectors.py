@@ -14,8 +14,6 @@ from rhkljn import (
     chip_distribution,
     derive_stats,
     gate,
-    map_detect,
-    map_detect_batch,
     min_error_threshold,
     ml_detect,
     ml_detect_batch,
@@ -24,7 +22,6 @@ from rhkljn import (
     pe2,
     q_function,
     sample_chip,
-    sample_mean,
     simple_thresholds,
     stationarity_residual,
     threshold_detect,
@@ -54,23 +51,11 @@ class TestQFunction:
 
 
 class TestSampleMean:
-    def test_constant_sequence(self):
-        assert sample_mean(np.full(17, 3.25)) == 3.25
-
-    def test_small_example(self):
-        assert sample_mean([1.0, 2.0, 3.0]) == 2.0
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            sample_mean([])
-
     def test_converges_to_chip_mean(self, default_params, default_stats):
-        from rhkljn import ChipState, sample_chip
-
         rng = np.random.default_rng(5)
         samples = sample_chip(ChipState(0, 1, 1, 0), 400_000, rng, default_params)
         se = default_stats.sigma3 / math.sqrt(samples.values.size)
-        assert abs(sample_mean(samples) - default_stats.m3) < 5 * se
+        assert abs(samples.values.mean() - default_stats.m3) < 5 * se
 
 
 class TestGate:
@@ -82,6 +67,15 @@ class TestGate:
 
     def test_all_high_center_discarded(self, default_params, default_stats):
         assert not gate(default_params.m_h, default_stats.thresholds())
+
+    def test_array_matches_scalar(self, default_params, default_stats):
+        ts = default_stats.thresholds()
+        grid = np.linspace(default_params.m_l, default_params.m_h, 4001)
+        grid = np.concatenate([grid, [ts.th1, ts.th2]])
+        keep = gate(grid, ts)
+        assert keep.shape == grid.shape and keep.dtype == bool
+        assert keep.tolist() == [gate(float(m), ts) for m in grid]
+        assert keep.any() and not keep.all()
 
 
 class TestThresholdDetect:
@@ -98,6 +92,18 @@ class TestThresholdDetect:
         order = {2: 0, 1: 1, 3: 2}
         ranks = [order[g] for g in labels]
         assert ranks == sorted(ranks)
+
+    @pytest.mark.parametrize("kind", ["simple", "optimum"])
+    def test_array_matches_scalar(self, default_params, default_stats, kind):
+        th_lo, th_hi = default_stats.thresholds().pair(kind)
+        grid = np.linspace(default_params.m_l, default_params.m_h, 4000)
+        grid = np.concatenate([grid, [th_lo, th_hi]]).reshape(-1, 3)
+        labels = threshold_detect(grid, th_lo, th_hi)
+        assert labels.shape == grid.shape
+        scalar = [[threshold_detect(float(m), th_lo, th_hi) for m in row] for row in grid]
+        assert labels.tolist() == scalar
+        assert set(labels.ravel().tolist()) == {1, 2, 3}
+        assert isinstance(threshold_detect(float(grid[0, 0]), th_lo, th_hi), int)
 
 
 class TestSimpleThresholds:
@@ -184,40 +190,21 @@ class TestMlDetect:
         rng.shuffle(shuffled)
         assert ml_detect(values, hyps) == ml_detect(shuffled, hyps)
 
-    def test_map_variant_shifts_toward_heavy_prior(self, default_stats):
-        hyps = default_stats.middle_hypotheses()
-        # halfway between m2 and m1 on the simple threshold: ML is ambivalent,
-        # MAP leans toward the prior-1/2 center hypothesis
-        v = np.array([default_stats.th3])
-        ml_label = ml_detect(v, hyps)
-        map_label = map_detect(v, hyps)
-        costs = {
-            h.label: math.log(h.std)
-            + (v[0] - h.mean) ** 2 / (2 * h.std**2)
-            - math.log(h.prior)
-            for h in hyps
-        }
-        assert map_label == min(costs, key=costs.get)
-        assert ml_label in (1, 2)
-
 
 class TestMomentForm:
-    """The batch detectors score (m_hat, S); the oracle sums per-sample log densities."""
+    """The batch detector scores (m_hat, S); the oracle sums per-sample log densities."""
 
     @pytest.mark.parametrize("n", [1, 2, 3, 20, 40])
     def test_matches_log_density_brute_force(self, default_stats, n):
         hyps = default_stats.middle_hypotheses()
         means = np.array([h.mean for h in hyps])
         stds = np.array([h.std for h in hyps])
-        priors = np.array([h.prior for h in hyps])
         labels = np.array([h.label for h in hyps])
         rng = np.random.default_rng(100 + n)
         pick = rng.integers(0, 3, 20_000)
         values = means[pick][:, None] + stds[pick][:, None] * rng.standard_normal((20_000, n))
         log_liks = norm.logpdf(values[:, :, None], loc=means, scale=stds).sum(axis=1)
         assert np.array_equal(ml_detect_batch(values, hyps), labels[np.argmax(log_liks, axis=1)])
-        log_post = log_liks + np.log(priors)
-        assert np.array_equal(map_detect_batch(values, hyps), labels[np.argmax(log_post, axis=1)])
 
     @pytest.mark.parametrize("n", [1, 2, 3, 20, 40])
     def test_noiseless_point_masses(self, n):
@@ -235,7 +222,6 @@ class TestMomentForm:
                     expected = min(hyps, key=lambda h: abs(h.mean - mean)).label
                     values = sample_chip(state, n, rng, params).values[None, :]
                     assert ml_detect_batch(values, hyps)[0] == expected
-                    assert map_detect_batch(values, hyps)[0] == expected
 
     @pytest.mark.parametrize("n", [1, 2, 3, 20, 40])
     def test_point_mass_beside_gaussians(self, n):
@@ -257,7 +243,6 @@ class TestMomentForm:
         oracle = np.where(on_mass, 1, gauss_labels[np.argmax(log_liks, axis=1)])
         assert not on_mass[10:].any()
         assert np.array_equal(ml_detect_batch(values, hyps), oracle)
-        assert np.array_equal(map_detect_batch(values, hyps), oracle)
 
 
 class TestErrorProbabilities:

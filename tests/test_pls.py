@@ -136,6 +136,13 @@ class TestOutage:
         with pytest.raises(ValueError):
             sop(default_stats, 1.0, perturbation=ResistorTolerance(0.01))
 
+    @pytest.mark.parametrize("trials", [0, -3])
+    def test_trials_below_one_rejected(self, default_params, default_stats, trials):
+        with pytest.raises(ValueError, match="trials"):
+            sop(default_stats, 1.0, ResistorTolerance(0.01), trials, default_params)
+        with pytest.raises(ValueError, match="trials"):
+            sop(default_stats, 1.0, trials=trials)
+
     def test_middle_stats_match_nominal_resistors(self, default_params, default_stats):
         p = default_params
         m1, m2, m3, s1, s2, s3 = middle_stats_from_resistors(
@@ -165,9 +172,9 @@ class TestEffectiveRate:
 
     def test_measured_xi_matches_combinatorial(self, default_params):
         cfg = ProtocolConfig.from_params(default_params)
-        result = run_session(20_000, cfg, seed=99)
-        assert abs(result.discard_fraction - ideal_discard_fraction()) < 0.01
-        report = build_report(default_params, cfg.stats, xi=result.discard_fraction)
+        tally = run_session(20_000, cfg, seed=99)["optimum"]
+        assert abs(tally.discard_fraction - ideal_discard_fraction()) < 0.01
+        report = build_report(default_params, cfg.stats, xi=tally.discard_fraction)
         analytic = build_report(default_params, cfg.stats)
         assert report.effective_rate == pytest.approx(analytic.effective_rate, rel=0.02)
 

@@ -1,4 +1,4 @@
-"""Per-chip protocol, session aggregation and eavesdropper behavior."""
+"""Session engine, its per-chip verdicts and eavesdropper behavior."""
 
 import io
 import itertools
@@ -10,19 +10,18 @@ from scipy.stats import binomtest, chi2, kstest, norm
 
 from rhkljn import (
     ChipState,
-    PartySecret,
     ProtocolConfig,
     SystemParams,
     chip_distribution,
     derive_stats,
     eve_observe,
     ideal_discard_fraction,
-    run_chip,
     run_classical_session,
     run_session,
     sample_chip,
 )
-from rhkljn.protocol import _ChunkSpec, _rh_chunk_arrays
+from rhkljn.protocol import DETECTOR_CHOICES, _ChunkSpec, _rh_chunk_arrays, _tally_chunk
+from conftest import assert_parties_agree
 
 
 def make_cfg(detector="optimum", **param_overrides):
@@ -30,77 +29,49 @@ def make_cfg(detector="optimum", **param_overrides):
     return ProtocolConfig(params=params, stats=derive_stats(params), detector=detector)
 
 
-def secrets(main, subs):
-    return PartySecret(main_bit=main, sub_bits=tuple(subs))
-
-
 NOISELESS = dict(temperature=0.0)
 
 
-class TestRunChip:
-    def test_all_low_state_gate_discards(self):
-        cfg = make_cfg(**NOISELESS)
-        rng = np.random.default_rng(0)
-        out_a, out_b, _ = run_chip(secrets(0, [0] * 10), secrets(0, [0] * 10), 1, cfg, rng)
-        assert out_a.decision == out_b.decision == "discarded_gate"
+class TestChipVerdicts:
+    """Per-chip gate, label and keep verdicts of the engine, for every detector."""
 
-    def test_all_high_state_gate_discards(self):
-        cfg = make_cfg(**NOISELESS)
-        rng = np.random.default_rng(0)
-        out_a, _, _ = run_chip(secrets(1, [1] * 10), secrets(1, [0] * 10), 1, cfg, rng)
-        assert out_a.decision == "discarded_gate"
+    @pytest.mark.parametrize("detector", DETECTOR_CHOICES)
+    def test_noiseless_verdicts_are_exact(self, detector):
+        # no noise: every chip sits on its state's mean, so the gate keeps
+        # exactly the mixed-main chips and each gets its nearest middle label
+        params = SystemParams(samples_per_chip=5, **NOISELESS)
+        stats = derive_stats(params)
+        spec = _ChunkSpec(params, stats, (detector,), 400, 7, (0,))
+        arrays = _rh_chunk_arrays(spec)
+        a_main, b_main, a_sub, b_sub = arrays[:4]
+        tallies, labels, gate_keep = _tally_chunk(spec, *arrays)
 
-    def test_secure_chip_exchanges_with_correct_flips(self):
-        cfg = make_cfg(**NOISELESS)
-        rng = np.random.default_rng(0)
-        alice, bob = secrets(0, [0] * 10), secrets(1, [1] * 10)
-        out_a, out_b, _ = run_chip(alice, bob, 1, cfg, rng)
-        assert out_a.decision == out_b.decision == "exchanged"
-        assert out_a.detected_g == 2  # true mean is the left middle Gaussian
-        assert out_a.inferred_partner_main == 1 and out_a.inferred_partner_sub == 1
-        assert out_b.inferred_partner_main == 0 and out_b.inferred_partner_sub == 0
+        mixed = np.broadcast_to((a_main != b_main)[:, None], a_sub.shape)
+        assert np.array_equal(gate_keep, mixed)
+        g = labels[detector]
+        kept = gate_keep & (g != 1)
+        # kept exactly when the mains and the sub-bits both differ, which is
+        # when the flip rule recovers the partner's bits
+        assert np.array_equal(kept, mixed & (a_sub != b_sub))
+        rows = np.nonzero(kept)[0]
+        assert np.array_equal(1 - a_main[rows], b_main[rows])
+        assert np.array_equal(1 - a_sub[kept], b_sub[kept])
+        tally = tallies[detector]
+        assert tally.kept_chips == int(kept.sum()) > 0
+        assert tally.sub_bit_errors == tally.main_bit_errors == 0
 
-    def test_equal_subbits_in_mixed_state_discarded_as_center(self):
-        cfg = make_cfg(**NOISELESS)
-        rng = np.random.default_rng(0)
-        out_a, out_b, _ = run_chip(secrets(0, [0] * 10), secrets(1, [0] * 10), 1, cfg, rng)
-        assert out_a.decision == out_b.decision == "discarded_g1"
+        middle = {1: stats.m1, 2: stats.m2, 3: stats.m3}
+        for b_a, s_a, s_b in itertools.product((0, 1), repeat=3):
+            state = ChipState(b_a, 1 - b_a, s_a, s_b)
+            mean, _ = chip_distribution(state, params)
+            nearest = min(middle, key=lambda k: abs(middle[k] - mean))
+            sel = (a_main[:, None] == b_a) & mixed & (a_sub == s_a) & (b_sub == s_b)
+            assert sel.any(), state
+            assert np.all(g[sel] == nearest), state
 
-    @pytest.mark.parametrize("detector", ["ml", "simple", "optimum", "map"])
-    def test_parties_always_agree(self, detector, rng):
-        cfg = make_cfg(detector=detector)
-        for _ in range(300):
-            alice = secrets(int(rng.integers(2)), rng.integers(0, 2, 10))
-            bob = secrets(int(rng.integers(2)), rng.integers(0, 2, 10))
-            p = int(rng.integers(1, 11))
-            out_a, out_b, _ = run_chip(alice, bob, p, cfg, rng)
-            assert out_a.decision == out_b.decision
-            assert out_a.detected_g == out_b.detected_g
-
-    def test_correct_detection_implies_correct_inference(self, rng):
-        # whenever the detected label equals the true Gaussian label, the
-        # flip rule recovers the partner bits exactly
-        cfg = make_cfg()
-        checked = 0
-        for _ in range(500):
-            alice = secrets(int(rng.integers(2)), rng.integers(0, 2, 10))
-            bob = secrets(int(rng.integers(2)), rng.integers(0, 2, 10))
-            if alice.main_bit == bob.main_bit:
-                continue
-            sa, sb = alice.sub_bits[0], bob.sub_bits[0]
-            entry = {
-                e.sub_bits: e for e in cfg.stats.mixture_tables[(alice.main_bit, bob.main_bit)]
-            }[(sa, sb)]
-            middle = {1: cfg.stats.m1, 2: cfg.stats.m2, 3: cfg.stats.m3}
-            true_g = min(middle, key=lambda g: abs(middle[g] - entry.mean))
-            out_a, out_b, _ = run_chip(alice, bob, 1, cfg, rng)
-            if out_a.decision == "exchanged" and out_a.detected_g == true_g:
-                checked += 1
-                assert out_a.inferred_partner_main == bob.main_bit
-                assert out_a.inferred_partner_sub == sb
-                assert out_b.inferred_partner_main == alice.main_bit
-                assert out_b.inferred_partner_sub == sa
-        assert checked > 50
+    @pytest.mark.parametrize("detector", DETECTOR_CHOICES)
+    def test_parties_always_agree(self, detector):
+        assert_parties_agree(SystemParams(), 300, seed=13, detectors=(detector,))
 
 
 class TestEveObserve:
@@ -132,7 +103,7 @@ class TestRunSession:
         cfg = make_cfg(**NOISELESS)
         result = run_session(500, cfg, seed=9, detectors=("ml", "simple", "optimum"))
         for name in ("ml", "simple", "optimum"):
-            tally = result.tally(name)
+            tally = result[name]
             assert tally.bep == 0.0
             assert tally.sub_bit_errors == 0
             assert tally.main_bit_errors == 0
@@ -143,18 +114,18 @@ class TestRunSession:
     def test_kept_fraction_matches_combinatorial_count(self):
         # 4 of the 16 equiprobable configurations survive ideal detection
         cfg = make_cfg()
-        result = run_session(20_000, cfg, seed=12)
-        total = result.tally().total_chips
+        tally = run_session(20_000, cfg, seed=12)["optimum"]
+        total = tally.total_chips
         se = math.sqrt(0.25 * 0.75 / total)
-        assert abs(result.kept_chips / total - 0.25) < 5 * se
+        assert abs(tally.kept_chips / total - 0.25) < 5 * se
 
     def test_sub_bit_errors_only_from_misdetections(self):
         # noiseless channel: every label is exact, so zero errors and the
         # discard fraction is exactly 3/4
         cfg = make_cfg(**NOISELESS)
-        result = run_session(2_000, cfg, seed=4)
-        assert result.bep == 0.0
-        assert result.discard_fraction == pytest.approx(0.75, abs=0.01)
+        tally = run_session(2_000, cfg, seed=4)["optimum"]
+        assert tally.bep == 0.0
+        assert tally.discard_fraction == pytest.approx(0.75, abs=0.01)
 
     def test_determinism_across_worker_counts(self):
         cfg = make_cfg()
@@ -162,13 +133,13 @@ class TestRunSession:
         parallel = run_session(
             700, cfg, seed=77, detectors=("simple", "optimum"), chunk_bits=100, jobs=4
         )
-        assert serial.tallies == parallel.tallies
+        assert serial == parallel
 
     def test_tally_counts_are_conserved(self):
         cfg = make_cfg()
         result = run_session(5_000, cfg, seed=14, detectors=("ml", "simple", "optimum"))
         for name in ("ml", "simple", "optimum"):
-            t = result.tally(name)
+            t = result[name]
             assert t.kept_chips + t.discarded_gate + t.discarded_g1 == t.total_chips
             assert 0.0 <= t.bep <= 1.0
             assert 0.0 <= t.discard_fraction <= 1.0
@@ -179,12 +150,11 @@ class TestRunSession:
         cfg = make_cfg()
         both = run_session(3_000, cfg, seed=5, detectors=("simple", "optimum"))
         simple_only = run_session(3_000, cfg, seed=5, detectors=("simple",))
-        assert both.tally("simple") == simple_only.tally("simple")
+        assert both["simple"] == simple_only["simple"]
 
     def test_eve_accuracy_is_fair_coin(self):
         cfg = make_cfg()
-        result = run_session(50_000, cfg, seed=6)
-        tally = result.tally()
+        tally = run_session(50_000, cfg, seed=6)["optimum"]
         assert tally.kept_chips >= 100_000
         test = binomtest(tally.eve_correct, tally.kept_chips, 0.5)
         assert test.pvalue >= 0.01
@@ -195,7 +165,7 @@ class TestRunSession:
         result = run_session(20, cfg, seed=8, trace=buf)
         lines = buf.getvalue().strip().splitlines()
         assert len(lines) == 20 * cfg.params.chips_per_bit
-        assert result.total_chips == len(lines)
+        assert result["optimum"].total_chips == len(lines)
         first = lines[0]
         for token in ("bit=", "chip=", "b_a=", "s_b=", "m_hat=", "optimum:"):
             assert token in first
@@ -206,6 +176,25 @@ class TestRunSession:
             run_session(0, cfg, seed=1)
         with pytest.raises(ValueError):
             run_session(10, cfg, seed=1, detectors=("bogus",))
+        with pytest.raises(ValueError):
+            run_session(10, cfg, seed=1, detectors=("map",))
+
+    @pytest.mark.parametrize("jobs", [0, -4])
+    def test_jobs_below_one_rejected(self, jobs):
+        cfg = make_cfg()
+        with pytest.raises(ValueError, match="jobs"):
+            run_session(10, cfg, seed=1, jobs=jobs)
+        with pytest.raises(ValueError, match="jobs"):
+            run_session(10, cfg, seed=1, jobs=jobs, trace=io.StringIO())
+        with pytest.raises(ValueError, match="jobs"):
+            run_classical_session(10, 20, cfg, seed=1, jobs=jobs)
+
+    def test_chunk_bits_below_one_rejected(self):
+        cfg = make_cfg()
+        with pytest.raises(ValueError, match="chunk_bits"):
+            run_session(10, cfg, seed=1, chunk_bits=0)
+        with pytest.raises(ValueError, match="chunk_bits"):
+            run_classical_session(10, 20, cfg, seed=1, chunk_bits=0)
 
 
 class TestChunkSampler:
@@ -269,12 +258,12 @@ class TestClassicalSession:
     def test_many_samples_drive_bep_to_zero(self):
         cfg = make_cfg()
         result = run_classical_session(2_000, 4_000, cfg, seed=21)
-        assert result.tally("classical").bep == 0.0
+        assert result["classical"].bep == 0.0
 
     def test_near_degenerate_ratio_gives_coin_flip_on_kept(self):
         cfg = make_cfg(alpha=1.05, beta=1.0)
         result = run_classical_session(50_000, 20, cfg, seed=22)
-        tally = result.tally("classical")
+        tally = result["classical"]
         assert tally.kept_chips > 1_000
         assert 0.4 < tally.bep < 0.6
 
@@ -282,12 +271,12 @@ class TestClassicalSession:
         cfg = make_cfg()
         a = run_classical_session(900, 50, cfg, seed=23, chunk_bits=128)
         b = run_classical_session(900, 50, cfg, seed=23, chunk_bits=128, jobs=3)
-        assert a.tallies == b.tallies
+        assert a == b
 
     def test_moderate_sampling_has_errors(self):
         cfg = make_cfg()
         result = run_classical_session(30_000, 20, cfg, seed=24)
-        tally = result.tally("classical")
+        tally = result["classical"]
         assert tally.bep > 0.05  # variance trisection is weak at 20 samples
 
 
@@ -299,13 +288,6 @@ class TestGateSoundness:
         for n in (2, 4, 20):
             cfg = make_cfg(samples_per_chip=n)
             result = run_session(30_000, cfg, seed=31)
-            leaks[n] = result.tally().main_bit_errors
+            leaks[n] = result["optimum"].main_bit_errors
         assert leaks[2] > leaks[4] > leaks[20] == 0
 
-
-class TestSecretValidation:
-    def test_bad_bits_rejected(self):
-        with pytest.raises(ValueError):
-            PartySecret(main_bit=2, sub_bits=(0, 1))
-        with pytest.raises(ValueError):
-            PartySecret(main_bit=0, sub_bits=(0, 3))
