@@ -74,6 +74,97 @@ class TestChipVerdicts:
         assert_parties_agree(SystemParams(), 300, seed=13, detectors=(detector,))
 
 
+def decisions(gate_keep, g):
+    """Per-chip verdict as the protocol names it."""
+    return np.where(~gate_keep, "discarded_gate", np.where(g == 1, "discarded_g1", "exchanged"))
+
+
+def noiseless_bit(a_main, a_subs, b_main, b_subs, detector="optimum"):
+    """Tally one bit whose chips sit exactly on their state means.
+
+    Returns, for Alice and for Bob (roles swapped on the same statistics),
+    the per-chip decisions, detected labels and the tally.
+    """
+    params = SystemParams(**NOISELESS)
+    stats = derive_stats(params)
+    spec = _ChunkSpec(params, stats, (detector,), 1, 0, (0,))
+    a_sub = np.asarray(a_subs)[None, :]
+    b_sub = np.asarray(b_subs)[None, :]
+    m_hat = np.array(
+        [
+            [chip_distribution(ChipState(a_main, b_main, sa, sb), params)[0]]
+            for sa, sb in zip(a_sub[0], b_sub[0])
+        ]
+    ).T
+    scatter = np.zeros_like(m_hat)
+    eve = np.zeros_like(a_sub)
+    a_m, b_m = np.array([a_main]), np.array([b_main])
+    out = []
+    for own in ((a_m, b_m, a_sub, b_sub), (b_m, a_m, b_sub, a_sub)):
+        tallies, labels, gate_keep = _tally_chunk(spec, *own, scatter, m_hat, eve)
+        g = labels[detector]
+        out.append((decisions(gate_keep, g)[0], g[0], tallies[detector]))
+    return out
+
+
+class TestRunChip:
+    """Single-chip verdicts of the engine: gate, center discard and flip rule."""
+
+    def test_all_low_state_gate_discards(self):
+        (dec_a, _, _), (dec_b, _, _) = noiseless_bit(0, [0] * 10, 0, [0] * 10)
+        assert np.all(dec_a == "discarded_gate") and np.all(dec_b == "discarded_gate")
+
+    def test_all_high_state_gate_discards(self):
+        (dec_a, _, tally), _ = noiseless_bit(1, [1] * 10, 1, [0] * 10)
+        assert np.all(dec_a == "discarded_gate")
+        assert tally.discarded_gate == 10 and tally.kept_chips == 0
+
+    def test_secure_chip_exchanges_with_correct_flips(self):
+        a_main, a_sub, b_main, b_sub = 0, [0] * 10, 1, [1] * 10
+        (dec_a, g_a, tally_a), (dec_b, g_b, tally_b) = noiseless_bit(a_main, a_sub, b_main, b_sub)
+        assert np.all(dec_a == "exchanged") and np.all(dec_b == "exchanged")
+        assert np.all(g_a == 2) and np.all(g_b == 2)  # true mean is the left middle Gaussian
+        # flip rule: each party infers the partner's bits as the complement of its own
+        assert 1 - a_main == b_main and np.array_equal(1 - np.array(a_sub), b_sub)
+        for tally in (tally_a, tally_b):
+            assert tally.kept_chips == 10
+            assert tally.sub_bit_errors == tally.main_bit_errors == 0
+
+    def test_equal_subbits_in_mixed_state_discarded_as_center(self):
+        (dec_a, g_a, _), (dec_b, _, _) = noiseless_bit(0, [0] * 10, 1, [0] * 10)
+        assert np.all(dec_a == "discarded_g1") and np.all(dec_b == "discarded_g1")
+        assert np.all(g_a == 1)
+
+    def test_correct_detection_implies_correct_inference(self):
+        # whenever the detected label equals the true Gaussian label, the
+        # chip is kept iff the sub-bits differ, and then the flip rule
+        # recovers the partner bits exactly
+        params = SystemParams()
+        stats = derive_stats(params)
+        spec = _ChunkSpec(params, stats, ("optimum",), 500, 29, (0,))
+        arrays = _rh_chunk_arrays(spec)
+        a_main, b_main, a_sub, b_sub = arrays[:4]
+        _, labels, gate_keep = _tally_chunk(spec, *arrays)
+        g = labels["optimum"]
+
+        middle = {1: stats.m1, 2: stats.m2, 3: stats.m3}
+        true_g = np.zeros_like(g)
+        for b_a, s_a, s_b in itertools.product((0, 1), repeat=3):
+            mean, _ = chip_distribution(ChipState(b_a, 1 - b_a, s_a, s_b), params)
+            sel = (a_main[:, None] == b_a) & (b_main[:, None] != b_a) & (a_sub == s_a)
+            true_g[sel & (b_sub == s_b)] = min(middle, key=lambda k: abs(middle[k] - mean))
+
+        correct = gate_keep & (g == true_g)
+        kept = correct & (g != 1)
+        assert np.array_equal(kept, correct & (a_sub != b_sub))
+        rows = np.nonzero(kept)[0]
+        assert np.array_equal(1 - a_main[rows], b_main[rows])
+        assert np.array_equal(1 - b_main[rows], a_main[rows])
+        assert np.array_equal(1 - a_sub[kept], b_sub[kept])
+        assert np.array_equal(1 - b_sub[kept], a_sub[kept])
+        assert kept.sum() > 50
+
+
 class TestEveObserve:
     def test_all_low_chip_identified_confidently(self, default_params, default_stats):
         rng = np.random.default_rng(1)
