@@ -29,9 +29,8 @@ from .config import (
 )
 from .params import InvalidParamsError, NonSeparableError, SystemParams, check_separability, derive_stats
 from .pls import ResistorTolerance, build_report
-from .protocol import ProtocolConfig, run_session
+from .protocol import DETECTOR_CHOICES, ProtocolConfig, run_session
 from .sweep import (
-    SWEEP_DETECTORS,
     SWEEP_PARAMETERS,
     SweepSpec,
     run_compare,
@@ -70,7 +69,7 @@ def _detectors_arg(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--detectors",
         default=None,
-        help=f"comma list of detectors among {'/'.join(SWEEP_DETECTORS)} (default optimum)",
+        help=f"comma list of detectors among {'/'.join(DETECTOR_CHOICES)} (default optimum)",
     )
 
 
@@ -135,8 +134,8 @@ def _parse_detectors(args, harness) -> tuple[str, ...]:
         return ("optimum",)
     names = tuple(s.strip() for s in str(raw).split(",") if s.strip())
     for n in names:
-        if n not in SWEEP_DETECTORS:
-            raise ConfigError(f"unknown detector {n!r}; choose from {SWEEP_DETECTORS}")
+        if n not in DETECTOR_CHOICES:
+            raise ConfigError(f"unknown detector {n!r}; choose from {DETECTOR_CHOICES}")
     return names
 
 
@@ -233,8 +232,9 @@ def _cmd_sweep(args) -> int:
         from .sweep import _point_params
 
         for value in spec.values:
+            point_params = _point_params(params, spec.swept_parameter, value)
             for scenario in spec.scenarios:
-                _check_strict(args, apply_scenario(_point_params(params, spec.swept_parameter, value), scenario))
+                _check_strict(args, apply_scenario(point_params, scenario))
     jobs = int(_pick(args, harness, "jobs", 1))
     if args.trace:
         with open(args.trace, "w") as trace:
@@ -285,13 +285,12 @@ def _cmd_pls(args) -> int:
     measured_xi = None
     measured_eve = None
     if args.measure:
-        cfg = ProtocolConfig.from_params(params)
         tally = run_session(
             int(_pick(args, harness, "bits", 100_000)),
-            cfg,
+            ProtocolConfig(params, stats),
             seed=int(_pick(args, harness, "seed", 1)),
             jobs=int(_pick(args, harness, "jobs", 1)),
-        )[cfg.detector]
+        )["optimum"]
         measured_xi = tally.discard_fraction
         measured_eve = tally.eve_correct_fraction
 

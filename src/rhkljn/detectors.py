@@ -55,13 +55,10 @@ class GaussianHypothesis:
     label: int
     mean: float
     std: float
-    prior: float
 
     def __post_init__(self) -> None:
         if self.std < 0:
             raise ValueError(f"std must be >= 0, got {self.std}")
-        if not 0.0 <= self.prior <= 1.0:
-            raise ValueError(f"prior must be in [0, 1], got {self.prior}")
 
 
 @dataclass(frozen=True)

@@ -229,9 +229,9 @@ class DerivedStats:
     def middle_hypotheses(self) -> tuple["_det.GaussianHypothesis", ...]:
         """The three middle-band hypotheses (label g indexes the mean m_g)."""
         return (
-            _det.GaussianHypothesis(label=1, mean=self.m1, std=self.sigma1, prior=0.5),
-            _det.GaussianHypothesis(label=2, mean=self.m2, std=self.sigma2, prior=0.25),
-            _det.GaussianHypothesis(label=3, mean=self.m3, std=self.sigma3, prior=0.25),
+            _det.GaussianHypothesis(label=1, mean=self.m1, std=self.sigma1),
+            _det.GaussianHypothesis(label=2, mean=self.m2, std=self.sigma2),
+            _det.GaussianHypothesis(label=3, mean=self.m3, std=self.sigma3),
         )
 
 

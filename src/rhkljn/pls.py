@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .channel import divider_moments
 from .detectors import q_function
 from .params import DerivedStats, SystemParams
 from .rng import substream
@@ -148,17 +149,9 @@ def middle_stats_from_resistors(
     the nominal ratio structure.  The resistors may be scalars or arrays of
     one value per trial.
     """
-
-    def divider(r_low, r_high):
-        w_low = r_high / (r_low + r_high)
-        w_high = r_low / (r_low + r_high)
-        mean = m_l * w_low + m_h * w_high
-        var = noise_var_per_ohm * r_low * r_high / (r_low + r_high)
-        return mean, var
-
-    m1, v1 = divider(r_l0, r_h0)
-    m2, v2 = divider(r_l0, r_h1)
-    m3, v3 = divider(r_l1, r_h0)
+    m1, v1 = divider_moments(r_l0, r_h0, m_l, m_h, noise_var_per_ohm)
+    m2, v2 = divider_moments(r_l0, r_h1, m_l, m_h, noise_var_per_ohm)
+    m3, v3 = divider_moments(r_l1, r_h0, m_l, m_h, noise_var_per_ohm)
     return m1, m2, m3, np.sqrt(v1), np.sqrt(v2), np.sqrt(v3)
 
 

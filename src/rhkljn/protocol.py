@@ -55,19 +55,14 @@ class EveObservation:
 
 @dataclass(frozen=True)
 class ProtocolConfig:
-    """Everything a party (and Eve) knows publicly: parameters, derived stats, detector."""
+    """Everything a party (and Eve) knows publicly: parameters and derived stats."""
 
     params: SystemParams
     stats: DerivedStats
-    detector: str = "optimum"
-
-    def __post_init__(self) -> None:
-        if self.detector not in DETECTOR_CHOICES:
-            raise ValueError(f"detector must be one of {DETECTOR_CHOICES}, got {self.detector!r}")
 
     @classmethod
-    def from_params(cls, params: SystemParams, detector: str = "optimum") -> "ProtocolConfig":
-        return cls(params=params, stats=derive_stats(params), detector=detector)
+    def from_params(cls, params: SystemParams) -> "ProtocolConfig":
+        return cls(params=params, stats=derive_stats(params))
 
 
 @dataclass(frozen=True)
@@ -77,7 +72,6 @@ class DetectorTally:
     total_chips: int = 0
     kept_chips: int = 0
     sub_bit_errors: int = 0
-    main_bits_decided: int = 0
     main_bit_errors: int = 0
     discarded_gate: int = 0
     discarded_g1: int = 0
@@ -96,10 +90,6 @@ class DetectorTally:
     @property
     def discard_fraction(self) -> float:
         return 1.0 - self.kept_chips / self.total_chips if self.total_chips else 0.0
-
-    @property
-    def main_bep(self) -> float:
-        return self.main_bit_errors / self.main_bits_decided if self.main_bits_decided else 0.0
 
     @property
     def eve_correct_fraction(self) -> float:
@@ -189,7 +179,7 @@ def eve_observe(
 @dataclass(frozen=True)
 class _ChunkSpec:
     params: SystemParams
-    stats: DerivedStats
+    stats: DerivedStats | None  # None for the classical baseline, which reads none
     detectors: tuple[str, ...]
     n_bits: int
     master_seed: int
@@ -262,13 +252,11 @@ def _tally_chunk(spec, a_main, b_main, a_sub, b_sub, scatter, m_hat, eve_guess_a
 
         kept = gate_keep & (g != 1)
         sub_err = kept & subs_equal
-        decided = kept.any(axis=1)
         tallies[name] = DetectorTally(
             total_chips=int(kept.size),
             kept_chips=int(kept.sum()),
             sub_bit_errors=int(sub_err.sum()),
-            main_bits_decided=int(decided.sum()),
-            main_bit_errors=int((decided & (a_main == b_main)).sum()),
+            main_bit_errors=int((kept.any(axis=1) & (a_main == b_main)).sum()),
             discarded_gate=int((~gate_keep).sum()),
             discarded_g1=int((gate_keep & (g == 1)).sum()),
             eve_correct=int((kept & (eve_guess_a == a_main[:, None])).sum()),
@@ -315,7 +303,7 @@ def run_session(
     num_bits: int,
     cfg: ProtocolConfig,
     seed: int,
-    detectors: tuple[str, ...] | None = None,
+    detectors: tuple[str, ...] = ("optimum",),
     jobs: int = 1,
     point_key: tuple[int, ...] = (),
     trace=None,
@@ -323,14 +311,16 @@ def run_session(
 ) -> dict[str, DetectorTally]:
     """Run ``num_bits`` main bits of the protocol; returns one tally per detector.
 
-    Secrets are i.i.d. uniform.  Every detector in ``detectors`` (default:
-    the configured one) is evaluated on the same sampled chips, so detector
-    comparisons share one noise realization.  The result is bit-identical
-    for a fixed ``seed``/``point_key`` regardless of ``jobs``; ``trace``
-    (a writable text file) forces serial execution and logs one line per
-    chip.
+    Secrets are i.i.d. uniform.  Every detector in ``detectors`` is
+    evaluated on the same sampled chips, so detector comparisons share one
+    noise realization; the tallies come back in the requested order.  The
+    result is bit-identical for a fixed ``seed``/``point_key`` regardless
+    of ``jobs``; ``trace`` (a writable text file) forces serial execution
+    and logs one line per chip.
     """
-    names = tuple(detectors) if detectors else (cfg.detector,)
+    names = tuple(detectors)
+    if not names:
+        raise ValueError("detectors must be non-empty")
     for name in names:
         if name not in DETECTOR_CHOICES:
             raise ValueError(f"detector must be one of {DETECTOR_CHOICES}, got {name!r}")
@@ -396,7 +386,6 @@ def _classical_chunk(spec: _ChunkSpec) -> dict[str, DetectorTally]:
         total_chips=spec.n_bits,
         kept_chips=int(kept.sum()),
         sub_bit_errors=int(errors.sum()),
-        main_bits_decided=int(kept.sum()),
         main_bit_errors=int(errors.sum()),
         discarded_gate=int((~kept).sum()),
         discarded_g1=0,
@@ -407,8 +396,7 @@ def _classical_chunk(spec: _ChunkSpec) -> dict[str, DetectorTally]:
 
 def run_classical_session(
     num_bits: int,
-    n_per_bit: int,
-    cfg: ProtocolConfig,
+    params: SystemParams,
     seed: int,
     jobs: int = 1,
     point_key: tuple[int, ...] = (),
@@ -416,15 +404,13 @@ def run_classical_session(
 ) -> dict[str, DetectorTally]:
     """Classical two-resistor baseline with variance trisection.
 
-    Per bit: estimate the common-voltage variance from ``n_per_bit``
-    zero-mean samples (mean of squares), pick the nearest of the three
-    case variances via midpoint thresholds, discard detections of the
-    equal-bit cases, and infer the partner bit by the flip rule otherwise.
-    The decision unit is the bit, so ``total_chips`` counts bits here; the
-    result holds one tally, under ``"classical"``.
+    Per bit: estimate the common-voltage variance from
+    ``params.samples_per_chip`` zero-mean samples (mean of squares), pick
+    the nearest of the three case variances via midpoint thresholds,
+    discard detections of the equal-bit cases, and infer the partner bit by
+    the flip rule otherwise.  The decision unit is the bit, so
+    ``total_chips`` counts bits here; the result holds one tally, under
+    ``"classical"``.
     """
-    if n_per_bit < 1:
-        raise ValueError(f"n_per_bit must be >= 1, got {n_per_bit}")
-    params = cfg.params.replace(samples_per_chip=n_per_bit)
-    spec = _ChunkSpec(params, cfg.stats, ("classical",), num_bits, seed, point_key)
+    spec = _ChunkSpec(params, None, ("classical",), num_bits, seed, point_key)
     return _run_chunks(_classical_chunk, spec, num_bits, chunk_bits, jobs)

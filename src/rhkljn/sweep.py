@@ -4,18 +4,16 @@ A sweep runs one session per (value, scenario) grid point and evaluates all
 requested detectors on the same noise realization, emitting one CSV row per
 (value, scenario, detector).  Per-point substreams are keyed on the value's
 bit pattern, so any subset of a grid reproduces the full run exactly, and
-rows are written in grid order regardless of worker count.
-
-Wall time is tracked on each row for logging but never written to the CSV:
-output bytes depend only on the experiment definition and the seed.
+rows are written in grid order regardless of worker count.  Output bytes
+depend only on the experiment definition and the seed: no timing goes into
+a row.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .config import SCENARIOS, apply_scenario
 from .params import SystemParams, derive_stats, drif
@@ -31,7 +29,6 @@ from .rng import value_key
 logger = logging.getLogger(__name__)
 
 SWEEP_PARAMETERS = ("n", "beta", "alpha", "gamma", "rate")
-SWEEP_DETECTORS = DETECTOR_CHOICES
 
 # substream tags keep the harness streams disjoint from ad-hoc session keys
 _TAG_SWEEP = 0x51
@@ -40,6 +37,8 @@ _TAG_CLASSICAL = 0x53
 
 _MIN_BITS_FOR_CI = 1_000
 _MIN_ERRORS_FOR_CI = 100
+# a samples-per-chip value this close to an integer counts as whole
+_WHOLE_RTOL = 1e-9
 
 Z95 = 1.959963984540054
 
@@ -83,8 +82,8 @@ class SweepSpec:
         if not (all(d > 0 for d in diffs) or all(d < 0 for d in diffs)) and len(self.values) > 1:
             raise ValueError("values must be strictly monotone")
         for d in self.detectors:
-            if d not in SWEEP_DETECTORS:
-                raise ValueError(f"detectors must be among {SWEEP_DETECTORS}, got {d!r}")
+            if d not in DETECTOR_CHOICES:
+                raise ValueError(f"detectors must be among {DETECTOR_CHOICES}, got {d!r}")
         for s in self.scenarios:
             if s not in SCENARIOS:
                 raise ValueError(f"scenarios must be among {SCENARIOS}, got {s!r}")
@@ -100,7 +99,7 @@ class SweepSpec:
 
 @dataclass(frozen=True)
 class ResultRow:
-    """One CSV row of a sweep or comparison."""
+    """One CSV row of a sweep or comparison; its fields are the columns, in order."""
 
     scheme: str
     swept_parameter: str
@@ -124,33 +123,9 @@ class ResultRow:
     discard_fraction: float
     eve_accuracy: float
     drif: float
-    wall_time: float  # seconds; logged, never serialized
 
 
-CSV_COLUMNS = (
-    "scheme",
-    "swept_parameter",
-    "value",
-    "scenario",
-    "detector",
-    "alpha",
-    "beta",
-    "gamma",
-    "m_l",
-    "samples",
-    "chips_per_bit",
-    "num_bits",
-    "seed",
-    "total_units",
-    "kept_units",
-    "errors",
-    "bep",
-    "bep_ci_lo",
-    "bep_ci_hi",
-    "discard_fraction",
-    "eve_accuracy",
-    "drif",
-)
+CSV_COLUMNS = tuple(f.name for f in fields(ResultRow))
 
 
 def _fmt(value) -> str:
@@ -167,17 +142,24 @@ def write_csv(rows, out) -> None:
 
 
 def _point_params(base: SystemParams, parameter: str, value: float) -> SystemParams:
-    if parameter == "n":
-        n = int(round(value))
-        if n < 1:
+    """``base`` with the swept parameter set to ``value``.
+
+    ``n`` and ``rate`` set a whole number of samples per chip, rounded half
+    to even; a value that is not already whole is flagged on stderr.
+    """
+    if parameter not in ("n", "rate"):
+        return base.replace(**{parameter: float(value)})
+    exact = value if parameter == "n" else value * base.chip_duration
+    n = int(round(exact))
+    if n < 1:
+        if parameter == "n":
             raise ValueError(f"samples per chip must be >= 1, got {value}")
-        return base.replace(samples_per_chip=n)
-    if parameter == "rate":
-        n = int(round(value * base.chip_duration))
-        if n < 1:
-            raise ValueError(f"rate {value:g} gives no samples within a chip")
-        return base.replace(samples_per_chip=n)
-    return base.replace(**{parameter: float(value)})
+        raise ValueError(f"rate {value:g} gives no samples within a chip")
+    if abs(exact - n) > _WHOLE_RTOL * abs(exact):
+        logger.warning(
+            "%s=%g gives %.9g samples per chip; simulating %d", parameter, value, exact, n
+        )
+    return base.replace(samples_per_chip=n)
 
 
 def _session_rows(
@@ -187,16 +169,12 @@ def _session_rows(
     value: float,
     scenario: str,
     params: SystemParams,
-    samples: int,
     num_bits: int,
     seed: int,
-    detectors,
     drif_value: float,
-    wall_time: float,
 ) -> list[ResultRow]:
     rows = []
-    for name in detectors:
-        tally = tallies[name]
+    for name, tally in tallies.items():
         lo, hi = binomial_ci95(tally.sub_bit_errors, tally.kept_chips)
         if tally.sub_bit_errors < _MIN_ERRORS_FOR_CI:
             logger.warning(
@@ -218,7 +196,7 @@ def _session_rows(
                 beta=params.beta,
                 gamma=params.gamma,
                 m_l=params.m_l,
-                samples=samples,
+                samples=params.samples_per_chip,
                 chips_per_bit=params.chips_per_bit,
                 num_bits=num_bits,
                 seed=seed,
@@ -231,7 +209,6 @@ def _session_rows(
                 discard_fraction=tally.discard_fraction,
                 eve_accuracy=tally.eve_correct_fraction,
                 drif=drif_value,
-                wall_time=wall_time,
             )
         )
     return rows
@@ -252,12 +229,7 @@ def run_sweep(
         params = _point_params(base_params, spec.swept_parameter, value)
         for scen_idx, scenario in enumerate(spec.scenarios):
             point_params = apply_scenario(params, scenario)
-            cfg = ProtocolConfig(
-                params=point_params,
-                stats=derive_stats(point_params),
-                detector=spec.detectors[0],
-            )
-            started = time.perf_counter()
+            cfg = ProtocolConfig(params=point_params, stats=derive_stats(point_params))
             tallies = run_session(
                 spec.num_bits,
                 cfg,
@@ -267,7 +239,6 @@ def run_sweep(
                 point_key=(_TAG_SWEEP, scen_idx, value_key(value)),
                 trace=trace,
             )
-            elapsed = time.perf_counter() - started
             rows.extend(
                 _session_rows(
                     tallies,
@@ -276,12 +247,9 @@ def run_sweep(
                     value=value,
                     scenario=scenario,
                     params=point_params,
-                    samples=point_params.samples_per_chip,
                     num_bits=spec.num_bits,
                     seed=spec.master_seed,
-                    detectors=spec.detectors,
                     drif_value=drif(point_params.chips_per_bit),
-                    wall_time=elapsed,
                 )
             )
     return rows
@@ -307,20 +275,20 @@ def run_compare(
     rows: list[ResultRow] = []
     for rate in sampling_rates:
         rh_params = _point_params(base_params, "rate", rate)
-        n_rh = rh_params.samples_per_chip
-        n_classical = rh_params.chips_per_bit * n_rh
-
-        cfg = ProtocolConfig.from_params(base_params, detector=detectors[0])
-        started = time.perf_counter()
+        # the classical pair is unbiased and decides once per bit, from all
+        # the samples of the bit's chips_per_bit chips
+        classical_params = base_params.replace(
+            m_l=0.0,
+            chips_per_bit=1,
+            samples_per_chip=rh_params.chips_per_bit * rh_params.samples_per_chip,
+        )
         classical = run_classical_session(
             num_bits,
-            n_classical,
-            cfg,
+            classical_params,
             seed=master_seed,
             jobs=jobs,
             point_key=(_TAG_CLASSICAL, value_key(rate)),
         )
-        elapsed = time.perf_counter() - started
         rows.extend(
             _session_rows(
                 classical,
@@ -328,25 +296,16 @@ def run_compare(
                 spec_param="rate",
                 value=rate,
                 scenario="-",
-                # the classical pair is unbiased and decides once per bit
-                params=base_params.replace(m_l=0.0, chips_per_bit=1),
-                samples=n_classical,
+                params=classical_params,
                 num_bits=num_bits,
                 seed=master_seed,
-                detectors=("classical",),
                 drif_value=1.0,
-                wall_time=elapsed,
             )
         )
 
         for scen_idx, scenario in enumerate(scenarios):
             point_params = apply_scenario(rh_params, scenario)
-            cfg = ProtocolConfig(
-                params=point_params,
-                stats=derive_stats(point_params),
-                detector=detectors[0],
-            )
-            started = time.perf_counter()
+            cfg = ProtocolConfig(params=point_params, stats=derive_stats(point_params))
             tallies = run_session(
                 num_bits,
                 cfg,
@@ -355,7 +314,6 @@ def run_compare(
                 jobs=jobs,
                 point_key=(_TAG_RH_COMPARE, scen_idx, value_key(rate)),
             )
-            elapsed = time.perf_counter() - started
             rows.extend(
                 _session_rows(
                     tallies,
@@ -364,12 +322,9 @@ def run_compare(
                     value=rate,
                     scenario=scenario,
                     params=point_params,
-                    samples=n_rh,
                     num_bits=num_bits,
                     seed=master_seed,
-                    detectors=detectors,
                     drif_value=drif(point_params.chips_per_bit),
-                    wall_time=elapsed,
                 )
             )
     return rows

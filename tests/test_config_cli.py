@@ -4,10 +4,18 @@ import io
 
 import pytest
 
-from rhkljn import SweepSpec, SystemParams, run_sweep, write_csv
+from rhkljn import (
+    SweepSpec,
+    SystemParams,
+    run_classical_session,
+    run_compare,
+    run_sweep,
+    value_key,
+    write_csv,
+)
 from rhkljn.cli import main
 from rhkljn.config import ConfigError, SCENARIOS, apply_scenario, build_params, parse_config
-from rhkljn.sweep import CSV_COLUMNS, binomial_ci95
+from rhkljn.sweep import _TAG_CLASSICAL, CSV_COLUMNS, _point_params, binomial_ci95
 
 
 class TestConfigFile:
@@ -79,7 +87,13 @@ class TestCsv:
         assert len(lines) == 1 + 4  # 2 values x 1 scenario x 2 detectors
         assert [r.value for r in rows] == [3.0, 3.0, 5.0, 5.0]
         assert [r.detector for r in rows] == ["simple", "optimum", "simple", "optimum"]
-        assert "wall_time" not in lines[0]
+        # the file format is pinned: a new ResultRow field (a timing, say)
+        # would change every CSV's bytes
+        assert lines[0] == (
+            "scheme,swept_parameter,value,scenario,detector,alpha,beta,gamma,m_l,samples,"
+            "chips_per_bit,num_bits,seed,total_units,kept_units,errors,bep,bep_ci_lo,"
+            "bep_ci_hi,discard_fraction,eve_accuracy,drif"
+        )
 
     def test_nine_significant_digits(self):
         spec = SweepSpec(swept_parameter="n", values=(4.0,), num_bits=1_000, master_seed=1)
@@ -128,6 +142,43 @@ class TestCsv:
         assert binomial_ci95(0, 0) == (0.0, 1.0)
         lo_big, hi_big = binomial_ci95(500, 1_000)
         assert lo_big < 0.5 < hi_big
+
+
+class TestGridPoints:
+    @pytest.mark.parametrize("parameter, value", [("rate", 25_000.0), ("n", 2.5)])
+    def test_rounded_samples_per_chip_are_flagged(self, caplog, parameter, value):
+        # 25 kS/s over a 1e-4 s chip asks for 2.5 samples; both round to 2
+        with caplog.at_level("WARNING", logger="rhkljn.sweep"):
+            params = _point_params(SystemParams(), parameter, value)
+        assert params.samples_per_chip == 2
+        [record] = caplog.records
+        assert f"{parameter}={value:g}" in record.getMessage()
+        assert "2.5 samples per chip; simulating 2" in record.getMessage()
+
+    @pytest.mark.parametrize("parameter, value, n", [("rate", 20_000.0, 2), ("n", 3.0, 3)])
+    def test_whole_samples_per_chip_are_silent(self, caplog, parameter, value, n):
+        with caplog.at_level("WARNING", logger="rhkljn.sweep"):
+            params = _point_params(SystemParams(), parameter, value)
+        assert params.samples_per_chip == n
+        assert not caplog.records
+
+    def test_classical_compare_row(self):
+        rows = run_compare((5e4,), ("good",), num_bits=2_000, master_seed=13, base_params=SystemParams())
+        row = rows[0]
+        assert row.scheme == "classical"
+        # the whole bit's samples: 10 chips of 5 samples, unbiased, one decision per bit
+        assert (row.samples, row.chips_per_bit, row.m_l, row.drif) == (50, 1, 0.0, 1.0)
+        direct = run_classical_session(
+            2_000,
+            SystemParams(m_l=0.0, chips_per_bit=1, samples_per_chip=50),
+            seed=13,
+            point_key=(_TAG_CLASSICAL, value_key(5e4)),
+        )["classical"]
+        assert (row.total_units, row.kept_units, row.errors) == (
+            direct.total_chips,
+            direct.kept_chips,
+            direct.sub_bit_errors,
+        )
 
 
 class TestCli:

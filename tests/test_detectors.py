@@ -156,8 +156,8 @@ class TestMlDetect:
             assert ml_detect(np.array([v]), hyps) == expected
 
     def test_exact_tie_is_deterministic(self):
-        a = GaussianHypothesis(label=5, mean=0.0, std=2.0, prior=0.5)
-        b = GaussianHypothesis(label=7, mean=0.0, std=2.0, prior=0.5)
+        a = GaussianHypothesis(label=5, mean=0.0, std=2.0)
+        b = GaussianHypothesis(label=7, mean=0.0, std=2.0)
         assert ml_detect(np.array([1.0]), (a, b)) == 5
         assert ml_detect(np.array([1.0]), (b, a)) == 7
 
@@ -226,9 +226,9 @@ class TestMomentForm:
     @pytest.mark.parametrize("n", [1, 2, 3, 20, 40])
     def test_point_mass_beside_gaussians(self, n):
         hyps = (
-            GaussianHypothesis(label=1, mean=0.25, std=0.0, prior=0.5),
-            GaussianHypothesis(label=2, mean=-1.0, std=0.5, prior=0.25),
-            GaussianHypothesis(label=3, mean=1.0, std=0.8, prior=0.25),
+            GaussianHypothesis(label=1, mean=0.25, std=0.0),
+            GaussianHypothesis(label=2, mean=-1.0, std=0.5),
+            GaussianHypothesis(label=3, mean=1.0, std=0.8),
         )
         rng = np.random.default_rng(200 + n)
         noisy = 0.6 * rng.standard_normal((5_000, n))

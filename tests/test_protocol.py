@@ -24,9 +24,9 @@ from rhkljn.protocol import DETECTOR_CHOICES, _ChunkSpec, _rh_chunk_arrays, _tal
 from conftest import assert_parties_agree
 
 
-def make_cfg(detector="optimum", **param_overrides):
+def make_cfg(**param_overrides):
     params = SystemParams(**param_overrides)
-    return ProtocolConfig(params=params, stats=derive_stats(params), detector=detector)
+    return ProtocolConfig(params=params, stats=derive_stats(params))
 
 
 NOISELESS = dict(temperature=0.0)
@@ -269,6 +269,8 @@ class TestRunSession:
             run_session(10, cfg, seed=1, detectors=("bogus",))
         with pytest.raises(ValueError):
             run_session(10, cfg, seed=1, detectors=("map",))
+        with pytest.raises(ValueError, match="non-empty"):
+            run_session(10, cfg, seed=1, detectors=())
 
     @pytest.mark.parametrize("jobs", [0, -4])
     def test_jobs_below_one_rejected(self, jobs):
@@ -278,14 +280,14 @@ class TestRunSession:
         with pytest.raises(ValueError, match="jobs"):
             run_session(10, cfg, seed=1, jobs=jobs, trace=io.StringIO())
         with pytest.raises(ValueError, match="jobs"):
-            run_classical_session(10, 20, cfg, seed=1, jobs=jobs)
+            run_classical_session(10, cfg.params, seed=1, jobs=jobs)
 
     def test_chunk_bits_below_one_rejected(self):
         cfg = make_cfg()
         with pytest.raises(ValueError, match="chunk_bits"):
             run_session(10, cfg, seed=1, chunk_bits=0)
         with pytest.raises(ValueError, match="chunk_bits"):
-            run_classical_session(10, 20, cfg, seed=1, chunk_bits=0)
+            run_classical_session(10, cfg.params, seed=1, chunk_bits=0)
 
 
 class TestChunkSampler:
@@ -347,26 +349,24 @@ class TestChunkSampler:
 
 class TestClassicalSession:
     def test_many_samples_drive_bep_to_zero(self):
-        cfg = make_cfg()
-        result = run_classical_session(2_000, 4_000, cfg, seed=21)
+        result = run_classical_session(2_000, SystemParams(samples_per_chip=4_000), seed=21)
         assert result["classical"].bep == 0.0
 
     def test_near_degenerate_ratio_gives_coin_flip_on_kept(self):
-        cfg = make_cfg(alpha=1.05, beta=1.0)
-        result = run_classical_session(50_000, 20, cfg, seed=22)
+        params = SystemParams(alpha=1.05, beta=1.0, samples_per_chip=20)
+        result = run_classical_session(50_000, params, seed=22)
         tally = result["classical"]
         assert tally.kept_chips > 1_000
         assert 0.4 < tally.bep < 0.6
 
     def test_determinism_across_worker_counts(self):
-        cfg = make_cfg()
-        a = run_classical_session(900, 50, cfg, seed=23, chunk_bits=128)
-        b = run_classical_session(900, 50, cfg, seed=23, chunk_bits=128, jobs=3)
+        params = SystemParams(samples_per_chip=50)
+        a = run_classical_session(900, params, seed=23, chunk_bits=128)
+        b = run_classical_session(900, params, seed=23, chunk_bits=128, jobs=3)
         assert a == b
 
     def test_moderate_sampling_has_errors(self):
-        cfg = make_cfg()
-        result = run_classical_session(30_000, 20, cfg, seed=24)
+        result = run_classical_session(30_000, SystemParams(samples_per_chip=20), seed=24)
         tally = result["classical"]
         assert tally.bep > 0.05  # variance trisection is weak at 20 samples
 
