@@ -30,11 +30,12 @@ for row in rows:
 # at the same physical sampling rate the classical variance detector gets
 # all its samples in one bit duration and still loses by a wide margin
 print("\nclassical vs hopping at matched rates (CSV):")
-rows = run_compare(
-    (3e4, 1e5),
+spec = SweepSpec(
+    swept_parameter="rate",
+    values=(3e4, 1e5),
     scenarios=("fine_tuned", "good"),
     num_bits=20_000,
     master_seed=7,
-    base_params=base,
 )
+rows = run_compare(spec, base)
 write_csv(rows, sys.stdout)

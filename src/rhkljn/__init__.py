@@ -30,11 +30,9 @@ from .detectors import (
     ml_detect,
     ml_detect_batch,
     min_error_threshold,
-    optimum_thresholds,
     pe1,
     pe2,
     q_function,
-    simple_thresholds,
     stationarity_residual,
     threshold_detect,
 )

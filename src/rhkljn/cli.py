@@ -7,6 +7,13 @@ Subcommands:
 * ``compare``  -- rate-matched classical-versus-hopping comparison as CSV.
 * ``pls``      -- the physical-layer-security report (text, optional CSV row).
 
+``sweep`` and ``compare`` share one handler: both build one
+:class:`~rhkljn.sweep.SweepSpec` (compare's swept parameter is ``rate``)
+and take the hopping rows' scenarios from --scenarios, else --scenario or
+the config's ``scenario``, else the command's default (``good`` for sweep,
+``fine_tuned,good`` for compare).  Only the commands that run sessions
+(sweep, compare, pls) take --bits, --seed and --jobs.
+
 Parameters come from an optional flat key=value config file; any flag
 overrides the file.  Exit codes: 0 on success, 1 on usage/config errors,
 2 when --strict is set and a configuration fails the separability margin.
@@ -51,12 +58,14 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
+def _add_common(p: argparse.ArgumentParser, session: bool) -> None:
+    """Flags every command takes; ``session`` adds those of commands that run sessions."""
     p.add_argument("--config", help="flat key=value config file")
     p.add_argument("--scenario", choices=SCENARIOS, help="named bias scenario")
-    p.add_argument("--bits", type=int, help="main bits per session (default 100000)")
-    p.add_argument("--seed", type=int, help="master seed (default 1)")
-    p.add_argument("--jobs", type=int, help="parallel workers (default 1)")
+    if session:
+        p.add_argument("--bits", type=int, help="main bits per session (default 100000)")
+        p.add_argument("--seed", type=int, help="master seed (default 1)")
+        p.add_argument("--jobs", type=int, help="parallel workers (default 1)")
     p.add_argument("--out", help="output file (default stdout)")
     p.add_argument("--strict", action="store_true", help="exit 2 on non-separable configurations")
     for key in PARAM_KEYS:
@@ -65,7 +74,18 @@ def _add_common(p: argparse.ArgumentParser) -> None:
         p.add_argument(flag, dest=key, type=caster, default=None, help=f"override {key}")
 
 
-def _detectors_arg(p: argparse.ArgumentParser) -> None:
+# scenarios of the hopping rows when neither --scenarios, --scenario nor the
+# config's scenario names any
+_DEFAULT_SCENARIOS = {"sweep": "good", "compare": "fine_tuned,good"}
+
+
+def _add_grid(p: argparse.ArgumentParser, command: str, values_help: str) -> None:
+    p.add_argument("--values", required=True, help=values_help)
+    p.add_argument(
+        "--scenarios",
+        default=None,
+        help=f"comma list of scenarios (overrides --scenario; default {_DEFAULT_SCENARIOS[command]})",
+    )
     p.add_argument(
         "--detectors",
         default=None,
@@ -78,28 +98,21 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_stats = sub.add_parser("stats", help="derived statistics and separability margin")
-    _add_common(p_stats)
+    _add_common(p_stats, session=False)
 
     p_sweep = sub.add_parser("sweep", help="BEP sweep over one parameter")
-    _add_common(p_sweep)
+    _add_common(p_sweep, session=True)
     p_sweep.add_argument("--sweep", required=True, choices=SWEEP_PARAMETERS, help="swept parameter")
-    p_sweep.add_argument("--values", required=True, help="comma list of grid values")
-    p_sweep.add_argument(
-        "--scenarios", default=None, help="comma list of scenarios (overrides --scenario)"
-    )
-    _detectors_arg(p_sweep)
+    _add_grid(p_sweep, "sweep", "comma list of grid values")
     p_sweep.add_argument("--trace", help="per-chip trace log file (serial execution)")
 
     p_cmp = sub.add_parser("compare", help="classical vs hopping at matched sampling rates")
-    _add_common(p_cmp)
-    p_cmp.add_argument("--values", required=True, help="comma list of sampling rates (samples/s)")
-    p_cmp.add_argument(
-        "--scenarios", default="fine_tuned,good", help="comma list of scenarios for the hopping rows"
-    )
-    _detectors_arg(p_cmp)
+    _add_common(p_cmp, session=True)
+    _add_grid(p_cmp, "compare", "comma list of sampling rates (samples/s)")
+    p_cmp.set_defaults(sweep="rate")
 
     p_pls = sub.add_parser("pls", help="physical-layer-security report")
-    _add_common(p_pls)
+    _add_common(p_pls, session=True)
     p_pls.add_argument("--gamma-t", type=float, default=1.0, help="outage margin target")
     p_pls.add_argument("--tolerance", type=float, default=None, help="relative resistor tolerance for the outage Monte Carlo")
     p_pls.add_argument("--trials", type=int, default=10_000, help="outage Monte Carlo draws")
@@ -129,7 +142,7 @@ def _pick(args, harness, key, default):
 
 
 def _parse_detectors(args, harness) -> tuple[str, ...]:
-    raw = getattr(args, "detectors", None) or harness.get("detectors") or harness.get("detector")
+    raw = args.detectors or harness.get("detectors")
     if not raw:
         return ("optimum",)
     names = tuple(s.strip() for s in str(raw).split(",") if s.strip())
@@ -216,56 +229,36 @@ def _cmd_stats(args) -> int:
     return EXIT_OK
 
 
-def _cmd_sweep(args) -> int:
+def _cmd_grid(args) -> int:
+    """``sweep`` and ``compare``: one spec, a --strict pass over it, then the CSV."""
     params, harness = _load(args)
-    scenarios_raw = args.scenarios or _pick(args, harness, "scenario", "good")
-    scenarios = tuple(s.strip() for s in str(scenarios_raw).split(",") if s.strip())
+    scenarios_raw = args.scenarios or _pick(args, harness, "scenario", _DEFAULT_SCENARIOS[args.command])
     spec = SweepSpec(
         swept_parameter=args.sweep,
         values=_parse_values(args.values),
         detectors=_parse_detectors(args, harness),
-        scenarios=scenarios,
+        scenarios=tuple(s.strip() for s in str(scenarios_raw).split(",") if s.strip()),
         num_bits=int(_pick(args, harness, "bits", 100_000)),
         master_seed=int(_pick(args, harness, "seed", 1)),
     )
     if args.strict:
-        from .sweep import _point_params
-
-        for value in spec.values:
-            point_params = _point_params(params, spec.swept_parameter, value)
+        # separability never reads samples per chip: an n or rate grid has
+        # one point to check per scenario, the base params
+        if spec.swept_parameter in ("n", "rate"):
+            points = [params]
+        else:
+            points = (params.replace(**{spec.swept_parameter: v}) for v in spec.values)
+        for point in points:
             for scenario in spec.scenarios:
-                _check_strict(args, apply_scenario(point_params, scenario))
+                _check_strict(args, apply_scenario(point, scenario))
     jobs = int(_pick(args, harness, "jobs", 1))
-    if args.trace:
+    if args.command == "compare":
+        rows = run_compare(spec, params, jobs=jobs)
+    elif args.trace:
         with open(args.trace, "w") as trace:
             rows = run_sweep(spec, params, jobs=jobs, trace=trace)
     else:
         rows = run_sweep(spec, params, jobs=jobs)
-    out = _open_out(args)
-    try:
-        write_csv(rows, out)
-    finally:
-        if out is not sys.stdout:
-            out.close()
-    return EXIT_OK
-
-
-def _cmd_compare(args) -> int:
-    params, harness = _load(args)
-    scenarios = tuple(s.strip() for s in args.scenarios.split(",") if s.strip())
-    rates = _parse_values(args.values)
-    if args.strict:
-        for scenario in scenarios:
-            _check_strict(args, apply_scenario(params, scenario))
-    rows = run_compare(
-        rates,
-        scenarios,
-        num_bits=int(_pick(args, harness, "bits", 100_000)),
-        master_seed=int(_pick(args, harness, "seed", 1)),
-        base_params=params,
-        detectors=_parse_detectors(args, harness),
-        jobs=int(_pick(args, harness, "jobs", 1)),
-    )
     out = _open_out(args)
     try:
         write_csv(rows, out)
@@ -322,8 +315,8 @@ def _cmd_pls(args) -> int:
 
 _COMMANDS = {
     "stats": _cmd_stats,
-    "sweep": _cmd_sweep,
-    "compare": _cmd_compare,
+    "sweep": _cmd_grid,
+    "compare": _cmd_grid,
     "pls": _cmd_pls,
 }
 

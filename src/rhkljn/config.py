@@ -36,7 +36,6 @@ PARAM_KEYS: dict[str, type] = {
 }
 
 HARNESS_KEYS: dict[str, type] = {
-    "detector": str,
     "detectors": str,
     "scenario": str,
     "bits": int,

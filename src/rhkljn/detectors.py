@@ -190,11 +190,6 @@ def midpoint_thresholds(m1: float, m2: float, m3: float) -> tuple[float, float]:
     return 0.5 * (m2 + m1), 0.5 * (m1 + m3)
 
 
-def simple_thresholds(stats) -> tuple[float, float]:
-    """Simple middle-band thresholds from derived statistics."""
-    return midpoint_thresholds(stats.m1, stats.m2, stats.m3)
-
-
 def _z(th: float, mean: float, std: float) -> float:
     if std > 0.0:
         return (th - mean) / std
@@ -334,16 +329,3 @@ def min_error_threshold(
             break
     return y
 
-
-def optimum_thresholds(stats) -> tuple[float, float]:
-    """Minimum-error thresholds for the middle band from derived statistics.
-
-    Left threshold separates (m2, sigma2, weight 1/4) from (m1, sigma1,
-    weight 1/2); right threshold separates (m1, sigma1, 1/2) from
-    (m3, sigma3, 1/4).  Requires sigma1 < sigma2 and sigma1 < sigma3, which
-    holds for every valid parameter set.
-    """
-    s1, s2, s3 = stats.sigma1, stats.sigma2, stats.sigma3
-    th3 = min_error_threshold(stats.m1, s1, 0.5, stats.m2, s2, 0.25)
-    th4 = min_error_threshold(stats.m1, s1, 0.5, stats.m3, s3, 0.25)
-    return th3, th4

@@ -1,12 +1,15 @@
 """Parameter sweeps, the rate-matched classical comparison and CSV emission.
 
-A sweep runs one session per (value, scenario) grid point and evaluates all
-requested detectors on the same noise realization, emitting one CSV row per
-(value, scenario, detector).  Per-point substreams are keyed on the value's
-bit pattern, so any subset of a grid reproduces the full run exactly, and
-rows are written in grid order regardless of worker count.  Output bytes
-depend only on the experiment definition and the seed: no timing goes into
-a row.
+A :class:`SweepSpec` is one grid: the swept parameter's values times the
+scenarios, with every requested detector evaluated on the same noise
+realization of a grid point.  ``run_sweep`` and ``run_compare`` walk it
+through one hopping-row runner: one session per (value, scenario) point
+and one CSV row per (value, scenario, detector).  ``run_compare`` takes a
+spec that sweeps ``rate`` and puts one classical row before the hopping
+rows of each rate.  Per-point substreams are keyed on the value's bit
+pattern, so any subset of a grid reproduces the full run exactly, and rows
+are written in grid order regardless of worker count.  Output bytes depend
+only on the experiment definition and the seed: no timing goes into a row.
 """
 
 from __future__ import annotations
@@ -164,14 +167,11 @@ def _point_params(base: SystemParams, parameter: str, value: float) -> SystemPar
 
 def _session_rows(
     tallies: dict[str, DetectorTally],
+    spec: SweepSpec,
     scheme: str,
-    spec_param: str,
     value: float,
     scenario: str,
     params: SystemParams,
-    num_bits: int,
-    seed: int,
-    drif_value: float,
 ) -> list[ResultRow]:
     rows = []
     for name, tally in tallies.items():
@@ -179,7 +179,7 @@ def _session_rows(
         if tally.sub_bit_errors < _MIN_ERRORS_FOR_CI:
             logger.warning(
                 "%s=%g %s/%s: only %d errors observed; BEP below the Monte Carlo floor",
-                spec_param,
+                spec.swept_parameter,
                 value,
                 scenario,
                 name,
@@ -188,7 +188,7 @@ def _session_rows(
         rows.append(
             ResultRow(
                 scheme=scheme,
-                swept_parameter=spec_param,
+                swept_parameter=spec.swept_parameter,
                 value=float(value),
                 scenario=scenario,
                 detector=name,
@@ -198,8 +198,8 @@ def _session_rows(
                 m_l=params.m_l,
                 samples=params.samples_per_chip,
                 chips_per_bit=params.chips_per_bit,
-                num_bits=num_bits,
-                seed=seed,
+                num_bits=spec.num_bits,
+                seed=spec.master_seed,
                 total_units=tally.total_chips,
                 kept_units=tally.kept_chips,
                 errors=tally.sub_bit_errors,
@@ -208,9 +208,30 @@ def _session_rows(
                 bep_ci_hi=hi,
                 discard_fraction=tally.discard_fraction,
                 eve_accuracy=tally.eve_correct_fraction,
-                drif=drif_value,
+                drif=1.0 if scheme == "classical" else drif(params.chips_per_bit),
             )
         )
+    return rows
+
+
+def _rh_rows(
+    spec: SweepSpec, params: SystemParams, value: float, tag: int, jobs: int, trace=None
+) -> list[ResultRow]:
+    """Hopping rows at one grid value: one session per scenario, keyed
+    ``(tag, scenario index, value)``, all detectors on its noise."""
+    rows: list[ResultRow] = []
+    for scen_idx, scenario in enumerate(spec.scenarios):
+        point_params = apply_scenario(params, scenario)
+        tallies = run_session(
+            spec.num_bits,
+            ProtocolConfig(point_params, derive_stats(point_params)),
+            seed=spec.master_seed,
+            detectors=spec.detectors,
+            jobs=jobs,
+            point_key=(tag, scen_idx, value_key(value)),
+            trace=trace,
+        )
+        rows.extend(_session_rows(tallies, spec, "rh", value, scenario, point_params))
     return rows
 
 
@@ -227,53 +248,22 @@ def run_sweep(
     rows: list[ResultRow] = []
     for value in spec.values:
         params = _point_params(base_params, spec.swept_parameter, value)
-        for scen_idx, scenario in enumerate(spec.scenarios):
-            point_params = apply_scenario(params, scenario)
-            cfg = ProtocolConfig(params=point_params, stats=derive_stats(point_params))
-            tallies = run_session(
-                spec.num_bits,
-                cfg,
-                seed=spec.master_seed,
-                detectors=spec.detectors,
-                jobs=jobs,
-                point_key=(_TAG_SWEEP, scen_idx, value_key(value)),
-                trace=trace,
-            )
-            rows.extend(
-                _session_rows(
-                    tallies,
-                    scheme="rh",
-                    spec_param=spec.swept_parameter,
-                    value=value,
-                    scenario=scenario,
-                    params=point_params,
-                    num_bits=spec.num_bits,
-                    seed=spec.master_seed,
-                    drif_value=drif(point_params.chips_per_bit),
-                )
-            )
+        rows.extend(_rh_rows(spec, params, value, _TAG_SWEEP, jobs, trace))
     return rows
 
 
-def run_compare(
-    sampling_rates: tuple[float, ...],
-    scenarios: tuple[str, ...],
-    num_bits: int,
-    master_seed: int,
-    base_params: SystemParams,
-    detectors: tuple[str, ...] = ("optimum",),
-    jobs: int = 1,
-) -> list[ResultRow]:
-    """Rate-matched comparison: per rate, one classical row plus RH rows.
+def run_compare(spec: SweepSpec, base_params: SystemParams, jobs: int = 1) -> list[ResultRow]:
+    """Rate-matched comparison: per rate in ``spec.values``, one classical
+    row, then the hopping rows of every scenario and detector of ``spec``.
 
     The matched condition gives the classical scheme chips_per_bit times
     the per-chip sample count of the hopping scheme, since its decision
     window is the whole bit duration.
     """
-    if not sampling_rates:
-        raise ValueError("sampling_rates must be non-empty")
+    if spec.swept_parameter != "rate":
+        raise ValueError(f"compare sweeps the sampling rate, got {spec.swept_parameter!r}")
     rows: list[ResultRow] = []
-    for rate in sampling_rates:
+    for rate in spec.values:
         rh_params = _point_params(base_params, "rate", rate)
         # the classical pair is unbiased and decides once per bit, from all
         # the samples of the bit's chips_per_bit chips
@@ -283,48 +273,12 @@ def run_compare(
             samples_per_chip=rh_params.chips_per_bit * rh_params.samples_per_chip,
         )
         classical = run_classical_session(
-            num_bits,
+            spec.num_bits,
             classical_params,
-            seed=master_seed,
+            seed=spec.master_seed,
             jobs=jobs,
             point_key=(_TAG_CLASSICAL, value_key(rate)),
         )
-        rows.extend(
-            _session_rows(
-                classical,
-                scheme="classical",
-                spec_param="rate",
-                value=rate,
-                scenario="-",
-                params=classical_params,
-                num_bits=num_bits,
-                seed=master_seed,
-                drif_value=1.0,
-            )
-        )
-
-        for scen_idx, scenario in enumerate(scenarios):
-            point_params = apply_scenario(rh_params, scenario)
-            cfg = ProtocolConfig(params=point_params, stats=derive_stats(point_params))
-            tallies = run_session(
-                num_bits,
-                cfg,
-                seed=master_seed,
-                detectors=detectors,
-                jobs=jobs,
-                point_key=(_TAG_RH_COMPARE, scen_idx, value_key(rate)),
-            )
-            rows.extend(
-                _session_rows(
-                    tallies,
-                    scheme="rh",
-                    spec_param="rate",
-                    value=rate,
-                    scenario=scenario,
-                    params=point_params,
-                    num_bits=num_bits,
-                    seed=master_seed,
-                    drif_value=drif(point_params.chips_per_bit),
-                )
-            )
+        rows.extend(_session_rows(classical, spec, "classical", rate, "-", classical_params))
+        rows.extend(_rh_rows(spec, rh_params, rate, _TAG_RH_COMPARE, jobs))
     return rows

@@ -230,14 +230,15 @@ def test_criterion_6_parameter_trends():
 
 def test_criterion_7_classical_comparison():
     rates = (2e4, 3e4, 5e4, 1e5, 2e5)
-    rows = run_compare(
-        rates,
+    spec = SweepSpec(
+        swept_parameter="rate",
+        values=rates,
+        detectors=("optimum",),
         scenarios=("fine_tuned", "good"),
         num_bits=BITS,
         master_seed=SEED,
-        base_params=SystemParams(),
-        detectors=("optimum",),
     )
+    rows = run_compare(spec, SystemParams())
     classical = {r.value: r for r in rows if r.scheme == "classical"}
     tuned = {r.value: r for r in rows if r.scenario == "fine_tuned"}
     good = {r.value: r for r in rows if r.scenario == "good"}

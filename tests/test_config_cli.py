@@ -28,18 +28,25 @@ class TestConfigFile:
             "m_l=1.2e-4  # volts\n"
             "chips_per_bit=8\n"
             "seed=42\n"
-            "detector=optimum\n"
+            "detectors=optimum\n"
         )
         values = parse_config(cfg)
         params = build_params(values)
         assert params.alpha == 12.0 and params.beta == 3.6
         assert params.m_l == 1.2e-4 and params.chips_per_bit == 8
-        assert values["seed"] == 42 and values["detector"] == "optimum"
+        assert values["seed"] == 42 and values["detectors"] == "optimum"
 
     def test_unknown_key_reports_line(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("alpha=10\nwat=3\n")
         with pytest.raises(ConfigError, match=":2"):
+            parse_config(cfg)
+
+    def test_detector_alias_is_an_unknown_key(self, tmp_path):
+        # one key per setting: ``detectors``, as the flag
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("alpha=10\ndetector=optimum\n")
+        with pytest.raises(ConfigError, match=":2: unknown key 'detector'"):
             parse_config(cfg)
 
     def test_bad_value_reports_line(self, tmp_path):
@@ -134,6 +141,8 @@ class TestCsv:
             SweepSpec(swept_parameter="n", values=(3.0,), detectors=("bogus",))
         with pytest.raises(ValueError):
             SweepSpec(swept_parameter="volume", values=(3.0,))
+        with pytest.raises(ValueError, match="rate"):
+            run_compare(SweepSpec(swept_parameter="n", values=(3.0,)), SystemParams())
 
     def test_wilson_interval_brackets_point(self):
         lo, hi = binomial_ci95(3, 1_000)
@@ -142,6 +151,10 @@ class TestCsv:
         assert binomial_ci95(0, 0) == (0.0, 1.0)
         lo_big, hi_big = binomial_ci95(500, 1_000)
         assert lo_big < 0.5 < hi_big
+
+
+STRICT_TUNED = ["--strict", "--scenarios", "fine_tuned", "--bits", "1000"]
+ROUNDED_25K = "rate=25000 gives 2.5 samples per chip; simulating 2"
 
 
 class TestGridPoints:
@@ -162,8 +175,24 @@ class TestGridPoints:
         assert params.samples_per_chip == n
         assert not caplog.records
 
+    # sweep and compare share one spec (with its few-bits warning) and one
+    # --strict pass, which must not round a rate a second time
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["sweep", "--sweep", "n", "--values", "3", "--bits", "500"], "num_bits=500 is below 1000"),
+            (["compare", "--values", "2e4", "--bits", "500"], "num_bits=500 is below 1000"),
+            (["sweep", "--sweep", "rate", "--values", "25000"] + STRICT_TUNED, ROUNDED_25K),
+            (["compare", "--values", "25000"] + STRICT_TUNED, ROUNDED_25K),
+        ],
+    )
+    def test_cli_warns_once(self, tmp_path, caplog, argv, message):
+        assert main(argv + ["--out", str(tmp_path / "rows.csv")]) == 0
+        assert caplog.text.count(message) == 1
+
     def test_classical_compare_row(self):
-        rows = run_compare((5e4,), ("good",), num_bits=2_000, master_seed=13, base_params=SystemParams())
+        spec = SweepSpec(swept_parameter="rate", values=(5e4,), num_bits=2_000, master_seed=13)
+        rows = run_compare(spec, SystemParams())
         row = rows[0]
         assert row.scheme == "classical"
         # the whole bit's samples: 10 chips of 5 samples, unbiased, one decision per bit
@@ -204,6 +233,13 @@ class TestCli:
     def test_usage_error_exits_one(self):
         with pytest.raises(SystemExit) as exc:
             main(["sweep", "--sweep", "bogus", "--values", "1"])
+        assert exc.value.code == 1
+
+    # stats runs no session, so it takes no --bits, --seed or --jobs
+    @pytest.mark.parametrize("flag, value", [("--bits", "5"), ("--seed", "5"), ("--jobs", "2")])
+    def test_stats_rejects_session_flags(self, flag, value):
+        with pytest.raises(SystemExit) as exc:
+            main(["stats", flag, value])
         assert exc.value.code == 1
 
     def test_strict_non_separable_exits_two(self, capsys):
@@ -295,6 +331,22 @@ class TestCli:
         drifs = {l.split(",")[0]: l.split(",")[drif_col] for l in lines[1:]}
         assert drifs["classical"] == "1"
         assert drifs["rh"] == "6"
+
+    # without --scenarios, compare's hopping rows follow --scenario, then the
+    # config's scenario, like sweep's
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_compare_scenario_follows_scenario_setting(self, tmp_path, source):
+        out = tmp_path / "cmp.csv"
+        argv = ["compare", "--values", "50000,100000", "--bits", "2000", "--out", str(out)]
+        if source == "flag":
+            argv += ["--scenario", "moderate"]
+        else:
+            (tmp_path / "c.cfg").write_text("scenario=moderate\n")
+            argv += ["--config", str(tmp_path / "c.cfg")]
+        assert main(argv) == 0
+        lines = out.read_text().strip().splitlines()
+        scenario_col = CSV_COLUMNS.index("scenario")
+        assert [l.split(",")[scenario_col] for l in lines[1:]] == ["-", "moderate"] * 2
 
     def test_pls_report_with_measure(self, capsys):
         assert main(["pls", "--measure", "--bits", "2000", "--seed", "3"]) == 0

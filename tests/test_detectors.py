@@ -17,12 +17,10 @@ from rhkljn import (
     min_error_threshold,
     ml_detect,
     ml_detect_batch,
-    optimum_thresholds,
     pe1,
     pe2,
     q_function,
     sample_chip,
-    simple_thresholds,
     stationarity_residual,
     threshold_detect,
 )
@@ -108,7 +106,7 @@ class TestThresholdDetect:
 
 class TestSimpleThresholds:
     def test_default_values(self, default_stats):
-        th3, th4 = simple_thresholds(default_stats)
+        th3, th4 = default_stats.th3, default_stats.th4
         assert th3 == pytest.approx((2.36113e-4 + 5.4545e-4) / 2, rel=5e-4)
         assert th3 == pytest.approx(3.9078e-4, rel=5e-4)
         assert th4 == pytest.approx(0.5 * (default_stats.m1 + default_stats.m3), rel=1e-15)
@@ -274,10 +272,9 @@ class TestErrorProbabilities:
 
 class TestOptimumThresholds:
     def test_roots_lie_in_brackets(self, default_stats):
-        th3, th4 = optimum_thresholds(default_stats)
+        th3, th4 = default_stats.th3_opt, default_stats.th4_opt
         assert default_stats.m2 < th3 < default_stats.m1
         assert default_stats.m1 < th4 < default_stats.m3
-        assert th3 == default_stats.th3_opt and th4 == default_stats.th4_opt
 
     def test_stationarity_residuals(self, default_stats):
         s = default_stats
