@@ -27,7 +27,6 @@ from .detectors import (
     GaussianHypothesis,
     ThresholdSet,
     gate,
-    ml_detect,
     ml_detect_batch,
     min_error_threshold,
     pe1,

@@ -5,11 +5,13 @@ all-low or all-high clusters is discarded), then one of three detectors
 assigns the label g of the middle Gaussian that produced it:
 
 * ML            -- maximum-likelihood over the three hypotheses, cost
-                   M_g = N*ln(sigma_g) + ||v - m_g||^2 / (2*sigma_g^2):
-                   ``detect_moments`` scores chips from their sufficient
-                   statistics (the session engine's path), ``ml_detect_batch``
-                   from (..., N) raw samples and ``ml_detect`` from one
-                   chip's samples (the scalar reference);
+                   M_g = N*ln(sigma_g) + ||v - m_g||^2 / (2*sigma_g^2),
+                   written in the sufficient statistics (m_hat, S) by
+                   ``moment_costs``, the one Gaussian likelihood of the
+                   package (the eavesdropper scores her 16 components with
+                   it too).  ``detect_moments`` labels chips from (m_hat, S),
+                   the session engine's path; ``ml_detect_batch`` from
+                   (..., N) raw samples;
 * simple        -- ``threshold_detect`` with the midpoints (m2+m1)/2 and
                    (m1+m3)/2;
 * optimum       -- ``threshold_detect`` with the minimum-error thresholds
@@ -31,9 +33,9 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy import special
 
 _SQRT2 = math.sqrt(2.0)
+_erfc = np.vectorize(math.erfc, otypes=[float])
 
 
 def q_function(x):
@@ -42,10 +44,9 @@ def q_function(x):
     Accepts scalars or arrays; accurate to machine precision over the whole
     double range (computed via erfc), with Q(-inf)=1 and Q(inf)=0.
     """
-    out = 0.5 * special.erfc(np.asarray(x, dtype=float) / _SQRT2)
-    if np.isscalar(x) or np.ndim(x) == 0:
-        return float(out)
-    return out
+    if np.ndim(x) == 0:
+        return 0.5 * math.erfc(float(x) / _SQRT2)
+    return 0.5 * _erfc(np.asarray(x, dtype=float) / _SQRT2)
 
 
 @dataclass(frozen=True)
@@ -106,36 +107,34 @@ def threshold_detect(m_hat, th3: float, th4: float):
 _DEGENERATE_RTOL = 1e-12
 
 
-def _matches_point_mass(values: np.ndarray, mean: float) -> np.ndarray:
-    tol = _DEGENERATE_RTOL * max(abs(mean), 1e-300)
-    return np.all(np.abs(values - mean) <= tol, axis=-1)
+def moment_costs(
+    m_hat: np.ndarray,
+    scatter: np.ndarray,
+    n: int,
+    means: Sequence[float],
+    stds: Sequence[float],
+) -> np.ndarray:
+    """Gaussian ML costs, one per hypothesis along a trailing axis.
 
-
-def _ml_costs(values: np.ndarray, hyps: Sequence[GaussianHypothesis]) -> list[float]:
-    n = values.shape[-1]
-    costs = []
-    for h in hyps:
-        if h.std == 0.0:
-            exact = bool(_matches_point_mass(values, h.mean))
-            costs.append(-math.inf if exact else math.inf)
-            continue
-        sq = float(np.sum((values - h.mean) ** 2))
-        costs.append(n * math.log(h.std) + sq / (2.0 * h.std**2))
-    return costs
-
-
-def ml_detect(samples, hyps: Sequence[GaussianHypothesis]) -> int:
-    """Label of the hypothesis minimizing N*ln(sigma) + ||v-m||^2/(2*sigma^2).
-
-    Exact cost ties break toward the smaller-variance hypothesis so the
-    decision is deterministic.
+    The negative log-likelihood of N i.i.d. N(m, sigma^2) samples, less
+    N/2*ln(2*pi), depends on them only through the mean m_hat and the
+    scatter S = sum((v - m_hat)^2): M = N*ln(sigma) + (S + N*(m_hat - m)^2)
+    / (2*sigma^2).  A zero-variance hypothesis is a point mass: -inf where
+    m_hat is within the point-mass tolerance of m and S <= N*tol^2, +inf
+    elsewhere.
     """
-    values = np.asarray(getattr(samples, "values", samples), dtype=float)
-    if values.size == 0:
-        raise ValueError("cannot detect on zero samples")
-    costs = _ml_costs(values, hyps)
-    best = min(range(len(hyps)), key=lambda i: (costs[i], hyps[i].std))
-    return hyps[best].label
+    m_hat = np.asarray(m_hat, dtype=float)
+    scatter = np.asarray(scatter, dtype=float)
+    costs = np.empty(m_hat.shape + (len(means),))
+    for j, (mean, std) in enumerate(zip(means, stds)):
+        if std == 0.0:
+            tol = _DEGENERATE_RTOL * max(abs(mean), 1e-300)
+            exact = (np.abs(m_hat - mean) <= tol) & (scatter <= n * tol**2)
+            costs[..., j] = np.where(exact, -np.inf, np.inf)
+        else:
+            sq = scatter + n * (m_hat - mean) ** 2
+            costs[..., j] = n * math.log(std) + sq / (2.0 * std**2)
+    return costs
 
 
 def detect_moments(
@@ -144,41 +143,27 @@ def detect_moments(
     n: int,
     hyps: Sequence[GaussianHypothesis],
 ) -> np.ndarray:
-    """ML labels of chips given only their sufficient statistics.
+    """ML labels of chips given their sufficient statistics (m_hat, S).
 
-    For N i.i.d. Gaussian samples the ML cost depends on the samples only
-    through the mean m_hat and the scatter S = sum((v - m_hat)^2):
-    M_g = N*ln(sigma_g) + (S + N*(m_hat - m_g)^2) / (2*sigma_g^2).
-    A zero-variance hypothesis matches exactly when m_hat is within the
-    point-mass tolerance of its mean and S <= N*tol^2.  Ties break toward
-    the smaller variance, matching the scalar rule.
+    Each chip takes the hypothesis of least :func:`moment_costs`; exact
+    ties break toward the smaller variance, then the earlier hypothesis.
     """
-    m_hat = np.asarray(m_hat, dtype=float)
-    scatter = np.asarray(scatter, dtype=float)
-    order = sorted(range(len(hyps)), key=lambda i: hyps[i].std)
-    costs = np.empty(m_hat.shape + (len(hyps),))
-    for j, i in enumerate(order):
-        h = hyps[i]
-        if h.std == 0.0:
-            tol = _DEGENERATE_RTOL * max(abs(h.mean), 1e-300)
-            exact = (np.abs(m_hat - h.mean) <= tol) & (scatter <= n * tol**2)
-            costs[..., j] = np.where(exact, -np.inf, np.inf)
-        else:
-            sq = scatter + n * (m_hat - h.mean) ** 2
-            costs[..., j] = n * math.log(h.std) + sq / (2.0 * h.std**2)
-    labels = np.array([hyps[i].label for i in order])
-    return labels[np.argmin(costs, axis=-1)]
+    ordered = sorted(hyps, key=lambda h: h.std)
+    costs = moment_costs(m_hat, scatter, n, [h.mean for h in ordered], [h.std for h in ordered])
+    return np.array([h.label for h in ordered])[np.argmin(costs, axis=-1)]
 
 
 def _moments(values) -> tuple[np.ndarray, np.ndarray, int]:
     values = np.asarray(values, dtype=float)
+    if values.shape[-1] == 0:
+        raise ValueError("cannot detect on zero samples")
     m_hat = values.mean(axis=-1)
     scatter = np.sum((values - m_hat[..., None]) ** 2, axis=-1)
     return m_hat, scatter, values.shape[-1]
 
 
 def ml_detect_batch(values: np.ndarray, hyps: Sequence[GaussianHypothesis]) -> np.ndarray:
-    """Vectorized ml_detect over a (..., N) array; returns integer labels.
+    """ML labels of chips given as a (..., N) array of raw samples.
 
     The samples are reduced to (m_hat, S) and scored by :func:`detect_moments`.
     """

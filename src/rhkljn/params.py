@@ -18,7 +18,7 @@ across worker processes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from . import detectors as _det
 
@@ -81,6 +81,10 @@ class SystemParams:
     """Boltzmann constant in J/K; overridable for unit experiments."""
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise InvalidParamsError(f"{f.name} must be finite, got {value}")
         if self.temperature < 0:
             raise InvalidParamsError(f"temperature must be >= 0, got {self.temperature}")
         for name in ("bandwidth", "r_l0", "bit_duration", "boltzmann_k"):

@@ -170,7 +170,7 @@ def sop(
     independently per trial and the outage fraction is returned; ``params``
     must then be given to supply the nominal resistors and biases.
     """
-    if gamma_t <= 0:
+    if not gamma_t > 0:
         raise ValueError(f"gamma_t must be > 0, got {gamma_t}")
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")

@@ -22,6 +22,9 @@ engine for rate-matched comparisons.  Raw samples are drawn only by
 :func:`rhkljn.channel.sample_chip` and
 :func:`rhkljn.channel.dump_chip_samples`, the oracles for the sampled
 distributions.
+
+The eavesdropper (:func:`eve_observe`) scores the 16 bit configurations
+with the ML detector's cost, :func:`rhkljn.detectors.moment_costs`.
 """
 
 from __future__ import annotations
@@ -124,22 +127,19 @@ def eve_observe(
     when given, otherwise the lexicographically first argmax is returned).
     """
     values = np.asarray(getattr(samples, "values", samples), dtype=float)
-    n = values.size
-    log_liks: dict[tuple[int, int, int, int], float] = {}
-    for main_pair, entries in stats.mixture_tables.items():
-        for comp in entries:
-            if comp.variance > 0.0:
-                ll = -0.5 * n * math.log(2.0 * math.pi * comp.variance) - float(
-                    np.sum((values - comp.mean) ** 2)
-                ) / (2.0 * comp.variance)
-            else:
-                matches = bool(det._matches_point_mass(values, comp.mean))
-                ll = 0.0 if matches else -math.inf
-            log_liks[main_pair + comp.sub_bits] = ll
+    m_hat, scatter, n = det._moments(values)
+    comps = [(pair + c.sub_bits, c) for pair, entries in stats.mixture_tables.items() for c in entries]
+    costs = det.moment_costs(
+        m_hat, scatter, n, [c.mean for _, c in comps], [math.sqrt(c.variance) for _, c in comps]
+    )
+    log_liks = {key: -cost for (key, _), cost in zip(comps, costs.tolist())}
 
+    # relative weights exp(ll - peak); when the peak is infinite (a matching
+    # point mass, or no component explains the chip) the components at the
+    # peak share the weight and the rest get none
     peak = max(log_liks.values())
-    if peak == -math.inf:
-        weights = {k: 1.0 for k in log_liks}
+    if math.isinf(peak):
+        weights = {k: float(ll == peak) for k, ll in log_liks.items()}
     else:
         weights = {k: math.exp(ll - peak) for k, ll in log_liks.items()}
 
@@ -163,7 +163,7 @@ def eve_observe(
         return top[0]
 
     return EveObservation(
-        m_hat=float(values.mean()),
+        m_hat=float(m_hat),
         posterior_main=post_main,
         posterior_sub=post_sub,
         guess_main=hard_guess(post_main),

@@ -84,6 +84,10 @@ class SweepSpec:
         diffs = [b - a for a, b in zip(self.values, self.values[1:])]
         if not (all(d > 0 for d in diffs) or all(d < 0 for d in diffs)) and len(self.values) > 1:
             raise ValueError("values must be strictly monotone")
+        if not self.detectors:
+            raise ValueError("detectors must be non-empty")
+        if not self.scenarios:
+            raise ValueError("scenarios must be non-empty")
         for d in self.detectors:
             if d not in DETECTOR_CHOICES:
                 raise ValueError(f"detectors must be among {DETECTOR_CHOICES}, got {d!r}")
@@ -153,6 +157,8 @@ def _point_params(base: SystemParams, parameter: str, value: float) -> SystemPar
     if parameter not in ("n", "rate"):
         return base.replace(**{parameter: float(value)})
     exact = value if parameter == "n" else value * base.chip_duration
+    if not math.isfinite(exact):
+        raise ValueError(f"{parameter} must be finite, got {value:g}")
     n = int(round(exact))
     if n < 1:
         if parameter == "n":

@@ -1,6 +1,10 @@
 """Config parsing, CSV schema, CLI exit codes and reproducibility."""
 
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -16,6 +20,8 @@ from rhkljn import (
 from rhkljn.cli import main
 from rhkljn.config import ConfigError, SCENARIOS, apply_scenario, build_params, parse_config
 from rhkljn.sweep import _TAG_CLASSICAL, CSV_COLUMNS, _point_params, binomial_ci95
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 class TestConfigFile:
@@ -141,6 +147,10 @@ class TestCsv:
             SweepSpec(swept_parameter="n", values=(3.0,), detectors=("bogus",))
         with pytest.raises(ValueError):
             SweepSpec(swept_parameter="volume", values=(3.0,))
+        with pytest.raises(ValueError, match="scenarios"):
+            SweepSpec(swept_parameter="n", values=(3.0,), scenarios=())
+        with pytest.raises(ValueError, match="detectors"):
+            SweepSpec(swept_parameter="n", values=(3.0,), detectors=())
         with pytest.raises(ValueError, match="rate"):
             run_compare(SweepSpec(swept_parameter="n", values=(3.0,)), SystemParams())
 
@@ -237,10 +247,46 @@ class TestCli:
 
     # stats runs no session, so it takes no --bits, --seed or --jobs
     @pytest.mark.parametrize("flag, value", [("--bits", "5"), ("--seed", "5"), ("--jobs", "2")])
-    def test_stats_rejects_session_flags(self, flag, value):
+    def test_stats_rejects_session_flags(self, flag, value, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["stats", flag, value])
         assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: rhkljn")
+        assert f"rhkljn: error: unrecognized arguments: {flag} {value}" in err
+
+    # an empty list or a non-finite value must not run as an empty or NaN grid
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["sweep", "--sweep", "n", "--values", "3", "--scenarios", ","], "scenarios must be non-empty"),
+            (["compare", "--values", "2e4", "--scenarios", ","], "scenarios must be non-empty"),
+            (["sweep", "--sweep", "n", "--values", "3", "--detectors", ","], "detectors must be non-empty"),
+            (["compare", "--values", "2e4", "--detectors", ","], "detectors must be non-empty"),
+            (["sweep", "--sweep", "n", "--values", "inf"], "n must be finite"),
+            (["sweep", "--sweep", "n", "--values", "nan"], "n must be finite"),
+            (["sweep", "--sweep", "rate", "--values", "1e400"], "rate must be finite"),
+            (["compare", "--values", "inf"], "rate must be finite"),
+            (["stats", "--m-l", "nan"], "m_l must be finite"),
+            (["pls", "--gamma-t", "nan"], "gamma_t must be > 0"),
+        ],
+    )
+    def test_empty_or_non_finite_input_exits_one(self, tmp_path, capsys, argv, message):
+        out = tmp_path / "rows.csv"
+        if argv[0] in ("sweep", "compare"):
+            argv = argv + ["--bits", "100", "--out", str(out)]
+        assert main(argv) == 1
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_import_needs_no_scipy(self):
+        # scipy serves the tests and the benchmark oracle, never a run
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+        code = "import sys, rhkljn.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
     def test_strict_non_separable_exits_two(self, capsys):
         with pytest.raises(SystemExit) as exc:

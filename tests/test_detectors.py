@@ -15,7 +15,6 @@ from rhkljn import (
     derive_stats,
     gate,
     min_error_threshold,
-    ml_detect,
     ml_detect_batch,
     pe1,
     pe2,
@@ -134,11 +133,16 @@ class TestSimpleThresholds:
         assert stats.th3 == stats.th4 == 1e-4
 
 
+def ml_label(samples, hyps) -> int:
+    """The ML label of one chip's samples, scored as a one-row batch."""
+    return int(ml_detect_batch(np.asarray(samples, dtype=float)[None, :], hyps)[0])
+
+
 class TestMlDetect:
     def test_constant_at_second_mean(self, default_stats):
         hyps = default_stats.middle_hypotheses()
         samples = np.full(200, default_stats.m2)
-        assert ml_detect(samples, hyps) == 2
+        assert ml_label(samples, hyps) == 2
 
     def test_single_sample_against_direct_cost_evaluation(self, default_stats):
         # direct cost evaluation oracle across the whole middle band,
@@ -151,23 +155,17 @@ class TestMlDetect:
                 h.label: math.log(h.std) + (v - h.mean) ** 2 / (2 * h.std**2) for h in hyps
             }
             expected = min(costs, key=costs.get)
-            assert ml_detect(np.array([v]), hyps) == expected
+            assert ml_label([v], hyps) == expected
 
     def test_exact_tie_is_deterministic(self):
         a = GaussianHypothesis(label=5, mean=0.0, std=2.0)
         b = GaussianHypothesis(label=7, mean=0.0, std=2.0)
-        assert ml_detect(np.array([1.0]), (a, b)) == 5
-        assert ml_detect(np.array([1.0]), (b, a)) == 7
+        assert ml_label([1.0], (a, b)) == 5
+        assert ml_label([1.0], (b, a)) == 7
 
-    def test_batch_agrees_with_scalar(self, default_stats, rng):
-        hyps = default_stats.middle_hypotheses()
-        means = np.array([h.mean for h in hyps])
-        stds = np.array([h.std for h in hyps])
-        pick = rng.integers(0, 3, 500)
-        values = means[pick][:, None] + stds[pick][:, None] * rng.standard_normal((500, 20))
-        batch = ml_detect_batch(values, hyps)
-        scalar = np.array([ml_detect(row, hyps) for row in values])
-        assert np.array_equal(batch, scalar)
+    def test_zero_samples_rejected(self, default_stats):
+        with pytest.raises(ValueError, match="zero samples"):
+            ml_detect_batch(np.empty((3, 0)), default_stats.middle_hypotheses())
 
     def test_brute_force_log_density_oracle(self, default_stats, rng):
         # independently coded per-sample log-density sum
@@ -186,7 +184,7 @@ class TestMlDetect:
         values = default_stats.m2 + default_stats.sigma2 * rng.standard_normal(64)
         shuffled = values.copy()
         rng.shuffle(shuffled)
-        assert ml_detect(values, hyps) == ml_detect(shuffled, hyps)
+        assert ml_label(values, hyps) == ml_label(shuffled, hyps)
 
 
 class TestMomentForm:

@@ -253,6 +253,11 @@ class TestValidation:
             {"chips_per_bit": 0},
             {"samples_per_chip": 0},
             {"bit_duration": 0.0},
+            # non-finite values fail whichever bound they would slip past
+            {"m_l": math.nan},
+            {"temperature": math.inf},
+            {"alpha": math.inf},
+            {"boltzmann_k": math.nan},
         ],
     )
     def test_invalid_params_raise(self, kwargs):

@@ -136,6 +136,11 @@ class TestOutage:
         with pytest.raises(ValueError):
             sop(default_stats, 1.0, perturbation=ResistorTolerance(0.01))
 
+    @pytest.mark.parametrize("gamma_t", [0.0, -1.0, math.nan])
+    def test_gamma_t_must_be_positive(self, default_stats, gamma_t):
+        with pytest.raises(ValueError, match="gamma_t"):
+            sop(default_stats, gamma_t)
+
     @pytest.mark.parametrize("trials", [0, -3])
     def test_trials_below_one_rejected(self, default_params, default_stats, trials):
         with pytest.raises(ValueError, match="trials"):

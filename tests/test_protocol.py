@@ -188,6 +188,29 @@ class TestEveObserve:
         guesses = {eve_observe(samples, default_stats, rng=rng).guess_main for _ in range(64)}
         assert guesses == {(0, 1), (1, 0)}
 
+    def test_zero_samples_rejected(self, default_stats):
+        with pytest.raises(ValueError, match="zero samples"):
+            eve_observe(np.empty(0), default_stats)
+
+    # temperature 0: every component is a point mass, so a chip either sits
+    # on a component's mean (all the weight) or off it (none)
+    def test_noiseless_all_low_chip_is_certain(self):
+        params = SystemParams(**NOISELESS)
+        samples = sample_chip(ChipState(0, 0, 1, 0), 20, np.random.default_rng(4), params)
+        obs = eve_observe(samples, derive_stats(params))
+        assert obs.posterior_main == {(0, 0): 1.0, (0, 1): 0.0, (1, 0): 0.0, (1, 1): 0.0}
+        assert obs.guess_main == (0, 0)
+
+    def test_noiseless_secure_chip_is_an_exact_coin(self):
+        params = SystemParams(**NOISELESS)
+        stats = derive_stats(params)
+        rng = np.random.default_rng(5)
+        samples = sample_chip(ChipState(0, 1, 0, 1), 20, rng, params)
+        obs = eve_observe(samples, stats)
+        assert obs.posterior_main == {(0, 0): 0.0, (0, 1): 0.5, (1, 0): 0.5, (1, 1): 0.0}
+        guesses = {eve_observe(samples, stats, rng=rng).guess_main for _ in range(64)}
+        assert guesses == {(0, 1), (1, 0)}
+
 
 class TestRunSession:
     def test_noiseless_session_is_exact(self):
