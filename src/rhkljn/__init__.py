@@ -71,6 +71,7 @@ from .protocol import (
     ideal_discard_fraction,
     run_classical_session,
     run_session,
+    worker_pool,
 )
 from .rng import substream, value_key
 from .sweep import ResultRow, SweepSpec, binomial_ci95, run_compare, run_sweep, write_csv

@@ -12,7 +12,8 @@ Subcommands:
 and take the hopping rows' scenarios from --scenarios, else --scenario or
 the config's ``scenario``, else the command's default (``good`` for sweep,
 ``fine_tuned,good`` for compare).  Only the commands that run sessions
-(sweep, compare, pls) take --bits, --seed and --jobs.
+(sweep, compare, pls) take --bits, --seed and --jobs; --jobs sizes the one
+worker pool that all the sessions of a command share.
 
 Parameters come from an optional flat key=value config file; any flag
 overrides the file.  Exit codes: 0 on success, 1 on usage/config errors,
@@ -36,7 +37,7 @@ from .config import (
 )
 from .params import InvalidParamsError, NonSeparableError, SystemParams, check_separability, derive_stats
 from .pls import ResistorTolerance, build_report
-from .protocol import DETECTOR_CHOICES, ProtocolConfig, run_session
+from .protocol import DETECTOR_CHOICES, ProtocolConfig, run_session, worker_pool
 from .sweep import (
     SWEEP_PARAMETERS,
     SweepSpec,
@@ -279,12 +280,13 @@ def _cmd_pls(args) -> int:
     measured_xi = None
     measured_eve = None
     if args.measure:
-        tally = run_session(
-            int(_pick(args, harness, "bits", 100_000)),
-            ProtocolConfig(params, stats),
-            seed=int(_pick(args, harness, "seed", 1)),
-            jobs=int(_pick(args, harness, "jobs", 1)),
-        )["optimum"]
+        with worker_pool(int(_pick(args, harness, "jobs", 1))) as pool:
+            tally = run_session(
+                int(_pick(args, harness, "bits", 100_000)),
+                ProtocolConfig(params, stats),
+                seed=int(_pick(args, harness, "seed", 1)),
+                pool=pool,
+            )["optimum"]
         measured_xi = tally.discard_fraction
         measured_eve = tally.eve_correct_fraction
 

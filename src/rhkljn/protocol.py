@@ -15,7 +15,9 @@ raw samples: the gate, the threshold detectors and the ML costs depend on
 the samples only through these two, so the work per chip does not grow
 with n.  Per chunk the draw order is mains, subs, Eve coins, m_hat, S.
 Work is split into fixed-size chunks of bits, each with its own seed
-substream, so results are bit-identical across worker counts.  The
+substream, so results are bit-identical across worker counts.  Chunks run
+serially or on an executor from :func:`worker_pool`, which a command opens
+once and passes to every session of its grid.  The
 classical two-resistor baseline (variance trisection on zero-mean noise,
 its mean of squares drawn as a scaled chi-square) runs on the same chunk
 engine for rate-matched comparisons.  Raw samples are drawn only by
@@ -29,6 +31,7 @@ with the ML detector's cost, :func:`rhkljn.detectors.moment_costs`.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 from concurrent.futures import ProcessPoolExecutor
@@ -269,26 +272,42 @@ def _chunk_sizes(num_bits: int, chunk_bits: int) -> list[int]:
     return [chunk_bits] * full + ([rest] if rest else [])
 
 
-def _run_chunks(chunk, spec: _ChunkSpec, num_bits: int, chunk_bits: int, jobs: int):
+@contextlib.contextmanager
+def worker_pool(jobs: int):
+    """The executor every session inside the block runs its chunks on.
+
+    Yields ``None`` for ``jobs == 1``, building no executor, so sessions
+    run serially; otherwise one ``ProcessPoolExecutor`` of ``jobs``
+    workers, shut down when the block ends.  A grid opens one pool and
+    passes it to each of its sessions, so workers start once per command
+    rather than once per session.
+    """
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
+    if jobs == 1:
+        yield None
+        return
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
+        yield pool
+
+
+def _run_chunks(chunk, spec: _ChunkSpec, num_bits: int, chunk_bits: int, pool):
     """Run ``chunk`` over ``num_bits`` bits in chunks and merge the tallies.
 
     ``spec`` is the session's template: chunk ``i`` gets its own size as
     ``n_bits`` and ``spec.key + (i,)`` as its substream key, so the merged
-    tallies are the same for every ``jobs``.
+    tallies are the same whether the chunks run serially or on ``pool``.
     """
     if num_bits < 1:
         raise ValueError(f"num_bits must be >= 1, got {num_bits}")
     if chunk_bits < 1:
         raise ValueError(f"chunk_bits must be >= 1, got {chunk_bits}")
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
     specs = [
         replace(spec, n_bits=size, key=spec.key + (idx,))
         for idx, size in enumerate(_chunk_sizes(num_bits, chunk_bits))
     ]
-    if jobs > 1 and len(specs) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            parts = list(pool.map(chunk, specs, chunksize=4))
+    if pool is not None and len(specs) > 1:
+        parts = list(pool.map(chunk, specs, chunksize=4))
     else:
         parts = [chunk(s) for s in specs]
 
@@ -304,7 +323,7 @@ def run_session(
     cfg: ProtocolConfig,
     seed: int,
     detectors: tuple[str, ...] = ("optimum",),
-    jobs: int = 1,
+    pool=None,
     point_key: tuple[int, ...] = (),
     trace=None,
     chunk_bits: int = DEFAULT_CHUNK_BITS,
@@ -313,10 +332,11 @@ def run_session(
 
     Secrets are i.i.d. uniform.  Every detector in ``detectors`` is
     evaluated on the same sampled chips, so detector comparisons share one
-    noise realization; the tallies come back in the requested order.  The
-    result is bit-identical for a fixed ``seed``/``point_key`` regardless
-    of ``jobs``; ``trace`` (a writable text file) forces serial execution
-    and logs one line per chip.
+    noise realization; the tallies come back in the requested order.
+    Chunks run on ``pool`` (from :func:`worker_pool`; ``None`` runs them
+    serially), and the result is bit-identical for a fixed
+    ``seed``/``point_key`` either way.  ``trace`` (a writable text file)
+    logs one line per chip and runs serially, ignoring ``pool``.
     """
     names = tuple(detectors)
     if not names:
@@ -326,10 +346,10 @@ def run_session(
             raise ValueError(f"detector must be one of {DETECTOR_CHOICES}, got {name!r}")
     spec = _ChunkSpec(cfg.params, cfg.stats, names, num_bits, seed, point_key)
     if trace is None:
-        return _run_chunks(_rh_chunk, spec, num_bits, chunk_bits, jobs)
+        return _run_chunks(_rh_chunk, spec, num_bits, chunk_bits, pool)
     # one trace file, written in bit order: never more than one worker
     traced = functools.partial(_traced_chunk, trace=trace, chunk_bits=chunk_bits)
-    return _run_chunks(traced, spec, num_bits, chunk_bits, min(jobs, 1))
+    return _run_chunks(traced, spec, num_bits, chunk_bits, None)
 
 
 def _traced_chunk(spec: _ChunkSpec, trace, chunk_bits: int) -> dict[str, DetectorTally]:
@@ -398,7 +418,7 @@ def run_classical_session(
     num_bits: int,
     params: SystemParams,
     seed: int,
-    jobs: int = 1,
+    pool=None,
     point_key: tuple[int, ...] = (),
     chunk_bits: int = DEFAULT_CHUNK_BITS,
 ) -> dict[str, DetectorTally]:
@@ -410,7 +430,7 @@ def run_classical_session(
     discard detections of the equal-bit cases, and infer the partner bit by
     the flip rule otherwise.  The decision unit is the bit, so
     ``total_chips`` counts bits here; the result holds one tally, under
-    ``"classical"``.
+    ``"classical"``.  Chunks run on ``pool`` as in :func:`run_session`.
     """
     spec = _ChunkSpec(params, None, ("classical",), num_bits, seed, point_key)
-    return _run_chunks(_classical_chunk, spec, num_bits, chunk_bits, jobs)
+    return _run_chunks(_classical_chunk, spec, num_bits, chunk_bits, pool)

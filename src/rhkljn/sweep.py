@@ -6,10 +6,13 @@ realization of a grid point.  ``run_sweep`` and ``run_compare`` walk it
 through one hopping-row runner: one session per (value, scenario) point
 and one CSV row per (value, scenario, detector).  ``run_compare`` takes a
 spec that sweeps ``rate`` and puts one classical row before the hopping
-rows of each rate.  Per-point substreams are keyed on the value's bit
-pattern, so any subset of a grid reproduces the full run exactly, and rows
-are written in grid order regardless of worker count.  Output bytes depend
-only on the experiment definition and the seed: no timing goes into a row.
+rows of each rate.  Each call opens one worker pool
+(:func:`rhkljn.protocol.worker_pool`) and runs every session of its grid
+on it, so ``jobs`` workers start once per grid, not once per session.
+Per-point substreams are keyed on the value's bit pattern, so any subset
+of a grid reproduces the full run exactly, and rows are written in grid
+order regardless of worker count.  Output bytes depend only on the
+experiment definition and the seed: no timing goes into a row.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from .protocol import (
     ProtocolConfig,
     run_classical_session,
     run_session,
+    worker_pool,
 )
 from .rng import value_key
 
@@ -221,7 +225,7 @@ def _session_rows(
 
 
 def _rh_rows(
-    spec: SweepSpec, params: SystemParams, value: float, tag: int, jobs: int, trace=None
+    spec: SweepSpec, params: SystemParams, value: float, tag: int, pool, trace=None
 ) -> list[ResultRow]:
     """Hopping rows at one grid value: one session per scenario, keyed
     ``(tag, scenario index, value)``, all detectors on its noise."""
@@ -233,7 +237,7 @@ def _rh_rows(
             ProtocolConfig(point_params, derive_stats(point_params)),
             seed=spec.master_seed,
             detectors=spec.detectors,
-            jobs=jobs,
+            pool=pool,
             point_key=(tag, scen_idx, value_key(value)),
             trace=trace,
         )
@@ -244,23 +248,30 @@ def _rh_rows(
 def run_sweep(
     spec: SweepSpec, base_params: SystemParams, jobs: int = 1, trace=None
 ) -> list[ResultRow]:
-    """Run every grid point of ``spec`` and return rows in grid order.
+    """Run every grid point of ``spec`` on one pool of ``jobs`` workers and
+    return rows in grid order.
 
     ``trace`` (a writable text file) logs every chip and requires a
-    single-point grid; it forces serial execution.
+    single-point grid; it runs serially, and a ``jobs`` above 1 is ignored
+    with a warning.
     """
     if trace is not None and (len(spec.values) != 1 or len(spec.scenarios) != 1):
         raise ValueError("tracing needs a single grid point (one value, one scenario)")
+    if trace is not None and jobs > 1:
+        logger.warning("tracing runs serially; ignoring jobs=%d", jobs)
+        jobs = 1
     rows: list[ResultRow] = []
-    for value in spec.values:
-        params = _point_params(base_params, spec.swept_parameter, value)
-        rows.extend(_rh_rows(spec, params, value, _TAG_SWEEP, jobs, trace))
+    with worker_pool(jobs) as pool:
+        for value in spec.values:
+            params = _point_params(base_params, spec.swept_parameter, value)
+            rows.extend(_rh_rows(spec, params, value, _TAG_SWEEP, pool, trace))
     return rows
 
 
 def run_compare(spec: SweepSpec, base_params: SystemParams, jobs: int = 1) -> list[ResultRow]:
     """Rate-matched comparison: per rate in ``spec.values``, one classical
     row, then the hopping rows of every scenario and detector of ``spec``.
+    Every session runs on one pool of ``jobs`` workers.
 
     The matched condition gives the classical scheme chips_per_bit times
     the per-chip sample count of the hopping scheme, since its decision
@@ -269,22 +280,23 @@ def run_compare(spec: SweepSpec, base_params: SystemParams, jobs: int = 1) -> li
     if spec.swept_parameter != "rate":
         raise ValueError(f"compare sweeps the sampling rate, got {spec.swept_parameter!r}")
     rows: list[ResultRow] = []
-    for rate in spec.values:
-        rh_params = _point_params(base_params, "rate", rate)
-        # the classical pair is unbiased and decides once per bit, from all
-        # the samples of the bit's chips_per_bit chips
-        classical_params = base_params.replace(
-            m_l=0.0,
-            chips_per_bit=1,
-            samples_per_chip=rh_params.chips_per_bit * rh_params.samples_per_chip,
-        )
-        classical = run_classical_session(
-            spec.num_bits,
-            classical_params,
-            seed=spec.master_seed,
-            jobs=jobs,
-            point_key=(_TAG_CLASSICAL, value_key(rate)),
-        )
-        rows.extend(_session_rows(classical, spec, "classical", rate, "-", classical_params))
-        rows.extend(_rh_rows(spec, rh_params, rate, _TAG_RH_COMPARE, jobs))
+    with worker_pool(jobs) as pool:
+        for rate in spec.values:
+            rh_params = _point_params(base_params, "rate", rate)
+            # the classical pair is unbiased and decides once per bit, from
+            # all the samples of the bit's chips_per_bit chips
+            classical_params = base_params.replace(
+                m_l=0.0,
+                chips_per_bit=1,
+                samples_per_chip=rh_params.chips_per_bit * rh_params.samples_per_chip,
+            )
+            classical = run_classical_session(
+                spec.num_bits,
+                classical_params,
+                seed=spec.master_seed,
+                pool=pool,
+                point_key=(_TAG_CLASSICAL, value_key(rate)),
+            )
+            rows.extend(_session_rows(classical, spec, "classical", rate, "-", classical_params))
+            rows.extend(_rh_rows(spec, rh_params, rate, _TAG_RH_COMPARE, pool))
     return rows

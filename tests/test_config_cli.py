@@ -4,6 +4,7 @@ import io
 import os
 import subprocess
 import sys
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import pytest
@@ -17,6 +18,7 @@ from rhkljn import (
     value_key,
     write_csv,
 )
+from rhkljn import protocol
 from rhkljn.cli import main
 from rhkljn.config import ConfigError, SCENARIOS, apply_scenario, build_params, parse_config
 from rhkljn.sweep import _TAG_CLASSICAL, CSV_COLUMNS, _point_params, binomial_ci95
@@ -218,6 +220,63 @@ class TestGridPoints:
             direct.kept_chips,
             direct.sub_bit_errors,
         )
+
+
+@pytest.fixture
+def pool_counts(monkeypatch):
+    """Executors built and ``map`` calls made on them, through ``protocol.ProcessPoolExecutor``."""
+    counts = {"built": 0, "maps": 0}
+
+    class CountingPool(ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            counts["built"] += 1
+            super().__init__(*args, **kwargs)
+
+        def map(self, *args, **kwargs):
+            counts["maps"] += 1
+            return super().map(*args, **kwargs)
+
+    monkeypatch.setattr(protocol, "ProcessPoolExecutor", CountingPool)
+    return counts
+
+
+class TestWorkerPool:
+    """One pool per grid: every session of a sweep or compare runs its chunks on it."""
+
+    # 1500 bits are two chunks, so every session maps over the pool
+    @pytest.mark.parametrize("jobs, built", [(1, 0), (2, 1)])
+    def test_sweep_opens_one_pool(self, pool_counts, jobs, built):
+        spec = SweepSpec(
+            "beta", (3.4, 3.7, 4.0), scenarios=("fine_tuned", "good"), num_bits=1_500, master_seed=3
+        )
+        rows = run_sweep(spec, SystemParams(samples_per_chip=3), jobs=jobs)
+        assert len(rows) == 3 * 2
+        assert pool_counts == {"built": built, "maps": 6 * built}
+
+    @pytest.mark.parametrize("jobs, built", [(1, 0), (2, 1)])
+    def test_compare_opens_one_pool(self, pool_counts, jobs, built):
+        spec = SweepSpec("rate", (2e4, 5e4), scenarios=("fine_tuned", "good"), num_bits=1_500)
+        rows = run_compare(spec, SystemParams(), jobs=jobs)
+        # per rate: one classical and two hopping sessions
+        assert [r.scheme for r in rows] == ["classical", "rh", "rh"] * 2
+        assert pool_counts == {"built": built, "maps": 6 * built}
+
+    # the warning goes to stderr only: stdout holds the same CSV either way
+    @pytest.mark.parametrize("jobs, warnings", [("1", 0), ("2", 1)])
+    def test_trace_ignores_jobs_with_a_warning(
+        self, tmp_path, caplog, capsys, pool_counts, jobs, warnings
+    ):
+        argv = ["sweep", "--sweep", "n", "--values", "4", "--bits", "1500", "--seed", "9"]
+        assert main(argv) == 0
+        untraced = capsys.readouterr().out
+        caplog.clear()
+        trace = tmp_path / "trace.log"
+        with caplog.at_level("WARNING", logger="rhkljn.sweep"):
+            assert main(argv + ["--trace", str(trace), "--jobs", jobs]) == 0
+        assert caplog.text.count(f"tracing runs serially; ignoring jobs={jobs}") == warnings
+        assert capsys.readouterr().out == untraced
+        assert len(trace.read_text().splitlines()) == 1_500 * 10
+        assert pool_counts["built"] == 0
 
 
 class TestCli:
@@ -455,3 +514,26 @@ class TestCli:
         assert main(args + ["--jobs", "1", "--out", str(out1)]) == 0
         assert main(args + ["--jobs", "2", "--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
+
+    # compare and pls --measure share one pool across their sessions; their
+    # stdout and CSV bytes must not depend on --jobs either
+    @pytest.mark.parametrize(
+        "argv, marker",
+        [
+            (
+                ["compare", "--values", "2e4,5e4", "--scenarios", "fine_tuned,good", "--bits", "3000"],
+                "\nrh,rate,50000,good,optimum,",
+            ),
+            (["pls", "--measure", "--bits", "3000"], "\nmeasured_xi="),
+        ],
+        ids=["compare", "pls"],
+    )
+    def test_output_bytes_independent_of_jobs(self, tmp_path, capsys, argv, marker):
+        outputs = []
+        for jobs in ("1", "2"):
+            csv = tmp_path / f"jobs{jobs}.csv"
+            extra = ["--csv", str(csv)] if argv[0] == "pls" else []
+            assert main(argv + extra + ["--jobs", jobs]) == 0
+            outputs.append((capsys.readouterr().out, csv.read_bytes() if extra else None))
+        assert marker in outputs[0][0]
+        assert outputs[0] == outputs[1]

@@ -19,7 +19,9 @@ from rhkljn import (
     run_classical_session,
     run_session,
     sample_chip,
+    worker_pool,
 )
+from rhkljn import protocol
 from rhkljn.protocol import DETECTOR_CHOICES, _ChunkSpec, _rh_chunk_arrays, _tally_chunk
 from conftest import assert_parties_agree
 
@@ -244,9 +246,10 @@ class TestRunSession:
     def test_determinism_across_worker_counts(self):
         cfg = make_cfg()
         serial = run_session(700, cfg, seed=77, detectors=("simple", "optimum"), chunk_bits=100)
-        parallel = run_session(
-            700, cfg, seed=77, detectors=("simple", "optimum"), chunk_bits=100, jobs=4
-        )
+        with worker_pool(4) as pool:
+            parallel = run_session(
+                700, cfg, seed=77, detectors=("simple", "optimum"), chunk_bits=100, pool=pool
+            )
         assert serial == parallel
 
     def test_tally_counts_are_conserved(self):
@@ -299,11 +302,14 @@ class TestRunSession:
     def test_jobs_below_one_rejected(self, jobs):
         cfg = make_cfg()
         with pytest.raises(ValueError, match="jobs"):
-            run_session(10, cfg, seed=1, jobs=jobs)
+            with worker_pool(jobs) as pool:
+                run_session(10, cfg, seed=1, pool=pool)
         with pytest.raises(ValueError, match="jobs"):
-            run_session(10, cfg, seed=1, jobs=jobs, trace=io.StringIO())
+            with worker_pool(jobs) as pool:
+                run_session(10, cfg, seed=1, pool=pool, trace=io.StringIO())
         with pytest.raises(ValueError, match="jobs"):
-            run_classical_session(10, cfg.params, seed=1, jobs=jobs)
+            with worker_pool(jobs) as pool:
+                run_classical_session(10, cfg.params, seed=1, pool=pool)
 
     def test_chunk_bits_below_one_rejected(self):
         cfg = make_cfg()
@@ -311,6 +317,37 @@ class TestRunSession:
             run_session(10, cfg, seed=1, chunk_bits=0)
         with pytest.raises(ValueError, match="chunk_bits"):
             run_classical_session(10, cfg.params, seed=1, chunk_bits=0)
+
+
+class TestWorkerPool:
+    @pytest.mark.parametrize("jobs", [0, -4])
+    def test_jobs_below_one_rejected(self, jobs):
+        with pytest.raises(ValueError, match="jobs must be >= 1"):
+            with worker_pool(jobs):
+                pass
+
+    def test_one_job_builds_no_executor(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("an executor was built for jobs=1")
+
+        monkeypatch.setattr(protocol, "ProcessPoolExecutor", refuse)
+        with worker_pool(1) as pool:
+            assert pool is None
+
+    def test_pool_is_shut_down_when_the_block_ends(self):
+        with worker_pool(2) as pool:
+            assert pool is not None
+        with pytest.raises(RuntimeError):
+            pool.submit(int)
+
+    def test_single_chunk_session_runs_serially(self):
+        class NoMap:
+            def map(self, *args, **kwargs):
+                raise AssertionError("a one-chunk session used the pool")
+
+        cfg = make_cfg()
+        serial = run_session(500, cfg, seed=3, chunk_bits=500)
+        assert run_session(500, cfg, seed=3, chunk_bits=500, pool=NoMap()) == serial
 
 
 class TestChunkSampler:
@@ -385,7 +422,8 @@ class TestClassicalSession:
     def test_determinism_across_worker_counts(self):
         params = SystemParams(samples_per_chip=50)
         a = run_classical_session(900, params, seed=23, chunk_bits=128)
-        b = run_classical_session(900, params, seed=23, chunk_bits=128, jobs=3)
+        with worker_pool(3) as pool:
+            b = run_classical_session(900, params, seed=23, chunk_bits=128, pool=pool)
         assert a == b
 
     def test_moderate_sampling_has_errors(self):
