@@ -1,5 +1,6 @@
 """Golden output digests: the sha256 of stdout for small versions of the
-benchmark workloads and the README figure commands, and of one trace log.
+benchmark workloads, the README figure commands, two ``stats`` tables and
+the channel demo, and of one trace log.
 
 Output bytes are a pure function of (command, seed, engine version), so a
 digest moves only when the random stream or the output format changes.  A
@@ -11,6 +12,7 @@ import contextlib
 import hashlib
 import importlib.util
 import io
+import runpy
 import sys
 from pathlib import Path
 
@@ -26,12 +28,16 @@ _spec.loader.exec_module(workloads)
 GOLDEN_BITS = 2_000
 GOLDEN_SEED = 5
 
-README_COMMANDS = {
+# README figure commands and the stats tables (the table prints var4, which
+# no session output reads)
+CLI_COMMANDS = {
     "readme_fig_n": (
         "sweep", "--sweep", "n", "--values", "3,5,10,20,40", "--detectors", "ml,simple,optimum",
         "--scenarios", "good,moderate", "--bits", str(GOLDEN_BITS), "--seed", "2",
     ),
     "readme_compare": ("compare", "--values", "2e4,3e4,5e4,1e5,2e5", "--bits", str(GOLDEN_BITS)),
+    "stats": ("stats",),
+    "stats_moderate_a7_b2": ("stats", "--scenario", "moderate", "--alpha", "7", "--beta", "2"),
 }
 
 STDOUT_SHA256 = {
@@ -41,7 +47,12 @@ STDOUT_SHA256 = {
     "pls_outage": "8ddfe089ec4c820cce8c51de6f0cd8ebcb9b27320c4beebea99475a218dc9862",
     "readme_fig_n": "d058a19620afe3940914d13c43152a93f38b464355e25fc6c99d72d3068064e3",
     "readme_compare": "8c1a0cb64e8ecff0a800c6ef6472d994afd82896b65e8dd40e7c88186799b18c",
+    "stats": "d1605b1a6f4e6328dbc27dd2fca72144523c32ceefc8258d52fd4885feb636a2",
+    "stats_moderate_a7_b2": "2fe7bbed0053b74a41e50dbcc6b9e95999cebd96b5e66fb8378f2207071f601b",
 }
+
+# sample_chip moments against chip_distribution, and the classical variances
+DEMO_CHANNEL_SHA256 = "cb41e2b9df25929db0946f0ccab4f75e6a672f1f37752f178c7ebee86bf1cce8"
 
 TRACE_ARGV = ("sweep", "--sweep", "n", "--values", "5", "--detectors", "ml,simple,optimum", "--bits", str(GOLDEN_BITS))
 TRACE_SHA256 = {
@@ -62,13 +73,13 @@ def run_stdout(argv) -> str:
 
 
 def golden_argv(name: str) -> tuple[str, ...]:
-    if name in README_COMMANDS:
-        return README_COMMANDS[name]
+    if name in CLI_COMMANDS:
+        return CLI_COMMANDS[name]
     return tuple(workloads.program_argv(name, GOLDEN_SEED, bits=GOLDEN_BITS))
 
 
 def test_every_workload_has_a_digest():
-    assert set(workloads.WORKLOADS) | set(README_COMMANDS) == set(STDOUT_SHA256)
+    assert set(workloads.WORKLOADS) | set(CLI_COMMANDS) == set(STDOUT_SHA256)
 
 
 @pytest.mark.parametrize("name", sorted(STDOUT_SHA256))
@@ -81,3 +92,10 @@ def test_trace_digest(tmp_path):
     trace = tmp_path / "trace.log"
     stdout = run_stdout(TRACE_ARGV + ("--trace", str(trace)))
     assert {"stdout": sha256(stdout), "trace": sha256(trace.read_text())} == TRACE_SHA256
+
+
+def test_demo_channel_digest():
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        runpy.run_path(str(ROOT / "demos" / "demo_channel.py"), run_name="__main__")
+    assert sha256(buf.getvalue()) == DEMO_CHANNEL_SHA256
