@@ -14,7 +14,6 @@ The library is organized around the protocol pipeline:
 from .channel import (
     ChipSamples,
     ChipState,
-    NoiseSource,
     chip_distribution,
     classical_kljn_variance,
     divider_weights,
@@ -44,6 +43,7 @@ from .params import (
     SeparabilityReport,
     SystemParams,
     check_separability,
+    chip_moments,
     derive_coefficients,
     derive_stats,
     drif,

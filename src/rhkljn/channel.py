@@ -8,9 +8,14 @@ resistive divider, each source weighted by the *other* party's resistor:
 
 Samples within a chip are i.i.d. Gaussian given the four bits of the chip
 state; the divider acts identically on bias and noise, which is what turns
-the bias pair into the distinct middle-band means.
+the bias pair into the distinct middle-band means.  The exact moments come
+from :func:`rhkljn.params.chip_moments`; :func:`sample_chip` draws the two
+sources themselves, picking each party's resistor and bias from the same
+``params.resistors``/``params.biases`` tables, so it is an independent
+check of those moments.
 
-Also provides the classical (bias-free, two-resistor) baseline statistics.
+Also provides the classical (bias-free) baseline statistics, whose
+two-resistor bank is the sub-bit-0 column of the hopping bank.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .params import SystemParams
+from .params import SystemParams, chip_moments
 
 
 @dataclass(frozen=True)
@@ -40,15 +45,6 @@ class ChipState:
                 raise ValueError(f"{name} must be 0 or 1, got {getattr(self, name)}")
         if self.p < 1:
             raise ValueError(f"chip index must be >= 1, got {self.p}")
-
-
-@dataclass(frozen=True)
-class NoiseSource:
-    """One party's source for a chip: DC bias plus thermal noise of ``resistor``."""
-
-    bias: float
-    std: float
-    resistor: float
 
 
 @dataclass(frozen=True)
@@ -77,45 +73,13 @@ def divider_weights(r_alice: float, r_bob: float) -> tuple[float, float]:
     return r_bob / total, r_alice / total
 
 
-def noise_sources(state: ChipState, params: SystemParams) -> tuple[NoiseSource, NoiseSource]:
-    """The two parties' sources for a chip state."""
-    a_v = params.noise_var_per_ohm
-
-    def source(main: int, sub: int) -> NoiseSource:
-        r = params.resistor(main, sub)
-        return NoiseSource(bias=params.bias(main), std=np.sqrt(a_v * r), resistor=r)
-
-    return source(state.b_a, state.s_a), source(state.b_b, state.s_b)
-
-
-def divider_moments(r_a, r_b, bias_a, bias_b, noise_var_per_ohm):
-    """(mean, variance) of the common voltage for given resistors and biases.
-
-    Accepts scalars or broadcastable arrays, so one formula serves a single
-    chip state and a whole chunk of chips.  Each source is weighted by the
-    other party's resistor; the thermal variances add through the squared
-    weights.
-    """
-    total = r_a + r_b
-    w_a = r_b / total
-    w_b = r_a / total
-    mean = w_a * bias_a + w_b * bias_b
-    var = w_a**2 * (noise_var_per_ohm * r_a) + w_b**2 * (noise_var_per_ohm * r_b)
-    return mean, var
-
-
 def chip_distribution(state: ChipState, params: SystemParams) -> tuple[float, float]:
     """Exact (mean, variance) of the common voltage for a chip state.
 
     Matches the corresponding mixture-table entry of the derived statistics.
     """
-    return divider_moments(
-        params.resistor(state.b_a, state.s_a),
-        params.resistor(state.b_b, state.s_b),
-        params.bias(state.b_a),
-        params.bias(state.b_b),
-        params.noise_var_per_ohm,
-    )
+    mean, var = chip_moments(params, state.b_a, state.b_b, state.s_a, state.s_b)
+    return float(mean), float(var)
 
 
 def sample_chip(state: ChipState, n: int, rng: np.random.Generator, params: SystemParams) -> ChipSamples:
@@ -126,31 +90,27 @@ def sample_chip(state: ChipState, n: int, rng: np.random.Generator, params: Syst
     """
     if n < 1:
         raise ValueError(f"need at least one sample, got {n}")
-    src_a, src_b = noise_sources(state, params)
-    w_a, w_b = divider_weights(src_a.resistor, src_b.resistor)
-    x = src_a.bias + src_a.std * rng.standard_normal(n)
-    y = src_b.bias + src_b.std * rng.standard_normal(n)
+    bank, biases, a_v = params.resistors, params.biases, params.noise_var_per_ohm
+    r_a, r_b = bank[state.b_a, state.s_a], bank[state.b_b, state.s_b]
+    w_a, w_b = divider_weights(r_a, r_b)
+    x = biases[state.b_a] + np.sqrt(a_v * r_a) * rng.standard_normal(n)
+    y = biases[state.b_b] + np.sqrt(a_v * r_b) * rng.standard_normal(n)
     return ChipSamples(values=w_a * x + w_b * y, state=state)
 
 
-_CLASSICAL_CASES = ("00", "01or10", "11")
+_CLASSICAL_MAINS = {"00": (0, 0), "01or10": (0, 1), "11": (1, 1)}
 
 
 def classical_kljn_variance(case: str, params: SystemParams) -> float:
     """Common-voltage variance of the classical bias-free scheme.
 
-    Uses the two-resistor bank (r_l0, alpha*r_l0).  The three cases order
+    The classical bank is the hopping bank at sub-bit 0, (r_l0, alpha*r_l0),
+    and the variance does not depend on the bias.  The three cases order
     as var("11") > var("01or10") > var("00") for alpha > 1.
     """
-    if case not in _CLASSICAL_CASES:
-        raise ValueError(f"case must be one of {_CLASSICAL_CASES}, got {case!r}")
-    a_v = params.noise_var_per_ohm
-    r_l = params.r_l0
-    if case == "00":
-        return a_v * r_l / 2.0
-    if case == "11":
-        return a_v * params.alpha * r_l / 2.0
-    return a_v * params.alpha / (params.alpha + 1.0) * r_l
+    if case not in _CLASSICAL_MAINS:
+        raise ValueError(f"case must be one of {tuple(_CLASSICAL_MAINS)}, got {case!r}")
+    return float(chip_moments(params, *_CLASSICAL_MAINS[case], 0, 0)[1])
 
 
 def sample_classical_chip(

@@ -1,24 +1,34 @@
-"""System parameters and closed-form statistics of the resistor-hopping scheme.
+"""System parameters, the chip-state model and closed-form statistics.
 
 Everything downstream (channel sampling, detectors, protocol, security
-metrics) is driven by the two types defined here:
+metrics) is driven by what is defined here:
 
 * :class:`SystemParams` holds the physical constants, the resistor bank
   expressed through the ratios ``alpha`` and ``beta``, the bias pair
-  (``m_l``, ``gamma``) and the timing/sampling layout.
+  (``m_l``, ``gamma``) and the timing/sampling layout.  Its
+  ``resistors`` table, indexed ``[main, sub]``, and its ``biases`` pair,
+  indexed by the main bit, are the one statement of which resistor and
+  bias a party puts on the wire for a chip.
+* :func:`chip_moments` is the chip-state model: the (mean, variance) of
+  the common voltage for any (main, sub) bit pair of the two parties,
+  through :func:`divider_moments`.  Sessions, the mixture tables, the
+  classical baseline and the outage Monte Carlo all read it.
 * :class:`DerivedStats` holds every closed-form quantity: the coefficients
   ``c1..c4`` of the middle means, the three middle Gaussian moments, the
   separability coefficients ``k1..k4``, the gate and detector thresholds,
   and the full per-state mixture tables for all 16 bit configurations.
 
-Both are frozen dataclasses; instances are immutable and safe to share
+Both dataclasses are frozen; instances are immutable and safe to share
 across worker processes.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass, field, fields
+
+import numpy as np
 
 from . import detectors as _det
 
@@ -31,11 +41,6 @@ class InvalidParamsError(ValueError):
 
 class NonSeparableError(ValueError):
     """A separability-coefficient denominator is not positive."""
-
-
-def _parallel(r1: float, r2: float) -> float:
-    """Parallel resistance r1*r2/(r1+r2)."""
-    return r1 * r2 / (r1 + r2)
 
 
 @dataclass(frozen=True)
@@ -136,23 +141,51 @@ class SystemParams:
         """Chip interval in seconds, bit_duration/chips_per_bit."""
         return self.bit_duration / self.chips_per_bit
 
-    def resistor(self, main_bit: int, sub_bit: int) -> float:
-        """Resistor selected by one party for a chip: branch by main bit, hop by sub-bit."""
-        if main_bit not in (0, 1) or sub_bit not in (0, 1):
-            raise ValueError(f"bits must be 0 or 1, got ({main_bit}, {sub_bit})")
-        if main_bit == 0:
-            return self.r_l0 if sub_bit == 0 else self.r_l1
-        return self.r_h0 if sub_bit == 0 else self.r_h1
+    @property
+    def resistors(self) -> np.ndarray:
+        """The resistor bank indexed ``[main, sub]``: ``[[r_l0, r_l1], [r_h0, r_h1]]``.
 
-    def bias(self, main_bit: int) -> float:
-        """DC bias added by one party: m_l on the low branch, m_h on the high branch."""
-        return self.m_l if main_bit == 0 else self.m_h
+        The main bit picks the branch, the sub-bit the hop within it.
+        """
+        return np.array([[self.r_l0, self.r_l1], [self.r_h0, self.r_h1]])
+
+    @property
+    def biases(self) -> np.ndarray:
+        """The DC bias indexed by the main bit: ``[m_l, m_h]``."""
+        return np.array([self.m_l, self.m_h])
 
     def replace(self, **changes) -> "SystemParams":
         """Return a copy with the given fields replaced (re-validated)."""
-        import dataclasses
-
         return dataclasses.replace(self, **changes)
+
+
+def divider_moments(r_a, r_b, bias_a, bias_b, noise_var_per_ohm):
+    """(mean, variance) of the common voltage for given resistors and biases.
+
+    Accepts scalars or broadcastable arrays.  Each source is weighted by the
+    other party's resistor; the thermal variances add through the squared
+    weights.
+    """
+    total = r_a + r_b
+    w_a = r_b / total
+    w_b = r_a / total
+    mean = w_a * bias_a + w_b * bias_b
+    var = w_a**2 * (noise_var_per_ohm * r_a) + w_b**2 * (noise_var_per_ohm * r_b)
+    return mean, var
+
+
+def chip_moments(params: SystemParams, b_a, b_b, s_a, s_b, resistors=None):
+    """(mean, variance) of the common voltage for the chip state (b_a, b_b, s_a, s_b).
+
+    The bits are ints or integer arrays that broadcast together, so one
+    call serves a single state, all 16 states or a whole chunk of chips.
+    ``resistors`` is an array bank indexed ``[main, sub]`` (default
+    ``params.resistors``) or a batch of banks of shape ``(..., 2, 2)``;
+    a batch puts its leading axes before the axes of the bits.
+    """
+    bank = params.resistors if resistors is None else resistors
+    r_a, r_b, biases = bank[..., b_a, s_a], bank[..., b_b, s_b], params.biases
+    return divider_moments(r_a, r_b, biases[b_a], biases[b_b], params.noise_var_per_ohm)
 
 
 @dataclass(frozen=True)
@@ -172,8 +205,8 @@ class DerivedStats:
     ``m4``/``c4`` alias ``m1``/``c1`` (the fourth middle mean coincides with
     the first); the canonical middle-band model everywhere downstream is the
     three Gaussians (m2, var2), (m1, var1), (m3, var3).  ``var4`` is the
-    variance actually produced by the divider for the both-hopped sub-bit
-    pair, ``noise_var_per_ohm * (r_l1 || r_h1) = beta * var1``.
+    mixture-table variance of the mixed state with both sub-bits hopped,
+    ``noise_var_per_ohm * (r_l1 || r_h1) = beta * var1``.
     """
 
     c1: float
@@ -299,28 +332,21 @@ def _mixture_tables(
 ) -> dict[tuple[int, int], tuple[MixtureComponent, ...]]:
     """Mean/variance of the common voltage for all 16 bit configurations.
 
-    Computed straight from the voltage divider: with the two selected
-    resistors r_a, r_b and biases u_a, u_b the common voltage is Gaussian
-    with mean (u_a*r_b + u_b*r_a)/(r_a+r_b) and variance a*(r_a || r_b).
+    One :func:`chip_moments` call over a (b_a, b_b, s_a, s_b) grid; each
+    main-bit pair keeps its four sub-bit components in (s_a, s_b) order.
     """
-    a_v = params.noise_var_per_ohm
-    tables: dict[tuple[int, int], tuple[MixtureComponent, ...]] = {}
-    for main_a in (0, 1):
-        for main_b in (0, 1):
-            entries = []
-            for sub_a in (0, 1):
-                for sub_b in (0, 1):
-                    r_a = params.resistor(main_a, sub_a)
-                    r_b = params.resistor(main_b, sub_b)
-                    w_a = r_b / (r_a + r_b)
-                    w_b = r_a / (r_a + r_b)
-                    mean = params.bias(main_a) * w_a + params.bias(main_b) * w_b
-                    var = a_v * _parallel(r_a, r_b)
-                    entries.append(
-                        MixtureComponent(sub_bits=(sub_a, sub_b), mean=mean, variance=var)
-                    )
-            tables[(main_a, main_b)] = tuple(entries)
-    return tables
+    means, variances = chip_moments(params, *np.ix_((0, 1), (0, 1), (0, 1), (0, 1)))
+    subs = ((0, 0), (0, 1), (1, 0), (1, 1))
+    return {
+        (b_a, b_b): tuple(
+            MixtureComponent(sub_bits=sub, mean=mean, variance=var)
+            for sub, mean, var in zip(
+                subs, means[b_a, b_b].ravel().tolist(), variances[b_a, b_b].ravel().tolist()
+            )
+        )
+        for b_a in (0, 1)
+        for b_b in (0, 1)
+    }
 
 
 def derive_stats(params: SystemParams) -> DerivedStats:
@@ -337,7 +363,8 @@ def derive_stats(params: SystemParams) -> DerivedStats:
     var1 = a_v * al * params.r_l0 / (al + 1.0)
     var2 = a_v * al * be * params.r_l0 / (al * be + 1.0)
     var3 = a_v * al * be * params.r_l0 / (al + be)
-    var4 = a_v * _parallel(params.r_l1, params.r_h1)
+    mixture_tables = _mixture_tables(params)
+    var4 = mixture_tables[(0, 1)][3].variance  # sub-bits (1, 1)
     try:
         k1, k2, k3, k4 = separability_coefficients(params)
     except NonSeparableError:
@@ -373,7 +400,7 @@ def derive_stats(params: SystemParams) -> DerivedStats:
         th4=th4,
         th3_opt=th3_opt,
         th4_opt=th4_opt,
-        mixture_tables=_mixture_tables(params),
+        mixture_tables=mixture_tables,
     )
 
 

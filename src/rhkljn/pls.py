@@ -5,7 +5,9 @@ relative to their spreads.  The eavesdropper-advantage term rho is the
 tail probability Q(delta_m / (2*sigma_max)) for the worst (closest) pair of
 middle means under the largest middle spread; the secrecy outage
 probability asks whether that margin falls below a target, optionally under
-resistor tolerance perturbations.
+resistor tolerance perturbations.  The perturbed middle Gaussians are the
+mixed states (b_a, b_b) = (0, 1) of :func:`rhkljn.params.chip_moments`,
+evaluated on one jittered resistor bank per trial.
 """
 
 from __future__ import annotations
@@ -15,9 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import divider_moments
 from .detectors import q_function
-from .params import DerivedStats, SystemParams
+from .params import DerivedStats, SystemParams, chip_moments
+from .protocol import ideal_discard_fraction
 from .rng import substream
 
 
@@ -125,34 +127,14 @@ class ResistorTolerance:
             )
 
     def draw(self, params: SystemParams, rng: np.random.Generator, trials: int) -> np.ndarray:
-        """Jittered (r_l0, r_l1, r_h0, r_h1), one row per trial: shape (trials, 4).
+        """Jittered resistor banks indexed ``[trial, main, sub]``: shape (trials, 2, 2).
 
-        The stream is consumed row by row, so the first k rows are the same
-        whatever ``trials`` is.
+        The stream is consumed bank by bank, so the first k banks are the
+        same whatever ``trials`` is.
         """
-        nominal = np.array([params.r_l0, params.r_l1, params.r_h0, params.r_h1])
-        return nominal * (1.0 + self.relative_width * rng.uniform(-1.0, 1.0, (trials, 4)))
-
-
-def middle_stats_from_resistors(
-    r_l0,
-    r_l1,
-    r_h0,
-    r_h1,
-    m_l: float,
-    m_h: float,
-    noise_var_per_ohm: float,
-):
-    """(m1, m2, m3, sigma1, sigma2, sigma3) from explicit resistor values.
-
-    Used by the outage Monte Carlo, where jittered resistors no longer obey
-    the nominal ratio structure.  The resistors may be scalars or arrays of
-    one value per trial.
-    """
-    m1, v1 = divider_moments(r_l0, r_h0, m_l, m_h, noise_var_per_ohm)
-    m2, v2 = divider_moments(r_l0, r_h1, m_l, m_h, noise_var_per_ohm)
-    m3, v3 = divider_moments(r_l1, r_h0, m_l, m_h, noise_var_per_ohm)
-    return m1, m2, m3, np.sqrt(v1), np.sqrt(v2), np.sqrt(v3)
+        return params.resistors * (
+            1.0 + self.relative_width * rng.uniform(-1.0, 1.0, (trials, 2, 2))
+        )
 
 
 def sop(
@@ -180,12 +162,14 @@ def sop(
     if params is None:
         raise ValueError("params required for perturbed outage estimation")
     rng = substream(seed, (0xE0,))
-    jittered = perturbation.draw(params, rng, trials)
-    m1, m2, m3, _, s2, s3 = middle_stats_from_resistors(
-        *jittered.T, params.m_l, params.m_h, params.noise_var_per_ohm
-    )
+    banks = perturbation.draw(params, rng, trials)
+    # middle Gaussians 1, 2, 3: mains (0, 1) with sub-bits (0, 0), (0, 1), (1, 0);
+    # one call per state keeps each array one value per trial
+    m1, _ = chip_moments(params, 0, 1, 0, 0, banks)
+    m2, v2 = chip_moments(params, 0, 1, 0, 1, banks)
+    m3, v3 = chip_moments(params, 0, 1, 1, 0, banks)
     gap = np.minimum(np.abs(m1 - m2), np.abs(m1 - m3))
-    spread = np.maximum(s2, s3)
+    spread = np.sqrt(np.maximum(v2, v3))
     outages = int(np.count_nonzero(gap / (2.0 * spread) < gamma_t))
     return outages / trials
 
@@ -222,8 +206,6 @@ def build_report(
     Pass a measured session discard fraction as ``xi`` to get the effective
     rate of an actual run.
     """
-    from .protocol import ideal_discard_fraction
-
     gap = delta_m(stats)
     spread = sigma_max(stats)
     rho_v = rho(gap, spread)

@@ -13,14 +13,17 @@ tallies.  The session engine draws each chip as its sufficient statistics,
 the sample mean m_hat and the scatter S = sum((v - m_hat)^2), instead of n
 raw samples: the gate, the threshold detectors and the ML costs depend on
 the samples only through these two, so the work per chip does not grow
-with n.  Per chunk the draw order is mains, subs, Eve coins, m_hat, S.
+with n.  Per chunk the draw order is mains, subs, Eve coins, m_hat, S,
+and one :func:`rhkljn.params.chip_moments` call gives every chip's mean
+and variance.
 Work is split into fixed-size chunks of bits, each with its own seed
 substream, so results are bit-identical across worker counts.  Chunks run
 serially or on an executor from :func:`worker_pool`, which a command opens
 once and passes to every session of its grid.  The
 classical two-resistor baseline (variance trisection on zero-mean noise,
-its mean of squares drawn as a scaled chi-square) runs on the same chunk
-engine for rate-matched comparisons.  Raw samples are drawn only by
+its mean of squares drawn as a scaled chi-square, its bank the sub-bit-0
+column of the hopping bank) runs on the same chunk engine for
+rate-matched comparisons.  Raw samples are drawn only by
 :func:`rhkljn.channel.sample_chip` and
 :func:`rhkljn.channel.dump_chip_samples`, the oracles for the sampled
 distributions.
@@ -40,8 +43,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from . import detectors as det
-from .channel import classical_kljn_variance, divider_moments
-from .params import DerivedStats, SystemParams, derive_stats
+from .params import DerivedStats, SystemParams, chip_moments, derive_stats
 from .rng import substream
 
 DETECTOR_CHOICES = ("ml", "simple", "optimum")
@@ -213,19 +215,7 @@ def _rh_chunk_arrays(spec: _ChunkSpec):
     b_sub = rng.integers(0, 2, (n_bits, chips))
     eve_guess_a = rng.integers(0, 2, (n_bits, chips))
 
-    r_a = np.where(
-        a_main[:, None] == 0,
-        np.where(a_sub == 0, p.r_l0, p.r_l1),
-        np.where(a_sub == 0, p.r_h0, p.r_h1),
-    )
-    r_b = np.where(
-        b_main[:, None] == 0,
-        np.where(b_sub == 0, p.r_l0, p.r_l1),
-        np.where(b_sub == 0, p.r_h0, p.r_h1),
-    )
-    bias_a = np.where(a_main == 0, p.m_l, p.m_h)[:, None]
-    bias_b = np.where(b_main == 0, p.m_l, p.m_h)[:, None]
-    mu, var = divider_moments(r_a, r_b, bias_a, bias_b, p.noise_var_per_ohm)
+    mu, var = chip_moments(p, a_main[:, None], b_main[:, None], a_sub, b_sub)
 
     m_hat = mu + np.sqrt(var / n) * rng.standard_normal((n_bits, chips))
     scatter = var * (2.0 * rng.standard_gamma(0.5 * (n - 1), (n_bits, chips)))
@@ -344,6 +334,8 @@ def run_session(
     for name in names:
         if name not in DETECTOR_CHOICES:
             raise ValueError(f"detector must be one of {DETECTOR_CHOICES}, got {name!r}")
+    if len(set(names)) != len(names):
+        raise ValueError(f"detectors must not repeat, got {','.join(names)}")
     spec = _ChunkSpec(cfg.params, cfg.stats, names, num_bits, seed, point_key)
     if trace is None:
         return _run_chunks(_rh_chunk, spec, num_bits, chunk_bits, pool)
@@ -387,10 +379,10 @@ def _classical_chunk(spec: _ChunkSpec) -> dict[str, DetectorTally]:
     a_main = rng.integers(0, 2, spec.n_bits)
     b_main = rng.integers(0, 2, spec.n_bits)
 
-    var_00 = classical_kljn_variance("00", p)
-    var_01 = classical_kljn_variance("01or10", p)
-    var_11 = classical_kljn_variance("11", p)
-    var_true = np.where(a_main == b_main, np.where(a_main == 0, var_00, var_11), var_01)
+    # the classical bank is the sub-bit-0 column of the hopping bank
+    var = chip_moments(p, *np.ix_((0, 1), (0, 1)), 0, 0)[1]  # indexed [b_a, b_b]
+    var_00, var_01, var_11 = var[0, 0], var[0, 1], var[1, 1]
+    var_true = var[a_main, b_main]
 
     # the mean of squares of n zero-mean normals is var * chi^2(n) / n
     eve_guess_a = rng.integers(0, 2, spec.n_bits)

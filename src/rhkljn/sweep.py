@@ -98,6 +98,11 @@ class SweepSpec:
         for s in self.scenarios:
             if s not in SCENARIOS:
                 raise ValueError(f"scenarios must be among {SCENARIOS}, got {s!r}")
+        # a CSV row is identified by (value, scenario, detector)
+        for name in ("detectors", "scenarios"):
+            items = getattr(self, name)
+            if len(set(items)) != len(items):
+                raise ValueError(f"{name} must not repeat, got {','.join(items)}")
         if self.num_bits < 1:
             raise ValueError("num_bits must be >= 1")
         if self.num_bits < _MIN_BITS_FOR_CI:

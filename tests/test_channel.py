@@ -18,6 +18,8 @@ from rhkljn import (
     sample_classical_chip,
 )
 
+from conftest import random_valid_params
+
 ALL_STATES = [
     ChipState(b_a=ba, b_b=bb, s_a=sa, s_b=sb)
     for ba in (0, 1)
@@ -55,15 +57,32 @@ class TestDividerWeights:
         assert mean == pytest.approx(default_stats.c1 * p.m_l, rel=1e-14)
 
 
+def reference_moments(state, p):
+    """Hand-written divider for one state: named resistors and biases per party."""
+    resistor = {(0, 0): p.r_l0, (0, 1): p.r_l1, (1, 0): p.r_h0, (1, 1): p.r_h1}
+    bias = {0: p.m_l, 1: p.m_h}
+    r_a, r_b = resistor[(state.b_a, state.s_a)], resistor[(state.b_b, state.s_b)]
+    # each party's bias is weighted by the other party's resistor
+    mean = (bias[state.b_a] * r_b + bias[state.b_b] * r_a) / (r_a + r_b)
+    return mean, p.noise_var_per_ohm * (r_a * r_b / (r_a + r_b))
+
+
 class TestChipDistribution:
     def test_matches_mixture_tables_for_all_16_states(self, default_params, default_stats):
-        for state in ALL_STATES:
-            mean, var = chip_distribution(state, default_params)
-            entry = {
-                e.sub_bits: e for e in default_stats.mixture_tables[(state.b_a, state.b_b)]
-            }[(state.s_a, state.s_b)]
-            assert mean == pytest.approx(entry.mean, rel=1e-14)
-            assert var == pytest.approx(entry.variance, rel=1e-14)
+        rng = np.random.default_rng(16)
+        cases = [(default_params, default_stats)]
+        for _ in range(5):
+            params = random_valid_params(rng, m_l=float(rng.uniform(1e-5, 1e-3)))
+            cases.append((params, derive_stats(params)))
+        for params, stats in cases:
+            for state in ALL_STATES:
+                ref_mean, ref_var = reference_moments(state, params)
+                entry = {e.sub_bits: e for e in stats.mixture_tables[(state.b_a, state.b_b)]}[
+                    (state.s_a, state.s_b)
+                ]
+                for mean, var in (chip_distribution(state, params), (entry.mean, entry.variance)):
+                    assert mean == pytest.approx(ref_mean, rel=1e-14), state
+                    assert var == pytest.approx(ref_var, rel=1e-14), state
 
     def test_all_low_mean_is_exact(self, default_params):
         for sa in (0, 1):

@@ -153,6 +153,10 @@ class TestCsv:
             SweepSpec(swept_parameter="n", values=(3.0,), scenarios=())
         with pytest.raises(ValueError, match="detectors"):
             SweepSpec(swept_parameter="n", values=(3.0,), detectors=())
+        with pytest.raises(ValueError, match="detectors must not repeat"):
+            SweepSpec(swept_parameter="n", values=(3.0,), detectors=("ml", "ml", "optimum"))
+        with pytest.raises(ValueError, match="scenarios must not repeat"):
+            SweepSpec(swept_parameter="n", values=(3.0,), scenarios=("good", "good"))
         with pytest.raises(ValueError, match="rate"):
             run_compare(SweepSpec(swept_parameter="n", values=(3.0,)), SystemParams())
 
@@ -328,6 +332,10 @@ class TestCli:
             (["compare", "--values", "inf"], "rate must be finite"),
             (["stats", "--m-l", "nan"], "m_l must be finite"),
             (["pls", "--gamma-t", "nan"], "gamma_t must be > 0"),
+            (["sweep", "--sweep", "n", "--values", "3", "--detectors", "ml,ml,optimum"], "detectors must not repeat"),
+            (["sweep", "--sweep", "n", "--values", "3", "--scenarios", "good,good"], "scenarios must not repeat"),
+            (["compare", "--values", "2e4", "--scenarios", "good,good"], "scenarios must not repeat"),
+            (["compare", "--values", "2e4", "--detectors", "ml,ml"], "detectors must not repeat"),
         ],
     )
     def test_empty_or_non_finite_input_exits_one(self, tmp_path, capsys, argv, message):

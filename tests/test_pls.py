@@ -13,6 +13,7 @@ from rhkljn import (
     ResistorTolerance,
     SystemParams,
     build_report,
+    chip_moments,
     delta_m,
     derive_stats,
     effective_secrecy_rate,
@@ -25,7 +26,6 @@ from rhkljn import (
     sigma_max,
     sop,
 )
-from rhkljn.pls import middle_stats_from_resistors
 from rhkljn.rng import substream
 
 
@@ -113,19 +113,29 @@ class TestOutage:
         assert 0.0 < results[-1] < 1.0
 
     def test_vectorised_outage_equals_per_trial_loop(self, default_params, default_stats):
-        # reference: one four-resistor draw and one scalar margin per trial
+        # reference: one four-resistor draw and one scalar margin per trial,
+        # with the three middle divider pairs written out
         p = default_params
+        a_v = p.noise_var_per_ohm
         margin = delta_m(default_stats) / (2 * sigma_max(default_stats))
         nominal = np.array([p.r_l0, p.r_l1, p.r_h0, p.r_h1])
+
+        def low_high(r_low, r_high):
+            # low-branch source weighted by the high resistor and vice versa
+            w_low, w_high = r_high / (r_low + r_high), r_low / (r_low + r_high)
+            mean = w_low * p.m_l + w_high * p.m_h
+            var = w_low * w_low * (a_v * r_low) + w_high * w_high * (a_v * r_high)
+            return mean, math.sqrt(var)
+
         cases = ((0.01, 1, margin), (0.05, 7, margin * 0.99), (0.002, 3, margin * 1.001))
         for width, seed, gamma_t in cases:
             rng = substream(seed, (0xE0,))
             outages = 0
             for _ in range(2_000):
-                r = nominal * (1.0 + width * rng.uniform(-1.0, 1.0, 4))
-                m1, m2, m3, _, s2, s3 = middle_stats_from_resistors(
-                    *(float(x) for x in r), p.m_l, p.m_h, p.noise_var_per_ohm
-                )
+                r_l0, r_l1, r_h0, r_h1 = (nominal * (1.0 + width * rng.uniform(-1.0, 1.0, 4))).tolist()
+                m1, _ = low_high(r_l0, r_h0)
+                m2, s2 = low_high(r_l0, r_h1)
+                m3, s3 = low_high(r_l1, r_h0)
                 if min(abs(m1 - m2), abs(m1 - m3)) / (2.0 * max(s2, s3)) < gamma_t:
                     outages += 1
             assert 0 < outages < 2_000
@@ -149,16 +159,38 @@ class TestOutage:
             sop(default_stats, 1.0, trials=trials)
 
     def test_middle_stats_match_nominal_resistors(self, default_params, default_stats):
-        p = default_params
-        m1, m2, m3, s1, s2, s3 = middle_stats_from_resistors(
-            p.r_l0, p.r_l1, p.r_h0, p.r_h1, p.m_l, p.m_h, p.noise_var_per_ohm
+        # the outage Monte Carlo's middle Gaussians on the nominal bank
+        means, variances = chip_moments(
+            default_params, 0, 1, np.array([0, 0, 1]), np.array([0, 1, 0]), default_params.resistors
         )
-        assert (m1, m2, m3) == pytest.approx(
+        assert tuple(means) == pytest.approx(
             (default_stats.m1, default_stats.m2, default_stats.m3), rel=1e-12
         )
-        assert (s1, s2, s3) == pytest.approx(
+        assert tuple(np.sqrt(variances)) == pytest.approx(
             (default_stats.sigma1, default_stats.sigma2, default_stats.sigma3), rel=1e-12
         )
+
+
+class TestResistorBanks:
+    def test_draw_shape_is_trials_by_main_by_sub(self, default_params):
+        banks = ResistorTolerance(0.05).draw(default_params, np.random.default_rng(3), 7)
+        assert banks.shape == (7, 2, 2)
+        assert np.all(np.abs(banks / default_params.resistors - 1.0) <= 0.05)
+
+    def test_draw_prefix_does_not_depend_on_trials(self, default_params):
+        tol = ResistorTolerance(0.05)
+        short = tol.draw(default_params, np.random.default_rng(9), 5)
+        long = tol.draw(default_params, np.random.default_rng(9), 50)
+        assert np.array_equal(short, long[:5])
+
+    def test_batch_of_banks_equals_per_bank_calls(self, default_params):
+        p = default_params
+        banks = ResistorTolerance(0.1).draw(p, np.random.default_rng(4), 6)
+        for bits in ((0, 1, 0, 1), (1, 1, 1, 0), (0, 0, 0, 0), (1, 0, 1, 1)):
+            means, variances = chip_moments(p, *bits, resistors=banks)
+            assert means.shape == variances.shape == (6,)
+            for bank, mean, var in zip(banks, means, variances):
+                assert (mean, var) == chip_moments(p, *bits, resistors=bank)
 
 
 class TestEffectiveRate:

@@ -297,6 +297,8 @@ class TestRunSession:
             run_session(10, cfg, seed=1, detectors=("map",))
         with pytest.raises(ValueError, match="non-empty"):
             run_session(10, cfg, seed=1, detectors=())
+        with pytest.raises(ValueError, match="must not repeat"):
+            run_session(10, cfg, seed=1, detectors=("ml", "optimum", "ml"))
 
     @pytest.mark.parametrize("jobs", [0, -4])
     def test_jobs_below_one_rejected(self, jobs):
