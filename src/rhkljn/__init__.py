@@ -49,6 +49,7 @@ from .params import (
     drif,
     fine_tuned_bias,
     separability_coefficients,
+    state_moments,
 )
 from .pls import (
     PlsReport,

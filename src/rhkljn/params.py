@@ -188,6 +188,19 @@ def chip_moments(params: SystemParams, b_a, b_b, s_a, s_b, resistors=None):
     return divider_moments(r_a, r_b, biases[b_a], biases[b_b], params.noise_var_per_ohm)
 
 
+def state_moments(params: SystemParams, resistors=None):
+    """(means, variances) of all 16 chip states, each of shape ``(..., 16)``.
+
+    The flat index of state (b_a, b_b, s_a, s_b) is
+    ``8*b_a + 4*b_b + 2*s_a + s_b``.  One :func:`chip_moments` call over
+    the grid of all states; ``resistors`` is passed through, so a batch of
+    banks gives one table per bank.
+    """
+    means, variances = chip_moments(params, *np.ix_((0, 1), (0, 1), (0, 1), (0, 1)), resistors)
+    lead = means.shape[:-4]
+    return means.reshape(*lead, 16), variances.reshape(*lead, 16)
+
+
 @dataclass(frozen=True)
 class MixtureComponent:
     """One entry of a per-state mixture: the Gaussian seen for a sub-bit pair."""
@@ -332,17 +345,15 @@ def _mixture_tables(
 ) -> dict[tuple[int, int], tuple[MixtureComponent, ...]]:
     """Mean/variance of the common voltage for all 16 bit configurations.
 
-    One :func:`chip_moments` call over a (b_a, b_b, s_a, s_b) grid; each
+    The :func:`state_moments` table, the one sessions draw from; each
     main-bit pair keeps its four sub-bit components in (s_a, s_b) order.
     """
-    means, variances = chip_moments(params, *np.ix_((0, 1), (0, 1), (0, 1), (0, 1)))
+    means, variances = (t.tolist() for t in state_moments(params))
     subs = ((0, 0), (0, 1), (1, 0), (1, 1))
     return {
         (b_a, b_b): tuple(
-            MixtureComponent(sub_bits=sub, mean=mean, variance=var)
-            for sub, mean, var in zip(
-                subs, means[b_a, b_b].ravel().tolist(), variances[b_a, b_b].ravel().tolist()
-            )
+            MixtureComponent(sub_bits=sub, mean=means[k], variance=variances[k])
+            for k, sub in enumerate(subs, start=8 * b_a + 4 * b_b)
         )
         for b_a in (0, 1)
         for b_b in (0, 1)

@@ -13,9 +13,11 @@ tallies.  The session engine draws each chip as its sufficient statistics,
 the sample mean m_hat and the scatter S = sum((v - m_hat)^2), instead of n
 raw samples: the gate, the threshold detectors and the ML costs depend on
 the samples only through these two, so the work per chip does not grow
-with n.  Per chunk the draw order is mains, subs, Eve coins, m_hat, S,
-and one :func:`rhkljn.params.chip_moments` call gives every chip's mean
-and variance.
+with n.  Per chunk the draw order is mains, subs, Eve coins, m_hat, S.
+Each chip's mean and variance are looked up in the 16-state table of
+:func:`rhkljn.params.state_moments`, the table Eve's hypotheses come from,
+and S is drawn only when the ``ml`` detector, the one detector that reads
+it, runs.
 Work is split into fixed-size chunks of bits, each with its own seed
 substream, so results are bit-identical across worker counts.  Chunks run
 serially or on an executor from :func:`worker_pool`, which a command opens
@@ -43,7 +45,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from . import detectors as det
-from .params import DerivedStats, SystemParams, chip_moments, derive_stats
+from .params import DerivedStats, SystemParams, chip_moments, derive_stats, state_moments
 from .rng import substream
 
 DETECTOR_CHOICES = ("ml", "simple", "optimum")
@@ -199,11 +201,15 @@ def _rh_chunk_arrays(spec: _ChunkSpec):
     is m_hat ~ N(mu, sigma^2/n) and, independently, their scatter
     S = sum((v - m_hat)^2) ~ sigma^2 * chi^2(n - 1), drawn as
     sigma^2 * 2 * Gamma((n - 1)/2) (identically zero at n = 1).  Every
-    detector sees a chip only through (m_hat, S).
+    detector sees a chip only through (m_hat, S), and only ``ml`` reads S:
+    without it S is not drawn and ``None`` stands in its place.  (mu,
+    sigma^2) come from the 16-state :func:`rhkljn.params.state_moments`
+    table, looked up by each chip's flat state index.
 
     Draw order is fixed (mains, subs, Eve coins, m_hat, S) so the stream is
     a pure function of the chunk key; the coins come before any channel
-    noise, so they do not depend on n.
+    noise, so they do not depend on n, and S comes last, so skipping it
+    moves no other draw.
     """
     p = spec.params
     n_bits, chips, n = spec.n_bits, p.chips_per_bit, p.samples_per_chip
@@ -215,10 +221,12 @@ def _rh_chunk_arrays(spec: _ChunkSpec):
     b_sub = rng.integers(0, 2, (n_bits, chips))
     eve_guess_a = rng.integers(0, 2, (n_bits, chips))
 
-    mu, var = chip_moments(p, a_main[:, None], b_main[:, None], a_sub, b_sub)
-
-    m_hat = mu + np.sqrt(var / n) * rng.standard_normal((n_bits, chips))
-    scatter = var * (2.0 * rng.standard_gamma(0.5 * (n - 1), (n_bits, chips)))
+    mu, var = state_moments(p)
+    state = (8 * a_main + 4 * b_main)[:, None] + (2 * a_sub + b_sub)
+    m_hat = mu[state] + np.sqrt(var / n)[state] * rng.standard_normal((n_bits, chips))
+    scatter = None
+    if "ml" in spec.detectors:
+        scatter = var[state] * (2.0 * rng.standard_gamma(0.5 * (n - 1), (n_bits, chips)))
     return a_main, b_main, a_sub, b_sub, scatter, m_hat, eve_guess_a
 
 
@@ -247,12 +255,12 @@ def _tally_chunk(spec, a_main, b_main, a_sub, b_sub, scatter, m_hat, eve_guess_a
         sub_err = kept & subs_equal
         tallies[name] = DetectorTally(
             total_chips=int(kept.size),
-            kept_chips=int(kept.sum()),
-            sub_bit_errors=int(sub_err.sum()),
-            main_bit_errors=int((kept.any(axis=1) & (a_main == b_main)).sum()),
-            discarded_gate=int((~gate_keep).sum()),
-            discarded_g1=int((gate_keep & (g == 1)).sum()),
-            eve_correct=int((kept & (eve_guess_a == a_main[:, None])).sum()),
+            kept_chips=int(np.count_nonzero(kept)),
+            sub_bit_errors=int(np.count_nonzero(sub_err)),
+            main_bit_errors=int(np.count_nonzero(kept.any(axis=1) & (a_main == b_main))),
+            discarded_gate=int(np.count_nonzero(~gate_keep)),
+            discarded_g1=int(np.count_nonzero(gate_keep & (g == 1))),
+            eve_correct=int(np.count_nonzero(kept & (eve_guess_a == a_main[:, None]))),
         )
     return tallies, labels, gate_keep
 
@@ -396,12 +404,12 @@ def _classical_chunk(spec: _ChunkSpec) -> dict[str, DetectorTally]:
 
     tally = DetectorTally(
         total_chips=spec.n_bits,
-        kept_chips=int(kept.sum()),
-        sub_bit_errors=int(errors.sum()),
-        main_bit_errors=int(errors.sum()),
-        discarded_gate=int((~kept).sum()),
+        kept_chips=int(np.count_nonzero(kept)),
+        sub_bit_errors=int(np.count_nonzero(errors)),
+        main_bit_errors=int(np.count_nonzero(errors)),
+        discarded_gate=int(np.count_nonzero(~kept)),
         discarded_g1=0,
-        eve_correct=int((kept & (eve_guess_a == a_main)).sum()),
+        eve_correct=int(np.count_nonzero(kept & (eve_guess_a == a_main))),
     )
     return {"classical": tally}
 

@@ -21,6 +21,8 @@ def value_key(value: float) -> int:
     """Stable integer key for a float grid value (its IEEE-754 bit pattern).
 
     Keying substreams on the value itself rather than on its grid position
-    lets any subset of sweep points reproduce the full run exactly.
+    lets any subset of a sweep's values reproduce the full run exactly.
+    Values only: a sweep also keys each session on its scenario's position
+    in the grid, so the rows reproduce only under the same scenario list.
     """
     return int(np.float64(value).view(np.uint64))

@@ -9,9 +9,11 @@ spec that sweeps ``rate`` and puts one classical row before the hopping
 rows of each rate.  Each call opens one worker pool
 (:func:`rhkljn.protocol.worker_pool`) and runs every session of its grid
 on it, so ``jobs`` workers start once per grid, not once per session.
-Per-point substreams are keyed on the value's bit pattern, so any subset
-of a grid reproduces the full run exactly, and rows are written in grid
-order regardless of worker count.  Output bytes depend only on the
+Per-point substreams are keyed on the value's bit pattern and on the
+scenario's position in ``spec.scenarios``, so any subset of the values run
+with the same scenarios reproduces the full run exactly (a different
+scenario list moves the rows), and rows are written in grid order
+regardless of worker count.  Output bytes depend only on the
 experiment definition and the seed: no timing goes into a row.
 """
 

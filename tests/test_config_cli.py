@@ -140,6 +140,24 @@ class TestCsv:
             only_5.bep,
         )
 
+    def test_subset_of_values_reproduces_full_grid_rows_with_two_scenarios(self):
+        # sessions are keyed on the value and on the scenario's position in
+        # the grid, so a subset of values with the same scenarios repeats
+        # the full grid's rows exactly
+        base, scenarios = SystemParams(), ("moderate", "good")
+        full = run_sweep(
+            SweepSpec(
+                swept_parameter="n", values=(3.0, 5.0), scenarios=scenarios, num_bits=2_000, master_seed=4
+            ),
+            base,
+        )
+        subset = run_sweep(
+            SweepSpec(swept_parameter="n", values=(5.0,), scenarios=scenarios, num_bits=2_000, master_seed=4),
+            base,
+        )
+        assert [r for r in full if r.value == 5.0] == subset
+        assert [r.scenario for r in subset] == list(scenarios)
+
     def test_spec_validation(self):
         with pytest.raises(ValueError):
             SweepSpec(swept_parameter="n", values=())
@@ -395,6 +413,19 @@ class TestCli:
         lines = out.read_text().strip().splitlines()
         assert lines[0] == ",".join(CSV_COLUMNS)
         assert len(lines) == 5
+
+    def test_optimum_row_does_not_depend_on_ml(self, tmp_path):
+        # only ml reads the scatter, which is drawn last, so adding ml to a
+        # sweep leaves every other detector's row byte for byte as it was
+        args = ["sweep", "--sweep", "n", "--values", "3,20", "--bits", "3000", "--seed", "9"]
+        rows = {}
+        for detectors in ("optimum", "ml,optimum"):
+            out = tmp_path / f"{detectors}.csv"
+            assert main(args + ["--detectors", detectors, "--out", str(out)]) == 0
+            lines = out.read_text().splitlines()[1:]
+            rows[detectors] = [l for l in lines if ",optimum," in l]
+        assert len(rows["optimum"]) == 2
+        assert rows["optimum"] == rows["ml,optimum"]
 
     def test_sweep_trace_writes_chip_lines(self, tmp_path):
         trace = tmp_path / "trace.log"

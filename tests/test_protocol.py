@@ -13,17 +13,19 @@ from rhkljn import (
     ProtocolConfig,
     SystemParams,
     chip_distribution,
+    chip_moments,
     derive_stats,
     eve_observe,
     ideal_discard_fraction,
     run_classical_session,
     run_session,
     sample_chip,
+    substream,
     worker_pool,
 )
 from rhkljn import protocol
 from rhkljn.protocol import DETECTOR_CHOICES, _ChunkSpec, _rh_chunk_arrays, _tally_chunk
-from conftest import assert_parties_agree
+from conftest import assert_parties_agree, random_valid_params
 
 
 def make_cfg(**param_overrides):
@@ -365,7 +367,7 @@ class TestChunkSampler:
         spec = _ChunkSpec(
             params=params,
             stats=derive_stats(params),
-            detectors=("optimum",),
+            detectors=("ml",),  # S is drawn only for ml
             n_bits=n_bits,
             master_seed=seed,
             key=(0,),
@@ -407,6 +409,49 @@ class TestChunkSampler:
             mean, _ = chip_distribution(state, params)
             assert np.all(m_hat[sel] == mean), state
         assert np.all(scatter == 0.0)
+
+
+class TestChunkTableDraw:
+    """The engine's table lookup against the per-chip divider it replaces."""
+
+    @staticmethod
+    def replay(params, n_bits, seed, key):
+        """The chunk redrawn in the documented order, every chip's moments
+        from a broadcast :func:`chip_moments` call."""
+        chips, n = params.chips_per_bit, params.samples_per_chip
+        rng = substream(seed, key)
+        a_main = rng.integers(0, 2, n_bits)
+        b_main = rng.integers(0, 2, n_bits)
+        a_sub = rng.integers(0, 2, (n_bits, chips))
+        b_sub = rng.integers(0, 2, (n_bits, chips))
+        eve = rng.integers(0, 2, (n_bits, chips))
+        mu, var = chip_moments(params, a_main[:, None], b_main[:, None], a_sub, b_sub)
+        m_hat = mu + np.sqrt(var / n) * rng.standard_normal((n_bits, chips))
+        scatter = var * (2.0 * rng.standard_gamma(0.5 * (n - 1), (n_bits, chips)))
+        return a_main, b_main, a_sub, b_sub, scatter, m_hat, eve
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 20])
+    def test_table_draw_equals_per_chip_moments(self, n, rng):
+        configs = [SystemParams(samples_per_chip=n)]
+        configs += [random_valid_params(rng, samples_per_chip=n) for _ in range(4)]
+        for i, params in enumerate(configs):
+            spec = _ChunkSpec(params, None, ("ml",), 300, 50 + i, (7, i))
+            got = _rh_chunk_arrays(spec)
+            want = self.replay(params, 300, 50 + i, (7, i))
+            for g, w in zip(got, want):
+                assert np.array_equal(g, w), params
+
+    @pytest.mark.parametrize("n", [1, 3, 20])
+    def test_scatter_is_drawn_only_for_ml(self, n):
+        params = SystemParams(samples_per_chip=n)
+        stats = derive_stats(params)
+        without = _rh_chunk_arrays(_ChunkSpec(params, stats, ("optimum",), 400, 8, (1,)))
+        with_ml = _rh_chunk_arrays(_ChunkSpec(params, stats, ("ml", "optimum"), 400, 8, (1,)))
+        assert without[4] is None
+        assert with_ml[4].shape == with_ml[5].shape
+        # S is the last draw: every other array is the same with or without it
+        for i in (0, 1, 2, 3, 5, 6):
+            assert np.array_equal(without[i], with_ml[i]), i
 
 
 class TestClassicalSession:
