@@ -188,17 +188,15 @@ def chip_moments(params: SystemParams, b_a, b_b, s_a, s_b, resistors=None):
     return divider_moments(r_a, r_b, biases[b_a], biases[b_b], params.noise_var_per_ohm)
 
 
-def state_moments(params: SystemParams, resistors=None):
-    """(means, variances) of all 16 chip states, each of shape ``(..., 16)``.
+def state_moments(params: SystemParams):
+    """(means, variances) of all 16 chip states, each of shape ``(16,)``.
 
     The flat index of state (b_a, b_b, s_a, s_b) is
     ``8*b_a + 4*b_b + 2*s_a + s_b``.  One :func:`chip_moments` call over
-    the grid of all states; ``resistors`` is passed through, so a batch of
-    banks gives one table per bank.
+    the grid of all states.
     """
-    means, variances = chip_moments(params, *np.ix_((0, 1), (0, 1), (0, 1), (0, 1)), resistors)
-    lead = means.shape[:-4]
-    return means.reshape(*lead, 16), variances.reshape(*lead, 16)
+    means, variances = chip_moments(params, *np.ix_((0, 1), (0, 1), (0, 1), (0, 1)))
+    return means.ravel(), variances.ravel()
 
 
 @dataclass(frozen=True)

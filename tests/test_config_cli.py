@@ -123,40 +123,23 @@ class TestCsv:
         assert len(digits) <= 9
 
     def test_subset_of_values_reproduces_full_grid_rows(self):
-        base = SystemParams()
-        full = run_sweep(
-            SweepSpec(swept_parameter="n", values=(3.0, 5.0), num_bits=2_000, master_seed=3),
-            base,
-        )
-        subset = run_sweep(
-            SweepSpec(swept_parameter="n", values=(5.0,), num_bits=2_000, master_seed=3),
-            base,
-        )
-        full_at_5 = [r for r in full if r.value == 5.0][0]
-        only_5 = subset[0]
-        assert (full_at_5.errors, full_at_5.kept_units, full_at_5.bep) == (
-            only_5.errors,
-            only_5.kept_units,
-            only_5.bep,
-        )
-
-    def test_subset_of_values_reproduces_full_grid_rows_with_two_scenarios(self):
         # sessions are keyed on the value and on the scenario's position in
         # the grid, so a subset of values with the same scenarios repeats
         # the full grid's rows exactly
-        base, scenarios = SystemParams(), ("moderate", "good")
-        full = run_sweep(
-            SweepSpec(
-                swept_parameter="n", values=(3.0, 5.0), scenarios=scenarios, num_bits=2_000, master_seed=4
-            ),
-            base,
-        )
-        subset = run_sweep(
-            SweepSpec(swept_parameter="n", values=(5.0,), scenarios=scenarios, num_bits=2_000, master_seed=4),
-            base,
-        )
-        assert [r for r in full if r.value == 5.0] == subset
-        assert [r.scenario for r in subset] == list(scenarios)
+        base = SystemParams()
+        for scenarios in (("good",), ("moderate", "good")):
+            full = run_sweep(
+                SweepSpec(
+                    swept_parameter="n", values=(3.0, 5.0), scenarios=scenarios, num_bits=2_000, master_seed=3
+                ),
+                base,
+            )
+            subset = run_sweep(
+                SweepSpec(swept_parameter="n", values=(5.0,), scenarios=scenarios, num_bits=2_000, master_seed=3),
+                base,
+            )
+            assert [r for r in full if r.value == 5.0] == subset
+            assert [r.scenario for r in subset] == list(scenarios)
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):

@@ -20,7 +20,6 @@ from rhkljn import (
     separability_coefficients,
     state_moments,
 )
-from rhkljn.params import _mixture_tables
 from conftest import random_valid_params
 
 # reference values printed for the default configuration (5 significant digits)
@@ -152,43 +151,23 @@ class TestMixtureTables:
         for entries in default_stats.mixture_tables.values():
             assert math.fsum(e.weight for e in entries) == pytest.approx(1.0)
 
+    def test_entries_are_floats_in_sub_bit_order(self, default_stats):
+        for entries in default_stats.mixture_tables.values():
+            assert [e.sub_bits for e in entries] == [(0, 0), (0, 1), (1, 0), (1, 1)]
+            for e in entries:
+                assert type(e.mean) is float and type(e.variance) is float
+
 
 class TestStateMoments:
-    STATES = list(itertools.product((0, 1), repeat=4))
-
-    def configs(self, rng):
-        return [SystemParams(), SystemParams(temperature=0.0)] + [
-            random_valid_params(rng) for _ in range(5)
-        ]
-
     def test_flat_index_matches_per_state_chip_moments(self, rng):
-        for params in self.configs(rng):
+        configs = [SystemParams(), SystemParams(temperature=0.0)]
+        for params in configs + [random_valid_params(rng) for _ in range(5)]:
             means, variances = state_moments(params)
             assert means.shape == variances.shape == (16,)
-            for b_a, b_b, s_a, s_b in self.STATES:
+            for b_a, b_b, s_a, s_b in itertools.product((0, 1), repeat=4):
                 k = 8 * b_a + 4 * b_b + 2 * s_a + s_b
                 mean, var = chip_moments(params, b_a, b_b, s_a, s_b)
                 assert (means[k], variances[k]) == (mean, var), (b_a, b_b, s_a, s_b)
-
-    def test_equals_mixture_tables(self, rng):
-        for params in self.configs(rng):
-            means, variances = state_moments(params)
-            tables = _mixture_tables(params)
-            for b_a, b_b, s_a, s_b in self.STATES:
-                k = 8 * b_a + 4 * b_b + 2 * s_a + s_b
-                entry = tables[(b_a, b_b)][2 * s_a + s_b]
-                assert entry.sub_bits == (s_a, s_b)
-                assert (entry.mean, entry.variance) == (means[k], variances[k])
-                assert type(entry.mean) is float and type(entry.variance) is float
-
-    def test_batch_of_banks_gives_one_table_per_bank(self, default_params, rng):
-        banks = default_params.resistors * rng.uniform(0.9, 1.1, (3, 2, 2))
-        means, variances = state_moments(default_params, banks)
-        assert means.shape == variances.shape == (3, 16)
-        for t in range(3):
-            one_means, one_variances = state_moments(default_params, banks[t])
-            assert np.array_equal(means[t], one_means)
-            assert np.array_equal(variances[t], one_variances)
 
 
 class TestSeparability:
