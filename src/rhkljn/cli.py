@@ -16,7 +16,8 @@ the config's ``scenario``, else the command's default (``good`` for sweep,
 worker pool that all the sessions of a command share.
 
 Parameters come from an optional flat key=value config file; any flag
-overrides the file.  Exit codes: 0 on success, 1 on usage/config errors,
+overrides the file.  An --out or --csv path that cannot be written fails
+before any work.  Exit codes: 0 on success, 1 on usage/config errors,
 2 when --strict is set and a configuration fails the separability margin.
 """
 
@@ -24,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import logging
+import os
 import sys
 
 from .config import (
@@ -168,6 +170,20 @@ def _check_strict(args, params: SystemParams) -> None:
     if not report.separable:
         print(f"non-separable configuration: {report}", file=sys.stderr)
         raise SystemExit(EXIT_NOT_SEPARABLE)
+
+
+def _check_writable(path: str) -> None:
+    """Fail before any work if ``path`` cannot be written.
+
+    Opens nothing, so an existing file keeps its bytes until it is written.
+    """
+    parent = os.path.dirname(os.path.abspath(path))
+    if os.path.isdir(path):
+        raise OSError(f"cannot write {path}: it is a directory")
+    if not os.path.isdir(parent):
+        raise OSError(f"cannot write {path}: no directory {parent}")
+    if not os.access(path if os.path.exists(path) else parent, os.W_OK):
+        raise OSError(f"cannot write {path}: permission denied")
 
 
 def _open_out(args):
@@ -329,6 +345,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        for path in (args.out, getattr(args, "csv", None)):
+            if path:
+                _check_writable(path)
         return _COMMANDS[args.command](args)
     except (ConfigError, InvalidParamsError, NonSeparableError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -107,6 +107,16 @@ def threshold_detect(m_hat, th3: float, th4: float):
 _DEGENERATE_RTOL = 1e-12
 
 
+def _moment_cost(m_hat: np.ndarray, scatter: np.ndarray, n: int, mean: float, std: float):
+    """The cost of one hypothesis; see :func:`moment_costs`."""
+    if std == 0.0:
+        tol = _DEGENERATE_RTOL * max(abs(mean), 1e-300)
+        exact = (np.abs(m_hat - mean) <= tol) & (scatter <= n * tol**2)
+        return np.where(exact, -np.inf, np.inf)
+    sq = scatter + n * (m_hat - mean) ** 2
+    return n * math.log(std) + sq / (2.0 * std**2)
+
+
 def moment_costs(
     m_hat: np.ndarray,
     scatter: np.ndarray,
@@ -127,13 +137,7 @@ def moment_costs(
     scatter = np.asarray(scatter, dtype=float)
     costs = np.empty(m_hat.shape + (len(means),))
     for j, (mean, std) in enumerate(zip(means, stds)):
-        if std == 0.0:
-            tol = _DEGENERATE_RTOL * max(abs(mean), 1e-300)
-            exact = (np.abs(m_hat - mean) <= tol) & (scatter <= n * tol**2)
-            costs[..., j] = np.where(exact, -np.inf, np.inf)
-        else:
-            sq = scatter + n * (m_hat - mean) ** 2
-            costs[..., j] = n * math.log(std) + sq / (2.0 * std**2)
+        costs[..., j] = _moment_cost(m_hat, scatter, n, mean, std)
     return costs
 
 
@@ -147,10 +151,20 @@ def detect_moments(
 
     Each chip takes the hypothesis of least :func:`moment_costs`; exact
     ties break toward the smaller variance, then the earlier hypothesis.
+    The costs are scanned in that order with a running minimum that a
+    later hypothesis replaces only when strictly lower, which picks what
+    ``argmin`` over the stacked costs picks without building the stack.
     """
-    ordered = sorted(hyps, key=lambda h: h.std)
-    costs = moment_costs(m_hat, scatter, n, [h.mean for h in ordered], [h.std for h in ordered])
-    return np.array([h.label for h in ordered])[np.argmin(costs, axis=-1)]
+    m_hat = np.asarray(m_hat, dtype=float)
+    scatter = np.asarray(scatter, dtype=float)
+    first, *rest = sorted(hyps, key=lambda h: h.std)
+    best = _moment_cost(m_hat, scatter, n, first.mean, first.std)
+    labels = np.full(np.shape(best), first.label)
+    for h in rest:
+        cost = _moment_cost(m_hat, scatter, n, h.mean, h.std)
+        labels[cost < best] = h.label
+        best = np.minimum(best, cost)
+    return labels if labels.ndim else labels[()]
 
 
 def _moments(values) -> tuple[np.ndarray, np.ndarray, int]:

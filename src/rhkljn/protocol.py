@@ -21,7 +21,9 @@ it, runs.
 Work is split into fixed-size chunks of bits, each with its own seed
 substream, so results are bit-identical across worker counts.  Chunks run
 serially or on an executor from :func:`worker_pool`, which a command opens
-once and passes to every session of its grid.  The
+once and passes to every session of its grid; a grid keeps two sessions
+in flight (:func:`rhkljn.sweep.run_sweep`), so the executor takes chunks
+from two threads at once.  The
 classical two-resistor baseline (variance trisection on zero-mean noise,
 its mean of squares drawn as a scaled chi-square, its bank the sub-bit-0
 column of the hopping bank) runs on the same chunk engine for
@@ -193,6 +195,20 @@ class _ChunkSpec:
     key: tuple[int, ...]
 
 
+@functools.lru_cache(maxsize=64)
+def _draw_table(params: SystemParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(mu, sqrt(var / n), var) of the 16 chip states, built once per process and params.
+
+    The arrays are shared by every chunk drawn at ``params``, so they are
+    read-only.
+    """
+    mu, var = state_moments(params)
+    table = (mu, np.sqrt(var / params.samples_per_chip), var)
+    for column in table:
+        column.flags.writeable = False
+    return table
+
+
 def _rh_chunk_arrays(spec: _ChunkSpec):
     """Draw one chunk of bits and return the per-chip arrays.
 
@@ -204,7 +220,8 @@ def _rh_chunk_arrays(spec: _ChunkSpec):
     detector sees a chip only through (m_hat, S), and only ``ml`` reads S:
     without it S is not drawn and ``None`` stands in its place.  (mu,
     sigma^2) come from the 16-state :func:`rhkljn.params.state_moments`
-    table, looked up by each chip's flat state index.
+    table, looked up by each chip's flat state index in the cached
+    :func:`_draw_table`.
 
     Draw order is fixed (mains, subs, Eve coins, m_hat, S) so the stream is
     a pure function of the chunk key; the coins come before any channel
@@ -215,15 +232,13 @@ def _rh_chunk_arrays(spec: _ChunkSpec):
     n_bits, chips, n = spec.n_bits, p.chips_per_bit, p.samples_per_chip
     rng = substream(spec.master_seed, spec.key)
 
-    a_main = rng.integers(0, 2, n_bits)
-    b_main = rng.integers(0, 2, n_bits)
-    a_sub = rng.integers(0, 2, (n_bits, chips))
-    b_sub = rng.integers(0, 2, (n_bits, chips))
-    eve_guess_a = rng.integers(0, 2, (n_bits, chips))
+    # one call per shape draws the same stream as one call per array
+    a_main, b_main = rng.integers(0, 2, (2, n_bits))
+    a_sub, b_sub, eve_guess_a = rng.integers(0, 2, (3, n_bits, chips))
 
-    mu, var = state_moments(p)
+    mu, sd, var = _draw_table(p)
     state = (8 * a_main + 4 * b_main)[:, None] + (2 * a_sub + b_sub)
-    m_hat = mu[state] + np.sqrt(var / n)[state] * rng.standard_normal((n_bits, chips))
+    m_hat = mu[state] + sd[state] * rng.standard_normal((n_bits, chips))
     scatter = None
     if "ml" in spec.detectors:
         scatter = var[state] * (2.0 * rng.standard_gamma(0.5 * (n - 1), (n_bits, chips)))
@@ -238,7 +253,11 @@ def _tally_chunk(spec, a_main, b_main, a_sub, b_sub, scatter, m_hat, eve_guess_a
     stats = spec.stats
     thresholds = stats.thresholds()
     gate_keep = det.gate(m_hat, thresholds)
+    # what every detector's tally shares, computed once per chunk
+    gate_kept = int(np.count_nonzero(gate_keep))
     subs_equal = a_sub == b_sub
+    mains_equal = a_main == b_main
+    eve_right = eve_guess_a == a_main[:, None]
 
     tallies: dict[str, DetectorTally] = {}
     labels: dict[str, np.ndarray] = {}
@@ -252,15 +271,15 @@ def _tally_chunk(spec, a_main, b_main, a_sub, b_sub, scatter, m_hat, eve_guess_a
         labels[name] = g
 
         kept = gate_keep & (g != 1)
-        sub_err = kept & subs_equal
+        kept_chips = int(np.count_nonzero(kept))
         tallies[name] = DetectorTally(
             total_chips=int(kept.size),
-            kept_chips=int(np.count_nonzero(kept)),
-            sub_bit_errors=int(np.count_nonzero(sub_err)),
-            main_bit_errors=int(np.count_nonzero(kept.any(axis=1) & (a_main == b_main))),
-            discarded_gate=int(np.count_nonzero(~gate_keep)),
-            discarded_g1=int(np.count_nonzero(gate_keep & (g == 1))),
-            eve_correct=int(np.count_nonzero(kept & (eve_guess_a == a_main[:, None]))),
+            kept_chips=kept_chips,
+            sub_bit_errors=int(np.count_nonzero(kept & subs_equal)),
+            main_bit_errors=int(np.count_nonzero(kept.any(axis=1) & mains_equal)),
+            discarded_gate=int(kept.size) - gate_kept,
+            discarded_g1=gate_kept - kept_chips,
+            eve_correct=int(np.count_nonzero(kept & eve_right)),
         )
     return tallies, labels, gate_keep
 

@@ -9,19 +9,27 @@ spec that sweeps ``rate`` and puts one classical row before the hopping
 rows of each rate.  Each call opens one worker pool
 (:func:`rhkljn.protocol.worker_pool`) and runs every session of its grid
 on it, so ``jobs`` workers start once per grid, not once per session.
+Every point's parameters are checked before the first session; the
+sessions run two at a time when there is a pool, so the next point's
+chunks are queued while the current point's drain (:func:`_run_grid`),
+and each point's warnings are logged with its rows.
 Per-point substreams are keyed on the value's bit pattern and on the
 scenario's position in ``spec.scenarios``, so any subset of the values run
 with the same scenarios reproduces the full run exactly (a different
-scenario list moves the rows), and rows are written in grid order
+scenario list moves the rows), and rows and warnings come in grid order
 regardless of worker count.  Output bytes depend only on the
 experiment definition and the seed: no timing goes into a row.
 """
 
 from __future__ import annotations
 
+import collections
+import functools
 import logging
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
+from typing import Callable, NamedTuple
 
 from .config import SCENARIOS, apply_scenario
 from .params import SystemParams, derive_stats, drif
@@ -159,14 +167,17 @@ def write_csv(rows, out) -> None:
         out.write(",".join(_fmt(getattr(row, col)) for col in CSV_COLUMNS) + "\n")
 
 
-def _point_params(base: SystemParams, parameter: str, value: float) -> SystemParams:
-    """``base`` with the swept parameter set to ``value``.
+def _point_params(
+    base: SystemParams, parameter: str, value: float
+) -> tuple[SystemParams, str | None]:
+    """``base`` with the swept parameter set to ``value``, and the point's warning.
 
     ``n`` and ``rate`` set a whole number of samples per chip, rounded half
-    to even; a value that is not already whole is flagged on stderr.
+    to even; a value that is not already whole gets a warning, returned
+    rather than logged so the grid logs it with the point's rows.
     """
     if parameter not in ("n", "rate"):
-        return base.replace(**{parameter: float(value)})
+        return base.replace(**{parameter: float(value)}), None
     exact = value if parameter == "n" else value * base.chip_duration
     if not math.isfinite(exact):
         raise ValueError(f"{parameter} must be finite, got {value:g}")
@@ -175,21 +186,51 @@ def _point_params(base: SystemParams, parameter: str, value: float) -> SystemPar
         if parameter == "n":
             raise ValueError(f"samples per chip must be >= 1, got {value}")
         raise ValueError(f"rate {value:g} gives no samples within a chip")
+    note = None
     if abs(exact - n) > _WHOLE_RTOL * abs(exact):
-        logger.warning(
-            "%s=%g gives %.9g samples per chip; simulating %d", parameter, value, exact, n
+        note = f"{parameter}={value:g} gives {exact:.9g} samples per chip; simulating {n}"
+    return base.replace(samples_per_chip=n), note
+
+
+class _Session(NamedTuple):
+    """One session of a grid: its parameters, checked, and its stream key."""
+
+    scheme: str
+    value: float
+    scenario: str
+    params: SystemParams
+    point_key: tuple[int, ...]
+    note: str | None = None  # the grid point's warning, logged just before its rows
+
+    def start(self, spec: SweepSpec, pool, trace) -> Callable[[], dict[str, DetectorTally]]:
+        """The session call, its statistics derived now, on the calling thread."""
+        if self.scheme == "classical":
+            return functools.partial(
+                run_classical_session,
+                spec.num_bits,
+                self.params,
+                seed=spec.master_seed,
+                pool=pool,
+                point_key=self.point_key,
+            )
+        return functools.partial(
+            run_session,
+            spec.num_bits,
+            ProtocolConfig(self.params, derive_stats(self.params)),
+            seed=spec.master_seed,
+            detectors=spec.detectors,
+            pool=pool,
+            point_key=self.point_key,
+            trace=trace,
         )
-    return base.replace(samples_per_chip=n)
 
 
 def _session_rows(
-    tallies: dict[str, DetectorTally],
-    spec: SweepSpec,
-    scheme: str,
-    value: float,
-    scenario: str,
-    params: SystemParams,
+    spec: SweepSpec, session: _Session, tallies: dict[str, DetectorTally]
 ) -> list[ResultRow]:
+    scheme, value, scenario, params, *_ = session
+    if session.note:
+        logger.warning("%s", session.note)
     rows = []
     for name, tally in tallies.items():
         lo, hi = binomial_ci95(tally.sub_bit_errors, tally.kept_chips)
@@ -231,25 +272,60 @@ def _session_rows(
     return rows
 
 
-def _rh_rows(
-    spec: SweepSpec, params: SystemParams, value: float, tag: int, pool, trace=None
-) -> list[ResultRow]:
-    """Hopping rows at one grid value: one session per scenario, keyed
+def _rh_sessions(
+    spec: SweepSpec, params: SystemParams, value: float, tag: int, note: str | None = None
+) -> list[_Session]:
+    """The hopping sessions at one grid value: one per scenario, keyed
     ``(tag, scenario index, value)``, all detectors on its noise."""
-    rows: list[ResultRow] = []
-    for scen_idx, scenario in enumerate(spec.scenarios):
-        point_params = apply_scenario(params, scenario)
-        tallies = run_session(
-            spec.num_bits,
-            ProtocolConfig(point_params, derive_stats(point_params)),
-            seed=spec.master_seed,
-            detectors=spec.detectors,
-            pool=pool,
-            point_key=(tag, scen_idx, value_key(value)),
-            trace=trace,
+    return [
+        _Session(
+            "rh",
+            value,
+            scenario,
+            apply_scenario(params, scenario),
+            (tag, scen_idx, value_key(value)),
+            None if scen_idx else note,
         )
-        rows.extend(_session_rows(tallies, spec, "rh", value, scenario, point_params))
-    return rows
+        for scen_idx, scenario in enumerate(spec.scenarios)
+    ]
+
+
+def _run_grid(spec: SweepSpec, sessions: list[_Session], pool, trace=None) -> list[ResultRow]:
+    """Run the sessions of a grid and return their rows in grid order.
+
+    Each session's statistics are derived on this thread just before it
+    starts.  Without a pool the sessions run one after another.  With one,
+    two dispatch threads run them: the next session is started as soon as
+    the one before the current one ends, so its chunks are queued while the
+    current session's drain and the workers do not wait at a barrier
+    between points; at most two sessions are in flight.  Rows, and the
+    warnings of each point, are made on this thread in grid order either
+    way, so stdout and stderr do not depend on the pool.  On an exception
+    a session not yet started is cancelled and a running one waited for,
+    so no dispatch thread outlives the call.
+    """
+    rows: list[ResultRow] = []
+    if pool is None:
+        for session in sessions:
+            rows += _session_rows(spec, session, session.start(spec, pool, trace)())
+        return rows
+    dispatch = ThreadPoolExecutor(2, thread_name_prefix="rhkljn-session")
+    try:
+        # all sessions of a grid have the same chunks, so the pool forks its
+        # workers, on a dispatch thread, before the first session ends; this
+        # thread writes nothing until then, so no worker inherits a
+        # half-written stream
+        in_flight = collections.deque()
+        for session in sessions:
+            in_flight.append((session, dispatch.submit(session.start(spec, pool, trace))))
+            if len(in_flight) == 2:
+                done, future = in_flight.popleft()
+                rows += _session_rows(spec, done, future.result())
+        for done, future in in_flight:
+            rows += _session_rows(spec, done, future.result())
+        return rows
+    finally:
+        dispatch.shutdown(wait=True, cancel_futures=True)
 
 
 def run_sweep(
@@ -258,6 +334,9 @@ def run_sweep(
     """Run every grid point of ``spec`` on one pool of ``jobs`` workers and
     return rows in grid order.
 
+    Every grid point's parameters are set and checked before the first
+    session runs; the sessions then run two at a time when ``jobs`` is
+    above 1 (see :func:`_run_grid`).
     ``trace`` (a writable text file) logs every chip and requires a
     single-point grid; it runs serially, and a ``jobs`` above 1 is ignored
     with a warning.
@@ -267,18 +346,19 @@ def run_sweep(
     if trace is not None and jobs > 1:
         logger.warning("tracing runs serially; ignoring jobs=%d", jobs)
         jobs = 1
-    rows: list[ResultRow] = []
     with worker_pool(jobs) as pool:
+        sessions = []
         for value in spec.values:
-            params = _point_params(base_params, spec.swept_parameter, value)
-            rows.extend(_rh_rows(spec, params, value, _TAG_SWEEP, pool, trace))
-    return rows
+            params, note = _point_params(base_params, spec.swept_parameter, value)
+            sessions += _rh_sessions(spec, params, value, _TAG_SWEEP, note)
+        return _run_grid(spec, sessions, pool, trace)
 
 
 def run_compare(spec: SweepSpec, base_params: SystemParams, jobs: int = 1) -> list[ResultRow]:
     """Rate-matched comparison: per rate in ``spec.values``, one classical
     row, then the hopping rows of every scenario and detector of ``spec``.
-    Every session runs on one pool of ``jobs`` workers.
+    Every session runs on one pool of ``jobs`` workers, set up and run as
+    in :func:`run_sweep`.
 
     The matched condition gives the classical scheme chips_per_bit times
     the per-chip sample count of the hopping scheme, since its decision
@@ -286,10 +366,10 @@ def run_compare(spec: SweepSpec, base_params: SystemParams, jobs: int = 1) -> li
     """
     if spec.swept_parameter != "rate":
         raise ValueError(f"compare sweeps the sampling rate, got {spec.swept_parameter!r}")
-    rows: list[ResultRow] = []
     with worker_pool(jobs) as pool:
+        sessions = []
         for rate in spec.values:
-            rh_params = _point_params(base_params, "rate", rate)
+            rh_params, note = _point_params(base_params, "rate", rate)
             # the classical pair is unbiased and decides once per bit, from
             # all the samples of the bit's chips_per_bit chips
             classical_params = base_params.replace(
@@ -297,13 +377,7 @@ def run_compare(spec: SweepSpec, base_params: SystemParams, jobs: int = 1) -> li
                 chips_per_bit=1,
                 samples_per_chip=rh_params.chips_per_bit * rh_params.samples_per_chip,
             )
-            classical = run_classical_session(
-                spec.num_bits,
-                classical_params,
-                seed=spec.master_seed,
-                pool=pool,
-                point_key=(_TAG_CLASSICAL, value_key(rate)),
-            )
-            rows.extend(_session_rows(classical, spec, "classical", rate, "-", classical_params))
-            rows.extend(_rh_rows(spec, rh_params, rate, _TAG_RH_COMPARE, pool))
-    return rows
+            classical_key = (_TAG_CLASSICAL, value_key(rate))
+            sessions.append(_Session("classical", rate, "-", classical_params, classical_key, note))
+            sessions += _rh_sessions(spec, rh_params, rate, _TAG_RH_COMPARE)
+        return _run_grid(spec, sessions, pool)

@@ -1,9 +1,12 @@
 """Config parsing, CSV schema, CLI exit codes and reproducibility."""
 
+import csv
 import io
 import os
 import subprocess
 import sys
+import threading
+import time
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
@@ -18,7 +21,7 @@ from rhkljn import (
     value_key,
     write_csv,
 )
-from rhkljn import protocol
+from rhkljn import cli, protocol, sweep
 from rhkljn.cli import main
 from rhkljn.config import ConfigError, SCENARIOS, apply_scenario, build_params, parse_config
 from rhkljn.sweep import _TAG_CLASSICAL, CSV_COLUMNS, _point_params, binomial_ci95
@@ -176,21 +179,17 @@ ROUNDED_25K = "rate=25000 gives 2.5 samples per chip; simulating 2"
 
 class TestGridPoints:
     @pytest.mark.parametrize("parameter, value", [("rate", 25_000.0), ("n", 2.5)])
-    def test_rounded_samples_per_chip_are_flagged(self, caplog, parameter, value):
+    def test_rounded_samples_per_chip_are_flagged(self, parameter, value):
         # 25 kS/s over a 1e-4 s chip asks for 2.5 samples; both round to 2
-        with caplog.at_level("WARNING", logger="rhkljn.sweep"):
-            params = _point_params(SystemParams(), parameter, value)
+        params, note = _point_params(SystemParams(), parameter, value)
         assert params.samples_per_chip == 2
-        [record] = caplog.records
-        assert f"{parameter}={value:g}" in record.getMessage()
-        assert "2.5 samples per chip; simulating 2" in record.getMessage()
+        assert note == f"{parameter}={value:g} gives 2.5 samples per chip; simulating 2"
 
     @pytest.mark.parametrize("parameter, value, n", [("rate", 20_000.0, 2), ("n", 3.0, 3)])
-    def test_whole_samples_per_chip_are_silent(self, caplog, parameter, value, n):
-        with caplog.at_level("WARNING", logger="rhkljn.sweep"):
-            params = _point_params(SystemParams(), parameter, value)
+    def test_whole_samples_per_chip_are_silent(self, parameter, value, n):
+        params, note = _point_params(SystemParams(), parameter, value)
         assert params.samples_per_chip == n
-        assert not caplog.records
+        assert note is None
 
     # sweep and compare share one spec (with its few-bits warning) and one
     # --strict pass, which must not round a rate a second time
@@ -231,14 +230,17 @@ class TestGridPoints:
 def pool_counts(monkeypatch):
     """Executors built and ``map`` calls made on them, through ``protocol.ProcessPoolExecutor``."""
     counts = {"built": 0, "maps": 0}
+    lock = threading.Lock()  # sessions of a grid call map from two threads
 
     class CountingPool(ProcessPoolExecutor):
         def __init__(self, *args, **kwargs):
-            counts["built"] += 1
+            with lock:
+                counts["built"] += 1
             super().__init__(*args, **kwargs)
 
         def map(self, *args, **kwargs):
-            counts["maps"] += 1
+            with lock:
+                counts["maps"] += 1
             return super().map(*args, **kwargs)
 
     monkeypatch.setattr(protocol, "ProcessPoolExecutor", CountingPool)
@@ -282,6 +284,101 @@ class TestWorkerPool:
         assert capsys.readouterr().out == untraced
         assert len(trace.read_text().splitlines()) == 1_500 * 10
         assert pool_counts["built"] == 0
+
+
+def _dispatch_threads() -> list[str]:
+    return [t.name for t in threading.enumerate() if t.name.startswith("rhkljn-session")]
+
+
+class _Stop(BaseException):
+    """Not an Exception, as a probe's stop is."""
+
+
+class TestSessionPipeline:
+    """At ``jobs`` above 1 a grid's sessions run two at a time on dispatch threads."""
+
+    SPEC = SweepSpec("beta", (3.4, 3.5, 3.6, 3.7, 3.8, 3.9), num_bits=1_500, master_seed=5)
+    PARAMS = SystemParams(samples_per_chip=3)
+
+    def test_rows_keep_grid_order_when_sessions_finish_out_of_order(self, monkeypatch):
+        serial = run_sweep(self.SPEC, self.PARAMS, jobs=1)
+        real = sweep.run_session
+        lock = threading.Lock()
+        in_flight, peak = [0], [0]
+
+        position = {value_key(v): i for i, v in enumerate(self.SPEC.values)}
+
+        def slow_first(*args, point_key, **kwargs):
+            with lock:
+                in_flight[0] += 1
+                peak[0] = max(peak[0], in_flight[0])
+            try:
+                # earlier grid points take longer, so later ones finish first
+                time.sleep(0.01 * (len(position) - position[point_key[-1]]))
+                return real(*args, point_key=point_key, **kwargs)
+            finally:
+                with lock:
+                    in_flight[0] -= 1
+
+        monkeypatch.setattr(sweep, "run_session", slow_first)
+        assert run_sweep(self.SPEC, self.PARAMS, jobs=2) == serial
+        assert peak[0] == 2
+        assert not _dispatch_threads()
+
+    def test_single_chunk_sessions_on_both_threads_match_serial(self):
+        # one chunk per session: the chunks run on the two dispatch threads
+        # themselves, sharing the process's draw-table cache; a short switch
+        # interval makes the threads interleave as often as they can
+        spec = SweepSpec(
+            "alpha", tuple(float(a) for a in range(6, 18)), detectors=("ml", "simple"),
+            scenarios=("fine_tuned", "good"), num_bits=200, master_seed=8,
+        )
+        serial = run_sweep(spec, self.PARAMS, jobs=1)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            assert run_sweep(spec, self.PARAMS, jobs=2) == serial
+        finally:
+            sys.setswitchinterval(interval)
+        assert not _dispatch_threads()
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_failing_session_stops_the_grid(self, monkeypatch, jobs):
+        first_key = (sweep._TAG_SWEEP, 0, value_key(self.SPEC.values[0]))
+        started = []
+
+        def session(*args, point_key, **kwargs):
+            started.append(point_key)
+            if point_key == first_key:
+                raise ValueError("the first session failed")
+            time.sleep(0.3)  # holds its thread while the error is handled
+            return {}
+
+        monkeypatch.setattr(sweep, "run_session", session)
+        with pytest.raises(ValueError, match="^the first session failed$"):
+            run_sweep(self.SPEC, self.PARAMS, jobs=jobs)
+        # serially nothing runs after the failure; on two threads at most the
+        # one session started beside it, never a later one
+        assert started[0] == first_key
+        assert len(started) == 1 if jobs == 1 else 1 <= len(started) <= 2
+        assert not _dispatch_threads()
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_base_exception_of_a_session_reaches_the_caller(self, monkeypatch, jobs):
+        def stop(*args, **kwargs):
+            raise _Stop
+
+        monkeypatch.setattr(sweep, "run_session", stop)
+        monkeypatch.setattr(sweep, "run_classical_session", stop)
+        with pytest.raises(_Stop):
+            run_sweep(self.SPEC, self.PARAMS, jobs=int(jobs))
+        for argv in (
+            ["sweep", "--sweep", "beta", "--values", "3.4,3.7", "--bits", "1500"],
+            ["compare", "--values", "2e4,5e4", "--bits", "1500"],
+        ):
+            with pytest.raises(_Stop):
+                main(argv + ["--jobs", jobs])
+        assert not _dispatch_threads()
 
 
 class TestCli:
@@ -486,6 +583,45 @@ class TestCli:
         assert main(["pls", "--tolerance", "0.01", "--trials", "0"]) == 1
         assert "error: trials must be >= 1" in capsys.readouterr().err
 
+    # an output that cannot be written fails before the first session, not
+    # after the whole grid
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sweep", "--sweep", "n", "--values", "3,5", "--out"],
+            ["compare", "--values", "2e4,5e4", "--out"],
+            ["pls", "--measure", "--tolerance", "0.01", "--out"],
+            ["pls", "--measure", "--tolerance", "0.01", "--csv"],
+        ],
+        ids=["sweep", "compare", "pls-out", "pls-csv"],
+    )
+    def test_unwritable_output_fails_before_any_session(self, tmp_path, capsys, monkeypatch, argv):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a session ran")
+
+        for module, name in ((sweep, "run_session"), (sweep, "run_classical_session"), (cli, "run_session")):
+            monkeypatch.setattr(module, name, refuse)
+        missing = tmp_path / "no_such_dir" / "out.csv"
+        assert main(argv + [str(missing), "--bits", "100000"]) == 1
+        assert f"error: cannot write {missing}: no directory {missing.parent}" in capsys.readouterr().err
+        assert main(argv + [str(tmp_path), "--bits", "100000"]) == 1
+        assert f"error: cannot write {tmp_path}: it is a directory" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_invalid_point_fails_before_any_session(self, tmp_path, capsys, monkeypatch, jobs):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a session ran")
+
+        monkeypatch.setattr(sweep, "run_session", refuse)
+        out = tmp_path / "rows.csv"
+        out.write_text("earlier rows\n")
+        # n = 0 passes the output check and fails at the second grid point,
+        # which is set up before the first one runs
+        argv = ["sweep", "--sweep", "n", "--values", "3,0", "--out", str(out), "--jobs", jobs]
+        assert main(argv) == 1
+        assert "error: samples per chip must be >= 1, got 0.0" in capsys.readouterr().err
+        assert out.read_text() == "earlier rows\n"
+
     @pytest.mark.parametrize("jobs", ["0", "-4"])
     def test_jobs_below_one_exits_one(self, tmp_path, capsys, jobs):
         out = tmp_path / "rows.csv"
@@ -537,25 +673,61 @@ class TestCli:
         assert main(args + ["--jobs", "2", "--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
-    # compare and pls --measure share one pool across their sessions; their
-    # stdout and CSV bytes must not depend on --jobs either
+    # stdout, stderr and the CSV of a grid must not depend on --jobs, though
+    # its sessions run two at a time above 1.  A fresh interpreter prints the
+    # log warnings on stderr, as a command line does.
     @pytest.mark.parametrize(
         "argv, marker",
         [
             (
-                ["compare", "--values", "2e4,5e4", "--scenarios", "fine_tuned,good", "--bits", "3000"],
+                ["sweep", "--sweep", "beta", "--values", "3.4,3.7,4.0", "--scenarios", "fine_tuned,good"],
+                "\nrh,beta,4,good,optimum,",
+            ),
+            (
+                ["compare", "--values", "2e4,5e4", "--scenarios", "fine_tuned,good"],
                 "\nrh,rate,50000,good,optimum,",
             ),
-            (["pls", "--measure", "--bits", "3000"], "\nmeasured_xi="),
+            (
+                # rates of 1.5 and 2.5 samples per chip add a rounding warning per point
+                ["sweep", "--sweep", "rate", "--values", "15000,25000", "--detectors", "ml,optimum"],
+                "\nrh,rate,25000,good,optimum,",
+            ),
+            (["pls", "--measure"], "\nmeasured_xi="),
         ],
-        ids=["compare", "pls"],
+        ids=["sweep", "compare", "rate", "pls"],
     )
-    def test_output_bytes_independent_of_jobs(self, tmp_path, capsys, argv, marker):
+    def test_output_bytes_independent_of_jobs(self, tmp_path, argv, marker):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
         outputs = []
         for jobs in ("1", "2"):
-            csv = tmp_path / f"jobs{jobs}.csv"
-            extra = ["--csv", str(csv)] if argv[0] == "pls" else []
-            assert main(argv + extra + ["--jobs", jobs]) == 0
-            outputs.append((capsys.readouterr().out, csv.read_bytes() if extra else None))
-        assert marker in outputs[0][0]
+            out = tmp_path / f"jobs{jobs}.csv"
+            extra = ["--csv" if argv[0] == "pls" else "--out", str(out), "--bits", "3000", "--jobs", jobs]
+            proc = subprocess.run(
+                [sys.executable, "-m", "rhkljn", *argv, *extra],
+                env=env, capture_output=True, text=True, timeout=120,
+            )
+            assert proc.returncode == 0, proc.stderr
+            outputs.append((proc.stdout, proc.stderr, out.read_text()))
         assert outputs[0] == outputs[1]
+        stdout, stderr, written = outputs[0]
+        if argv[0] == "pls":
+            assert marker in stdout
+            return
+        assert marker in written
+        # each point's rounding warning, then its floor warnings, in grid
+        # order: the order of a serial run
+        expected, points = [], set()
+        for row in csv.DictReader(io.StringIO(written)):
+            parameter, value = row["swept_parameter"], float(row["value"])
+            if value not in points:
+                points.add(value)
+                note = _point_params(SystemParams(), parameter, value)[1]
+                expected += [f"WARNING {note}"] if note else []
+            if int(row["errors"]) < 100:
+                expected.append(
+                    f"WARNING {parameter}={value:g} {row['scenario']}/{row['detector']}: only "
+                    f"{row['errors']} errors observed; BEP below the Monte Carlo floor"
+                )
+        assert any("Monte Carlo floor" in line for line in expected)
+        assert stderr.splitlines() == expected

@@ -23,6 +23,7 @@ from rhkljn import (
     stationarity_residual,
     threshold_detect,
 )
+from rhkljn.detectors import detect_moments, moment_costs
 from conftest import random_valid_params
 
 
@@ -239,6 +240,89 @@ class TestMomentForm:
         oracle = np.where(on_mass, 1, gauss_labels[np.argmax(log_liks, axis=1)])
         assert not on_mass[10:].any()
         assert np.array_equal(ml_detect_batch(values, hyps), oracle)
+
+
+class TestRunningMinimum:
+    """``detect_moments`` keeps a running minimum over the sigma-sorted costs;
+    the oracle is ``argmin`` over the stacked :func:`moment_costs`."""
+
+    @staticmethod
+    def argmin_labels(m_hat, scatter, n, hyps):
+        ordered = sorted(hyps, key=lambda h: h.std)
+        costs = moment_costs(m_hat, scatter, n, [h.mean for h in ordered], [h.std for h in ordered])
+        return np.array([h.label for h in ordered])[np.argmin(costs, axis=-1)]
+
+    @staticmethod
+    def chips(hyps, n, rng, size):
+        """Chips drawn from the hypotheses, a tenth of them exactly on a mean
+        with zero scatter (the point masses' support), a tenth exactly
+        halfway between two means (equal-variance ties) and a hundredth so
+        far out that every cost overflows to +inf (a tie of all three,
+        which the smallest variance wins)."""
+        means = np.array([h.mean for h in hyps])
+        stds = np.array([h.std for h in hyps])
+        pick = rng.integers(0, len(hyps), size)
+        m_hat = means[pick] + stds[pick] / math.sqrt(n) * rng.standard_normal(size)
+        scatter = stds[pick] ** 2 * rng.chisquare(max(n - 1, 1), size) * (n > 1)
+        on_mean = rng.random(size) < 0.1
+        m_hat[on_mean], scatter[on_mean] = means[pick[on_mean]], 0.0
+        halfway = rng.random(size) < 0.1
+        other = rng.integers(0, len(hyps), size)
+        m_hat[halfway] = 0.5 * (means[pick] + means[other])[halfway]
+        far = rng.random(size) < 0.01
+        m_hat[far] = rng.choice([-1e300, 1e300], far.sum())
+        return m_hat, scatter
+
+    HYPOTHESIS_SETS = {
+        "middle": None,  # the default middle band
+        "duplicates": (
+            GaussianHypothesis(label=3, mean=0.0, std=1.0),
+            GaussianHypothesis(label=1, mean=0.0, std=1.0),
+            GaussianHypothesis(label=2, mean=1.0, std=1.0),
+        ),
+        "point_masses": (
+            GaussianHypothesis(label=2, mean=0.25, std=0.0),
+            GaussianHypothesis(label=1, mean=0.25, std=0.0),
+            GaussianHypothesis(label=3, mean=-1.0, std=0.5),
+        ),
+        "unsorted": (
+            GaussianHypothesis(label=3, mean=-1.0, std=0.5),
+            GaussianHypothesis(label=1, mean=2.0, std=1e-3),
+            GaussianHypothesis(label=2, mean=0.25, std=0.0),
+        ),
+        "all_point_masses": (
+            GaussianHypothesis(label=3, mean=0.5, std=0.0),
+            GaussianHypothesis(label=2, mean=-0.5, std=0.0),
+            GaussianHypothesis(label=1, mean=0.0, std=0.0),
+        ),
+    }
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 20])
+    @pytest.mark.parametrize("kind", list(HYPOTHESIS_SETS))
+    def test_equals_argmin_of_stacked_costs(self, default_stats, kind, n):
+        hyps = self.HYPOTHESIS_SETS[kind] or default_stats.middle_hypotheses()
+        rng = np.random.default_rng(400 + n)
+        m_hat, scatter = self.chips(hyps, n, rng, 100_000)
+        with np.errstate(over="ignore"):
+            want = self.argmin_labels(m_hat, scatter, n, hyps)
+            got = detect_moments(m_hat, scatter, n, hyps)
+            # the chunk shape and a single chip give the same labels
+            grid = detect_moments(m_hat.reshape(-1, 10), scatter.reshape(-1, 10), n, hyps)
+        assert np.array_equal(got, want)
+        assert np.array_equal(grid.ravel(), want)
+        assert detect_moments(m_hat[0], scatter[0], n, hyps) == want[0]
+
+    def test_ties_and_infinite_costs_occur(self):
+        # the cases the oracle comparison above is there for
+        hyps = self.HYPOTHESIS_SETS["point_masses"]
+        m_hat, scatter = self.chips(hyps, 3, np.random.default_rng(7), 10_000)
+        ordered = sorted(hyps, key=lambda h: h.std)
+        with np.errstate(over="ignore"):
+            costs = moment_costs(m_hat, scatter, 3, [h.mean for h in ordered], [h.std for h in ordered])
+            labels = detect_moments(m_hat, scatter, 3, hyps)
+        assert np.any((costs[:, 0] == costs[:, 1]) & (costs[:, 0] == -np.inf))
+        assert np.any(np.all(costs == np.inf, axis=1))
+        assert set(np.unique(labels)) == {2, 3}  # the duplicate point mass never wins a tie
 
 
 class TestErrorProbabilities:

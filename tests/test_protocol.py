@@ -20,6 +20,7 @@ from rhkljn import (
     run_classical_session,
     run_session,
     sample_chip,
+    state_moments,
     substream,
     worker_pool,
 )
@@ -452,6 +453,34 @@ class TestChunkTableDraw:
         # S is the last draw: every other array is the same with or without it
         for i in (0, 1, 2, 3, 5, 6):
             assert np.array_equal(without[i], with_ml[i]), i
+
+
+    # the engine draws the mains in one call and the subs and Eve's coins in
+    # another; split per array, the same draws come out in the same order
+    @pytest.mark.parametrize("n_bits, chips", [(1024, 10), (928, 10), (7, 3), (1, 1)])
+    def test_one_draw_per_shape_keeps_the_stream(self, n_bits, chips):
+        joint, split = substream(9, (n_bits, chips)), substream(9, (n_bits, chips))
+        mains = joint.integers(0, 2, (2, n_bits))
+        rest = joint.integers(0, 2, (3, n_bits, chips))
+        for row in mains:
+            assert np.array_equal(row, split.integers(0, 2, n_bits))
+        for block in rest:
+            assert np.array_equal(block, split.integers(0, 2, (n_bits, chips)))
+        assert np.array_equal(joint.standard_normal(5), split.standard_normal(5))
+
+    def test_draw_table_is_cached_read_only_and_keyed_on_n(self):
+        three = protocol._draw_table(SystemParams(samples_per_chip=3))
+        assert protocol._draw_table(SystemParams(samples_per_chip=3)) is three
+        for column in three:
+            assert not column.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                column[0] = 0.0
+        twenty = protocol._draw_table(SystemParams(samples_per_chip=20))
+        mu, var = state_moments(SystemParams())
+        for table, n in ((three, 3), (twenty, 20)):
+            assert np.array_equal(table[0], mu) and np.array_equal(table[2], var)
+            assert np.array_equal(table[1], np.sqrt(var / n))
+        assert not np.array_equal(three[1], twenty[1])
 
 
 class TestClassicalSession:
