@@ -18,7 +18,9 @@ assigns the label g of the middle Gaussian that produced it:
                    obtained from the weighted two-Gaussian decision problem
                    (quadratic in the threshold).
 
-``gate`` and ``threshold_detect`` take a scalar or an array of sample means.
+``gate`` and ``threshold_detect`` take a scalar or an array of sample means;
+``threshold_keep`` is the session tally's mask of ``threshold_detect`` labels
+other than 1, built without the labels.
 
 Label convention: g indexes the mean, so g=1 is the center Gaussian (mean
 m1, discarded by the protocol), g=2 the left one (m2) and g=3 the right one
@@ -100,6 +102,15 @@ def threshold_detect(m_hat, th3: float, th4: float):
     m_hat = np.asarray(m_hat)
     g = np.where(m_hat > th4, 3, np.where(m_hat > th3, 1, 2))
     return int(g) if g.ndim == 0 else g
+
+
+def threshold_keep(m_hat: np.ndarray, th3: float, th4: float) -> np.ndarray:
+    """``threshold_detect(m_hat, th3, th4) != 1`` for an array, without the labels.
+
+    g = 1 exactly where th3 < m_hat <= th4, so the mask is its complement
+    (a NaN, labelled 2, is kept too).
+    """
+    return ~((m_hat > th3) & (m_hat <= th4))
 
 
 # zero-variance hypotheses are point masses; "equals the mean" allows a few

@@ -14,10 +14,14 @@ the sample mean m_hat and the scatter S = sum((v - m_hat)^2), instead of n
 raw samples: the gate, the threshold detectors and the ML costs depend on
 the samples only through these two, so the work per chip does not grow
 with n.  Per chunk the draw order is mains, subs, Eve coins, m_hat, S.
+The coins (the secret bits and Eve's guesses) are the top bits of the
+32-bit halves of raw PCG64 words (:func:`_coins`): the stream
+``Generator.integers(0, 2)`` draws, without its int64 arrays.
 Each chip's mean and variance are looked up in the 16-state table of
 :func:`rhkljn.params.state_moments`, the table Eve's hypotheses come from,
 and S is drawn only when the ``ml`` detector, the one detector that reads
-it, runs.
+it, runs.  The threshold detectors are tallied from keep masks; labels
+are built only for ``ml`` and for the trace.
 Work is split into fixed-size chunks of bits, each with its own seed
 substream, so results are bit-identical across worker counts.  Chunks run
 serially or on an executor from :func:`worker_pool`, which a command opens
@@ -47,7 +51,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from . import detectors as det
-from .params import DerivedStats, SystemParams, chip_moments, derive_stats, state_moments
+from .params import DerivedStats, SystemParams, derive_stats, state_moments
 from .rng import substream
 
 DETECTOR_CHOICES = ("ml", "simple", "optimum")
@@ -209,6 +213,23 @@ def _draw_table(params: SystemParams) -> tuple[np.ndarray, np.ndarray, np.ndarra
     return table
 
 
+def _coins(rng: np.random.Generator, count: int) -> np.ndarray:
+    """The ``count`` coins ``rng.integers(0, 2, count)`` draws, as ``uint8``.
+
+    At range 2 NumPy's bounded-integer draw (Lemire's method, which never
+    rejects there) returns the top bit of the next 32-bit half of a raw
+    PCG64 word, low half first; so the coins are read from
+    ``random_raw((count + 1) // 2)`` directly, as the same stream.  An odd
+    count leaves the high half of the last word unread, as ``integers``
+    does, and no later draw of a chunk reads it.
+    """
+    words = rng.bit_generator.random_raw((count + 1) // 2)
+    halves = words.astype("<u8", copy=False).view("<u4")[:count]
+    coins = np.empty(count, np.uint8)
+    np.right_shift(halves, 31, out=coins, casting="unsafe")
+    return coins
+
+
 def _rh_chunk_arrays(spec: _ChunkSpec):
     """Draw one chunk of bits and return the per-chip arrays.
 
@@ -226,22 +247,28 @@ def _rh_chunk_arrays(spec: _ChunkSpec):
     Draw order is fixed (mains, subs, Eve coins, m_hat, S) so the stream is
     a pure function of the chunk key; the coins come before any channel
     noise, so they do not depend on n, and S comes last, so skipping it
-    moves no other draw.
+    moves no other draw.  All the coins come from one :func:`_coins` call,
+    read from raw PCG64 words: the stream ``integers(0, 2)`` draws, as
+    ``uint8``.
     """
     p = spec.params
     n_bits, chips, n = spec.n_bits, p.chips_per_bit, p.samples_per_chip
     rng = substream(spec.master_seed, spec.key)
 
-    # one call per shape draws the same stream as one call per array
-    a_main, b_main = rng.integers(0, 2, (2, n_bits))
-    a_sub, b_sub, eve_guess_a = rng.integers(0, 2, (3, n_bits, chips))
+    coins = _coins(rng, n_bits * (2 + 3 * chips))
+    a_main, b_main = coins[: 2 * n_bits].reshape(2, n_bits)
+    a_sub, b_sub, eve_guess_a = coins[2 * n_bits :].reshape(3, n_bits, chips)
 
     mu, sd, var = _draw_table(p)
     state = (8 * a_main + 4 * b_main)[:, None] + (2 * a_sub + b_sub)
-    m_hat = mu[state] + sd[state] * rng.standard_normal((n_bits, chips))
+    # mu + sd * z and var * (2 * gamma), in place; take is the cheaper gather
+    m_hat = sd.take(state)
+    m_hat *= rng.standard_normal((n_bits, chips))
+    m_hat += mu.take(state)
     scatter = None
     if "ml" in spec.detectors:
-        scatter = var[state] * (2.0 * rng.standard_gamma(0.5 * (n - 1), (n_bits, chips)))
+        scatter = 2.0 * rng.standard_gamma(0.5 * (n - 1), (n_bits, chips))
+        scatter *= var.take(state)
     return a_main, b_main, a_sub, b_sub, scatter, m_hat, eve_guess_a
 
 
@@ -250,6 +277,13 @@ def _rh_chunk(spec: _ChunkSpec) -> dict[str, DetectorTally]:
 
 
 def _tally_chunk(spec, a_main, b_main, a_sub, b_sub, scatter, m_hat, eve_guess_a):
+    """One tally per detector, the ``ml`` labels (the only labels built) and the gate.
+
+    A threshold detector keeps a gated chip unless it labels it g = 1; the
+    tally reads that mask (:func:`rhkljn.detectors.threshold_keep`) and
+    builds no label array, so the trace, which shows the labels, gets them
+    from :func:`rhkljn.detectors.threshold_detect`.
+    """
     stats = spec.stats
     thresholds = stats.thresholds()
     gate_keep = det.gate(m_hat, thresholds)
@@ -258,6 +292,8 @@ def _tally_chunk(spec, a_main, b_main, a_sub, b_sub, scatter, m_hat, eve_guess_a
     subs_equal = a_sub == b_sub
     mains_equal = a_main == b_main
     eve_right = eve_guess_a == a_main[:, None]
+    # a boolean matmul with ones is the row-wise any, a few times faster
+    chips_any = np.ones(a_sub.shape[1], dtype=bool)
 
     tallies: dict[str, DetectorTally] = {}
     labels: dict[str, np.ndarray] = {}
@@ -266,17 +302,17 @@ def _tally_chunk(spec, a_main, b_main, a_sub, b_sub, scatter, m_hat, eve_guess_a
             g = det.detect_moments(
                 m_hat, scatter, spec.params.samples_per_chip, stats.middle_hypotheses()
             )
+            labels[name] = g
+            kept = gate_keep & (g != 1)
         else:
-            g = det.threshold_detect(m_hat, *thresholds.pair(name))
-        labels[name] = g
+            kept = gate_keep & det.threshold_keep(m_hat, *thresholds.pair(name))
 
-        kept = gate_keep & (g != 1)
         kept_chips = int(np.count_nonzero(kept))
         tallies[name] = DetectorTally(
             total_chips=int(kept.size),
             kept_chips=kept_chips,
             sub_bit_errors=int(np.count_nonzero(kept & subs_equal)),
-            main_bit_errors=int(np.count_nonzero(kept.any(axis=1) & mains_equal)),
+            main_bit_errors=int(np.count_nonzero((kept @ chips_any) & mains_equal)),
             discarded_gate=int(kept.size) - gate_kept,
             discarded_g1=gate_kept - kept_chips,
             eve_correct=int(np.count_nonzero(kept & eve_right)),
@@ -375,6 +411,10 @@ def _traced_chunk(spec: _ChunkSpec, trace, chunk_bits: int) -> dict[str, Detecto
     arrays = _rh_chunk_arrays(spec)
     a_main, b_main, a_sub, b_sub, _, m_hat, _ = arrays
     tallies, labels, gate_keep = _tally_chunk(spec, *arrays)
+    thresholds = spec.stats.thresholds()
+    for name in spec.detectors:
+        if name != "ml":
+            labels[name] = det.threshold_detect(m_hat, *thresholds.pair(name))
     base_bit = spec.key[-1] * chunk_bits
     for i in range(spec.n_bits):
         for c in range(spec.params.chips_per_bit):
@@ -403,16 +443,16 @@ def _traced_chunk(spec: _ChunkSpec, trace, chunk_bits: int) -> dict[str, Detecto
 def _classical_chunk(spec: _ChunkSpec) -> dict[str, DetectorTally]:
     p = spec.params
     rng = substream(spec.master_seed, spec.key)
-    a_main = rng.integers(0, 2, spec.n_bits)
-    b_main = rng.integers(0, 2, spec.n_bits)
+    # one call draws the coins of three back-to-back integers(0, 2, n_bits)
+    # calls, the buffered 32-bit half of an odd n_bits included
+    a_main, b_main, eve_guess_a = _coins(rng, 3 * spec.n_bits).reshape(3, spec.n_bits)
 
     # the classical bank is the sub-bit-0 column of the hopping bank
-    var = chip_moments(p, *np.ix_((0, 1), (0, 1)), 0, 0)[1]  # indexed [b_a, b_b]
+    var = _draw_table(p)[2][::4].reshape(2, 2)  # states (b_a, b_b, 0, 0), indexed [b_a, b_b]
     var_00, var_01, var_11 = var[0, 0], var[0, 1], var[1, 1]
     var_true = var[a_main, b_main]
 
     # the mean of squares of n zero-mean normals is var * chi^2(n) / n
-    eve_guess_a = rng.integers(0, 2, spec.n_bits)
     n = p.samples_per_chip
     v_hat = var_true * (2.0 * rng.standard_gamma(0.5 * n, spec.n_bits)) / n
 

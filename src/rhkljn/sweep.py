@@ -27,6 +27,7 @@ import collections
 import functools
 import logging
 import math
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 from typing import Callable, NamedTuple
@@ -202,10 +203,21 @@ class _Session(NamedTuple):
     point_key: tuple[int, ...]
     note: str | None = None  # the grid point's warning, logged just before its rows
 
-    def start(self, spec: SweepSpec, pool, trace) -> Callable[[], dict[str, DetectorTally]]:
-        """The session call, its statistics derived now, on the calling thread."""
+    def start(
+        self, spec: SweepSpec, pool, trace
+    ) -> tuple[Callable[[], dict[str, DetectorTally]], list[str]]:
+        """The session call, its statistics derived now, on the calling thread,
+        and the warnings that deriving them raised.
+
+        The warnings (``derive_stats`` falling back to a midpoint threshold)
+        are recorded, not shown, so the grid logs them with the session's
+        rows rather than while an earlier session still runs; th3 and th4
+        falling back give the same text, kept once.  Recording swaps
+        process-wide state, so a warning a dispatch thread raised meanwhile
+        would be recorded too; a running session raises none.
+        """
         if self.scheme == "classical":
-            return functools.partial(
+            call = functools.partial(
                 run_classical_session,
                 spec.num_bits,
                 self.params,
@@ -213,24 +225,30 @@ class _Session(NamedTuple):
                 pool=pool,
                 point_key=self.point_key,
             )
-        return functools.partial(
+            return call, []
+        with warnings.catch_warnings(record=True) as caught:
+            stats = derive_stats(self.params)
+        call = functools.partial(
             run_session,
             spec.num_bits,
-            ProtocolConfig(self.params, derive_stats(self.params)),
+            ProtocolConfig(self.params, stats),
             seed=spec.master_seed,
             detectors=spec.detectors,
             pool=pool,
             point_key=self.point_key,
             trace=trace,
         )
+        return call, list(dict.fromkeys(str(w.message) for w in caught))
 
 
 def _session_rows(
-    spec: SweepSpec, session: _Session, tallies: dict[str, DetectorTally]
+    spec: SweepSpec, session: _Session, tallies: dict[str, DetectorTally], caught: list[str]
 ) -> list[ResultRow]:
     scheme, value, scenario, params, *_ = session
     if session.note:
         logger.warning("%s", session.note)
+    for message in caught:
+        logger.warning("%s=%g %s: %s", spec.swept_parameter, value, scenario, message)
     rows = []
     for name, tally in tallies.items():
         lo, hi = binomial_ci95(tally.sub_bit_errors, tally.kept_chips)
@@ -307,7 +325,8 @@ def _run_grid(spec: SweepSpec, sessions: list[_Session], pool, trace=None) -> li
     rows: list[ResultRow] = []
     if pool is None:
         for session in sessions:
-            rows += _session_rows(spec, session, session.start(spec, pool, trace)())
+            call, caught = session.start(spec, pool, trace)
+            rows += _session_rows(spec, session, call(), caught)
         return rows
     dispatch = ThreadPoolExecutor(2, thread_name_prefix="rhkljn-session")
     try:
@@ -317,12 +336,13 @@ def _run_grid(spec: SweepSpec, sessions: list[_Session], pool, trace=None) -> li
         # half-written stream
         in_flight = collections.deque()
         for session in sessions:
-            in_flight.append((session, dispatch.submit(session.start(spec, pool, trace))))
+            call, caught = session.start(spec, pool, trace)
+            in_flight.append((session, dispatch.submit(call), caught))
             if len(in_flight) == 2:
-                done, future = in_flight.popleft()
-                rows += _session_rows(spec, done, future.result())
-        for done, future in in_flight:
-            rows += _session_rows(spec, done, future.result())
+                done, future, done_caught = in_flight.popleft()
+                rows += _session_rows(spec, done, future.result(), done_caught)
+        for done, future, done_caught in in_flight:
+            rows += _session_rows(spec, done, future.result(), done_caught)
         return rows
     finally:
         dispatch.shutdown(wait=True, cancel_futures=True)

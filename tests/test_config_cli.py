@@ -673,6 +673,28 @@ class TestCli:
         assert main(args + ["--jobs", "2", "--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
+    # derive_stats falls back to the midpoint threshold at gamma 8 and 3
+    # (alpha 19, beta 2.7); each point logs that warning with its rows, after
+    # the floor warning of the point before it, at any --jobs
+    def test_threshold_fallback_warns_with_its_point(self, tmp_path):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+        argv = ["sweep", "--sweep", "gamma", "--values", "20,8,3", "--alpha", "19", "--beta", "2.7"]
+        outputs = []
+        for jobs in ("1", "2"):
+            proc = subprocess.run(
+                [sys.executable, "-m", "rhkljn", *argv, "--bits", "3000", "--jobs", jobs],
+                env=env, capture_output=True, text=True, timeout=120,
+            )
+            assert proc.returncode == 0, proc.stderr
+            outputs.append((proc.stdout, proc.stderr))
+        assert outputs[0] == outputs[1]
+        floor, *fallbacks = outputs[0][1].splitlines()
+        assert floor.startswith("WARNING gamma=20 good/optimum: only ")
+        assert floor.endswith(" errors observed; BEP below the Monte Carlo floor")
+        message = "no optimum-threshold root inside the mean bracket; falling back to the midpoint"
+        assert fallbacks == [f"WARNING gamma=8 good: {message}", f"WARNING gamma=3 good: {message}"]
+
     # stdout, stderr and the CSV of a grid must not depend on --jobs, though
     # its sessions run two at a time above 1.  A fresh interpreter prints the
     # log warnings on stderr, as a command line does.

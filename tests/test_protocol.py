@@ -1,8 +1,10 @@
 """Session engine, its per-chip verdicts and eavesdropper behavior."""
 
+import functools
 import io
 import itertools
 import math
+import operator
 
 import numpy as np
 import pytest
@@ -22,11 +24,13 @@ from rhkljn import (
     sample_chip,
     state_moments,
     substream,
+    threshold_detect,
     worker_pool,
 )
 from rhkljn import protocol
+from rhkljn.detectors import threshold_keep
 from rhkljn.protocol import DETECTOR_CHOICES, _ChunkSpec, _rh_chunk_arrays, _tally_chunk
-from conftest import assert_parties_agree, random_valid_params
+from conftest import assert_parties_agree, detector_labels, random_valid_params
 
 
 def make_cfg(**param_overrides):
@@ -53,7 +57,7 @@ class TestChipVerdicts:
 
         mixed = np.broadcast_to((a_main != b_main)[:, None], a_sub.shape)
         assert np.array_equal(gate_keep, mixed)
-        g = labels[detector]
+        g = detector_labels(spec, labels, arrays[5])[detector]
         kept = gate_keep & (g != 1)
         # kept exactly when the mains and the sub-bits both differ, which is
         # when the flip rule recovers the partner's bits
@@ -107,7 +111,7 @@ def noiseless_bit(a_main, a_subs, b_main, b_subs, detector="optimum"):
     out = []
     for own in ((a_m, b_m, a_sub, b_sub), (b_m, a_m, b_sub, a_sub)):
         tallies, labels, gate_keep = _tally_chunk(spec, *own, scatter, m_hat, eve)
-        g = labels[detector]
+        g = detector_labels(spec, labels, m_hat)[detector]
         out.append((decisions(gate_keep, g)[0], g[0], tallies[detector]))
     return out
 
@@ -150,7 +154,7 @@ class TestRunChip:
         arrays = _rh_chunk_arrays(spec)
         a_main, b_main, a_sub, b_sub = arrays[:4]
         _, labels, gate_keep = _tally_chunk(spec, *arrays)
-        g = labels["optimum"]
+        g = detector_labels(spec, labels, arrays[5])["optimum"]
 
         middle = {1: stats.m1, 2: stats.m2, 3: stats.m3}
         true_g = np.zeros_like(g)
@@ -455,16 +459,15 @@ class TestChunkTableDraw:
             assert np.array_equal(without[i], with_ml[i]), i
 
 
-    # the engine draws the mains in one call and the subs and Eve's coins in
-    # another; split per array, the same draws come out in the same order
+    # the engine draws all the coins of a chunk in one call; split per array
+    # with integers, the same coins come out in the same order
     @pytest.mark.parametrize("n_bits, chips", [(1024, 10), (928, 10), (7, 3), (1, 1)])
     def test_one_draw_per_shape_keeps_the_stream(self, n_bits, chips):
         joint, split = substream(9, (n_bits, chips)), substream(9, (n_bits, chips))
-        mains = joint.integers(0, 2, (2, n_bits))
-        rest = joint.integers(0, 2, (3, n_bits, chips))
-        for row in mains:
+        coins = protocol._coins(joint, n_bits * (2 + 3 * chips))
+        for row in coins[: 2 * n_bits].reshape(2, n_bits):
             assert np.array_equal(row, split.integers(0, 2, n_bits))
-        for block in rest:
+        for block in coins[2 * n_bits :].reshape(3, n_bits, chips):
             assert np.array_equal(block, split.integers(0, 2, (n_bits, chips)))
         assert np.array_equal(joint.standard_normal(5), split.standard_normal(5))
 
@@ -483,7 +486,122 @@ class TestChunkTableDraw:
         assert not np.array_equal(three[1], twenty[1])
 
 
+class TestCoins:
+    """The coins read from raw PCG64 words are the stream ``integers(0, 2)`` draws."""
+
+    @pytest.mark.parametrize("count", [1, 2, 3, 7, 63, 2048, 30720])
+    def test_coins_equal_integers(self, count):
+        ours, numpy = substream(17, (count,)), substream(17, (count,))
+        coins = protocol._coins(ours, count)
+        assert coins.dtype == np.uint8 and coins.shape == (count,)
+        assert np.array_equal(coins, numpy.integers(0, 2, count))
+        # the draws that follow the coins in a chunk are untouched
+        assert np.array_equal(ours.standard_normal(64), numpy.standard_normal(64))
+        assert np.array_equal(ours.standard_gamma(1.5, 64), numpy.standard_gamma(1.5, 64))
+
+    @pytest.mark.parametrize("first, second", [(7, 9), (1, 1), (999, 1998)])
+    def test_one_call_equals_back_to_back_integers(self, first, second):
+        # an odd first count leaves the high half of its last word buffered;
+        # integers reads it as the second call's first coin
+        ours, numpy = substream(18, (first,)), substream(18, (first,))
+        coins = protocol._coins(ours, first + second)
+        want = np.concatenate([numpy.integers(0, 2, first), numpy.integers(0, 2, second)])
+        assert np.array_equal(coins, want)
+        assert np.array_equal(ours.standard_normal(64), numpy.standard_normal(64))
+        assert np.array_equal(ours.standard_gamma(1.5, 64), numpy.standard_gamma(1.5, 64))
+
+
+class TestThresholdKeep:
+    """The tally's keep mask against the labels of ``threshold_detect``."""
+
+    @staticmethod
+    def assert_mask_matches_labels(m_hat, th3, th4):
+        m_hat = np.asarray(m_hat, dtype=float)
+        assert np.array_equal(threshold_keep(m_hat, th3, th4), threshold_detect(m_hat, th3, th4) != 1)
+
+    @pytest.mark.parametrize("kind", ["simple", "optimum"])
+    def test_boundaries(self, default_stats, kind):
+        th3, th4 = default_stats.thresholds().pair(kind)
+        edges = []
+        for th in (th3, th4):
+            edges += [np.nextafter(th, -np.inf), th, np.nextafter(th, np.inf)]
+        m_hat = np.array(edges + [-np.inf, np.inf, 0.0, 0.5 * (th3 + th4)])
+        self.assert_mask_matches_labels(m_hat, th3, th4)
+        # only the open-closed band (th3, th4] is labelled 1
+        keep = threshold_keep(m_hat, th3, th4)
+        assert keep.tolist() == [True, True, False, False, False, True, True, True, True, False]
+
+    def test_equal_thresholds_keep_everything(self, default_stats):
+        th = default_stats.th3_opt
+        m_hat = np.array([np.nextafter(th, -np.inf), th, np.nextafter(th, np.inf), -np.inf, np.inf])
+        self.assert_mask_matches_labels(m_hat, th, th)
+        assert threshold_keep(m_hat, th, th).all()
+
+    def test_chunk_tally_equals_label_tally(self):
+        # 1e5 chips: the tally's counts against counts made from the labels
+        params = SystemParams(samples_per_chip=2)
+        stats = derive_stats(params)
+        spec = _ChunkSpec(params, stats, ("simple", "optimum"), 10_000, 19, (0,))
+        arrays = _rh_chunk_arrays(spec)
+        a_main, b_main, a_sub, b_sub, _, m_hat, eve = arrays
+        tallies, labels, gate_keep = _tally_chunk(spec, *arrays)
+        assert labels == {}
+        for name in spec.detectors:
+            th3, th4 = stats.thresholds().pair(name)
+            self.assert_mask_matches_labels(m_hat, th3, th4)
+            g = threshold_detect(m_hat, th3, th4)
+            kept = gate_keep & (g != 1)
+            tally = tallies[name]
+            assert tally.total_chips == m_hat.size == 100_000
+            assert tally.kept_chips == int(kept.sum())
+            assert tally.discarded_g1 == int((gate_keep & (g == 1)).sum()) > 0
+            assert tally.sub_bit_errors == int((kept & (a_sub == b_sub)).sum()) > 0
+            assert tally.main_bit_errors == int((kept.any(axis=1) & (a_main == b_main)).sum())
+            assert tally.eve_correct == int((kept & (eve == a_main[:, None])).sum())
+
+
 class TestClassicalSession:
+    @staticmethod
+    def replay(params, n_bits, seed, key):
+        """The classical chunk redrawn with three integers calls, then its tally."""
+        rng = substream(seed, key)
+        a_main = rng.integers(0, 2, n_bits)
+        b_main = rng.integers(0, 2, n_bits)
+        eve = rng.integers(0, 2, n_bits)
+        n = params.samples_per_chip
+        var = chip_moments(params, *np.ix_((0, 1), (0, 1)), 0, 0)[1]
+        v_hat = var[a_main, b_main] * (2.0 * rng.standard_gamma(0.5 * n, n_bits)) / n
+        kept = (v_hat >= 0.5 * (var[0, 0] + var[0, 1])) & (v_hat <= 0.5 * (var[0, 1] + var[1, 1]))
+        errors = int(np.count_nonzero(kept & (a_main == b_main)))
+        return protocol.DetectorTally(
+            total_chips=n_bits,
+            kept_chips=int(np.count_nonzero(kept)),
+            sub_bit_errors=errors,
+            main_bit_errors=errors,
+            discarded_gate=int(np.count_nonzero(~kept)),
+            discarded_g1=0,
+            eve_correct=int(np.count_nonzero(kept & (eve == a_main))),
+        )
+
+    # odd chunk sizes: the one coin call must reproduce the buffered 32-bit
+    # half that separate integers calls carry from one array to the next
+    @pytest.mark.parametrize("n_bits", [1, 7, 999])
+    def test_chunk_equals_integers_replay(self, n_bits):
+        params = SystemParams(m_l=0.0, chips_per_bit=1, samples_per_chip=30)
+        spec = _ChunkSpec(params, None, ("classical",), n_bits, 25, (3, n_bits))
+        tally = protocol._classical_chunk(spec)["classical"]
+        assert tally == self.replay(params, n_bits, 25, (3, n_bits))
+
+    def test_session_with_odd_last_chunk_equals_replay(self):
+        params = SystemParams(m_l=0.0, chips_per_bit=1, samples_per_chip=30)
+        got = run_classical_session(901, params, seed=26, point_key=(4,), chunk_bits=128)
+        # seven chunks of 128 bits, then one of 5
+        sizes = [128] * 7 + [5]
+        want = functools.reduce(
+            operator.add, (self.replay(params, size, 26, (4, i)) for i, size in enumerate(sizes))
+        )
+        assert got == {"classical": want}
+
     def test_many_samples_drive_bep_to_zero(self):
         result = run_classical_session(2_000, SystemParams(samples_per_chip=4_000), seed=21)
         assert result["classical"].bep == 0.0
