@@ -24,13 +24,14 @@ it, runs.  The threshold detectors are tallied from keep masks; labels
 are built only for ``ml`` and for the trace.
 Work is split into fixed-size chunks of bits, each with its own seed
 substream, so results are bit-identical across worker counts.  Chunks run
-serially or on an executor from :func:`worker_pool`, which a command opens
-once and passes to every session of its grid; a grid keeps two sessions
-in flight (:func:`rhkljn.sweep.run_sweep`), so the executor takes chunks
-from two threads at once.  The
-classical two-resistor baseline (variance trisection on zero-mean noise,
-its mean of squares drawn as a scaled chi-square, its bank the sub-bit-0
-column of the hopping bank) runs on the same chunk engine for
+serially, or in N shares on the pool of :func:`worker_pool`: N - 1 worker
+processes, forked when the pool opens, and the calling process, which runs
+one share itself.  A command opens the pool once and passes it to every
+session of its grid; a grid keeps two sessions in flight
+(:func:`rhkljn.sweep.run_sweep`), so shares come from two threads at once.
+The classical two-resistor baseline (variance trisection on zero-mean
+noise, its mean of squares drawn as a scaled chi-square, its bank the
+sub-bit-0 column of the hopping bank) runs on the same chunk engine for
 rate-matched comparisons.  Raw samples are drawn only by
 :func:`rhkljn.channel.sample_chip` and
 :func:`rhkljn.channel.dump_chip_samples`, the oracles for the sampled
@@ -47,6 +48,7 @@ import functools
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -325,49 +327,77 @@ def _chunk_sizes(num_bits: int, chunk_bits: int) -> list[int]:
     return [chunk_bits] * full + ([rest] if rest else [])
 
 
+class _Pool(NamedTuple):
+    """What :func:`worker_pool` yields: the executor and how many shares a session is split into."""
+
+    executor: ProcessPoolExecutor
+    shares: int
+
+
 @contextlib.contextmanager
 def worker_pool(jobs: int):
-    """The executor every session inside the block runs its chunks on.
+    """The pool every session inside the block splits its chunks over.
 
     Yields ``None`` for ``jobs == 1``, building no executor, so sessions
-    run serially; otherwise one ``ProcessPoolExecutor`` of ``jobs``
-    workers, shut down when the block ends.  A grid opens one pool and
-    passes it to each of its sessions, so workers start once per command
-    rather than once per session.
+    run serially.  Otherwise each session runs in ``jobs`` shares: the
+    calling process works one share and a ``ProcessPoolExecutor`` of
+    ``jobs - 1`` workers the rest.  The workers are forked here, on the
+    thread that opens the pool, before the block starts any thread of its
+    own.  A grid opens one pool and passes it to each of its sessions, so
+    workers start once per command rather than once per session.  When
+    the block ends the executor is shut down; if it ends by an exception,
+    tasks not yet started are cancelled rather than run.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     if jobs == 1:
         yield None
         return
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        yield pool
+    executor = ProcessPoolExecutor(max_workers=jobs - 1)
+    failed = True
+    try:
+        # with the fork start method the first submit forks every worker
+        executor.submit(int)
+        yield _Pool(executor, jobs)
+        failed = False
+    finally:
+        executor.shutdown(wait=True, cancel_futures=failed)
+
+
+def _run_share(chunk, spec: _ChunkSpec, share) -> dict[str, DetectorTally]:
+    """Run ``chunk`` over the ``(index, size)`` chunks of ``share`` and merge the tallies."""
+    merged: dict[str, DetectorTally] = {}
+    for idx, size in share:
+        part = chunk(replace(spec, n_bits=size, key=spec.key + (idx,)))
+        for name, tally in part.items():
+            merged[name] = merged[name] + tally if name in merged else tally
+    return merged
 
 
 def _run_chunks(chunk, spec: _ChunkSpec, num_bits: int, chunk_bits: int, pool):
     """Run ``chunk`` over ``num_bits`` bits in chunks and merge the tallies.
 
     ``spec`` is the session's template: chunk ``i`` gets its own size as
-    ``n_bits`` and ``spec.key + (i,)`` as its substream key, so the merged
-    tallies are the same whether the chunks run serially or on ``pool``.
+    ``n_bits`` and ``spec.key + (i,)`` as its substream key.  On ``pool``
+    the chunks are dealt into ``pool.shares`` strided shares; every share
+    but the first goes to the workers as one task, which sends ``spec``
+    once and returns one merged tally, while the calling thread runs the
+    first.  Tallies are integer sums, so they are the same whether the
+    chunks run serially or in shares.
     """
     if num_bits < 1:
         raise ValueError(f"num_bits must be >= 1, got {num_bits}")
     if chunk_bits < 1:
         raise ValueError(f"chunk_bits must be >= 1, got {chunk_bits}")
-    specs = [
-        replace(spec, n_bits=size, key=spec.key + (idx,))
-        for idx, size in enumerate(_chunk_sizes(num_bits, chunk_bits))
-    ]
-    if pool is not None and len(specs) > 1:
-        parts = list(pool.map(chunk, specs, chunksize=4))
-    else:
-        parts = [chunk(s) for s in specs]
-
-    merged: dict[str, DetectorTally] = {}
-    for part in parts:
-        for name, tally in part.items():
-            merged[name] = merged[name] + tally if name in merged else tally
+    plan = list(enumerate(_chunk_sizes(num_bits, chunk_bits)))
+    if pool is None:
+        return _run_share(chunk, spec, plan)
+    shares = [plan[k :: pool.shares] for k in range(pool.shares)]
+    futures = [pool.executor.submit(_run_share, chunk, spec, share) for share in shares[1:] if share]
+    merged = _run_share(chunk, spec, shares[0])
+    for future in futures:
+        for name, tally in future.result().items():
+            merged[name] += tally
     return merged
 
 

@@ -8,10 +8,11 @@ and one CSV row per (value, scenario, detector).  ``run_compare`` takes a
 spec that sweeps ``rate`` and puts one classical row before the hopping
 rows of each rate.  Each call opens one worker pool
 (:func:`rhkljn.protocol.worker_pool`) and runs every session of its grid
-on it, so ``jobs`` workers start once per grid, not once per session.
+on it, in ``jobs`` shares: ``jobs - 1`` workers start once per grid, not
+once per session, and the calling process runs the remaining share.
 Every point's parameters are checked before the first session; the
 sessions run two at a time when there is a pool, so the next point's
-chunks are queued while the current point's drain (:func:`_run_grid`),
+shares are queued while the current point's drain (:func:`_run_grid`),
 and each point's warnings are logged with its rows.
 Per-point substreams are keyed on the value's bit pattern and on the
 scenario's position in ``spec.scenarios``, so any subset of the values run
@@ -214,7 +215,10 @@ class _Session(NamedTuple):
         rows rather than while an earlier session still runs; th3 and th4
         falling back give the same text, kept once.  Recording swaps
         process-wide state, so a warning a dispatch thread raised meanwhile
-        would be recorded too; a running session raises none.
+        would be recorded too; a running session raises none, though its
+        first share runs on a dispatch thread of this process (the chunks
+        warn in no edge case: ``tests/test_protocol.py`` runs them with
+        warnings as errors).
         """
         if self.scheme == "classical":
             call = functools.partial(
@@ -314,11 +318,13 @@ def _run_grid(spec: SweepSpec, sessions: list[_Session], pool, trace=None) -> li
     Each session's statistics are derived on this thread just before it
     starts.  Without a pool the sessions run one after another.  With one,
     two dispatch threads run them: the next session is started as soon as
-    the one before the current one ends, so its chunks are queued while the
+    the one before the current one ends, so its shares are queued while the
     current session's drain and the workers do not wait at a barrier
-    between points; at most two sessions are in flight.  Rows, and the
-    warnings of each point, are made on this thread in grid order either
-    way, so stdout and stderr do not depend on the pool.  On an exception
+    between points; at most two sessions are in flight.  Each dispatch
+    thread runs its session's first share in this process and the pool's
+    workers run the others (:func:`rhkljn.protocol.worker_pool`).  Rows,
+    and the warnings of each point, are made on this thread in grid order
+    either way, so stdout and stderr do not depend on the pool.  On an exception
     a session not yet started is cancelled and a running one waited for,
     so no dispatch thread outlives the call.
     """
@@ -330,10 +336,8 @@ def _run_grid(spec: SweepSpec, sessions: list[_Session], pool, trace=None) -> li
         return rows
     dispatch = ThreadPoolExecutor(2, thread_name_prefix="rhkljn-session")
     try:
-        # all sessions of a grid have the same chunks, so the pool forks its
-        # workers, on a dispatch thread, before the first session ends; this
-        # thread writes nothing until then, so no worker inherits a
-        # half-written stream
+        # the pool forked its workers when it opened, before these threads
+        # existed, so no worker inherits a lock one of them held
         in_flight = collections.deque()
         for session in sessions:
             call, caught = session.start(spec, pool, trace)
@@ -351,7 +355,7 @@ def _run_grid(spec: SweepSpec, sessions: list[_Session], pool, trace=None) -> li
 def run_sweep(
     spec: SweepSpec, base_params: SystemParams, jobs: int = 1, trace=None
 ) -> list[ResultRow]:
-    """Run every grid point of ``spec`` on one pool of ``jobs`` workers and
+    """Run every grid point of ``spec`` on one pool of ``jobs`` shares and
     return rows in grid order.
 
     Every grid point's parameters are set and checked before the first
@@ -377,7 +381,7 @@ def run_sweep(
 def run_compare(spec: SweepSpec, base_params: SystemParams, jobs: int = 1) -> list[ResultRow]:
     """Rate-matched comparison: per rate in ``spec.values``, one classical
     row, then the hopping rows of every scenario and detector of ``spec``.
-    Every session runs on one pool of ``jobs`` workers, set up and run as
+    Every session runs on one pool of ``jobs`` shares, set up and run as
     in :func:`run_sweep`.
 
     The matched condition gives the classical scheme chips_per_bit times

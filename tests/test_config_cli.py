@@ -2,6 +2,7 @@
 
 import csv
 import io
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -228,9 +229,9 @@ class TestGridPoints:
 
 @pytest.fixture
 def pool_counts(monkeypatch):
-    """Executors built and ``map`` calls made on them, through ``protocol.ProcessPoolExecutor``."""
-    counts = {"built": 0, "maps": 0}
-    lock = threading.Lock()  # sessions of a grid call map from two threads
+    """Executors built and tasks submitted to them, through ``protocol.ProcessPoolExecutor``."""
+    counts = {"built": 0, "tasks": 0}
+    lock = threading.Lock()  # sessions of a grid submit from two threads
 
     class CountingPool(ProcessPoolExecutor):
         def __init__(self, *args, **kwargs):
@@ -238,35 +239,89 @@ def pool_counts(monkeypatch):
                 counts["built"] += 1
             super().__init__(*args, **kwargs)
 
-        def map(self, *args, **kwargs):
+        def submit(self, *args, **kwargs):
             with lock:
-                counts["maps"] += 1
-            return super().map(*args, **kwargs)
+                counts["tasks"] += 1
+            return super().submit(*args, **kwargs)
 
     monkeypatch.setattr(protocol, "ProcessPoolExecutor", CountingPool)
     return counts
 
 
+# set to a list by a test, which then gets the threads alive at each fork
+_fork_threads = None
+
+
+def _record_fork_threads():
+    if _fork_threads is not None:
+        _fork_threads.append(threading.enumerate())
+
+
+os.register_at_fork(before=_record_fork_threads)
+
+
 class TestWorkerPool:
     """One pool per grid: every session of a sweep or compare runs its chunks on it."""
 
-    # 1500 bits are two chunks, so every session maps over the pool
-    @pytest.mark.parametrize("jobs, built", [(1, 0), (2, 1)])
+    # 2100 bits are three chunks, so at up to three jobs every session
+    # submits one task per worker; a pool's first task, a no-op, forks them
+    @pytest.mark.parametrize("jobs, built", [(1, 0), (2, 1), (3, 1)])
     def test_sweep_opens_one_pool(self, pool_counts, jobs, built):
         spec = SweepSpec(
-            "beta", (3.4, 3.7, 4.0), scenarios=("fine_tuned", "good"), num_bits=1_500, master_seed=3
+            "beta", (3.4, 3.7, 4.0), scenarios=("fine_tuned", "good"), num_bits=2_100, master_seed=3
         )
         rows = run_sweep(spec, SystemParams(samples_per_chip=3), jobs=jobs)
         assert len(rows) == 3 * 2
-        assert pool_counts == {"built": built, "maps": 6 * built}
+        assert pool_counts == {"built": built, "tasks": built * (1 + 6 * (jobs - 1))}
 
-    @pytest.mark.parametrize("jobs, built", [(1, 0), (2, 1)])
+    @pytest.mark.parametrize("jobs, built", [(1, 0), (2, 1), (3, 1)])
     def test_compare_opens_one_pool(self, pool_counts, jobs, built):
-        spec = SweepSpec("rate", (2e4, 5e4), scenarios=("fine_tuned", "good"), num_bits=1_500)
+        spec = SweepSpec("rate", (2e4, 5e4), scenarios=("fine_tuned", "good"), num_bits=2_100)
         rows = run_compare(spec, SystemParams(), jobs=jobs)
         # per rate: one classical and two hopping sessions
         assert [r.scheme for r in rows] == ["classical", "rh", "rh"] * 2
-        assert pool_counts == {"built": built, "maps": 6 * built}
+        assert pool_counts == {"built": built, "tasks": built * (1 + 6 * (jobs - 1))}
+
+    # one chunk per session: the calling process runs it, and the pool gets
+    # only the no-op that forks its workers
+    @pytest.mark.parametrize("jobs", [2, 3])
+    def test_single_chunk_sessions_submit_no_task(self, pool_counts, jobs):
+        spec = SweepSpec("beta", (3.4, 3.7), scenarios=("fine_tuned", "good"), num_bits=1_000)
+        assert run_sweep(spec, SystemParams(samples_per_chip=3), jobs=jobs) == run_sweep(
+            spec, SystemParams(samples_per_chip=3), jobs=1
+        )
+        assert pool_counts == {"built": 1, "tasks": 1}
+
+    # the workers are forked when the pool opens, on the thread that calls
+    # main: no thread the command starts, above all no session dispatch
+    # thread (which runs chunks in this process), exists at the fork
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sweep", "--sweep", "beta", "--values", "3.4,3.7,4.0", "--bits", "2100"],
+            ["compare", "--values", "2e4,5e4", "--bits", "2100"],
+        ],
+        ids=["sweep", "compare"],
+    )
+    def test_workers_fork_before_the_command_starts_a_thread(self, monkeypatch, capsys, argv):
+        forks = []
+        monkeypatch.setattr(sys.modules[__name__], "_fork_threads", forks)
+        before = set(threading.enumerate())
+        assert main(argv + ["--jobs", "2"]) == 0
+        monkeypatch.setattr(sys.modules[__name__], "_fork_threads", None)
+        assert len(forks) == 1  # one worker beside the calling process
+        assert set(forks[0]) <= before
+        assert not [t.name for t in forks[0] if t.name.startswith("rhkljn-session")]
+
+    def test_no_worker_outlives_the_command(self, monkeypatch, capsys):
+        argv = ["sweep", "--sweep", "beta", "--values", "3.4,3.7,4.0", "--bits", "2100", "--jobs", "2"]
+        assert main(argv) == 0
+        assert multiprocessing.active_children() == []
+        # a chunk that raises, in this process and in the worker alike
+        monkeypatch.setattr(protocol, "_tally_chunk", _stop_chunk)
+        with pytest.raises(_Stop):
+            main(argv)
+        assert multiprocessing.active_children() == []
 
     # the warning goes to stderr only: stdout holds the same CSV either way
     @pytest.mark.parametrize("jobs, warnings", [("1", 0), ("2", 1)])
@@ -292,6 +347,10 @@ def _dispatch_threads() -> list[str]:
 
 class _Stop(BaseException):
     """Not an Exception, as a probe's stop is."""
+
+
+def _stop_chunk(*args, **kwargs):
+    raise _Stop
 
 
 class TestSessionPipeline:

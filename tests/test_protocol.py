@@ -5,6 +5,8 @@ import io
 import itertools
 import math
 import operator
+import time
+import warnings
 
 import numpy as np
 import pytest
@@ -251,13 +253,35 @@ class TestRunSession:
         assert tally.discard_fraction == pytest.approx(0.75, abs=0.01)
 
     def test_determinism_across_worker_counts(self):
+        # 650 bits are 7 chunks, the last one short, which no share count
+        # divides; 150 bits are 2 chunks, fewer than the shares of jobs 3 and 4
         cfg = make_cfg()
-        serial = run_session(700, cfg, seed=77, detectors=("simple", "optimum"), chunk_bits=100)
-        with worker_pool(4) as pool:
-            parallel = run_session(
-                700, cfg, seed=77, detectors=("simple", "optimum"), chunk_bits=100, pool=pool
-            )
-        assert serial == parallel
+        session = functools.partial(
+            run_session, cfg=cfg, seed=77, detectors=DETECTOR_CHOICES, chunk_bits=100
+        )
+        serial = [session(bits) for bits in (650, 150)]
+        for jobs in (2, 3, 4):
+            with worker_pool(jobs) as pool:
+                assert [session(bits, pool=pool) for bits in (650, 150)] == serial, jobs
+
+    # the sessions of a grid record derive_stats warnings process-wide while
+    # other sessions' chunks run on threads of the same process, so a chunk
+    # must never warn, in the edge cases least of all
+    @pytest.mark.parametrize(
+        "overrides",
+        [NOISELESS, dict(samples_per_chip=1), dict(m_l=0.0)],
+        ids=["noiseless", "one_sample", "zero_m_l"],
+    )
+    def test_chunks_raise_no_warning(self, overrides):
+        params = SystemParams(**overrides)
+        cfg = ProtocolConfig(params, derive_stats(params))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            tallies = run_session(2_000, cfg, seed=31, detectors=DETECTOR_CHOICES)
+            run_classical_session(2_000, params, seed=31)
+        if overrides is NOISELESS:
+            # the ML detector's point-mass branch labels every chip exactly
+            assert tallies["ml"].sub_bit_errors == 0
 
     def test_tally_counts_are_conserved(self):
         cfg = make_cfg()
@@ -328,6 +352,12 @@ class TestRunSession:
             run_classical_session(10, cfg.params, seed=1, chunk_bits=0)
 
 
+def _record_and_wait(path):
+    with open(path, "a") as log:
+        log.write("ran\n")
+    time.sleep(0.1)
+
+
 class TestWorkerPool:
     @pytest.mark.parametrize("jobs", [0, -4])
     def test_jobs_below_one_rejected(self, jobs):
@@ -347,16 +377,34 @@ class TestWorkerPool:
         with worker_pool(2) as pool:
             assert pool is not None
         with pytest.raises(RuntimeError):
-            pool.submit(int)
+            pool.executor.submit(int)
+
+    def test_queued_tasks_are_cancelled_when_the_block_raises(self, tmp_path):
+        log = tmp_path / "ran.log"
+        with worker_pool(2) as pool:
+            for _ in range(4):
+                pool.executor.submit(_record_and_wait, log)
+        assert len(log.read_text().splitlines()) == 4
+        log.unlink()
+        with pytest.raises(RuntimeError, match="^stop$"):
+            with worker_pool(2) as pool:
+                for _ in range(20):
+                    pool.executor.submit(_record_and_wait, log)
+                raise RuntimeError("stop")
+        # the one worker may have taken the tasks already handed to it; the
+        # rest never run
+        ran = len(log.read_text().splitlines()) if log.exists() else 0
+        assert ran <= 4
 
     def test_single_chunk_session_runs_serially(self):
-        class NoMap:
-            def map(self, *args, **kwargs):
+        class NoSubmit:
+            def submit(self, *args, **kwargs):
                 raise AssertionError("a one-chunk session used the pool")
 
         cfg = make_cfg()
         serial = run_session(500, cfg, seed=3, chunk_bits=500)
-        assert run_session(500, cfg, seed=3, chunk_bits=500, pool=NoMap()) == serial
+        pool = protocol._Pool(NoSubmit(), shares=4)
+        assert run_session(500, cfg, seed=3, chunk_bits=500, pool=pool) == serial
 
 
 class TestChunkSampler:
@@ -614,11 +662,14 @@ class TestClassicalSession:
         assert 0.4 < tally.bep < 0.6
 
     def test_determinism_across_worker_counts(self):
-        params = SystemParams(samples_per_chip=50)
-        a = run_classical_session(900, params, seed=23, chunk_bits=128)
-        with worker_pool(3) as pool:
-            b = run_classical_session(900, params, seed=23, chunk_bits=128, pool=pool)
-        assert a == b
+        # 850 bits are 7 chunks, the last one short; 200 bits are 2 chunks
+        session = functools.partial(
+            run_classical_session, params=SystemParams(samples_per_chip=50), seed=23, chunk_bits=128
+        )
+        serial = [session(bits) for bits in (850, 200)]
+        for jobs in (2, 3, 4):
+            with worker_pool(jobs) as pool:
+                assert [session(bits, pool=pool) for bits in (850, 200)] == serial, jobs
 
     def test_moderate_sampling_has_errors(self):
         result = run_classical_session(30_000, SystemParams(samples_per_chip=20), seed=24)
