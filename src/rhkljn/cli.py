@@ -16,9 +16,10 @@ the config's ``scenario``, else the command's default (``good`` for sweep,
 worker pool that all the sessions of a command share.
 
 Parameters come from an optional flat key=value config file; any flag
-overrides the file.  An --out or --csv path that cannot be written fails
-before any work.  Exit codes: 0 on success, 1 on usage/config errors,
-2 when --strict is set and a configuration fails the separability margin.
+overrides the file.  An --out, --csv or --trace path that cannot be
+written fails before any work.  Exit codes: 0 on success, 1 on
+usage/config errors, 2 when --strict is set and a configuration fails the
+separability margin.
 """
 
 from __future__ import annotations
@@ -272,11 +273,8 @@ def _cmd_grid(args) -> int:
     jobs = int(_pick(args, harness, "jobs", 1))
     if args.command == "compare":
         rows = run_compare(spec, params, jobs=jobs)
-    elif args.trace:
-        with open(args.trace, "w") as trace:
-            rows = run_sweep(spec, params, jobs=jobs, trace=trace)
     else:
-        rows = run_sweep(spec, params, jobs=jobs)
+        rows = run_sweep(spec, params, jobs=jobs, trace=args.trace)
     out = _open_out(args)
     try:
         write_csv(rows, out)
@@ -345,7 +343,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        for path in (args.out, getattr(args, "csv", None)):
+        for path in (args.out, getattr(args, "csv", None), getattr(args, "trace", None)):
             if path:
                 _check_writable(path)
         return _COMMANDS[args.command](args)

@@ -25,10 +25,9 @@ are built only for ``ml`` and for the trace.
 Work is split into fixed-size chunks of bits, each with its own seed
 substream, so results are bit-identical across worker counts.  Chunks run
 serially, or in N shares on the pool of :func:`worker_pool`: N - 1 worker
-processes, forked when the pool opens, and the calling process, which runs
-one share itself.  A command opens the pool once and passes it to every
-session of its grid; a grid keeps two sessions in flight
-(:func:`rhkljn.sweep.run_sweep`), so shares come from two threads at once.
+processes, forked by the pool's first task, and the calling process, which
+runs one share itself.  A command opens the pool once and passes it to every
+session of its grid, one session at a time.
 The classical two-resistor baseline (variance trisection on zero-mean
 noise, its mean of squares drawn as a scaled chi-square, its bank the
 sub-bit-0 column of the hopping bank) runs on the same chunk engine for
@@ -341,12 +340,14 @@ def worker_pool(jobs: int):
     Yields ``None`` for ``jobs == 1``, building no executor, so sessions
     run serially.  Otherwise each session runs in ``jobs`` shares: the
     calling process works one share and a ``ProcessPoolExecutor`` of
-    ``jobs - 1`` workers the rest.  The workers are forked here, on the
-    thread that opens the pool, before the block starts any thread of its
-    own.  A grid opens one pool and passes it to each of its sessions, so
-    workers start once per command rather than once per session.  When
-    the block ends the executor is shut down; if it ends by an exception,
-    tasks not yet started are cancelled rather than run.
+    ``jobs - 1`` workers the rest.  With the fork start method the first
+    task submitted forks every worker, on the calling thread, before the
+    executor starts its manager thread; sessions of one chunk submit no
+    task, so a grid of them forks none.  A grid opens one pool and passes
+    it to each of its sessions, so workers start once per command rather
+    than once per session.  When the block ends the executor is shut down;
+    if it ends by an exception, tasks not yet started are cancelled rather
+    than run.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
@@ -356,8 +357,6 @@ def worker_pool(jobs: int):
     executor = ProcessPoolExecutor(max_workers=jobs - 1)
     failed = True
     try:
-        # with the fork start method the first submit forks every worker
-        executor.submit(int)
         yield _Pool(executor, jobs)
         failed = False
     finally:

@@ -11,9 +11,8 @@ rows of each rate.  Each call opens one worker pool
 on it, in ``jobs`` shares: ``jobs - 1`` workers start once per grid, not
 once per session, and the calling process runs the remaining share.
 Every point's parameters are checked before the first session; the
-sessions run two at a time when there is a pool, so the next point's
-shares are queued while the current point's drain (:func:`_run_grid`),
-and each point's warnings are logged with its rows.
+sessions then run one after another (:func:`_run_grid`), and each point's
+warnings are logged with its rows.
 Per-point substreams are keyed on the value's bit pattern and on the
 scenario's position in ``spec.scenarios``, so any subset of the values run
 with the same scenarios reproduces the full run exactly (a different
@@ -24,14 +23,11 @@ experiment definition and the seed: no timing goes into a row.
 
 from __future__ import annotations
 
-import collections
-import functools
 import logging
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 from .config import SCENARIOS, apply_scenario
 from .params import SystemParams, derive_stats, drif
@@ -204,36 +200,26 @@ class _Session(NamedTuple):
     point_key: tuple[int, ...]
     note: str | None = None  # the grid point's warning, logged just before its rows
 
-    def start(
-        self, spec: SweepSpec, pool, trace
-    ) -> tuple[Callable[[], dict[str, DetectorTally]], list[str]]:
-        """The session call, its statistics derived now, on the calling thread,
-        and the warnings that deriving them raised.
+    def run(self, spec: SweepSpec, pool, trace) -> tuple[dict[str, DetectorTally], list[str]]:
+        """Run the session; returns its tallies and the warnings that
+        deriving its statistics, just before it runs, raised.
 
         The warnings (``derive_stats`` falling back to a midpoint threshold)
         are recorded, not shown, so the grid logs them with the session's
-        rows rather than while an earlier session still runs; th3 and th4
-        falling back give the same text, kept once.  Recording swaps
-        process-wide state, so a warning a dispatch thread raised meanwhile
-        would be recorded too; a running session raises none, though its
-        first share runs on a dispatch thread of this process (the chunks
-        warn in no edge case: ``tests/test_protocol.py`` runs them with
-        warnings as errors).
+        rows; th3 and th4 falling back give the same text, kept once.
         """
         if self.scheme == "classical":
-            call = functools.partial(
-                run_classical_session,
+            tallies = run_classical_session(
                 spec.num_bits,
                 self.params,
                 seed=spec.master_seed,
                 pool=pool,
                 point_key=self.point_key,
             )
-            return call, []
+            return tallies, []
         with warnings.catch_warnings(record=True) as caught:
             stats = derive_stats(self.params)
-        call = functools.partial(
-            run_session,
+        tallies = run_session(
             spec.num_bits,
             ProtocolConfig(self.params, stats),
             seed=spec.master_seed,
@@ -242,7 +228,7 @@ class _Session(NamedTuple):
             point_key=self.point_key,
             trace=trace,
         )
-        return call, list(dict.fromkeys(str(w.message) for w in caught))
+        return tallies, list(dict.fromkeys(str(w.message) for w in caught))
 
 
 def _session_rows(
@@ -313,43 +299,19 @@ def _rh_sessions(
 
 
 def _run_grid(spec: SweepSpec, sessions: list[_Session], pool, trace=None) -> list[ResultRow]:
-    """Run the sessions of a grid and return their rows in grid order.
+    """Run the sessions of a grid one after another and return their rows
+    in grid order.
 
-    Each session's statistics are derived on this thread just before it
-    starts.  Without a pool the sessions run one after another.  With one,
-    two dispatch threads run them: the next session is started as soon as
-    the one before the current one ends, so its shares are queued while the
-    current session's drain and the workers do not wait at a barrier
-    between points; at most two sessions are in flight.  Each dispatch
-    thread runs its session's first share in this process and the pool's
-    workers run the others (:func:`rhkljn.protocol.worker_pool`).  Rows,
-    and the warnings of each point, are made on this thread in grid order
-    either way, so stdout and stderr do not depend on the pool.  On an exception
-    a session not yet started is cancelled and a running one waited for,
-    so no dispatch thread outlives the call.
+    On a pool each session runs in the pool's shares
+    (:func:`rhkljn.protocol.worker_pool`).  A session's rows, and the
+    warnings of its point, are made as soon as it ends, so stdout and
+    stderr do not depend on the pool.
     """
     rows: list[ResultRow] = []
-    if pool is None:
-        for session in sessions:
-            call, caught = session.start(spec, pool, trace)
-            rows += _session_rows(spec, session, call(), caught)
-        return rows
-    dispatch = ThreadPoolExecutor(2, thread_name_prefix="rhkljn-session")
-    try:
-        # the pool forked its workers when it opened, before these threads
-        # existed, so no worker inherits a lock one of them held
-        in_flight = collections.deque()
-        for session in sessions:
-            call, caught = session.start(spec, pool, trace)
-            in_flight.append((session, dispatch.submit(call), caught))
-            if len(in_flight) == 2:
-                done, future, done_caught = in_flight.popleft()
-                rows += _session_rows(spec, done, future.result(), done_caught)
-        for done, future, done_caught in in_flight:
-            rows += _session_rows(spec, done, future.result(), done_caught)
-        return rows
-    finally:
-        dispatch.shutdown(wait=True, cancel_futures=True)
+    for session in sessions:
+        tallies, caught = session.run(spec, pool, trace)
+        rows += _session_rows(spec, session, tallies, caught)
+    return rows
 
 
 def run_sweep(
@@ -359,11 +321,11 @@ def run_sweep(
     return rows in grid order.
 
     Every grid point's parameters are set and checked before the first
-    session runs; the sessions then run two at a time when ``jobs`` is
-    above 1 (see :func:`_run_grid`).
-    ``trace`` (a writable text file) logs every chip and requires a
-    single-point grid; it runs serially, and a ``jobs`` above 1 is ignored
-    with a warning.
+    session runs; the sessions then run one after another (:func:`_run_grid`).
+    ``trace`` (the path of a per-chip log) requires a single-point grid
+    and is opened, truncating the file, only once the point is checked;
+    a traced sweep runs serially, and a ``jobs`` above 1 is ignored with a
+    warning.
     """
     if trace is not None and (len(spec.values) != 1 or len(spec.scenarios) != 1):
         raise ValueError("tracing needs a single grid point (one value, one scenario)")
@@ -375,7 +337,10 @@ def run_sweep(
         for value in spec.values:
             params, note = _point_params(base_params, spec.swept_parameter, value)
             sessions += _rh_sessions(spec, params, value, _TAG_SWEEP, note)
-        return _run_grid(spec, sessions, pool, trace)
+        if trace is None:
+            return _run_grid(spec, sessions, pool)
+        with open(trace, "w") as log:
+            return _run_grid(spec, sessions, pool, log)
 
 
 def run_compare(spec: SweepSpec, base_params: SystemParams, jobs: int = 1) -> list[ResultRow]:

@@ -231,17 +231,14 @@ class TestGridPoints:
 def pool_counts(monkeypatch):
     """Executors built and tasks submitted to them, through ``protocol.ProcessPoolExecutor``."""
     counts = {"built": 0, "tasks": 0}
-    lock = threading.Lock()  # sessions of a grid submit from two threads
 
     class CountingPool(ProcessPoolExecutor):
         def __init__(self, *args, **kwargs):
-            with lock:
-                counts["built"] += 1
+            counts["built"] += 1
             super().__init__(*args, **kwargs)
 
         def submit(self, *args, **kwargs):
-            with lock:
-                counts["tasks"] += 1
+            counts["tasks"] += 1
             return super().submit(*args, **kwargs)
 
     monkeypatch.setattr(protocol, "ProcessPoolExecutor", CountingPool)
@@ -264,7 +261,7 @@ class TestWorkerPool:
     """One pool per grid: every session of a sweep or compare runs its chunks on it."""
 
     # 2100 bits are three chunks, so at up to three jobs every session
-    # submits one task per worker; a pool's first task, a no-op, forks them
+    # submits one task per worker
     @pytest.mark.parametrize("jobs, built", [(1, 0), (2, 1), (3, 1)])
     def test_sweep_opens_one_pool(self, pool_counts, jobs, built):
         spec = SweepSpec(
@@ -272,7 +269,7 @@ class TestWorkerPool:
         )
         rows = run_sweep(spec, SystemParams(samples_per_chip=3), jobs=jobs)
         assert len(rows) == 3 * 2
-        assert pool_counts == {"built": built, "tasks": built * (1 + 6 * (jobs - 1))}
+        assert pool_counts == {"built": built, "tasks": built * 6 * (jobs - 1)}
 
     @pytest.mark.parametrize("jobs, built", [(1, 0), (2, 1), (3, 1)])
     def test_compare_opens_one_pool(self, pool_counts, jobs, built):
@@ -280,21 +277,21 @@ class TestWorkerPool:
         rows = run_compare(spec, SystemParams(), jobs=jobs)
         # per rate: one classical and two hopping sessions
         assert [r.scheme for r in rows] == ["classical", "rh", "rh"] * 2
-        assert pool_counts == {"built": built, "tasks": built * (1 + 6 * (jobs - 1))}
+        assert pool_counts == {"built": built, "tasks": built * 6 * (jobs - 1)}
 
     # one chunk per session: the calling process runs it, and the pool gets
-    # only the no-op that forks its workers
+    # no task, so no worker is forked
     @pytest.mark.parametrize("jobs", [2, 3])
     def test_single_chunk_sessions_submit_no_task(self, pool_counts, jobs):
         spec = SweepSpec("beta", (3.4, 3.7), scenarios=("fine_tuned", "good"), num_bits=1_000)
         assert run_sweep(spec, SystemParams(samples_per_chip=3), jobs=jobs) == run_sweep(
             spec, SystemParams(samples_per_chip=3), jobs=1
         )
-        assert pool_counts == {"built": 1, "tasks": 1}
+        assert pool_counts == {"built": 1, "tasks": 0}
 
-    # the workers are forked when the pool opens, on the thread that calls
-    # main: no thread the command starts, above all no session dispatch
-    # thread (which runs chunks in this process), exists at the fork
+    # the workers are forked by the pool's first task, on the thread that
+    # calls main, before the executor starts its manager thread: no thread
+    # the command starts exists at the fork
     @pytest.mark.parametrize(
         "argv",
         [
@@ -341,8 +338,8 @@ class TestWorkerPool:
         assert pool_counts["built"] == 0
 
 
-def _dispatch_threads() -> list[str]:
-    return [t.name for t in threading.enumerate() if t.name.startswith("rhkljn-session")]
+def _threads_started_since(before: set) -> list[str]:
+    return [t.name for t in threading.enumerate() if t not in before]
 
 
 class _Stop(BaseException):
@@ -354,52 +351,33 @@ def _stop_chunk(*args, **kwargs):
 
 
 class TestSessionPipeline:
-    """At ``jobs`` above 1 a grid's sessions run two at a time on dispatch threads."""
+    """At any ``jobs`` a grid runs its sessions one after another."""
 
     SPEC = SweepSpec("beta", (3.4, 3.5, 3.6, 3.7, 3.8, 3.9), num_bits=1_500, master_seed=5)
     PARAMS = SystemParams(samples_per_chip=3)
 
-    def test_rows_keep_grid_order_when_sessions_finish_out_of_order(self, monkeypatch):
+    def test_sessions_never_overlap(self, monkeypatch):
         serial = run_sweep(self.SPEC, self.PARAMS, jobs=1)
         real = sweep.run_session
         lock = threading.Lock()
         in_flight, peak = [0], [0]
 
-        position = {value_key(v): i for i, v in enumerate(self.SPEC.values)}
-
-        def slow_first(*args, point_key, **kwargs):
+        def counted(*args, **kwargs):
             with lock:
                 in_flight[0] += 1
                 peak[0] = max(peak[0], in_flight[0])
             try:
-                # earlier grid points take longer, so later ones finish first
-                time.sleep(0.01 * (len(position) - position[point_key[-1]]))
-                return real(*args, point_key=point_key, **kwargs)
+                time.sleep(0.01)  # long enough for a second session to start beside it
+                return real(*args, **kwargs)
             finally:
                 with lock:
                     in_flight[0] -= 1
 
-        monkeypatch.setattr(sweep, "run_session", slow_first)
+        monkeypatch.setattr(sweep, "run_session", counted)
+        before = set(threading.enumerate())
         assert run_sweep(self.SPEC, self.PARAMS, jobs=2) == serial
-        assert peak[0] == 2
-        assert not _dispatch_threads()
-
-    def test_single_chunk_sessions_on_both_threads_match_serial(self):
-        # one chunk per session: the chunks run on the two dispatch threads
-        # themselves, sharing the process's draw-table cache; a short switch
-        # interval makes the threads interleave as often as they can
-        spec = SweepSpec(
-            "alpha", tuple(float(a) for a in range(6, 18)), detectors=("ml", "simple"),
-            scenarios=("fine_tuned", "good"), num_bits=200, master_seed=8,
-        )
-        serial = run_sweep(spec, self.PARAMS, jobs=1)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            assert run_sweep(spec, self.PARAMS, jobs=2) == serial
-        finally:
-            sys.setswitchinterval(interval)
-        assert not _dispatch_threads()
+        assert peak[0] == 1
+        assert _threads_started_since(before) == []
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_failing_session_stops_the_grid(self, monkeypatch, jobs):
@@ -410,17 +388,15 @@ class TestSessionPipeline:
             started.append(point_key)
             if point_key == first_key:
                 raise ValueError("the first session failed")
-            time.sleep(0.3)  # holds its thread while the error is handled
             return {}
 
         monkeypatch.setattr(sweep, "run_session", session)
+        before = set(threading.enumerate())
         with pytest.raises(ValueError, match="^the first session failed$"):
             run_sweep(self.SPEC, self.PARAMS, jobs=jobs)
-        # serially nothing runs after the failure; on two threads at most the
-        # one session started beside it, never a later one
-        assert started[0] == first_key
-        assert len(started) == 1 if jobs == 1 else 1 <= len(started) <= 2
-        assert not _dispatch_threads()
+        # nothing runs after the failure
+        assert started == [first_key]
+        assert _threads_started_since(before) == []
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_base_exception_of_a_session_reaches_the_caller(self, monkeypatch, jobs):
@@ -429,6 +405,7 @@ class TestSessionPipeline:
 
         monkeypatch.setattr(sweep, "run_session", stop)
         monkeypatch.setattr(sweep, "run_classical_session", stop)
+        before = set(threading.enumerate())
         with pytest.raises(_Stop):
             run_sweep(self.SPEC, self.PARAMS, jobs=int(jobs))
         for argv in (
@@ -437,7 +414,7 @@ class TestSessionPipeline:
         ):
             with pytest.raises(_Stop):
                 main(argv + ["--jobs", jobs])
-        assert not _dispatch_threads()
+        assert _threads_started_since(before) == []
 
 
 class TestCli:
@@ -651,8 +628,9 @@ class TestCli:
             ["compare", "--values", "2e4,5e4", "--out"],
             ["pls", "--measure", "--tolerance", "0.01", "--out"],
             ["pls", "--measure", "--tolerance", "0.01", "--csv"],
+            ["sweep", "--sweep", "n", "--values", "3", "--trace"],
         ],
-        ids=["sweep", "compare", "pls-out", "pls-csv"],
+        ids=["sweep", "compare", "pls-out", "pls-csv", "sweep-trace"],
     )
     def test_unwritable_output_fails_before_any_session(self, tmp_path, capsys, monkeypatch, argv):
         def refuse(*args, **kwargs):
@@ -680,6 +658,26 @@ class TestCli:
         assert main(argv) == 1
         assert "error: samples per chip must be >= 1, got 0.0" in capsys.readouterr().err
         assert out.read_text() == "earlier rows\n"
+
+    # the trace file is opened only once the grid is checked, so a traced
+    # sweep that fails its checks leaves an existing file as it was
+    @pytest.mark.parametrize(
+        "values, message",
+        [("0", "samples per chip must be >= 1"), ("3,5", "tracing needs a single grid point")],
+        ids=["invalid-point", "two-points"],
+    )
+    def test_invalid_traced_sweep_keeps_the_trace_file(
+        self, tmp_path, capsys, monkeypatch, values, message
+    ):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a session ran")
+
+        monkeypatch.setattr(sweep, "run_session", refuse)
+        trace = tmp_path / "t.log"
+        trace.write_bytes(b"earlier chips\n")
+        assert main(["sweep", "--sweep", "n", "--values", values, "--trace", str(trace)]) == 1
+        assert f"error: {message}" in capsys.readouterr().err
+        assert trace.read_bytes() == b"earlier chips\n"
 
     @pytest.mark.parametrize("jobs", ["0", "-4"])
     def test_jobs_below_one_exits_one(self, tmp_path, capsys, jobs):
@@ -755,8 +753,8 @@ class TestCli:
         assert fallbacks == [f"WARNING gamma=8 good: {message}", f"WARNING gamma=3 good: {message}"]
 
     # stdout, stderr and the CSV of a grid must not depend on --jobs, though
-    # its sessions run two at a time above 1.  A fresh interpreter prints the
-    # log warnings on stderr, as a command line does.
+    # above 1 each session runs in shares across processes.  A fresh
+    # interpreter prints the log warnings on stderr, as a command line does.
     @pytest.mark.parametrize(
         "argv, marker",
         [

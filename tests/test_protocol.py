@@ -264,9 +264,9 @@ class TestRunSession:
             with worker_pool(jobs) as pool:
                 assert [session(bits, pool=pool) for bits in (650, 150)] == serial, jobs
 
-    # the sessions of a grid record derive_stats warnings process-wide while
-    # other sessions' chunks run on threads of the same process, so a chunk
-    # must never warn, in the edge cases least of all
+    # a chunk's warning would reach stderr from whichever process ran the
+    # chunk, so stderr would depend on --jobs: a chunk must never warn, in
+    # the edge cases least of all
     @pytest.mark.parametrize(
         "overrides",
         [NOISELESS, dict(samples_per_chip=1), dict(m_l=0.0)],
