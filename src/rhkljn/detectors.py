@@ -18,9 +18,10 @@ assigns the label g of the middle Gaussian that produced it:
                    obtained from the weighted two-Gaussian decision problem
                    (quadratic in the threshold).
 
-``gate`` and ``threshold_detect`` take a scalar or an array of sample means;
-``threshold_keep`` is the session tally's mask of ``threshold_detect`` labels
-other than 1, built without the labels.
+``gate`` and ``threshold_detect`` take a scalar or an array of sample means.
+The session tally reads keep masks, not labels: ``threshold_keep`` is the
+mask of ``threshold_detect`` labels other than 1 and ``ml_keep`` that of
+``detect_moments``, each built without the labels.
 
 Label convention: g indexes the mean, so g=1 is the center Gaussian (mean
 m1, discarded by the protocol), g=2 the left one (m2) and g=3 the right one
@@ -118,14 +119,24 @@ def threshold_keep(m_hat: np.ndarray, th3: float, th4: float) -> np.ndarray:
 _DEGENERATE_RTOL = 1e-12
 
 
-def _moment_cost(m_hat: np.ndarray, scatter: np.ndarray, n: int, mean: float, std: float):
-    """The cost of one hypothesis; see :func:`moment_costs`."""
+def _moment_cost(m_hat: np.ndarray, scatter: np.ndarray, n: int, mean: float, std: float, out):
+    """The cost of one hypothesis, written into ``out``; see :func:`moment_costs`.
+
+    The steps of ``n*ln(std) + (scatter + n*(m_hat - mean)**2) / (2*std**2)``
+    run in place, in that order (IEEE + and * commute, so no bit moves).
+    """
     if std == 0.0:
         tol = _DEGENERATE_RTOL * max(abs(mean), 1e-300)
         exact = (np.abs(m_hat - mean) <= tol) & (scatter <= n * tol**2)
-        return np.where(exact, -np.inf, np.inf)
-    sq = scatter + n * (m_hat - mean) ** 2
-    return n * math.log(std) + sq / (2.0 * std**2)
+        np.copyto(out, np.where(exact, -np.inf, np.inf))
+        return out
+    np.subtract(m_hat, mean, out=out)
+    np.square(out, out=out)
+    out *= n
+    out += scatter
+    out /= 2.0 * std**2
+    out += n * math.log(std)
+    return out
 
 
 def moment_costs(
@@ -146,9 +157,9 @@ def moment_costs(
     """
     m_hat = np.asarray(m_hat, dtype=float)
     scatter = np.asarray(scatter, dtype=float)
-    costs = np.empty(m_hat.shape + (len(means),))
+    costs = np.empty(np.broadcast_shapes(m_hat.shape, scatter.shape) + (len(means),))
     for j, (mean, std) in enumerate(zip(means, stds)):
-        costs[..., j] = _moment_cost(m_hat, scatter, n, mean, std)
+        _moment_cost(m_hat, scatter, n, mean, std, costs[..., j])
     return costs
 
 
@@ -165,17 +176,49 @@ def detect_moments(
     The costs are scanned in that order with a running minimum that a
     later hypothesis replaces only when strictly lower, which picks what
     ``argmin`` over the stacked costs picks without building the stack.
+    Two cost buffers serve every hypothesis.
     """
     m_hat = np.asarray(m_hat, dtype=float)
     scatter = np.asarray(scatter, dtype=float)
+    shape = np.broadcast_shapes(m_hat.shape, scatter.shape)
     first, *rest = sorted(hyps, key=lambda h: h.std)
-    best = _moment_cost(m_hat, scatter, n, first.mean, first.std)
-    labels = np.full(np.shape(best), first.label)
+    best = _moment_cost(m_hat, scatter, n, first.mean, first.std, np.empty(shape))
+    cost = np.empty(shape)
+    labels = np.full(shape, first.label)
     for h in rest:
-        cost = _moment_cost(m_hat, scatter, n, h.mean, h.std)
+        _moment_cost(m_hat, scatter, n, h.mean, h.std, cost)
         labels[cost < best] = h.label
-        best = np.minimum(best, cost)
+        np.minimum(best, cost, out=best)
     return labels if labels.ndim else labels[()]
+
+
+def ml_keep(
+    m_hat: np.ndarray,
+    scatter: np.ndarray,
+    n: int,
+    hyps: Sequence[GaussianHypothesis],
+) -> np.ndarray:
+    """``detect_moments(m_hat, scatter, n, hyps) != 1`` for arrays, without the labels.
+
+    In :func:`detect_moments` the center hypothesis (label 1) takes a chip
+    when its cost is below that of every hypothesis before it in the sigma
+    order and no higher than that of every one after it; the mask is the
+    complement, one comparison per other hypothesis, with one buffer for
+    the center's cost and one for the others'.  (A NaN cost, which no chip
+    the gate keeps has, follows the comparisons, not the running minimum.)
+    """
+    shape = np.broadcast_shapes(np.shape(m_hat), np.shape(scatter))
+    ordered = sorted(hyps, key=lambda h: h.std)
+    k = [h.label for h in ordered].index(1)
+    center = _moment_cost(m_hat, scatter, n, ordered[k].mean, ordered[k].std, np.empty(shape))
+    cost = np.empty(shape)
+    keep = np.zeros(shape, dtype=bool)
+    for i, h in enumerate(ordered):
+        if i != k:
+            _moment_cost(m_hat, scatter, n, h.mean, h.std, cost)
+            # an earlier hypothesis takes the chip on a tie, a later one only below
+            keep |= (cost <= center) if i < k else (cost < center)
+    return keep
 
 
 def _moments(values) -> tuple[np.ndarray, np.ndarray, int]:

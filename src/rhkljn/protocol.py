@@ -20,8 +20,8 @@ The coins (the secret bits and Eve's guesses) are the top bits of the
 Each chip's mean and variance are looked up in the 16-state table of
 :func:`rhkljn.params.state_moments`, the table Eve's hypotheses come from,
 and S is drawn only when the ``ml`` detector, the one detector that reads
-it, runs.  The threshold detectors are tallied from keep masks; labels
-are built only for ``ml`` and for the trace.
+it, runs.  Every detector is tallied from a keep mask, ``ml`` scored only
+on the chips the gate keeps; labels are built only for the trace.
 Work is split into fixed-size chunks of bits, each with its own seed
 substream, so results are bit-identical across worker counts.  Chunks run
 serially, or in N shares on the pool of :func:`worker_pool`: N - 1 worker
@@ -278,12 +278,14 @@ def _rh_chunk(spec: _ChunkSpec) -> dict[str, DetectorTally]:
 
 
 def _tally_chunk(spec, a_main, b_main, a_sub, b_sub, scatter, m_hat, eve_guess_a):
-    """One tally per detector, the ``ml`` labels (the only labels built) and the gate.
+    """One tally per detector, and the gate.
 
-    A threshold detector keeps a gated chip unless it labels it g = 1; the
-    tally reads that mask (:func:`rhkljn.detectors.threshold_keep`) and
-    builds no label array, so the trace, which shows the labels, gets them
-    from :func:`rhkljn.detectors.threshold_detect`.
+    A detector keeps a gated chip unless it labels it g = 1; the tally
+    reads that mask (:func:`rhkljn.detectors.threshold_keep`, or
+    :func:`rhkljn.detectors.ml_keep` on the gated chips alone) and builds
+    no label array, so the trace, which shows the labels, gets them from
+    :func:`rhkljn.detectors.threshold_detect` and
+    :func:`rhkljn.detectors.detect_moments`.
     """
     stats = spec.stats
     thresholds = stats.thresholds()
@@ -297,14 +299,15 @@ def _tally_chunk(spec, a_main, b_main, a_sub, b_sub, scatter, m_hat, eve_guess_a
     chips_any = np.ones(a_sub.shape[1], dtype=bool)
 
     tallies: dict[str, DetectorTally] = {}
-    labels: dict[str, np.ndarray] = {}
     for name in spec.detectors:
         if name == "ml":
-            g = det.detect_moments(
-                m_hat, scatter, spec.params.samples_per_chip, stats.middle_hypotheses()
+            kept = gate_keep.copy()
+            kept[gate_keep] = det.ml_keep(
+                m_hat[gate_keep],
+                scatter[gate_keep],
+                spec.params.samples_per_chip,
+                stats.middle_hypotheses(),
             )
-            labels[name] = g
-            kept = gate_keep & (g != 1)
         else:
             kept = gate_keep & det.threshold_keep(m_hat, *thresholds.pair(name))
 
@@ -318,7 +321,7 @@ def _tally_chunk(spec, a_main, b_main, a_sub, b_sub, scatter, m_hat, eve_guess_a
             discarded_g1=gate_kept - kept_chips,
             eve_correct=int(np.count_nonzero(kept & eve_right)),
         )
-    return tallies, labels, gate_keep
+    return tallies, gate_keep
 
 
 def _chunk_sizes(num_bits: int, chunk_bits: int) -> list[int]:
@@ -438,11 +441,15 @@ def run_session(
 
 def _traced_chunk(spec: _ChunkSpec, trace, chunk_bits: int) -> dict[str, DetectorTally]:
     arrays = _rh_chunk_arrays(spec)
-    a_main, b_main, a_sub, b_sub, _, m_hat, _ = arrays
-    tallies, labels, gate_keep = _tally_chunk(spec, *arrays)
+    a_main, b_main, a_sub, b_sub, scatter, m_hat, _ = arrays
+    tallies, gate_keep = _tally_chunk(spec, *arrays)
     thresholds = spec.stats.thresholds()
+    labels = {}
     for name in spec.detectors:
-        if name != "ml":
+        if name == "ml":
+            hyps = spec.stats.middle_hypotheses()
+            labels[name] = det.detect_moments(m_hat, scatter, spec.params.samples_per_chip, hyps)
+        else:
             labels[name] = det.threshold_detect(m_hat, *thresholds.pair(name))
     base_bit = spec.key[-1] * chunk_bits
     for i in range(spec.n_bits):

@@ -308,7 +308,6 @@ class TestWorkerPool:
         monkeypatch.setattr(sys.modules[__name__], "_fork_threads", None)
         assert len(forks) == 1  # one worker beside the calling process
         assert set(forks[0]) <= before
-        assert not [t.name for t in forks[0] if t.name.startswith("rhkljn-session")]
 
     def test_no_worker_outlives_the_command(self, monkeypatch, capsys):
         argv = ["sweep", "--sweep", "beta", "--values", "3.4,3.7,4.0", "--bits", "2100", "--jobs", "2"]
@@ -350,7 +349,7 @@ def _stop_chunk(*args, **kwargs):
     raise _Stop
 
 
-class TestSessionPipeline:
+class TestSerialSessions:
     """At any ``jobs`` a grid runs its sessions one after another."""
 
     SPEC = SweepSpec("beta", (3.4, 3.5, 3.6, 3.7, 3.8, 3.9), num_bits=1_500, master_seed=5)

@@ -23,7 +23,9 @@ from rhkljn import (
     stationarity_residual,
     threshold_detect,
 )
-from rhkljn.detectors import detect_moments, moment_costs
+from rhkljn.config import SCENARIOS, apply_scenario
+from rhkljn.detectors import detect_moments, ml_keep, moment_costs
+from rhkljn.protocol import _ChunkSpec, _rh_chunk_arrays
 from conftest import random_valid_params
 
 
@@ -243,8 +245,9 @@ class TestMomentForm:
 
 
 class TestRunningMinimum:
-    """``detect_moments`` keeps a running minimum over the sigma-sorted costs;
-    the oracle is ``argmin`` over the stacked :func:`moment_costs`."""
+    """``detect_moments`` keeps a running minimum over the sigma-sorted costs
+    and ``ml_keep`` compares the center's cost with each other one; the
+    oracle is ``argmin`` over the stacked :func:`moment_costs`."""
 
     @staticmethod
     def argmin_labels(m_hat, scatter, n, hyps):
@@ -308,9 +311,11 @@ class TestRunningMinimum:
             got = detect_moments(m_hat, scatter, n, hyps)
             # the chunk shape and a single chip give the same labels
             grid = detect_moments(m_hat.reshape(-1, 10), scatter.reshape(-1, 10), n, hyps)
+            keep = ml_keep(m_hat, scatter, n, hyps)
         assert np.array_equal(got, want)
         assert np.array_equal(grid.ravel(), want)
         assert detect_moments(m_hat[0], scatter[0], n, hyps) == want[0]
+        assert np.array_equal(keep, want != 1)
 
     def test_ties_and_infinite_costs_occur(self):
         # the cases the oracle comparison above is there for
@@ -323,6 +328,75 @@ class TestRunningMinimum:
         assert np.any((costs[:, 0] == costs[:, 1]) & (costs[:, 0] == -np.inf))
         assert np.any(np.all(costs == np.inf, axis=1))
         assert set(np.unique(labels)) == {2, 3}  # the duplicate point mass never wins a tie
+
+
+class TestMlKeep:
+    """``ml_keep`` is ``detect_moments(...) != 1``: the tally's ``ml`` mask."""
+
+    @staticmethod
+    def assert_matches_labels(m_hat, scatter, n, hyps):
+        keep = ml_keep(m_hat, scatter, n, hyps)
+        assert keep.dtype == bool
+        assert np.array_equal(keep, detect_moments(m_hat, scatter, n, hyps) != 1)
+        return keep
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 40])
+    @pytest.mark.parametrize("scenario", SCENARIOS)
+    def test_session_chunks(self, scenario, n):
+        params = apply_scenario(SystemParams(samples_per_chip=n), scenario)
+        spec = _ChunkSpec(params, derive_stats(params), ("ml",), 1024, 60 + n, (0,))
+        _, _, _, _, scatter, m_hat, _ = _rh_chunk_arrays(spec)
+        keep = self.assert_matches_labels(m_hat, scatter, n, spec.stats.middle_hypotheses())
+        assert keep.any() and not keep.all()
+
+    def test_exact_ties_on_either_side_of_the_center(self):
+        # equal sigmas keep the given order: label 2, then the center, then
+        # label 3.  Halfway between two means the costs tie exactly; the
+        # earlier hypothesis takes the chip, so the center loses the tie
+        # with label 2 and wins the one with label 3.  Far out every cost
+        # is +inf, a tie of all three that label 2 takes.
+        hyps = (
+            GaussianHypothesis(label=2, mean=-1.0, std=1.0),
+            GaussianHypothesis(label=1, mean=0.0, std=1.0),
+            GaussianHypothesis(label=3, mean=1.0, std=1.0),
+        )
+        m_hat = np.array([-0.5, 0.5, np.nextafter(-0.5, 0.0), np.nextafter(0.5, 1.0), 1e300, -1e300])
+        scatter = np.zeros_like(m_hat)
+        with np.errstate(over="ignore"):
+            costs = moment_costs(m_hat, scatter, 3, [h.mean for h in hyps], [h.std for h in hyps])
+            keep = self.assert_matches_labels(m_hat, scatter, 3, hyps)
+        assert costs[0, 0] == costs[0, 1] and costs[1, 1] == costs[1, 2]
+        assert np.all(costs[4:] == np.inf)
+        assert keep.tolist() == [True, False, False, True, True, True]
+
+    # (hypotheses, m_hat, keep): a point mass of label 2 before the center
+    # in sigma order, or the center as the point mass that comes first
+    INFINITE_TIES = {
+        "before_center": (((2, 0.25, 0.0), (1, 0.0, 1.0), (3, 2.0, 2.0)), [1e300, 0.25, 0.0], [True, True, False]),
+        "after_center": (((1, 0.0, 0.0), (2, 1.0, 1.0), (3, 2.0, 2.0)), [1e300, 0.0, 1.0], [False, False, True]),
+    }
+
+    @pytest.mark.parametrize("kind", list(INFINITE_TIES))
+    def test_infinite_ties_of_unequal_sigmas(self, kind):
+        # far out every cost is +inf and the first hypothesis in sigma order
+        # takes the tie; a chip on a point mass costs it -inf
+        triples, m_hat, want = self.INFINITE_TIES[kind]
+        hyps = [GaussianHypothesis(label=g, mean=m, std=sd) for g, m, sd in triples]
+        m_hat = np.array(m_hat)
+        with np.errstate(over="ignore"):
+            keep = self.assert_matches_labels(m_hat, np.zeros_like(m_hat), 1, hyps)
+        assert keep.tolist() == want
+
+    def test_noiseless_chips(self):
+        # zero temperature: every hypothesis is a point mass, every chip sits
+        # on its state's mean, and costs are -inf or +inf
+        params = SystemParams(samples_per_chip=5, temperature=0.0)
+        stats = derive_stats(params)
+        assert all(h.std == 0.0 for h in stats.middle_hypotheses())
+        spec = _ChunkSpec(params, stats, ("ml",), 400, 7, (0,))
+        _, _, _, _, scatter, m_hat, _ = _rh_chunk_arrays(spec)
+        keep = self.assert_matches_labels(m_hat, scatter, 5, stats.middle_hypotheses())
+        assert keep.any() and not keep.all()
 
 
 class TestErrorProbabilities:

@@ -6,6 +6,7 @@ import itertools
 import math
 import operator
 import time
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -55,11 +56,11 @@ class TestChipVerdicts:
         spec = _ChunkSpec(params, stats, (detector,), 400, 7, (0,))
         arrays = _rh_chunk_arrays(spec)
         a_main, b_main, a_sub, b_sub = arrays[:4]
-        tallies, labels, gate_keep = _tally_chunk(spec, *arrays)
+        tallies, gate_keep = _tally_chunk(spec, *arrays)
 
         mixed = np.broadcast_to((a_main != b_main)[:, None], a_sub.shape)
         assert np.array_equal(gate_keep, mixed)
-        g = detector_labels(spec, labels, arrays[5])[detector]
+        g = detector_labels(spec, arrays[5], arrays[4])[detector]
         kept = gate_keep & (g != 1)
         # kept exactly when the mains and the sub-bits both differ, which is
         # when the flip rule recovers the partner's bits
@@ -112,8 +113,8 @@ def noiseless_bit(a_main, a_subs, b_main, b_subs, detector="optimum"):
     a_m, b_m = np.array([a_main]), np.array([b_main])
     out = []
     for own in ((a_m, b_m, a_sub, b_sub), (b_m, a_m, b_sub, a_sub)):
-        tallies, labels, gate_keep = _tally_chunk(spec, *own, scatter, m_hat, eve)
-        g = detector_labels(spec, labels, m_hat)[detector]
+        tallies, gate_keep = _tally_chunk(spec, *own, scatter, m_hat, eve)
+        g = detector_labels(spec, m_hat, scatter)[detector]
         out.append((decisions(gate_keep, g)[0], g[0], tallies[detector]))
     return out
 
@@ -155,8 +156,8 @@ class TestRunChip:
         spec = _ChunkSpec(params, stats, ("optimum",), 500, 29, (0,))
         arrays = _rh_chunk_arrays(spec)
         a_main, b_main, a_sub, b_sub = arrays[:4]
-        _, labels, gate_keep = _tally_chunk(spec, *arrays)
-        g = detector_labels(spec, labels, arrays[5])["optimum"]
+        _, gate_keep = _tally_chunk(spec, *arrays)
+        g = detector_labels(spec, arrays[5], arrays[4])["optimum"]
 
         middle = {1: stats.m1, 2: stats.m2, 3: stats.m3}
         true_g = np.zeros_like(g)
@@ -560,7 +561,8 @@ class TestCoins:
 
 
 class TestThresholdKeep:
-    """The tally's keep mask against the labels of ``threshold_detect``."""
+    """The tally's keep masks against the labels of ``threshold_detect`` and
+    ``detect_moments``."""
 
     @staticmethod
     def assert_mask_matches_labels(m_hat, th3, th4):
@@ -589,15 +591,19 @@ class TestThresholdKeep:
         # 1e5 chips: the tally's counts against counts made from the labels
         params = SystemParams(samples_per_chip=2)
         stats = derive_stats(params)
-        spec = _ChunkSpec(params, stats, ("simple", "optimum"), 10_000, 19, (0,))
+        spec = _ChunkSpec(params, stats, DETECTOR_CHOICES, 10_000, 19, (0,))
         arrays = _rh_chunk_arrays(spec)
-        a_main, b_main, a_sub, b_sub, _, m_hat, eve = arrays
-        tallies, labels, gate_keep = _tally_chunk(spec, *arrays)
-        assert labels == {}
+        a_main, b_main, a_sub, b_sub, scatter, m_hat, eve = arrays
+        result = _tally_chunk(spec, *arrays)
+        # the tallies and the gate: no detector's labels are built
+        assert len(result) == 2
+        tallies, gate_keep = result
+        assert gate_keep.dtype == bool
+        labels = detector_labels(spec, m_hat, scatter)
         for name in spec.detectors:
-            th3, th4 = stats.thresholds().pair(name)
-            self.assert_mask_matches_labels(m_hat, th3, th4)
-            g = threshold_detect(m_hat, th3, th4)
+            if name != "ml":
+                self.assert_mask_matches_labels(m_hat, *stats.thresholds().pair(name))
+            g = labels[name]
             kept = gate_keep & (g != 1)
             tally = tallies[name]
             assert tally.total_chips == m_hat.size == 100_000
@@ -606,6 +612,27 @@ class TestThresholdKeep:
             assert tally.sub_bit_errors == int((kept & (a_sub == b_sub)).sum()) > 0
             assert tally.main_bit_errors == int((kept.any(axis=1) & (a_main == b_main)).sum())
             assert tally.eve_correct == int((kept & (eve == a_main[:, None])).sum())
+
+
+class TestMlTally:
+    """``ml`` is tallied from :func:`rhkljn.detectors.ml_keep` on the gated chips."""
+
+    def test_peak_allocation_is_bounded(self):
+        # a deterministic guard on the temporaries of the ml path: one
+        # 1024-bit chunk of 10,240 chips at n = 3 holds 80 KiB per float64
+        # array; scoring every chip with full-size label and cost arrays
+        # peaked at ~514 KiB
+        params = SystemParams(samples_per_chip=3)
+        spec = _ChunkSpec(params, derive_stats(params), ("ml",), 1024, 5, (0,))
+        arrays = _rh_chunk_arrays(spec)
+        _tally_chunk(spec, *arrays)  # warm up any cache first
+        tracemalloc.start()
+        try:
+            _tally_chunk(spec, *arrays)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 256 * 1024
 
 
 class TestClassicalSession:
