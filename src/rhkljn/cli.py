@@ -79,6 +79,9 @@ def _add_common(p: argparse.ArgumentParser, session: bool) -> None:
         p.add_argument(flag, dest=key, type=caster, default=None, help=f"override {key}")
 
 
+# outage Monte Carlo draws of ``pls --tolerance`` without --trials
+_DEFAULT_TRIALS = 10_000
+
 # scenarios of the hopping rows when neither --scenarios, --scenario nor the
 # config's scenario names any
 _DEFAULT_SCENARIOS = {"sweep": "good", "compare": "fine_tuned,good"}
@@ -101,26 +104,27 @@ def _add_grid(p: argparse.ArgumentParser, command: str, values_help: str) -> Non
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="rhkljn", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
+    # the common flags are built once, in two parents that the subcommands
+    # copy, instead of once per subcommand
+    common, session_common = (argparse.ArgumentParser(add_help=False) for _ in range(2))
+    _add_common(common, session=False)
+    _add_common(session_common, session=True)
 
-    p_stats = sub.add_parser("stats", help="derived statistics and separability margin")
-    _add_common(p_stats, session=False)
+    sub.add_parser("stats", parents=[common], help="derived statistics and separability margin")
 
-    p_sweep = sub.add_parser("sweep", help="BEP sweep over one parameter")
-    _add_common(p_sweep, session=True)
+    p_sweep = sub.add_parser("sweep", parents=[session_common], help="BEP sweep over one parameter")
     p_sweep.add_argument("--sweep", required=True, choices=SWEEP_PARAMETERS, help="swept parameter")
     _add_grid(p_sweep, "sweep", "comma list of grid values")
     p_sweep.add_argument("--trace", help="per-chip trace log file (serial execution)")
 
-    p_cmp = sub.add_parser("compare", help="classical vs hopping at matched sampling rates")
-    _add_common(p_cmp, session=True)
+    p_cmp = sub.add_parser("compare", parents=[session_common], help="classical vs hopping at matched sampling rates")
     _add_grid(p_cmp, "compare", "comma list of sampling rates (samples/s)")
     p_cmp.set_defaults(sweep="rate")
 
-    p_pls = sub.add_parser("pls", help="physical-layer-security report")
-    _add_common(p_pls, session=True)
+    p_pls = sub.add_parser("pls", parents=[session_common], help="physical-layer-security report")
     p_pls.add_argument("--gamma-t", type=float, default=1.0, help="outage margin target")
     p_pls.add_argument("--tolerance", type=float, default=None, help="relative resistor tolerance for the outage Monte Carlo")
-    p_pls.add_argument("--trials", type=int, default=10_000, help="outage Monte Carlo draws")
+    p_pls.add_argument("--trials", type=int, default=None, help="outage Monte Carlo draws")
     p_pls.add_argument("--measure", action="store_true", help="run a session for measured xi and Eve accuracy")
     p_pls.add_argument("--csv", help="also write the report as a CSV row to this file")
     return parser
@@ -285,6 +289,9 @@ def _cmd_grid(args) -> int:
 
 
 def _cmd_pls(args) -> int:
+    # without a jitter model the outage is exact and no trial is drawn
+    if args.trials is not None and not args.tolerance:
+        raise ConfigError("--trials needs a nonzero --tolerance: without one the outage runs no trials")
     params, harness = _load(args)
     scenario = _pick(args, harness, "scenario", None)
     params = apply_scenario(params, scenario)
@@ -311,7 +318,7 @@ def _cmd_pls(args) -> int:
         gamma_t=args.gamma_t,
         xi=measured_xi,
         perturbation=perturbation,
-        trials=args.trials,
+        trials=_DEFAULT_TRIALS if args.trials is None else args.trials,
         seed=int(_pick(args, harness, "seed", 1)),
     )
     out = _open_out(args)

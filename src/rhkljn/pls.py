@@ -7,7 +7,9 @@ middle means under the largest middle spread; the secrecy outage
 probability asks whether that margin falls below a target, optionally under
 resistor tolerance perturbations.  The perturbed middle Gaussians are the
 mixed states (b_a, b_b) = (0, 1) of :func:`rhkljn.params.chip_moments`,
-evaluated on one jittered resistor bank per trial.
+evaluated on one jittered resistor bank per trial; the banks are drawn in
+blocks of trials from one stream, so the outage count is the same as with
+one draw of every bank.
 """
 
 from __future__ import annotations
@@ -130,11 +132,22 @@ class ResistorTolerance:
         """Jittered resistor banks indexed ``[trial, main, sub]``: shape (trials, 2, 2).
 
         The stream is consumed bank by bank, so the first k banks are the
-        same whatever ``trials`` is.
+        same whatever ``trials`` is, and consecutive draws on one generator
+        give the banks of one draw of their total: :func:`sop` relies on
+        this to draw its trials in blocks.
         """
         return params.resistors * (
             1.0 + self.relative_width * rng.uniform(-1.0, 1.0, (trials, 2, 2))
         )
+
+
+_SOP_BLOCK = 1024
+"""Trials per block of the outage Monte Carlo.
+
+Every temporary of a block (at most 32 KiB) stays below glibc's 128 KiB
+mmap threshold, so the blocks reuse heap memory instead of mapping and
+faulting in fresh pages for each array.
+"""
 
 
 def sop(
@@ -150,7 +163,10 @@ def sop(
     Without a perturbation model the margin is deterministic, so the result
     is exactly 0.0 or 1.0.  With one, the four resistors are jittered
     independently per trial and the outage fraction is returned; ``params``
-    must then be given to supply the nominal resistors and biases.
+    must then be given to supply the nominal resistors and biases.  The
+    trials run in blocks of ``_SOP_BLOCK`` banks drawn from one stream,
+    so memory stays flat in ``trials`` and the count does not depend on
+    the block size.
     """
     if not gamma_t > 0:
         raise ValueError(f"gamma_t must be > 0, got {gamma_t}")
@@ -162,15 +178,16 @@ def sop(
     if params is None:
         raise ValueError("params required for perturbed outage estimation")
     rng = substream(seed, (0xE0,))
-    banks = perturbation.draw(params, rng, trials)
-    # middle Gaussians 1, 2, 3: mains (0, 1) with sub-bits (0, 0), (0, 1), (1, 0);
-    # one call per state keeps each array one value per trial
-    m1, _ = chip_moments(params, 0, 1, 0, 0, banks)
-    m2, v2 = chip_moments(params, 0, 1, 0, 1, banks)
-    m3, v3 = chip_moments(params, 0, 1, 1, 0, banks)
-    gap = np.minimum(np.abs(m1 - m2), np.abs(m1 - m3))
-    spread = np.sqrt(np.maximum(v2, v3))
-    outages = int(np.count_nonzero(gap / (2.0 * spread) < gamma_t))
+    # middle Gaussians 1, 2, 3: mains (0, 1) with sub-bits (0, 0), (0, 1), (1, 0)
+    s_a, s_b = np.array([0, 0, 1]), np.array([0, 1, 0])
+    outages = 0
+    for start in range(0, trials, _SOP_BLOCK):
+        banks = perturbation.draw(params, rng, min(_SOP_BLOCK, trials - start))
+        means, variances = chip_moments(params, 0, 1, s_a, s_b, banks)
+        m1 = means[:, 0]
+        gap = np.minimum(np.abs(m1 - means[:, 1]), np.abs(m1 - means[:, 2]))
+        spread = np.sqrt(np.maximum(variances[:, 1], variances[:, 2]))
+        outages += int(np.count_nonzero(gap / (2.0 * spread) < gamma_t))
     return outages / trials
 
 

@@ -614,6 +614,26 @@ class TestCli:
         assert "measured_xi=" in out
         assert "measured_eve_accuracy=" in out
 
+    # without --tolerance the outage is exact, so a trial count would be
+    # silently ignored; it fails before the session of --measure
+    @pytest.mark.parametrize("tolerance", [[], ["--tolerance", "0"]], ids=["none", "zero"])
+    def test_pls_trials_without_tolerance_exits_one(self, capsys, monkeypatch, tolerance):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a session ran")
+
+        monkeypatch.setattr(cli, "run_session", refuse)
+        assert main(["pls", "--measure", "--trials", "5000"] + tolerance) == 1
+        assert "error: --trials needs a nonzero --tolerance" in capsys.readouterr().err
+
+    def test_pls_tolerance_without_trials_runs_default_trials(self, capsys):
+        argv = ["pls", "--tolerance", "0.01", "--gamma-t", "3.34"]
+        assert main(argv) == 0
+        default = capsys.readouterr().out
+        assert main(argv + ["--trials", "10000"]) == 0
+        assert capsys.readouterr().out == default
+        assert main(argv + ["--trials", "9999"]) == 0
+        assert capsys.readouterr().out != default
+
     def test_pls_zero_trials_exits_one(self, capsys):
         assert main(["pls", "--tolerance", "0.01", "--trials", "0"]) == 1
         assert "error: trials must be >= 1" in capsys.readouterr().err

@@ -1,6 +1,7 @@
 """Golden output digests: the sha256 of stdout for small versions of the
-benchmark workloads, the README figure commands, two ``stats`` tables and
-the channel demo, and of one trace log.
+benchmark workloads, the README figure commands, two ``stats`` tables, a
+``pls`` outage report, the channel demo and the ``--help`` texts, and of
+one trace log.
 
 Output bytes are a pure function of (command, seed, engine version), so a
 digest moves only when the random stream or the output format changes.  A
@@ -38,6 +39,9 @@ CLI_COMMANDS = {
     "readme_compare": ("compare", "--values", "2e4,3e4,5e4,1e5,2e5", "--bits", str(GOLDEN_BITS)),
     "stats": ("stats",),
     "stats_moderate_a7_b2": ("stats", "--scenario", "moderate", "--alpha", "7", "--beta", "2"),
+    # --tolerance without --trials runs the default 10,000 outage trials;
+    # gamma_t sits near the margin, so the SOP reads the trial count
+    "pls_tolerance_default_trials": ("pls", "--tolerance", "0.01", "--gamma-t", "3.34"),
 }
 
 STDOUT_SHA256 = {
@@ -49,6 +53,16 @@ STDOUT_SHA256 = {
     "readme_compare": "8c1a0cb64e8ecff0a800c6ef6472d994afd82896b65e8dd40e7c88186799b18c",
     "stats": "d1605b1a6f4e6328dbc27dd2fca72144523c32ceefc8258d52fd4885feb636a2",
     "stats_moderate_a7_b2": "2fe7bbed0053b74a41e50dbcc6b9e95999cebd96b5e66fb8378f2207071f601b",
+    "pls_tolerance_default_trials": "a440c69a75b3462db460f3c1a5841bf1d9703a1a6f96ad0a8ae5e7c3e4638980",
+}
+
+# ``rhkljn --help`` and each command's --help at COLUMNS=80
+HELP_SHA256 = {
+    "rhkljn": "6edaa585bc2a86ccf1df3f2148047571c7e8852f7787689c5f7897639ef04c67",
+    "stats": "792256fb55f33b510b658db71266c59454237eb9e95f6ab7c0fd5e9aa767608a",
+    "sweep": "eb6c9ec1749e69de400643f64c4be63da09af287f4be446366b9e0f9137179bf",
+    "compare": "8ce4779b8510bea4ed1a20c441a3332bd3d5eceaa32f534205f9d6261499aacf",
+    "pls": "d95ff6af9b14ce4e8fcadfd693eb7297000512332ee6752fa47596bc3ada6f94",
 }
 
 # sample_chip moments against chip_distribution, and the classical variances
@@ -86,6 +100,16 @@ def test_every_workload_has_a_digest():
 def test_stdout_digest(name, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert sha256(run_stdout(golden_argv(name))) == STDOUT_SHA256[name]
+
+
+@pytest.mark.parametrize("command", sorted(HELP_SHA256))
+def test_help_digest(command, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf), pytest.raises(SystemExit) as exit_:
+        main(["--help"] if command == "rhkljn" else [command, "--help"])
+    assert exit_.value.code == EXIT_OK
+    assert sha256(buf.getvalue()) == HELP_SHA256[command]
 
 
 def test_trace_digest(tmp_path):

@@ -1,6 +1,7 @@
 """Security metrics: capacities, rates, Eve advantage and outage."""
 
 import math
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -26,6 +27,7 @@ from rhkljn import (
     sigma_max,
     sop,
 )
+from rhkljn.config import SCENARIOS, apply_scenario
 from rhkljn.rng import substream
 
 
@@ -142,6 +144,51 @@ class TestOutage:
             got = sop(default_stats, gamma_t, ResistorTolerance(width), 2_000, p, seed)
             assert got == outages / 2_000
 
+    @staticmethod
+    def single_pass_sop(stats, gamma_t, perturbation, trials, params, seed):
+        """Reference: one draw of every bank, then one array pass per middle state."""
+        banks = perturbation.draw(params, substream(seed, (0xE0,)), trials)
+        m1, _ = chip_moments(params, 0, 1, 0, 0, banks)
+        m2, v2 = chip_moments(params, 0, 1, 0, 1, banks)
+        m3, v3 = chip_moments(params, 0, 1, 1, 0, banks)
+        gap = np.minimum(np.abs(m1 - m2), np.abs(m1 - m3))
+        spread = np.sqrt(np.maximum(v2, v3))
+        return int(np.count_nonzero(gap / (2.0 * spread) < gamma_t)) / trials
+
+    # block edges of the outage Monte Carlo's 1024-trial blocks: one, a
+    # partial, a full and a full-plus-one block, and many blocks
+    @pytest.mark.parametrize("trials", [1, 1023, 1024, 1025, 2049, 30_000])
+    @pytest.mark.parametrize("scenario", SCENARIOS)
+    def test_blocked_outage_equals_single_pass(self, default_params, scenario, trials):
+        params = apply_scenario(default_params, scenario)
+        stats = derive_stats(params)
+        margin = delta_m(stats) / (2 * sigma_max(stats))
+        inside = 0
+        for width in (0.001, 0.01, 0.05):
+            for seed in (1, 2, 3):
+                for gamma_t in (0.98 * margin, margin, 1.02 * margin):
+                    args = (stats, gamma_t, ResistorTolerance(width), trials, params, seed)
+                    got = sop(*args)
+                    assert got == self.single_pass_sop(*args), (width, seed, gamma_t)
+                    inside += 0.0 < got < 1.0
+        # the grid reaches outage fractions that are not all or nothing
+        assert inside > 0 or trials == 1
+
+    def test_peak_memory_does_not_grow_with_trials(self, default_params, default_stats):
+        margin = delta_m(default_stats) / (2 * sigma_max(default_stats))
+        tol = ResistorTolerance(0.01)
+        sop(default_stats, margin, tol, 30_000, default_params, 1)  # warm up any cache first
+        peaks = []
+        for trials in (30_000, 100_000):
+            tracemalloc.start()
+            try:
+                sop(default_stats, margin, tol, trials, default_params, 1)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] < 512 * 1024
+        assert peaks[1] == peaks[0]
+
     def test_perturbation_requires_params(self, default_stats):
         with pytest.raises(ValueError):
             sop(default_stats, 1.0, perturbation=ResistorTolerance(0.01))
@@ -182,6 +229,24 @@ class TestResistorBanks:
         short = tol.draw(default_params, np.random.default_rng(9), 5)
         long = tol.draw(default_params, np.random.default_rng(9), 50)
         assert np.array_equal(short, long[:5])
+
+    # random (k, total) pairs: the blocked outage Monte Carlo relies on both
+    # properties to draw the same banks as one draw of every trial
+    def test_draw_consumes_the_stream_bank_by_bank(self, default_params):
+        pick = np.random.default_rng(21)
+        for _ in range(30):
+            tol = ResistorTolerance(float(pick.uniform(0.0, 0.5)))
+            total = int(pick.integers(1, 3000))
+            k = int(pick.integers(1, total + 1))
+            seed = int(pick.integers(2**32))
+            whole = tol.draw(default_params, np.random.default_rng(seed), total)
+            prefix = tol.draw(default_params, np.random.default_rng(seed), k)
+            assert np.array_equal(prefix, whole[:k])
+            rng = np.random.default_rng(seed)
+            first = tol.draw(default_params, rng, k)
+            second = tol.draw(default_params, rng, total)
+            again = tol.draw(default_params, np.random.default_rng(seed), k + total)
+            assert np.array_equal(np.concatenate([first, second]), again)
 
     def test_batch_of_banks_equals_per_bank_calls(self, default_params):
         p = default_params
