@@ -104,8 +104,8 @@ def _add_grid(p: argparse.ArgumentParser, command: str, values_help: str) -> Non
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="rhkljn", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
-    # the common flags are built once, in two parents that the subcommands
-    # copy, instead of once per subcommand
+    # add_argument is the costly part of a parser: the common flags are
+    # built once, in two parents that the subcommands copy
     common, session_common = (argparse.ArgumentParser(add_help=False) for _ in range(2))
     _add_common(common, session=False)
     _add_common(session_common, session=True)

@@ -625,15 +625,6 @@ class TestCli:
         assert main(["pls", "--measure", "--trials", "5000"] + tolerance) == 1
         assert "error: --trials needs a nonzero --tolerance" in capsys.readouterr().err
 
-    def test_pls_tolerance_without_trials_runs_default_trials(self, capsys):
-        argv = ["pls", "--tolerance", "0.01", "--gamma-t", "3.34"]
-        assert main(argv) == 0
-        default = capsys.readouterr().out
-        assert main(argv + ["--trials", "10000"]) == 0
-        assert capsys.readouterr().out == default
-        assert main(argv + ["--trials", "9999"]) == 0
-        assert capsys.readouterr().out != default
-
     def test_pls_zero_trials_exits_one(self, capsys):
         assert main(["pls", "--tolerance", "0.01", "--trials", "0"]) == 1
         assert "error: trials must be >= 1" in capsys.readouterr().err
