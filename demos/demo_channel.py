@@ -7,9 +7,9 @@ from pathlib import Path
 
 import numpy as np
 
-from rhkljn import (
+from rhkljn import SystemParams
+from rhkljn.channel import (
     ChipState,
-    SystemParams,
     chip_distribution,
     classical_kljn_variance,
     dump_chip_samples,

@@ -5,7 +5,6 @@
 import numpy as np
 
 from rhkljn import (
-    ChipState,
     ProtocolConfig,
     ResistorTolerance,
     SystemParams,
@@ -13,9 +12,9 @@ from rhkljn import (
     derive_stats,
     eve_observe,
     run_session,
-    sample_chip,
     sop,
 )
+from rhkljn.channel import ChipState, sample_chip
 
 params = SystemParams()
 stats = derive_stats(params)

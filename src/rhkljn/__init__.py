@@ -3,25 +3,17 @@
 The library is organized around the protocol pipeline:
 
 * :mod:`rhkljn.params`    -- parameters and every closed-form statistic
-* :mod:`rhkljn.channel`   -- common-voltage sampling for one chip
 * :mod:`rhkljn.detectors` -- gate, ML and threshold detectors
 * :mod:`rhkljn.protocol`  -- exchange protocol, session engine, eavesdropper
 * :mod:`rhkljn.pls`       -- physical-layer-security metrics
 * :mod:`rhkljn.sweep`     -- experiment grids and CSV emission
 * :mod:`rhkljn.cli`       -- the ``rhkljn`` command
+
+:mod:`rhkljn.channel`, the raw-sample oracle for one chip and its dump
+format, runs in no command, so the package does not import it: import its
+names from ``rhkljn.channel``.
 """
 
-from .channel import (
-    ChipSamples,
-    ChipState,
-    chip_distribution,
-    classical_kljn_variance,
-    divider_weights,
-    dump_chip_samples,
-    load_chip_samples,
-    sample_chip,
-    sample_classical_chip,
-)
 from .detectors import (
     GaussianHypothesis,
     ThresholdSet,

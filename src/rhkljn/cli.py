@@ -38,7 +38,14 @@ from .config import (
     build_params,
     parse_config,
 )
-from .params import InvalidParamsError, NonSeparableError, SystemParams, check_separability, derive_stats
+from .params import (
+    InvalidParamsError,
+    NonSeparableError,
+    SystemParams,
+    check_nyquist,
+    check_separability,
+    derive_stats,
+)
 from .pls import ResistorTolerance, build_report
 from .protocol import DETECTOR_CHOICES, ProtocolConfig, run_session, worker_pool
 from .sweep import (
@@ -292,6 +299,10 @@ def _cmd_pls(args) -> int:
     # without a jitter model the outage is exact and no trial is drawn
     if args.trials is not None and not args.tolerance:
         raise ConfigError("--trials needs a nonzero --tolerance: without one the outage runs no trials")
+    # only the session of --measure reads them
+    for flag in ("bits", "jobs"):
+        if getattr(args, flag) is not None and not args.measure:
+            raise ConfigError(f"--{flag} needs --measure: without it pls runs no session")
     params, harness = _load(args)
     scenario = _pick(args, harness, "scenario", None)
     params = apply_scenario(params, scenario)
@@ -301,6 +312,7 @@ def _cmd_pls(args) -> int:
     measured_xi = None
     measured_eve = None
     if args.measure:
+        check_nyquist(params)
         with worker_pool(int(_pick(args, harness, "jobs", 1))) as pool:
             tally = run_session(
                 int(_pick(args, harness, "bits", 100_000)),

@@ -159,6 +159,22 @@ class SystemParams:
         return dataclasses.replace(self, **changes)
 
 
+def check_nyquist(params: SystemParams) -> None:
+    """Fail unless the samples of a chip can be independent.
+
+    Noise of bandwidth B gives at most 2·B·chip_duration independent
+    samples per chip (its Nyquist count, 200 at the defaults).  Sessions
+    draw every sample as independent, so more samples than that would be
+    simulated as information the band-limited noise does not carry.
+    """
+    limit = 2.0 * params.bandwidth * params.chip_duration
+    if params.samples_per_chip > limit * (1.0 + 1e-9):
+        raise InvalidParamsError(
+            f"{params.samples_per_chip} samples per chip exceed the noise's Nyquist count "
+            f"2*bandwidth*chip_duration = {limit:.9g}; band-limited samples that close are correlated"
+        )
+
+
 def divider_moments(r_a, r_b, bias_a, bias_b, noise_var_per_ohm):
     """(mean, variance) of the common voltage for given resistors and biases.
 

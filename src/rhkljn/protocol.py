@@ -45,15 +45,18 @@ from __future__ import annotations
 import contextlib
 import functools
 import math
-from concurrent.futures import ProcessPoolExecutor
+import sys
 from dataclasses import dataclass, fields, replace
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
 from . import detectors as det
 from .params import DerivedStats, SystemParams, derive_stats, state_moments
 from .rng import substream
+
+if TYPE_CHECKING:
+    from concurrent.futures import ProcessPoolExecutor
 
 DETECTOR_CHOICES = ("ml", "simple", "optimum")
 DEFAULT_CHUNK_BITS = 1024
@@ -329,6 +332,21 @@ def _chunk_sizes(num_bits: int, chunk_bits: int) -> list[int]:
     return [chunk_bits] * full + ([rest] if rest else [])
 
 
+def __getattr__(name: str):
+    """``protocol.ProcessPoolExecutor``, imported on first use (PEP 562).
+
+    The executor and the multiprocessing stack it loads serve only
+    ``jobs > 1``, so a serial command never imports them.  The class is
+    kept as a module attribute once loaded, where a patch can replace it.
+    """
+    if name == "ProcessPoolExecutor":
+        from concurrent.futures import ProcessPoolExecutor
+
+        globals()[name] = ProcessPoolExecutor
+        return ProcessPoolExecutor
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
 class _Pool(NamedTuple):
     """What :func:`worker_pool` yields: the executor and how many shares a session is split into."""
 
@@ -357,7 +375,8 @@ def worker_pool(jobs: int):
     if jobs == 1:
         yield None
         return
-    executor = ProcessPoolExecutor(max_workers=jobs - 1)
+    # looked up through the module at call time, so that a patched class applies
+    executor = sys.modules[__name__].ProcessPoolExecutor(max_workers=jobs - 1)
     failed = True
     try:
         yield _Pool(executor, jobs)

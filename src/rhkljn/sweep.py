@@ -30,7 +30,7 @@ from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 from .config import SCENARIOS, apply_scenario
-from .params import SystemParams, derive_stats, drif
+from .params import SystemParams, check_nyquist, derive_stats, drif
 from .protocol import (
     DETECTOR_CHOICES,
     DetectorTally,
@@ -172,10 +172,13 @@ def _point_params(
 
     ``n`` and ``rate`` set a whole number of samples per chip, rounded half
     to even; a value that is not already whole gets a warning, returned
-    rather than logged so the grid logs it with the point's rows.
+    rather than logged so the grid logs it with the point's rows.  Samples
+    per chip beyond the noise's Nyquist count fail (:func:`check_nyquist`).
     """
     if parameter not in ("n", "rate"):
-        return base.replace(**{parameter: float(value)}), None
+        point = base.replace(**{parameter: float(value)})
+        check_nyquist(point)
+        return point, None
     exact = value if parameter == "n" else value * base.chip_duration
     if not math.isfinite(exact):
         raise ValueError(f"{parameter} must be finite, got {value:g}")
@@ -187,7 +190,9 @@ def _point_params(
     note = None
     if abs(exact - n) > _WHOLE_RTOL * abs(exact):
         note = f"{parameter}={value:g} gives {exact:.9g} samples per chip; simulating {n}"
-    return base.replace(samples_per_chip=n), note
+    point = base.replace(samples_per_chip=n)
+    check_nyquist(point)
+    return point, note
 
 
 class _Session(NamedTuple):

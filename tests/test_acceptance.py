@@ -11,11 +11,9 @@ import pytest
 from scipy.stats import norm, spearmanr
 
 from rhkljn import (
-    ChipState,
     ProtocolConfig,
     ResistorTolerance,
     SystemParams,
-    chip_distribution,
     delta_m,
     derive_stats,
     empirical_eve_confusion,
@@ -28,12 +26,12 @@ from rhkljn import (
     run_compare,
     run_session,
     run_sweep,
-    sample_chip,
     sigma_max,
     sop,
     stationarity_residual,
     SweepSpec,
 )
+from rhkljn.channel import ChipState, chip_distribution, sample_chip
 from rhkljn.cli import main
 from conftest import assert_parties_agree, random_valid_params
 

@@ -5,12 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from rhkljn import (
+from rhkljn import SystemParams, derive_stats
+from rhkljn.channel import (
     ChipState,
-    SystemParams,
     chip_distribution,
     classical_kljn_variance,
-    derive_stats,
     divider_weights,
     dump_chip_samples,
     load_chip_samples,

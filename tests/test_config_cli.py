@@ -192,6 +192,33 @@ class TestGridPoints:
         assert params.samples_per_chip == n
         assert note is None
 
+    # 2 * bandwidth * chip_duration = 200 independent samples per chip at
+    # the defaults: 200 runs, 201 fails before any session
+    def test_samples_up_to_the_nyquist_count_run(self, tmp_path):
+        params, _ = _point_params(SystemParams(), "n", 200.0)
+        assert params.samples_per_chip == 200
+        argv = ["sweep", "--sweep", "n", "--values", "200", "--bits", "1000"]
+        assert main(argv + ["--out", str(tmp_path / "rows.csv")]) == 0
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sweep", "--sweep", "n", "--values", "3,201"],
+            ["sweep", "--sweep", "beta", "--values", "3.5", "--samples-per-chip", "201"],
+            ["compare", "--values", "2e4,2.01e6"],
+            ["pls", "--measure", "--samples-per-chip", "201"],
+        ],
+        ids=["sweep-n", "sweep-beta", "compare", "pls"],
+    )
+    def test_samples_beyond_the_nyquist_count_fail_before_any_session(self, capsys, monkeypatch, argv):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a session ran")
+
+        for module, name in ((sweep, "run_session"), (sweep, "run_classical_session"), (cli, "run_session")):
+            monkeypatch.setattr(module, name, refuse)
+        assert main(argv + ["--bits", "1000"]) == 1
+        assert "error: 201 samples per chip exceed the noise's Nyquist count" in capsys.readouterr().err
+
     # sweep and compare share one spec (with its few-bits warning) and one
     # --strict pass, which must not round a rate a second time
     @pytest.mark.parametrize(
@@ -479,11 +506,17 @@ class TestCli:
         assert f"error: {message}" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_import_needs_no_scipy(self):
-        # scipy serves the tests and the benchmark oracle, never a run
+    def test_import_loads_no_scipy_pool_or_channel(self):
+        # scipy serves the tests and the benchmark oracle, the process pool
+        # only --jobs above 1 and rhkljn.channel only tests and demos: a
+        # fresh command imports none of them
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-        code = "import sys, rhkljn.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        unused = ("scipy", "multiprocessing", "concurrent.futures", "rhkljn.channel")
+        code = (
+            "import sys, rhkljn.cli\n"
+            f"print(sorted(m for m in sys.modules if any(m == u or m.startswith(u + '.') for u in {unused!r})))"
+        )
         proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
@@ -624,6 +657,14 @@ class TestCli:
         monkeypatch.setattr(cli, "run_session", refuse)
         assert main(["pls", "--measure", "--trials", "5000"] + tolerance) == 1
         assert "error: --trials needs a nonzero --tolerance" in capsys.readouterr().err
+
+    # only the session of --measure reads --bits and --jobs, so without it
+    # they fail rather than being ignored (test_pls_report_with_measure runs
+    # --measure --bits 2000)
+    @pytest.mark.parametrize("flag, value", [("--bits", "5"), ("--jobs", "3")])
+    def test_pls_session_flag_without_measure_exits_one(self, capsys, flag, value):
+        assert main(["pls", flag, value]) == 1
+        assert f"error: {flag} needs --measure" in capsys.readouterr().err
 
     def test_pls_zero_trials_exits_one(self, capsys):
         assert main(["pls", "--tolerance", "0.01", "--trials", "0"]) == 1

@@ -8,10 +8,8 @@ import pytest
 from scipy.stats import norm
 
 from rhkljn import (
-    ChipState,
     GaussianHypothesis,
     SystemParams,
-    chip_distribution,
     derive_stats,
     gate,
     min_error_threshold,
@@ -19,10 +17,10 @@ from rhkljn import (
     pe1,
     pe2,
     q_function,
-    sample_chip,
     stationarity_residual,
     threshold_detect,
 )
+from rhkljn.channel import ChipState, chip_distribution, sample_chip
 from rhkljn.config import SCENARIOS, apply_scenario
 from rhkljn.detectors import detect_moments, ml_keep, moment_costs
 from rhkljn.protocol import _ChunkSpec, _rh_chunk_arrays

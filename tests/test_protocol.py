@@ -14,22 +14,20 @@ import pytest
 from scipy.stats import binomtest, chi2, kstest, norm
 
 from rhkljn import (
-    ChipState,
     ProtocolConfig,
     SystemParams,
-    chip_distribution,
     chip_moments,
     derive_stats,
     eve_observe,
     ideal_discard_fraction,
     run_classical_session,
     run_session,
-    sample_chip,
     state_moments,
     substream,
     threshold_detect,
     worker_pool,
 )
+from rhkljn.channel import ChipState, chip_distribution, sample_chip
 from rhkljn import protocol
 from rhkljn.detectors import threshold_keep
 from rhkljn.protocol import DETECTOR_CHOICES, _ChunkSpec, _rh_chunk_arrays, _tally_chunk
