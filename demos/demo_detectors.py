@@ -4,14 +4,9 @@
 
 import numpy as np
 
-from rhkljn import (
-    SystemParams,
-    derive_stats,
-    ml_detect_batch,
-    pe1,
-    pe2,
-    threshold_detect,
-)
+from rhkljn import SystemParams
+from rhkljn.detectors import ml_detect_batch, pe1, pe2, threshold_detect
+from rhkljn.params import derive_stats
 
 params = SystemParams(m_l=2.5e-5)  # small bias: the Gaussians overlap visibly
 stats = derive_stats(params)

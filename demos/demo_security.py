@@ -4,16 +4,10 @@
 
 import numpy as np
 
-from rhkljn import (
-    ProtocolConfig,
-    ResistorTolerance,
-    SystemParams,
-    build_report,
-    derive_stats,
-    eve_observe,
-    run_session,
-    sop,
-)
+from rhkljn import ProtocolConfig, SystemParams, run_session
+from rhkljn.params import derive_stats
+from rhkljn.pls import ResistorTolerance, build_report, sop
+from rhkljn.protocol import eve_observe
 from rhkljn.channel import ChipState, sample_chip
 
 params = SystemParams()

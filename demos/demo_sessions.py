@@ -4,7 +4,8 @@
 
 import sys
 
-from rhkljn import SweepSpec, SystemParams, run_compare, run_sweep, write_csv
+from rhkljn import SweepSpec, SystemParams, run_compare, run_sweep
+from rhkljn.sweep import write_csv
 
 base = SystemParams()
 

@@ -2,7 +2,8 @@
 # Walk through the closed-form statistics of the hopping scheme:
 # resistor bank, middle-band Gaussians, separability margin.
 
-from rhkljn import SystemParams, check_separability, derive_stats, drif, fine_tuned_bias
+from rhkljn import SystemParams
+from rhkljn.params import check_separability, derive_stats, drif, fine_tuned_bias
 
 params = SystemParams()  # the reference configuration
 print("resistor bank:", params.r_l0, params.r_l1, params.r_h0, params.r_h1)

@@ -303,6 +303,9 @@ def _cmd_pls(args) -> int:
     for flag in ("bits", "jobs"):
         if getattr(args, flag) is not None and not args.measure:
             raise ConfigError(f"--{flag} needs --measure: without it pls runs no session")
+    # the seed feeds only the session and the outage trials
+    if args.seed is not None and not (args.measure or args.tolerance):
+        raise ConfigError("--seed needs --measure or a nonzero --tolerance: without either pls draws nothing")
     params, harness = _load(args)
     scenario = _pick(args, harness, "scenario", None)
     params = apply_scenario(params, scenario)

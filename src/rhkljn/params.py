@@ -229,9 +229,8 @@ class MixtureComponent:
 class DerivedStats:
     """Every closed-form quantity derived from a :class:`SystemParams`.
 
-    ``m4``/``c4`` alias ``m1``/``c1`` (the fourth middle mean coincides with
-    the first); the canonical middle-band model everywhere downstream is the
-    three Gaussians (m2, var2), (m1, var1), (m3, var3).  ``var4`` is the
+    The canonical middle-band model everywhere downstream is the three
+    Gaussians (m2, var2), (m1, var1), (m3, var3).  ``var4`` is the
     mixture-table variance of the mixed state with both sub-bits hopped,
     ``noise_var_per_ohm * (r_l1 || r_h1) = beta * var1``.
     """
@@ -259,10 +258,6 @@ class DerivedStats:
     th3_opt: float
     th4_opt: float
     mixture_tables: dict[tuple[int, int], tuple[MixtureComponent, ...]] = field(repr=False)
-
-    @property
-    def m4(self) -> float:
-        return self.m1
 
     @property
     def sigma1(self) -> float:

@@ -21,7 +21,6 @@ import numpy as np
 
 from .detectors import q_function
 from .params import DerivedStats, SystemParams, chip_moments
-from .protocol import ideal_discard_fraction
 from .rng import substream
 
 
@@ -208,6 +207,10 @@ MIXED_STATE_COUNT = 3
 P_MIXED = 0.5
 """Probability that a chip is in a mixed main-bit state."""
 
+IDEAL_DISCARD = 0.75
+"""Discard fraction with perfect detection: a chip is exchanged only when the
+main bits differ and the sub-bits differ, 4 of the 16 equiprobable states."""
+
 
 def build_report(
     params: SystemParams,
@@ -226,7 +229,7 @@ def build_report(
     gap = delta_m(stats)
     spread = sigma_max(stats)
     rho_v = rho(gap, spread)
-    xi_v = ideal_discard_fraction() if xi is None else xi
+    xi_v = IDEAL_DISCARD if xi is None else xi
     c_s = secrecy_capacity(MIXED_STATE_COUNT)
     return PlsReport(
         m_distinguishable=MIXED_STATE_COUNT,

@@ -32,8 +32,7 @@ The classical two-resistor baseline (variance trisection on zero-mean
 noise, its mean of squares drawn as a scaled chi-square, its bank the
 sub-bit-0 column of the hopping bank) runs on the same chunk engine for
 rate-matched comparisons.  Raw samples are drawn only by
-:func:`rhkljn.channel.sample_chip` and
-:func:`rhkljn.channel.dump_chip_samples`, the oracles for the sampled
+:func:`rhkljn.channel.sample_chip`, the oracle for the sampled
 distributions.
 
 The eavesdropper (:func:`eve_observe`) scores the 16 bit configurations
@@ -116,22 +115,6 @@ class DetectorTally:
         return self.eve_correct / self.kept_chips if self.kept_chips else 0.0
 
 
-def ideal_discard_fraction() -> float:
-    """Discard fraction with perfect detection: enumeration of the 16 cases.
-
-    A chip is exchanged only when the main bits differ and the sub-bits
-    differ (4 of 16 equiprobable configurations), so 3/4 are discarded.
-    """
-    discarded = 0
-    for b_a in (0, 1):
-        for b_b in (0, 1):
-            for s_a in (0, 1):
-                for s_b in (0, 1):
-                    if not (b_a != b_b and s_a != s_b):
-                        discarded += 1
-    return discarded / 16.0
-
-
 def eve_observe(
     samples, stats: DerivedStats, rng: np.random.Generator | None = None
 ) -> EveObservation:
@@ -143,8 +126,7 @@ def eve_observe(
     hard main-bit guess on a secure chip is a fair coin (drawn from ``rng``
     when given, otherwise the lexicographically first argmax is returned).
     """
-    values = np.asarray(getattr(samples, "values", samples), dtype=float)
-    m_hat, scatter, n = det._moments(values)
+    m_hat, scatter, n = det._moments(samples)
     comps = [(pair + c.sub_bits, c) for pair, entries in stats.mixture_tables.items() for c in entries]
     costs = det.moment_costs(
         m_hat, scatter, n, [c.mean for _, c in comps], [math.sqrt(c.variance) for _, c in comps]

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from rhkljn import SystemParams, derive_stats, threshold_detect
-from rhkljn.detectors import detect_moments
+from rhkljn import SystemParams
+from rhkljn.detectors import detect_moments, threshold_detect
+from rhkljn.params import derive_stats
 from rhkljn.protocol import _ChunkSpec, _rh_chunk_arrays, _tally_chunk
 
 

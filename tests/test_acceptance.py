@@ -10,28 +10,11 @@ import numpy as np
 import pytest
 from scipy.stats import norm, spearmanr
 
-from rhkljn import (
-    ProtocolConfig,
-    ResistorTolerance,
-    SystemParams,
-    delta_m,
-    derive_stats,
-    empirical_eve_confusion,
-    fine_tuned_bias,
-    ideal_discard_fraction,
-    ml_detect_batch,
-    pe1,
-    pe2,
-    rho,
-    run_compare,
-    run_session,
-    run_sweep,
-    sigma_max,
-    sop,
-    stationarity_residual,
-    SweepSpec,
-)
-from rhkljn.channel import ChipState, chip_distribution, sample_chip
+from rhkljn import ProtocolConfig, SystemParams, chip_moments, run_compare, run_session, run_sweep, SweepSpec
+from rhkljn.channel import ChipState, sample_chip
+from rhkljn.detectors import ml_detect_batch, pe1, pe2, stationarity_residual
+from rhkljn.params import derive_stats, fine_tuned_bias
+from rhkljn.pls import IDEAL_DISCARD, ResistorTolerance, delta_m, empirical_eve_confusion, rho, sigma_max, sop
 from rhkljn.cli import main
 from conftest import assert_parties_agree, random_valid_params
 
@@ -110,8 +93,8 @@ def test_criterion_2_channel_oracle():
             for sa in (0, 1):
                 for sb in (0, 1):
                     state = ChipState(ba, bb, sa, sb)
-                    mean, var = chip_distribution(state, params)
-                    values = sample_chip(state, n, rng, params).values
+                    mean, var = chip_moments(params, *state)
+                    values = sample_chip(state, n, rng, params)
                     se_mean = math.sqrt(var / n)
                     se_var = var * math.sqrt(2.0 / n)
                     assert abs(values.mean() - mean) < 5 * se_mean, state
@@ -158,7 +141,7 @@ def test_criterion_4_ml_oracle_equivalence():
     s_b = rng.integers(0, 2, chips)
     moments = np.array(
         [
-            chip_distribution(ChipState(ba, 1 - ba, sa, sb), params)
+            chip_moments(params, ba, 1 - ba, sa, sb)
             for ba, sa, sb in zip(b_a, s_a, s_b)
         ]
     )
@@ -260,7 +243,7 @@ def test_criterion_8_security_properties(security_session):
     assert tally.kept_chips >= 100_000
     eve = tally.eve_correct_fraction
     assert 0.49 <= eve <= 0.51, eve
-    assert abs(tally.discard_fraction - ideal_discard_fraction()) <= 0.01 * ideal_discard_fraction()
+    assert abs(tally.discard_fraction - IDEAL_DISCARD) <= 0.01 * IDEAL_DISCARD
 
     # both parties decide from the same public statistics: verify on fresh chips
     chips = assert_parties_agree(SystemParams(), 1_000, seed=SEED + 8, detectors=DETECTORS)

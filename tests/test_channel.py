@@ -5,17 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from rhkljn import SystemParams, derive_stats
-from rhkljn.channel import (
-    ChipState,
-    chip_distribution,
-    classical_kljn_variance,
-    divider_weights,
-    dump_chip_samples,
-    load_chip_samples,
-    sample_chip,
-    sample_classical_chip,
-)
+from rhkljn import SystemParams, chip_moments
+from rhkljn.channel import ChipState, divider_weights, sample_chip
+from rhkljn.params import derive_stats
 
 from conftest import random_valid_params
 
@@ -79,21 +71,21 @@ class TestChipDistribution:
                 entry = {e.sub_bits: e for e in stats.mixture_tables[(state.b_a, state.b_b)]}[
                     (state.s_a, state.s_b)
                 ]
-                for mean, var in (chip_distribution(state, params), (entry.mean, entry.variance)):
+                for mean, var in (chip_moments(params, *state), (entry.mean, entry.variance)):
                     assert mean == pytest.approx(ref_mean, rel=1e-14), state
                     assert var == pytest.approx(ref_var, rel=1e-14), state
 
     def test_all_low_mean_is_exact(self, default_params):
         for sa in (0, 1):
             for sb in (0, 1):
-                mean, _ = chip_distribution(ChipState(0, 0, sa, sb), default_params)
+                mean, _ = chip_moments(default_params, 0, 0, sa, sb)
                 assert mean == pytest.approx(default_params.m_l, rel=1e-15)
 
     def test_mixed_rows(self, default_params, default_stats):
-        mean, var = chip_distribution(ChipState(0, 1, 0, 0), default_params)
+        mean, var = chip_moments(default_params, 0, 1, 0, 0)
         assert mean == pytest.approx(default_stats.m1, rel=1e-14)
         assert var == pytest.approx(default_stats.var1, rel=1e-14)
-        mean, var = chip_distribution(ChipState(1, 0, 0, 1), default_params)
+        mean, var = chip_moments(default_params, 1, 0, 0, 1)
         assert mean == pytest.approx(default_stats.m3, rel=1e-14)
         assert var == pytest.approx(default_stats.var3, rel=1e-14)
 
@@ -104,14 +96,14 @@ class TestSampleChip:
         n = 1_000_000
         samples = sample_chip(ChipState(0, 1, 0, 1), n, rng, default_params)
         sigma2 = default_stats.sigma2
-        assert abs(samples.values.mean() - default_stats.m2) < 4 * sigma2 / math.sqrt(n)
+        assert abs(samples.mean() - default_stats.m2) < 4 * sigma2 / math.sqrt(n)
 
     def test_all_16_states_converge(self, default_params):
         rng = np.random.default_rng(7)
         n = 100_000
         for state in ALL_STATES:
-            mean, var = chip_distribution(state, default_params)
-            values = sample_chip(state, n, rng, default_params).values
+            mean, var = chip_moments(default_params, *state)
+            values = sample_chip(state, n, rng, default_params)
             se_mean = math.sqrt(var / n)
             se_var = var * math.sqrt(2.0 / n)
             assert abs(values.mean() - mean) < 5 * se_mean, state
@@ -121,79 +113,55 @@ class TestSampleChip:
         params = SystemParams(temperature=0.0, m_l=0.0)
         rng = np.random.default_rng(0)
         samples = sample_chip(ChipState(1, 0, 1, 0), 50, rng, params)
-        assert np.all(samples.values == 0.0)
+        assert np.all(samples == 0.0)
 
     def test_swap_symmetry_of_distribution(self, default_params):
         for state in ALL_STATES:
             swapped = ChipState(state.b_b, state.b_a, state.s_b, state.s_a)
-            assert chip_distribution(state, default_params) == pytest.approx(
-                chip_distribution(swapped, default_params)
+            assert chip_moments(default_params, *state) == pytest.approx(
+                chip_moments(default_params, *swapped)
             )
 
     def test_sample_count_validation(self, default_params, rng):
         with pytest.raises(ValueError):
             sample_chip(ChipState(0, 0, 0, 0), 0, rng, default_params)
 
+    @pytest.mark.parametrize("state", [ChipState(2, 0, 0, 0), ChipState(0, 0, 0, -1)])
+    def test_bit_outside_zero_one_rejected(self, state, default_params, rng):
+        with pytest.raises(ValueError, match="must be 0 or 1"):
+            sample_chip(state, 5, rng, default_params)
+
 
 class TestClassicalVariances:
+    # the classical bank is the sub-bit-0 column of the hopping bank, so the
+    # classical case (b_a, b_b) has the variance of chip state (b_a, b_b, 0, 0)
+    @staticmethod
+    def variance(params, b_a, b_b):
+        return float(chip_moments(params, b_a, b_b, 0, 0)[1])
+
     def test_case_00_value(self, default_params):
         # 4kT*(r/2)*df with the default constants
         expected = 0.5 * default_params.noise_var_per_ohm * default_params.r_l0
-        assert classical_kljn_variance("00", default_params) == pytest.approx(expected, rel=1e-14)
+        assert self.variance(default_params, 0, 0) == pytest.approx(expected, rel=1e-14)
         assert expected == pytest.approx(4.14e-10, rel=1e-4)
 
     def test_case_11_is_alpha_times_00(self, default_params):
-        assert classical_kljn_variance("11", default_params) == pytest.approx(
-            default_params.alpha * classical_kljn_variance("00", default_params), rel=1e-14
+        assert self.variance(default_params, 1, 1) == pytest.approx(
+            default_params.alpha * self.variance(default_params, 0, 0), rel=1e-14
         )
 
     def test_case_mixed_ratio(self, default_params):
-        # alpha/(alpha+1)*a*r = (20/11) * case00 at alpha=10
-        assert classical_kljn_variance("01or10", default_params) == pytest.approx(
-            (20.0 / 11.0) * classical_kljn_variance("00", default_params), rel=1e-14
-        )
+        # alpha/(alpha+1)*a*r = (20/11) * case00 at alpha=10, either order
+        for b_a, b_b in ((0, 1), (1, 0)):
+            assert self.variance(default_params, b_a, b_b) == pytest.approx(
+                (20.0 / 11.0) * self.variance(default_params, 0, 0), rel=1e-14
+            )
 
     def test_ordering(self, default_params):
-        v00 = classical_kljn_variance("00", default_params)
-        v01 = classical_kljn_variance("01or10", default_params)
-        v11 = classical_kljn_variance("11", default_params)
+        v00, v01, v11 = (self.variance(default_params, b, c) for b, c in ((0, 0), (0, 1), (1, 1)))
         assert v11 > v01 > v00
 
     def test_degenerate_alpha_one_collapses_cases(self):
         params = SystemParams(alpha=1.0, beta=1.0)
-        values = {classical_kljn_variance(c, params) for c in ("00", "01or10", "11")}
+        values = {self.variance(params, b, c) for b, c in ((0, 0), (0, 1), (1, 1))}
         assert len(values) == 1
-
-    def test_unknown_case_rejected(self, default_params):
-        with pytest.raises(ValueError):
-            classical_kljn_variance("10", default_params)
-
-
-class TestClassicalSampling:
-    def test_zero_mean(self, default_params):
-        rng = np.random.default_rng(3)
-        values = sample_classical_chip("11", 200_000, rng, default_params)
-        std = math.sqrt(classical_kljn_variance("11", default_params))
-        assert abs(values.mean()) < 5 * std / math.sqrt(values.size)
-
-    def test_variance_convergence_mixed_case(self, default_params):
-        rng = np.random.default_rng(4)
-        n = 500_000
-        values = sample_classical_chip("01or10", n, rng, default_params)
-        var = classical_kljn_variance("01or10", default_params)
-        assert abs(values.var() - var) < 5 * var * math.sqrt(2.0 / n)
-
-
-class TestRawDump:
-    def test_roundtrip_and_manifest(self, default_params, tmp_path):
-        rng = np.random.default_rng(11)
-        state = ChipState(0, 1, 1, 0, p=4)
-        samples = sample_chip(state, 32, rng, default_params)
-        path = tmp_path / "chip0004.f64"
-        dump_chip_samples(samples, path, seed=11)
-        back = load_chip_samples(path)
-        assert np.array_equal(back, samples.values)
-        manifest = (tmp_path / "chip0004.f64.manifest").read_text()
-        assert "b_a=0" in manifest and "b_b=1" in manifest
-        assert "s_a=1" in manifest and "s_b=0" in manifest
-        assert "n=32" in manifest and "seed=11" in manifest

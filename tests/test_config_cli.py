@@ -13,15 +13,10 @@ from pathlib import Path
 
 import pytest
 
-from rhkljn import (
-    SweepSpec,
-    SystemParams,
-    run_classical_session,
-    run_compare,
-    run_sweep,
-    value_key,
-    write_csv,
-)
+from rhkljn import SweepSpec, SystemParams, run_compare, run_sweep
+from rhkljn.protocol import run_classical_session
+from rhkljn.rng import value_key
+from rhkljn.sweep import write_csv
 from rhkljn import cli, protocol, sweep
 from rhkljn.cli import main
 from rhkljn.config import ConfigError, SCENARIOS, apply_scenario, build_params, parse_config
@@ -658,13 +653,19 @@ class TestCli:
         assert main(["pls", "--measure", "--trials", "5000"] + tolerance) == 1
         assert "error: --trials needs a nonzero --tolerance" in capsys.readouterr().err
 
-    # only the session of --measure reads --bits and --jobs, so without it
-    # they fail rather than being ignored (test_pls_report_with_measure runs
-    # --measure --bits 2000)
-    @pytest.mark.parametrize("flag, value", [("--bits", "5"), ("--jobs", "3")])
+    # only the session of --measure reads --bits and --jobs, and only it and
+    # the outage trials read --seed, so without them they fail rather than
+    # being ignored (test_pls_report_with_measure runs --measure --bits 2000
+    # --seed 3)
+    @pytest.mark.parametrize("flag, value", [("--bits", "5"), ("--jobs", "3"), ("--seed", "5")])
     def test_pls_session_flag_without_measure_exits_one(self, capsys, flag, value):
         assert main(["pls", flag, value]) == 1
         assert f"error: {flag} needs --measure" in capsys.readouterr().err
+
+    def test_pls_seed_needs_a_nonzero_tolerance_without_measure(self, capsys):
+        assert main(["pls", "--seed", "5", "--tolerance", "0"]) == 1
+        assert "error: --seed needs --measure or a nonzero --tolerance" in capsys.readouterr().err
+        assert main(["pls", "--seed", "5", "--tolerance", "0.01", "--trials", "200"]) == 0
 
     def test_pls_zero_trials_exits_one(self, capsys):
         assert main(["pls", "--tolerance", "0.01", "--trials", "0"]) == 1

@@ -7,22 +7,24 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
-from rhkljn import (
+from rhkljn import SystemParams, chip_moments
+from rhkljn.channel import ChipState, sample_chip
+from rhkljn.config import SCENARIOS, apply_scenario
+from rhkljn.detectors import (
     GaussianHypothesis,
-    SystemParams,
-    derive_stats,
+    detect_moments,
     gate,
     min_error_threshold,
     ml_detect_batch,
+    ml_keep,
+    moment_costs,
     pe1,
     pe2,
     q_function,
     stationarity_residual,
     threshold_detect,
 )
-from rhkljn.channel import ChipState, chip_distribution, sample_chip
-from rhkljn.config import SCENARIOS, apply_scenario
-from rhkljn.detectors import detect_moments, ml_keep, moment_costs
+from rhkljn.params import derive_stats, fine_tuned_bias
 from rhkljn.protocol import _ChunkSpec, _rh_chunk_arrays
 from conftest import random_valid_params
 
@@ -52,8 +54,8 @@ class TestSampleMean:
     def test_converges_to_chip_mean(self, default_params, default_stats):
         rng = np.random.default_rng(5)
         samples = sample_chip(ChipState(0, 1, 1, 0), 400_000, rng, default_params)
-        se = default_stats.sigma3 / math.sqrt(samples.values.size)
-        assert abs(samples.values.mean() - default_stats.m3) < 5 * se
+        se = default_stats.sigma3 / math.sqrt(samples.size)
+        assert abs(samples.mean() - default_stats.m3) < 5 * se
 
 
 class TestGate:
@@ -215,9 +217,9 @@ class TestMomentForm:
             for s_a in (0, 1):
                 for s_b in (0, 1):
                     state = ChipState(b_a, 1 - b_a, s_a, s_b)
-                    mean, _ = chip_distribution(state, params)
+                    mean, _ = chip_moments(params, *state)
                     expected = min(hyps, key=lambda h: abs(h.mean - mean)).label
-                    values = sample_chip(state, n, rng, params).values[None, :]
+                    values = sample_chip(state, n, rng, params)[None, :]
                     assert ml_detect_batch(values, hyps)[0] == expected
 
     @pytest.mark.parametrize("n", [1, 2, 3, 20, 40])
@@ -466,8 +468,6 @@ class TestOptimumThresholds:
         assert min_error_threshold(1.0, 0.0, 0.5, 0.0, 0.0, 0.25) == 0.5
 
     def test_beats_midpoint_across_random_draws(self, rng):
-        from rhkljn import fine_tuned_bias
-
         for _ in range(20):
             base = random_valid_params(rng)
             params = base.replace(m_l=fine_tuned_bias(base, margin=float(rng.uniform(0.5, 10))))
@@ -481,8 +481,6 @@ class TestMlThresholdConsistency:
     def test_agreement_on_separable_mixed_chips(self, rng):
         # with the bias at the separability bound the two detector families
         # disagree on fewer than 0.1% of mixed-state chips at 20 samples
-        from rhkljn import SystemParams, fine_tuned_bias, threshold_detect
-
         base = SystemParams()
         params = base.replace(m_l=fine_tuned_bias(base, margin=1.0))
         s = derive_stats(params)

@@ -7,18 +7,16 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from rhkljn import (
+from rhkljn import SystemParams, chip_moments, state_moments
+from rhkljn.params import (
     InvalidParamsError,
     NonSeparableError,
-    SystemParams,
     check_separability,
-    chip_moments,
     derive_coefficients,
     derive_stats,
     drif,
     fine_tuned_bias,
     separability_coefficients,
-    state_moments,
 )
 from conftest import random_valid_params
 

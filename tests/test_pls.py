@@ -1,5 +1,6 @@
 """Security metrics: capacities, rates, Eve advantage and outage."""
 
+import itertools
 import math
 import tracemalloc
 from types import SimpleNamespace
@@ -8,20 +9,17 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
-from rhkljn import (
+from rhkljn import ProtocolConfig, SystemParams, chip_moments, run_session
+from rhkljn.params import derive_stats
+from rhkljn.pls import (
+    IDEAL_DISCARD,
     PlsReport,
-    ProtocolConfig,
     ResistorTolerance,
-    SystemParams,
     build_report,
-    chip_moments,
     delta_m,
-    derive_stats,
     effective_secrecy_rate,
     empirical_eve_confusion,
-    ideal_discard_fraction,
     rho,
-    run_session,
     secrecy_capacity,
     secrecy_rate,
     sigma_max,
@@ -272,10 +270,18 @@ class TestEffectiveRate:
         assert effective_secrecy_rate(0.6, 0.1, 1e-3, 3) < base
         assert effective_secrecy_rate(0.5, 0.2, 1e-3, 3) < base
 
+    def test_ideal_discard_enumerates_the_16_states(self, default_params, default_stats):
+        # a chip is exchanged only when the main bits differ and the sub-bits
+        # differ; every other equiprobable state is discarded
+        states = itertools.product((0, 1), repeat=4)
+        discarded = sum(not (b_a != b_b and s_a != s_b) for b_a, b_b, s_a, s_b in states)
+        assert IDEAL_DISCARD == discarded / 16
+        assert build_report(default_params, default_stats).xi == IDEAL_DISCARD
+
     def test_measured_xi_matches_combinatorial(self, default_params):
         cfg = ProtocolConfig.from_params(default_params)
         tally = run_session(20_000, cfg, seed=99)["optimum"]
-        assert abs(tally.discard_fraction - ideal_discard_fraction()) < 0.01
+        assert abs(tally.discard_fraction - IDEAL_DISCARD) < 0.01
         report = build_report(default_params, cfg.stats, xi=tally.discard_fraction)
         analytic = build_report(default_params, cfg.stats)
         assert report.effective_rate == pytest.approx(analytic.effective_rate, rel=0.02)

@@ -17,20 +17,24 @@ from rhkljn import (
     ProtocolConfig,
     SystemParams,
     chip_moments,
-    derive_stats,
-    eve_observe,
-    ideal_discard_fraction,
-    run_classical_session,
     run_session,
     state_moments,
-    substream,
-    threshold_detect,
     worker_pool,
 )
-from rhkljn.channel import ChipState, chip_distribution, sample_chip
 from rhkljn import protocol
-from rhkljn.detectors import threshold_keep
-from rhkljn.protocol import DETECTOR_CHOICES, _ChunkSpec, _rh_chunk_arrays, _tally_chunk
+from rhkljn.channel import ChipState, sample_chip
+from rhkljn.detectors import threshold_detect, threshold_keep
+from rhkljn.params import derive_stats
+from rhkljn.pls import IDEAL_DISCARD
+from rhkljn.protocol import (
+    DETECTOR_CHOICES,
+    _ChunkSpec,
+    _rh_chunk_arrays,
+    _tally_chunk,
+    eve_observe,
+    run_classical_session,
+)
+from rhkljn.rng import substream
 from conftest import assert_parties_agree, detector_labels, random_valid_params
 
 
@@ -73,7 +77,7 @@ class TestChipVerdicts:
         middle = {1: stats.m1, 2: stats.m2, 3: stats.m3}
         for b_a, s_a, s_b in itertools.product((0, 1), repeat=3):
             state = ChipState(b_a, 1 - b_a, s_a, s_b)
-            mean, _ = chip_distribution(state, params)
+            mean, _ = chip_moments(params, *state)
             nearest = min(middle, key=lambda k: abs(middle[k] - mean))
             sel = (a_main[:, None] == b_a) & mixed & (a_sub == s_a) & (b_sub == s_b)
             assert sel.any(), state
@@ -102,7 +106,7 @@ def noiseless_bit(a_main, a_subs, b_main, b_subs, detector="optimum"):
     b_sub = np.asarray(b_subs)[None, :]
     m_hat = np.array(
         [
-            [chip_distribution(ChipState(a_main, b_main, sa, sb), params)[0]]
+            [chip_moments(params, a_main, b_main, sa, sb)[0]]
             for sa, sb in zip(a_sub[0], b_sub[0])
         ]
     ).T
@@ -160,7 +164,7 @@ class TestRunChip:
         middle = {1: stats.m1, 2: stats.m2, 3: stats.m3}
         true_g = np.zeros_like(g)
         for b_a, s_a, s_b in itertools.product((0, 1), repeat=3):
-            mean, _ = chip_distribution(ChipState(b_a, 1 - b_a, s_a, s_b), params)
+            mean, _ = chip_moments(params, b_a, 1 - b_a, s_a, s_b)
             sel = (a_main[:, None] == b_a) & (b_main[:, None] != b_a) & (a_sub == s_a)
             true_g[sel & (b_sub == s_b)] = min(middle, key=lambda k: abs(middle[k] - mean))
 
@@ -231,9 +235,7 @@ class TestRunSession:
             assert tally.bep == 0.0
             assert tally.sub_bit_errors == 0
             assert tally.main_bit_errors == 0
-            assert tally.discard_fraction == pytest.approx(
-                ideal_discard_fraction(), abs=0.02
-            )
+            assert tally.discard_fraction == pytest.approx(IDEAL_DISCARD, abs=0.02)
 
     def test_kept_fraction_matches_combinatorial_count(self):
         # 4 of the 16 equiprobable configurations survive ideal detection
@@ -440,7 +442,7 @@ class TestChunkSampler:
         z = np.empty_like(m_hat)
         s_over_var = np.empty_like(scatter)
         for state, sel in self.by_state(a_main, b_main, a_sub, b_sub):
-            mean, var = chip_distribution(state, params)
+            mean, var = chip_moments(params, *state)
             assert sel.sum() > 1_000
             z[sel] = (m_hat[sel] - mean) / math.sqrt(var / n)
             s_over_var[sel] = scatter[sel] / var
@@ -458,7 +460,7 @@ class TestChunkSampler:
         params = SystemParams(temperature=0.0, samples_per_chip=5)
         a_main, b_main, a_sub, b_sub, scatter, m_hat, _ = self.chunk(params, 200, seed=3)
         for state, sel in self.by_state(a_main, b_main, a_sub, b_sub):
-            mean, _ = chip_distribution(state, params)
+            mean, _ = chip_moments(params, *state)
             assert np.all(m_hat[sel] == mean), state
         assert np.all(scatter == 0.0)
 

@@ -1,4 +1,5 @@
-"""Every ``rhkljn`` command of the README's "Command line" block runs and exits 0.
+"""Every ``rhkljn`` command of the README's "Command line" block runs and
+exits 0, and every name the package exports appears in a README code span.
 
 Sessions are cut to 300 bits (``--bits`` is appended, so it overrides the
 README's own value); ``stats`` takes no session and runs as written.
@@ -6,10 +7,12 @@ README's own value); ``stats`` takes no session and runs as written.
 
 import re
 import shlex
+import types
 from pathlib import Path
 
 import pytest
 
+import rhkljn
 from rhkljn.cli import EXIT_OK, main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -43,3 +46,16 @@ def test_readme_command_exits_zero(argv, tmp_path, monkeypatch):
     for flag in ("--out", "--csv"):
         if flag in argv:
             assert (tmp_path / argv[argv.index(flag) + 1]).read_text().count("\n") >= 2
+
+
+def test_every_exported_name_is_documented():
+    # the package exports what the README shows; everything else is
+    # imported from its submodule
+    spans = " ".join(re.findall(r"`([^`\n]+)`", README.read_text()))
+    exported = [
+        name
+        for name, value in vars(rhkljn).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    ]
+    assert exported
+    assert [name for name in exported if not re.search(rf"\b{name}\b", spans)] == []
