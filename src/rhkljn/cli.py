@@ -25,8 +25,10 @@ separability margin.
 from __future__ import annotations
 
 import argparse
+import functools
 import logging
 import os
+import shutil
 import sys
 
 from .config import (
@@ -108,32 +110,50 @@ def _add_grid(p: argparse.ArgumentParser, command: str, values_help: str) -> Non
     )
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="rhkljn", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The ``rhkljn`` parser; with ``command``, only that subcommand gets flags.
+
+    A run parses its argv once, and add_argument is the costly part of a
+    build, so ``main`` gives flags to the invoked command alone.  All four
+    subcommands stay registered, so the top-level help and an invalid
+    choice read as with ``command=None``, which builds every flag.
+    """
+    # Python 3.11's add_argument builds a formatter per call, and each
+    # formatter without a width queries the terminal: query it once
+    width = shutil.get_terminal_size().columns - 2
+    parser = _Parser(
+        prog="rhkljn",
+        description=__doc__,
+        formatter_class=functools.partial(argparse.RawDescriptionHelpFormatter, width=width),
+    )
     sub = parser.add_subparsers(dest="command", required=True)
-    # add_argument is the costly part of a parser: the common flags are
-    # built once, in two parents that the subcommands copy
-    common, session_common = (argparse.ArgumentParser(add_help=False) for _ in range(2))
-    _add_common(common, session=False)
-    _add_common(session_common, session=True)
+    formatter = functools.partial(argparse.HelpFormatter, width=width)
+    p_stats = sub.add_parser("stats", help="derived statistics and separability margin", formatter_class=formatter)
+    p_sweep = sub.add_parser("sweep", help="BEP sweep over one parameter", formatter_class=formatter)
+    p_cmp = sub.add_parser("compare", help="classical vs hopping at matched sampling rates", formatter_class=formatter)
+    p_pls = sub.add_parser("pls", help="physical-layer-security report", formatter_class=formatter)
 
-    sub.add_parser("stats", parents=[common], help="derived statistics and separability margin")
+    if command in (None, "stats"):
+        _add_common(p_stats, session=False)
 
-    p_sweep = sub.add_parser("sweep", parents=[session_common], help="BEP sweep over one parameter")
-    p_sweep.add_argument("--sweep", required=True, choices=SWEEP_PARAMETERS, help="swept parameter")
-    _add_grid(p_sweep, "sweep", "comma list of grid values")
-    p_sweep.add_argument("--trace", help="per-chip trace log file (serial execution)")
+    if command in (None, "sweep"):
+        _add_common(p_sweep, session=True)
+        p_sweep.add_argument("--sweep", required=True, choices=SWEEP_PARAMETERS, help="swept parameter")
+        _add_grid(p_sweep, "sweep", "comma list of grid values")
+        p_sweep.add_argument("--trace", help="per-chip trace log file (serial execution)")
 
-    p_cmp = sub.add_parser("compare", parents=[session_common], help="classical vs hopping at matched sampling rates")
-    _add_grid(p_cmp, "compare", "comma list of sampling rates (samples/s)")
-    p_cmp.set_defaults(sweep="rate")
+    if command in (None, "compare"):
+        _add_common(p_cmp, session=True)
+        _add_grid(p_cmp, "compare", "comma list of sampling rates (samples/s)")
+        p_cmp.set_defaults(sweep="rate")
 
-    p_pls = sub.add_parser("pls", parents=[session_common], help="physical-layer-security report")
-    p_pls.add_argument("--gamma-t", type=float, default=1.0, help="outage margin target")
-    p_pls.add_argument("--tolerance", type=float, default=None, help="relative resistor tolerance for the outage Monte Carlo")
-    p_pls.add_argument("--trials", type=int, default=None, help="outage Monte Carlo draws")
-    p_pls.add_argument("--measure", action="store_true", help="run a session for measured xi and Eve accuracy")
-    p_pls.add_argument("--csv", help="also write the report as a CSV row to this file")
+    if command in (None, "pls"):
+        _add_common(p_pls, session=True)
+        p_pls.add_argument("--gamma-t", type=float, default=1.0, help="outage margin target")
+        p_pls.add_argument("--tolerance", type=float, default=None, help="relative resistor tolerance for the outage Monte Carlo")
+        p_pls.add_argument("--trials", type=int, default=None, help="outage Monte Carlo draws")
+        p_pls.add_argument("--measure", action="store_true", help="run a session for measured xi and Eve accuracy")
+        p_pls.add_argument("--csv", help="also write the report as a CSV row to this file")
     return parser
 
 
@@ -299,14 +319,21 @@ def _cmd_pls(args) -> int:
     # without a jitter model the outage is exact and no trial is drawn
     if args.trials is not None and not args.tolerance:
         raise ConfigError("--trials needs a nonzero --tolerance: without one the outage runs no trials")
-    # only the session of --measure reads them
-    for flag in ("bits", "jobs"):
-        if getattr(args, flag) is not None and not args.measure:
-            raise ConfigError(f"--{flag} needs --measure: without it pls runs no session")
-    # the seed feeds only the session and the outage trials
-    if args.seed is not None and not (args.measure or args.tolerance):
-        raise ConfigError("--seed needs --measure or a nonzero --tolerance: without either pls draws nothing")
+    # only the session of --measure reads bits and jobs, and the seed feeds
+    # only the session and the outage trials: a flag or config key that
+    # this run would not read fails rather than being ignored
+    unread = {}
+    if not args.measure:
+        unread["bits"] = unread["jobs"] = "needs --measure: without it pls runs no session"
+        if not args.tolerance:
+            unread["seed"] = "needs --measure or a nonzero --tolerance: without either pls draws nothing"
+    for key, why in unread.items():
+        if getattr(args, key) is not None:
+            raise ConfigError(f"--{key} {why}")
     params, harness = _load(args)
+    for key, why in unread.items():
+        if key in harness:
+            raise ConfigError(f"config key {key} in {args.config} {why}")
     scenario = _pick(args, harness, "scenario", None)
     params = apply_scenario(params, scenario)
     stats = derive_stats(params)
@@ -362,8 +389,9 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     logging.basicConfig(level=logging.WARNING, format="%(levelname)s %(message)s")
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None).parse_args(argv)
     try:
         for path in (args.out, getattr(args, "csv", None), getattr(args, "trace", None)):
             if path:

@@ -1,9 +1,11 @@
 """Config parsing, CSV schema, CLI exit codes and reproducibility."""
 
+import argparse
 import csv
 import io
 import multiprocessing
 import os
+import shutil
 import subprocess
 import sys
 import threading
@@ -438,6 +440,100 @@ class TestSerialSessions:
         assert _threads_started_since(before) == []
 
 
+# argvs that the parser of their command alone must parse as the full parser
+PARSE_TABLE = {
+    "stats": ["stats"],
+    "stats-config-flags": [
+        "stats", "--config", "run.cfg", "--scenario", "moderate", "--alpha", "7",
+        "--samples-per-chip", "5", "--strict", "--out", "o.txt",
+    ],
+    "sweep-grid-trace": [
+        "sweep", "--sweep", "n", "--values", "3,5", "--scenarios", "good,moderate", "--detectors", "ml,optimum",
+        "--bits", "2000", "--seed", "4", "--jobs", "2", "--trace", "t.log",
+    ],
+    "sweep-config-scenario": [
+        "sweep", "--sweep", "beta", "--values", "2", "--config", "c.cfg", "--scenario", "fine_tuned", "--m-l", "1e-4",
+    ],
+    "compare": ["compare", "--values", "2e4,5e4", "--bits", "500", "--scenarios", "good", "--out", "c.csv"],
+    "compare-scenario": ["compare", "--values=1e5", "--scenario", "moderate", "--chips-per-bit", "8"],
+    "pls": ["pls"],
+    "pls-all": [
+        "pls", "--measure", "--bits", "2000", "--seed", "3", "--jobs", "1", "--gamma-t", "3.34",
+        "--tolerance", "0.01", "--trials", "200", "--csv", "p.csv", "--config", "run.cfg",
+    ],
+}
+
+# argvs that end in the parser: an unknown flag, another command's flag, a
+# missing required flag, a bad choice, an unknown command, no command and
+# the help texts
+PARSER_EXITS = {
+    "unknown-flag": ["pls", "--wat"],
+    "sweep-flag-on-pls": ["pls", "--values", "3"],
+    "session-flag-on-stats": ["stats", "--bits", "3"],
+    "missing-values": ["sweep", "--sweep", "n"],
+    "compare-missing-values": ["compare"],
+    "bad-choice": ["sweep", "--sweep", "q", "--values", "3"],
+    "bad-type": ["pls", "--bits", "x"],
+    "unknown-command": ["bogus"],
+    "no-command": [],
+    "help": ["--help"],
+    "stats-help": ["stats", "--help"],
+    "pls-help": ["pls", "-h"],
+}
+
+
+def _exit_and_output(argv, capsys):
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    return code, *capsys.readouterr()
+
+
+class TestCommandParser:
+    """main builds the flags of the invoked command only; nothing it parses may tell."""
+
+    @pytest.mark.parametrize("argv", list(PARSE_TABLE.values()), ids=list(PARSE_TABLE))
+    def test_command_parser_parses_as_the_full_parser(self, argv):
+        assert cli.build_parser(argv[0]).parse_args(argv) == cli.build_parser().parse_args(argv)
+
+    @pytest.mark.parametrize("argv", list(PARSER_EXITS.values()), ids=list(PARSER_EXITS))
+    def test_parser_exits_match_the_full_parser(self, argv, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        got = _exit_and_output(argv, capsys)
+        full = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda command=None: full())
+        assert got == _exit_and_output(argv, capsys)
+        help_asked = "--help" in argv or "-h" in argv
+        assert got[0] == (cli.EXIT_OK if help_asked else cli.EXIT_USAGE)
+        assert got[1 if help_asked else 2]
+
+    def test_main_builds_the_invoked_command_only(self, monkeypatch, capsys):
+        built = []
+        real = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda command=None: built.append(command) or real(command))
+        assert main(["stats"]) == 0
+        monkeypatch.setattr(sys, "argv", ["rhkljn", "stats", "--alpha", "7"])
+        assert main() == 0
+        for argv in (["bogus"], ["--help"], []):
+            with pytest.raises(SystemExit):
+                main(argv)
+        assert built == ["stats", "stats", None, None, None]
+
+    @pytest.mark.parametrize("command", [None, "stats", "sweep", "compare", "pls"])
+    def test_only_the_command_gets_flags(self, command, monkeypatch):
+        queries = []
+        real = shutil.get_terminal_size
+        monkeypatch.setattr(shutil, "get_terminal_size", lambda *a: queries.append(a) or real(*a))
+        parser = cli.build_parser(command)
+        assert len(queries) == 1
+        (subparsers,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        assert list(subparsers.choices) == ["stats", "sweep", "compare", "pls"]
+        for name, sub in subparsers.choices.items():
+            flags = [s for action in sub._actions for s in action.option_strings]
+            assert (flags == ["-h", "--help"]) == (command not in (None, name)), name
+
+
 class TestCli:
     def test_stats_prints_reference_values(self, capsys):
         assert main(["stats"]) == 0
@@ -656,16 +752,33 @@ class TestCli:
     # only the session of --measure reads --bits and --jobs, and only it and
     # the outage trials read --seed, so without them they fail rather than
     # being ignored (test_pls_report_with_measure runs --measure --bits 2000
-    # --seed 3)
-    @pytest.mark.parametrize("flag, value", [("--bits", "5"), ("--jobs", "3"), ("--seed", "5")])
-    def test_pls_session_flag_without_measure_exits_one(self, capsys, flag, value):
-        assert main(["pls", flag, value]) == 1
-        assert f"error: {flag} needs --measure" in capsys.readouterr().err
+    # --seed 3); a name without dashes is a config key, which keeps its
+    # flag's rule
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--bits", "5"), ("--jobs", "3"), ("--seed", "5"), ("bits", "5"), ("jobs", "3"), ("seed", "5")],
+    )
+    def test_pls_session_flag_without_measure_exits_one(self, tmp_path, capsys, flag, value):
+        argv, named = ["pls", flag, value], flag
+        if not flag.startswith("--"):
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text(f"{flag}={value}\n")
+            argv, named = ["pls", "--config", str(cfg)], f"config key {flag} in {cfg}"
+        assert main(argv) == 1
+        assert f"error: {named} needs --measure" in capsys.readouterr().err
 
-    def test_pls_seed_needs_a_nonzero_tolerance_without_measure(self, capsys):
+    def test_pls_seed_needs_a_nonzero_tolerance_without_measure(self, tmp_path, capsys):
         assert main(["pls", "--seed", "5", "--tolerance", "0"]) == 1
         assert "error: --seed needs --measure or a nonzero --tolerance" in capsys.readouterr().err
         assert main(["pls", "--seed", "5", "--tolerance", "0.01", "--trials", "200"]) == 0
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("seed=5\n")
+        assert main(["pls", "--config", str(cfg), "--tolerance", "0"]) == 1
+        assert f"error: config key seed in {cfg} needs --measure or a nonzero --tolerance" in capsys.readouterr().err
+        assert main(["pls", "--config", str(cfg), "--tolerance", "0.01", "--trials", "200"]) == 0
+        # under --measure the session reads all three config keys
+        cfg.write_text("seed=7\nbits=2000\njobs=1\n")
+        assert main(["pls", "--measure", "--config", str(cfg)]) == 0
 
     def test_pls_zero_trials_exits_one(self, capsys):
         assert main(["pls", "--tolerance", "0.01", "--trials", "0"]) == 1

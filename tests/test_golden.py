@@ -65,7 +65,7 @@ HELP_SHA256 = {
     "pls": "d95ff6af9b14ce4e8fcadfd693eb7297000512332ee6752fa47596bc3ada6f94",
 }
 
-# sample_chip moments against chip_distribution, and the classical variances
+# sample_chip moments against chip_moments(params, *state), and the classical variances
 DEMO_CHANNEL_SHA256 = "cb41e2b9df25929db0946f0ccab4f75e6a672f1f37752f178c7ebee86bf1cce8"
 
 TRACE_ARGV = ("sweep", "--sweep", "n", "--values", "5", "--detectors", "ml,simple,optimum", "--bits", str(GOLDEN_BITS))
