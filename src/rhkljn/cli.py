@@ -25,6 +25,7 @@ separability margin.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import logging
 import os
@@ -77,9 +78,9 @@ def _add_common(p: argparse.ArgumentParser, session: bool) -> None:
     p.add_argument("--config", help="flat key=value config file")
     p.add_argument("--scenario", choices=SCENARIOS, help="named bias scenario")
     if session:
-        p.add_argument("--bits", type=int, help="main bits per session (default 100000)")
-        p.add_argument("--seed", type=int, help="master seed (default 1)")
-        p.add_argument("--jobs", type=int, help="parallel workers (default 1)")
+        p.add_argument("--bits", type=int, help=f"main bits per session (default {HARNESS_KEYS['bits'][1]})")
+        p.add_argument("--seed", type=int, help=f"master seed (default {HARNESS_KEYS['seed'][1]})")
+        p.add_argument("--jobs", type=int, help=f"parallel workers (default {HARNESS_KEYS['jobs'][1]})")
     p.add_argument("--out", help="output file (default stdout)")
     p.add_argument("--strict", action="store_true", help="exit 2 on non-separable configurations")
     for key in PARAM_KEYS:
@@ -95,6 +96,9 @@ _DEFAULT_TRIALS = 10_000
 # config's scenario names any
 _DEFAULT_SCENARIOS = {"sweep": "good", "compare": "fine_tuned,good"}
 
+# harness keys that stats never reads: it runs no session
+_STATS_UNREAD = dict.fromkeys(("detectors", "bits", "seed", "jobs"), "is not read: stats runs no session")
+
 
 def _add_grid(p: argparse.ArgumentParser, command: str, values_help: str) -> None:
     p.add_argument("--values", required=True, help=values_help)
@@ -106,7 +110,7 @@ def _add_grid(p: argparse.ArgumentParser, command: str, values_help: str) -> Non
     p.add_argument(
         "--detectors",
         default=None,
-        help=f"comma list of detectors among {'/'.join(DETECTOR_CHOICES)} (default optimum)",
+        help=f"comma list of detectors among {'/'.join(DETECTOR_CHOICES)} (default {HARNESS_KEYS['detectors'][1]})",
     )
 
 
@@ -157,81 +161,85 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     return parser
 
 
-def _load(args) -> tuple[SystemParams, dict[str, object]]:
-    file_values: dict[str, object] = {}
-    if args.config:
-        file_values = parse_config(args.config)
-    for key in PARAM_KEYS:
-        override = getattr(args, key, None)
-        if override is not None:
-            file_values[key] = override
-    params = build_params(file_values)
-    harness = {k: v for k, v in file_values.items() if k in HARNESS_KEYS}
-    return params, harness
+def _settings(args, unread: dict[str, str]) -> tuple[SystemParams, dict[str, object]]:
+    """The run's parameters and its harness settings, flags laid over the config.
+
+    ``unread`` maps each harness key that this run does not read to the
+    reason; a flag or config key that sets one fails rather than being
+    ignored.  Unset harness keys take their ``HARNESS_KEYS`` defaults.
+    """
+    for key, why in unread.items():
+        if getattr(args, key, None) is not None:
+            raise ConfigError(f"--{key} {why}")
+    values = parse_config(args.config) if args.config else {}
+    for key, why in unread.items():
+        if key in values:
+            raise ConfigError(f"config key {key} in {args.config} {why}")
+    for key in (*PARAM_KEYS, *HARNESS_KEYS):
+        flag = getattr(args, key, None)
+        if flag is not None:
+            values[key] = flag
+    harness = {key: values.get(key, default) for key, (_, default) in HARNESS_KEYS.items()}
+    return build_params(values), harness
 
 
-def _pick(args, harness, key, default):
-    value = getattr(args, key, None)
-    if value is not None:
-        return value
-    return harness.get(key, default)
-
-
-def _parse_detectors(args, harness) -> tuple[str, ...]:
-    raw = args.detectors or harness.get("detectors")
-    if not raw:
-        return ("optimum",)
-    names = tuple(s.strip() for s in str(raw).split(",") if s.strip())
-    for n in names:
-        if n not in DETECTOR_CHOICES:
-            raise ConfigError(f"unknown detector {n!r}; choose from {DETECTOR_CHOICES}")
-    return names
+def _names(raw: str) -> tuple[str, ...]:
+    return tuple(s.strip() for s in raw.split(",") if s.strip())
 
 
 def _parse_values(raw: str) -> tuple[float, ...]:
     try:
-        return tuple(float(s) for s in raw.split(",") if s.strip())
+        return tuple(float(s) for s in _names(raw))
     except ValueError as exc:
         raise ConfigError(f"bad --values list: {raw!r}") from exc
 
 
-def _check_strict(args, params: SystemParams) -> None:
-    if not args.strict:
-        return
-    report = check_separability(params, derive_stats(params))
+def _check_strict(report) -> None:
     if not report.separable:
         print(f"non-separable configuration: {report}", file=sys.stderr)
         raise SystemExit(EXIT_NOT_SEPARABLE)
 
 
-def _check_writable(path: str) -> None:
-    """Fail before any work if ``path`` cannot be written.
+def _check_outputs(args) -> None:
+    """Fail before any work if an output cannot be written, or if it names
+    the config file or the file of another output.
 
     Opens nothing, so an existing file keeps its bytes until it is written.
     """
-    parent = os.path.dirname(os.path.abspath(path))
-    if os.path.isdir(path):
-        raise OSError(f"cannot write {path}: it is a directory")
-    if not os.path.isdir(parent):
-        raise OSError(f"cannot write {path}: no directory {parent}")
-    if not os.access(path if os.path.exists(path) else parent, os.W_OK):
-        raise OSError(f"cannot write {path}: permission denied")
+    named = {os.path.realpath(args.config): "config"} if args.config else {}
+    for flag in ("out", "csv", "trace"):
+        path = getattr(args, flag, None)
+        if not path:
+            continue
+        parent = os.path.dirname(os.path.abspath(path))
+        if os.path.isdir(path):
+            raise OSError(f"cannot write {path}: it is a directory")
+        if not os.path.isdir(parent):
+            raise OSError(f"cannot write {path}: no directory {parent}")
+        if not os.access(path if os.path.exists(path) else parent, os.W_OK):
+            raise OSError(f"cannot write {path}: permission denied")
+        real = os.path.realpath(path)
+        if real in named:
+            raise ConfigError(f"--{named[real]} and --{flag} name one file: {path}")
+        named[real] = flag
 
 
-def _open_out(args):
-    if args.out:
-        return open(args.out, "w")
-    return sys.stdout
+@contextlib.contextmanager
+def _output(path: str | None):
+    """The file at ``path``, opened for writing and closed on exit; stdout without one."""
+    if not path:
+        yield sys.stdout
+        return
+    with open(path, "w") as fh:
+        yield fh
 
 
 def _cmd_stats(args) -> int:
-    params, harness = _load(args)
-    scenario = _pick(args, harness, "scenario", None)
-    params = apply_scenario(params, scenario)
+    params, harness = _settings(args, _STATS_UNREAD)
+    params = apply_scenario(params, harness["scenario"])
     stats = derive_stats(params)
     report = check_separability(params, stats)
-    out = _open_out(args)
-    try:
+    with _output(args.out) as out:
         rows = [
             ("alpha", params.alpha),
             ("beta", params.beta),
@@ -272,24 +280,22 @@ def _cmd_stats(args) -> int:
         for name, value in rows:
             out.write(f"{name:<{width}}  {value:.9g}\n")
         out.write(f"separability: {report}\n")
-    finally:
-        if out is not sys.stdout:
-            out.close()
-    _check_strict(args, params)
+    if args.strict:
+        _check_strict(report)
     return EXIT_OK
 
 
 def _cmd_grid(args) -> int:
     """``sweep`` and ``compare``: one spec, a --strict pass over it, then the CSV."""
-    params, harness = _load(args)
-    scenarios_raw = args.scenarios or _pick(args, harness, "scenario", _DEFAULT_SCENARIOS[args.command])
+    params, harness = _settings(args, {})
+    scenarios = harness["scenario"] if args.scenarios is None else args.scenarios
     spec = SweepSpec(
         swept_parameter=args.sweep,
         values=_parse_values(args.values),
-        detectors=_parse_detectors(args, harness),
-        scenarios=tuple(s.strip() for s in str(scenarios_raw).split(",") if s.strip()),
-        num_bits=int(_pick(args, harness, "bits", 100_000)),
-        master_seed=int(_pick(args, harness, "seed", 1)),
+        detectors=_names(harness["detectors"]),
+        scenarios=_names(_DEFAULT_SCENARIOS[args.command] if scenarios is None else scenarios),
+        num_bits=harness["bits"],
+        master_seed=harness["seed"],
     )
     if args.strict:
         # separability never reads samples per chip: an n or rate grid has
@@ -300,18 +306,14 @@ def _cmd_grid(args) -> int:
             points = (params.replace(**{spec.swept_parameter: v}) for v in spec.values)
         for point in points:
             for scenario in spec.scenarios:
-                _check_strict(args, apply_scenario(point, scenario))
-    jobs = int(_pick(args, harness, "jobs", 1))
+                point_params = apply_scenario(point, scenario)
+                _check_strict(check_separability(point_params, derive_stats(point_params)))
     if args.command == "compare":
-        rows = run_compare(spec, params, jobs=jobs)
+        rows = run_compare(spec, params, jobs=harness["jobs"])
     else:
-        rows = run_sweep(spec, params, jobs=jobs, trace=args.trace)
-    out = _open_out(args)
-    try:
+        rows = run_sweep(spec, params, jobs=harness["jobs"], trace=args.trace)
+    with _output(args.out) as out:
         write_csv(rows, out)
-    finally:
-        if out is not sys.stdout:
-            out.close()
     return EXIT_OK
 
 
@@ -319,35 +321,29 @@ def _cmd_pls(args) -> int:
     # without a jitter model the outage is exact and no trial is drawn
     if args.trials is not None and not args.tolerance:
         raise ConfigError("--trials needs a nonzero --tolerance: without one the outage runs no trials")
-    # only the session of --measure reads bits and jobs, and the seed feeds
-    # only the session and the outage trials: a flag or config key that
-    # this run would not read fails rather than being ignored
-    unread = {}
+    # the report reads the optimum detector only; only the session of
+    # --measure reads bits and jobs, and the seed feeds only the session and
+    # the outage trials
+    unread = {"detectors": "is not read: pls reports the optimum detector only"}
     if not args.measure:
         unread["bits"] = unread["jobs"] = "needs --measure: without it pls runs no session"
         if not args.tolerance:
             unread["seed"] = "needs --measure or a nonzero --tolerance: without either pls draws nothing"
-    for key, why in unread.items():
-        if getattr(args, key) is not None:
-            raise ConfigError(f"--{key} {why}")
-    params, harness = _load(args)
-    for key, why in unread.items():
-        if key in harness:
-            raise ConfigError(f"config key {key} in {args.config} {why}")
-    scenario = _pick(args, harness, "scenario", None)
-    params = apply_scenario(params, scenario)
+    params, harness = _settings(args, unread)
+    params = apply_scenario(params, harness["scenario"])
     stats = derive_stats(params)
-    _check_strict(args, params)
+    if args.strict:
+        _check_strict(check_separability(params, stats))
 
     measured_xi = None
     measured_eve = None
     if args.measure:
         check_nyquist(params)
-        with worker_pool(int(_pick(args, harness, "jobs", 1))) as pool:
+        with worker_pool(harness["jobs"]) as pool:
             tally = run_session(
-                int(_pick(args, harness, "bits", 100_000)),
+                harness["bits"],
                 ProtocolConfig(params, stats),
-                seed=int(_pick(args, harness, "seed", 1)),
+                seed=harness["seed"],
                 pool=pool,
             )["optimum"]
         measured_xi = tally.discard_fraction
@@ -361,17 +357,13 @@ def _cmd_pls(args) -> int:
         xi=measured_xi,
         perturbation=perturbation,
         trials=_DEFAULT_TRIALS if args.trials is None else args.trials,
-        seed=int(_pick(args, harness, "seed", 1)),
+        seed=harness["seed"],
     )
-    out = _open_out(args)
-    try:
+    with _output(args.out) as out:
         out.write(report.as_text() + "\n")
         if measured_xi is not None:
             out.write(f"measured_xi={measured_xi:.9g}\n")
             out.write(f"measured_eve_accuracy={measured_eve:.9g}\n")
-    finally:
-        if out is not sys.stdout:
-            out.close()
     if args.csv:
         with open(args.csv, "w") as fh:
             fh.write(report.csv_header() + "\n")
@@ -393,9 +385,7 @@ def main(argv=None) -> int:
         argv = sys.argv[1:]
     args = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None).parse_args(argv)
     try:
-        for path in (args.out, getattr(args, "csv", None), getattr(args, "trace", None)):
-            if path:
-                _check_writable(path)
+        _check_outputs(args)
         return _COMMANDS[args.command](args)
     except (ConfigError, InvalidParamsError, NonSeparableError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,13 +1,16 @@
 """Flat key=value configuration files and the named bias scenarios.
 
 A config file holds one ``key=value`` pair per line; ``#`` starts a
-comment and blank lines are ignored.  Keys cover the system parameters
-plus the harness settings (detectors, scenario, bits, seed, jobs).
-Command-line flags override file values.
+comment and blank lines are ignored.  Each key names one setting and may
+appear once: :data:`PARAM_KEYS` are the :class:`SystemParams` fields and
+:data:`HARNESS_KEYS` the run settings (detectors, scenario, bits, seed,
+jobs) with their defaults.  The CLI lays its flags over the file and fails
+on a key that the invoked command does not read.
 """
 
 from __future__ import annotations
 
+from dataclasses import fields
 from pathlib import Path
 
 from .params import SystemParams, fine_tuned_bias
@@ -21,33 +24,26 @@ SCENARIOS = ("good", "moderate", "fine_tuned")
 
 _SCENARIO_BIAS = {"good": 1e-4, "moderate": 9.5e-5}
 
-PARAM_KEYS: dict[str, type] = {
-    "temperature": float,
-    "bandwidth": float,
-    "r_l0": float,
-    "alpha": float,
-    "beta": float,
-    "gamma": float,
-    "m_l": float,
-    "bit_duration": float,
-    "chips_per_bit": int,
-    "samples_per_chip": int,
-    "boltzmann_k": float,
+# one key per SystemParams field, in field order, typed as its default
+PARAM_KEYS: dict[str, type] = {f.name: type(f.default) for f in fields(SystemParams)}
+
+# key -> (type, default); a scenario of None keeps the configured bias
+HARNESS_KEYS: dict[str, tuple[type, object]] = {
+    "detectors": (str, "optimum"),
+    "scenario": (str, None),
+    "bits": (int, 100_000),
+    "seed": (int, 1),
+    "jobs": (int, 1),
 }
 
-HARNESS_KEYS: dict[str, type] = {
-    "detectors": str,
-    "scenario": str,
-    "bits": int,
-    "seed": int,
-    "jobs": int,
-}
+_KEY_TYPES = {**PARAM_KEYS, **{key: kind for key, (kind, _) in HARNESS_KEYS.items()}}
 
 
 def parse_config(path) -> dict[str, object]:
-    """Parse a config file into typed values; unknown keys and bad values
-    raise :class:`ConfigError` with the offending line number."""
+    """Parse a config file into typed values; an unknown, repeated or bad
+    key raises :class:`ConfigError` with the offending line number."""
     values: dict[str, object] = {}
+    linenos: dict[str, int] = {}
     text = Path(path).read_text()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -57,11 +53,13 @@ def parse_config(path) -> dict[str, object]:
             raise ConfigError(f"{path}:{lineno}: expected key=value, got {raw!r}")
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
-        caster = PARAM_KEYS.get(key) or HARNESS_KEYS.get(key)
-        if caster is None:
+        if key not in _KEY_TYPES:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+        if key in linenos:
+            raise ConfigError(f"{path}:{lineno}: key {key} is already set on line {linenos[key]}")
+        linenos[key] = lineno
         try:
-            values[key] = caster(value) if caster is not str else value
+            values[key] = _KEY_TYPES[key](value)
         except ValueError as exc:
             raise ConfigError(f"{path}:{lineno}: bad value for {key}: {value!r}") from exc
     return values

@@ -1,6 +1,7 @@
 """Config parsing, CSV schema, CLI exit codes and reproducibility."""
 
 import argparse
+import contextlib
 import csv
 import io
 import multiprocessing
@@ -11,6 +12,7 @@ import sys
 import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -20,8 +22,8 @@ from rhkljn.protocol import run_classical_session
 from rhkljn.rng import value_key
 from rhkljn.sweep import write_csv
 from rhkljn import cli, protocol, sweep
-from rhkljn.cli import main
-from rhkljn.config import ConfigError, SCENARIOS, apply_scenario, build_params, parse_config
+from rhkljn.cli import EXIT_OK, main
+from rhkljn.config import HARNESS_KEYS, ConfigError, SCENARIOS, apply_scenario, build_params, parse_config
 from rhkljn.sweep import _TAG_CLASSICAL, CSV_COLUMNS, _point_params, binomial_ci95
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -69,6 +71,16 @@ class TestConfigFile:
         cfg.write_text("alpha=10\nbeta\n")
         with pytest.raises(ConfigError, match=":2"):
             parse_config(cfg)
+
+    # every key names one setting, so a second line for it is an error, not
+    # an override
+    def test_repeated_key_reports_both_lines(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("alpha=10\nbeta=3.6\n# again\nalpha = 20\n")
+        with pytest.raises(ConfigError, match=":4: key alpha is already set on line 1$"):
+            parse_config(cfg)
+        assert main(["stats", "--config", str(cfg)]) == 1
+        assert f"error: {cfg}:4: key alpha is already set on line 1" in capsys.readouterr().err
 
 
 class TestScenarios:
@@ -534,6 +546,123 @@ class TestCommandParser:
             assert (flags == ["-h", "--help"]) == (command not in (None, name)), name
 
 
+class _Reached(BaseException):
+    """Raised where a recorded run reaches the engine; not an Exception, so main lets it through."""
+
+
+@pytest.fixture
+def engine_reads(monkeypatch):
+    """The harness values that reach the engine, recorded at the names cli calls.
+
+    A grid, a session or a report stops the command once it is recorded.
+    """
+    seen = {}
+
+    def grid(spec, params, *, jobs, trace=None):
+        seen.update(
+            detectors=",".join(spec.detectors),
+            scenario=",".join(spec.scenarios),
+            bits=spec.num_bits,
+            seed=spec.master_seed,
+            jobs=jobs,
+        )
+        raise _Reached
+
+    def scenario(params, name):
+        seen["scenario"] = name
+        return apply_scenario(params, name)
+
+    @contextlib.contextmanager
+    def pool(jobs):
+        seen["jobs"] = jobs
+        yield None
+
+    def session(num_bits, config, *, seed, pool):
+        seen.update(bits=num_bits, seed=seed)
+        raise _Reached
+
+    def report(*args, seed, **kwargs):
+        seen["seed"] = seed
+        raise _Reached
+
+    for name, fake in (
+        ("run_sweep", grid), ("run_compare", grid), ("apply_scenario", scenario),
+        ("worker_pool", pool), ("run_session", session), ("build_report", report),
+    ):
+        monkeypatch.setattr(cli, name, fake)
+    return seen
+
+
+# a value of each harness key that is not its default
+GUARD_VALUES = {"detectors": "ml", "scenario": "moderate", "bits": 300, "seed": 7, "jobs": 2}
+# every command, pls once per set of harness keys it reads, and those keys
+GUARD_RUNS = {
+    "stats": (["stats"], {"scenario"}),
+    "sweep": (["sweep", "--sweep", "n", "--values", "3"], set(HARNESS_KEYS)),
+    "compare": (["compare", "--values", "2e4"], set(HARNESS_KEYS)),
+    "pls": (["pls"], {"scenario"}),
+    "pls-tolerance": (["pls", "--tolerance", "0.01"], {"scenario", "seed"}),
+    "pls-measure": (["pls", "--measure"], {"scenario", "bits", "seed", "jobs"}),
+}
+
+
+def _recorded_run(argv, capsys):
+    try:
+        code = main(argv)
+    except _Reached:
+        code = EXIT_OK
+    except SystemExit as exc:
+        code = exc.code
+    return code, capsys.readouterr().err
+
+
+class TestSettings:
+    """Every setting a command is given is read by it or fails the command."""
+
+    def test_guard_tables_cover_every_key_and_command(self):
+        assert set(GUARD_VALUES) == set(HARNESS_KEYS)
+        assert {argv[0] for argv, _ in GUARD_RUNS.values()} == set(cli._COMMANDS)
+
+    @pytest.mark.parametrize("key", list(GUARD_VALUES))
+    @pytest.mark.parametrize("run", list(GUARD_RUNS))
+    def test_harness_setting_is_read_or_rejected(self, tmp_path, capsys, engine_reads, run, key):
+        argv, reads = GUARD_RUNS[run]
+        value = GUARD_VALUES[key]
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key}={value}\n")
+        for source, extra in (("flag", [f"--{key}", str(value)]), ("config", ["--config", str(cfg)])):
+            engine_reads.clear()
+            code, err = _recorded_run(argv + extra, capsys)
+            if key in reads:
+                assert (code, engine_reads.get(key)) == (EXIT_OK, value), source
+            else:
+                assert code == cli.EXIT_USAGE, source
+                assert engine_reads == {}, source
+                named = f"--{key}" if source == "flag" else f"error: config key {key} in {cfg} "
+                assert named in err, source
+
+    def test_every_param_field_is_a_config_key_and_a_flag(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("".join(f"{f.name}={f.default}\n" for f in fields(SystemParams)))
+        values = parse_config(cfg)
+        assert [(k, type(v)) for k, v in values.items()] == [(f.name, type(f.default)) for f in fields(SystemParams)]
+        for command in cli._COMMANDS:
+            (subparsers,) = (a for a in cli.build_parser(command)._actions if isinstance(a, argparse._SubParsersAction))
+            flags = {a.option_strings[0]: a for a in subparsers.choices[command]._actions}
+            for f in fields(SystemParams):
+                action = flags["--" + f.name.replace("_", "-")]
+                assert (action.dest, action.type) == (f.name, type(f.default)), (command, f.name)
+
+    # the report the command prints is the one --strict checks
+    @pytest.mark.parametrize("command", ["stats", "pls"])
+    def test_strict_derives_stats_once(self, monkeypatch, capsys, command):
+        calls = []
+        real = cli.derive_stats
+        monkeypatch.setattr(cli, "derive_stats", lambda params: calls.append(params) or real(params))
+        assert main([command, "--strict", "--scenario", "fine_tuned"]) == EXIT_OK
+        assert len(calls) == 1
+
+
 class TestCli:
     def test_stats_prints_reference_values(self, capsys):
         assert main(["stats"]) == 0
@@ -587,10 +716,19 @@ class TestCli:
             (["sweep", "--sweep", "n", "--values", "3", "--scenarios", "good,good"], "scenarios must not repeat"),
             (["compare", "--values", "2e4", "--scenarios", "good,good"], "scenarios must not repeat"),
             (["compare", "--values", "2e4", "--detectors", "ml,ml"], "detectors must not repeat"),
+            (["sweep", "--sweep", "n", "--values", "3", "--detectors", ""], "detectors must be non-empty"),
+            (["compare", "--values", "2e4", "--config", "detectors=\n"], "detectors must be non-empty"),
+            (["sweep", "--sweep", "n", "--values", "3", "--scenarios", ""], "scenarios must be non-empty"),
         ],
     )
     def test_empty_or_non_finite_input_exits_one(self, tmp_path, capsys, argv, message):
         out = tmp_path / "rows.csv"
+        if "--config" in argv:
+            # the word after --config is the file's text
+            at = argv.index("--config") + 1
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text(argv[at])
+            argv = argv[:at] + [str(cfg)] + argv[at + 1:]
         if argv[0] in ("sweep", "compare"):
             argv = argv + ["--bits", "100", "--out", str(out)]
         assert main(argv) == 1
@@ -808,6 +946,35 @@ class TestCli:
         assert f"error: cannot write {missing}: no directory {missing.parent}" in capsys.readouterr().err
         assert main(argv + [str(tmp_path), "--bits", "100000"]) == 1
         assert f"error: cannot write {tmp_path}: it is a directory" in capsys.readouterr().err
+
+    # two outputs that name one file would leave only the one written last,
+    # and an output that names the config file would overwrite it
+    @pytest.mark.parametrize(
+        "argv, flags, second",
+        [
+            (["pls", "--measure", "--out", "r.txt", "--csv"], "--out and --csv", "r.txt"),
+            (["pls", "--measure", "--out", "r.txt", "--csv"], "--out and --csv", "sub/../r.txt"),
+            (["sweep", "--sweep", "n", "--values", "4", "--out", "t.log", "--trace"], "--out and --trace", "t.log"),
+            (["sweep", "--sweep", "n", "--values", "4", "--out", "t.log", "--trace"], "--out and --trace", "./t.log"),
+            (["stats", "--config", "c.cfg", "--out"], "--config and --out", "c.cfg"),
+        ],
+        ids=["pls", "pls-realpath", "sweep-trace", "sweep-trace-realpath", "stats-config"],
+    )
+    def test_outputs_naming_one_file_fail_before_any_work(
+        self, tmp_path, capsys, monkeypatch, argv, flags, second
+    ):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the command ran")
+
+        for module, name in ((sweep, "run_session"), (cli, "run_session"), (cli, "build_report"), (cli, "derive_stats")):
+            monkeypatch.setattr(module, name, refuse)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "sub").mkdir()
+        first = tmp_path / argv[argv.index(flags.split()[0]) + 1]
+        first.write_text("alpha=12\n")
+        assert main(argv + [second]) == 1
+        assert f"error: {flags} name one file: {second}" in capsys.readouterr().err
+        assert first.read_text() == "alpha=12\n"
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_invalid_point_fails_before_any_session(self, tmp_path, capsys, monkeypatch, jobs):
