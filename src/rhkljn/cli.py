@@ -50,7 +50,7 @@ from .params import (
     derive_stats,
 )
 from .pls import ResistorTolerance, build_report
-from .protocol import DETECTOR_CHOICES, ProtocolConfig, run_session, worker_pool
+from .protocol import DETECTOR_CHOICES, ProtocolConfig, fan_out, merge_tallies, run_session
 from .sweep import (
     SWEEP_PARAMETERS,
     SweepSpec,
@@ -183,13 +183,21 @@ def _settings(args, unread: dict[str, str]) -> tuple[SystemParams, dict[str, obj
     return build_params(values), harness
 
 
-def _names(raw: str) -> tuple[str, ...]:
-    return tuple(s.strip() for s in raw.split(",") if s.strip())
+def _names(raw: str, name: str) -> tuple[str, ...]:
+    """The items of the comma list ``name``; a list of blanks is empty,
+    and a blank item beside others fails."""
+    items = tuple(s.strip() for s in raw.split(","))
+    if not any(items):
+        return ()
+    if not all(items):
+        raise ConfigError(f"{name} list {raw!r} has a blank item")
+    return items
 
 
 def _parse_values(raw: str) -> tuple[float, ...]:
+    items = _names(raw, "values")
     try:
-        return tuple(float(s) for s in _names(raw))
+        return tuple(float(s) for s in items)
     except ValueError as exc:
         raise ConfigError(f"bad --values list: {raw!r}") from exc
 
@@ -292,8 +300,8 @@ def _cmd_grid(args) -> int:
     spec = SweepSpec(
         swept_parameter=args.sweep,
         values=_parse_values(args.values),
-        detectors=_names(harness["detectors"]),
-        scenarios=_names(_DEFAULT_SCENARIOS[args.command] if scenarios is None else scenarios),
+        detectors=_names(harness["detectors"], "detectors"),
+        scenarios=_names(_DEFAULT_SCENARIOS[args.command] if scenarios is None else scenarios, "scenarios"),
         num_bits=harness["bits"],
         master_seed=harness["seed"],
     )
@@ -315,6 +323,11 @@ def _cmd_grid(args) -> int:
     with _output(args.out) as out:
         write_csv(rows, out)
     return EXIT_OK
+
+
+def _measure_share(num_bits: int, cfg: ProtocolConfig, seed: int, share):
+    """``share`` of the session of ``pls --measure``, for :func:`fan_out`."""
+    return run_session(num_bits, cfg, seed=seed, share=share)
 
 
 def _cmd_pls(args) -> int:
@@ -339,13 +352,8 @@ def _cmd_pls(args) -> int:
     measured_eve = None
     if args.measure:
         check_nyquist(params)
-        with worker_pool(harness["jobs"]) as pool:
-            tally = run_session(
-                harness["bits"],
-                ProtocolConfig(params, stats),
-                seed=harness["seed"],
-                pool=pool,
-            )["optimum"]
+        measure = functools.partial(_measure_share, harness["bits"], ProtocolConfig(params, stats), harness["seed"])
+        tally = merge_tallies(fan_out(measure, harness["jobs"], harness["bits"]))["optimum"]
         measured_xi = tally.discard_fraction
         measured_eve = tally.eve_correct_fraction
 

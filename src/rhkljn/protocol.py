@@ -23,11 +23,14 @@ and S is drawn only when the ``ml`` detector, the one detector that reads
 it, runs.  Every detector is tallied from a keep mask, ``ml`` scored only
 on the chips the gate keeps; labels are built only for the trace.
 Work is split into fixed-size chunks of bits, each with its own seed
-substream, so results are bit-identical across worker counts.  Chunks run
-serially, or in N shares on the pool of :func:`worker_pool`: N - 1 worker
-processes, forked by the pool's first task, and the calling process, which
-runs one share itself.  A command opens the pool once and passes it to every
-session of its grid, one session at a time.
+substream, so results are bit-identical across worker counts.  A session
+runs the chunks of one share (k, n), chunks k, k + n, ..., serially in the
+calling process, all of them by default, and knows nothing of processes.
+:func:`fan_out` runs the n shares of a function of a share at once: share
+0 in the calling process and the others as one task each on a
+:func:`worker_pool` of n - 1 worker processes, forked for that one call.
+A command fans out once, over every session of its grid, and adds up each
+session's shares with :func:`merge_tallies`.
 The classical two-resistor baseline (variance trisection on zero-mean
 noise, its mean of squares drawn as a scaled chi-square, its bank the
 sub-bit-0 column of the hopping bank) runs on the same chunk engine for
@@ -310,6 +313,10 @@ def _tally_chunk(spec, a_main, b_main, a_sub, b_sub, scatter, m_hat, eve_guess_a
 
 
 def _chunk_sizes(num_bits: int, chunk_bits: int) -> list[int]:
+    if num_bits < 1:
+        raise ValueError(f"num_bits must be >= 1, got {num_bits}")
+    if chunk_bits < 1:
+        raise ValueError(f"chunk_bits must be >= 1, got {chunk_bits}")
     full, rest = divmod(num_bits, chunk_bits)
     return [chunk_bits] * full + ([rest] if rest else [])
 
@@ -317,9 +324,10 @@ def _chunk_sizes(num_bits: int, chunk_bits: int) -> list[int]:
 def __getattr__(name: str):
     """``protocol.ProcessPoolExecutor``, imported on first use (PEP 562).
 
-    The executor and the multiprocessing stack it loads serve only
-    ``jobs > 1``, so a serial command never imports them.  The class is
-    kept as a module attribute once loaded, where a patch can replace it.
+    The executor and the multiprocessing stack it loads serve only a
+    :func:`fan_out` of more than one share, so a serial command never
+    imports them.  The class is kept as a module attribute once loaded,
+    where a patch can replace it.
     """
     if name == "ProcessPoolExecutor":
         from concurrent.futures import ProcessPoolExecutor
@@ -330,7 +338,7 @@ def __getattr__(name: str):
 
 
 class _Pool(NamedTuple):
-    """What :func:`worker_pool` yields: the executor and how many shares a session is split into."""
+    """What :func:`worker_pool` yields: the executor and the number of shares it serves."""
 
     executor: ProcessPoolExecutor
     shares: int
@@ -338,19 +346,13 @@ class _Pool(NamedTuple):
 
 @contextlib.contextmanager
 def worker_pool(jobs: int):
-    """The pool every session inside the block splits its chunks over.
+    """The executor of a :func:`fan_out` of ``jobs`` shares, shut down when the block ends.
 
-    Yields ``None`` for ``jobs == 1``, building no executor, so sessions
-    run serially.  Otherwise each session runs in ``jobs`` shares: the
-    calling process works one share and a ``ProcessPoolExecutor`` of
-    ``jobs - 1`` workers the rest.  With the fork start method the first
-    task submitted forks every worker, on the calling thread, before the
-    executor starts its manager thread; sessions of one chunk submit no
-    task, so a grid of them forks none.  A grid opens one pool and passes
-    it to each of its sessions, so workers start once per command rather
-    than once per session.  When the block ends the executor is shut down;
-    if it ends by an exception, tasks not yet started are cancelled rather
-    than run.
+    Yields ``None`` for ``jobs == 1``, building no executor.  Otherwise it
+    yields a ``ProcessPoolExecutor`` of ``jobs - 1`` workers, looked up at
+    call time as ``protocol.ProcessPoolExecutor``, for the shares the
+    calling process does not run.  If the block ends by an exception,
+    tasks not yet started are cancelled rather than run.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
@@ -367,39 +369,50 @@ def worker_pool(jobs: int):
         executor.shutdown(wait=True, cancel_futures=failed)
 
 
-def _run_share(chunk, spec: _ChunkSpec, share) -> dict[str, DetectorTally]:
-    """Run ``chunk`` over the ``(index, size)`` chunks of ``share`` and merge the tallies."""
-    merged: dict[str, DetectorTally] = {}
-    for idx, size in share:
-        part = chunk(replace(spec, n_bits=size, key=spec.key + (idx,)))
+def fan_out(run_share, jobs: int, num_bits: int, chunk_bits: int = DEFAULT_CHUNK_BITS) -> list:
+    """``run_share(share=(k, n))`` for k = 0 ... n - 1, the results in share order.
+
+    ``run_share`` runs share ``(k, n)`` of sessions of ``num_bits`` bits in
+    chunks of ``chunk_bits`` (``run_session``'s ``share``), and
+    n = min(``jobs``, chunks per session).  Share 0 runs in the calling
+    process and shares 1 ... n - 1 on the n - 1 workers of a
+    :func:`worker_pool`, one task each, submitted before the caller starts
+    its own share: with the fork start method the first task forks every
+    worker, on the calling thread, before the executor starts its manager
+    thread.  One share builds no executor.
+    """
+    with worker_pool(min(jobs, len(_chunk_sizes(num_bits, chunk_bits)))) as pool:
+        if pool is None:
+            return [run_share(share=(0, 1))]
+        futures = [pool.executor.submit(run_share, share=(k, pool.shares)) for k in range(1, pool.shares)]
+        return [run_share(share=(0, pool.shares))] + [future.result() for future in futures]
+
+
+def merge_tallies(parts) -> dict[str, DetectorTally]:
+    """The tallies of a session's shares, added detector by detector."""
+    first, *rest = parts
+    merged = dict(first)
+    for part in rest:
         for name, tally in part.items():
-            merged[name] = merged[name] + tally if name in merged else tally
+            merged[name] += tally
     return merged
 
 
-def _run_chunks(chunk, spec: _ChunkSpec, num_bits: int, chunk_bits: int, pool):
-    """Run ``chunk`` over ``num_bits`` bits in chunks and merge the tallies.
+def _run_chunks(chunk, spec: _ChunkSpec, num_bits: int, chunk_bits: int, share) -> dict[str, DetectorTally]:
+    """Run ``chunk`` over chunks k, k + n, ... of ``num_bits`` bits, for
+    ``share`` = (k, n), and add up the tallies.
 
     ``spec`` is the session's template: chunk ``i`` gets its own size as
-    ``n_bits`` and ``spec.key + (i,)`` as its substream key.  On ``pool``
-    the chunks are dealt into ``pool.shares`` strided shares; every share
-    but the first goes to the workers as one task, which sends ``spec``
-    once and returns one merged tally, while the calling thread runs the
-    first.  Tallies are integer sums, so they are the same whether the
-    chunks run serially or in shares.
+    ``n_bits`` and ``spec.key + (i,)`` as its substream key.  Tallies are
+    integer sums, so the n shares of a session add up to the session run
+    as one share, ``(0, 1)``.
     """
-    if num_bits < 1:
-        raise ValueError(f"num_bits must be >= 1, got {num_bits}")
-    if chunk_bits < 1:
-        raise ValueError(f"chunk_bits must be >= 1, got {chunk_bits}")
-    plan = list(enumerate(_chunk_sizes(num_bits, chunk_bits)))
-    if pool is None:
-        return _run_share(chunk, spec, plan)
-    shares = [plan[k :: pool.shares] for k in range(pool.shares)]
-    futures = [pool.executor.submit(_run_share, chunk, spec, share) for share in shares[1:] if share]
-    merged = _run_share(chunk, spec, shares[0])
-    for future in futures:
-        for name, tally in future.result().items():
+    k, n = share
+    if not 0 <= k < n:
+        raise ValueError(f"share must be (k, n) with 0 <= k < n, got {share}")
+    merged = dict.fromkeys(spec.detectors, DetectorTally())
+    for idx, size in list(enumerate(_chunk_sizes(num_bits, chunk_bits)))[k::n]:
+        for name, tally in chunk(replace(spec, n_bits=size, key=spec.key + (idx,))).items():
             merged[name] += tally
     return merged
 
@@ -409,7 +422,7 @@ def run_session(
     cfg: ProtocolConfig,
     seed: int,
     detectors: tuple[str, ...] = ("optimum",),
-    pool=None,
+    share: tuple[int, int] = (0, 1),
     point_key: tuple[int, ...] = (),
     trace=None,
     chunk_bits: int = DEFAULT_CHUNK_BITS,
@@ -419,10 +432,11 @@ def run_session(
     Secrets are i.i.d. uniform.  Every detector in ``detectors`` is
     evaluated on the same sampled chips, so detector comparisons share one
     noise realization; the tallies come back in the requested order.
-    Chunks run on ``pool`` (from :func:`worker_pool`; ``None`` runs them
-    serially), and the result is bit-identical for a fixed
-    ``seed``/``point_key`` either way.  ``trace`` (a writable text file)
-    logs one line per chip and runs serially, ignoring ``pool``.
+    The chunks of ``share`` = (k, n), chunks k, k + n, ..., run serially in
+    the calling process; the n shares add up (:func:`merge_tallies`) to the
+    whole session, bit-identical for a fixed ``seed``/``point_key``, and
+    :func:`fan_out` runs them on worker processes.  ``trace`` (a writable
+    text file) logs one line per chip of the share, in bit order.
     """
     names = tuple(detectors)
     if not names:
@@ -434,10 +448,9 @@ def run_session(
         raise ValueError(f"detectors must not repeat, got {','.join(names)}")
     spec = _ChunkSpec(cfg.params, cfg.stats, names, num_bits, seed, point_key)
     if trace is None:
-        return _run_chunks(_rh_chunk, spec, num_bits, chunk_bits, pool)
-    # one trace file, written in bit order: never more than one worker
+        return _run_chunks(_rh_chunk, spec, num_bits, chunk_bits, share)
     traced = functools.partial(_traced_chunk, trace=trace, chunk_bits=chunk_bits)
-    return _run_chunks(traced, spec, num_bits, chunk_bits, None)
+    return _run_chunks(traced, spec, num_bits, chunk_bits, share)
 
 
 def _traced_chunk(spec: _ChunkSpec, trace, chunk_bits: int) -> dict[str, DetectorTally]:
@@ -514,7 +527,7 @@ def run_classical_session(
     num_bits: int,
     params: SystemParams,
     seed: int,
-    pool=None,
+    share: tuple[int, int] = (0, 1),
     point_key: tuple[int, ...] = (),
     chunk_bits: int = DEFAULT_CHUNK_BITS,
 ) -> dict[str, DetectorTally]:
@@ -526,7 +539,7 @@ def run_classical_session(
     discard detections of the equal-bit cases, and infer the partner bit by
     the flip rule otherwise.  The decision unit is the bit, so
     ``total_chips`` counts bits here; the result holds one tally, under
-    ``"classical"``.  Chunks run on ``pool`` as in :func:`run_session`.
+    ``"classical"``.  ``share`` picks chunks as in :func:`run_session`.
     """
     spec = _ChunkSpec(params, None, ("classical",), num_bits, seed, point_key)
-    return _run_chunks(_classical_chunk, spec, num_bits, chunk_bits, pool)
+    return _run_chunks(_classical_chunk, spec, num_bits, chunk_bits, share)

@@ -6,23 +6,26 @@ realization of a grid point.  ``run_sweep`` and ``run_compare`` walk it
 through one hopping-row runner: one session per (value, scenario) point
 and one CSV row per (value, scenario, detector).  ``run_compare`` takes a
 spec that sweeps ``rate`` and puts one classical row before the hopping
-rows of each rate.  Each call opens one worker pool
-(:func:`rhkljn.protocol.worker_pool`) and runs every session of its grid
-on it, in ``jobs`` shares: ``jobs - 1`` workers start once per grid, not
-once per session, and the calling process runs the remaining share.
-Every point's parameters are checked before the first session; the
-sessions then run one after another (:func:`_run_grid`), and each point's
-warnings are logged with its rows.
+rows of each rate.  Every point's parameters are checked before the
+first session.  A grid then fans out once (:func:`rhkljn.protocol.fan_out`)
+into ``jobs`` shares, fewer when its sessions have fewer chunks: the
+calling process runs one and each pool worker one task, and every share
+runs its chunks of every session, one session after another
+(:func:`_run_grid`).  Once every share has finished, the calling process
+adds up each session's shares, then makes the rows and logs each point's
+warnings with its rows, in grid order.
 Per-point substreams are keyed on the value's bit pattern and on the
 scenario's position in ``spec.scenarios``, so any subset of the values run
 with the same scenarios reproduces the full run exactly (a different
-scenario list moves the rows), and rows and warnings come in grid order
+scenario list moves the rows), and rows and warnings are the same bytes
 regardless of worker count.  Output bytes depend only on the
 experiment definition and the seed: no timing goes into a row.
 """
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import logging
 import math
 import warnings
@@ -35,9 +38,10 @@ from .protocol import (
     DETECTOR_CHOICES,
     DetectorTally,
     ProtocolConfig,
+    fan_out,
+    merge_tallies,
     run_classical_session,
     run_session,
-    worker_pool,
 )
 from .rng import value_key
 
@@ -205,9 +209,9 @@ class _Session(NamedTuple):
     point_key: tuple[int, ...]
     note: str | None = None  # the grid point's warning, logged just before its rows
 
-    def run(self, spec: SweepSpec, pool, trace) -> tuple[dict[str, DetectorTally], list[str]]:
-        """Run the session; returns its tallies and the warnings that
-        deriving its statistics, just before it runs, raised.
+    def run(self, spec: SweepSpec, share, trace) -> tuple[dict[str, DetectorTally], list[str]]:
+        """Run ``share`` of the session; returns its tallies and the
+        warnings that deriving its statistics, just before it runs, raised.
 
         The warnings (``derive_stats`` falling back to a midpoint threshold)
         are recorded, not shown, so the grid logs them with the session's
@@ -218,7 +222,7 @@ class _Session(NamedTuple):
                 spec.num_bits,
                 self.params,
                 seed=spec.master_seed,
-                pool=pool,
+                share=share,
                 point_key=self.point_key,
             )
             return tallies, []
@@ -229,7 +233,7 @@ class _Session(NamedTuple):
             ProtocolConfig(self.params, stats),
             seed=spec.master_seed,
             detectors=spec.detectors,
-            pool=pool,
+            share=share,
             point_key=self.point_key,
             trace=trace,
         )
@@ -303,27 +307,41 @@ def _rh_sessions(
     ]
 
 
-def _run_grid(spec: SweepSpec, sessions: list[_Session], pool, trace=None) -> list[ResultRow]:
-    """Run the sessions of a grid one after another and return their rows
+def _grid_share(spec: SweepSpec, sessions: list[_Session], trace, share) -> list:
+    """``share`` of every session of a grid, in grid order: a
+    ``(tallies, warnings)`` pair per session.
+
+    ``trace`` is the path of a per-chip log, opened here, truncating the
+    file, so a grid that fails to start leaves it as it was.
+    """
+    with open(trace, "w") if trace is not None else contextlib.nullcontext() as log:
+        return [session.run(spec, share, log) for session in sessions]
+
+
+def _run_grid(spec: SweepSpec, sessions: list[_Session], jobs: int, trace=None) -> list[ResultRow]:
+    """Run the sessions of a grid in ``jobs`` shares and return their rows
     in grid order.
 
-    On a pool each session runs in the pool's shares
-    (:func:`rhkljn.protocol.worker_pool`).  A session's rows, and the
-    warnings of its point, are made as soon as it ends, so stdout and
-    stderr do not depend on the pool.
+    The grid fans out once (:func:`rhkljn.protocol.fan_out`), so a pool
+    worker takes one task per command, not one per session.  The rows and
+    the warnings of each point are made in the calling process once every
+    share has finished, from its own warnings and each session's added-up
+    tallies, so stdout and stderr do not depend on ``jobs``; a worker's
+    warnings are dropped.
     """
+    shares = fan_out(functools.partial(_grid_share, spec, sessions, trace), jobs, spec.num_bits)
     rows: list[ResultRow] = []
-    for session in sessions:
-        tallies, caught = session.run(spec, pool, trace)
-        rows += _session_rows(spec, session, tallies, caught)
+    for i, session in enumerate(sessions):
+        tallies = merge_tallies(share[i][0] for share in shares)
+        rows += _session_rows(spec, session, tallies, shares[0][i][1])
     return rows
 
 
 def run_sweep(
     spec: SweepSpec, base_params: SystemParams, jobs: int = 1, trace=None
 ) -> list[ResultRow]:
-    """Run every grid point of ``spec`` on one pool of ``jobs`` shares and
-    return rows in grid order.
+    """Run every grid point of ``spec`` in ``jobs`` shares and return rows
+    in grid order.
 
     Every grid point's parameters are set and checked before the first
     session runs; the sessions then run one after another (:func:`_run_grid`).
@@ -337,22 +355,18 @@ def run_sweep(
     if trace is not None and jobs > 1:
         logger.warning("tracing runs serially; ignoring jobs=%d", jobs)
         jobs = 1
-    with worker_pool(jobs) as pool:
-        sessions = []
-        for value in spec.values:
-            params, note = _point_params(base_params, spec.swept_parameter, value)
-            sessions += _rh_sessions(spec, params, value, _TAG_SWEEP, note)
-        if trace is None:
-            return _run_grid(spec, sessions, pool)
-        with open(trace, "w") as log:
-            return _run_grid(spec, sessions, pool, log)
+    sessions = []
+    for value in spec.values:
+        params, note = _point_params(base_params, spec.swept_parameter, value)
+        sessions += _rh_sessions(spec, params, value, _TAG_SWEEP, note)
+    return _run_grid(spec, sessions, jobs, trace)
 
 
 def run_compare(spec: SweepSpec, base_params: SystemParams, jobs: int = 1) -> list[ResultRow]:
     """Rate-matched comparison: per rate in ``spec.values``, one classical
     row, then the hopping rows of every scenario and detector of ``spec``.
-    Every session runs on one pool of ``jobs`` shares, set up and run as
-    in :func:`run_sweep`.
+    Every session runs in ``jobs`` shares, set up and run as in
+    :func:`run_sweep`.
 
     The matched condition gives the classical scheme chips_per_bit times
     the per-chip sample count of the hopping scheme, since its decision
@@ -360,18 +374,17 @@ def run_compare(spec: SweepSpec, base_params: SystemParams, jobs: int = 1) -> li
     """
     if spec.swept_parameter != "rate":
         raise ValueError(f"compare sweeps the sampling rate, got {spec.swept_parameter!r}")
-    with worker_pool(jobs) as pool:
-        sessions = []
-        for rate in spec.values:
-            rh_params, note = _point_params(base_params, "rate", rate)
-            # the classical pair is unbiased and decides once per bit, from
-            # all the samples of the bit's chips_per_bit chips
-            classical_params = base_params.replace(
-                m_l=0.0,
-                chips_per_bit=1,
-                samples_per_chip=rh_params.chips_per_bit * rh_params.samples_per_chip,
-            )
-            classical_key = (_TAG_CLASSICAL, value_key(rate))
-            sessions.append(_Session("classical", rate, "-", classical_params, classical_key, note))
-            sessions += _rh_sessions(spec, rh_params, rate, _TAG_RH_COMPARE)
-        return _run_grid(spec, sessions, pool)
+    sessions = []
+    for rate in spec.values:
+        rh_params, note = _point_params(base_params, "rate", rate)
+        # the classical pair is unbiased and decides once per bit, from
+        # all the samples of the bit's chips_per_bit chips
+        classical_params = base_params.replace(
+            m_l=0.0,
+            chips_per_bit=1,
+            samples_per_chip=rh_params.chips_per_bit * rh_params.samples_per_chip,
+        )
+        classical_key = (_TAG_CLASSICAL, value_key(rate))
+        sessions.append(_Session("classical", rate, "-", classical_params, classical_key, note))
+        sessions += _rh_sessions(spec, rh_params, rate, _TAG_RH_COMPARE)
+    return _run_grid(spec, sessions, jobs)

@@ -1,7 +1,6 @@
 """Config parsing, CSV schema, CLI exit codes and reproducibility."""
 
 import argparse
-import contextlib
 import csv
 import io
 import multiprocessing
@@ -294,10 +293,11 @@ os.register_at_fork(before=_record_fork_threads)
 
 
 class TestWorkerPool:
-    """One pool per grid: every session of a sweep or compare runs its chunks on it."""
+    """One pool per grid, and one task per worker: each worker runs its share
+    of every session of a sweep or compare."""
 
-    # 2100 bits are three chunks, so at up to three jobs every session
-    # submits one task per worker
+    # 2100 bits are three chunks, so at up to three jobs the grid has one
+    # share per job, and its six sessions submit one task per worker in all
     @pytest.mark.parametrize("jobs, built", [(1, 0), (2, 1), (3, 1)])
     def test_sweep_opens_one_pool(self, pool_counts, jobs, built):
         spec = SweepSpec(
@@ -305,7 +305,7 @@ class TestWorkerPool:
         )
         rows = run_sweep(spec, SystemParams(samples_per_chip=3), jobs=jobs)
         assert len(rows) == 3 * 2
-        assert pool_counts == {"built": built, "tasks": built * 6 * (jobs - 1)}
+        assert pool_counts == {"built": built, "tasks": built * (jobs - 1)}
 
     @pytest.mark.parametrize("jobs, built", [(1, 0), (2, 1), (3, 1)])
     def test_compare_opens_one_pool(self, pool_counts, jobs, built):
@@ -313,17 +313,81 @@ class TestWorkerPool:
         rows = run_compare(spec, SystemParams(), jobs=jobs)
         # per rate: one classical and two hopping sessions
         assert [r.scheme for r in rows] == ["classical", "rh", "rh"] * 2
-        assert pool_counts == {"built": built, "tasks": built * 6 * (jobs - 1)}
+        assert pool_counts == {"built": built, "tasks": built * (jobs - 1)}
 
-    # one chunk per session: the calling process runs it, and the pool gets
-    # no task, so no worker is forked
+    # one chunk per session: the calling process runs it, and no executor is
+    # built, so no worker is forked
     @pytest.mark.parametrize("jobs", [2, 3])
     def test_single_chunk_sessions_submit_no_task(self, pool_counts, jobs):
         spec = SweepSpec("beta", (3.4, 3.7), scenarios=("fine_tuned", "good"), num_bits=1_000)
         assert run_sweep(spec, SystemParams(samples_per_chip=3), jobs=jobs) == run_sweep(
             spec, SystemParams(samples_per_chip=3), jobs=1
         )
-        assert pool_counts == {"built": 1, "tasks": 0}
+        assert pool_counts == {"built": 0, "tasks": 0}
+
+    def test_single_chunk_command_imports_no_pool(self):
+        # a fresh command whose sessions are one chunk each runs serially at
+        # any --jobs and loads no part of the process pool
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+        pool = ("multiprocessing", "concurrent.futures")
+        argv = ["sweep", "--sweep", "n", "--values", "3", "--bits", "1000", "--jobs", "2"]
+        code = (
+            "import contextlib, io, sys\n"
+            "from rhkljn.cli import main\n"
+            f"with contextlib.redirect_stdout(io.StringIO()): code = main({argv!r})\n"
+            f"print(code, sorted(m for m in sys.modules if any(m == u or m.startswith(u + '.') for u in {pool!r})))"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "0 []"
+
+    # sessions of 4500 bits are four full chunks and a short one, so --jobs 4
+    # gives four shares of unequal size
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sweep", "--sweep", "rate", "--values", "15000,25000", "--detectors", "ml,optimum", "--seed", "5"],
+            ["compare", "--values", "2e4,5e4", "--seed", "6"],
+            ["pls", "--measure", "--seed", "7"],
+        ],
+        ids=["sweep", "compare", "pls"],
+    )
+    def test_output_is_the_same_at_every_jobs(self, capsys, caplog, argv):
+        outputs = []
+        for jobs in ("1", "2", "3", "4"):
+            caplog.clear()
+            assert main(argv + ["--bits", "4500", "--jobs", jobs]) == 0
+            outputs.append((*capsys.readouterr(), caplog.text))
+        assert outputs[0][0]
+        # a grid logs its points' warnings; pls --measure has none
+        assert ("Monte Carlo floor" in outputs[0][2]) == (argv[0] != "pls")
+        assert outputs[1:] == outputs[:1] * 3
+        assert multiprocessing.active_children() == []
+
+    # bench/probe.py stops a command at its first session call with a
+    # BaseException raised from sweep.run_session or run_classical_session:
+    # at --jobs 2 the calling process reaches it, after the pool is built,
+    # and no worker outlives the stop
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sweep", "--sweep", "beta", "--values", "3.4,3.7", "--bits", "2100", "--jobs", "2"],
+            ["compare", "--values", "2e4,5e4", "--bits", "2100", "--jobs", "2"],
+        ],
+        ids=["sweep", "compare"],
+    )
+    def test_probe_stop_is_reached_in_the_calling_process(self, monkeypatch, capsys, pool_counts, argv):
+        def stop(*args, **kwargs):
+            raise _Stop(os.getpid())
+
+        monkeypatch.setattr(sweep, "run_session", stop)
+        monkeypatch.setattr(sweep, "run_classical_session", stop)
+        with pytest.raises(_Stop) as reached:
+            main(argv)
+        assert reached.value.args == (os.getpid(),)
+        assert pool_counts == {"built": 1, "tasks": 1}
+        assert multiprocessing.active_children() == []
 
     # the workers are forked by the pool's first task, on the thread that
     # calls main, before the executor starts its manager thread: no thread
@@ -572,12 +636,11 @@ def engine_reads(monkeypatch):
         seen["scenario"] = name
         return apply_scenario(params, name)
 
-    @contextlib.contextmanager
-    def pool(jobs):
+    def fan_out(run_share, jobs, num_bits):
         seen["jobs"] = jobs
-        yield None
+        return [run_share(share=(0, 1))]
 
-    def session(num_bits, config, *, seed, pool):
+    def session(num_bits, config, *, seed, share):
         seen.update(bits=num_bits, seed=seed)
         raise _Reached
 
@@ -587,7 +650,7 @@ def engine_reads(monkeypatch):
 
     for name, fake in (
         ("run_sweep", grid), ("run_compare", grid), ("apply_scenario", scenario),
-        ("worker_pool", pool), ("run_session", session), ("build_report", report),
+        ("fan_out", fan_out), ("run_session", session), ("build_report", report),
     ):
         monkeypatch.setattr(cli, name, fake)
     return seen
@@ -719,6 +782,25 @@ class TestCli:
             (["sweep", "--sweep", "n", "--values", "3", "--detectors", ""], "detectors must be non-empty"),
             (["compare", "--values", "2e4", "--config", "detectors=\n"], "detectors must be non-empty"),
             (["sweep", "--sweep", "n", "--values", "3", "--scenarios", ""], "scenarios must be non-empty"),
+            # a blank item beside others is not dropped: 3,,5 would run the grid 3,5
+            (["sweep", "--sweep", "n", "--values", "3,,5"], "values list '3,,5' has a blank item"),
+            (["compare", "--values", "2e4,"], "values list '2e4,' has a blank item"),
+            (
+                ["sweep", "--sweep", "n", "--values", "3", "--detectors", "optimum,,simple"],
+                "detectors list 'optimum,,simple' has a blank item",
+            ),
+            (
+                ["compare", "--values", "2e4", "--config", "detectors=optimum, ,ml\n"],
+                "detectors list 'optimum, ,ml' has a blank item",
+            ),
+            (
+                ["sweep", "--sweep", "n", "--values", "3", "--scenarios", ",good"],
+                "scenarios list ',good' has a blank item",
+            ),
+            (
+                ["compare", "--values", "2e4", "--config", "scenario=good,,moderate\n"],
+                "scenarios list 'good,,moderate' has a blank item",
+            ),
         ],
     )
     def test_empty_or_non_finite_input_exits_one(self, tmp_path, capsys, argv, message):

@@ -4,7 +4,9 @@ import functools
 import io
 import itertools
 import math
+import multiprocessing
 import operator
+import os
 import time
 import tracemalloc
 import warnings
@@ -17,9 +19,10 @@ from rhkljn import (
     ProtocolConfig,
     SystemParams,
     chip_moments,
+    fan_out,
+    merge_tallies,
     run_session,
     state_moments,
-    worker_pool,
 )
 from rhkljn import protocol
 from rhkljn.channel import ChipState, sample_chip
@@ -28,11 +31,13 @@ from rhkljn.params import derive_stats
 from rhkljn.pls import IDEAL_DISCARD
 from rhkljn.protocol import (
     DETECTOR_CHOICES,
+    DetectorTally,
     _ChunkSpec,
     _rh_chunk_arrays,
     _tally_chunk,
     eve_observe,
     run_classical_session,
+    worker_pool,
 )
 from rhkljn.rng import substream
 from conftest import assert_parties_agree, detector_labels, random_valid_params
@@ -262,8 +267,28 @@ class TestRunSession:
         )
         serial = [session(bits) for bits in (650, 150)]
         for jobs in (2, 3, 4):
-            with worker_pool(jobs) as pool:
-                assert [session(bits, pool=pool) for bits in (650, 150)] == serial, jobs
+            fanned = [merge_tallies(fan_out(functools.partial(session, bits), jobs, bits, 100)) for bits in (650, 150)]
+            # the same tallies, in the requested detector order
+            assert [list(t.items()) for t in fanned] == [list(t.items()) for t in serial], jobs
+
+    def test_shares_add_up_to_the_session(self):
+        # 650 bits are 7 chunks of 100: 9 shares leave the last two empty
+        cfg = make_cfg()
+        session = functools.partial(
+            run_session, 650, cfg, seed=77, detectors=DETECTOR_CHOICES, chunk_bits=100
+        )
+        whole = session()
+        for n in (1, 2, 3, 7, 9):
+            assert merge_tallies(session(share=(k, n)) for k in range(n)) == whole, n
+        assert session(share=(8, 9)) == dict.fromkeys(DETECTOR_CHOICES, DetectorTally())
+
+    @pytest.mark.parametrize("share", [(1, 1), (-1, 2), (0, 0), (3, 2)])
+    def test_share_out_of_range_rejected(self, share):
+        cfg = make_cfg()
+        with pytest.raises(ValueError, match="share must be"):
+            run_session(10, cfg, seed=1, share=share)
+        with pytest.raises(ValueError, match="share must be"):
+            run_classical_session(10, cfg.params, seed=1, share=share)
 
     # a chunk's warning would reach stderr from whichever process ran the
     # chunk, so stderr would depend on --jobs: a chunk must never warn, in
@@ -335,15 +360,13 @@ class TestRunSession:
     @pytest.mark.parametrize("jobs", [0, -4])
     def test_jobs_below_one_rejected(self, jobs):
         cfg = make_cfg()
-        with pytest.raises(ValueError, match="jobs"):
-            with worker_pool(jobs) as pool:
-                run_session(10, cfg, seed=1, pool=pool)
-        with pytest.raises(ValueError, match="jobs"):
-            with worker_pool(jobs) as pool:
-                run_session(10, cfg, seed=1, pool=pool, trace=io.StringIO())
-        with pytest.raises(ValueError, match="jobs"):
-            with worker_pool(jobs) as pool:
-                run_classical_session(10, cfg.params, seed=1, pool=pool)
+        for session in (
+            functools.partial(run_session, 2_000, cfg, 1),
+            functools.partial(run_session, 2_000, cfg, 1, trace=io.StringIO()),
+            functools.partial(run_classical_session, 2_000, cfg.params, 1),
+        ):
+            with pytest.raises(ValueError, match="jobs must be >= 1"):
+                fan_out(session, jobs, 2_000)
 
     def test_chunk_bits_below_one_rejected(self):
         cfg = make_cfg()
@@ -351,6 +374,16 @@ class TestRunSession:
             run_session(10, cfg, seed=1, chunk_bits=0)
         with pytest.raises(ValueError, match="chunk_bits"):
             run_classical_session(10, cfg.params, seed=1, chunk_bits=0)
+
+
+def _share_and_pid(share):
+    return share, os.getpid()
+
+
+def _fail_share(failing, share):
+    if share[0] == failing:
+        raise RuntimeError(f"share {failing} failed")
+    return share
 
 
 def _record_and_wait(path):
@@ -397,15 +430,45 @@ class TestWorkerPool:
         ran = len(log.read_text().splitlines()) if log.exists() else 0
         assert ran <= 4
 
-    def test_single_chunk_session_runs_serially(self):
-        class NoSubmit:
-            def submit(self, *args, **kwargs):
-                raise AssertionError("a one-chunk session used the pool")
+    def test_single_chunk_fan_out_builds_no_executor(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("an executor was built for one chunk")
 
+        monkeypatch.setattr(protocol, "ProcessPoolExecutor", refuse)
         cfg = make_cfg()
-        serial = run_session(500, cfg, seed=3, chunk_bits=500)
-        pool = protocol._Pool(NoSubmit(), shares=4)
-        assert run_session(500, cfg, seed=3, chunk_bits=500, pool=pool) == serial
+        session = functools.partial(run_session, 500, cfg, 3, chunk_bits=500)
+        assert fan_out(session, 4, 500, 500) == [session()]
+
+    # n = min(jobs, chunks) shares: the calling process runs share 0 and
+    # each of the n - 1 workers one task
+    @pytest.mark.parametrize("jobs, bits, shares", [(3, 5 * 1024, 3), (8, 2 * 1024, 2)])
+    def test_one_task_per_worker(self, monkeypatch, jobs, bits, shares):
+        from concurrent.futures import ProcessPoolExecutor
+
+        built, submitted = [], []
+
+        class Counting(ProcessPoolExecutor):
+            def __init__(self, max_workers):
+                built.append(max_workers)
+                super().__init__(max_workers)
+
+            def submit(self, fn, /, *args, **kwargs):
+                submitted.append(kwargs["share"])
+                return super().submit(fn, *args, **kwargs)
+
+        monkeypatch.setattr(protocol, "ProcessPoolExecutor", Counting)
+        results = fan_out(_share_and_pid, jobs, bits)
+        assert [share for share, _ in results] == [(k, shares) for k in range(shares)]
+        assert results[0][1] == os.getpid()
+        assert os.getpid() not in [pid for _, pid in results[1:]]
+        assert (built, submitted) == ([shares - 1], [(k, shares) for k in range(1, shares)])
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("failing", [0, 1], ids=["caller", "worker"])
+    def test_failing_share_reaches_the_caller(self, failing):
+        with pytest.raises(RuntimeError, match=f"^share {failing} failed$"):
+            fan_out(functools.partial(_fail_share, failing), 2, 2_048)
+        assert multiprocessing.active_children() == []
 
 
 class TestChunkSampler:
@@ -695,8 +758,8 @@ class TestClassicalSession:
         )
         serial = [session(bits) for bits in (850, 200)]
         for jobs in (2, 3, 4):
-            with worker_pool(jobs) as pool:
-                assert [session(bits, pool=pool) for bits in (850, 200)] == serial, jobs
+            fanned = [merge_tallies(fan_out(functools.partial(session, bits), jobs, bits, 128)) for bits in (850, 200)]
+            assert fanned == serial, jobs
 
     def test_moderate_sampling_has_errors(self):
         result = run_classical_session(30_000, SystemParams(samples_per_chip=20), seed=24)
