@@ -99,6 +99,13 @@ _DEFAULT_SCENARIOS = {"sweep": "good", "compare": "fine_tuned,good"}
 # harness keys that stats never reads: it runs no session
 _STATS_UNREAD = dict.fromkeys(("detectors", "bits", "seed", "jobs"), "is not read: stats runs no session")
 
+# the rows of ``stats``: parameters, then derived statistics, in print order
+_STATS_PARAMS = ("alpha", "beta", "gamma", "m_l", "m_h", "r_l0", "r_l1", "r_h0", "r_h1", "noise_var_per_ohm")
+_STATS_DERIVED = (
+    "c1", "c2", "c3", "c4", "m1", "m2", "m3", "sigma1", "sigma2", "sigma3", "var1", "var2", "var3", "var4",
+    "k1", "k2", "k3", "k4", "th1", "th2", "th3", "th4", "th3_opt", "th4_opt",
+)
+
 
 def _add_grid(p: argparse.ArgumentParser, command: str, values_help: str) -> None:
     p.add_argument("--values", required=True, help=values_help)
@@ -248,42 +255,8 @@ def _cmd_stats(args) -> int:
     stats = derive_stats(params)
     report = check_separability(params, stats)
     with _output(args.out) as out:
-        rows = [
-            ("alpha", params.alpha),
-            ("beta", params.beta),
-            ("gamma", params.gamma),
-            ("m_l", params.m_l),
-            ("m_h", stats.m_h),
-            ("r_l0", params.r_l0),
-            ("r_l1", params.r_l1),
-            ("r_h0", params.r_h0),
-            ("r_h1", params.r_h1),
-            ("noise_var_per_ohm", params.noise_var_per_ohm),
-            ("c1", stats.c1),
-            ("c2", stats.c2),
-            ("c3", stats.c3),
-            ("c4", stats.c4),
-            ("m1", stats.m1),
-            ("m2", stats.m2),
-            ("m3", stats.m3),
-            ("sigma1", stats.sigma1),
-            ("sigma2", stats.sigma2),
-            ("sigma3", stats.sigma3),
-            ("var1", stats.var1),
-            ("var2", stats.var2),
-            ("var3", stats.var3),
-            ("var4", stats.var4),
-            ("k1", stats.k1),
-            ("k2", stats.k2),
-            ("k3", stats.k3),
-            ("k4", stats.k4),
-            ("th1", stats.th1),
-            ("th2", stats.th2),
-            ("th3", stats.th3),
-            ("th4", stats.th4),
-            ("th3_opt", stats.th3_opt),
-            ("th4_opt", stats.th4_opt),
-        ]
+        rows = [(name, getattr(params, name)) for name in _STATS_PARAMS]
+        rows += [(name, getattr(stats, name)) for name in _STATS_DERIVED]
         width = max(len(name) for name, _ in rows)
         for name, value in rows:
             out.write(f"{name:<{width}}  {value:.9g}\n")

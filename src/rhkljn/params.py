@@ -13,8 +13,9 @@ metrics) is driven by what is defined here:
   the common voltage for any (main, sub) bit pair of the two parties,
   through :func:`divider_moments`.  Sessions, the mixture tables, the
   classical baseline and the outage Monte Carlo all read it.
-* :class:`DerivedStats` holds every closed-form quantity: the coefficients
-  ``c1..c4`` of the middle means, the three middle Gaussian moments, the
+* :class:`DerivedStats` holds every derived quantity: the coefficients
+  ``c1..c4`` of the middle means, the three middle Gaussian moments (the
+  means in closed form, the variances read from the state table), the
   separability coefficients ``k1..k4``, the gate and detector thresholds,
   and the full per-state mixture tables for all 16 bit configurations.
 
@@ -227,12 +228,15 @@ class MixtureComponent:
 
 @dataclass(frozen=True)
 class DerivedStats:
-    """Every closed-form quantity derived from a :class:`SystemParams`.
+    """Every quantity derived from a :class:`SystemParams`.
 
     The canonical middle-band model everywhere downstream is the three
-    Gaussians (m2, var2), (m1, var1), (m3, var3).  ``var4`` is the
-    mixture-table variance of the mixed state with both sub-bits hopped,
-    ``noise_var_per_ohm * (r_l1 || r_h1) = beta * var1``.
+    Gaussians (m2, var2), (m1, var1), (m3, var3).  The means are the
+    closed forms m_g = c_g * m_l; var1..var4 are the mixture-table
+    variances of the mixed state (0, 1) at sub-bits (0, 0), (0, 1), (1, 0)
+    and (1, 1), the variances sessions draw from.  ``var4``, both sub-bits
+    hopped, is ``noise_var_per_ohm * (r_l1 || r_h1) = beta * var1`` and
+    enters no detector.
     """
 
     c1: float
@@ -242,7 +246,6 @@ class DerivedStats:
     m1: float
     m2: float
     m3: float
-    m_h: float
     var1: float
     var2: float
     var3: float
@@ -378,13 +381,9 @@ def derive_stats(params: SystemParams) -> DerivedStats:
     """
     c1, c2, c3, c4 = derive_coefficients(params)
     m1, m2, m3 = c1 * params.m_l, c2 * params.m_l, c3 * params.m_l
-    a_v = params.noise_var_per_ohm
-    al, be = params.alpha, params.beta
-    var1 = a_v * al * params.r_l0 / (al + 1.0)
-    var2 = a_v * al * be * params.r_l0 / (al * be + 1.0)
-    var3 = a_v * al * be * params.r_l0 / (al + be)
     mixture_tables = _mixture_tables(params)
-    var4 = mixture_tables[(0, 1)][3].variance  # sub-bits (1, 1)
+    # the mixed state (0, 1) at sub-bits (0, 0), (0, 1), (1, 0), (1, 1)
+    var1, var2, var3, var4 = (c.variance for c in mixture_tables[(0, 1)])
     try:
         k1, k2, k3, k4 = separability_coefficients(params)
     except NonSeparableError:
@@ -405,7 +404,6 @@ def derive_stats(params: SystemParams) -> DerivedStats:
         m1=m1,
         m2=m2,
         m3=m3,
-        m_h=params.m_h,
         var1=var1,
         var2=var2,
         var3=var3,

@@ -33,10 +33,10 @@ A command fans out once, over every session of its grid, and adds up each
 session's shares with :func:`merge_tallies`.
 The classical two-resistor baseline (variance trisection on zero-mean
 noise, its mean of squares drawn as a scaled chi-square, its bank the
-sub-bit-0 column of the hopping bank) runs on the same chunk engine for
-rate-matched comparisons.  Raw samples are drawn only by
-:func:`rhkljn.channel.sample_chip`, the oracle for the sampled
-distributions.
+sub-bit-0 column of the hopping bank) runs on the same chunk engine and
+the same flip-rule counter for rate-matched comparisons.  Raw samples
+are drawn only by :func:`rhkljn.channel.sample_chip`, the oracle for the
+sampled distributions.
 
 The eavesdropper (:func:`eve_observe`) scores the 16 bit configurations
 with the ML detector's cost, :func:`rhkljn.detectors.moment_costs`.
@@ -278,15 +278,7 @@ def _tally_chunk(spec, a_main, b_main, a_sub, b_sub, scatter, m_hat, eve_guess_a
     stats = spec.stats
     thresholds = stats.thresholds()
     gate_keep = det.gate(m_hat, thresholds)
-    # what every detector's tally shares, computed once per chunk
-    gate_kept = int(np.count_nonzero(gate_keep))
-    subs_equal = a_sub == b_sub
-    mains_equal = a_main == b_main
-    eve_right = eve_guess_a == a_main[:, None]
-    # a boolean matmul with ones is the row-wise any, a few times faster
-    chips_any = np.ones(a_sub.shape[1], dtype=bool)
-
-    tallies: dict[str, DetectorTally] = {}
+    keeps = {}
     for name in spec.detectors:
         if name == "ml":
             kept = gate_keep.copy()
@@ -298,7 +290,22 @@ def _tally_chunk(spec, a_main, b_main, a_sub, b_sub, scatter, m_hat, eve_guess_a
             )
         else:
             kept = gate_keep & det.threshold_keep(m_hat, *thresholds.pair(name))
+        keeps[name] = kept
+    return _count(keeps, gate_keep, a_main, b_main, a_sub, b_sub, eve_guess_a), gate_keep
 
+
+def _count(keeps, gate_keep, a_main, b_main, a_sub, b_sub, eve_guess_a) -> dict[str, DetectorTally]:
+    """One tally per keep mask, by the flip rule: a kept chip is an error
+    when the parties' bits are equal.  Masks, gate, sub-bits and Eve's
+    guesses are ``(bits, chips)``, the mains ``(bits,)``."""
+    gate_kept = int(np.count_nonzero(gate_keep))
+    subs_equal = a_sub == b_sub
+    mains_equal = a_main == b_main
+    eve_right = eve_guess_a == a_main[:, None]
+    # a boolean matmul with ones is the row-wise any, a few times faster
+    chips_any = np.ones(a_sub.shape[1], dtype=bool)
+    tallies = {}
+    for name, kept in keeps.items():
         kept_chips = int(np.count_nonzero(kept))
         tallies[name] = DetectorTally(
             total_chips=int(kept.size),
@@ -309,7 +316,7 @@ def _tally_chunk(spec, a_main, b_main, a_sub, b_sub, scatter, m_hat, eve_guess_a
             discarded_g1=gate_kept - kept_chips,
             eve_correct=int(np.count_nonzero(kept & eve_right)),
         )
-    return tallies, gate_keep
+    return tallies
 
 
 def _chunk_sizes(num_bits: int, chunk_bits: int) -> list[int]:
@@ -410,11 +417,9 @@ def _run_chunks(chunk, spec: _ChunkSpec, num_bits: int, chunk_bits: int, share) 
     k, n = share
     if not 0 <= k < n:
         raise ValueError(f"share must be (k, n) with 0 <= k < n, got {share}")
-    merged = dict.fromkeys(spec.detectors, DetectorTally())
-    for idx, size in list(enumerate(_chunk_sizes(num_bits, chunk_bits)))[k::n]:
-        for name, tally in chunk(replace(spec, n_bits=size, key=spec.key + (idx,))).items():
-            merged[name] += tally
-    return merged
+    chunks = list(enumerate(_chunk_sizes(num_bits, chunk_bits)))[k::n]
+    zero = dict.fromkeys(spec.detectors, DetectorTally())
+    return merge_tallies([zero] + [chunk(replace(spec, n_bits=size, key=spec.key + (idx,))) for idx, size in chunks])
 
 
 def run_session(
@@ -506,21 +511,11 @@ def _classical_chunk(spec: _ChunkSpec) -> dict[str, DetectorTally]:
     n = p.samples_per_chip
     v_hat = var_true * (2.0 * rng.standard_gamma(0.5 * n, spec.n_bits)) / n
 
-    th_lo = 0.5 * (var_00 + var_01)
-    th_hi = 0.5 * (var_01 + var_11)
-    kept = (v_hat >= th_lo) & (v_hat <= th_hi)
-    errors = kept & (a_main == b_main)
-
-    tally = DetectorTally(
-        total_chips=spec.n_bits,
-        kept_chips=int(np.count_nonzero(kept)),
-        sub_bit_errors=int(np.count_nonzero(errors)),
-        main_bit_errors=int(np.count_nonzero(errors)),
-        discarded_gate=int(np.count_nonzero(~kept)),
-        discarded_g1=0,
-        eve_correct=int(np.count_nonzero(kept & (eve_guess_a == a_main))),
-    )
-    return {"classical": tally}
+    # one chip per bit whose sub-bits are the mains: the variance band is
+    # both the gate and the keep mask
+    kept = ((v_hat >= 0.5 * (var_00 + var_01)) & (v_hat <= 0.5 * (var_01 + var_11)))[:, None]
+    bits = a_main, b_main, a_main[:, None], b_main[:, None], eve_guess_a[:, None]
+    return _count({"classical": kept}, kept, *bits)
 
 
 def run_classical_session(

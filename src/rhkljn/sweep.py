@@ -6,14 +6,15 @@ realization of a grid point.  ``run_sweep`` and ``run_compare`` walk it
 through one hopping-row runner: one session per (value, scenario) point
 and one CSV row per (value, scenario, detector).  ``run_compare`` takes a
 spec that sweeps ``rate`` and puts one classical row before the hopping
-rows of each rate.  Every point's parameters are checked before the
-first session.  A grid then fans out once (:func:`rhkljn.protocol.fan_out`)
-into ``jobs`` shares, fewer when its sessions have fewer chunks: the
-calling process runs one and each pool worker one task, and every share
-runs its chunks of every session, one session after another
-(:func:`_run_grid`).  Once every share has finished, the calling process
-adds up each session's shares, then makes the rows and logs each point's
-warnings with its rows, in grid order.
+rows of each rate.  Every point's parameters are checked, and each
+hopping session's statistics derived once, before the first session.  A
+grid then fans out once (:func:`rhkljn.protocol.fan_out`) into ``jobs``
+shares, fewer when its sessions have fewer chunks: the calling process
+runs one and each pool worker one task, and every share runs its chunks
+of every session, one session after another (:func:`_run_grid`).  Once
+every share has finished, the calling process adds up each session's
+shares, then makes the rows and logs each point's warnings with its rows,
+in grid order.
 Per-point substreams are keyed on the value's bit pattern and on the
 scenario's position in ``spec.scenarios``, so any subset of the values run
 with the same scenarios reproduces the full run exactly (a different
@@ -33,7 +34,7 @@ from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 from .config import SCENARIOS, apply_scenario
-from .params import SystemParams, check_nyquist, derive_stats, drif
+from .params import DerivedStats, SystemParams, check_nyquist, derive_stats, drif
 from .protocol import (
     DETECTOR_CHOICES,
     DetectorTally,
@@ -200,7 +201,7 @@ def _point_params(
 
 
 class _Session(NamedTuple):
-    """One session of a grid: its parameters, checked, and its stream key."""
+    """One session of a grid: its parameters, checked, its stream key and its statistics."""
 
     scheme: str
     value: float
@@ -208,45 +209,35 @@ class _Session(NamedTuple):
     params: SystemParams
     point_key: tuple[int, ...]
     note: str | None = None  # the grid point's warning, logged just before its rows
+    stats: DerivedStats | None = None
+    caught: tuple[str, ...] = ()  # the warnings deriving ``stats`` raised
 
-    def run(self, spec: SweepSpec, share, trace) -> tuple[dict[str, DetectorTally], list[str]]:
-        """Run ``share`` of the session; returns its tallies and the
-        warnings that deriving its statistics, just before it runs, raised.
-
-        The warnings (``derive_stats`` falling back to a midpoint threshold)
-        are recorded, not shown, so the grid logs them with the session's
-        rows; th3 and th4 falling back give the same text, kept once.
-        """
+    def run(self, spec: SweepSpec, share, trace) -> dict[str, DetectorTally]:
+        """Run ``share`` of the session; returns its tallies."""
         if self.scheme == "classical":
-            tallies = run_classical_session(
+            return run_classical_session(
                 spec.num_bits,
                 self.params,
                 seed=spec.master_seed,
                 share=share,
                 point_key=self.point_key,
             )
-            return tallies, []
-        with warnings.catch_warnings(record=True) as caught:
-            stats = derive_stats(self.params)
-        tallies = run_session(
+        return run_session(
             spec.num_bits,
-            ProtocolConfig(self.params, stats),
+            ProtocolConfig(self.params, self.stats),
             seed=spec.master_seed,
             detectors=spec.detectors,
             share=share,
             point_key=self.point_key,
             trace=trace,
         )
-        return tallies, list(dict.fromkeys(str(w.message) for w in caught))
 
 
-def _session_rows(
-    spec: SweepSpec, session: _Session, tallies: dict[str, DetectorTally], caught: list[str]
-) -> list[ResultRow]:
+def _session_rows(spec: SweepSpec, session: _Session, tallies: dict[str, DetectorTally]) -> list[ResultRow]:
     scheme, value, scenario, params, *_ = session
     if session.note:
         logger.warning("%s", session.note)
-    for message in caught:
+    for message in session.caught:
         logger.warning("%s=%g %s: %s", spec.swept_parameter, value, scenario, message)
     rows = []
     for name, tally in tallies.items():
@@ -293,23 +284,27 @@ def _rh_sessions(
     spec: SweepSpec, params: SystemParams, value: float, tag: int, note: str | None = None
 ) -> list[_Session]:
     """The hopping sessions at one grid value: one per scenario, keyed
-    ``(tag, scenario index, value)``, all detectors on its noise."""
-    return [
-        _Session(
-            "rh",
-            value,
-            scenario,
-            apply_scenario(params, scenario),
-            (tag, scen_idx, value_key(value)),
-            None if scen_idx else note,
-        )
-        for scen_idx, scenario in enumerate(spec.scenarios)
-    ]
+    ``(tag, scenario index, value)``, all detectors on its noise.
+
+    Each session's statistics are derived here, once, and the warnings
+    deriving raises (``derive_stats`` falling back to a midpoint threshold)
+    are recorded, not shown, so the grid logs them with the session's rows;
+    th3 and th4 falling back give the same text, kept once.
+    """
+    sessions = []
+    for scen_idx, scenario in enumerate(spec.scenarios):
+        point = apply_scenario(params, scenario)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            stats = derive_stats(point)
+        key = (tag, scen_idx, value_key(value))
+        messages = tuple(dict.fromkeys(str(w.message) for w in caught))
+        sessions.append(_Session("rh", value, scenario, point, key, None if scen_idx else note, stats, messages))
+    return sessions
 
 
-def _grid_share(spec: SweepSpec, sessions: list[_Session], trace, share) -> list:
-    """``share`` of every session of a grid, in grid order: a
-    ``(tallies, warnings)`` pair per session.
+def _grid_share(spec: SweepSpec, sessions: list[_Session], trace, share) -> list[dict[str, DetectorTally]]:
+    """``share`` of every session of a grid: their tallies, in grid order.
 
     ``trace`` is the path of a per-chip log, opened here, truncating the
     file, so a grid that fails to start leaves it as it was.
@@ -325,15 +320,14 @@ def _run_grid(spec: SweepSpec, sessions: list[_Session], jobs: int, trace=None) 
     The grid fans out once (:func:`rhkljn.protocol.fan_out`), so a pool
     worker takes one task per command, not one per session.  The rows and
     the warnings of each point are made in the calling process once every
-    share has finished, from its own warnings and each session's added-up
-    tallies, so stdout and stderr do not depend on ``jobs``; a worker's
-    warnings are dropped.
+    share has finished, from each session's added-up tallies and the
+    warnings recorded at grid setup, so stdout and stderr do not depend on
+    ``jobs``.
     """
     shares = fan_out(functools.partial(_grid_share, spec, sessions, trace), jobs, spec.num_bits)
     rows: list[ResultRow] = []
     for i, session in enumerate(sessions):
-        tallies = merge_tallies(share[i][0] for share in shares)
-        rows += _session_rows(spec, session, tallies, shares[0][i][1])
+        rows += _session_rows(spec, session, merge_tallies(share[i] for share in shares))
     return rows
 
 

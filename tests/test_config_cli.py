@@ -10,8 +10,9 @@ import subprocess
 import sys
 import threading
 import time
+import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
@@ -23,6 +24,7 @@ from rhkljn.sweep import write_csv
 from rhkljn import cli, protocol, sweep
 from rhkljn.cli import EXIT_OK, main
 from rhkljn.config import HARNESS_KEYS, ConfigError, SCENARIOS, apply_scenario, build_params, parse_config
+from rhkljn.params import DerivedStats, derive_stats
 from rhkljn.sweep import _TAG_CLASSICAL, CSV_COLUMNS, _point_params, binomial_ci95
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -516,6 +518,51 @@ class TestSerialSessions:
         assert _threads_started_since(before) == []
 
 
+class TestGridSetup:
+    """Each hopping session's statistics are derived once, when the grid is
+    built; the shares that run it derive nothing."""
+
+    SPEC = SweepSpec("beta", (3.4, 3.7), scenarios=("good", "moderate"), num_bits=2_500, master_seed=5)
+
+    @pytest.fixture()
+    def derived(self, monkeypatch):
+        calls = []
+        real = sweep.derive_stats
+        monkeypatch.setattr(sweep, "derive_stats", lambda params: calls.append(params) or real(params))
+        return calls
+
+    def test_shares_derive_nothing(self, derived):
+        sessions = []
+        for value in self.SPEC.values:
+            params, note = _point_params(SystemParams(), "beta", value)
+            sessions += sweep._rh_sessions(self.SPEC, params, value, sweep._TAG_SWEEP, note)
+        derived.clear()
+        for k in range(2):
+            sweep._grid_share(self.SPEC, sessions, None, (k, 2))
+        assert derived == []
+
+    def test_setup_derives_once_per_hopping_session(self, derived, monkeypatch):
+        grids = []
+        monkeypatch.setattr(sweep, "_run_grid", lambda spec, sessions, jobs, trace=None: grids.append(sessions) or [])
+        run_sweep(self.SPEC, SystemParams(), jobs=2)
+        run_compare(replace(self.SPEC, swept_parameter="rate", values=(2e4, 5e4)), SystemParams(), jobs=2)
+        sessions = [s for grid in grids for s in grid]
+        hopping = [s for s in sessions if s.scheme == "rh"]
+        assert len(hopping) == 8 and len(sessions) == 10
+        assert derived == [s.params for s in hopping]
+        assert all((s.stats is None) == (s.scheme == "classical") for s in sessions)
+
+    # derive_stats falls back to the midpoint threshold at gamma 8 (alpha
+    # 19, beta 2.7); the warning is recorded even where warnings are errors
+    def test_fallback_is_recorded_under_an_error_filter(self, caplog):
+        spec = SweepSpec("gamma", (8.0,), num_bits=1_500)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            run_sweep(spec, SystemParams(alpha=19.0, beta=2.7), jobs=1)
+        message = "no optimum-threshold root inside the mean bracket; falling back to the midpoint"
+        assert [r.getMessage() for r in caplog.records].count(f"gamma=8 good: {message}") == 1
+
+
 # argvs that the parser of their command alone must parse as the full parser
 PARSE_TABLE = {
     "stats": ["stats"],
@@ -732,6 +779,25 @@ class TestCli:
         out = capsys.readouterr().out
         assert "m1" in out and "0.000545454545" in out
         assert "separability" in out
+
+    # the table is built from name lists: a field left out of them, or
+    # named twice, would drop out of the table or repeat silently
+    def test_stats_prints_every_field_once(self, capsys):
+        params = SystemParams()
+        stats = derive_stats(params)
+        param_rows = ("alpha", "beta", "gamma", "m_l", "m_h", "r_l0", "r_l1", "r_h0", "r_h1", "noise_var_per_ohm")
+        derived_rows = [f.name for f in fields(DerivedStats) if f.name != "mixture_tables"]
+        derived_rows += ["sigma1", "sigma2", "sigma3"]
+        assert main(["stats"]) == EXIT_OK
+        *table, separability = capsys.readouterr().out.splitlines()
+        printed = [line.split() for line in table]
+        names = [name for name, _ in printed]
+        assert sorted(names) == sorted([*param_rows, *derived_rows])
+        assert names[: len(param_rows)] == list(param_rows)
+        for name, value in printed:
+            source = params if name in param_rows else stats
+            assert value == f"{getattr(source, name):.9g}", name
+        assert separability.startswith("separability: ")
 
     def test_flags_override_config(self, tmp_path, capsys):
         cfg = tmp_path / "c.cfg"
