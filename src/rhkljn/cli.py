@@ -54,10 +54,13 @@ from .protocol import DETECTOR_CHOICES, ProtocolConfig, fan_out, merge_tallies, 
 from .sweep import (
     SWEEP_PARAMETERS,
     SweepSpec,
+    recorded_warnings,
     run_compare,
     run_sweep,
     write_csv,
 )
+
+logger = logging.getLogger(__name__)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -91,6 +94,11 @@ def _add_common(p: argparse.ArgumentParser, session: bool) -> None:
 
 # outage Monte Carlo draws of ``pls --tolerance`` without --trials
 _DEFAULT_TRIALS = 10_000
+
+# the substream tag of the session of ``pls --measure``, beside the sweep's
+# tags: its chunk i draws from key (tag, i), which neither a grid session
+# nor the outage trials (``pls.sop``, key (0xE0,)) draw from
+_TAG_PLS_MEASURE = 0x54
 
 # scenarios of the hopping rows when neither --scenarios, --scenario nor the
 # config's scenario names any
@@ -249,10 +257,18 @@ def _output(path: str | None):
         yield fh
 
 
+def _derive_logged(params: SystemParams):
+    """``derive_stats(params)``, its warnings logged as the run's own lines."""
+    stats, messages = recorded_warnings(derive_stats, params)
+    for message in messages:
+        logger.warning("%s", message)
+    return stats
+
+
 def _cmd_stats(args) -> int:
     params, harness = _settings(args, _STATS_UNREAD)
     params = apply_scenario(params, harness["scenario"])
-    stats = derive_stats(params)
+    stats = _derive_logged(params)
     report = check_separability(params, stats)
     with _output(args.out) as out:
         rows = [(name, getattr(params, name)) for name in _STATS_PARAMS]
@@ -300,7 +316,7 @@ def _cmd_grid(args) -> int:
 
 def _measure_share(num_bits: int, cfg: ProtocolConfig, seed: int, share):
     """``share`` of the session of ``pls --measure``, for :func:`fan_out`."""
-    return run_session(num_bits, cfg, seed=seed, share=share)
+    return run_session(num_bits, cfg, seed=seed, share=share, point_key=(_TAG_PLS_MEASURE,))
 
 
 def _cmd_pls(args) -> int:
@@ -317,7 +333,7 @@ def _cmd_pls(args) -> int:
             unread["seed"] = "needs --measure or a nonzero --tolerance: without either pls draws nothing"
     params, harness = _settings(args, unread)
     params = apply_scenario(params, harness["scenario"])
-    stats = derive_stats(params)
+    stats = _derive_logged(params)
     if args.strict:
         _check_strict(check_separability(params, stats))
 

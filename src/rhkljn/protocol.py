@@ -13,15 +13,18 @@ tallies.  The session engine draws each chip as its sufficient statistics,
 the sample mean m_hat and the scatter S = sum((v - m_hat)^2), instead of n
 raw samples: the gate, the threshold detectors and the ML costs depend on
 the samples only through these two, so the work per chip does not grow
-with n.  Per chunk the draw order is mains, subs, Eve coins, m_hat, S.
-The coins (the secret bits and Eve's guesses) are the top bits of the
-32-bit halves of raw PCG64 words (:func:`_coins`): the stream
-``Generator.integers(0, 2)`` draws, without its int64 arrays.
-Each chip's mean and variance are looked up in the 16-state table of
-:func:`rhkljn.params.state_moments`, the table Eve's hypotheses come from,
-and S is drawn only when the ``ml`` detector, the one detector that reads
-it, runs.  Every detector is tallied from a keep mask, ``ml`` scored only
-on the chips the gate keeps; labels are built only for the trace.
+with n.  Per chunk the draw order is: one ``rng.bytes`` call holding one
+byte per bit, whose low two bits are the mains (b_a, b_b), and one byte
+per chip, whose low two bits are the sub-bits (s_a, s_b) and whose bit 2
+is Eve's coin; then m_hat; then, after the gate, S for the gate-kept
+chips alone (:func:`_rh_chunk_arrays`).  Each chip's state is the flat
+index 8*b_a + 4*b_b + 2*s_a + s_b of the 16-state table of
+:func:`rhkljn.params.state_moments`, the table Eve's hypotheses come from;
+its mean and variance are looked up there, and the tally reads the
+parties' bits from it with bit tests.  S is drawn only when the ``ml``
+detector, the one detector that reads it, runs, and only on the chips it
+scores.  Every detector is tallied from a keep mask; labels are built
+only for the trace.  The stream is engine version :data:`ENGINE_VERSION`.
 Work is split into fixed-size chunks of bits, each with its own seed
 substream, so results are bit-identical across worker counts.  A session
 runs the chunks of one share (k, n), chunks k, k + n, ..., serially in the
@@ -33,7 +36,8 @@ A command fans out once, over every session of its grid, and adds up each
 session's shares with :func:`merge_tallies`.
 The classical two-resistor baseline (variance trisection on zero-mean
 noise, its mean of squares drawn as a scaled chi-square, its bank the
-sub-bit-0 column of the hopping bank) runs on the same chunk engine and
+sub-bit-0 column of the hopping bank, one hopping bit byte per bit for
+its coins) runs on the same chunk engine and
 the same flip-rule counter for rate-matched comparisons.  Raw samples
 are drawn only by :func:`rhkljn.channel.sample_chip`, the oracle for the
 sampled distributions.
@@ -62,6 +66,10 @@ if TYPE_CHECKING:
 
 DETECTOR_CHOICES = ("ml", "simple", "optimum")
 DEFAULT_CHUNK_BITS = 1024
+
+ENGINE_VERSION = 2
+"""The version of the chunk draw.  Output bytes are a pure function of the
+command, its seed and this version, which changes whenever a draw moves."""
 
 
 @dataclass(frozen=True)
@@ -202,70 +210,60 @@ def _draw_table(params: SystemParams) -> tuple[np.ndarray, np.ndarray, np.ndarra
     return table
 
 
-def _coins(rng: np.random.Generator, count: int) -> np.ndarray:
-    """The ``count`` coins ``rng.integers(0, 2, count)`` draws, as ``uint8``.
-
-    At range 2 NumPy's bounded-integer draw (Lemire's method, which never
-    rejects there) returns the top bit of the next 32-bit half of a raw
-    PCG64 word, low half first; so the coins are read from
-    ``random_raw((count + 1) // 2)`` directly, as the same stream.  An odd
-    count leaves the high half of the last word unread, as ``integers``
-    does, and no later draw of a chunk reads it.
-    """
-    words = rng.bit_generator.random_raw((count + 1) // 2)
-    halves = words.astype("<u8", copy=False).view("<u4")[:count]
-    coins = np.empty(count, np.uint8)
-    np.right_shift(halves, 31, out=coins, casting="unsafe")
-    return coins
-
-
 def _rh_chunk_arrays(spec: _ChunkSpec):
-    """Draw one chunk of bits and return the per-chip arrays.
+    """Draw one chunk of bits; returns ``(state, eve, m_hat, gate_keep, scatter)``.
+
+    ``state`` is each chip's flat state index 8*b_a + 4*b_b + 2*s_a + s_b,
+    ``eve`` Eve's guess of b_a, ``m_hat`` the chip's sample mean and
+    ``gate_keep`` the gate's verdict, all ``(bits, chips)``; ``scatter`` is
+    1-D, aligned with ``m_hat[gate_keep]``, or ``None``.
 
     A chip is drawn as its sufficient statistics, not as raw samples: given
     the chip state, the n samples are i.i.d. N(mu, sigma^2), so their mean
     is m_hat ~ N(mu, sigma^2/n) and, independently, their scatter
     S = sum((v - m_hat)^2) ~ sigma^2 * chi^2(n - 1), drawn as
-    sigma^2 * 2 * Gamma((n - 1)/2) (identically zero at n = 1).  Every
-    detector sees a chip only through (m_hat, S), and only ``ml`` reads S:
-    without it S is not drawn and ``None`` stands in its place.  (mu,
+    sigma^2 * 2 * Gamma((n - 1)/2) (identically zero at n = 1).  (mu,
     sigma^2) come from the 16-state :func:`rhkljn.params.state_moments`
-    table, looked up by each chip's flat state index in the cached
-    :func:`_draw_table`.
+    table, looked up by the state index in the cached :func:`_draw_table`.
 
-    Draw order is fixed (mains, subs, Eve coins, m_hat, S) so the stream is
-    a pure function of the chunk key; the coins come before any channel
-    noise, so they do not depend on n, and S comes last, so skipping it
-    moves no other draw.  All the coins come from one :func:`_coins` call,
-    read from raw PCG64 words: the stream ``integers(0, 2)`` draws, as
-    ``uint8``.
+    Draw order is fixed, so the stream is a pure function of the chunk
+    key: one ``rng.bytes`` call holds one byte per bit, then one byte per
+    chip in bit order.  A bit byte's low two bits are (b_a, b_b); a chip
+    byte's low two bits are (s_a, s_b) and its bit 2 is Eve's coin; every
+    other bit is unread.  Then m_hat, then the gate, then, only when
+    ``ml``, the one detector that reads S, runs, S for the gate-kept chips
+    alone.  S comes last, so skipping it moves no other draw.
     """
     p = spec.params
     n_bits, chips, n = spec.n_bits, p.chips_per_bit, p.samples_per_chip
     rng = substream(spec.master_seed, spec.key)
 
-    coins = _coins(rng, n_bits * (2 + 3 * chips))
-    a_main, b_main = coins[: 2 * n_bits].reshape(2, n_bits)
-    a_sub, b_sub, eve_guess_a = coins[2 * n_bits :].reshape(3, n_bits, chips)
+    coins = np.frombuffer(rng.bytes(n_bits * (1 + chips)), np.uint8)
+    chip = coins[n_bits:].reshape(n_bits, chips)
+    state = ((coins[:n_bits] & 3) << 2)[:, None] | (chip & 3)
+    eve = (chip >> 2) & 1
 
     mu, sd, var = _draw_table(p)
-    state = (8 * a_main + 4 * b_main)[:, None] + (2 * a_sub + b_sub)
-    # mu + sd * z and var * (2 * gamma), in place; take is the cheaper gather
+    # mu + sd * z, in place; take is the cheaper gather
     m_hat = sd.take(state)
     m_hat *= rng.standard_normal((n_bits, chips))
     m_hat += mu.take(state)
+    gate_keep = det.gate(m_hat, spec.stats.thresholds())
     scatter = None
     if "ml" in spec.detectors:
-        scatter = 2.0 * rng.standard_gamma(0.5 * (n - 1), (n_bits, chips))
-        scatter *= var.take(state)
-    return a_main, b_main, a_sub, b_sub, scatter, m_hat, eve_guess_a
+        # a gather at the kept chips' flat indices is several times cheaper
+        # than boolean indexing with the gate, and picks them in the same order
+        kept_state = state.take(np.flatnonzero(gate_keep))
+        scatter = 2.0 * rng.standard_gamma(0.5 * (n - 1), kept_state.size)
+        scatter *= var.take(kept_state)
+    return state, eve, m_hat, gate_keep, scatter
 
 
 def _rh_chunk(spec: _ChunkSpec) -> dict[str, DetectorTally]:
     return _tally_chunk(spec, *_rh_chunk_arrays(spec))[0]
 
 
-def _tally_chunk(spec, a_main, b_main, a_sub, b_sub, scatter, m_hat, eve_guess_a):
+def _tally_chunk(spec, state, eve, m_hat, gate_keep, scatter):
     """One tally per detector, and the gate.
 
     A detector keeps a gated chip unless it labels it g = 1; the tally
@@ -277,33 +275,36 @@ def _tally_chunk(spec, a_main, b_main, a_sub, b_sub, scatter, m_hat, eve_guess_a
     """
     stats = spec.stats
     thresholds = stats.thresholds()
-    gate_keep = det.gate(m_hat, thresholds)
     keeps = {}
     for name in spec.detectors:
         if name == "ml":
+            # ml_keep on the gated chips, gathered and put back at their flat indices
+            gated = np.flatnonzero(gate_keep)
+            hyps = stats.middle_hypotheses()
             kept = gate_keep.copy()
-            kept[gate_keep] = det.ml_keep(
-                m_hat[gate_keep],
-                scatter[gate_keep],
-                spec.params.samples_per_chip,
-                stats.middle_hypotheses(),
-            )
+            kept.put(gated, det.ml_keep(m_hat.take(gated), scatter, spec.params.samples_per_chip, hyps))
         else:
             kept = gate_keep & det.threshold_keep(m_hat, *thresholds.pair(name))
         keeps[name] = kept
-    return _count(keeps, gate_keep, a_main, b_main, a_sub, b_sub, eve_guess_a), gate_keep
+    return _count(keeps, gate_keep, state, eve), gate_keep
 
 
-def _count(keeps, gate_keep, a_main, b_main, a_sub, b_sub, eve_guess_a) -> dict[str, DetectorTally]:
+def _low_bits_equal(x: np.ndarray) -> np.ndarray:
+    """Where bit 0 of ``x`` equals bit 1."""
+    return ((x ^ (x >> 1)) & 1) == 0
+
+
+def _count(keeps, gate_keep, state, eve) -> dict[str, DetectorTally]:
     """One tally per keep mask, by the flip rule: a kept chip is an error
-    when the parties' bits are equal.  Masks, gate, sub-bits and Eve's
-    guesses are ``(bits, chips)``, the mains ``(bits,)``."""
+    when the parties' bits are equal.  Masks, gate, states (the flat index
+    8*b_a + 4*b_b + 2*s_a + s_b) and Eve's guesses of b_a are
+    ``(bits, chips)``; the chips of a bit share its mains."""
     gate_kept = int(np.count_nonzero(gate_keep))
-    subs_equal = a_sub == b_sub
-    mains_equal = a_main == b_main
-    eve_right = eve_guess_a == a_main[:, None]
+    subs_equal = _low_bits_equal(state)
+    mains_equal = _low_bits_equal(state[:, 0] >> 2)
+    eve_right = eve == (state >> 3)
     # a boolean matmul with ones is the row-wise any, a few times faster
-    chips_any = np.ones(a_sub.shape[1], dtype=bool)
+    chips_any = np.ones(state.shape[1], dtype=bool)
     tallies = {}
     for name, kept in keeps.items():
         kept_chips = int(np.count_nonzero(kept))
@@ -460,16 +461,21 @@ def run_session(
 
 def _traced_chunk(spec: _ChunkSpec, trace, chunk_bits: int) -> dict[str, DetectorTally]:
     arrays = _rh_chunk_arrays(spec)
-    a_main, b_main, a_sub, b_sub, scatter, m_hat, _ = arrays
-    tallies, gate_keep = _tally_chunk(spec, *arrays)
+    state, _, m_hat, gate_keep, scatter = arrays
+    tallies, _ = _tally_chunk(spec, *arrays)
     thresholds = spec.stats.thresholds()
     labels = {}
     for name in spec.detectors:
         if name == "ml":
+            # S exists for the gate-kept chips alone, and only they show a label
             hyps = spec.stats.middle_hypotheses()
-            labels[name] = det.detect_moments(m_hat, scatter, spec.params.samples_per_chip, hyps)
+            labels[name] = np.zeros(m_hat.shape, int)
+            labels[name][gate_keep] = det.detect_moments(
+                m_hat[gate_keep], scatter, spec.params.samples_per_chip, hyps
+            )
         else:
             labels[name] = det.threshold_detect(m_hat, *thresholds.pair(name))
+    b_a, b_b, s_a, s_b = ((state >> k) & 1 for k in (3, 2, 1, 0))
     base_bit = spec.key[-1] * chunk_bits
     for i in range(spec.n_bits):
         for c in range(spec.params.chips_per_bit):
@@ -484,7 +490,7 @@ def _traced_chunk(spec: _ChunkSpec, trace, chunk_bits: int) -> dict[str, Detecto
                     verdicts.append(f"{name}:{g}:exchanged")
             trace.write(
                 f"bit={base_bit + i} chip={c + 1} "
-                f"b_a={a_main[i]} b_b={b_main[i]} s_a={a_sub[i, c]} s_b={b_sub[i, c]} "
+                f"b_a={b_a[i, c]} b_b={b_b[i, c]} s_a={s_a[i, c]} s_b={s_b[i, c]} "
                 f"m_hat={m_hat[i, c]:.9g} {' '.join(verdicts)}\n"
             )
     return tallies
@@ -498,24 +504,25 @@ def _traced_chunk(spec: _ChunkSpec, trace, chunk_bits: int) -> dict[str, Detecto
 def _classical_chunk(spec: _ChunkSpec) -> dict[str, DetectorTally]:
     p = spec.params
     rng = substream(spec.master_seed, spec.key)
-    # one call draws the coins of three back-to-back integers(0, 2, n_bits)
-    # calls, the buffered 32-bit half of an odd n_bits included
-    a_main, b_main, eve_guess_a = _coins(rng, 3 * spec.n_bits).reshape(3, spec.n_bits)
+    # one byte per bit, laid out as a hopping bit byte: (b_a, b_b) in the
+    # low two bits, Eve's coin in bit 2
+    coins = np.frombuffer(rng.bytes(spec.n_bits), np.uint8)
+    mains = coins & 3
 
-    # the classical bank is the sub-bit-0 column of the hopping bank
-    var = _draw_table(p)[2][::4].reshape(2, 2)  # states (b_a, b_b, 0, 0), indexed [b_a, b_b]
-    var_00, var_01, var_11 = var[0, 0], var[0, 1], var[1, 1]
-    var_true = var[a_main, b_main]
+    # the classical bank is the sub-bit-0 column of the hopping bank, the
+    # states (b_a, b_b, 0, 0) at index 4 * mains
+    var = _draw_table(p)[2]
+    var_00, var_01, var_11 = var[0], var[4], var[12]
+    var_true = var.take(mains << 2)
 
     # the mean of squares of n zero-mean normals is var * chi^2(n) / n
     n = p.samples_per_chip
     v_hat = var_true * (2.0 * rng.standard_gamma(0.5 * n, spec.n_bits)) / n
 
-    # one chip per bit whose sub-bits are the mains: the variance band is
-    # both the gate and the keep mask
+    # one chip per bit whose sub-bits are the mains, state (b_a, b_b, b_a,
+    # b_b): the variance band is both the gate and the keep mask
     kept = ((v_hat >= 0.5 * (var_00 + var_01)) & (v_hat <= 0.5 * (var_01 + var_11)))[:, None]
-    bits = a_main, b_main, a_main[:, None], b_main[:, None], eve_guess_a[:, None]
-    return _count({"classical": kept}, kept, *bits)
+    return _count({"classical": kept}, kept, (5 * mains)[:, None], ((coins >> 2) & 1)[:, None])
 
 
 def run_classical_session(

@@ -22,7 +22,5 @@ def value_key(value: float) -> int:
 
     Keying substreams on the value itself rather than on its grid position
     lets any subset of a sweep's values reproduce the full run exactly.
-    Values only: a sweep also keys each session on its scenario's position
-    in the grid, so the rows reproduce only under the same scenario list.
     """
     return int(np.float64(value).view(np.uint64))

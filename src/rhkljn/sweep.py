@@ -16,11 +16,11 @@ every share has finished, the calling process adds up each session's
 shares, then makes the rows and logs each point's warnings with its rows,
 in grid order.
 Per-point substreams are keyed on the value's bit pattern and on the
-scenario's position in ``spec.scenarios``, so any subset of the values run
-with the same scenarios reproduces the full run exactly (a different
-scenario list moves the rows), and rows and warnings are the same bytes
-regardless of worker count.  Output bytes depend only on the
-experiment definition and the seed: no timing goes into a row.
+scenario's index in :data:`rhkljn.config.SCENARIOS`, so any subset of the
+values and scenarios reproduces the full run's rows exactly, and rows and
+warnings are the same bytes regardless of worker count.  Output bytes
+depend only on the experiment definition, the seed and the engine version
+(:data:`rhkljn.protocol.ENGINE_VERSION`): no timing goes into a row.
 """
 
 from __future__ import annotations
@@ -280,26 +280,36 @@ def _session_rows(spec: SweepSpec, session: _Session, tallies: dict[str, Detecto
     return rows
 
 
+def recorded_warnings(fn, *args):
+    """``fn(*args)`` and the distinct messages of the warnings it raised,
+    recorded, not shown, so that a command can log them as its own lines.
+
+    Only ``derive_stats`` warns here (a minimum-error threshold falling back
+    to the midpoint); th3 and th4 falling back give the same text, kept once.
+    """
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = fn(*args)
+    return result, tuple(dict.fromkeys(str(w.message) for w in caught))
+
+
 def _rh_sessions(
     spec: SweepSpec, params: SystemParams, value: float, tag: int, note: str | None = None
 ) -> list[_Session]:
     """The hopping sessions at one grid value: one per scenario, keyed
-    ``(tag, scenario index, value)``, all detectors on its noise.
+    ``(tag, the scenario's index in SCENARIOS, value)``, all detectors on
+    its noise.
 
     Each session's statistics are derived here, once, and the warnings
-    deriving raises (``derive_stats`` falling back to a midpoint threshold)
-    are recorded, not shown, so the grid logs them with the session's rows;
-    th3 and th4 falling back give the same text, kept once.
+    deriving raises are recorded (:func:`recorded_warnings`), so the grid
+    logs them with the session's rows.
     """
     sessions = []
-    for scen_idx, scenario in enumerate(spec.scenarios):
+    for position, scenario in enumerate(spec.scenarios):
         point = apply_scenario(params, scenario)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            stats = derive_stats(point)
-        key = (tag, scen_idx, value_key(value))
-        messages = tuple(dict.fromkeys(str(w.message) for w in caught))
-        sessions.append(_Session("rh", value, scenario, point, key, None if scen_idx else note, stats, messages))
+        stats, messages = recorded_warnings(derive_stats, point)
+        key = (tag, SCENARIOS.index(scenario), value_key(value))
+        sessions.append(_Session("rh", value, scenario, point, key, None if position else note, stats, messages))
     return sessions
 
 

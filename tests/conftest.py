@@ -40,34 +40,49 @@ def random_valid_params(rng, **overrides):
     return SystemParams(**kwargs)
 
 
-def detector_labels(spec, m_hat, scatter):
+def party_bits(state):
+    """``(a_main, b_main, a_sub, b_sub)`` of a chunk's flat state indices
+    8*b_a + 4*b_b + 2*s_a + s_b: the mains per bit, the sub-bits per chip."""
+    return state[:, 0] >> 3, (state[:, 0] >> 2) & 1, (state >> 1) & 1, state & 1
+
+
+def detector_labels(spec, m_hat, gate_keep, scatter):
     """Every detector's labels on a chunk tallied by ``_tally_chunk``.
 
     The tally builds no labels, only keep masks.  As in the trace, the
-    ``ml`` labels come from ``detect_moments`` on the chunk's (m_hat, S) and
-    the threshold detectors' from ``threshold_detect`` on the same ``m_hat``.
+    ``ml`` labels come from ``detect_moments`` on the gate-kept chips'
+    (m_hat, S), the only chips S is drawn for (0 elsewhere), and the
+    threshold detectors' from ``threshold_detect`` on the same ``m_hat``.
     """
     thresholds = spec.stats.thresholds()
     hyps = spec.stats.middle_hypotheses()
-    return {
-        name: detect_moments(m_hat, scatter, spec.params.samples_per_chip, hyps)
-        if name == "ml"
-        else threshold_detect(m_hat, *thresholds.pair(name))
-        for name in spec.detectors
-    }
+    labels = {}
+    for name in spec.detectors:
+        if name == "ml":
+            labels[name] = np.zeros(m_hat.shape, int)
+            labels[name][gate_keep] = detect_moments(m_hat[gate_keep], scatter, spec.params.samples_per_chip, hyps)
+        else:
+            labels[name] = threshold_detect(m_hat, *thresholds.pair(name))
+    return labels
+
+
+def swap_parties(state):
+    """Bob's view of flat state indices: the party bits of each pair swapped."""
+    return ((state & 0b1010) >> 1) | ((state & 0b0101) << 1)
 
 
 def assert_parties_agree(params, n_bits, seed, detectors):
-    """Tally fresh chips as Alice (a, b) and as Bob (b, a) on the same (m_hat, S).
+    """Tally fresh chips as Alice and as Bob, whose state has the party
+    bits swapped, on the same (m_hat, S).
 
     Both parties see only the public statistics, so every gate verdict,
     kept count and error count must be identical.  Returns the
     number of chips checked.
     """
     spec = _ChunkSpec(params, derive_stats(params), tuple(detectors), n_bits, seed, (0,))
-    a_main, b_main, a_sub, b_sub, scatter, m_hat, eve = _rh_chunk_arrays(spec)
-    alice = _tally_chunk(spec, a_main, b_main, a_sub, b_sub, scatter, m_hat, eve)
-    bob = _tally_chunk(spec, b_main, a_main, b_sub, a_sub, scatter, m_hat, eve)
+    state, eve, m_hat, gate_keep, scatter = _rh_chunk_arrays(spec)
+    alice = _tally_chunk(spec, state, eve, m_hat, gate_keep, scatter)
+    bob = _tally_chunk(spec, swap_parties(state), eve, m_hat, gate_keep, scatter)
     assert np.array_equal(alice[1], bob[1])
     for name in detectors:
         ta, tb = alice[0][name], bob[0][name]

@@ -21,7 +21,7 @@ from rhkljn import SweepSpec, SystemParams, run_compare, run_sweep
 from rhkljn.protocol import run_classical_session
 from rhkljn.rng import value_key
 from rhkljn.sweep import write_csv
-from rhkljn import cli, protocol, sweep
+from rhkljn import cli, pls, protocol, sweep
 from rhkljn.cli import EXIT_OK, main
 from rhkljn.config import HARNESS_KEYS, ConfigError, SCENARIOS, apply_scenario, build_params, parse_config
 from rhkljn.params import DerivedStats, derive_stats
@@ -137,9 +137,8 @@ class TestCsv:
         assert len(digits) <= 9
 
     def test_subset_of_values_reproduces_full_grid_rows(self):
-        # sessions are keyed on the value and on the scenario's position in
-        # the grid, so a subset of values with the same scenarios repeats
-        # the full grid's rows exactly
+        # sessions are keyed on the value and on the scenario's name, so a
+        # subset of values repeats the full grid's rows exactly
         base = SystemParams()
         for scenarios in (("good",), ("moderate", "good")):
             full = run_sweep(
@@ -154,6 +153,21 @@ class TestCsv:
             )
             assert [r for r in full if r.value == 5.0] == subset
             assert [r.scenario for r in subset] == list(scenarios)
+
+    # a session is keyed on its scenario's index in SCENARIOS: with the key
+    # on its position in --scenarios, this good row read 7517 kept / 2
+    # errors alone and 7545 / 1 after moderate
+    @pytest.mark.parametrize("command", ["sweep", "compare"])
+    def test_scenario_rows_do_not_depend_on_the_scenario_list(self, tmp_path, command):
+        grid = ["sweep", "--sweep", "n", "--values", "3"] if command == "sweep" else ["compare", "--values", "3e4"]
+        rows = {}
+        for scenarios in ("good", "moderate,good", "good,fine_tuned", "fine_tuned,moderate,good"):
+            out = tmp_path / f"{scenarios}.csv"
+            argv = grid + ["--scenarios", scenarios, "--bits", "3000", "--seed", "4", "--detectors", "optimum"]
+            assert main(argv + ["--out", str(out)]) == EXIT_OK
+            rows[scenarios] = [line for line in out.read_text().splitlines() if ",good,optimum," in line]
+        assert len(rows["good"]) == 1
+        assert all(found == rows["good"] for found in rows.values()), rows
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):
@@ -687,7 +701,7 @@ def engine_reads(monkeypatch):
         seen["jobs"] = jobs
         return [run_share(share=(0, 1))]
 
-    def session(num_bits, config, *, seed, share):
+    def session(num_bits, config, *, seed, share, point_key):
         seen.update(bits=num_bits, seed=seed)
         raise _Reached
 
@@ -1165,6 +1179,39 @@ class TestCli:
         args = ["sweep", "--sweep", "n", "--values", "3", "--bits", "100", "--out", str(out)]
         assert main(args + ["--jobs", jobs]) == 1
         assert "error: jobs must be >= 1" in capsys.readouterr().err
+
+    def test_pls_measure_keys_are_disjoint_from_the_outage_key(self, monkeypatch, capsys):
+        # chunk i of the session draws from (tag, i) and the outage trials
+        # from (0xE0,); keyed (i,), chunk 224 of a run above 229,376 bits
+        # drew the outage's stream.  The keys are recorded where the engine
+        # and pls.sop look substream up, on a run of three chunks
+        keys = {protocol: [], pls: []}
+        for module in keys:
+            def record(seed, key=(), module=module, real=module.substream):
+                keys[module].append(tuple(key))
+                return real(seed, key)
+            monkeypatch.setattr(module, "substream", record)
+        assert main(["pls", "--measure", "--tolerance", "0.01", "--trials", "10", "--bits", "2100"]) == EXIT_OK
+        tag = cli._TAG_PLS_MEASURE
+        assert keys == {protocol: [(tag, 0), (tag, 1), (tag, 2)], pls: [(0xE0,)]}
+        # chunk keys of any size have two items, the outage key one; a grid
+        # session's keys start with another tag
+        assert tag not in (sweep._TAG_SWEEP, sweep._TAG_RH_COMPARE, sweep._TAG_CLASSICAL)
+
+    # the midpoint fallback is logged as the run's own WARNING line, as a
+    # grid logs it, not shown as a Python warning naming a file and line
+    @pytest.mark.parametrize("command", [["stats"], ["pls"], ["pls", "--measure", "--bits", "1000"]])
+    def test_fallback_warning_names_no_file_or_line(self, command):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "rhkljn", *command, "--alpha", "4", "--beta", "3.9", "--gamma", "2.2"],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        message = "no optimum-threshold root inside the mean bracket; falling back to the midpoint"
+        assert proc.stderr.splitlines() == [f"WARNING {message}"]
+        assert ".py" not in proc.stderr
 
     def test_pls_csv_row(self, tmp_path, capsys):
         csv = tmp_path / "pls.csv"

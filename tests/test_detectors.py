@@ -346,8 +346,8 @@ class TestMlKeep:
     def test_session_chunks(self, scenario, n):
         params = apply_scenario(SystemParams(samples_per_chip=n), scenario)
         spec = _ChunkSpec(params, derive_stats(params), ("ml",), 1024, 60 + n, (0,))
-        _, _, _, _, scatter, m_hat, _ = _rh_chunk_arrays(spec)
-        keep = self.assert_matches_labels(m_hat, scatter, n, spec.stats.middle_hypotheses())
+        _, _, m_hat, gate_keep, scatter = _rh_chunk_arrays(spec)
+        keep = self.assert_matches_labels(m_hat[gate_keep], scatter, n, spec.stats.middle_hypotheses())
         assert keep.any() and not keep.all()
 
     def test_exact_ties_on_either_side_of_the_center(self):
@@ -395,8 +395,8 @@ class TestMlKeep:
         stats = derive_stats(params)
         assert all(h.std == 0.0 for h in stats.middle_hypotheses())
         spec = _ChunkSpec(params, stats, ("ml",), 400, 7, (0,))
-        _, _, _, _, scatter, m_hat, _ = _rh_chunk_arrays(spec)
-        keep = self.assert_matches_labels(m_hat, scatter, 5, stats.middle_hypotheses())
+        _, _, m_hat, gate_keep, scatter = _rh_chunk_arrays(spec)
+        keep = self.assert_matches_labels(m_hat[gate_keep], scatter, 5, stats.middle_hypotheses())
         assert keep.any() and not keep.all()
 
 

@@ -6,7 +6,8 @@ one trace log.
 Output bytes are a pure function of (command, seed, engine version), so a
 digest moves only when the random stream or the output format changes.  A
 change that does so on purpose updates the digests here and says which and
-why; any other change must leave every digest as it is.
+why; any other change must leave every digest as it is.  A change of the
+stream also bumps the engine version, asserted beside the digests.
 """
 
 import contextlib
@@ -20,6 +21,7 @@ from pathlib import Path
 import pytest
 
 from rhkljn.cli import EXIT_OK, main
+from rhkljn.protocol import ENGINE_VERSION
 
 ROOT = Path(__file__).resolve().parent.parent
 _spec = importlib.util.spec_from_file_location("bench_workloads", ROOT / "bench" / "workloads.py")
@@ -44,13 +46,16 @@ CLI_COMMANDS = {
     "pls_tolerance_default_trials": ("pls", "--tolerance", "0.01", "--gamma-t", "3.34"),
 }
 
+# the engine version these digests were made with
+GOLDEN_ENGINE_VERSION = 2
+
 STDOUT_SHA256 = {
-    "fig_n": "f0049b20c249e27820d89051b0b6188ac949941047ed34a9d13b6e8fd303ff74",
-    "fig_beta_jobs2": "4909abe84b14ee5fffdc3ee0096cd8fdd5deb82407b32625b191e2d8a254f1c9",
-    "compare": "a60dd4458ca86683c0c196dff03192b2918089fe7dd51f132097cfe4cff5bd91",
-    "pls_outage": "8ddfe089ec4c820cce8c51de6f0cd8ebcb9b27320c4beebea99475a218dc9862",
-    "readme_fig_n": "d058a19620afe3940914d13c43152a93f38b464355e25fc6c99d72d3068064e3",
-    "readme_compare": "8c1a0cb64e8ecff0a800c6ef6472d994afd82896b65e8dd40e7c88186799b18c",
+    "fig_n": "1a5a3daaa1e5444dd0350d0a6693f0781741e497d2815f439fb7b55629ea9704",
+    "fig_beta_jobs2": "79c4313b559f2b65a0858f557a7fbb8ca0dcfe8a43140b2b16470a44b293124f",
+    "compare": "bdc102f95d60957239ae0c6ccc279e28ce5ecca182eb5210cf79ea9e7b5f7186",
+    "pls_outage": "f9831ac7ddd64cafadfd98e20286bd46dea6aeb60c67d5bd65c0f8c9f9f9b3b9",
+    "readme_fig_n": "5852ee8cf53dc84d049c521d728d75df0679bb0825e6803153d7133d6e7bfcfe",
+    "readme_compare": "4d06ff7ea53064e996e053a8e880eeab359fc621e88377b8b165ac13c3935403",
     "stats": "d1605b1a6f4e6328dbc27dd2fca72144523c32ceefc8258d52fd4885feb636a2",
     "stats_moderate_a7_b2": "2fe7bbed0053b74a41e50dbcc6b9e95999cebd96b5e66fb8378f2207071f601b",
     "pls_tolerance_default_trials": "a440c69a75b3462db460f3c1a5841bf1d9703a1a6f96ad0a8ae5e7c3e4638980",
@@ -70,8 +75,8 @@ DEMO_CHANNEL_SHA256 = "cb41e2b9df25929db0946f0ccab4f75e6a672f1f37752f178c7ebee86
 
 TRACE_ARGV = ("sweep", "--sweep", "n", "--values", "5", "--detectors", "ml,simple,optimum", "--bits", str(GOLDEN_BITS))
 TRACE_SHA256 = {
-    "stdout": "7e5acf35e1f23dcbe14ce43ef8cc2e24347b36b443001351b27684f3db9f0e9f",
-    "trace": "80684743a396ea3bf0aceb536263d778f43baa1d361c08fa9dd31bc192578447",
+    "stdout": "322045a452db06b832833bc6ffce986423a65862efbe88e77cbecc9bc2713659",
+    "trace": "a07fba2d74de3a5cf72747a7b9fa866f669c449da9799dbaccf7f32c7e536ed0",
 }
 
 
@@ -90,6 +95,10 @@ def golden_argv(name: str) -> tuple[str, ...]:
     if name in CLI_COMMANDS:
         return CLI_COMMANDS[name]
     return tuple(workloads.program_argv(name, GOLDEN_SEED, bits=GOLDEN_BITS))
+
+
+def test_digests_are_of_this_engine_version():
+    assert ENGINE_VERSION == GOLDEN_ENGINE_VERSION
 
 
 def test_every_workload_has_a_digest():

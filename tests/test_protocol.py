@@ -13,7 +13,7 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy.stats import binomtest, chi2, kstest, norm
+from scipy.stats import binomtest, chi2, chisquare, kstest, norm
 
 from rhkljn import (
     ProtocolConfig,
@@ -26,7 +26,7 @@ from rhkljn import (
 )
 from rhkljn import protocol
 from rhkljn.channel import ChipState, sample_chip
-from rhkljn.detectors import threshold_detect, threshold_keep
+from rhkljn.detectors import gate, threshold_detect, threshold_keep
 from rhkljn.params import derive_stats
 from rhkljn.pls import IDEAL_DISCARD
 from rhkljn.protocol import (
@@ -40,7 +40,14 @@ from rhkljn.protocol import (
     worker_pool,
 )
 from rhkljn.rng import substream
-from conftest import assert_parties_agree, detector_labels, random_valid_params
+from conftest import (
+    assert_parties_agree,
+    detector_labels,
+    midpoint_fallback,
+    party_bits,
+    random_valid_params,
+    swap_parties,
+)
 
 
 def make_cfg(**param_overrides):
@@ -62,12 +69,13 @@ class TestChipVerdicts:
         stats = derive_stats(params)
         spec = _ChunkSpec(params, stats, (detector,), 400, 7, (0,))
         arrays = _rh_chunk_arrays(spec)
-        a_main, b_main, a_sub, b_sub = arrays[:4]
-        tallies, gate_keep = _tally_chunk(spec, *arrays)
+        state, _, m_hat, gate_keep, scatter = arrays
+        a_main, b_main, a_sub, b_sub = party_bits(state)
+        tallies, _ = _tally_chunk(spec, *arrays)
 
         mixed = np.broadcast_to((a_main != b_main)[:, None], a_sub.shape)
         assert np.array_equal(gate_keep, mixed)
-        g = detector_labels(spec, arrays[5], arrays[4])[detector]
+        g = detector_labels(spec, m_hat, gate_keep, scatter)[detector]
         kept = gate_keep & (g != 1)
         # kept exactly when the mains and the sub-bits both differ, which is
         # when the flip rule recovers the partner's bits
@@ -109,19 +117,20 @@ def noiseless_bit(a_main, a_subs, b_main, b_subs, detector="optimum"):
     spec = _ChunkSpec(params, stats, (detector,), 1, 0, (0,))
     a_sub = np.asarray(a_subs)[None, :]
     b_sub = np.asarray(b_subs)[None, :]
+    state = 8 * a_main + 4 * b_main + 2 * a_sub + b_sub
     m_hat = np.array(
         [
             [chip_moments(params, a_main, b_main, sa, sb)[0]]
             for sa, sb in zip(a_sub[0], b_sub[0])
         ]
     ).T
-    scatter = np.zeros_like(m_hat)
+    gate_keep = gate(m_hat, stats.thresholds())
+    scatter = np.zeros(np.count_nonzero(gate_keep))
     eve = np.zeros_like(a_sub)
-    a_m, b_m = np.array([a_main]), np.array([b_main])
     out = []
-    for own in ((a_m, b_m, a_sub, b_sub), (b_m, a_m, b_sub, a_sub)):
-        tallies, gate_keep = _tally_chunk(spec, *own, scatter, m_hat, eve)
-        g = detector_labels(spec, m_hat, scatter)[detector]
+    for own in (state, swap_parties(state)):
+        tallies, _ = _tally_chunk(spec, own, eve, m_hat, gate_keep, scatter)
+        g = detector_labels(spec, m_hat, gate_keep, scatter)[detector]
         out.append((decisions(gate_keep, g)[0], g[0], tallies[detector]))
     return out
 
@@ -161,10 +170,9 @@ class TestRunChip:
         params = SystemParams()
         stats = derive_stats(params)
         spec = _ChunkSpec(params, stats, ("optimum",), 500, 29, (0,))
-        arrays = _rh_chunk_arrays(spec)
-        a_main, b_main, a_sub, b_sub = arrays[:4]
-        _, gate_keep = _tally_chunk(spec, *arrays)
-        g = detector_labels(spec, arrays[5], arrays[4])["optimum"]
+        state, _, m_hat, gate_keep, scatter = _rh_chunk_arrays(spec)
+        a_main, b_main, a_sub, b_sub = party_bits(state)
+        g = detector_labels(spec, m_hat, gate_keep, scatter)["optimum"]
 
         middle = {1: stats.m1, 2: stats.m2, 3: stats.m3}
         true_g = np.zeros_like(g)
@@ -475,8 +483,8 @@ class TestChunkSampler:
     """The engine draws each chip as (m_hat, S); check them against the closed forms."""
 
     # fixed before the first run: about 1% family-wise false alarm over the
-    # 119 KS tests below (per state and pooled over the 16 states; m_hat at
-    # 4 sample counts, S at 3)
+    # KS tests below (m_hat per state and pooled over the 16 states at 4
+    # sample counts; S per gated state and pooled over the gated chips at 3)
     KS_P_FLOOR = 1e-4
 
     @staticmethod
@@ -492,69 +500,83 @@ class TestChunkSampler:
         return _rh_chunk_arrays(spec)
 
     @staticmethod
-    def by_state(a_main, b_main, a_sub, b_sub):
-        for b_a, b_b, s_a, s_b in itertools.product((0, 1), repeat=4):
-            mains = (a_main[:, None] == b_a) & (b_main[:, None] == b_b)
-            sel = mains & (a_sub == s_a) & (b_sub == s_b)
-            yield ChipState(b_a, b_b, s_a, s_b), sel
+    def by_state():
+        for index in range(16):
+            yield index, ChipState(*((index >> k) & 1 for k in (3, 2, 1, 0)))
 
     @pytest.mark.parametrize("n", [1, 2, 3, 20])
     def test_moments_follow_chip_distribution(self, n):
         params = SystemParams(samples_per_chip=n)
-        a_main, b_main, a_sub, b_sub, scatter, m_hat, _ = self.chunk(params, 4_000, seed=41)
+        state, _, m_hat, gate_keep, scatter = self.chunk(params, 4_000, seed=41)
+        gated_state = state[gate_keep]
+        assert scatter.shape == gated_state.shape
         z = np.empty_like(m_hat)
         s_over_var = np.empty_like(scatter)
-        for state, sel in self.by_state(a_main, b_main, a_sub, b_sub):
-            mean, var = chip_moments(params, *state)
+        for index, chip_state in self.by_state():
+            mean, var = chip_moments(params, *chip_state)
+            sel = state == index
             assert sel.sum() > 1_000
             z[sel] = (m_hat[sel] - mean) / math.sqrt(var / n)
-            s_over_var[sel] = scatter[sel] / var
-            assert kstest(z[sel], norm.cdf).pvalue >= self.KS_P_FLOOR, state
-            if n > 1:
-                assert kstest(s_over_var[sel], chi2(n - 1).cdf).pvalue >= self.KS_P_FLOOR, state
+            assert kstest(z[sel], norm.cdf).pvalue >= self.KS_P_FLOOR, chip_state
+            # S exists for the gate-kept chips alone: every chip of a mixed
+            # state, few of the all-low and all-high ones
+            gated = gated_state == index
+            s_over_var[gated] = scatter[gated] / var
+            if n > 1 and gated.sum() > 1_000:
+                assert kstest(s_over_var[gated], chi2(n - 1).cdf).pvalue >= self.KS_P_FLOOR, chip_state
         # pooled over all states: ~16x the power of one state against a common bias
         assert kstest(z.ravel(), norm.cdf).pvalue >= self.KS_P_FLOOR
         if n == 1:
             assert np.all(scatter == 0.0)
         else:
-            assert kstest(s_over_var.ravel(), chi2(n - 1).cdf).pvalue >= self.KS_P_FLOOR
+            assert kstest(s_over_var, chi2(n - 1).cdf).pvalue >= self.KS_P_FLOOR
 
     def test_noiseless_chunk_is_exact(self):
         params = SystemParams(temperature=0.0, samples_per_chip=5)
-        a_main, b_main, a_sub, b_sub, scatter, m_hat, _ = self.chunk(params, 200, seed=3)
-        for state, sel in self.by_state(a_main, b_main, a_sub, b_sub):
-            mean, _ = chip_moments(params, *state)
-            assert np.all(m_hat[sel] == mean), state
+        state, _, m_hat, gate_keep, scatter = self.chunk(params, 200, seed=3)
+        for index, chip_state in self.by_state():
+            mean, _ = chip_moments(params, *chip_state)
+            assert np.all(m_hat[state == index] == mean), chip_state
+        assert scatter.shape == (np.count_nonzero(gate_keep),)
         assert np.all(scatter == 0.0)
 
 
+def replay_coins(rng, n_bits, chips):
+    """A chunk's coins as documented, from uint8 integers: one byte per bit,
+    then one per chip; returns the bits and Eve's guesses as 0/1 arrays
+    ``(a_main, b_main, a_sub, b_sub, eve)``, the mains per bit."""
+    coins = rng.integers(0, 256, n_bits * (1 + chips), dtype=np.uint8)
+    bit, chip = coins[:n_bits], coins[n_bits:].reshape(n_bits, chips)
+    return (bit >> 1) & 1, bit & 1, (chip >> 1) & 1, chip & 1, (chip >> 2) & 1
+
+
 class TestChunkTableDraw:
-    """The engine's table lookup against the per-chip divider it replaces."""
+    """The engine's table lookup and draw order against a hand-built replay."""
 
     @staticmethod
-    def replay(params, n_bits, seed, key):
+    def replay(params, stats, n_bits, seed, key):
         """The chunk redrawn in the documented order, every chip's moments
         from a broadcast :func:`chip_moments` call."""
         chips, n = params.chips_per_bit, params.samples_per_chip
         rng = substream(seed, key)
-        a_main = rng.integers(0, 2, n_bits)
-        b_main = rng.integers(0, 2, n_bits)
-        a_sub = rng.integers(0, 2, (n_bits, chips))
-        b_sub = rng.integers(0, 2, (n_bits, chips))
-        eve = rng.integers(0, 2, (n_bits, chips))
+        a_main, b_main, a_sub, b_sub, eve = replay_coins(rng, n_bits, chips)
         mu, var = chip_moments(params, a_main[:, None], b_main[:, None], a_sub, b_sub)
         m_hat = mu + np.sqrt(var / n) * rng.standard_normal((n_bits, chips))
-        scatter = var * (2.0 * rng.standard_gamma(0.5 * (n - 1), (n_bits, chips)))
-        return a_main, b_main, a_sub, b_sub, scatter, m_hat, eve
+        gate_keep = (m_hat >= stats.th1) & (m_hat <= stats.th2)
+        scatter = var[gate_keep] * (2.0 * rng.standard_gamma(0.5 * (n - 1), np.count_nonzero(gate_keep)))
+        state = 8 * a_main[:, None] + 4 * b_main[:, None] + 2 * a_sub + b_sub
+        return state, eve, m_hat, gate_keep, scatter
 
+    @midpoint_fallback
     @pytest.mark.parametrize("n", [1, 2, 3, 20])
     def test_table_draw_equals_per_chip_moments(self, n, rng):
         configs = [SystemParams(samples_per_chip=n)]
         configs += [random_valid_params(rng, samples_per_chip=n) for _ in range(4)]
         for i, params in enumerate(configs):
-            spec = _ChunkSpec(params, None, ("ml",), 300, 50 + i, (7, i))
+            stats = derive_stats(params)
+            spec = _ChunkSpec(params, stats, ("ml",), 300, 50 + i, (7, i))
             got = _rh_chunk_arrays(spec)
-            want = self.replay(params, 300, 50 + i, (7, i))
+            want = self.replay(params, stats, 300, 50 + i, (7, i))
             for g, w in zip(got, want):
                 assert np.array_equal(g, w), params
 
@@ -565,23 +587,45 @@ class TestChunkTableDraw:
         without = _rh_chunk_arrays(_ChunkSpec(params, stats, ("optimum",), 400, 8, (1,)))
         with_ml = _rh_chunk_arrays(_ChunkSpec(params, stats, ("ml", "optimum"), 400, 8, (1,)))
         assert without[4] is None
-        assert with_ml[4].shape == with_ml[5].shape
+        # one S per gate-kept chip, and none for the chips the gate discards
+        gate_keep = with_ml[3]
+        assert with_ml[4].shape == (np.count_nonzero(gate_keep),)
+        assert 0 < gate_keep.sum() < gate_keep.size
         # S is the last draw: every other array is the same with or without it
-        for i in (0, 1, 2, 3, 5, 6):
+        for i in range(4):
             assert np.array_equal(without[i], with_ml[i]), i
 
-
-    # the engine draws all the coins of a chunk in one call; split per array
-    # with integers, the same coins come out in the same order
+    # the engine draws all the coins of a chunk, of bits and of chips, in
+    # one call; as uint8 integers, the same bits come out in the documented
+    # layout, and the normals after them are untouched
     @pytest.mark.parametrize("n_bits, chips", [(1024, 10), (928, 10), (7, 3), (1, 1)])
     def test_one_draw_per_shape_keeps_the_stream(self, n_bits, chips):
-        joint, split = substream(9, (n_bits, chips)), substream(9, (n_bits, chips))
-        coins = protocol._coins(joint, n_bits * (2 + 3 * chips))
-        for row in coins[: 2 * n_bits].reshape(2, n_bits):
-            assert np.array_equal(row, split.integers(0, 2, n_bits))
-        for block in coins[2 * n_bits :].reshape(3, n_bits, chips):
-            assert np.array_equal(block, split.integers(0, 2, (n_bits, chips)))
-        assert np.array_equal(joint.standard_normal(5), split.standard_normal(5))
+        params = SystemParams(chips_per_bit=chips)
+        spec = _ChunkSpec(params, derive_stats(params), ("optimum",), n_bits, 9, (n_bits, chips))
+        state, eve, m_hat, _, _ = _rh_chunk_arrays(spec)
+        split = substream(9, (n_bits, chips))
+        a_main, b_main, a_sub, b_sub, want_eve = replay_coins(split, n_bits, chips)
+        assert state.shape == eve.shape == (n_bits, chips)
+        assert [a.tolist() for a in party_bits(state)] == [a.tolist() for a in (a_main, b_main, a_sub, b_sub)]
+        assert np.array_equal(eve, want_eve)
+        mu, sd, _ = protocol._draw_table(params)
+        assert np.array_equal(m_hat, sd[state] * split.standard_normal((n_bits, chips)) + mu[state])
+
+    def test_states_and_eve_are_uniform_and_independent(self):
+        # 10^5 bits of 10 chips: the chips of a bit share its mains, so the
+        # joint test over the 16 states and Eve's coin (32 cells) takes one
+        # chip per bit; the 8 cells of a chip's own byte (sub-bits and Eve's
+        # coin) are tested over all 10^6 chips, and the sub-bits of a bit's
+        # two first chips for independence
+        params = SystemParams()
+        spec = _ChunkSpec(params, derive_stats(params), ("optimum",), 100_000, 11, (0,))
+        state, eve, _, _, _ = _rh_chunk_arrays(spec)
+        joint = np.bincount(2 * state[:, 0].astype(int) + eve[:, 0], minlength=32)
+        own = np.bincount(2 * (state & 3).astype(int).ravel() + eve.ravel(), minlength=8)
+        pairs = np.bincount(4 * (state[:, 0] & 3).astype(int) + (state[:, 1] & 3), minlength=16)
+        for counts, cells in ((joint, 32), (own, 8), (pairs, 16)):
+            assert counts.size == cells
+            assert chisquare(counts).pvalue >= 1e-4, counts
 
     def test_draw_table_is_cached_read_only_and_keyed_on_n(self):
         three = protocol._draw_table(SystemParams(samples_per_chip=3))
@@ -596,31 +640,6 @@ class TestChunkTableDraw:
             assert np.array_equal(table[0], mu) and np.array_equal(table[2], var)
             assert np.array_equal(table[1], np.sqrt(var / n))
         assert not np.array_equal(three[1], twenty[1])
-
-
-class TestCoins:
-    """The coins read from raw PCG64 words are the stream ``integers(0, 2)`` draws."""
-
-    @pytest.mark.parametrize("count", [1, 2, 3, 7, 63, 2048, 30720])
-    def test_coins_equal_integers(self, count):
-        ours, numpy = substream(17, (count,)), substream(17, (count,))
-        coins = protocol._coins(ours, count)
-        assert coins.dtype == np.uint8 and coins.shape == (count,)
-        assert np.array_equal(coins, numpy.integers(0, 2, count))
-        # the draws that follow the coins in a chunk are untouched
-        assert np.array_equal(ours.standard_normal(64), numpy.standard_normal(64))
-        assert np.array_equal(ours.standard_gamma(1.5, 64), numpy.standard_gamma(1.5, 64))
-
-    @pytest.mark.parametrize("first, second", [(7, 9), (1, 1), (999, 1998)])
-    def test_one_call_equals_back_to_back_integers(self, first, second):
-        # an odd first count leaves the high half of its last word buffered;
-        # integers reads it as the second call's first coin
-        ours, numpy = substream(18, (first,)), substream(18, (first,))
-        coins = protocol._coins(ours, first + second)
-        want = np.concatenate([numpy.integers(0, 2, first), numpy.integers(0, 2, second)])
-        assert np.array_equal(coins, want)
-        assert np.array_equal(ours.standard_normal(64), numpy.standard_normal(64))
-        assert np.array_equal(ours.standard_gamma(1.5, 64), numpy.standard_gamma(1.5, 64))
 
 
 class TestThresholdKeep:
@@ -656,13 +675,14 @@ class TestThresholdKeep:
         stats = derive_stats(params)
         spec = _ChunkSpec(params, stats, DETECTOR_CHOICES, 10_000, 19, (0,))
         arrays = _rh_chunk_arrays(spec)
-        a_main, b_main, a_sub, b_sub, scatter, m_hat, eve = arrays
+        state, eve, m_hat, gate_keep, scatter = arrays
+        a_main, b_main, a_sub, b_sub = party_bits(state)
         result = _tally_chunk(spec, *arrays)
         # the tallies and the gate: no detector's labels are built
         assert len(result) == 2
-        tallies, gate_keep = result
-        assert gate_keep.dtype == bool
-        labels = detector_labels(spec, m_hat, scatter)
+        tallies, gate = result
+        assert gate is gate_keep and gate_keep.dtype == bool
+        labels = detector_labels(spec, m_hat, gate_keep, scatter)
         for name in spec.detectors:
             if name != "ml":
                 self.assert_mask_matches_labels(m_hat, *stats.thresholds().pair(name))
@@ -701,11 +721,12 @@ class TestMlTally:
 class TestClassicalSession:
     @staticmethod
     def replay(params, n_bits, seed, key):
-        """The classical chunk redrawn with three integers calls, then its tally."""
+        """The classical chunk redrawn with one uint8 integers call (a hopping
+        bit byte per bit: b_a in bit 1, b_b in bit 0, Eve's coin in bit 2),
+        then its tally."""
         rng = substream(seed, key)
-        a_main = rng.integers(0, 2, n_bits)
-        b_main = rng.integers(0, 2, n_bits)
-        eve = rng.integers(0, 2, n_bits)
+        coins = rng.integers(0, 256, n_bits, dtype=np.uint8)
+        a_main, b_main, eve = (coins >> 1) & 1, coins & 1, (coins >> 2) & 1
         n = params.samples_per_chip
         var = chip_moments(params, *np.ix_((0, 1), (0, 1)), 0, 0)[1]
         v_hat = var[a_main, b_main] * (2.0 * rng.standard_gamma(0.5 * n, n_bits)) / n
@@ -721,8 +742,8 @@ class TestClassicalSession:
             eve_correct=int(np.count_nonzero(kept & (eve == a_main))),
         )
 
-    # odd chunk sizes: the one coin call must reproduce the buffered 32-bit
-    # half that separate integers calls carry from one array to the next
+    # odd chunk sizes: a byte count that is no multiple of 4 leaves part of
+    # the last 32-bit word unread, and the chi-square draw must follow it
     @pytest.mark.parametrize("n_bits", [1, 7, 999])
     def test_chunk_equals_integers_replay(self, n_bits):
         params = SystemParams(m_l=0.0, chips_per_bit=1, samples_per_chip=30)
