@@ -54,7 +54,6 @@ from .protocol import DETECTOR_CHOICES, ProtocolConfig, fan_out, merge_tallies, 
 from .sweep import (
     SWEEP_PARAMETERS,
     SweepSpec,
-    recorded_warnings,
     run_compare,
     run_sweep,
     write_csv,
@@ -195,6 +194,10 @@ def _settings(args, unread: dict[str, str]) -> tuple[SystemParams, dict[str, obj
         if flag is not None:
             values[key] = flag
     harness = {key: values.get(key, default) for key, (_, default) in HARNESS_KEYS.items()}
+    # checked here, before any output file is opened: numpy would reject
+    # a negative seed only once the first session draws
+    if harness["seed"] < 0:
+        raise ConfigError(f"seed must be >= 0, got {harness['seed']}")
     return build_params(values), harness
 
 
@@ -217,9 +220,10 @@ def _parse_values(raw: str) -> tuple[float, ...]:
         raise ConfigError(f"bad --values list: {raw!r}") from exc
 
 
-def _check_strict(report) -> None:
+def _check_strict(report, point: str = "") -> None:
+    """Exit 2 when ``report`` fails the margin; ``point`` prefixes the message."""
     if not report.separable:
-        print(f"non-separable configuration: {report}", file=sys.stderr)
+        print(f"{point}non-separable configuration: {report}", file=sys.stderr)
         raise SystemExit(EXIT_NOT_SEPARABLE)
 
 
@@ -258,10 +262,10 @@ def _output(path: str | None):
 
 
 def _derive_logged(params: SystemParams):
-    """``derive_stats(params)``, its warnings logged as the run's own lines."""
-    stats, messages = recorded_warnings(derive_stats, params)
-    for message in messages:
-        logger.warning("%s", message)
+    """``derive_stats(params)``, its fallback note logged as the run's own line."""
+    stats = derive_stats(params)
+    if stats.note:
+        logger.warning("%s", stats.note)
     return stats
 
 
@@ -296,15 +300,17 @@ def _cmd_grid(args) -> int:
     )
     if args.strict:
         # separability never reads samples per chip: an n or rate grid has
-        # one point to check per scenario, the base params
-        if spec.swept_parameter in ("n", "rate"):
-            points = [params]
+        # one point to check per scenario, the base params, and its message
+        # names the scenario alone
+        name = spec.swept_parameter
+        if name in ("n", "rate"):
+            points = [("", params)]
         else:
-            points = (params.replace(**{spec.swept_parameter: v}) for v in spec.values)
-        for point in points:
+            points = ((f"{name}={v:g} ", params.replace(**{name: v})) for v in spec.values)
+        for where, point in points:
             for scenario in spec.scenarios:
                 point_params = apply_scenario(point, scenario)
-                _check_strict(check_separability(point_params, derive_stats(point_params)))
+                _check_strict(check_separability(point_params, derive_stats(point_params)), f"{where}{scenario}: ")
     if args.command == "compare":
         rows = run_compare(spec, params, jobs=harness["jobs"])
     else:

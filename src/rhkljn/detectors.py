@@ -31,7 +31,6 @@ m1, discarded by the protocol), g=2 the left one (m2) and g=3 the right one
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -317,7 +316,7 @@ def min_error_threshold(
     m_light: float,
     s_light: float,
     w_light: float,
-) -> float:
+) -> float | None:
     """Threshold between two weighted Gaussians minimizing the decision error.
 
     Solves the quadratic A*y^2 + B*y + C = 0 obtained from equating the two
@@ -328,14 +327,13 @@ def min_error_threshold(
     The root lying between the two means is selected and polished by a few
     Newton steps until the density-balance residual is at machine level.
 
-    Falls back (with a warning) to the midpoint when no real root lies in
-    the bracket; degenerate zero-variance inputs return the midpoint
-    directly.
+    Returns None when no real root lies strictly between the means, so the
+    caller chooses the fallback; degenerate zero-variance or equal-mean
+    inputs return the midpoint.
     """
     lo, hi = min(m_heavy, m_light), max(m_heavy, m_light)
-    mid = 0.5 * (m_heavy + m_light)
     if s_heavy <= 0.0 or s_light <= 0.0 or lo == hi:
-        return mid
+        return 0.5 * (m_heavy + m_light)
 
     ratio = (s_heavy / s_light) ** 2
     log_term = math.log(w_heavy * s_light / (w_light * s_heavy))
@@ -358,13 +356,7 @@ def min_error_threshold(
 
     inside = [y for y in candidates if lo < y < hi]
     if not inside:
-        warnings.warn(
-            "no optimum-threshold root inside the mean bracket; "
-            "falling back to the midpoint",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        return mid
+        return None
 
     y = inside[0]
     # Newton polish on the log balance; it is monotone between the means.

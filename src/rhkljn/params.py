@@ -236,7 +236,8 @@ class DerivedStats:
     variances of the mixed state (0, 1) at sub-bits (0, 0), (0, 1), (1, 0)
     and (1, 1), the variances sessions draw from.  ``var4``, both sub-bits
     hopped, is ``noise_var_per_ohm * (r_l1 || r_h1) = beta * var1`` and
-    enters no detector.
+    enters no detector.  ``note`` names the optimum thresholds that fell
+    back to the simple midpoints, None when neither did.
     """
 
     c1: float
@@ -261,6 +262,7 @@ class DerivedStats:
     th3_opt: float
     th4_opt: float
     mixture_tables: dict[tuple[int, int], tuple[MixtureComponent, ...]] = field(repr=False)
+    note: str | None = None
 
     @property
     def sigma1(self) -> float:
@@ -376,8 +378,10 @@ def derive_stats(params: SystemParams) -> DerivedStats:
     """Populate every derived quantity of the scheme for the given parameters.
 
     The optimum thresholds come from the minimum-error quadratic solver in
-    :mod:`rhkljn.detectors`; when the configuration is numerically
-    degenerate (zero noise) they fall back to the simple midpoints.
+    :mod:`rhkljn.detectors`.  One without a root between its two means
+    falls back to the simple midpoint, and ``note`` names it; when the
+    configuration is degenerate (zero noise) the solver itself returns
+    the midpoints.
     """
     c1, c2, c3, c4 = derive_coefficients(params)
     m1, m2, m3 = c1 * params.m_l, c2 * params.m_l, c3 * params.m_l
@@ -396,6 +400,10 @@ def derive_stats(params: SystemParams) -> DerivedStats:
     s1, s2, s3 = math.sqrt(var1), math.sqrt(var2), math.sqrt(var3)
     th3_opt = _det.min_error_threshold(m1, s1, 0.5, m2, s2, 0.25)
     th4_opt = _det.min_error_threshold(m1, s1, 0.5, m3, s3, 0.25)
+    fell_back = " and ".join(name for name, th in (("th3_opt", th3_opt), ("th4_opt", th4_opt)) if th is None)
+    note = None
+    if fell_back:
+        note = f"no optimum-threshold root inside the mean bracket for {fell_back}; falling back to the midpoint"
     return DerivedStats(
         c1=c1,
         c2=c2,
@@ -416,9 +424,10 @@ def derive_stats(params: SystemParams) -> DerivedStats:
         th2=th2,
         th3=th3,
         th4=th4,
-        th3_opt=th3_opt,
-        th4_opt=th4_opt,
+        th3_opt=th3 if th3_opt is None else th3_opt,
+        th4_opt=th4 if th4_opt is None else th4_opt,
         mixture_tables=mixture_tables,
+        note=note,
     )
 
 

@@ -7,7 +7,9 @@ through one hopping-row runner: one session per (value, scenario) point
 and one CSV row per (value, scenario, detector).  ``run_compare`` takes a
 spec that sweeps ``rate`` and puts one classical row before the hopping
 rows of each rate.  Every point's parameters are checked, and each
-hopping session's statistics derived once, before the first session.  A
+hopping session's statistics derived once, before the first session; a
+point whose optimum threshold falls back to the midpoint has that recorded
+in its statistics (``DerivedStats.note``), not raised as a warning.  A
 grid then fans out once (:func:`rhkljn.protocol.fan_out`) into ``jobs``
 shares, fewer when its sessions have fewer chunks: the calling process
 runs one and each pool worker one task, and every share runs its chunks
@@ -29,7 +31,6 @@ import contextlib
 import functools
 import logging
 import math
-import warnings
 from dataclasses import dataclass, fields
 from typing import NamedTuple
 
@@ -210,7 +211,6 @@ class _Session(NamedTuple):
     point_key: tuple[int, ...]
     note: str | None = None  # the grid point's warning, logged just before its rows
     stats: DerivedStats | None = None
-    caught: tuple[str, ...] = ()  # the warnings deriving ``stats`` raised
 
     def run(self, spec: SweepSpec, share, trace) -> dict[str, DetectorTally]:
         """Run ``share`` of the session; returns its tallies."""
@@ -237,8 +237,8 @@ def _session_rows(spec: SweepSpec, session: _Session, tallies: dict[str, Detecto
     scheme, value, scenario, params, *_ = session
     if session.note:
         logger.warning("%s", session.note)
-    for message in session.caught:
-        logger.warning("%s=%g %s: %s", spec.swept_parameter, value, scenario, message)
+    if session.stats is not None and session.stats.note:
+        logger.warning("%s=%g %s: %s", spec.swept_parameter, value, scenario, session.stats.note)
     rows = []
     for name, tally in tallies.items():
         lo, hi = binomial_ci95(tally.sub_bit_errors, tally.kept_chips)
@@ -280,19 +280,6 @@ def _session_rows(spec: SweepSpec, session: _Session, tallies: dict[str, Detecto
     return rows
 
 
-def recorded_warnings(fn, *args):
-    """``fn(*args)`` and the distinct messages of the warnings it raised,
-    recorded, not shown, so that a command can log them as its own lines.
-
-    Only ``derive_stats`` warns here (a minimum-error threshold falling back
-    to the midpoint); th3 and th4 falling back give the same text, kept once.
-    """
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        result = fn(*args)
-    return result, tuple(dict.fromkeys(str(w.message) for w in caught))
-
-
 def _rh_sessions(
     spec: SweepSpec, params: SystemParams, value: float, tag: int, note: str | None = None
 ) -> list[_Session]:
@@ -300,16 +287,14 @@ def _rh_sessions(
     ``(tag, the scenario's index in SCENARIOS, value)``, all detectors on
     its noise.
 
-    Each session's statistics are derived here, once, and the warnings
-    deriving raises are recorded (:func:`recorded_warnings`), so the grid
-    logs them with the session's rows.
+    Each session's statistics are derived here, once; the grid logs their
+    fallback note (``DerivedStats.note``) with the session's rows.
     """
     sessions = []
     for position, scenario in enumerate(spec.scenarios):
         point = apply_scenario(params, scenario)
-        stats, messages = recorded_warnings(derive_stats, point)
         key = (tag, SCENARIOS.index(scenario), value_key(value))
-        sessions.append(_Session("rh", value, scenario, point, key, None if position else note, stats, messages))
+        sessions.append(_Session("rh", value, scenario, point, key, None if position else note, derive_stats(point)))
     return sessions
 
 
@@ -331,7 +316,7 @@ def _run_grid(spec: SweepSpec, sessions: list[_Session], jobs: int, trace=None) 
     worker takes one task per command, not one per session.  The rows and
     the warnings of each point are made in the calling process once every
     share has finished, from each session's added-up tallies and the
-    warnings recorded at grid setup, so stdout and stderr do not depend on
+    notes made at grid setup, so stdout and stderr do not depend on
     ``jobs``.
     """
     shares = fan_out(functools.partial(_grid_share, spec, sessions, trace), jobs, spec.num_bits)

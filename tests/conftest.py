@@ -22,13 +22,6 @@ def rng():
     return np.random.default_rng(20260810)
 
 
-# some random_valid_params draws have no optimum-threshold root, and
-# derive_stats warns that it falls back to the midpoint
-midpoint_fallback = pytest.mark.filterwarnings(
-    "ignore:no optimum-threshold root inside the mean bracket:RuntimeWarning"
-)
-
-
 def random_valid_params(rng, **overrides):
     """Draw parameters in the operating region with positive k denominators."""
     beta = float(rng.uniform(1.05, 5.0))

@@ -199,6 +199,8 @@ class TestCsv:
 
 
 STRICT_TUNED = ["--strict", "--scenarios", "fine_tuned", "--bits", "1000"]
+# the fallback note of derive_stats, formatted with the thresholds that fell back
+FALLBACK = "no optimum-threshold root inside the mean bracket for {}; falling back to the midpoint"
 ROUNDED_25K = "rate=25000 gives 2.5 samples per chip; simulating 2"
 
 
@@ -566,15 +568,30 @@ class TestGridSetup:
         assert derived == [s.params for s in hopping]
         assert all((s.stats is None) == (s.scheme == "classical") for s in sessions)
 
-    # derive_stats falls back to the midpoint threshold at gamma 8 (alpha
-    # 19, beta 2.7); the warning is recorded even where warnings are errors
+    # derive_stats falls back to the midpoint for th3_opt at gamma 8 (alpha
+    # 19, beta 2.7); the note is logged even where warnings are errors
     def test_fallback_is_recorded_under_an_error_filter(self, caplog):
         spec = SweepSpec("gamma", (8.0,), num_bits=1_500)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             run_sweep(spec, SystemParams(alpha=19.0, beta=2.7), jobs=1)
-        message = "no optimum-threshold root inside the mean bracket; falling back to the midpoint"
+        message = FALLBACK.format("th3_opt")
         assert [r.getMessage() for r in caplog.records].count(f"gamma=8 good: {message}") == 1
+
+    # grid setup records nothing as a side effect: a warning raised while
+    # it derives statistics reaches the caller, so the suite's
+    # error::RuntimeWarning filter fails the run
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_setup_swallows_no_warning(self, monkeypatch):
+        real = sweep.derive_stats
+
+        def warn_then_derive(params):
+            warnings.warn("raised at grid setup", RuntimeWarning)
+            return real(params)
+
+        monkeypatch.setattr(sweep, "derive_stats", warn_then_derive)
+        with pytest.raises(RuntimeWarning, match="raised at grid setup"):
+            run_sweep(self.SPEC, SystemParams())
 
 
 # argvs that the parser of their command alone must parse as the full parser
@@ -800,7 +817,7 @@ class TestCli:
         params = SystemParams()
         stats = derive_stats(params)
         param_rows = ("alpha", "beta", "gamma", "m_l", "m_h", "r_l0", "r_l1", "r_h0", "r_h1", "noise_var_per_ohm")
-        derived_rows = [f.name for f in fields(DerivedStats) if f.name != "mixture_tables"]
+        derived_rows = [f.name for f in fields(DerivedStats) if f.name not in ("mixture_tables", "note")]
         derived_rows += ["sigma1", "sigma2", "sigma3"]
         assert main(["stats"]) == EXIT_OK
         *table, separability = capsys.readouterr().out.splitlines()
@@ -912,11 +929,20 @@ class TestCli:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
 
+    # a grid's message names the point that fails; an n or rate grid
+    # checks only its base parameters, so it names the scenario alone
     def test_strict_non_separable_exits_two(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["stats", "--strict"])
-        assert exc.value.code == 2
-        assert "non-separable" in capsys.readouterr().err
+        runs = [
+            (["stats"], ""),
+            (["sweep", "--sweep", "gamma", "--values", "20,8", "--alpha", "19", "--beta", "2.7"], "gamma=20 good: "),
+            (["sweep", "--sweep", "n", "--values", "3,5"], "good: "),
+            (["compare", "--values", "2e4", "--scenarios", "moderate"], "moderate: "),
+        ]
+        for argv, point in runs:
+            with pytest.raises(SystemExit) as exc:
+                main([*argv, "--strict"])
+            assert exc.value.code == 2
+            assert capsys.readouterr().err.startswith(f"{point}non-separable configuration: margin ratio "), argv
 
     def test_strict_separable_passes(self, capsys):
         assert main(["stats", "--strict", "--scenario", "fine_tuned"]) == 0
@@ -1173,6 +1199,35 @@ class TestCli:
         assert f"error: {message}" in capsys.readouterr().err
         assert trace.read_bytes() == b"earlier chips\n"
 
+    # a negative seed, from a flag or a config key, fails with the command's
+    # settings, before any file is opened (numpy would reject it only at the
+    # first draw, after the trace file was truncated)
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sweep", "--sweep", "n", "--values", "3", "--trace", "keep.log"],
+            ["compare", "--values", "2e4", "--out", "keep.log"],
+            ["pls", "--measure", "--out", "keep.log"],
+        ],
+        ids=["sweep-trace", "compare", "pls"],
+    )
+    def test_negative_seed_exits_one_and_keeps_the_file(self, tmp_path, capsys, monkeypatch, argv, source):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a session ran")
+
+        for module, name in ((sweep, "run_session"), (sweep, "run_classical_session"), (cli, "run_session")):
+            monkeypatch.setattr(module, name, refuse)
+        monkeypatch.chdir(tmp_path)
+        keep = tmp_path / "keep.log"
+        keep.write_bytes(b"earlier chips\n")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("seed=-2\n")
+        seed, extra = (-1, ["--seed", "-1"]) if source == "flag" else (-2, ["--config", str(cfg)])
+        assert main(argv + ["--bits", "1000", *extra]) == 1
+        assert f"error: seed must be >= 0, got {seed}" in capsys.readouterr().err
+        assert keep.read_bytes() == b"earlier chips\n"
+
     @pytest.mark.parametrize("jobs", ["0", "-4"])
     def test_jobs_below_one_exits_one(self, tmp_path, capsys, jobs):
         out = tmp_path / "rows.csv"
@@ -1199,18 +1254,31 @@ class TestCli:
         assert tag not in (sweep._TAG_SWEEP, sweep._TAG_RH_COMPARE, sweep._TAG_CLASSICAL)
 
     # the midpoint fallback is logged as the run's own WARNING line, as a
-    # grid logs it, not shown as a Python warning naming a file and line
-    @pytest.mark.parametrize("command", [["stats"], ["pls"], ["pls", "--measure", "--bits", "1000"]])
+    # grid logs it, not shown as a Python warning naming a file and line;
+    # a --strict sweep that fails at a fallback point shows no such warning
+    # either (its check derives statistics too)
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["stats", "--alpha", "4", "--beta", "3.9", "--gamma", "2.2"],
+            ["pls", "--alpha", "4", "--beta", "3.9", "--gamma", "2.2"],
+            ["pls", "--measure", "--bits", "1000", "--alpha", "4", "--beta", "3.9", "--gamma", "2.2"],
+            ["sweep", "--sweep", "gamma", "--values", "8", "--alpha", "19", "--beta", "2.7", "--strict"],
+        ],
+    )
     def test_fallback_warning_names_no_file_or_line(self, command):
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
         proc = subprocess.run(
-            [sys.executable, "-m", "rhkljn", *command, "--alpha", "4", "--beta", "3.9", "--gamma", "2.2"],
-            env=env, capture_output=True, text=True, timeout=60,
+            [sys.executable, "-m", "rhkljn", *command], env=env, capture_output=True, text=True, timeout=60
         )
-        assert proc.returncode == 0, proc.stderr
-        message = "no optimum-threshold root inside the mean bracket; falling back to the midpoint"
-        assert proc.stderr.splitlines() == [f"WARNING {message}"]
+        if "--strict" in command:
+            assert proc.returncode == 2, proc.stderr
+            (line,) = proc.stderr.splitlines()
+            assert line.startswith("gamma=8 good: non-separable configuration: ")
+        else:
+            assert proc.returncode == 0, proc.stderr
+            assert proc.stderr.splitlines() == [f"WARNING {FALLBACK.format('th3_opt and th4_opt')}"]
         assert ".py" not in proc.stderr
 
     def test_pls_csv_row(self, tmp_path, capsys):
@@ -1257,9 +1325,10 @@ class TestCli:
         assert main(args + ["--jobs", "2", "--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
-    # derive_stats falls back to the midpoint threshold at gamma 8 and 3
-    # (alpha 19, beta 2.7); each point logs that warning with its rows, after
-    # the floor warning of the point before it, at any --jobs
+    # derive_stats falls back to the midpoint for th3_opt at gamma 8 and for
+    # both optimum thresholds at gamma 3 (alpha 19, beta 2.7); each point
+    # logs its note with its rows, after the floor warning of the point
+    # before it, at any --jobs
     def test_threshold_fallback_warns_with_its_point(self, tmp_path):
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
@@ -1276,8 +1345,10 @@ class TestCli:
         floor, *fallbacks = outputs[0][1].splitlines()
         assert floor.startswith("WARNING gamma=20 good/optimum: only ")
         assert floor.endswith(" errors observed; BEP below the Monte Carlo floor")
-        message = "no optimum-threshold root inside the mean bracket; falling back to the midpoint"
-        assert fallbacks == [f"WARNING gamma=8 good: {message}", f"WARNING gamma=3 good: {message}"]
+        assert fallbacks == [
+            f"WARNING gamma=8 good: {FALLBACK.format('th3_opt')}",
+            f"WARNING gamma=3 good: {FALLBACK.format('th3_opt and th4_opt')}",
+        ]
 
     # stdout, stderr and the CSV of a grid must not depend on --jobs, though
     # above 1 each session runs in shares across processes.  A fresh

@@ -26,7 +26,7 @@ from rhkljn.detectors import (
 )
 from rhkljn.params import derive_stats, fine_tuned_bias
 from rhkljn.protocol import _ChunkSpec, _rh_chunk_arrays
-from conftest import midpoint_fallback, random_valid_params
+from conftest import random_valid_params
 
 
 class TestQFunction:
@@ -113,7 +113,6 @@ class TestSimpleThresholds:
         assert th3 == pytest.approx(3.9078e-4, rel=5e-4)
         assert th4 == pytest.approx(0.5 * (default_stats.m1 + default_stats.m3), rel=1e-15)
 
-    @midpoint_fallback
     def test_closed_forms_match_midpoints(self, rng):
         for _ in range(25):
             p = random_valid_params(rng)
@@ -460,10 +459,9 @@ class TestOptimumThresholds:
         )
         assert got == pytest.approx(expected, rel=1e-12)
 
-    def test_no_root_falls_back_to_midpoint_with_warning(self):
-        with pytest.warns(RuntimeWarning, match="midpoint"):
-            got = min_error_threshold(1.0, 10.0, 0.5, 0.99, 20.0, 0.25)
-        assert got == pytest.approx(0.995)
+    # the caller picks the fallback (derive_stats takes the midpoint)
+    def test_no_root_returns_none(self):
+        assert min_error_threshold(1.0, 10.0, 0.5, 0.99, 20.0, 0.25) is None
 
     def test_zero_noise_returns_midpoint(self):
         assert min_error_threshold(1.0, 0.0, 0.5, 0.0, 0.0, 0.25) == 0.5

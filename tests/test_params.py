@@ -19,7 +19,7 @@ from rhkljn.params import (
     fine_tuned_bias,
     separability_coefficients,
 )
-from conftest import midpoint_fallback, random_valid_params
+from conftest import random_valid_params
 
 # reference values printed for the default configuration (5 significant digits)
 REF_M1 = 5.4545e-4
@@ -78,7 +78,6 @@ class TestDerivedStats:
 
     # derive_stats reads the variances from the state table; the closed
     # forms a * (r_a || r_b) are the independent oracle
-    @midpoint_fallback
     def test_variance_closed_forms(self, default_params, rng):
         draws = [default_params] + [random_valid_params(rng) for _ in range(50)]
         for base, scenario in itertools.product(draws, SCENARIOS):
@@ -103,6 +102,31 @@ class TestDerivedStats:
         th2_closed = (al + 2 * ga * be + al * ga) / (2 * (al + be)) * m_l
         assert s.th1 == pytest.approx(th1_closed, rel=1e-14)
         assert s.th2 == pytest.approx(th2_closed, rel=1e-14)
+
+    # an optimum threshold without a root between its means is the simple
+    # midpoint, bit for bit, and the note names each one that fell back
+    @pytest.mark.parametrize(
+        "alpha, beta, gamma, fell_back",
+        [
+            (19.0, 2.7, 8.0, ["th3_opt"]),
+            (19.0, 2.7, 3.0, ["th3_opt", "th4_opt"]),
+            (4.0, 3.9, 2.2, ["th3_opt", "th4_opt"]),
+            (19.0, 2.7, 20.0, []),
+        ],
+    )
+    def test_fallback_is_the_midpoint_and_named(self, alpha, beta, gamma, fell_back):
+        stats = derive_stats(SystemParams(alpha=alpha, beta=beta, gamma=gamma))
+        assert (stats.th3_opt == stats.th3, stats.th4_opt == stats.th4) == (
+            "th3_opt" in fell_back,
+            "th4_opt" in fell_back,
+        )
+        if fell_back:
+            assert stats.note == (
+                f"no optimum-threshold root inside the mean bracket for {' and '.join(fell_back)}; "
+                "falling back to the midpoint"
+            )
+        else:
+            assert stats.note is None
 
     def test_mean_ordering(self, default_params, default_stats):
         s = default_stats
@@ -293,7 +317,6 @@ class TestValidation:
 
 
 class TestRandomizedProperties:
-    @midpoint_fallback
     def test_ordering_holds_across_valid_draws(self, rng):
         for _ in range(200):
             params = random_valid_params(rng)
@@ -305,7 +328,6 @@ class TestRandomizedProperties:
                 assert math.fsum(e.weight for e in entries) == pytest.approx(1.0)
                 assert all(e.variance > 0 for e in entries)
 
-    @midpoint_fallback
     def test_mirror_symmetry_across_valid_draws(self, rng):
         for _ in range(50):
             stats = derive_stats(random_valid_params(rng))

@@ -27,7 +27,7 @@ from rhkljn.pls import (
 )
 from rhkljn.config import SCENARIOS, apply_scenario
 from rhkljn.rng import substream
-from conftest import midpoint_fallback, random_valid_params
+from conftest import random_valid_params
 
 
 class TestCapacityAndRate:
@@ -303,7 +303,6 @@ class TestReport:
         ):
             assert key in text
 
-    @midpoint_fallback
     def test_effective_rate_bounded_by_secrecy_rate(self, rng):
         for _ in range(20):
             params = random_valid_params(rng)

@@ -43,7 +43,6 @@ from rhkljn.rng import substream
 from conftest import (
     assert_parties_agree,
     detector_labels,
-    midpoint_fallback,
     party_bits,
     random_valid_params,
     swap_parties,
@@ -567,7 +566,6 @@ class TestChunkTableDraw:
         state = 8 * a_main[:, None] + 4 * b_main[:, None] + 2 * a_sub + b_sub
         return state, eve, m_hat, gate_keep, scatter
 
-    @midpoint_fallback
     @pytest.mark.parametrize("n", [1, 2, 3, 20])
     def test_table_draw_equals_per_chip_moments(self, n, rng):
         configs = [SystemParams(samples_per_chip=n)]
