@@ -1,0 +1,72 @@
+"""Per-layer microbenchmarks of the session engine and the outage Monte Carlo.
+
+Run from the root of a checkout (outside the test paths, so a plain
+``pytest`` does not collect them)::
+
+    pytest benchmarks --benchmark-only
+
+Each case times one layer on fixed inputs: the draw (``_rh_chunk_arrays``)
+and the tally (``_tally_chunk``) of one 1024-bit chunk of 10 chips at
+n = 3 and 10, with ``optimum`` alone and with all three detectors; one
+classical chunk (``_classical_chunk``); and ``pls.sop`` at 30,000 trials.
+The chunk is built from its session's plan as a session builds it, so the
+plan's one-time work stays out of the timing.
+"""
+
+from __future__ import annotations
+
+import sys
+from pathlib import Path
+
+import pytest
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from rhkljn import protocol  # noqa: E402
+from rhkljn.config import apply_scenario  # noqa: E402
+from rhkljn.params import SystemParams, derive_stats  # noqa: E402
+from rhkljn.pls import ResistorTolerance, delta_m, sigma_max, sop  # noqa: E402
+
+CHUNK_BITS = protocol.DEFAULT_CHUNK_BITS
+DETECTOR_SETS = {"optimum": ("optimum",), "all": protocol.DETECTOR_CHOICES}
+
+
+def chunk_spec(n: int, detectors: tuple[str, ...]) -> protocol._ChunkSpec:
+    """Chunk 0 of a session at samples per chip ``n``, ``good`` scenario."""
+    params = apply_scenario(SystemParams(samples_per_chip=n), "good")
+    plan = protocol._ChunkSpec(params, derive_stats(params), detectors, CHUNK_BITS, 1, (0x51,))
+    return plan.chunk(CHUNK_BITS, plan.key + (0,))
+
+
+@pytest.mark.parametrize("detectors", sorted(DETECTOR_SETS))
+@pytest.mark.parametrize("n", [3, 10])
+def test_chunk_draw(benchmark, n, detectors):
+    spec = chunk_spec(n, DETECTOR_SETS[detectors])
+    state, *_ = benchmark(protocol._rh_chunk_arrays, spec)
+    assert state.shape == (CHUNK_BITS, spec.params.chips_per_bit)
+
+
+@pytest.mark.parametrize("detectors", sorted(DETECTOR_SETS))
+@pytest.mark.parametrize("n", [3, 10])
+def test_chunk_tally(benchmark, n, detectors):
+    spec = chunk_spec(n, DETECTOR_SETS[detectors])
+    arrays = protocol._rh_chunk_arrays(spec)
+    tallies, _ = benchmark(protocol._tally_chunk, spec, *arrays)
+    assert list(tallies) == list(spec.detectors)
+
+
+def test_classical_chunk(benchmark):
+    # compare's classical row at 5e4 samples/s: 10 chips of 5 samples in one decision
+    params = SystemParams(m_l=0.0, chips_per_bit=1, samples_per_chip=50)
+    plan = protocol._ChunkSpec(params, None, ("classical",), CHUNK_BITS, 1, (0x53,))
+    tally = benchmark(protocol._classical_chunk, plan.chunk(CHUNK_BITS, plan.key + (0,)))["classical"]
+    assert tally.total_chips == CHUNK_BITS
+
+
+def test_sop(benchmark):
+    # the pls_outage setting: 1 % tolerance, the target at the nominal margin, so SOP is near 0.5
+    params = apply_scenario(SystemParams(), "good")
+    stats = derive_stats(params)
+    gamma_t = delta_m(stats) / (2.0 * sigma_max(stats))
+    outage = benchmark(sop, stats, gamma_t, ResistorTolerance(0.01), 30_000, params, 1)
+    assert 0.0 < outage < 1.0

@@ -54,6 +54,7 @@ from .protocol import DETECTOR_CHOICES, ProtocolConfig, fan_out, merge_tallies, 
 from .sweep import (
     SWEEP_PARAMETERS,
     SweepSpec,
+    check_grid,
     run_compare,
     run_sweep,
     write_csv,
@@ -227,6 +228,28 @@ def _check_strict(report, point: str = "") -> None:
         raise SystemExit(EXIT_NOT_SEPARABLE)
 
 
+def _check_grid_strict(spec: SweepSpec, sessions) -> None:
+    """--strict over a built grid (:func:`rhkljn.sweep.check_grid`): exit 2
+    at the first hopping session that fails the margin, read from the
+    statistics the session runs with.
+
+    Separability never reads samples per chip, so an n or rate grid checks
+    the sessions of its first value alone, one per scenario, and its
+    message names the scenario alone.
+    """
+    name = spec.swept_parameter
+    for session in sessions:
+        if session.stats is None:
+            continue
+        if name not in ("n", "rate"):
+            where = f"{name}={session.value:g} "
+        elif session.value == spec.values[0]:
+            where = ""
+        else:
+            break
+        _check_strict(check_separability(session.params, session.stats), f"{where}{session.scenario}: ")
+
+
 def _check_outputs(args) -> None:
     """Fail before any work if an output cannot be written, or if it names
     the config file or the file of another output.
@@ -287,7 +310,8 @@ def _cmd_stats(args) -> int:
 
 
 def _cmd_grid(args) -> int:
-    """``sweep`` and ``compare``: one spec, a --strict pass over it, then the CSV."""
+    """``sweep`` and ``compare``: one spec, its grid built, a --strict pass
+    over the grid's sessions, then the CSV."""
     params, harness = _settings(args, {})
     scenarios = harness["scenario"] if args.scenarios is None else args.scenarios
     spec = SweepSpec(
@@ -298,23 +322,11 @@ def _cmd_grid(args) -> int:
         num_bits=harness["bits"],
         master_seed=harness["seed"],
     )
-    if args.strict:
-        # separability never reads samples per chip: an n or rate grid has
-        # one point to check per scenario, the base params, and its message
-        # names the scenario alone
-        name = spec.swept_parameter
-        if name in ("n", "rate"):
-            points = [("", params)]
+    with check_grid(_check_grid_strict) if args.strict else contextlib.nullcontext():
+        if args.command == "compare":
+            rows = run_compare(spec, params, jobs=harness["jobs"])
         else:
-            points = ((f"{name}={v:g} ", params.replace(**{name: v})) for v in spec.values)
-        for where, point in points:
-            for scenario in spec.scenarios:
-                point_params = apply_scenario(point, scenario)
-                _check_strict(check_separability(point_params, derive_stats(point_params)), f"{where}{scenario}: ")
-    if args.command == "compare":
-        rows = run_compare(spec, params, jobs=harness["jobs"])
-    else:
-        rows = run_sweep(spec, params, jobs=harness["jobs"], trace=args.trace)
+            rows = run_sweep(spec, params, jobs=harness["jobs"], trace=args.trace)
     with _output(args.out) as out:
         write_csv(rows, out)
     return EXIT_OK

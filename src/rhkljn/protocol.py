@@ -13,11 +13,12 @@ tallies.  The session engine draws each chip as its sufficient statistics,
 the sample mean m_hat and the scatter S = sum((v - m_hat)^2), instead of n
 raw samples: the gate, the threshold detectors and the ML costs depend on
 the samples only through these two, so the work per chip does not grow
-with n.  Per chunk the draw order is: one ``rng.bytes`` call holding one
-byte per bit, whose low two bits are the mains (b_a, b_b), and one byte
-per chip, whose low two bits are the sub-bits (s_a, s_b) and whose bit 2
-is Eve's coin; then m_hat; then, after the gate, S for the gate-kept
-chips alone (:func:`_rh_chunk_arrays`).  Each chip's state is the flat
+with n.  Per chunk the draw order is: the coin bytes, read from the bit
+generator's raw words (the bytes of ``rng.bytes`` on PCG64), one byte per
+bit, whose low two bits are the mains (b_a, b_b), and one byte per chip,
+whose low two bits are the sub-bits (s_a, s_b) and whose bit 2 is Eve's
+coin; then m_hat; then, after the gate, S for the gate-kept chips alone
+(:func:`_rh_chunk_arrays`).  Each chip's state is the flat
 index 8*b_a + 4*b_b + 2*s_a + s_b of the 16-state table of
 :func:`rhkljn.params.state_moments`, the table Eve's hypotheses come from;
 its mean and variance are looked up there, and the tally reads the
@@ -27,6 +28,8 @@ scores.  Every detector is tallied from a keep mask; labels are built
 only for the trace.  The stream is engine version :data:`ENGINE_VERSION`.
 Work is split into fixed-size chunks of bits, each with its own seed
 substream, so results are bit-identical across worker counts.  A session
+builds its chunk plan (:class:`_ChunkSpec`: the state table, thresholds
+and hypotheses) once, and each chunk runs on a copy of it.  A session
 runs the chunks of one share (k, n), chunks k, k + n, ..., serially in the
 calling process, all of them by default, and knows nothing of processes.
 :func:`fan_out` runs the n shares of a function of a share at once: share
@@ -52,7 +55,7 @@ import contextlib
 import functools
 import math
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
@@ -108,9 +111,17 @@ class DetectorTally:
     eve_correct: int = 0
 
     def __add__(self, other: "DetectorTally") -> "DetectorTally":
-        # field by field: dataclasses.astuple deep-copies every value, which
-        # cost about a tenth of a small sweep's wall time
-        return DetectorTally(*(getattr(self, f.name) + getattr(other, f.name) for f in fields(self)))
+        # field by field, written out: a loop over dataclasses.fields costs
+        # twice as much, and dataclasses.astuple deep-copies every value
+        return DetectorTally(
+            self.total_chips + other.total_chips,
+            self.kept_chips + other.kept_chips,
+            self.sub_bit_errors + other.sub_bit_errors,
+            self.main_bit_errors + other.main_bit_errors,
+            self.discarded_gate + other.discarded_gate,
+            self.discarded_g1 + other.discarded_g1,
+            self.eve_correct + other.eve_correct,
+        )
 
     @property
     def bep(self) -> float:
@@ -186,16 +197,6 @@ def eve_observe(
 # ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _ChunkSpec:
-    params: SystemParams
-    stats: DerivedStats | None  # None for the classical baseline, which reads none
-    detectors: tuple[str, ...]
-    n_bits: int
-    master_seed: int
-    key: tuple[int, ...]
-
-
 @functools.lru_cache(maxsize=64)
 def _draw_table(params: SystemParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(mu, sqrt(var / n), var) of the 16 chip states, built once per process and params.
@@ -210,13 +211,56 @@ def _draw_table(params: SystemParams) -> tuple[np.ndarray, np.ndarray, np.ndarra
     return table
 
 
+@dataclass
+class _ChunkSpec:
+    """A session's chunk plan, or one chunk of it.
+
+    Built once per session from its parameters, statistics, detectors,
+    seed and point key; building it derives everything a chunk reads
+    and that stays fixed for the session: the :func:`_draw_table` arrays,
+    the :class:`~rhkljn.detectors.ThresholdSet`, the sigma-sorted middle
+    hypotheses when ``ml`` runs and, for the classical baseline (``stats``
+    None), its variance band.  :meth:`chunk` copies the plan for one chunk,
+    with that chunk's size and substream key, and derives nothing again.
+    """
+
+    params: SystemParams
+    stats: DerivedStats | None  # None for the classical baseline, which reads none
+    detectors: tuple[str, ...]
+    n_bits: int
+    master_seed: int
+    key: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        self.table = _draw_table(self.params)
+        if self.stats is None:
+            # the classical bank is the sub-bit-0 column of the hopping
+            # bank, the states (b_a, b_b, 0, 0) at index 4 * mains; its
+            # band is the variance midpoints of its three cases
+            var = self.table[2]
+            self.band = (0.5 * (var[0] + var[4]), 0.5 * (var[4] + var[12]))
+            return
+        self.thresholds = self.stats.thresholds()
+        if "ml" in self.detectors:
+            self.hyps = tuple(sorted(self.stats.middle_hypotheses(), key=lambda h: h.std))
+
+    def chunk(self, n_bits: int, key: tuple[int, ...]) -> "_ChunkSpec":
+        """The plan for one chunk of ``n_bits`` bits drawn from substream ``key``."""
+        spec = object.__new__(_ChunkSpec)
+        spec.__dict__.update(self.__dict__)
+        spec.n_bits, spec.key = n_bits, key
+        return spec
+
+
 def _rh_chunk_arrays(spec: _ChunkSpec):
-    """Draw one chunk of bits; returns ``(state, eve, m_hat, gate_keep, scatter)``.
+    """Draw one chunk of bits; returns ``(state, eve, m_hat, gate_keep, scatter, gated)``.
 
     ``state`` is each chip's flat state index 8*b_a + 4*b_b + 2*s_a + s_b,
     ``eve`` Eve's guess of b_a, ``m_hat`` the chip's sample mean and
-    ``gate_keep`` the gate's verdict, all ``(bits, chips)``; ``scatter`` is
-    1-D, aligned with ``m_hat[gate_keep]``, or ``None``.
+    ``gate_keep`` the gate's verdict, all ``(bits, chips)``; ``gated`` is
+    the gate-kept chips' flat indices, ``np.flatnonzero(gate_keep)``, and
+    ``scatter`` is S at those chips, 1-D; both are ``None`` unless ``ml``
+    runs.
 
     A chip is drawn as its sufficient statistics, not as raw samples: given
     the chip state, the n samples are i.i.d. N(mu, sigma^2), so their mean
@@ -224,67 +268,78 @@ def _rh_chunk_arrays(spec: _ChunkSpec):
     S = sum((v - m_hat)^2) ~ sigma^2 * chi^2(n - 1), drawn as
     sigma^2 * 2 * Gamma((n - 1)/2) (identically zero at n = 1).  (mu,
     sigma^2) come from the 16-state :func:`rhkljn.params.state_moments`
-    table, looked up by the state index in the cached :func:`_draw_table`.
+    table, looked up by the state index in the plan's :func:`_draw_table`
+    arrays.
 
     Draw order is fixed, so the stream is a pure function of the chunk
-    key: one ``rng.bytes`` call holds one byte per bit, then one byte per
-    chip in bit order.  A bit byte's low two bits are (b_a, b_b); a chip
-    byte's low two bits are (s_a, s_b) and its bit 2 is Eve's coin; every
-    other bit is unread.  Then m_hat, then the gate, then, only when
+    key: first the coins, one byte per bit, then one byte per chip in bit
+    order (:func:`_coin_bytes`).  A bit byte's low two bits are (b_a, b_b);
+    a chip byte's low two bits are (s_a, s_b) and its bit 2 is Eve's coin;
+    every other bit is unread.  Then m_hat, then the gate, then, only when
     ``ml``, the one detector that reads S, runs, S for the gate-kept chips
     alone.  S comes last, so skipping it moves no other draw.
     """
-    p = spec.params
-    n_bits, chips, n = spec.n_bits, p.chips_per_bit, p.samples_per_chip
+    n_bits, chips = spec.n_bits, spec.params.chips_per_bit
     rng = substream(spec.master_seed, spec.key)
 
-    coins = np.frombuffer(rng.bytes(n_bits * (1 + chips)), np.uint8)
+    coins = _coin_bytes(rng, n_bits * (1 + chips))
     chip = coins[n_bits:].reshape(n_bits, chips)
     state = ((coins[:n_bits] & 3) << 2)[:, None] | (chip & 3)
     eve = (chip >> 2) & 1
 
-    mu, sd, var = _draw_table(p)
+    mu, sd, var = spec.table
     # mu + sd * z, in place; take is the cheaper gather
     m_hat = sd.take(state)
     m_hat *= rng.standard_normal((n_bits, chips))
     m_hat += mu.take(state)
-    gate_keep = det.gate(m_hat, spec.stats.thresholds())
-    scatter = None
+    gate_keep = det.gate(m_hat, spec.thresholds)
+    scatter = gated = None
     if "ml" in spec.detectors:
         # a gather at the kept chips' flat indices is several times cheaper
         # than boolean indexing with the gate, and picks them in the same order
-        kept_state = state.take(np.flatnonzero(gate_keep))
-        scatter = 2.0 * rng.standard_gamma(0.5 * (n - 1), kept_state.size)
+        gated = np.flatnonzero(gate_keep)
+        kept_state = state.take(gated)
+        scatter = 2.0 * rng.standard_gamma(0.5 * (spec.params.samples_per_chip - 1), kept_state.size)
         scatter *= var.take(kept_state)
-    return state, eve, m_hat, gate_keep, scatter
+    return state, eve, m_hat, gate_keep, scatter, gated
+
+
+def _coin_bytes(rng: np.random.Generator, k: int) -> np.ndarray:
+    """``k`` uniform bytes from ``rng``, the bytes of ``rng.bytes(k)``.
+
+    Read from the raw 64-bit words of the bit generator, little-endian:
+    on PCG64 ``Generator.bytes`` takes 32-bit halves of the same words,
+    low half first, so both give the same bytes and leave the generator
+    at the same word for the normals and gammas drawn after them.
+    """
+    return rng.bit_generator.random_raw(-(-k // 8)).astype("<u8", copy=False).view(np.uint8)[:k]
 
 
 def _rh_chunk(spec: _ChunkSpec) -> dict[str, DetectorTally]:
     return _tally_chunk(spec, *_rh_chunk_arrays(spec))[0]
 
 
-def _tally_chunk(spec, state, eve, m_hat, gate_keep, scatter):
+def _tally_chunk(spec, state, eve, m_hat, gate_keep, scatter, gated=None):
     """One tally per detector, and the gate.
 
     A detector keeps a gated chip unless it labels it g = 1; the tally
     reads that mask (:func:`rhkljn.detectors.threshold_keep`, or
-    :func:`rhkljn.detectors.ml_keep` on the gated chips alone) and builds
-    no label array, so the trace, which shows the labels, gets them from
+    :func:`rhkljn.detectors.ml_keep` on the gated chips alone, at their
+    flat indices ``gated``, found here when not given) and builds no label
+    array, so the trace, which shows the labels, gets them from
     :func:`rhkljn.detectors.threshold_detect` and
     :func:`rhkljn.detectors.detect_moments`.
     """
-    stats = spec.stats
-    thresholds = stats.thresholds()
     keeps = {}
     for name in spec.detectors:
         if name == "ml":
             # ml_keep on the gated chips, gathered and put back at their flat indices
-            gated = np.flatnonzero(gate_keep)
-            hyps = stats.middle_hypotheses()
+            if gated is None:
+                gated = np.flatnonzero(gate_keep)
             kept = gate_keep.copy()
-            kept.put(gated, det.ml_keep(m_hat.take(gated), scatter, spec.params.samples_per_chip, hyps))
+            kept.put(gated, det.ml_keep(m_hat.take(gated), scatter, spec.params.samples_per_chip, spec.hyps))
         else:
-            kept = gate_keep & det.threshold_keep(m_hat, *thresholds.pair(name))
+            kept = gate_keep & det.threshold_keep(m_hat, *spec.thresholds.pair(name))
         keeps[name] = kept
     return _count(keeps, gate_keep, state, eve), gate_keep
 
@@ -410,17 +465,18 @@ def _run_chunks(chunk, spec: _ChunkSpec, num_bits: int, chunk_bits: int, share) 
     """Run ``chunk`` over chunks k, k + n, ... of ``num_bits`` bits, for
     ``share`` = (k, n), and add up the tallies.
 
-    ``spec`` is the session's template: chunk ``i`` gets its own size as
-    ``n_bits`` and ``spec.key + (i,)`` as its substream key.  Tallies are
-    integer sums, so the n shares of a session add up to the session run
-    as one share, ``(0, 1)``.
+    ``spec`` is the session's plan: chunk ``i`` gets a copy of it
+    (:meth:`_ChunkSpec.chunk`) with its own size as ``n_bits`` and
+    ``spec.key + (i,)`` as its substream key.  Tallies are integer sums, so
+    the n shares of a session add up to the session run as one share,
+    ``(0, 1)``.
     """
     k, n = share
     if not 0 <= k < n:
         raise ValueError(f"share must be (k, n) with 0 <= k < n, got {share}")
-    chunks = list(enumerate(_chunk_sizes(num_bits, chunk_bits)))[k::n]
+    sizes = _chunk_sizes(num_bits, chunk_bits)
     zero = dict.fromkeys(spec.detectors, DetectorTally())
-    return merge_tallies([zero] + [chunk(replace(spec, n_bits=size, key=spec.key + (idx,))) for idx, size in chunks])
+    return merge_tallies([zero] + [chunk(spec.chunk(sizes[i], spec.key + (i,))) for i in range(k, len(sizes), n)])
 
 
 def run_session(
@@ -461,20 +517,18 @@ def run_session(
 
 def _traced_chunk(spec: _ChunkSpec, trace, chunk_bits: int) -> dict[str, DetectorTally]:
     arrays = _rh_chunk_arrays(spec)
-    state, _, m_hat, gate_keep, scatter = arrays
+    state, _, m_hat, gate_keep, scatter, _ = arrays
     tallies, _ = _tally_chunk(spec, *arrays)
-    thresholds = spec.stats.thresholds()
     labels = {}
     for name in spec.detectors:
         if name == "ml":
             # S exists for the gate-kept chips alone, and only they show a label
-            hyps = spec.stats.middle_hypotheses()
             labels[name] = np.zeros(m_hat.shape, int)
             labels[name][gate_keep] = det.detect_moments(
-                m_hat[gate_keep], scatter, spec.params.samples_per_chip, hyps
+                m_hat[gate_keep], scatter, spec.params.samples_per_chip, spec.hyps
             )
         else:
-            labels[name] = det.threshold_detect(m_hat, *thresholds.pair(name))
+            labels[name] = det.threshold_detect(m_hat, *spec.thresholds.pair(name))
     b_a, b_b, s_a, s_b = ((state >> k) & 1 for k in (3, 2, 1, 0))
     base_bit = spec.key[-1] * chunk_bits
     for i in range(spec.n_bits):
@@ -502,26 +556,21 @@ def _traced_chunk(spec: _ChunkSpec, trace, chunk_bits: int) -> dict[str, Detecto
 
 
 def _classical_chunk(spec: _ChunkSpec) -> dict[str, DetectorTally]:
-    p = spec.params
     rng = substream(spec.master_seed, spec.key)
     # one byte per bit, laid out as a hopping bit byte: (b_a, b_b) in the
     # low two bits, Eve's coin in bit 2
-    coins = np.frombuffer(rng.bytes(spec.n_bits), np.uint8)
+    coins = _coin_bytes(rng, spec.n_bits)
     mains = coins & 3
 
-    # the classical bank is the sub-bit-0 column of the hopping bank, the
-    # states (b_a, b_b, 0, 0) at index 4 * mains
-    var = _draw_table(p)[2]
-    var_00, var_01, var_11 = var[0], var[4], var[12]
-    var_true = var.take(mains << 2)
-
-    # the mean of squares of n zero-mean normals is var * chi^2(n) / n
-    n = p.samples_per_chip
-    v_hat = var_true * (2.0 * rng.standard_gamma(0.5 * n, spec.n_bits)) / n
+    # the mean of squares of n zero-mean normals is var * chi^2(n) / n,
+    # var that of the state (b_a, b_b, 0, 0) at index 4 * mains
+    n = spec.params.samples_per_chip
+    v_hat = spec.table[2].take(mains << 2) * (2.0 * rng.standard_gamma(0.5 * n, spec.n_bits)) / n
 
     # one chip per bit whose sub-bits are the mains, state (b_a, b_b, b_a,
     # b_b): the variance band is both the gate and the keep mask
-    kept = ((v_hat >= 0.5 * (var_00 + var_01)) & (v_hat <= 0.5 * (var_01 + var_11)))[:, None]
+    lo, hi = spec.band
+    kept = ((v_hat >= lo) & (v_hat <= hi))[:, None]
     return _count({"classical": kept}, kept, (5 * mains)[:, None], ((coins >> 2) & 1)[:, None])
 
 

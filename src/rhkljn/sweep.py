@@ -10,8 +10,10 @@ rows of each rate.  Every point's parameters are checked, and each
 hopping session's statistics derived once, before the first session; a
 point whose optimum threshold falls back to the midpoint has that recorded
 in its statistics (``DerivedStats.note``), not raised as a warning.  A
-grid then fans out once (:func:`rhkljn.protocol.fan_out`) into ``jobs``
-shares, fewer when its sessions have fewer chunks: the calling process
+check set with :func:`check_grid` (the CLI's --strict) then reads those
+statistics, before the first session.  A grid then fans out once
+(:func:`rhkljn.protocol.fan_out`) into ``jobs`` shares, fewer when its
+sessions have fewer chunks: the calling process
 runs one and each pool worker one task, and every share runs its chunks
 of every session, one session after another (:func:`_run_grid`).  Once
 every share has finished, the calling process adds up each session's
@@ -28,6 +30,7 @@ depend only on the experiment definition, the seed and the engine version
 from __future__ import annotations
 
 import contextlib
+import contextvars
 import functools
 import logging
 import math
@@ -308,6 +311,29 @@ def _grid_share(spec: SweepSpec, sessions: list[_Session], trace, share) -> list
         return [session.run(spec, share, log) for session in sessions]
 
 
+# the check that check_grid sets for the grids run inside its block
+_grid_check = contextvars.ContextVar("grid_check", default=None)
+
+
+@contextlib.contextmanager
+def check_grid(check):
+    """Inside the block, :func:`run_sweep` and :func:`run_compare` call
+    ``check(spec, sessions)`` on each grid once every session of it is
+    built, before the first one runs.
+
+    ``sessions`` lists the grid's sessions in grid order; each has
+    ``scheme`` (``"rh"`` or ``"classical"``), ``value``, ``scenario``,
+    ``params`` and ``stats`` (None for a classical session).  A check that
+    raises stops the command before any work, and reads the statistics the
+    sessions run with, so nothing is derived twice (``cli``'s --strict).
+    """
+    token = _grid_check.set(check)
+    try:
+        yield
+    finally:
+        _grid_check.reset(token)
+
+
 def _run_grid(spec: SweepSpec, sessions: list[_Session], jobs: int, trace=None) -> list[ResultRow]:
     """Run the sessions of a grid in ``jobs`` shares and return their rows
     in grid order.
@@ -317,8 +343,11 @@ def _run_grid(spec: SweepSpec, sessions: list[_Session], jobs: int, trace=None) 
     the warnings of each point are made in the calling process once every
     share has finished, from each session's added-up tallies and the
     notes made at grid setup, so stdout and stderr do not depend on
-    ``jobs``.
+    ``jobs``.  The check of an enclosing :func:`check_grid` runs first.
     """
+    check = _grid_check.get()
+    if check is not None:
+        check(spec, sessions)
     shares = fan_out(functools.partial(_grid_share, spec, sessions, trace), jobs, spec.num_bits)
     rows: list[ResultRow] = []
     for i, session in enumerate(sessions):

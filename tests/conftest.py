@@ -73,7 +73,7 @@ def assert_parties_agree(params, n_bits, seed, detectors):
     number of chips checked.
     """
     spec = _ChunkSpec(params, derive_stats(params), tuple(detectors), n_bits, seed, (0,))
-    state, eve, m_hat, gate_keep, scatter = _rh_chunk_arrays(spec)
+    state, eve, m_hat, gate_keep, scatter, _ = _rh_chunk_arrays(spec)
     alice = _tally_chunk(spec, state, eve, m_hat, gate_keep, scatter)
     bob = _tally_chunk(spec, swap_parties(state), eve, m_hat, gate_keep, scatter)
     assert np.array_equal(alice[1], bob[1])

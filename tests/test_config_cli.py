@@ -947,6 +947,51 @@ class TestCli:
     def test_strict_separable_passes(self, capsys):
         assert main(["stats", "--strict", "--scenario", "fine_tuned"]) == 0
 
+    # --strict reads the statistics that grid setup derives for each
+    # hopping session: nothing is derived a second time
+    @pytest.mark.parametrize(
+        "argv, hopping",
+        [
+            (["sweep", "--sweep", "beta", "--values", "3.4,3.7"], 2),
+            (["sweep", "--sweep", "n", "--values", "3,5,10"], 3),
+            (["compare", "--values", "2e4,5e4"], 2),
+        ],
+    )
+    def test_strict_derives_once_per_hopping_session(self, monkeypatch, tmp_path, argv, hopping):
+        calls = {cli: 0, sweep: 0}
+        for module in calls:
+            real = module.derive_stats
+
+            def counted(params, module=module, real=real):
+                calls[module] += 1
+                return real(params)
+
+            monkeypatch.setattr(module, "derive_stats", counted)
+        out = tmp_path / "rows.csv"
+        assert main(argv + STRICT_TUNED + ["--out", str(out)]) == EXIT_OK
+        assert calls == {cli: 0, sweep: hopping}
+        assert out.read_text().count("\n") == 1 + hopping + (argv[0] == "compare") * 2
+
+    # the grid is built, and every point checked, before the strict pass,
+    # which runs before any session: a point that is both beyond the
+    # Nyquist count and non-separable fails as invalid (1), not as 2
+    def test_strict_runs_after_setup_and_before_any_session(self, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a session ran")
+
+        for module, name in ((sweep, "run_session"), (sweep, "run_classical_session")):
+            monkeypatch.setattr(module, name, refuse)
+        assert main(["sweep", "--sweep", "beta", "--values", "3.5", "--samples-per-chip", "201", "--strict"]) == 1
+        assert "exceed the noise's Nyquist count" in capsys.readouterr().err
+        for argv in (
+            ["sweep", "--sweep", "gamma", "--values", "20,8", "--alpha", "19", "--beta", "2.7"],
+            ["compare", "--values", "2e4", "--scenarios", "moderate"],
+        ):
+            with pytest.raises(SystemExit) as exc:
+                main([*argv, "--strict"])
+            assert exc.value.code == 2
+            assert "non-separable configuration" in capsys.readouterr().err
+
     def test_degenerate_gamma_prints_collapsed_means(self, capsys):
         assert main(["stats", "--gamma", "1"]) == 0
         out = capsys.readouterr().out

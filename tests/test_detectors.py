@@ -345,7 +345,7 @@ class TestMlKeep:
     def test_session_chunks(self, scenario, n):
         params = apply_scenario(SystemParams(samples_per_chip=n), scenario)
         spec = _ChunkSpec(params, derive_stats(params), ("ml",), 1024, 60 + n, (0,))
-        _, _, m_hat, gate_keep, scatter = _rh_chunk_arrays(spec)
+        _, _, m_hat, gate_keep, scatter, _ = _rh_chunk_arrays(spec)
         keep = self.assert_matches_labels(m_hat[gate_keep], scatter, n, spec.stats.middle_hypotheses())
         assert keep.any() and not keep.all()
 
@@ -394,7 +394,7 @@ class TestMlKeep:
         stats = derive_stats(params)
         assert all(h.std == 0.0 for h in stats.middle_hypotheses())
         spec = _ChunkSpec(params, stats, ("ml",), 400, 7, (0,))
-        _, _, m_hat, gate_keep, scatter = _rh_chunk_arrays(spec)
+        _, _, m_hat, gate_keep, scatter, _ = _rh_chunk_arrays(spec)
         keep = self.assert_matches_labels(m_hat[gate_keep], scatter, 5, stats.middle_hypotheses())
         assert keep.any() and not keep.all()
 

@@ -68,7 +68,7 @@ class TestChipVerdicts:
         stats = derive_stats(params)
         spec = _ChunkSpec(params, stats, (detector,), 400, 7, (0,))
         arrays = _rh_chunk_arrays(spec)
-        state, _, m_hat, gate_keep, scatter = arrays
+        state, _, m_hat, gate_keep, scatter, _ = arrays
         a_main, b_main, a_sub, b_sub = party_bits(state)
         tallies, _ = _tally_chunk(spec, *arrays)
 
@@ -169,7 +169,7 @@ class TestRunChip:
         params = SystemParams()
         stats = derive_stats(params)
         spec = _ChunkSpec(params, stats, ("optimum",), 500, 29, (0,))
-        state, _, m_hat, gate_keep, scatter = _rh_chunk_arrays(spec)
+        state, _, m_hat, gate_keep, scatter, _ = _rh_chunk_arrays(spec)
         a_main, b_main, a_sub, b_sub = party_bits(state)
         g = detector_labels(spec, m_hat, gate_keep, scatter)["optimum"]
 
@@ -506,7 +506,7 @@ class TestChunkSampler:
     @pytest.mark.parametrize("n", [1, 2, 3, 20])
     def test_moments_follow_chip_distribution(self, n):
         params = SystemParams(samples_per_chip=n)
-        state, _, m_hat, gate_keep, scatter = self.chunk(params, 4_000, seed=41)
+        state, _, m_hat, gate_keep, scatter, _ = self.chunk(params, 4_000, seed=41)
         gated_state = state[gate_keep]
         assert scatter.shape == gated_state.shape
         z = np.empty_like(m_hat)
@@ -532,7 +532,7 @@ class TestChunkSampler:
 
     def test_noiseless_chunk_is_exact(self):
         params = SystemParams(temperature=0.0, samples_per_chip=5)
-        state, _, m_hat, gate_keep, scatter = self.chunk(params, 200, seed=3)
+        state, _, m_hat, gate_keep, scatter, _ = self.chunk(params, 200, seed=3)
         for index, chip_state in self.by_state():
             mean, _ = chip_moments(params, *chip_state)
             assert np.all(m_hat[state == index] == mean), chip_state
@@ -600,7 +600,7 @@ class TestChunkTableDraw:
     def test_one_draw_per_shape_keeps_the_stream(self, n_bits, chips):
         params = SystemParams(chips_per_bit=chips)
         spec = _ChunkSpec(params, derive_stats(params), ("optimum",), n_bits, 9, (n_bits, chips))
-        state, eve, m_hat, _, _ = _rh_chunk_arrays(spec)
+        state, eve, m_hat, *_ = _rh_chunk_arrays(spec)
         split = substream(9, (n_bits, chips))
         a_main, b_main, a_sub, b_sub, want_eve = replay_coins(split, n_bits, chips)
         assert state.shape == eve.shape == (n_bits, chips)
@@ -617,7 +617,7 @@ class TestChunkTableDraw:
         # two first chips for independence
         params = SystemParams()
         spec = _ChunkSpec(params, derive_stats(params), ("optimum",), 100_000, 11, (0,))
-        state, eve, _, _, _ = _rh_chunk_arrays(spec)
+        state, eve, *_ = _rh_chunk_arrays(spec)
         joint = np.bincount(2 * state[:, 0].astype(int) + eve[:, 0], minlength=32)
         own = np.bincount(2 * (state & 3).astype(int).ravel() + eve.ravel(), minlength=8)
         pairs = np.bincount(4 * (state[:, 0] & 3).astype(int) + (state[:, 1] & 3), minlength=16)
@@ -638,6 +638,74 @@ class TestChunkTableDraw:
             assert np.array_equal(table[0], mu) and np.array_equal(table[2], var)
             assert np.array_equal(table[1], np.sqrt(var / n))
         assert not np.array_equal(three[1], twenty[1])
+
+    # the coins are read from the bit generator's raw 64-bit words; on
+    # PCG64 they are the bytes of Generator.bytes, at lengths that end
+    # inside a 32-bit or a 64-bit word too, and the draws after them do
+    # not move (11,264 bytes are a 1024-bit chunk of 10 chips)
+    @pytest.mark.parametrize("k", [3, 5, 8, 11, 99, 11_264, 11_268])
+    @pytest.mark.parametrize("key", [(0,), (0x51, 0, 4613937818241073152, 3), (0x53, 7)])
+    def test_coin_bytes_are_generator_bytes(self, k, key):
+        raw, ref = substream(17, key), substream(17, key)
+        coins = protocol._coin_bytes(raw, k)
+        assert coins.dtype == np.uint8 and coins.shape == (k,)
+        assert coins.tobytes() == ref.bytes(k)
+        assert np.array_equal(raw.standard_normal(37), ref.standard_normal(37))
+        assert np.array_equal(raw.standard_gamma(1.5, 37), ref.standard_gamma(1.5, 37))
+
+
+class TestChunkPlan:
+    """A session builds its chunk plan once; its chunks derive nothing again."""
+
+    @pytest.fixture()
+    def calls(self, monkeypatch):
+        counts = {"thresholds": 0, "middle_hypotheses": 0, "_draw_table": 0}
+
+        def counted(name, real):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return real(*args, **kwargs)
+
+            return wrapper
+
+        from rhkljn.params import DerivedStats
+
+        for name in ("thresholds", "middle_hypotheses"):
+            monkeypatch.setattr(DerivedStats, name, counted(name, getattr(DerivedStats, name)))
+        monkeypatch.setattr(protocol, "_draw_table", counted("_draw_table", protocol._draw_table))
+        return counts
+
+    def test_session_builds_its_plan_once(self, calls):
+        cfg = make_cfg(samples_per_chip=3)
+        tallies = run_session(450, cfg, seed=3, detectors=DETECTOR_CHOICES, chunk_bits=100)
+        assert tallies["ml"].total_chips == 4_500  # five chunks
+        assert calls == {"thresholds": 1, "middle_hypotheses": 1, "_draw_table": 1}
+
+    def test_traced_session_builds_its_plan_once(self, calls):
+        log = io.StringIO()
+        run_session(450, make_cfg(), seed=3, detectors=DETECTOR_CHOICES, trace=log, chunk_bits=100)
+        assert len(log.getvalue().splitlines()) == 4_500
+        assert calls == {"thresholds": 1, "middle_hypotheses": 1, "_draw_table": 1}
+
+    def test_classical_session_builds_its_plan_once(self, calls):
+        params = SystemParams(m_l=0.0, chips_per_bit=1, samples_per_chip=30)
+        tallies = run_classical_session(450, params, seed=3, chunk_bits=100)
+        assert tallies["classical"].total_chips == 450
+        assert calls == {"thresholds": 0, "middle_hypotheses": 0, "_draw_table": 1}
+
+    def test_chunk_copies_the_plan_with_its_own_size_and_key(self):
+        cfg = make_cfg()
+        plan = _ChunkSpec(cfg.params, cfg.stats, ("ml", "optimum"), 5_000, 4, (9,))
+        chunk = plan.chunk(100, (9, 3))
+        assert (chunk.n_bits, chunk.key, plan.n_bits, plan.key) == (100, (9, 3), 5_000, (9,))
+        for name in ("params", "stats", "detectors", "master_seed", "table", "thresholds", "hyps"):
+            assert getattr(chunk, name) is getattr(plan, name), name
+        assert [h.std for h in plan.hyps] == sorted(h.std for h in cfg.stats.middle_hypotheses())
+
+    def test_tally_add_sums_every_field(self):
+        a = DetectorTally(*range(1, 8))
+        b = DetectorTally(*range(10, 80, 10))
+        assert a + b == DetectorTally(*(x + y for x, y in zip(range(1, 8), range(10, 80, 10))))
 
 
 class TestThresholdKeep:
@@ -673,7 +741,7 @@ class TestThresholdKeep:
         stats = derive_stats(params)
         spec = _ChunkSpec(params, stats, DETECTOR_CHOICES, 10_000, 19, (0,))
         arrays = _rh_chunk_arrays(spec)
-        state, eve, m_hat, gate_keep, scatter = arrays
+        state, eve, m_hat, gate_keep, scatter, _ = arrays
         a_main, b_main, a_sub, b_sub = party_bits(state)
         result = _tally_chunk(spec, *arrays)
         # the tallies and the gate: no detector's labels are built
