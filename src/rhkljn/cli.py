@@ -54,7 +54,6 @@ from .protocol import DETECTOR_CHOICES, ProtocolConfig, fan_out, merge_tallies, 
 from .sweep import (
     SWEEP_PARAMETERS,
     SweepSpec,
-    check_grid,
     run_compare,
     run_sweep,
     write_csv,
@@ -229,9 +228,9 @@ def _check_strict(report, point: str = "") -> None:
 
 
 def _check_grid_strict(spec: SweepSpec, sessions) -> None:
-    """--strict over a built grid (:func:`rhkljn.sweep.check_grid`): exit 2
-    at the first hopping session that fails the margin, read from the
-    statistics the session runs with.
+    """--strict over a built grid, the ``check`` of
+    :func:`rhkljn.sweep.run_sweep`: exit 2 at the first hopping session
+    that fails the margin, read from the statistics the session runs with.
 
     Separability never reads samples per chip, so an n or rate grid checks
     the sessions of its first value alone, one per scenario, and its
@@ -322,11 +321,11 @@ def _cmd_grid(args) -> int:
         num_bits=harness["bits"],
         master_seed=harness["seed"],
     )
-    with check_grid(_check_grid_strict) if args.strict else contextlib.nullcontext():
-        if args.command == "compare":
-            rows = run_compare(spec, params, jobs=harness["jobs"])
-        else:
-            rows = run_sweep(spec, params, jobs=harness["jobs"], trace=args.trace)
+    check = _check_grid_strict if args.strict else None
+    if args.command == "compare":
+        rows = run_compare(spec, params, jobs=harness["jobs"], check=check)
+    else:
+        rows = run_sweep(spec, params, jobs=harness["jobs"], trace=args.trace, check=check)
     with _output(args.out) as out:
         write_csv(rows, out)
     return EXIT_OK

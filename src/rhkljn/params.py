@@ -458,16 +458,17 @@ def check_separability(
 
     The scheme's condition is a ">>" on the bias; the tool reports the ratio
     and flags separable when it exceeds the configurable ``factor`` (default
-    1.0).  A zero-noise configuration is separable by convention.
+    1.0).  A zero-noise configuration has ratio inf when its bias is
+    positive and ``k_max`` finite, and 0 otherwise.
     """
     sigma_r = math.sqrt(params.noise_var_per_ohm * params.r_l0)
     if sigma_r == 0.0:
-        # noiseless channel: any positive bias separates exactly
-        return SeparabilityReport(
-            ratio=math.inf, k_max=stats.k_max, sigma_r_l0=sigma_r, factor=factor, separable=True
-        )
-    bound = stats.k_max * sigma_r
-    ratio = 0.0 if math.isinf(bound) else params.m_l / bound
+        # noiseless channel: a positive bias separates exactly, unless the
+        # means collapse (k_max infinite)
+        ratio = math.inf if params.m_l > 0.0 and math.isfinite(stats.k_max) else 0.0
+    else:
+        bound = stats.k_max * sigma_r
+        ratio = 0.0 if math.isinf(bound) else params.m_l / bound
     return SeparabilityReport(
         ratio=ratio,
         k_max=stats.k_max,

@@ -33,8 +33,8 @@ and hypotheses) once, and each chunk runs on a copy of it.  A session
 runs the chunks of one share (k, n), chunks k, k + n, ..., serially in the
 calling process, all of them by default, and knows nothing of processes.
 :func:`fan_out` runs the n shares of a function of a share at once: share
-0 in the calling process and the others as one task each on a
-:func:`worker_pool` of n - 1 worker processes, forked for that one call.
+0 in the calling process and the others as one task each on an executor
+of n - 1 worker processes, forked for that one call.
 A command fans out once, over every session of its grid, and adds up each
 session's shares with :func:`merge_tallies`.
 The classical two-resistor baseline (variance trisection on zero-mean
@@ -51,21 +51,16 @@ with the ML detector's cost, :func:`rhkljn.detectors.moment_costs`.
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import math
 import sys
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
 from . import detectors as det
 from .params import DerivedStats, SystemParams, derive_stats, state_moments
 from .rng import substream
-
-if TYPE_CHECKING:
-    from concurrent.futures import ProcessPoolExecutor
 
 DETECTOR_CHOICES = ("ml", "simple", "optimum")
 DEFAULT_CHUNK_BITS = 1024
@@ -319,29 +314,45 @@ def _rh_chunk(spec: _ChunkSpec) -> dict[str, DetectorTally]:
     return _tally_chunk(spec, *_rh_chunk_arrays(spec))[0]
 
 
-def _tally_chunk(spec, state, eve, m_hat, gate_keep, scatter, gated=None):
+def _tally_chunk(spec, state, eve, m_hat, gate_keep, scatter, gated):
     """One tally per detector, and the gate.
 
     A detector keeps a gated chip unless it labels it g = 1; the tally
     reads that mask (:func:`rhkljn.detectors.threshold_keep`, or
     :func:`rhkljn.detectors.ml_keep` on the gated chips alone, at their
-    flat indices ``gated``, found here when not given) and builds no label
-    array, so the trace, which shows the labels, gets them from
-    :func:`rhkljn.detectors.threshold_detect` and
-    :func:`rhkljn.detectors.detect_moments`.
+    flat indices ``gated``) and builds no label array, so the trace, which
+    shows the labels, gets them from :func:`_detector_labels`.
     """
     keeps = {}
     for name in spec.detectors:
         if name == "ml":
             # ml_keep on the gated chips, gathered and put back at their flat indices
-            if gated is None:
-                gated = np.flatnonzero(gate_keep)
             kept = gate_keep.copy()
             kept.put(gated, det.ml_keep(m_hat.take(gated), scatter, spec.params.samples_per_chip, spec.hyps))
         else:
             kept = gate_keep & det.threshold_keep(m_hat, *spec.thresholds.pair(name))
         keeps[name] = kept
     return _count(keeps, gate_keep, state, eve), gate_keep
+
+
+def _detector_labels(spec: _ChunkSpec, m_hat, gate_keep, scatter) -> dict[str, np.ndarray]:
+    """Every detector's labels on a chunk, as the trace shows them.
+
+    The threshold detectors' come from
+    :func:`rhkljn.detectors.threshold_detect` on ``m_hat``; the ``ml``
+    labels from :func:`rhkljn.detectors.detect_moments` on the gate-kept
+    chips' (m_hat, S), the only chips S is drawn for, and 0 elsewhere.
+    """
+    labels = {}
+    for name in spec.detectors:
+        if name == "ml":
+            labels[name] = np.zeros(m_hat.shape, int)
+            labels[name][gate_keep] = det.detect_moments(
+                m_hat[gate_keep], scatter, spec.params.samples_per_chip, spec.hyps
+            )
+        else:
+            labels[name] = det.threshold_detect(m_hat, *spec.thresholds.pair(name))
+    return labels
 
 
 def _low_bits_equal(x: np.ndarray) -> np.ndarray:
@@ -400,55 +411,33 @@ def __getattr__(name: str):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-class _Pool(NamedTuple):
-    """What :func:`worker_pool` yields: the executor and the number of shares it serves."""
-
-    executor: ProcessPoolExecutor
-    shares: int
-
-
-@contextlib.contextmanager
-def worker_pool(jobs: int):
-    """The executor of a :func:`fan_out` of ``jobs`` shares, shut down when the block ends.
-
-    Yields ``None`` for ``jobs == 1``, building no executor.  Otherwise it
-    yields a ``ProcessPoolExecutor`` of ``jobs - 1`` workers, looked up at
-    call time as ``protocol.ProcessPoolExecutor``, for the shares the
-    calling process does not run.  If the block ends by an exception,
-    tasks not yet started are cancelled rather than run.
-    """
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
-    if jobs == 1:
-        yield None
-        return
-    # looked up through the module at call time, so that a patched class applies
-    executor = sys.modules[__name__].ProcessPoolExecutor(max_workers=jobs - 1)
-    failed = True
-    try:
-        yield _Pool(executor, jobs)
-        failed = False
-    finally:
-        executor.shutdown(wait=True, cancel_futures=failed)
-
-
 def fan_out(run_share, jobs: int, num_bits: int, chunk_bits: int = DEFAULT_CHUNK_BITS) -> list:
     """``run_share(share=(k, n))`` for k = 0 ... n - 1, the results in share order.
 
     ``run_share`` runs share ``(k, n)`` of sessions of ``num_bits`` bits in
     chunks of ``chunk_bits`` (``run_session``'s ``share``), and
     n = min(``jobs``, chunks per session).  Share 0 runs in the calling
-    process and shares 1 ... n - 1 on the n - 1 workers of a
-    :func:`worker_pool`, one task each, submitted before the caller starts
-    its own share: with the fork start method the first task forks every
-    worker, on the calling thread, before the executor starts its manager
-    thread.  One share builds no executor.
+    process and, when n > 1, shares 1 ... n - 1 on an executor of n - 1
+    workers (``protocol.ProcessPoolExecutor``, looked up at call time), one
+    task each, submitted before the caller starts its own share: with the
+    fork start method the first task forks every worker, on the calling
+    thread, before the executor starts its manager thread.  The executor
+    is shut down, cancelling what has not started, before this returns or
+    raises.
     """
-    with worker_pool(min(jobs, len(_chunk_sizes(num_bits, chunk_bits)))) as pool:
-        if pool is None:
-            return [run_share(share=(0, 1))]
-        futures = [pool.executor.submit(run_share, share=(k, pool.shares)) for k in range(1, pool.shares)]
-        return [run_share(share=(0, pool.shares))] + [future.result() for future in futures]
+    n = min(jobs, len(_chunk_sizes(num_bits, chunk_bits)))
+    if n < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
+    if n == 1:
+        return [run_share(share=(0, 1))]
+    # looked up through the module at call time, so that a patched class applies
+    executor = sys.modules[__name__].ProcessPoolExecutor(max_workers=n - 1)
+    try:
+        futures = [executor.submit(run_share, share=(k, n)) for k in range(1, n)]
+        return [run_share(share=(0, n))] + [future.result() for future in futures]
+    finally:
+        # every future is done on success, so cancelling costs nothing there
+        executor.shutdown(wait=True, cancel_futures=True)
 
 
 def merge_tallies(parts) -> dict[str, DetectorTally]:
@@ -519,16 +508,7 @@ def _traced_chunk(spec: _ChunkSpec, trace, chunk_bits: int) -> dict[str, Detecto
     arrays = _rh_chunk_arrays(spec)
     state, _, m_hat, gate_keep, scatter, _ = arrays
     tallies, _ = _tally_chunk(spec, *arrays)
-    labels = {}
-    for name in spec.detectors:
-        if name == "ml":
-            # S exists for the gate-kept chips alone, and only they show a label
-            labels[name] = np.zeros(m_hat.shape, int)
-            labels[name][gate_keep] = det.detect_moments(
-                m_hat[gate_keep], scatter, spec.params.samples_per_chip, spec.hyps
-            )
-        else:
-            labels[name] = det.threshold_detect(m_hat, *spec.thresholds.pair(name))
+    labels = _detector_labels(spec, m_hat, gate_keep, scatter)
     b_a, b_b, s_a, s_b = ((state >> k) & 1 for k in (3, 2, 1, 0))
     base_bit = spec.key[-1] * chunk_bits
     for i in range(spec.n_bits):

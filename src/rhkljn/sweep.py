@@ -10,7 +10,7 @@ rows of each rate.  Every point's parameters are checked, and each
 hopping session's statistics derived once, before the first session; a
 point whose optimum threshold falls back to the midpoint has that recorded
 in its statistics (``DerivedStats.note``), not raised as a warning.  A
-check set with :func:`check_grid` (the CLI's --strict) then reads those
+``check`` passed to either (the CLI's --strict) then reads those
 statistics, before the first session.  A grid then fans out once
 (:func:`rhkljn.protocol.fan_out`) into ``jobs`` shares, fewer when its
 sessions have fewer chunks: the calling process
@@ -30,7 +30,6 @@ depend only on the experiment definition, the seed and the engine version
 from __future__ import annotations
 
 import contextlib
-import contextvars
 import functools
 import logging
 import math
@@ -311,41 +310,18 @@ def _grid_share(spec: SweepSpec, sessions: list[_Session], trace, share) -> list
         return [session.run(spec, share, log) for session in sessions]
 
 
-# the check that check_grid sets for the grids run inside its block
-_grid_check = contextvars.ContextVar("grid_check", default=None)
-
-
-@contextlib.contextmanager
-def check_grid(check):
-    """Inside the block, :func:`run_sweep` and :func:`run_compare` call
-    ``check(spec, sessions)`` on each grid once every session of it is
-    built, before the first one runs.
-
-    ``sessions`` lists the grid's sessions in grid order; each has
-    ``scheme`` (``"rh"`` or ``"classical"``), ``value``, ``scenario``,
-    ``params`` and ``stats`` (None for a classical session).  A check that
-    raises stops the command before any work, and reads the statistics the
-    sessions run with, so nothing is derived twice (``cli``'s --strict).
-    """
-    token = _grid_check.set(check)
-    try:
-        yield
-    finally:
-        _grid_check.reset(token)
-
-
-def _run_grid(spec: SweepSpec, sessions: list[_Session], jobs: int, trace=None) -> list[ResultRow]:
+def _run_grid(spec: SweepSpec, sessions: list[_Session], jobs: int, trace=None, check=None) -> list[ResultRow]:
     """Run the sessions of a grid in ``jobs`` shares and return their rows
     in grid order.
 
+    ``check(spec, sessions)``, when given, runs first, before any session.
     The grid fans out once (:func:`rhkljn.protocol.fan_out`), so a pool
     worker takes one task per command, not one per session.  The rows and
     the warnings of each point are made in the calling process once every
     share has finished, from each session's added-up tallies and the
     notes made at grid setup, so stdout and stderr do not depend on
-    ``jobs``.  The check of an enclosing :func:`check_grid` runs first.
+    ``jobs``.
     """
-    check = _grid_check.get()
     if check is not None:
         check(spec, sessions)
     shares = fan_out(functools.partial(_grid_share, spec, sessions, trace), jobs, spec.num_bits)
@@ -356,13 +332,19 @@ def _run_grid(spec: SweepSpec, sessions: list[_Session], jobs: int, trace=None) 
 
 
 def run_sweep(
-    spec: SweepSpec, base_params: SystemParams, jobs: int = 1, trace=None
+    spec: SweepSpec, base_params: SystemParams, jobs: int = 1, trace=None, *, check=None
 ) -> list[ResultRow]:
     """Run every grid point of ``spec`` in ``jobs`` shares and return rows
     in grid order.
 
-    Every grid point's parameters are set and checked before the first
-    session runs; the sessions then run one after another (:func:`_run_grid`).
+    Every grid point's parameters are set and checked, and each hopping
+    session's statistics derived, before the first session runs.
+    ``check(spec, sessions)``, when given, then runs once on the built
+    grid: ``sessions`` lists its sessions in grid order, each with
+    ``scheme`` (``"rh"`` or ``"classical"``), ``value``, ``scenario``,
+    ``params`` and ``stats`` (None for a classical session), and a check
+    that raises stops the grid before any session runs (``cli``'s
+    --strict).  The sessions then run one after another (:func:`_run_grid`).
     ``trace`` (the path of a per-chip log) requires a single-point grid
     and is opened, truncating the file, only once the point is checked;
     a traced sweep runs serially, and a ``jobs`` above 1 is ignored with a
@@ -377,14 +359,14 @@ def run_sweep(
     for value in spec.values:
         params, note = _point_params(base_params, spec.swept_parameter, value)
         sessions += _rh_sessions(spec, params, value, _TAG_SWEEP, note)
-    return _run_grid(spec, sessions, jobs, trace)
+    return _run_grid(spec, sessions, jobs, trace, check)
 
 
-def run_compare(spec: SweepSpec, base_params: SystemParams, jobs: int = 1) -> list[ResultRow]:
+def run_compare(spec: SweepSpec, base_params: SystemParams, jobs: int = 1, *, check=None) -> list[ResultRow]:
     """Rate-matched comparison: per rate in ``spec.values``, one classical
     row, then the hopping rows of every scenario and detector of ``spec``.
-    Every session runs in ``jobs`` shares, set up and run as in
-    :func:`run_sweep`.
+    Every session runs in ``jobs`` shares, set up, checked by ``check``
+    and run as in :func:`run_sweep`.
 
     The matched condition gives the classical scheme chips_per_bit times
     the per-chip sample count of the hopping scheme, since its decision
@@ -405,4 +387,4 @@ def run_compare(spec: SweepSpec, base_params: SystemParams, jobs: int = 1) -> li
         classical_key = (_TAG_CLASSICAL, value_key(rate))
         sessions.append(_Session("classical", rate, "-", classical_params, classical_key, note))
         sessions += _rh_sessions(spec, rh_params, rate, _TAG_RH_COMPARE)
-    return _run_grid(spec, sessions, jobs)
+    return _run_grid(spec, sessions, jobs, check=check)

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from rhkljn import SystemParams
-from rhkljn.detectors import detect_moments, threshold_detect
 from rhkljn.params import derive_stats
 from rhkljn.protocol import _ChunkSpec, _rh_chunk_arrays, _tally_chunk
 
@@ -39,26 +38,6 @@ def party_bits(state):
     return state[:, 0] >> 3, (state[:, 0] >> 2) & 1, (state >> 1) & 1, state & 1
 
 
-def detector_labels(spec, m_hat, gate_keep, scatter):
-    """Every detector's labels on a chunk tallied by ``_tally_chunk``.
-
-    The tally builds no labels, only keep masks.  As in the trace, the
-    ``ml`` labels come from ``detect_moments`` on the gate-kept chips'
-    (m_hat, S), the only chips S is drawn for (0 elsewhere), and the
-    threshold detectors' from ``threshold_detect`` on the same ``m_hat``.
-    """
-    thresholds = spec.stats.thresholds()
-    hyps = spec.stats.middle_hypotheses()
-    labels = {}
-    for name in spec.detectors:
-        if name == "ml":
-            labels[name] = np.zeros(m_hat.shape, int)
-            labels[name][gate_keep] = detect_moments(m_hat[gate_keep], scatter, spec.params.samples_per_chip, hyps)
-        else:
-            labels[name] = threshold_detect(m_hat, *thresholds.pair(name))
-    return labels
-
-
 def swap_parties(state):
     """Bob's view of flat state indices: the party bits of each pair swapped."""
     return ((state & 0b1010) >> 1) | ((state & 0b0101) << 1)
@@ -73,9 +52,9 @@ def assert_parties_agree(params, n_bits, seed, detectors):
     number of chips checked.
     """
     spec = _ChunkSpec(params, derive_stats(params), tuple(detectors), n_bits, seed, (0,))
-    state, eve, m_hat, gate_keep, scatter, _ = _rh_chunk_arrays(spec)
-    alice = _tally_chunk(spec, state, eve, m_hat, gate_keep, scatter)
-    bob = _tally_chunk(spec, swap_parties(state), eve, m_hat, gate_keep, scatter)
+    state, eve, m_hat, gate_keep, scatter, gated = _rh_chunk_arrays(spec)
+    alice = _tally_chunk(spec, state, eve, m_hat, gate_keep, scatter, gated)
+    bob = _tally_chunk(spec, swap_parties(state), eve, m_hat, gate_keep, scatter, gated)
     assert np.array_equal(alice[1], bob[1])
     for name in detectors:
         ta, tb = alice[0][name], bob[0][name]

@@ -559,7 +559,9 @@ class TestGridSetup:
 
     def test_setup_derives_once_per_hopping_session(self, derived, monkeypatch):
         grids = []
-        monkeypatch.setattr(sweep, "_run_grid", lambda spec, sessions, jobs, trace=None: grids.append(sessions) or [])
+        monkeypatch.setattr(
+            sweep, "_run_grid", lambda spec, sessions, jobs, trace=None, check=None: grids.append(sessions) or []
+        )
         run_sweep(self.SPEC, SystemParams(), jobs=2)
         run_compare(replace(self.SPEC, swept_parameter="rate", values=(2e4, 5e4)), SystemParams(), jobs=2)
         sessions = [s for grid in grids for s in grid]
@@ -567,6 +569,40 @@ class TestGridSetup:
         assert len(hopping) == 8 and len(sessions) == 10
         assert derived == [s.params for s in hopping]
         assert all((s.stats is None) == (s.scheme == "classical") for s in sessions)
+
+    # run_sweep and run_compare call check once, on the built grid, before
+    # any session runs; a check that raises runs no session and starts no pool
+    def test_check_reads_the_built_grid_before_any_session(self, monkeypatch):
+        started = []
+        for name in ("run_session", "run_classical_session"):
+            real = getattr(sweep, name)
+            monkeypatch.setattr(sweep, name, lambda *a, real=real, **k: started.append(a) or real(*a, **k))
+        checked = []
+
+        def check(spec, sessions):
+            checked.append((spec, list(sessions), len(started)))
+
+        def refuse(spec, sessions):
+            raise RuntimeError("refused")
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a pool was started")
+
+        compare_spec = replace(self.SPEC, swept_parameter="rate", values=(2e4, 5e4))
+        for run, spec in ((run_sweep, self.SPEC), (run_compare, compare_spec)):
+            checked.clear()
+            started.clear()
+            rows = run(spec, SystemParams(), jobs=1, check=check)
+            [(seen, sessions, before)] = checked
+            assert seen is spec and before == 0
+            assert [(s.value, s.scenario) for s in sessions] == [(r.value, r.scenario) for r in rows]
+            assert len(started) == len(sessions)
+            started.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(protocol, "ProcessPoolExecutor", no_pool)
+                with pytest.raises(RuntimeError, match="^refused$"):
+                    run(spec, SystemParams(), jobs=2, check=refuse)
+            assert started == []
 
     # derive_stats falls back to the midpoint for th3_opt at gamma 8 (alpha
     # 19, beta 2.7); the note is logged even where warnings are errors
@@ -700,7 +736,7 @@ def engine_reads(monkeypatch):
     """
     seen = {}
 
-    def grid(spec, params, *, jobs, trace=None):
+    def grid(spec, params, *, jobs, trace=None, check=None):
         seen.update(
             detectors=",".join(spec.detectors),
             scenario=",".join(spec.scenarios),
@@ -943,6 +979,23 @@ class TestCli:
                 main([*argv, "--strict"])
             assert exc.value.code == 2
             assert capsys.readouterr().err.startswith(f"{point}non-separable configuration: margin ratio "), argv
+
+    # a noiseless channel is not separable at zero bias (fine_tuned sets
+    # m_l = 0 at temperature 0) or with collapsed means (gamma 1)
+    @pytest.mark.parametrize(
+        "argv, point",
+        [
+            (["stats", "--m-l", "0"], ""),
+            (["stats", "--gamma", "1"], ""),
+            (["stats", "--scenario", "fine_tuned"], ""),
+            (["sweep", "--sweep", "beta", "--values", "3.5", "--scenarios", "fine_tuned"], "beta=3.5 fine_tuned: "),
+        ],
+    )
+    def test_strict_noiseless_non_separable_exits_two(self, capsys, argv, point):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--temperature", "0", "--strict"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.startswith(f"{point}non-separable configuration: margin ratio 0 ")
 
     def test_strict_separable_passes(self, capsys):
         assert main(["stats", "--strict", "--scenario", "fine_tuned"]) == 0

@@ -262,11 +262,18 @@ class TestSeparability:
         assert report.ratio == pytest.approx(100.0, rel=1e-12)
         assert report.separable
 
+    # a noiseless channel does not make a zero bias separable
     def test_zero_bias_not_separable(self, default_params):
-        params = default_params.replace(m_l=0.0)
+        for temperature in (300.0, 0.0):
+            params = default_params.replace(m_l=0.0, temperature=temperature)
+            report = check_separability(params, derive_stats(params))
+            assert report.ratio == 0.0, temperature
+            assert not report.separable, temperature
+
+    def test_noiseless_positive_bias_separable(self, default_params):
+        params = default_params.replace(temperature=0.0)
         report = check_separability(params, derive_stats(params))
-        assert report.ratio == 0.0
-        assert not report.separable
+        assert report.ratio == math.inf and report.separable
 
     def test_nonpositive_denominator_reports_which(self):
         with pytest.raises(NonSeparableError, match="k3"):
@@ -275,10 +282,13 @@ class TestSeparability:
             separability_coefficients(SystemParams(gamma=1.0))
 
     def test_degenerate_gamma_reports_not_separable(self):
-        params = SystemParams(gamma=1.0)
-        stats = derive_stats(params)
-        assert math.isinf(stats.k_max)
-        assert not check_separability(params, stats).separable
+        for temperature in (300.0, 0.0):
+            params = SystemParams(gamma=1.0, temperature=temperature)
+            stats = derive_stats(params)
+            assert math.isinf(stats.k_max)
+            report = check_separability(params, stats)
+            assert report.ratio == 0.0, temperature
+            assert not report.separable, temperature
 
 
 class TestDrif:

@@ -7,7 +7,6 @@ import math
 import multiprocessing
 import operator
 import os
-import time
 import tracemalloc
 import warnings
 
@@ -33,16 +32,15 @@ from rhkljn.protocol import (
     DETECTOR_CHOICES,
     DetectorTally,
     _ChunkSpec,
+    _detector_labels,
     _rh_chunk_arrays,
     _tally_chunk,
     eve_observe,
     run_classical_session,
-    worker_pool,
 )
 from rhkljn.rng import substream
 from conftest import (
     assert_parties_agree,
-    detector_labels,
     party_bits,
     random_valid_params,
     swap_parties,
@@ -74,7 +72,7 @@ class TestChipVerdicts:
 
         mixed = np.broadcast_to((a_main != b_main)[:, None], a_sub.shape)
         assert np.array_equal(gate_keep, mixed)
-        g = detector_labels(spec, m_hat, gate_keep, scatter)[detector]
+        g = _detector_labels(spec, m_hat, gate_keep, scatter)[detector]
         kept = gate_keep & (g != 1)
         # kept exactly when the mains and the sub-bits both differ, which is
         # when the flip rule recovers the partner's bits
@@ -128,8 +126,8 @@ def noiseless_bit(a_main, a_subs, b_main, b_subs, detector="optimum"):
     eve = np.zeros_like(a_sub)
     out = []
     for own in (state, swap_parties(state)):
-        tallies, _ = _tally_chunk(spec, own, eve, m_hat, gate_keep, scatter)
-        g = detector_labels(spec, m_hat, gate_keep, scatter)[detector]
+        tallies, _ = _tally_chunk(spec, own, eve, m_hat, gate_keep, scatter, np.flatnonzero(gate_keep))
+        g = _detector_labels(spec, m_hat, gate_keep, scatter)[detector]
         out.append((decisions(gate_keep, g)[0], g[0], tallies[detector]))
     return out
 
@@ -171,7 +169,7 @@ class TestRunChip:
         spec = _ChunkSpec(params, stats, ("optimum",), 500, 29, (0,))
         state, _, m_hat, gate_keep, scatter, _ = _rh_chunk_arrays(spec)
         a_main, b_main, a_sub, b_sub = party_bits(state)
-        g = detector_labels(spec, m_hat, gate_keep, scatter)["optimum"]
+        g = _detector_labels(spec, m_hat, gate_keep, scatter)["optimum"]
 
         middle = {1: stats.m1, 2: stats.m2, 3: stats.m3}
         true_g = np.zeros_like(g)
@@ -393,49 +391,43 @@ def _fail_share(failing, share):
     return share
 
 
-def _record_and_wait(path):
-    with open(path, "a") as log:
-        log.write("ran\n")
-    time.sleep(0.1)
-
-
 class TestWorkerPool:
+    """:func:`fan_out`'s executor: built for two shares or more, always shut down."""
+
     @pytest.mark.parametrize("jobs", [0, -4])
     def test_jobs_below_one_rejected(self, jobs):
         with pytest.raises(ValueError, match="jobs must be >= 1"):
-            with worker_pool(jobs):
-                pass
+            fan_out(_share_and_pid, jobs, 4 * 1024)
 
     def test_one_job_builds_no_executor(self, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("an executor was built for jobs=1")
 
         monkeypatch.setattr(protocol, "ProcessPoolExecutor", refuse)
-        with worker_pool(1) as pool:
-            assert pool is None
+        assert fan_out(_share_and_pid, 1, 4 * 1024) == [((0, 1), os.getpid())]
 
-    def test_pool_is_shut_down_when_the_block_ends(self):
-        with worker_pool(2) as pool:
-            assert pool is not None
-        with pytest.raises(RuntimeError):
-            pool.executor.submit(int)
+    # shut down waiting and cancelling whatever has not started, whether
+    # every share returns or share 0 (the caller's) or a worker's raises
+    @pytest.mark.parametrize("failing", [None, 0, 1], ids=["success", "caller", "worker"])
+    def test_executor_is_shut_down_cancelling_queued_tasks(self, monkeypatch, failing):
+        from concurrent.futures import ProcessPoolExecutor
 
-    def test_queued_tasks_are_cancelled_when_the_block_raises(self, tmp_path):
-        log = tmp_path / "ran.log"
-        with worker_pool(2) as pool:
-            for _ in range(4):
-                pool.executor.submit(_record_and_wait, log)
-        assert len(log.read_text().splitlines()) == 4
-        log.unlink()
-        with pytest.raises(RuntimeError, match="^stop$"):
-            with worker_pool(2) as pool:
-                for _ in range(20):
-                    pool.executor.submit(_record_and_wait, log)
-                raise RuntimeError("stop")
-        # the one worker may have taken the tasks already handed to it; the
-        # rest never run
-        ran = len(log.read_text().splitlines()) if log.exists() else 0
-        assert ran <= 4
+        shutdowns = []
+
+        class Recording(ProcessPoolExecutor):
+            def shutdown(self, wait=True, *, cancel_futures=False):
+                shutdowns.append((wait, cancel_futures))
+                super().shutdown(wait=wait, cancel_futures=cancel_futures)
+
+        monkeypatch.setattr(protocol, "ProcessPoolExecutor", Recording)
+        run = functools.partial(_fail_share, failing)
+        if failing is None:
+            assert fan_out(run, 3, 3 * 1024) == [(k, 3) for k in range(3)]
+        else:
+            with pytest.raises(RuntimeError, match=f"^share {failing} failed$"):
+                fan_out(run, 3, 3 * 1024)
+        assert shutdowns == [(True, True)]
+        assert multiprocessing.active_children() == []
 
     def test_single_chunk_fan_out_builds_no_executor(self, monkeypatch):
         def refuse(*args, **kwargs):
@@ -748,7 +740,7 @@ class TestThresholdKeep:
         assert len(result) == 2
         tallies, gate = result
         assert gate is gate_keep and gate_keep.dtype == bool
-        labels = detector_labels(spec, m_hat, gate_keep, scatter)
+        labels = _detector_labels(spec, m_hat, gate_keep, scatter)
         for name in spec.detectors:
             if name != "ml":
                 self.assert_mask_matches_labels(m_hat, *stats.thresholds().pair(name))
