@@ -32,7 +32,7 @@ values = mean[:, None] + std[:, None] * rng.standard_normal((chips, n))
 m_hat = values.mean(axis=1)
 
 ml = ml_detect_batch(values, hyps)
-simple = np.array([threshold_detect(float(m), stats.th3, stats.th4) for m in m_hat])
-optimum = np.array([threshold_detect(float(m), stats.th3_opt, stats.th4_opt) for m in m_hat])
+simple = threshold_detect(m_hat, stats.th3, stats.th4)
+optimum = threshold_detect(m_hat, stats.th3_opt, stats.th4_opt)
 for name, labels in (("ml", ml), ("simple", simple), ("optimum", optimum)):
     print(f"{name:8s} misclassification: {np.mean(labels != truth):.4f}")

@@ -230,23 +230,10 @@ def _check_strict(report, point: str = "") -> None:
 def _check_grid_strict(spec: SweepSpec, sessions) -> None:
     """--strict over a built grid, the ``check`` of
     :func:`rhkljn.sweep.run_sweep`: exit 2 at the first hopping session
-    that fails the margin, read from the statistics the session runs with.
-
-    Separability never reads samples per chip, so an n or rate grid checks
-    the sessions of its first value alone, one per scenario, and its
-    message names the scenario alone.
-    """
-    name = spec.swept_parameter
+    whose separability report, made at grid setup, fails the margin."""
     for session in sessions:
-        if session.stats is None:
-            continue
-        if name not in ("n", "rate"):
-            where = f"{name}={session.value:g} "
-        elif session.value == spec.values[0]:
-            where = ""
-        else:
-            break
-        _check_strict(check_separability(session.params, session.stats), f"{where}{session.scenario}: ")
+        if session.separability is not None:
+            _check_strict(session.separability, f"{spec.swept_parameter}={session.value:g} {session.scenario}: ")
 
 
 def _check_outputs(args) -> None:

@@ -9,19 +9,19 @@ assigns the label g of the middle Gaussian that produced it:
                    written in the sufficient statistics (m_hat, S) by
                    ``moment_costs``, the one Gaussian likelihood of the
                    package (the eavesdropper scores her 16 components with
-                   it too).  ``detect_moments`` labels chips from (m_hat, S),
-                   the session engine's path; ``ml_detect_batch`` from
-                   (..., N) raw samples;
+                   it too).  ``detect_moments`` labels chips from (m_hat, S)
+                   as the ``argmin`` of those costs, for the trace;
+                   ``ml_detect_batch`` from (..., N) raw samples, the oracle;
 * simple        -- ``threshold_detect`` with the midpoints (m2+m1)/2 and
                    (m1+m3)/2;
 * optimum       -- ``threshold_detect`` with the minimum-error thresholds
                    obtained from the weighted two-Gaussian decision problem
                    (quadratic in the threshold).
 
-``gate`` and ``threshold_detect`` take a scalar or an array of sample means.
 The session tally reads keep masks, not labels: ``threshold_keep`` is the
 mask of ``threshold_detect`` labels other than 1 and ``ml_keep`` that of
-``detect_moments``, each built without the labels.
+``detect_moments``, each built without the labels.  ``q_function`` takes a
+scalar.
 
 Label convention: g indexes the mean, so g=1 is the center Gaussian (mean
 m1, discarded by the protocol), g=2 the left one (m2) and g=3 the right one
@@ -37,18 +37,15 @@ from typing import Sequence
 import numpy as np
 
 _SQRT2 = math.sqrt(2.0)
-_erfc = np.vectorize(math.erfc, otypes=[float])
 
 
-def q_function(x):
-    """Standard normal tail probability Q(x) = P(Z > x).
+def q_function(x: float) -> float:
+    """Standard normal tail probability Q(x) = P(Z > x) of a scalar.
 
-    Accepts scalars or arrays; accurate to machine precision over the whole
-    double range (computed via erfc), with Q(-inf)=1 and Q(inf)=0.
+    Accurate to machine precision over the whole double range (computed
+    via erfc), with Q(-inf)=1 and Q(inf)=0.
     """
-    if np.ndim(x) == 0:
-        return 0.5 * math.erfc(float(x) / _SQRT2)
-    return 0.5 * _erfc(np.asarray(x, dtype=float) / _SQRT2)
+    return 0.5 * math.erfc(x / _SQRT2)
 
 
 @dataclass(frozen=True)
@@ -85,23 +82,13 @@ class ThresholdSet:
 
 
 def gate(m_hat, ts: ThresholdSet):
-    """True where the chip is kept: th1 <= m_hat <= th2, discard outside.
-
-    Accepts a scalar (returns bool) or an array (returns a bool array).
-    """
-    m_hat = np.asarray(m_hat)
-    keep = (m_hat >= ts.th1) & (m_hat <= ts.th2)
-    return bool(keep) if keep.ndim == 0 else keep
+    """True where the chip is kept: th1 <= m_hat <= th2, discard outside."""
+    return (m_hat >= ts.th1) & (m_hat <= ts.th2)
 
 
-def threshold_detect(m_hat, th3: float, th4: float):
-    """g=3 above th4, g=1 above th3, else g=2.
-
-    Accepts a scalar (returns int) or an array (returns an int array).
-    """
-    m_hat = np.asarray(m_hat)
-    g = np.where(m_hat > th4, 3, np.where(m_hat > th3, 1, 2))
-    return int(g) if g.ndim == 0 else g
+def threshold_detect(m_hat, th3: float, th4: float) -> np.ndarray:
+    """g=3 above th4, g=1 above th3, else g=2."""
+    return np.where(m_hat > th4, 3, np.where(m_hat > th3, 1, 2))
 
 
 def threshold_keep(m_hat: np.ndarray, th3: float, th4: float) -> np.ndarray:
@@ -171,24 +158,12 @@ def detect_moments(
     """ML labels of chips given their sufficient statistics (m_hat, S).
 
     Each chip takes the hypothesis of least :func:`moment_costs`; exact
-    ties break toward the smaller variance, then the earlier hypothesis.
-    The costs are scanned in that order with a running minimum that a
-    later hypothesis replaces only when strictly lower, which picks what
-    ``argmin`` over the stacked costs picks without building the stack.
-    Two cost buffers serve every hypothesis.
+    ties break toward the smaller variance, then the earlier hypothesis:
+    the ``argmin`` over the costs in that order.
     """
-    m_hat = np.asarray(m_hat, dtype=float)
-    scatter = np.asarray(scatter, dtype=float)
-    shape = np.broadcast_shapes(m_hat.shape, scatter.shape)
-    first, *rest = sorted(hyps, key=lambda h: h.std)
-    best = _moment_cost(m_hat, scatter, n, first.mean, first.std, np.empty(shape))
-    cost = np.empty(shape)
-    labels = np.full(shape, first.label)
-    for h in rest:
-        _moment_cost(m_hat, scatter, n, h.mean, h.std, cost)
-        labels[cost < best] = h.label
-        np.minimum(best, cost, out=best)
-    return labels if labels.ndim else labels[()]
+    ordered = sorted(hyps, key=lambda h: h.std)
+    costs = moment_costs(m_hat, scatter, n, [h.mean for h in ordered], [h.std for h in ordered])
+    return np.array([h.label for h in ordered])[np.argmin(costs, axis=-1)]
 
 
 def ml_keep(
@@ -204,7 +179,7 @@ def ml_keep(
     order and no higher than that of every one after it; the mask is the
     complement, one comparison per other hypothesis, with one buffer for
     the center's cost and one for the others'.  (A NaN cost, which no chip
-    the gate keeps has, follows the comparisons, not the running minimum.)
+    the gate keeps has, follows the comparisons, not the ``argmin``.)
     """
     shape = np.broadcast_shapes(np.shape(m_hat), np.shape(scatter))
     ordered = sorted(hyps, key=lambda h: h.std)
@@ -235,11 +210,6 @@ def ml_detect_batch(values: np.ndarray, hyps: Sequence[GaussianHypothesis]) -> n
     The samples are reduced to (m_hat, S) and scored by :func:`detect_moments`.
     """
     return detect_moments(*_moments(values), hyps)
-
-
-def midpoint_thresholds(m1: float, m2: float, m3: float) -> tuple[float, float]:
-    """Simple thresholds: the midpoints (m2+m1)/2 and (m1+m3)/2."""
-    return 0.5 * (m2 + m1), 0.5 * (m1 + m3)
 
 
 def _z(th: float, mean: float, std: float) -> float:

@@ -396,7 +396,7 @@ def derive_stats(params: SystemParams) -> DerivedStats:
         k1 = k2 = k3 = k4 = math.inf
     th1 = 0.5 * (params.m_l + m2)
     th2 = 0.5 * (params.m_h + m3)
-    th3, th4 = _det.midpoint_thresholds(m1, m2, m3)
+    th3, th4 = 0.5 * (m2 + m1), 0.5 * (m1 + m3)
     s1, s2, s3 = math.sqrt(var1), math.sqrt(var2), math.sqrt(var3)
     th3_opt = _det.min_error_threshold(m1, s1, 0.5, m2, s2, 0.25)
     th4_opt = _det.min_error_threshold(m1, s1, 0.5, m3, s3, 0.25)
@@ -431,6 +431,10 @@ def derive_stats(params: SystemParams) -> DerivedStats:
     )
 
 
+# the margin ratio a configuration must exceed to count as separable
+SEPARABILITY_FACTOR = 1.0
+
+
 @dataclass(frozen=True)
 class SeparabilityReport:
     """Margin of the bias against the separability lower bound."""
@@ -440,26 +444,23 @@ class SeparabilityReport:
 
     k_max: float
     sigma_r_l0: float
-    factor: float
     separable: bool
 
     def __str__(self) -> str:
         verdict = "separable" if self.separable else "NOT separable"
         return (
             f"margin ratio {self.ratio:.4g} (k_max={self.k_max:.4g}, "
-            f"sigma_r_l0={self.sigma_r_l0:.4g} V, factor={self.factor:g}): {verdict}"
+            f"sigma_r_l0={self.sigma_r_l0:.4g} V, factor={SEPARABILITY_FACTOR:g}): {verdict}"
         )
 
 
-def check_separability(
-    params: SystemParams, stats: DerivedStats, factor: float = 1.0
-) -> SeparabilityReport:
-    """Report the bias margin m_l / (k_max * sigma_r_l0) and a pass/fail at ``factor``.
+def check_separability(params: SystemParams, stats: DerivedStats) -> SeparabilityReport:
+    """Report the bias margin m_l / (k_max * sigma_r_l0) and a pass/fail.
 
     The scheme's condition is a ">>" on the bias; the tool reports the ratio
-    and flags separable when it exceeds the configurable ``factor`` (default
-    1.0).  A zero-noise configuration has ratio inf when its bias is
-    positive and ``k_max`` finite, and 0 otherwise.
+    and flags separable when it exceeds :data:`SEPARABILITY_FACTOR`.  A
+    zero-noise configuration has ratio inf when its bias is positive and
+    ``k_max`` finite, and 0 otherwise.
     """
     sigma_r = math.sqrt(params.noise_var_per_ohm * params.r_l0)
     if sigma_r == 0.0:
@@ -470,11 +471,7 @@ def check_separability(
         bound = stats.k_max * sigma_r
         ratio = 0.0 if math.isinf(bound) else params.m_l / bound
     return SeparabilityReport(
-        ratio=ratio,
-        k_max=stats.k_max,
-        sigma_r_l0=sigma_r,
-        factor=factor,
-        separable=ratio > factor,
+        ratio=ratio, k_max=stats.k_max, sigma_r_l0=sigma_r, separable=ratio > SEPARABILITY_FACTOR
     )
 
 

@@ -46,7 +46,10 @@ are drawn only by :func:`rhkljn.channel.sample_chip`, the oracle for the
 sampled distributions.
 
 The eavesdropper (:func:`eve_observe`) scores the 16 bit configurations
-with the ML detector's cost, :func:`rhkljn.detectors.moment_costs`.
+with the ML detector's cost, :func:`rhkljn.detectors.moment_costs`, in
+flat-state order; her main-bit and sub-bit posteriors are the row and
+column sums of the resulting (4, 4) weight table.  :func:`check_names`
+is the one check of a list of detector or scenario names.
 """
 
 from __future__ import annotations
@@ -59,7 +62,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import detectors as det
-from .params import DerivedStats, SystemParams, derive_stats, state_moments
+# derive_stats is not called here: the name stays because bench/worker.py traces it
+from .params import DerivedStats, SystemParams, derive_stats, state_moments  # noqa: F401
 from .rng import substream
 
 DETECTOR_CHOICES = ("ml", "simple", "optimum")
@@ -68,6 +72,20 @@ DEFAULT_CHUNK_BITS = 1024
 ENGINE_VERSION = 2
 """The version of the chunk draw.  Output bytes are a pure function of the
 command, its seed and this version, which changes whenever a draw moves."""
+
+
+def check_names(kind: str, names, choices) -> tuple[str, ...]:
+    """``names`` as a tuple; fails unless it is non-empty, among ``choices``
+    and free of repeats.  ``kind`` names the list in the message."""
+    names = tuple(names)
+    if not names:
+        raise ValueError(f"{kind} must be non-empty")
+    for name in names:
+        if name not in choices:
+            raise ValueError(f"{kind} must be among {choices}, got {name!r}")
+    if len(set(names)) != len(names):
+        raise ValueError(f"{kind} must not repeat, got {','.join(names)}")
+    return names
 
 
 @dataclass(frozen=True)
@@ -87,10 +105,6 @@ class ProtocolConfig:
 
     params: SystemParams
     stats: DerivedStats
-
-    @classmethod
-    def from_params(cls, params: SystemParams) -> "ProtocolConfig":
-        return cls(params=params, stats=derive_stats(params))
 
 
 @dataclass(frozen=True)
@@ -132,6 +146,14 @@ class DetectorTally:
         return self.eve_correct / self.kept_chips if self.kept_chips else 0.0
 
 
+def _row_posterior(rows) -> dict[tuple[int, int], float]:
+    """The row sums of a (4, 4) weight table, normalised, row 2*i + j keyed (i, j)."""
+    # summing in sorted order keeps symmetric rows bit-identical
+    sums = [math.fsum(sorted(row)) for row in rows]
+    total = math.fsum(sorted(sums))
+    return {(k >> 1, k & 1): s / total for k, s in enumerate(sums)}
+
+
 def eve_observe(
     samples, stats: DerivedStats, rng: np.random.Generator | None = None
 ) -> EveObservation:
@@ -144,32 +166,23 @@ def eve_observe(
     when given, otherwise the lexicographically first argmax is returned).
     """
     m_hat, scatter, n = det._moments(samples)
-    comps = [(pair + c.sub_bits, c) for pair, entries in stats.mixture_tables.items() for c in entries]
-    costs = det.moment_costs(
-        m_hat, scatter, n, [c.mean for _, c in comps], [math.sqrt(c.variance) for _, c in comps]
-    )
-    log_liks = {key: -cost for (key, _), cost in zip(comps, costs.tolist())}
+    # the components in flat-state order 8*b_a + 4*b_b + 2*s_a + s_b
+    comps = [c for entries in stats.mixture_tables.values() for c in entries]
+    costs = det.moment_costs(m_hat, scatter, n, [c.mean for c in comps], [math.sqrt(c.variance) for c in comps])
+    log_liks = [-cost for cost in costs.tolist()]
 
     # relative weights exp(ll - peak); when the peak is infinite (a matching
     # point mass, or no component explains the chip) the components at the
     # peak share the weight and the rest get none
-    peak = max(log_liks.values())
+    peak = max(log_liks)
     if math.isinf(peak):
-        weights = {k: float(ll == peak) for k, ll in log_liks.items()}
+        weights = [float(ll == peak) for ll in log_liks]
     else:
-        weights = {k: math.exp(ll - peak) for k, ll in log_liks.items()}
-
-    def marginal(index_pair) -> dict[tuple[int, int], float]:
-        groups: dict[tuple[int, int], list[float]] = {}
-        for key, w in weights.items():
-            groups.setdefault(index_pair(key), []).append(w)
-        # summing in sorted order keeps symmetric groups bit-identical
-        sums = {k: math.fsum(sorted(v)) for k, v in groups.items()}
-        total = math.fsum(sorted(sums.values()))
-        return {k: s / total for k, s in sums.items()}
-
-    post_main = marginal(lambda k: (k[0], k[1]))
-    post_sub = marginal(lambda k: (k[2], k[3]))
+        weights = [math.exp(ll - peak) for ll in log_liks]
+    # rows (b_a, b_b), columns (s_a, s_b)
+    table = [weights[k : k + 4] for k in range(0, 16, 4)]
+    post_main = _row_posterior(table)
+    post_sub = _row_posterior(zip(*table))
 
     def hard_guess(post: dict[tuple[int, int], float]) -> tuple[int, int]:
         best = max(post.values())
@@ -489,14 +502,7 @@ def run_session(
     :func:`fan_out` runs them on worker processes.  ``trace`` (a writable
     text file) logs one line per chip of the share, in bit order.
     """
-    names = tuple(detectors)
-    if not names:
-        raise ValueError("detectors must be non-empty")
-    for name in names:
-        if name not in DETECTOR_CHOICES:
-            raise ValueError(f"detector must be one of {DETECTOR_CHOICES}, got {name!r}")
-    if len(set(names)) != len(names):
-        raise ValueError(f"detectors must not repeat, got {','.join(names)}")
+    names = check_names("detectors", detectors, DETECTOR_CHOICES)
     spec = _ChunkSpec(cfg.params, cfg.stats, names, num_bits, seed, point_key)
     if trace is None:
         return _run_chunks(_rh_chunk, spec, num_bits, chunk_bits, share)

@@ -7,11 +7,12 @@ through one hopping-row runner: one session per (value, scenario) point
 and one CSV row per (value, scenario, detector).  ``run_compare`` takes a
 spec that sweeps ``rate`` and puts one classical row before the hopping
 rows of each rate.  Every point's parameters are checked, and each
-hopping session's statistics derived once, before the first session; a
-point whose optimum threshold falls back to the midpoint has that recorded
-in its statistics (``DerivedStats.note``), not raised as a warning.  A
-``check`` passed to either (the CLI's --strict) then reads those
-statistics, before the first session.  A grid then fans out once
+hopping session's statistics and separability report derived once, before
+the first session; a point whose optimum threshold falls back to the
+midpoint has that recorded in its statistics (``DerivedStats.note``), not
+raised as a warning, and a non-separable point is logged with its rows.  A
+``check`` passed to either (the CLI's --strict) reads those reports before
+the first session.  A grid then fans out once
 (:func:`rhkljn.protocol.fan_out`) into ``jobs`` shares, fewer when its
 sessions have fewer chunks: the calling process
 runs one and each pool worker one task, and every share runs its chunks
@@ -37,11 +38,12 @@ from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 from .config import SCENARIOS, apply_scenario
-from .params import DerivedStats, SystemParams, check_nyquist, derive_stats, drif
+from .params import DerivedStats, SeparabilityReport, SystemParams, check_nyquist, check_separability, derive_stats, drif
 from .protocol import (
     DETECTOR_CHOICES,
     DetectorTally,
     ProtocolConfig,
+    check_names,
     fan_out,
     merge_tallies,
     run_classical_session,
@@ -104,21 +106,9 @@ class SweepSpec:
         diffs = [b - a for a, b in zip(self.values, self.values[1:])]
         if not (all(d > 0 for d in diffs) or all(d < 0 for d in diffs)) and len(self.values) > 1:
             raise ValueError("values must be strictly monotone")
-        if not self.detectors:
-            raise ValueError("detectors must be non-empty")
-        if not self.scenarios:
-            raise ValueError("scenarios must be non-empty")
-        for d in self.detectors:
-            if d not in DETECTOR_CHOICES:
-                raise ValueError(f"detectors must be among {DETECTOR_CHOICES}, got {d!r}")
-        for s in self.scenarios:
-            if s not in SCENARIOS:
-                raise ValueError(f"scenarios must be among {SCENARIOS}, got {s!r}")
         # a CSV row is identified by (value, scenario, detector)
-        for name in ("detectors", "scenarios"):
-            items = getattr(self, name)
-            if len(set(items)) != len(items):
-                raise ValueError(f"{name} must not repeat, got {','.join(items)}")
+        check_names("detectors", self.detectors, DETECTOR_CHOICES)
+        check_names("scenarios", self.scenarios, SCENARIOS)
         if self.num_bits < 1:
             raise ValueError("num_bits must be >= 1")
         if self.num_bits < _MIN_BITS_FOR_CI:
@@ -213,6 +203,7 @@ class _Session(NamedTuple):
     point_key: tuple[int, ...]
     note: str | None = None  # the grid point's warning, logged just before its rows
     stats: DerivedStats | None = None
+    separability: SeparabilityReport | None = None  # None, like stats, for a classical session
 
     def run(self, spec: SweepSpec, share, trace) -> dict[str, DetectorTally]:
         """Run ``share`` of the session; returns its tallies."""
@@ -241,6 +232,10 @@ def _session_rows(spec: SweepSpec, session: _Session, tallies: dict[str, Detecto
         logger.warning("%s", session.note)
     if session.stats is not None and session.stats.note:
         logger.warning("%s=%g %s: %s", spec.swept_parameter, value, scenario, session.stats.note)
+    if session.separability is not None and not session.separability.separable:
+        logger.warning(
+            "%s=%g %s: non-separable configuration: %s", spec.swept_parameter, value, scenario, session.separability
+        )
     rows = []
     for name, tally in tallies.items():
         lo, hi = binomial_ci95(tally.sub_bit_errors, tally.kept_chips)
@@ -289,14 +284,17 @@ def _rh_sessions(
     ``(tag, the scenario's index in SCENARIOS, value)``, all detectors on
     its noise.
 
-    Each session's statistics are derived here, once; the grid logs their
-    fallback note (``DerivedStats.note``) with the session's rows.
+    Each session's statistics and separability report are derived here,
+    once; the grid logs their fallback note (``DerivedStats.note``) and a
+    non-separable verdict with the session's rows.
     """
     sessions = []
     for position, scenario in enumerate(spec.scenarios):
         point = apply_scenario(params, scenario)
         key = (tag, SCENARIOS.index(scenario), value_key(value))
-        sessions.append(_Session("rh", value, scenario, point, key, None if position else note, derive_stats(point)))
+        stats = derive_stats(point)
+        report = check_separability(point, stats)
+        sessions.append(_Session("rh", value, scenario, point, key, None if position else note, stats, report))
     return sessions
 
 
@@ -342,7 +340,8 @@ def run_sweep(
     ``check(spec, sessions)``, when given, then runs once on the built
     grid: ``sessions`` lists its sessions in grid order, each with
     ``scheme`` (``"rh"`` or ``"classical"``), ``value``, ``scenario``,
-    ``params`` and ``stats`` (None for a classical session), and a check
+    ``params``, and ``stats`` and ``separability`` (None for a classical
+    session), and a check
     that raises stops the grid before any session runs (``cli``'s
     --strict).  The sessions then run one after another (:func:`_run_grid`).
     ``trace`` (the path of a per-chip log) requires a single-point grid

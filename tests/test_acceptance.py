@@ -46,7 +46,7 @@ def fig5_rows():
 
 @pytest.fixture(scope="module")
 def security_session():
-    cfg = ProtocolConfig.from_params(SystemParams())
+    cfg = ProtocolConfig(SystemParams(), derive_stats(SystemParams()))
     return run_session(BITS, cfg, seed=SEED, detectors=DETECTORS)
 
 

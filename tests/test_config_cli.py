@@ -24,7 +24,7 @@ from rhkljn.sweep import write_csv
 from rhkljn import cli, pls, protocol, sweep
 from rhkljn.cli import EXIT_OK, main
 from rhkljn.config import HARNESS_KEYS, ConfigError, SCENARIOS, apply_scenario, build_params, parse_config
-from rhkljn.params import DerivedStats, derive_stats
+from rhkljn.params import DerivedStats, check_separability, derive_stats
 from rhkljn.sweep import _TAG_CLASSICAL, CSV_COLUMNS, _point_params, binomial_ci95
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -965,14 +965,13 @@ class TestCli:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
 
-    # a grid's message names the point that fails; an n or rate grid
-    # checks only its base parameters, so it names the scenario alone
+    # a grid's message names the point that fails, whatever the swept parameter
     def test_strict_non_separable_exits_two(self, capsys):
         runs = [
             (["stats"], ""),
             (["sweep", "--sweep", "gamma", "--values", "20,8", "--alpha", "19", "--beta", "2.7"], "gamma=20 good: "),
-            (["sweep", "--sweep", "n", "--values", "3,5"], "good: "),
-            (["compare", "--values", "2e4", "--scenarios", "moderate"], "moderate: "),
+            (["sweep", "--sweep", "n", "--values", "3,5"], "n=3 good: "),
+            (["compare", "--values", "2e4", "--scenarios", "moderate"], "rate=20000 moderate: "),
         ]
         for argv, point in runs:
             with pytest.raises(SystemExit) as exc:
@@ -999,6 +998,29 @@ class TestCli:
 
     def test_strict_separable_passes(self, capsys):
         assert main(["stats", "--strict", "--scenario", "fine_tuned"]) == 0
+
+    # without --strict a grid flags each non-separable session on stderr,
+    # with its point, and the CSV stays as it was
+    @pytest.mark.parametrize(
+        "argv, point",
+        [
+            (["sweep", "--sweep", "gamma", "--values", "20", "--alpha", "19", "--beta", "2.7"], "gamma=20 good"),
+            (
+                ["sweep", "--sweep", "beta", "--values", "3.5", "--temperature", "0", "--scenarios", "fine_tuned"],
+                "beta=3.5 fine_tuned",
+            ),
+        ],
+    )
+    def test_non_separable_point_warns(self, capsys, caplog, argv, point):
+        assert main([*argv, "--bits", "1000"]) == EXIT_OK
+        flagged = [r.getMessage() for r in caplog.records if "separable" in r.getMessage()]
+        assert len(flagged) == 1
+        assert flagged[0].startswith(f"{point}: non-separable configuration: margin ratio ")
+        assert "separable" not in capsys.readouterr().out
+
+    def test_separable_point_does_not_warn(self, capsys, caplog):
+        assert main(["compare", "--values", "2e4,5e4", "--scenarios", "fine_tuned", "--bits", "1000"]) == EXIT_OK
+        assert not [r for r in caplog.records if "separable" in r.getMessage()]
 
     # --strict reads the statistics that grid setup derives for each
     # hopping session: nothing is derived a second time
@@ -1440,12 +1462,17 @@ class TestCli:
             assert proc.returncode == 0, proc.stderr
             outputs.append((proc.stdout, proc.stderr))
         assert outputs[0] == outputs[1]
-        floor, *fallbacks = outputs[0][1].splitlines()
+        # every point is also non-separable; each logs that after its fallback
+        lines = [line.split(": margin ratio")[0] for line in outputs[0][1].splitlines()]
+        floor = lines.pop(1)
         assert floor.startswith("WARNING gamma=20 good/optimum: only ")
         assert floor.endswith(" errors observed; BEP below the Monte Carlo floor")
-        assert fallbacks == [
+        assert lines == [
+            "WARNING gamma=20 good: non-separable configuration",
             f"WARNING gamma=8 good: {FALLBACK.format('th3_opt')}",
+            "WARNING gamma=8 good: non-separable configuration",
             f"WARNING gamma=3 good: {FALLBACK.format('th3_opt and th4_opt')}",
+            "WARNING gamma=3 good: non-separable configuration",
         ]
 
     # stdout, stderr and the CSV of a grid must not depend on --jobs, though
@@ -1490,19 +1517,26 @@ class TestCli:
             assert marker in stdout
             return
         assert marker in written
-        # each point's rounding warning, then its floor warnings, in grid
-        # order: the order of a serial run
-        expected, points = [], set()
+        # each point's rounding warning, then each session's separability
+        # and floor warnings, in grid order: the order of a serial run
+        expected, points, sessions = [], set(), set()
         for row in csv.DictReader(io.StringIO(written)):
-            parameter, value = row["swept_parameter"], float(row["value"])
+            parameter, value, scenario = row["swept_parameter"], float(row["value"]), row["scenario"]
+            params, note = _point_params(SystemParams(), parameter, value)
             if value not in points:
                 points.add(value)
-                note = _point_params(SystemParams(), parameter, value)[1]
                 expected += [f"WARNING {note}"] if note else []
+            if row["scheme"] == "rh" and (value, scenario) not in sessions:
+                sessions.add((value, scenario))
+                params = apply_scenario(params, scenario)
+                report = check_separability(params, derive_stats(params))
+                if not report.separable:
+                    expected.append(f"WARNING {parameter}={value:g} {scenario}: non-separable configuration: {report}")
             if int(row["errors"]) < 100:
                 expected.append(
                     f"WARNING {parameter}={value:g} {row['scenario']}/{row['detector']}: only "
                     f"{row['errors']} errors observed; BEP below the Monte Carlo floor"
                 )
         assert any("Monte Carlo floor" in line for line in expected)
+        assert any("non-separable" in line for line in expected)
         assert stderr.splitlines() == expected

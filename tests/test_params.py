@@ -256,11 +256,14 @@ class TestSeparability:
         assert report.ratio == pytest.approx(10.0, rel=1e-12)
         assert report.separable
 
-    def test_large_margin_passes_any_factor(self, default_params):
-        boosted = default_params.replace(m_l=fine_tuned_bias(default_params, margin=100.0))
-        report = check_separability(boosted, derive_stats(boosted), factor=50.0)
-        assert report.ratio == pytest.approx(100.0, rel=1e-12)
-        assert report.separable
+    # the verdict is ratio > 1, and the report names that factor
+    def test_verdict_flips_at_ratio_one(self, default_params):
+        for margin in (0.999, 1.001):
+            params = default_params.replace(m_l=fine_tuned_bias(default_params, margin=margin))
+            report = check_separability(params, derive_stats(params))
+            assert report.ratio == pytest.approx(margin, rel=1e-12)
+            assert report.separable == (margin > 1.0)
+            assert "factor=1)" in str(report)
 
     # a noiseless channel does not make a zero bias separable
     def test_zero_bias_not_separable(self, default_params):

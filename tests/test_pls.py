@@ -280,7 +280,7 @@ class TestEffectiveRate:
         assert build_report(default_params, default_stats).xi == IDEAL_DISCARD
 
     def test_measured_xi_matches_combinatorial(self, default_params):
-        cfg = ProtocolConfig.from_params(default_params)
+        cfg = ProtocolConfig(default_params, derive_stats(default_params))
         tally = run_session(20_000, cfg, seed=99)["optimum"]
         assert abs(tally.discard_fraction - IDEAL_DISCARD) < 0.01
         report = build_report(default_params, cfg.stats, xi=tally.discard_fraction)
