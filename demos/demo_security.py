@@ -4,7 +4,7 @@
 
 import numpy as np
 
-from rhkljn import ProtocolConfig, SystemParams, run_session
+from rhkljn import SystemParams, run_session
 from rhkljn.params import derive_stats
 from rhkljn.pls import ResistorTolerance, build_report, sop
 from rhkljn.protocol import eve_observe
@@ -24,7 +24,7 @@ print("secure chip   -> Eve's main-bit posterior:", {k: round(v, 4) for k, v in 
 print("her guess is a coin flip:", obs.guess_main)
 
 # over a session her accuracy on exchanged chips stays at chance
-tally = run_session(20_000, ProtocolConfig(params, stats), seed=5)["optimum"]
+tally = run_session(20_000, params, stats, seed=5)["optimum"]
 print(f"\nsession: kept={tally.kept_chips} eve accuracy={tally.eve_correct_fraction:.4f}")
 print(f"discard fraction={tally.discard_fraction:.4f} (ideal 0.75)")
 

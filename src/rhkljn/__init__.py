@@ -15,7 +15,7 @@ one chip, runs in no command, so the package does not import it.
 """
 
 from .params import SystemParams, chip_moments, state_moments
-from .protocol import ProtocolConfig, fan_out, merge_tallies, run_session
+from .protocol import fan_out, merge_tallies, run_session
 from .sweep import SweepSpec, run_compare, run_sweep
 
 __version__ = "0.1.0"

@@ -49,8 +49,8 @@ from .params import (
     check_separability,
     derive_stats,
 )
-from .pls import ResistorTolerance, build_report
-from .protocol import DETECTOR_CHOICES, ProtocolConfig, fan_out, merge_tallies, run_session
+from .pls import DEFAULT_TRIALS, ResistorTolerance, build_report
+from .protocol import DETECTOR_CHOICES, fan_out, merge_tallies, run_session
 from .sweep import (
     SWEEP_PARAMETERS,
     SweepSpec,
@@ -85,14 +85,9 @@ def _add_common(p: argparse.ArgumentParser, session: bool) -> None:
         p.add_argument("--jobs", type=int, help=f"parallel workers (default {HARNESS_KEYS['jobs'][1]})")
     p.add_argument("--out", help="output file (default stdout)")
     p.add_argument("--strict", action="store_true", help="exit 2 on non-separable configurations")
-    for key in PARAM_KEYS:
-        flag = "--" + key.replace("_", "-")
-        caster = PARAM_KEYS[key]
-        p.add_argument(flag, dest=key, type=caster, default=None, help=f"override {key}")
+    for key, caster in PARAM_KEYS.items():
+        p.add_argument("--" + key.replace("_", "-"), dest=key, type=caster, help=f"override {key}")
 
-
-# outage Monte Carlo draws of ``pls --tolerance`` without --trials
-_DEFAULT_TRIALS = 10_000
 
 # the substream tag of the session of ``pls --measure``, beside the sweep's
 # tags: its chunk i draws from key (tag, i), which neither a grid session
@@ -318,9 +313,9 @@ def _cmd_grid(args) -> int:
     return EXIT_OK
 
 
-def _measure_share(num_bits: int, cfg: ProtocolConfig, seed: int, share):
+def _measure_share(num_bits: int, params: SystemParams, stats, seed: int, share):
     """``share`` of the session of ``pls --measure``, for :func:`fan_out`."""
-    return run_session(num_bits, cfg, seed=seed, share=share, point_key=(_TAG_PLS_MEASURE,))
+    return run_session(num_bits, params, stats, seed=seed, share=share, point_key=(_TAG_PLS_MEASURE,))
 
 
 def _cmd_pls(args) -> int:
@@ -345,7 +340,7 @@ def _cmd_pls(args) -> int:
     measured_eve = None
     if args.measure:
         check_nyquist(params)
-        measure = functools.partial(_measure_share, harness["bits"], ProtocolConfig(params, stats), harness["seed"])
+        measure = functools.partial(_measure_share, harness["bits"], params, stats, harness["seed"])
         tally = merge_tallies(fan_out(measure, harness["jobs"], harness["bits"]))["optimum"]
         measured_xi = tally.discard_fraction
         measured_eve = tally.eve_correct_fraction
@@ -357,7 +352,7 @@ def _cmd_pls(args) -> int:
         gamma_t=args.gamma_t,
         xi=measured_xi,
         perturbation=perturbation,
-        trials=_DEFAULT_TRIALS if args.trials is None else args.trials,
+        trials=DEFAULT_TRIALS if args.trials is None else args.trials,
         seed=harness["seed"],
     )
     with _output(args.out) as out:

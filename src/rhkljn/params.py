@@ -83,9 +83,6 @@ class SystemParams:
     samples_per_chip: int = 20
     """Voltage samples gathered per chip (>= 1)."""
 
-    boltzmann_k: float = BOLTZMANN_K
-    """Boltzmann constant in J/K; overridable for unit experiments."""
-
     def __post_init__(self) -> None:
         for f in fields(self):
             value = getattr(self, f.name)
@@ -93,7 +90,7 @@ class SystemParams:
                 raise InvalidParamsError(f"{f.name} must be finite, got {value}")
         if self.temperature < 0:
             raise InvalidParamsError(f"temperature must be >= 0, got {self.temperature}")
-        for name in ("bandwidth", "r_l0", "bit_duration", "boltzmann_k"):
+        for name in ("bandwidth", "r_l0", "bit_duration"):
             if getattr(self, name) <= 0:
                 raise InvalidParamsError(f"{name} must be > 0, got {getattr(self, name)}")
         # operating conditions are alpha > beta > 1 and gamma > 1; the
@@ -118,7 +115,7 @@ class SystemParams:
     @property
     def noise_var_per_ohm(self) -> float:
         """Johnson-noise variance per ohm, 4*k*T*bandwidth (V^2/ohm)."""
-        return 4.0 * self.boltzmann_k * self.temperature * self.bandwidth
+        return 4.0 * BOLTZMANN_K * self.temperature * self.bandwidth
 
     @property
     def m_h(self) -> float:

@@ -140,6 +140,9 @@ class ResistorTolerance:
         )
 
 
+DEFAULT_TRIALS = 10_000
+"""Draws of the outage Monte Carlo when a caller names no count."""
+
 _SOP_BLOCK = 1024
 """Trials per block of the outage Monte Carlo.
 
@@ -153,7 +156,7 @@ def sop(
     stats: DerivedStats,
     gamma_t: float,
     perturbation: ResistorTolerance | None = None,
-    trials: int = 10_000,
+    trials: int = DEFAULT_TRIALS,
     params: SystemParams | None = None,
     seed: int = 0,
 ) -> float:
@@ -218,7 +221,7 @@ def build_report(
     gamma_t: float = 1.0,
     xi: float | None = None,
     perturbation: ResistorTolerance | None = None,
-    trials: int = 10_000,
+    trials: int = DEFAULT_TRIALS,
     seed: int = 0,
 ) -> PlsReport:
     """Assemble the full report; ``xi`` defaults to the ideal 3/4 discard fraction.

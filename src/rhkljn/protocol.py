@@ -100,14 +100,6 @@ class EveObservation:
 
 
 @dataclass(frozen=True)
-class ProtocolConfig:
-    """Everything a party (and Eve) knows publicly: parameters and derived stats."""
-
-    params: SystemParams
-    stats: DerivedStats
-
-
-@dataclass(frozen=True)
 class DetectorTally:
     """Integer counters for one detector over a set of chips; merged by addition."""
 
@@ -483,7 +475,8 @@ def _run_chunks(chunk, spec: _ChunkSpec, num_bits: int, chunk_bits: int, share) 
 
 def run_session(
     num_bits: int,
-    cfg: ProtocolConfig,
+    params: SystemParams,
+    stats: DerivedStats,
     seed: int,
     detectors: tuple[str, ...] = ("optimum",),
     share: tuple[int, int] = (0, 1),
@@ -493,17 +486,18 @@ def run_session(
 ) -> dict[str, DetectorTally]:
     """Run ``num_bits`` main bits of the protocol; returns one tally per detector.
 
-    Secrets are i.i.d. uniform.  Every detector in ``detectors`` is
-    evaluated on the same sampled chips, so detector comparisons share one
-    noise realization; the tallies come back in the requested order.
-    The chunks of ``share`` = (k, n), chunks k, k + n, ..., run serially in
-    the calling process; the n shares add up (:func:`merge_tallies`) to the
+    ``stats`` is ``derive_stats(params)``; both are public, the secrets
+    i.i.d. uniform.  Every detector in ``detectors`` is evaluated on the
+    same sampled chips, so detector comparisons share one noise
+    realization; the tallies come back in the requested order.  The chunks
+    of ``share`` = (k, n), chunks k, k + n, ..., run serially in the
+    calling process; the n shares add up (:func:`merge_tallies`) to the
     whole session, bit-identical for a fixed ``seed``/``point_key``, and
     :func:`fan_out` runs them on worker processes.  ``trace`` (a writable
     text file) logs one line per chip of the share, in bit order.
     """
     names = check_names("detectors", detectors, DETECTOR_CHOICES)
-    spec = _ChunkSpec(cfg.params, cfg.stats, names, num_bits, seed, point_key)
+    spec = _ChunkSpec(params, stats, names, num_bits, seed, point_key)
     if trace is None:
         return _run_chunks(_rh_chunk, spec, num_bits, chunk_bits, share)
     traced = functools.partial(_traced_chunk, trace=trace, chunk_bits=chunk_bits)

@@ -42,7 +42,6 @@ from .params import DerivedStats, SeparabilityReport, SystemParams, check_nyquis
 from .protocol import (
     DETECTOR_CHOICES,
     DetectorTally,
-    ProtocolConfig,
     check_names,
     fan_out,
     merge_tallies,
@@ -217,7 +216,8 @@ class _Session(NamedTuple):
             )
         return run_session(
             spec.num_bits,
-            ProtocolConfig(self.params, self.stats),
+            self.params,
+            self.stats,
             seed=spec.master_seed,
             detectors=spec.detectors,
             share=share,

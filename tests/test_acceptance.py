@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from scipy.stats import norm, spearmanr
 
-from rhkljn import ProtocolConfig, SystemParams, chip_moments, run_compare, run_session, run_sweep, SweepSpec
+from rhkljn import SystemParams, chip_moments, run_compare, run_session, run_sweep, SweepSpec
 from rhkljn.channel import ChipState, sample_chip
 from rhkljn.detectors import ml_detect_batch, pe1, pe2, stationarity_residual
 from rhkljn.params import derive_stats, fine_tuned_bias
@@ -46,8 +46,7 @@ def fig5_rows():
 
 @pytest.fixture(scope="module")
 def security_session():
-    cfg = ProtocolConfig(SystemParams(), derive_stats(SystemParams()))
-    return run_session(BITS, cfg, seed=SEED, detectors=DETECTORS)
+    return run_session(BITS, SystemParams(), derive_stats(SystemParams()), seed=SEED, detectors=DETECTORS)
 
 
 def bep_of(rows, value, scenario, detector):

@@ -754,7 +754,7 @@ def engine_reads(monkeypatch):
         seen["jobs"] = jobs
         return [run_share(share=(0, 1))]
 
-    def session(num_bits, config, *, seed, share, point_key):
+    def session(num_bits, params, stats, *, seed, share, point_key):
         seen.update(bits=num_bits, seed=seed)
         raise _Reached
 
@@ -817,6 +817,20 @@ class TestSettings:
                 assert engine_reads == {}, source
                 named = f"--{key}" if source == "flag" else f"error: config key {key} in {cfg} "
                 assert named in err, source
+
+    # the Boltzmann constant is params.BOLTZMANN_K, not a setting: its old
+    # flag and config key fail as unknown rather than being ignored
+    @pytest.mark.parametrize("command", list(cli._COMMANDS))
+    def test_boltzmann_k_is_not_a_setting(self, command, tmp_path, capsys):
+        argv = GUARD_RUNS[command][0]
+        code, _, err = _exit_and_output(argv + ["--boltzmann-k", "1"], capsys)
+        assert code == cli.EXIT_USAGE
+        assert "unrecognized arguments: --boltzmann-k 1" in err
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("alpha=10\nboltzmann_k=1\n")
+        code, _, err = _exit_and_output(argv + ["--config", str(cfg)], capsys)
+        assert code == cli.EXIT_USAGE
+        assert f"error: {cfg}:2: unknown key 'boltzmann_k'" in err
 
     def test_every_param_field_is_a_config_key_and_a_flag(self, tmp_path):
         cfg = tmp_path / "run.cfg"

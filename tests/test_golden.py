@@ -64,10 +64,10 @@ STDOUT_SHA256 = {
 # ``rhkljn --help`` and each command's --help at COLUMNS=80
 HELP_SHA256 = {
     "rhkljn": "6edaa585bc2a86ccf1df3f2148047571c7e8852f7787689c5f7897639ef04c67",
-    "stats": "792256fb55f33b510b658db71266c59454237eb9e95f6ab7c0fd5e9aa767608a",
-    "sweep": "eb6c9ec1749e69de400643f64c4be63da09af287f4be446366b9e0f9137179bf",
-    "compare": "8ce4779b8510bea4ed1a20c441a3332bd3d5eceaa32f534205f9d6261499aacf",
-    "pls": "d95ff6af9b14ce4e8fcadfd693eb7297000512332ee6752fa47596bc3ada6f94",
+    "stats": "2661b305d80dc9bc29c4802c58b8038ae955a043f1edcb963db1ed2914e9338a",
+    "sweep": "ae8cad0ce47c0100528d008bb587a7023efa82ab3a6a268144820f6f77bbb894",
+    "compare": "ba80abfe98097b6f73ab70a45322daea4e9d9cd5a4130c40c3438cc7e56808c5",
+    "pls": "b5684e6772f2f14353724450c38ea7dfe9c3a9ea199a2727cb00224b0a6c0125",
 }
 
 # sample_chip moments against chip_moments(params, *state), and the classical variances

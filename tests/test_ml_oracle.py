@@ -18,7 +18,7 @@ import math
 import numpy as np
 import pytest
 
-from rhkljn import ProtocolConfig, SystemParams, run_session
+from rhkljn import SystemParams, run_session
 from rhkljn.channel import ChipState, sample_chip
 from rhkljn.config import apply_scenario
 from rhkljn.detectors import gate, ml_detect_batch
@@ -68,7 +68,7 @@ def point(request):
 @pytest.mark.parametrize("seed", SEEDS)
 def test_ml_counts_match_raw_samples(point, seed):
     params, stats, (p_kept, p_error) = point
-    tally = run_session(BITS, ProtocolConfig(params, stats), seed=seed, detectors=("ml",))["ml"]
+    tally = run_session(BITS, params, stats, seed=seed, detectors=("ml",))["ml"]
     chips = params.chips_per_bit
     for name, observed, p_state in (("kept", tally.kept_chips, p_kept), ("errors", tally.sub_bit_errors, p_error)):
         expected, sd = _bounds(p_state, BITS, chips)

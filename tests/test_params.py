@@ -321,7 +321,6 @@ class TestValidation:
             {"m_l": math.nan},
             {"temperature": math.inf},
             {"alpha": math.inf},
-            {"boltzmann_k": math.nan},
         ],
     )
     def test_invalid_params_raise(self, kwargs):

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
-from rhkljn import ProtocolConfig, SystemParams, chip_moments, run_session
+from rhkljn import SystemParams, chip_moments, run_session
 from rhkljn.params import derive_stats
 from rhkljn.pls import (
     IDEAL_DISCARD,
@@ -279,12 +279,11 @@ class TestEffectiveRate:
         assert IDEAL_DISCARD == discarded / 16
         assert build_report(default_params, default_stats).xi == IDEAL_DISCARD
 
-    def test_measured_xi_matches_combinatorial(self, default_params):
-        cfg = ProtocolConfig(default_params, derive_stats(default_params))
-        tally = run_session(20_000, cfg, seed=99)["optimum"]
+    def test_measured_xi_matches_combinatorial(self, default_params, default_stats):
+        tally = run_session(20_000, default_params, default_stats, seed=99)["optimum"]
         assert abs(tally.discard_fraction - IDEAL_DISCARD) < 0.01
-        report = build_report(default_params, cfg.stats, xi=tally.discard_fraction)
-        analytic = build_report(default_params, cfg.stats)
+        report = build_report(default_params, default_stats, xi=tally.discard_fraction)
+        analytic = build_report(default_params, default_stats)
         assert report.effective_rate == pytest.approx(analytic.effective_rate, rel=0.02)
 
 

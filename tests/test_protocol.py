@@ -15,7 +15,6 @@ import pytest
 from scipy.stats import binomtest, chi2, chisquare, kstest, norm
 
 from rhkljn import (
-    ProtocolConfig,
     SystemParams,
     chip_moments,
     fan_out,
@@ -47,9 +46,10 @@ from conftest import (
 )
 
 
-def make_cfg(**param_overrides):
+def params_and_stats(**param_overrides):
+    """A session's ``params`` and ``stats`` at the defaults with ``param_overrides``."""
     params = SystemParams(**param_overrides)
-    return ProtocolConfig(params=params, stats=derive_stats(params))
+    return params, derive_stats(params)
 
 
 NOISELESS = dict(temperature=0.0)
@@ -238,8 +238,8 @@ class TestEveObserve:
 
 class TestRunSession:
     def test_noiseless_session_is_exact(self):
-        cfg = make_cfg(**NOISELESS)
-        result = run_session(500, cfg, seed=9, detectors=("ml", "simple", "optimum"))
+        params, stats = params_and_stats(**NOISELESS)
+        result = run_session(500, params, stats, seed=9, detectors=("ml", "simple", "optimum"))
         for name in ("ml", "simple", "optimum"):
             tally = result[name]
             assert tally.bep == 0.0
@@ -249,8 +249,8 @@ class TestRunSession:
 
     def test_kept_fraction_matches_combinatorial_count(self):
         # 4 of the 16 equiprobable configurations survive ideal detection
-        cfg = make_cfg()
-        tally = run_session(20_000, cfg, seed=12)["optimum"]
+        params, stats = params_and_stats()
+        tally = run_session(20_000, params, stats, seed=12)["optimum"]
         total = tally.total_chips
         se = math.sqrt(0.25 * 0.75 / total)
         assert abs(tally.kept_chips / total - 0.25) < 5 * se
@@ -258,17 +258,17 @@ class TestRunSession:
     def test_sub_bit_errors_only_from_misdetections(self):
         # noiseless channel: every label is exact, so zero errors and the
         # discard fraction is exactly 3/4
-        cfg = make_cfg(**NOISELESS)
-        tally = run_session(2_000, cfg, seed=4)["optimum"]
+        params, stats = params_and_stats(**NOISELESS)
+        tally = run_session(2_000, params, stats, seed=4)["optimum"]
         assert tally.bep == 0.0
         assert tally.discard_fraction == pytest.approx(0.75, abs=0.01)
 
     def test_determinism_across_worker_counts(self):
         # 650 bits are 7 chunks, the last one short, which no share count
         # divides; 150 bits are 2 chunks, fewer than the shares of jobs 3 and 4
-        cfg = make_cfg()
+        params, stats = params_and_stats()
         session = functools.partial(
-            run_session, cfg=cfg, seed=77, detectors=DETECTOR_CHOICES, chunk_bits=100
+            run_session, params=params, stats=stats, seed=77, detectors=DETECTOR_CHOICES, chunk_bits=100
         )
         serial = [session(bits) for bits in (650, 150)]
         for jobs in (2, 3, 4):
@@ -278,9 +278,9 @@ class TestRunSession:
 
     def test_shares_add_up_to_the_session(self):
         # 650 bits are 7 chunks of 100: 9 shares leave the last two empty
-        cfg = make_cfg()
+        params, stats = params_and_stats()
         session = functools.partial(
-            run_session, 650, cfg, seed=77, detectors=DETECTOR_CHOICES, chunk_bits=100
+            run_session, 650, params, stats, seed=77, detectors=DETECTOR_CHOICES, chunk_bits=100
         )
         whole = session()
         for n in (1, 2, 3, 7, 9):
@@ -289,11 +289,11 @@ class TestRunSession:
 
     @pytest.mark.parametrize("share", [(1, 1), (-1, 2), (0, 0), (3, 2)])
     def test_share_out_of_range_rejected(self, share):
-        cfg = make_cfg()
+        params, stats = params_and_stats()
         with pytest.raises(ValueError, match="share must be"):
-            run_session(10, cfg, seed=1, share=share)
+            run_session(10, params, stats, seed=1, share=share)
         with pytest.raises(ValueError, match="share must be"):
-            run_classical_session(10, cfg.params, seed=1, share=share)
+            run_classical_session(10, params, seed=1, share=share)
 
     # a chunk's warning would reach stderr from whichever process ran the
     # chunk, so stderr would depend on --jobs: a chunk must never warn, in
@@ -304,19 +304,18 @@ class TestRunSession:
         ids=["noiseless", "one_sample", "zero_m_l"],
     )
     def test_chunks_raise_no_warning(self, overrides):
-        params = SystemParams(**overrides)
-        cfg = ProtocolConfig(params, derive_stats(params))
+        params, stats = params_and_stats(**overrides)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            tallies = run_session(2_000, cfg, seed=31, detectors=DETECTOR_CHOICES)
+            tallies = run_session(2_000, params, stats, seed=31, detectors=DETECTOR_CHOICES)
             run_classical_session(2_000, params, seed=31)
         if overrides is NOISELESS:
             # the ML detector's point-mass branch labels every chip exactly
             assert tallies["ml"].sub_bit_errors == 0
 
     def test_tally_counts_are_conserved(self):
-        cfg = make_cfg()
-        result = run_session(5_000, cfg, seed=14, detectors=("ml", "simple", "optimum"))
+        params, stats = params_and_stats()
+        result = run_session(5_000, params, stats, seed=14, detectors=("ml", "simple", "optimum"))
         for name in ("ml", "simple", "optimum"):
             t = result[name]
             assert t.kept_chips + t.discarded_gate + t.discarded_g1 == t.total_chips
@@ -326,59 +325,59 @@ class TestRunSession:
 
     def test_detector_comparison_shares_noise(self):
         # same seed, same point: per-detector tallies come from one realization
-        cfg = make_cfg()
-        both = run_session(3_000, cfg, seed=5, detectors=("simple", "optimum"))
-        simple_only = run_session(3_000, cfg, seed=5, detectors=("simple",))
+        params, stats = params_and_stats()
+        both = run_session(3_000, params, stats, seed=5, detectors=("simple", "optimum"))
+        simple_only = run_session(3_000, params, stats, seed=5, detectors=("simple",))
         assert both["simple"] == simple_only["simple"]
 
     def test_eve_accuracy_is_fair_coin(self):
-        cfg = make_cfg()
-        tally = run_session(50_000, cfg, seed=6)["optimum"]
+        params, stats = params_and_stats()
+        tally = run_session(50_000, params, stats, seed=6)["optimum"]
         assert tally.kept_chips >= 100_000
         test = binomtest(tally.eve_correct, tally.kept_chips, 0.5)
         assert test.pvalue >= 0.01
 
     def test_trace_logs_every_chip(self):
-        cfg = make_cfg()
+        params, stats = params_and_stats()
         buf = io.StringIO()
-        result = run_session(20, cfg, seed=8, trace=buf)
+        result = run_session(20, params, stats, seed=8, trace=buf)
         lines = buf.getvalue().strip().splitlines()
-        assert len(lines) == 20 * cfg.params.chips_per_bit
+        assert len(lines) == 20 * params.chips_per_bit
         assert result["optimum"].total_chips == len(lines)
         first = lines[0]
         for token in ("bit=", "chip=", "b_a=", "s_b=", "m_hat=", "optimum:"):
             assert token in first
 
     def test_invalid_inputs(self):
-        cfg = make_cfg()
+        params, stats = params_and_stats()
         with pytest.raises(ValueError):
-            run_session(0, cfg, seed=1)
+            run_session(0, params, stats, seed=1)
         with pytest.raises(ValueError):
-            run_session(10, cfg, seed=1, detectors=("bogus",))
+            run_session(10, params, stats, seed=1, detectors=("bogus",))
         with pytest.raises(ValueError):
-            run_session(10, cfg, seed=1, detectors=("map",))
+            run_session(10, params, stats, seed=1, detectors=("map",))
         with pytest.raises(ValueError, match="non-empty"):
-            run_session(10, cfg, seed=1, detectors=())
+            run_session(10, params, stats, seed=1, detectors=())
         with pytest.raises(ValueError, match="must not repeat"):
-            run_session(10, cfg, seed=1, detectors=("ml", "optimum", "ml"))
+            run_session(10, params, stats, seed=1, detectors=("ml", "optimum", "ml"))
 
     @pytest.mark.parametrize("jobs", [0, -4])
     def test_jobs_below_one_rejected(self, jobs):
-        cfg = make_cfg()
+        params, stats = params_and_stats()
         for session in (
-            functools.partial(run_session, 2_000, cfg, 1),
-            functools.partial(run_session, 2_000, cfg, 1, trace=io.StringIO()),
-            functools.partial(run_classical_session, 2_000, cfg.params, 1),
+            functools.partial(run_session, 2_000, params, stats, 1),
+            functools.partial(run_session, 2_000, params, stats, 1, trace=io.StringIO()),
+            functools.partial(run_classical_session, 2_000, params, 1),
         ):
             with pytest.raises(ValueError, match="jobs must be >= 1"):
                 fan_out(session, jobs, 2_000)
 
     def test_chunk_bits_below_one_rejected(self):
-        cfg = make_cfg()
+        params, stats = params_and_stats()
         with pytest.raises(ValueError, match="chunk_bits"):
-            run_session(10, cfg, seed=1, chunk_bits=0)
+            run_session(10, params, stats, seed=1, chunk_bits=0)
         with pytest.raises(ValueError, match="chunk_bits"):
-            run_classical_session(10, cfg.params, seed=1, chunk_bits=0)
+            run_classical_session(10, params, seed=1, chunk_bits=0)
 
 
 def _share_and_pid(share):
@@ -434,8 +433,8 @@ class TestWorkerPool:
             raise AssertionError("an executor was built for one chunk")
 
         monkeypatch.setattr(protocol, "ProcessPoolExecutor", refuse)
-        cfg = make_cfg()
-        session = functools.partial(run_session, 500, cfg, 3, chunk_bits=500)
+        params, stats = params_and_stats()
+        session = functools.partial(run_session, 500, params, stats, 3, chunk_bits=500)
         assert fan_out(session, 4, 500, 500) == [session()]
 
     # n = min(jobs, chunks) shares: the calling process runs share 0 and
@@ -668,14 +667,14 @@ class TestChunkPlan:
         return counts
 
     def test_session_builds_its_plan_once(self, calls):
-        cfg = make_cfg(samples_per_chip=3)
-        tallies = run_session(450, cfg, seed=3, detectors=DETECTOR_CHOICES, chunk_bits=100)
+        params, stats = params_and_stats(samples_per_chip=3)
+        tallies = run_session(450, params, stats, seed=3, detectors=DETECTOR_CHOICES, chunk_bits=100)
         assert tallies["ml"].total_chips == 4_500  # five chunks
         assert calls == {"thresholds": 1, "middle_hypotheses": 1, "_draw_table": 1}
 
     def test_traced_session_builds_its_plan_once(self, calls):
         log = io.StringIO()
-        run_session(450, make_cfg(), seed=3, detectors=DETECTOR_CHOICES, trace=log, chunk_bits=100)
+        run_session(450, *params_and_stats(), seed=3, detectors=DETECTOR_CHOICES, trace=log, chunk_bits=100)
         assert len(log.getvalue().splitlines()) == 4_500
         assert calls == {"thresholds": 1, "middle_hypotheses": 1, "_draw_table": 1}
 
@@ -686,13 +685,13 @@ class TestChunkPlan:
         assert calls == {"thresholds": 0, "middle_hypotheses": 0, "_draw_table": 1}
 
     def test_chunk_copies_the_plan_with_its_own_size_and_key(self):
-        cfg = make_cfg()
-        plan = _ChunkSpec(cfg.params, cfg.stats, ("ml", "optimum"), 5_000, 4, (9,))
+        params, stats = params_and_stats()
+        plan = _ChunkSpec(params, stats, ("ml", "optimum"), 5_000, 4, (9,))
         chunk = plan.chunk(100, (9, 3))
         assert (chunk.n_bits, chunk.key, plan.n_bits, plan.key) == (100, (9, 3), 5_000, (9,))
         for name in ("params", "stats", "detectors", "master_seed", "table", "thresholds", "hyps"):
             assert getattr(chunk, name) is getattr(plan, name), name
-        assert [h.std for h in plan.hyps] == sorted(h.std for h in cfg.stats.middle_hypotheses())
+        assert [h.std for h in plan.hyps] == sorted(h.std for h in stats.middle_hypotheses())
 
     def test_tally_add_sums_every_field(self):
         a = DetectorTally(*range(1, 8))
@@ -852,8 +851,8 @@ class TestGateSoundness:
         # main-bit errors; the leak vanishes as the sample count grows
         leaks = {}
         for n in (2, 4, 20):
-            cfg = make_cfg(samples_per_chip=n)
-            result = run_session(30_000, cfg, seed=31)
+            params, stats = params_and_stats(samples_per_chip=n)
+            result = run_session(30_000, params, stats, seed=31)
             leaks[n] = result["optimum"].main_bit_errors
         assert leaks[2] > leaks[4] > leaks[20] == 0
 

@@ -2,13 +2,14 @@
 
 A fresh interpreter runs the golden commands (``test_golden``) and the
 README's command block (``test_readme``) under a profile hook and lists
-every function and method of ``detectors``, ``protocol``, ``pls`` and
-``params`` that none of them called.  The oracles, independent checks that
-no command runs, are exempt, with the module functions they call:
-``eve_observe``, ``pe1``/``pe2``, ``stationarity_residual``,
-``ml_detect_batch`` and ``empirical_eve_confusion`` (``rhkljn.channel``, the
-raw-sample oracle, is a module of its own and not checked).  Anything else
-that no command reaches is dead code or an oracle that needs a name here.
+every function and method of ``detectors``, ``protocol``, ``pls``,
+``params``, ``sweep`` and ``rng`` that none of them called.  The oracles,
+independent checks that no command runs, are exempt, with the module
+functions they call: ``eve_observe``, ``pe1``/``pe2``,
+``stationarity_residual``, ``ml_detect_batch`` and
+``empirical_eve_confusion`` (``rhkljn.channel``, the raw-sample oracle, is
+a module of its own and not checked).  Anything else that no command
+reaches is dead code or an oracle that needs a name here.
 
 Run as a script, this file prints the unreached names as JSON.
 """
@@ -46,7 +47,7 @@ def unreached() -> list[str]:
     sys.path.insert(0, str(HERE))
     import test_golden
     import test_readme
-    from rhkljn import cli, detectors, params, pls, protocol
+    from rhkljn import cli, detectors, params, pls, protocol, rng, sweep
 
     argvs = [test_golden.golden_argv(name) for name in sorted(test_golden.STDOUT_SHA256)]
     argvs.append(test_golden.TRACE_ARGV + ("--trace", "trace.log"))
@@ -61,7 +62,7 @@ def unreached() -> list[str]:
         sys.setprofile(None)
 
     names = {}
-    for module in (detectors, params, pls, protocol):
+    for module in (detectors, params, pls, protocol, rng, sweep):
         names.update({code: (module.__name__, name) for code, name in functions(module).items()})
     # an oracle is exempt with the module-level functions it calls, and theirs
     exempt = {code for code, (_, name) in names.items() if name in ORACLES}

@@ -1,5 +1,5 @@
 """Every ``rhkljn`` command of the README's "Command line" block runs and
-exits 0, and every name the package exports appears in a README code span.
+exits 0, and the package exports exactly the names the README lists.
 
 Sessions are cut to 300 bits (``--bits`` is appended, so it overrides the
 README's own value); ``stats`` takes no session and runs as written.
@@ -49,9 +49,10 @@ def test_readme_command_exits_zero(argv, tmp_path, monkeypatch):
 
 
 def test_every_exported_name_is_documented():
-    # the package exports what the README shows; everything else is
-    # imported from its submodule
-    spans = " ".join(re.findall(r"`([^`\n]+)`", README.read_text()))
+    # the package exports exactly the names of the README's export
+    # sentence; everything else is imported from its submodule
+    text = README.read_text()
+    spans = " ".join(re.findall(r"`([^`\n]+)`", text))
     exported = [
         name
         for name, value in vars(rhkljn).items()
@@ -59,3 +60,6 @@ def test_every_exported_name_is_documented():
     ]
     assert exported
     assert [name for name in exported if not re.search(rf"\b{name}\b", spans)] == []
+    sentence = re.search(r"`import rhkljn` exports only the names this README shows in code:(.*?)\.\s", text, re.S)
+    listed = re.findall(r"`([^`]+)`", sentence.group(1))
+    assert sorted(listed) == sorted(exported)
