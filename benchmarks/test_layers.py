@@ -8,7 +8,9 @@ Run from the root of a checkout (outside the test paths, so a plain
 Each case times one layer on fixed inputs: the draw (``_rh_chunk_arrays``)
 and the tally (``_tally_chunk``) of one 1024-bit chunk of 10 chips at
 n = 3 and 10, with ``optimum`` alone and with all three detectors; one
-classical chunk (``_classical_chunk``); and ``pls.sop`` at 30,000 trials.
+classical chunk (``_classical_chunk``); ``pls.sop`` at 30,000 trials,
+and the divider of one of its blocks (``chip_moments`` over
+``pls._SOP_BLOCK`` jittered banks).
 The chunk is built from its session's plan as a session builds it, so the
 plan's one-time work stays out of the timing.
 """
@@ -22,10 +24,13 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from rhkljn import protocol  # noqa: E402
+import numpy as np  # noqa: E402
+
+from rhkljn import pls, protocol  # noqa: E402
 from rhkljn.config import apply_scenario  # noqa: E402
-from rhkljn.params import SystemParams, derive_stats  # noqa: E402
+from rhkljn.params import SystemParams, chip_moments, derive_stats  # noqa: E402
 from rhkljn.pls import ResistorTolerance, delta_m, sigma_max, sop  # noqa: E402
+from rhkljn.rng import substream  # noqa: E402
 
 CHUNK_BITS = protocol.DEFAULT_CHUNK_BITS
 DETECTOR_SETS = {"optimum": ("optimum",), "all": protocol.DETECTOR_CHOICES}
@@ -70,3 +75,12 @@ def test_sop(benchmark):
     gamma_t = delta_m(stats) / (2.0 * sigma_max(stats))
     outage = benchmark(sop, stats, gamma_t, ResistorTolerance(0.01), 30_000, params, 1)
     assert 0.0 < outage < 1.0
+
+
+def test_sop_block_divider(benchmark):
+    # the three middle Gaussians of one outage block: one chip_moments call on its banks
+    params = apply_scenario(SystemParams(), "good")
+    banks = ResistorTolerance(0.01).draw(params, substream(1, (0xE0,)), pls._SOP_BLOCK)
+    s_a, s_b = np.array([0, 0, 1]), np.array([0, 1, 0])
+    means, variances = benchmark(chip_moments, params, 0, 1, s_a, s_b, banks)
+    assert means.shape == variances.shape == (pls._SOP_BLOCK, 3)

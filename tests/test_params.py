@@ -3,8 +3,12 @@
 import itertools
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.optimize import brentq
 
 from rhkljn import SystemParams, chip_moments, state_moments
@@ -15,6 +19,7 @@ from rhkljn.params import (
     check_separability,
     derive_coefficients,
     derive_stats,
+    divider_moments,
     drif,
     fine_tuned_bias,
     separability_coefficients,
@@ -198,6 +203,85 @@ class TestStateMoments:
                 k = 8 * b_a + 4 * b_b + 2 * s_a + s_b
                 mean, var = chip_moments(params, b_a, b_b, s_a, s_b)
                 assert (means[k], variances[k]) == (mean, var), (b_a, b_b, s_a, s_b)
+
+    @pytest.mark.parametrize("scenario", SCENARIOS)
+    def test_at_most_one_ulp_from_the_squared_weight_form(self, scenario):
+        # the table sessions draw from, against the squared-weight form of its divider
+        params = apply_scenario(SystemParams(), scenario)
+        b_a, b_b, s_a, s_b = np.ix_((0, 1), (0, 1), (0, 1), (0, 1))
+        bank, biases = params.resistors, params.biases
+        old = squared_weight_divider(
+            bank[b_a, s_a], bank[b_b, s_b], biases[b_a], biases[b_b], params.noise_var_per_ohm
+        )
+        for new, ref in zip(state_moments(params), old):
+            assert np.all(np.abs(new - ref.ravel()) <= np.spacing(ref.ravel()))
+
+
+def squared_weight_divider(r_a, r_b, bias_a, bias_b, noise_var_per_ohm):
+    """The divider in squared-weight form: each source's variance through its squared weight."""
+    total = r_a + r_b
+    w_a, w_b = r_b / total, r_a / total
+    return w_a * bias_a + w_b * bias_b, w_a**2 * (noise_var_per_ohm * r_a) + w_b**2 * (noise_var_per_ohm * r_b)
+
+
+def assert_divider_exact(r_a, r_b, bias_a, bias_b, noise_var_per_ohm, mean, var):
+    """Every entry within 3 eps of the squared-weight closed form at 50 digits."""
+    eps = np.finfo(float).eps
+    args = np.broadcast_arrays(r_a, r_b, bias_a, bias_b, mean, var)
+    with mpmath.workdps(50):
+        k = mpmath.mpf(noise_var_per_ohm)
+        for ra, rb, ba, bb, got_mean, got_var in zip(*(a.ravel().tolist() for a in args)):
+            exact_mean, exact_var = squared_weight_divider(
+                mpmath.mpf(ra), mpmath.mpf(rb), mpmath.mpf(ba), mpmath.mpf(bb), k
+            )
+            assert abs(got_mean - exact_mean) <= 3 * eps * exact_mean, (ra, rb, ba, bb)
+            assert abs(got_var - exact_var) <= 3 * eps * exact_var, (ra, rb, ba, bb)
+
+
+OHMS = st.floats(1.0, 1e6)
+BIAS = st.just(0.0) | st.floats(1e-15, 1e-2)  # zero or a physical bias, never subnormal
+REPEATABLE = settings(deadline=None, derandomize=True, database=None)
+
+
+class TestDividerAccuracy:
+    """The parallel-resistance divider against the squared-weight form in mpmath.
+
+    Its mean and variance are each a few rounded operations on positive
+    values, so both stay within 3 eps of the exact value; the mixture
+    tables moved by at most 1 ulp from the squared-weight form for that
+    reason (see :class:`TestStateMoments`).
+    """
+
+    NOISE = SystemParams().noise_var_per_ohm
+
+    @settings(REPEATABLE, max_examples=300)
+    @given(OHMS, OHMS, BIAS, BIAS)
+    def test_scalar_call(self, r_a, r_b, bias_a, bias_b):
+        mean, var = divider_moments(r_a, r_b, bias_a, bias_b, self.NOISE)
+        assert_divider_exact(r_a, r_b, bias_a, bias_b, self.NOISE, mean, var)
+
+    @settings(REPEATABLE, max_examples=60)
+    @given(arrays(np.float64, (2, 2), elements=OHMS), BIAS, st.floats(1.0, 50.0))
+    def test_sixteen_state_grid(self, bank, m_l, gamma):
+        # the grid state_moments builds, on an arbitrary bank and bias pair
+        params = SystemParams(m_l=m_l, gamma=gamma)
+        b_a, b_b, s_a, s_b = np.ix_((0, 1), (0, 1), (0, 1), (0, 1))
+        mean, var = chip_moments(params, b_a, b_b, s_a, s_b, bank)
+        assert mean.shape == var.shape == (2, 2, 2, 2)
+        biases = params.biases
+        r_a, r_b = bank[b_a, s_a], bank[b_b, s_b]
+        assert_divider_exact(r_a, r_b, biases[b_a], biases[b_b], self.NOISE, mean, var)
+
+    @settings(REPEATABLE, max_examples=60)
+    @given(arrays(np.float64, st.tuples(st.integers(1, 8), st.just(2), st.just(2)), elements=OHMS), BIAS)
+    def test_bank_batch_of_the_outage_monte_carlo(self, banks, m_l):
+        # the call pls.sop makes: the mixed states (0, 1) at sub-bits (0, 0), (0, 1), (1, 0)
+        params = SystemParams(m_l=m_l)
+        s_a, s_b = np.array([0, 0, 1]), np.array([0, 1, 0])
+        mean, var = chip_moments(params, 0, 1, s_a, s_b, banks)
+        assert mean.shape == var.shape == (len(banks), 3)
+        r_a, r_b = banks[..., 0, s_a], banks[..., 1, s_b]
+        assert_divider_exact(r_a, r_b, params.m_l, params.m_h, self.NOISE, mean, var)
 
 
 class TestSeparability:

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
-from rhkljn import SystemParams, chip_moments, run_session
+from rhkljn import SystemParams, chip_moments, pls, run_session
 from rhkljn.params import derive_stats
 from rhkljn.pls import (
     IDEAL_DISCARD,
@@ -154,9 +154,10 @@ class TestOutage:
         spread = np.sqrt(np.maximum(v2, v3))
         return int(np.count_nonzero(gap / (2.0 * spread) < gamma_t)) / trials
 
-    # block edges of the outage Monte Carlo's 1024-trial blocks: one, a
-    # partial, a full and a full-plus-one block, and many blocks
-    @pytest.mark.parametrize("trials", [1, 1023, 1024, 1025, 2049, 30_000])
+    # block edges of the outage Monte Carlo at 1024-trial blocks and at its
+    # own _SOP_BLOCK (2048): one trial, a partial, a full and a
+    # full-plus-one block, two full blocks and one more, and many blocks
+    @pytest.mark.parametrize("trials", [1, 1023, 1024, 1025, 2047, 2048, 2049, 4097, 30_000])
     @pytest.mark.parametrize("scenario", SCENARIOS)
     def test_blocked_outage_equals_single_pass(self, default_params, scenario, trials):
         params = apply_scenario(default_params, scenario)
@@ -172,6 +173,37 @@ class TestOutage:
                     inside += 0.0 < got < 1.0
         # the grid reaches outage fractions that are not all or nothing
         assert inside > 0 or trials == 1
+
+    @pytest.mark.parametrize("block", [1, 7, 1024, pls._SOP_BLOCK, 5_000])
+    def test_outage_does_not_depend_on_the_block_size(
+        self, default_params, default_stats, monkeypatch, block
+    ):
+        trials = 2_500  # below the last block size: one partial block there
+        margin = delta_m(default_stats) / (2 * sigma_max(default_stats))
+        monkeypatch.setattr(pls, "_SOP_BLOCK", block)
+        for width, seed, gamma_t in ((0.01, 1, margin), (0.05, 4, 0.99 * margin)):
+            args = (default_stats, gamma_t, ResistorTolerance(width), trials, default_params, seed)
+            got = sop(*args)
+            assert 0.0 < got < 1.0
+            assert got == self.single_pass_sop(*args), (width, seed)
+
+    def test_either_middle_pair_can_decide(self):
+        # near beta = 1 the jitter makes either m2 or m3 the nearer mean and
+        # either sigma2 or sigma3 the larger, so both columns of each slice decide trials
+        params = SystemParams(alpha=1.5, beta=1.05, gamma=10.0)
+        stats = derive_stats(params)
+        tol = ResistorTolerance(0.05)
+        banks = tol.draw(params, substream(3, (0xE0,)), 3_000)
+        means, variances = chip_moments(params, 0, 1, np.array([0, 0, 1]), np.array([0, 1, 0]), banks)
+        nearer_m2 = np.abs(means[:, 0] - means[:, 1]) < np.abs(means[:, 0] - means[:, 2])
+        wider_m3 = variances[:, 2] > variances[:, 1]
+        assert 0.1 < nearer_m2.mean() < 0.9 and 0.1 < wider_m3.mean() < 0.9
+        margin = delta_m(stats) / (2 * sigma_max(stats))
+        for gamma_t in (0.98 * margin, margin, 1.02 * margin):
+            args = (stats, gamma_t, tol, 3_000, params, 3)
+            got = sop(*args)
+            assert 0.0 < got < 1.0
+            assert got == self.single_pass_sop(*args), gamma_t
 
     def test_peak_memory_does_not_grow_with_trials(self, default_params, default_stats):
         margin = delta_m(default_stats) / (2 * sigma_max(default_stats))
