@@ -9,8 +9,9 @@ Each case times one layer on fixed inputs: the draw (``_rh_chunk_arrays``)
 and the tally (``_tally_chunk``) of one 1024-bit chunk of 10 chips at
 n = 3 and 10, with ``optimum`` alone and with all three detectors; one
 classical chunk (``_classical_chunk``); ``pls.sop`` at 30,000 trials,
-and the divider of one of its blocks (``chip_moments`` over
-``pls._SOP_BLOCK`` jittered banks).
+and the bank draw and the divider of one of its blocks
+(``ResistorTolerance.draw`` of ``pls._SOP_BLOCK`` banks, and
+``chip_moments`` over them).
 The chunk is built from its session's plan as a session builds it, so the
 plan's one-time work stays out of the timing.
 """
@@ -75,6 +76,14 @@ def test_sop(benchmark):
     gamma_t = delta_m(stats) / (2.0 * sigma_max(stats))
     outage = benchmark(sop, stats, gamma_t, ResistorTolerance(0.01), 30_000, params, 1)
     assert 0.0 < outage < 1.0
+
+
+def test_sop_bank_draw(benchmark):
+    # the jittered banks of one outage block, drawn from the outage's stream
+    params = apply_scenario(SystemParams(), "good")
+    rng = substream(1, (0xE0,))
+    banks = benchmark(ResistorTolerance(0.01).draw, params, rng, pls._SOP_BLOCK)
+    assert banks.shape == (pls._SOP_BLOCK, 2, 2)
 
 
 def test_sop_block_divider(benchmark):

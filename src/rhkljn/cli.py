@@ -49,7 +49,7 @@ from .params import (
     check_separability,
     derive_stats,
 )
-from .pls import DEFAULT_TRIALS, ResistorTolerance, build_report
+from .pls import DEFAULT_TRIALS, ResistorTolerance, build_report, check_outage_args
 from .protocol import DETECTOR_CHOICES, fan_out, merge_tallies, run_session
 from .sweep import (
     SWEEP_PARAMETERS,
@@ -322,6 +322,10 @@ def _cmd_pls(args) -> int:
     # without a jitter model the outage is exact and no trial is drawn
     if args.trials is not None and not args.tolerance:
         raise ConfigError("--trials needs a nonzero --tolerance: without one the outage runs no trials")
+    # the outage's arguments fail here, not after the session of --measure
+    trials = DEFAULT_TRIALS if args.trials is None else args.trials
+    check_outage_args(args.gamma_t, trials)
+    perturbation = ResistorTolerance(args.tolerance) if args.tolerance else None
     # the report reads the optimum detector only; only the session of
     # --measure reads bits and jobs, and the seed feeds only the session and
     # the outage trials
@@ -345,14 +349,13 @@ def _cmd_pls(args) -> int:
         measured_xi = tally.discard_fraction
         measured_eve = tally.eve_correct_fraction
 
-    perturbation = ResistorTolerance(args.tolerance) if args.tolerance else None
     report = build_report(
         params,
         stats,
         gamma_t=args.gamma_t,
         xi=measured_xi,
         perturbation=perturbation,
-        trials=DEFAULT_TRIALS if args.trials is None else args.trials,
+        trials=trials,
         seed=harness["seed"],
     )
     with _output(args.out) as out:

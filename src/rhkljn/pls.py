@@ -130,14 +130,28 @@ class ResistorTolerance:
     def draw(self, params: SystemParams, rng: np.random.Generator, trials: int) -> np.ndarray:
         """Jittered resistor banks indexed ``[trial, main, sub]``: shape (trials, 2, 2).
 
+        Each resistor is scaled by 1 + w·u with u uniform on [-1, 1).  The
+        draw is ``rng.uniform(-1.0, 1.0, (trials, 2, 2))`` computed in
+        place on ``rng.random``'s doubles d: numpy's ``uniform`` returns
+        low + (high − low)·d = −1 + 2·d from the same doubles, and 2·d is
+        exact, so the banks are bit for bit those of
+        ``params.resistors * (1.0 + w * rng.uniform(-1.0, 1.0, (trials, 2, 2)))``
+        and the stream advances by the same words.
         The stream is consumed bank by bank, so the first k banks are the
         same whatever ``trials`` is, and consecutive draws on one generator
         give the banks of one draw of their total: :func:`sop` relies on
         this to draw its trials in blocks.
         """
-        return params.resistors * (
-            1.0 + self.relative_width * rng.uniform(-1.0, 1.0, (trials, 2, 2))
-        )
+        banks = rng.random((trials, 2, 2))
+        banks *= 2.0
+        banks -= 1.0
+        banks *= self.relative_width
+        banks += 1.0
+        # one strided multiply per resistor: a broadcast (2, 2) operand is
+        # slower, as numpy copies it through its 64 KiB ufunc buffer
+        for column, nominal in zip(banks.reshape(trials, 4).T, params.resistors.flat):
+            column *= nominal
+        return banks
 
 
 DEFAULT_TRIALS = 10_000
@@ -146,15 +160,25 @@ DEFAULT_TRIALS = 10_000
 _SOP_BLOCK = 2048
 """Trials per block of the outage Monte Carlo.
 
-A block's largest temporaries are its banks and their draw, (block, 2, 2)
-float64 arrays of 64 KiB; the (block, 3) moments take 48 KiB and the
-(block, 2) slices 32 KiB.  Each stays below glibc's 128 KiB mmap
-threshold, so the blocks reuse heap memory: only a process's first call
-faults pages in, and later calls take no minor faults.  A call's traced
-peak is 483 KiB whatever ``trials`` is.  Each block pays numpy's fixed
-cost per array operation once, so the block is as large as a 512 KiB
-peak allows (blocks of 2,176 peak at 513 KiB).
+A block's largest array is its banks, one (block, 2, 2) float64 array
+of 64 KiB that the draw scales in place; each (block, 3) moment array
+takes 48 KiB and each (block,) margin column 16 KiB.  Each stays below
+glibc's 128 KiB mmap threshold, so the blocks reuse heap memory: only a
+process's first call faults pages in, and later calls take no minor
+faults.  A call's traced peak is 483 KiB whatever ``trials`` is: it falls
+in the divider of a block after the first, while the previous block's
+moments, gap and spread (128 KiB) are still bound.  Each block pays
+numpy's fixed cost per array operation once, so the block is as large as
+a 512 KiB peak allows (blocks of 2,176 peak at 513 KiB).
 """
+
+
+def check_outage_args(gamma_t: float, trials: int) -> None:
+    """Fail unless ``gamma_t`` > 0 (NaN fails) and ``trials`` >= 1, as :func:`sop` requires."""
+    if not gamma_t > 0:
+        raise ValueError(f"gamma_t must be > 0, got {gamma_t}")
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
 
 
 def sop(
@@ -175,10 +199,7 @@ def sop(
     so memory stays flat in ``trials`` and the count does not depend on
     the block size.
     """
-    if not gamma_t > 0:
-        raise ValueError(f"gamma_t must be > 0, got {gamma_t}")
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
+    check_outage_args(gamma_t, trials)
     if perturbation is None:
         margin = delta_m(stats) / (2.0 * sigma_max(stats))
         return 1.0 if margin < gamma_t else 0.0
@@ -191,10 +212,14 @@ def sop(
     for start in range(0, trials, _SOP_BLOCK):
         banks = perturbation.draw(params, rng, min(_SOP_BLOCK, trials - start))
         means, variances = chip_moments(params, 0, 1, s_a, s_b, banks)
-        # m1 against m2 and m3, and the larger spread of m2 and m3, each from one slice
-        gap = np.abs(means[:, 1:] - means[:, :1]).min(axis=1)
-        spread = np.sqrt(variances[:, 1:].max(axis=1))
-        outages += int(np.count_nonzero(gap / (2.0 * spread) < gamma_t))
+        # m1 against m2 and m3, and the larger spread of m2 and m3, column by column
+        gap = np.abs(means[:, 1] - means[:, 0])
+        np.minimum(gap, np.abs(means[:, 2] - means[:, 0]), out=gap)
+        spread = np.maximum(variances[:, 1], variances[:, 2])
+        np.sqrt(spread, out=spread)
+        spread *= 2.0
+        gap /= spread
+        outages += int(np.count_nonzero(gap < gamma_t))
     return outages / trials
 
 

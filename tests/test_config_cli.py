@@ -1209,6 +1209,29 @@ class TestCli:
         assert main(["pls", "--measure", "--trials", "5000"] + tolerance) == 1
         assert "error: --trials needs a nonzero --tolerance" in capsys.readouterr().err
 
+    # the outage's own arguments fail before the session of --measure, not
+    # after it has run
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--tolerance", "1.5"], "relative_width must be in [0, 1), got 1.5"),
+            (["--tolerance", "-0.01"], "relative_width must be in [0, 1), got -0.01"),
+            (["--tolerance", "nan"], "relative_width must be in [0, 1), got nan"),
+            (["--gamma-t", "0"], "gamma_t must be > 0, got 0.0"),
+            (["--gamma-t", "-1"], "gamma_t must be > 0, got -1.0"),
+            (["--gamma-t", "nan"], "gamma_t must be > 0, got nan"),
+            (["--tolerance", "0.01", "--trials", "0"], "trials must be >= 1, got 0"),
+            (["--tolerance", "0.01", "--trials", "-3"], "trials must be >= 1, got -3"),
+        ],
+    )
+    def test_pls_outage_arguments_fail_before_the_session(self, capsys, monkeypatch, flags, message):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a session ran")
+
+        monkeypatch.setattr(cli, "run_session", refuse)
+        assert main(["pls", "--measure", *flags]) == 1
+        assert f"error: {message}" in capsys.readouterr().err
+
     # only the session of --measure reads --bits and --jobs, and only it and
     # the outage trials read --seed, so without them they fail rather than
     # being ignored (test_pls_report_with_measure runs --measure --bits 2000

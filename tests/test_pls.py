@@ -113,35 +113,51 @@ class TestOutage:
         assert results == sorted(results)
         assert 0.0 < results[-1] < 1.0
 
-    def test_vectorised_outage_equals_per_trial_loop(self, default_params, default_stats):
+    def test_vectorised_outage_equals_per_trial_loop(self, default_params):
         # reference: one four-resistor draw and one scalar margin per trial,
-        # with the three middle divider pairs written out
-        p = default_params
-        a_v = p.noise_var_per_ohm
-        margin = delta_m(default_stats) / (2 * sigma_max(default_stats))
-        nominal = np.array([p.r_l0, p.r_l1, p.r_h0, p.r_h1])
+        # with the three middle divider pairs written out.  Near beta = 1 the
+        # jitter makes m3 the nearer mean and sigma2 the larger spread in
+        # some trials, so the column of either pair decides there
+        fine_tuned = apply_scenario(default_params, "fine_tuned")
+        near_one = SystemParams(alpha=1.5, beta=1.05, gamma=10.0)
+        cases = (
+            (default_params, 0.01, 1, 1.0),
+            (default_params, 0.05, 7, 0.99),
+            (default_params, 0.002, 3, 1.001),
+            (fine_tuned, 0.01, 2, 1.0),
+            (fine_tuned, 0.05, 5, 0.99),
+            (near_one, 0.05, 3, 1.0),
+            (near_one, 0.05, 4, 0.98),
+        )
+        for p, width, seed, scale in cases:
+            a_v = p.noise_var_per_ohm
+            stats = derive_stats(p)
+            gamma_t = scale * delta_m(stats) / (2 * sigma_max(stats))
+            nominal = np.array([p.r_l0, p.r_l1, p.r_h0, p.r_h1])
 
-        def low_high(r_low, r_high):
-            # low-branch source weighted by the high resistor and vice versa
-            w_low, w_high = r_high / (r_low + r_high), r_low / (r_low + r_high)
-            mean = w_low * p.m_l + w_high * p.m_h
-            var = w_low * w_low * (a_v * r_low) + w_high * w_high * (a_v * r_high)
-            return mean, math.sqrt(var)
+            def low_high(r_low, r_high):
+                # low-branch source weighted by the high resistor and vice versa
+                w_low, w_high = r_high / (r_low + r_high), r_low / (r_low + r_high)
+                mean = w_low * p.m_l + w_high * p.m_h
+                var = w_low * w_low * (a_v * r_low) + w_high * w_high * (a_v * r_high)
+                return mean, math.sqrt(var)
 
-        cases = ((0.01, 1, margin), (0.05, 7, margin * 0.99), (0.002, 3, margin * 1.001))
-        for width, seed, gamma_t in cases:
             rng = substream(seed, (0xE0,))
-            outages = 0
+            outages = m3_nearer = s2_wider = 0
             for _ in range(2_000):
                 r_l0, r_l1, r_h0, r_h1 = (nominal * (1.0 + width * rng.uniform(-1.0, 1.0, 4))).tolist()
                 m1, _ = low_high(r_l0, r_h0)
                 m2, s2 = low_high(r_l0, r_h1)
                 m3, s3 = low_high(r_l1, r_h0)
+                m3_nearer += abs(m1 - m3) < abs(m1 - m2)
+                s2_wider += s2 > s3
                 if min(abs(m1 - m2), abs(m1 - m3)) / (2.0 * max(s2, s3)) < gamma_t:
                     outages += 1
             assert 0 < outages < 2_000
-            got = sop(default_stats, gamma_t, ResistorTolerance(width), 2_000, p, seed)
-            assert got == outages / 2_000
+            if p is near_one:
+                assert 0 < m3_nearer < 2_000 and 0 < s2_wider < 2_000
+            got = sop(stats, gamma_t, ResistorTolerance(width), 2_000, p, seed)
+            assert got == outages / 2_000, (p, width, seed)
 
     @staticmethod
     def single_pass_sop(stats, gamma_t, perturbation, trials, params, seed):
@@ -278,6 +294,20 @@ class TestResistorBanks:
             second = tol.draw(default_params, rng, total)
             again = tol.draw(default_params, np.random.default_rng(seed), k + total)
             assert np.array_equal(np.concatenate([first, second]), again)
+
+    # the draw scales rng.random's doubles in place: its banks are bit for bit
+    # those of numpy's uniform(-1, 1) expression, and it leaves the stream
+    # where that expression leaves it
+    @pytest.mark.parametrize("width", [0.0, 0.01, 0.3, 0.999])
+    def test_draw_equals_the_uniform_expression(self, default_params, width):
+        tol = ResistorTolerance(width)
+        for trials in (1, 7, 2048, 5000):
+            for seed in (0, 1, 2):
+                ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+                got = tol.draw(default_params, ours, trials)
+                expected = default_params.resistors * (1.0 + width * theirs.uniform(-1.0, 1.0, (trials, 2, 2)))
+                assert got.tobytes() == expected.tobytes(), (trials, seed)
+                assert ours.random(3).tobytes() == theirs.random(3).tobytes(), (trials, seed)
 
     def test_batch_of_banks_equals_per_bank_calls(self, default_params):
         p = default_params
