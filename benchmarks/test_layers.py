@@ -11,7 +11,9 @@ n = 3 and 10, with ``optimum`` alone and with all three detectors; one
 classical chunk (``_classical_chunk``); ``pls.sop`` at 30,000 trials,
 and the bank draw and the divider of one of its blocks
 (``ResistorTolerance.draw`` of ``pls._SOP_BLOCK`` banks, and
-``chip_moments`` over them).
+``chip_moments`` over them); and the front end of ``cli.main`` on each
+benchmark workload's command line (``build_parser`` of its command and
+the parse).
 The chunk is built from its session's plan as a session builds it, so the
 plan's one-time work stays out of the timing.
 """
@@ -25,9 +27,11 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+import argparse  # noqa: E402
+
 import numpy as np  # noqa: E402
 
-from rhkljn import pls, protocol  # noqa: E402
+from rhkljn import cli, pls, protocol  # noqa: E402
 from rhkljn.config import apply_scenario  # noqa: E402
 from rhkljn.params import SystemParams, chip_moments, derive_stats  # noqa: E402
 from rhkljn.pls import ResistorTolerance, delta_m, sigma_max, sop  # noqa: E402
@@ -93,3 +97,36 @@ def test_sop_block_divider(benchmark):
     s_a, s_b = np.array([0, 0, 1]), np.array([0, 1, 0])
     means, variances = benchmark(chip_moments, params, 0, 1, s_a, s_b, banks)
     assert means.shape == variances.shape == (pls._SOP_BLOCK, 3)
+
+
+# the command lines of the benchmark's four workloads at seed 1, as bench/workloads.py builds them
+WORKLOAD_ARGVS = {
+    "fig_n": [
+        "sweep", "--sweep", "n", "--values", "3,5,10,20,40", "--detectors", "ml,simple,optimum",
+        "--scenarios", "good", "--bits", "4000", "--seed", "1",
+    ],
+    "fig_beta_jobs2": [
+        "sweep", "--sweep", "beta", "--values", "3.4,3.55,3.7,3.85,4.0", "--samples-per-chip", "3",
+        "--detectors", "optimum", "--jobs", "2", "--bits", "20000", "--seed", "1",
+    ],
+    "compare": [
+        "compare", "--values", "20000,30000,50000,100000,200000", "--scenarios", "fine_tuned,good",
+        "--detectors", "optimum", "--bits", "4000", "--seed", "1",
+    ],
+    "pls_outage": [
+        "pls", "--measure", "--tolerance", "0.01", "--trials", "30000", "--scenario", "good",
+        "--bits", "2000", "--seed", "1", "--gamma-t", "3.338324892327031",
+    ],
+}
+
+
+@pytest.mark.parametrize("workload", sorted(WORKLOAD_ARGVS))
+def test_cli_front_end(benchmark, workload):
+    # what cli.main does before its handler: build the command's parser and parse the rest
+    argv = WORKLOAD_ARGVS[workload]
+
+    def parse():
+        return cli.build_parser(argv[0]).parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+
+    args, extra = benchmark(parse)
+    assert (args.command, extra) == (argv[0], [])

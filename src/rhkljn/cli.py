@@ -123,50 +123,53 @@ def _add_grid(p: argparse.ArgumentParser, command: str, values_help: str) -> Non
     )
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The ``rhkljn`` parser; with ``command``, only that subcommand gets flags.
+def _sweep_flags(p: argparse.ArgumentParser) -> None:
+    _add_common(p, session=True)
+    p.add_argument("--sweep", required=True, choices=SWEEP_PARAMETERS, help="swept parameter")
+    _add_grid(p, "sweep", "comma list of grid values")
+    p.add_argument("--trace", help="per-chip trace log file (serial execution)")
 
-    A run parses its argv once, and add_argument is the costly part of a
-    build, so ``main`` gives flags to the invoked command alone.  All four
-    subcommands stay registered, so the top-level help and an invalid
-    choice read as with ``command=None``, which builds every flag.
+
+def _compare_flags(p: argparse.ArgumentParser) -> None:
+    _add_common(p, session=True)
+    _add_grid(p, "compare", "comma list of sampling rates (samples/s)")
+    p.set_defaults(sweep="rate")
+
+
+def _pls_flags(p: argparse.ArgumentParser) -> None:
+    _add_common(p, session=True)
+    p.add_argument("--gamma-t", type=float, default=1.0, help="outage margin target")
+    p.add_argument("--tolerance", type=float, default=None, help="relative resistor tolerance for the outage Monte Carlo")
+    p.add_argument("--trials", type=int, default=None, help="outage Monte Carlo draws")
+    p.add_argument("--measure", action="store_true", help="run a session for measured xi and Eve accuracy")
+    p.add_argument("--csv", help="also write the report as a CSV row to this file")
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The ``rhkljn`` parser of all four commands; with ``command``, that command's alone.
+
+    A command's parser is the full parser's subparser for it (same prog,
+    formatter and flags), so on the arguments after the command it gives
+    the same namespace, usage errors and help.  add_argument is the costly
+    part of a build, so ``main`` builds the full parser only for the
+    top-level help and for the usage errors a command's parser cannot tell.
     """
     # Python 3.11's add_argument builds a formatter per call, and each
     # formatter without a width queries the terminal: query it once
     width = shutil.get_terminal_size().columns - 2
+    formatter = functools.partial(argparse.HelpFormatter, width=width)
+    if command is not None:
+        parser = _Parser(prog=f"rhkljn {command}", formatter_class=formatter)
+        _COMMANDS[command][1](parser)
+        return parser
     parser = _Parser(
         prog="rhkljn",
         description=__doc__,
         formatter_class=functools.partial(argparse.RawDescriptionHelpFormatter, width=width),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    formatter = functools.partial(argparse.HelpFormatter, width=width)
-    p_stats = sub.add_parser("stats", help="derived statistics and separability margin", formatter_class=formatter)
-    p_sweep = sub.add_parser("sweep", help="BEP sweep over one parameter", formatter_class=formatter)
-    p_cmp = sub.add_parser("compare", help="classical vs hopping at matched sampling rates", formatter_class=formatter)
-    p_pls = sub.add_parser("pls", help="physical-layer-security report", formatter_class=formatter)
-
-    if command in (None, "stats"):
-        _add_common(p_stats, session=False)
-
-    if command in (None, "sweep"):
-        _add_common(p_sweep, session=True)
-        p_sweep.add_argument("--sweep", required=True, choices=SWEEP_PARAMETERS, help="swept parameter")
-        _add_grid(p_sweep, "sweep", "comma list of grid values")
-        p_sweep.add_argument("--trace", help="per-chip trace log file (serial execution)")
-
-    if command in (None, "compare"):
-        _add_common(p_cmp, session=True)
-        _add_grid(p_cmp, "compare", "comma list of sampling rates (samples/s)")
-        p_cmp.set_defaults(sweep="rate")
-
-    if command in (None, "pls"):
-        _add_common(p_pls, session=True)
-        p_pls.add_argument("--gamma-t", type=float, default=1.0, help="outage margin target")
-        p_pls.add_argument("--tolerance", type=float, default=None, help="relative resistor tolerance for the outage Monte Carlo")
-        p_pls.add_argument("--trials", type=int, default=None, help="outage Monte Carlo draws")
-        p_pls.add_argument("--measure", action="store_true", help="run a session for measured xi and Eve accuracy")
-        p_pls.add_argument("--csv", help="also write the report as a CSV row to this file")
+    for name, (summary, add_flags, _) in _COMMANDS.items():
+        add_flags(sub.add_parser(name, help=summary, formatter_class=formatter))
     return parser
 
 
@@ -370,11 +373,12 @@ def _cmd_pls(args) -> int:
     return EXIT_OK
 
 
+# each command: its line in the top-level help, the function that adds its flags, its handler
 _COMMANDS = {
-    "stats": _cmd_stats,
-    "sweep": _cmd_grid,
-    "compare": _cmd_grid,
-    "pls": _cmd_pls,
+    "stats": ("derived statistics and separability margin", functools.partial(_add_common, session=False), _cmd_stats),
+    "sweep": ("BEP sweep over one parameter", _sweep_flags, _cmd_grid),
+    "compare": ("classical vs hopping at matched sampling rates", _compare_flags, _cmd_grid),
+    "pls": ("physical-layer-security report", _pls_flags, _cmd_pls),
 }
 
 
@@ -382,10 +386,15 @@ def main(argv=None) -> int:
     logging.basicConfig(level=logging.WARNING, format="%(levelname)s %(message)s")
     if argv is None:
         argv = sys.argv[1:]
-    args = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None).parse_args(argv)
+    extra = True
+    if argv and argv[0] in _COMMANDS:
+        args, extra = build_parser(argv[0]).parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+    if extra:
+        # the top-level help, or a usage error: the full parser prints it
+        args = build_parser().parse_args(argv)
     try:
         _check_outputs(args)
-        return _COMMANDS[args.command](args)
+        return _COMMANDS[args.command][2](args)
     except (ConfigError, InvalidParamsError, NonSeparableError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -669,6 +669,21 @@ PARSER_EXITS = {
     "help": ["--help"],
     "stats-help": ["stats", "--help"],
     "pls-help": ["pls", "-h"],
+    # where a command's own parser could part from the full parser's subparser:
+    # a flag before the command, a leftover that a later valid flag follows,
+    # abbreviated and ambiguous flags, a command name as a leftover, a flag
+    # without its value, help before or after an unknown flag, "--", and
+    # the help of every command
+    "flag-before-command": ["--wat", "stats", "--alpha", "7"],
+    "leftover-then-valid-flag": ["stats", "--bits", "3", "--alpha", "7"],
+    "abbreviated-and-ambiguous": ["sweep", "--sw", "n", "--val", "3", "--s", "4"],
+    "command-as-leftover": ["sweep", "--sweep", "n", "--values", "3", "pls"],
+    "flag-without-value": ["pls", "--gamma-t"],
+    "help-then-unknown": ["sweep", "--help", "--wat"],
+    "unknown-then-help": ["sweep", "--wat", "--help"],
+    "double-dash": ["pls", "--", "--measure"],
+    "sweep-help": ["sweep", "-h"],
+    "compare-help": ["compare", "--help"],
 }
 
 
@@ -680,20 +695,42 @@ def _exit_and_output(argv, capsys):
     return code, *capsys.readouterr()
 
 
+def _full_parser_exit(argv, capsys):
+    """The exit code and output of the full parser on ``argv``, which must exit."""
+    with pytest.raises(SystemExit) as exc:
+        cli.build_parser().parse_args(list(argv))
+    return exc.value.code, *capsys.readouterr()
+
+
+def _flags(parser):
+    """Each action of ``parser`` as its flags, destination, parsing and help."""
+    return [
+        (a.option_strings, a.dest, a.type, a.default, a.required, a.choices, a.nargs, a.const, a.help)
+        for a in parser._actions
+    ]
+
+
 class TestCommandParser:
-    """main builds the flags of the invoked command only; nothing it parses may tell."""
+    """main builds the parser of the invoked command only; nothing it parses may tell."""
 
     @pytest.mark.parametrize("argv", list(PARSE_TABLE.values()), ids=list(PARSE_TABLE))
-    def test_command_parser_parses_as_the_full_parser(self, argv):
-        assert cli.build_parser(argv[0]).parse_args(argv) == cli.build_parser().parse_args(argv)
+    def test_command_parser_parses_as_the_full_parser(self, argv, monkeypatch):
+        parsed = []
+
+        def reached(args):
+            parsed.append(args)
+            raise _Reached
+
+        monkeypatch.setattr(cli, "_check_outputs", reached)
+        with pytest.raises(_Reached):
+            main(list(argv))
+        assert parsed == [cli.build_parser().parse_args(argv)]
 
     @pytest.mark.parametrize("argv", list(PARSER_EXITS.values()), ids=list(PARSER_EXITS))
     def test_parser_exits_match_the_full_parser(self, argv, capsys, monkeypatch):
         monkeypatch.setenv("COLUMNS", "80")
         got = _exit_and_output(argv, capsys)
-        full = cli.build_parser
-        monkeypatch.setattr(cli, "build_parser", lambda command=None: full())
-        assert got == _exit_and_output(argv, capsys)
+        assert got == _full_parser_exit(argv, capsys)
         help_asked = "--help" in argv or "-h" in argv
         assert got[0] == (cli.EXIT_OK if help_asked else cli.EXIT_USAGE)
         assert got[1 if help_asked else 2]
@@ -710,6 +747,17 @@ class TestCommandParser:
                 main(argv)
         assert built == ["stats", "stats", None, None, None]
 
+    # a valid command needs its own parser alone, not the top-level one and all four subparsers
+    @pytest.mark.parametrize("command", list(cli._COMMANDS))
+    def test_a_valid_command_builds_one_parser(self, command, monkeypatch, capsys, engine_reads):
+        progs = []
+        real = argparse.ArgumentParser.__init__
+        monkeypatch.setattr(
+            argparse.ArgumentParser, "__init__", lambda self, *a, **kw: progs.append(kw.get("prog")) or real(self, *a, **kw)
+        )
+        assert _recorded_run(GUARD_RUNS[command][0], capsys) == (EXIT_OK, "")
+        assert progs == [f"rhkljn {command}"]
+
     @pytest.mark.parametrize("command", [None, "stats", "sweep", "compare", "pls"])
     def test_only_the_command_gets_flags(self, command, monkeypatch):
         queries = []
@@ -717,11 +765,15 @@ class TestCommandParser:
         monkeypatch.setattr(shutil, "get_terminal_size", lambda *a: queries.append(a) or real(*a))
         parser = cli.build_parser(command)
         assert len(queries) == 1
-        (subparsers,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        (subparsers,) = (a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
         assert list(subparsers.choices) == ["stats", "sweep", "compare", "pls"]
         for name, sub in subparsers.choices.items():
-            flags = [s for action in sub._actions for s in action.option_strings]
-            assert (flags == ["-h", "--help"]) == (command not in (None, name)), name
+            assert [s for action in sub._actions for s in action.option_strings] != ["-h", "--help"], name
+        if command is not None:
+            # the command's parser is the full parser's subparser for it, and nothing more
+            sub = subparsers.choices[command]
+            assert (parser.prog, _flags(parser), parser._defaults) == (sub.prog, _flags(sub), sub._defaults)
+            assert parser.format_help() == sub.format_help()
 
 
 class _Reached(BaseException):
@@ -837,12 +889,13 @@ class TestSettings:
         cfg.write_text("".join(f"{f.name}={f.default}\n" for f in fields(SystemParams)))
         values = parse_config(cfg)
         assert [(k, type(v)) for k, v in values.items()] == [(f.name, type(f.default)) for f in fields(SystemParams)]
+        (subparsers,) = (a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
         for command in cli._COMMANDS:
-            (subparsers,) = (a for a in cli.build_parser(command)._actions if isinstance(a, argparse._SubParsersAction))
-            flags = {a.option_strings[0]: a for a in subparsers.choices[command]._actions}
-            for f in fields(SystemParams):
-                action = flags["--" + f.name.replace("_", "-")]
-                assert (action.dest, action.type) == (f.name, type(f.default)), (command, f.name)
+            for parser in (cli.build_parser(command), subparsers.choices[command]):
+                flags = {a.option_strings[0]: a for a in parser._actions}
+                for f in fields(SystemParams):
+                    action = flags["--" + f.name.replace("_", "-")]
+                    assert (action.dest, action.type) == (f.name, type(f.default)), (command, parser.prog, f.name)
 
     # the report the command prints is the one --strict checks
     @pytest.mark.parametrize("command", ["stats", "pls"])

@@ -226,15 +226,18 @@ class TestOutage:
         tol = ResistorTolerance(0.01)
         sop(default_stats, margin, tol, 30_000, default_params, 1)  # warm up any cache first
         peaks = []
-        for trials in (30_000, 100_000):
+        for trials in (pls._SOP_BLOCK, 30_000, 100_000):
             tracemalloc.start()
             try:
                 sop(default_stats, margin, tol, trials, default_params, 1)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
-        assert peaks[0] < 512 * 1024
-        assert peaks[1] == peaks[0]
+        one_block, *longer = peaks
+        assert longer[0] < 512 * 1024
+        assert longer[1] == longer[0]
+        # a block's arrays are freed before the next block's: a longer call peaks as one block
+        assert all(abs(peak - one_block) <= 1024 for peak in longer), peaks
 
     def test_perturbation_requires_params(self, default_stats):
         with pytest.raises(ValueError):
