@@ -5,7 +5,8 @@
 import numpy as np
 
 from rhkljn import SystemParams
-from rhkljn.detectors import ml_detect_batch, pe1, pe2, threshold_detect
+from rhkljn.detectors import ml_detect_batch, threshold_detect
+from rhkljn.exact import pe1, pe2
 from rhkljn.params import derive_stats
 
 params = SystemParams(m_l=2.5e-5)  # small bias: the Gaussians overlap visibly

@@ -17,9 +17,10 @@ print("gate thresholds    :", stats.th1, stats.th2)
 print("simple thresholds  :", stats.th3, stats.th4)
 print("optimum thresholds :", stats.th3_opt, stats.th4_opt)
 
-# the separability coefficients bound the bias from below; the reference
-# bias sits at about half the bound and still detects almost perfectly,
-# which is why the margin is reported rather than enforced
+# the separability coefficients bound the bias from below, by 3-sigma rules
+# on per-sample spreads; the reference bias sits at about half that bound,
+# but the detectors read the mean of 20 samples, on which its margin is
+# sqrt(20) times larger, and that margin is the verdict
 print("\nk coefficients:", stats.k1, stats.k2, stats.k3, stats.k4)
 print(check_separability(params, stats))
 

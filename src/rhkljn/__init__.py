@@ -11,7 +11,8 @@ The library is organized around the protocol pipeline:
 
 The package exports only the names the README documents; import anything
 else from its submodule.  :mod:`rhkljn.channel`, the raw-sample oracle for
-one chip, runs in no command, so the package does not import it.
+one chip, and :mod:`rhkljn.exact`, the closed-form oracle of the session
+rows, run in no command, so the package imports neither.
 """
 
 from .params import SystemParams, chip_moments, state_moments

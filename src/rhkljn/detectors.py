@@ -16,7 +16,8 @@ assigns the label g of the middle Gaussian that produced it:
                    (m1+m3)/2;
 * optimum       -- ``threshold_detect`` with the minimum-error thresholds
                    obtained from the weighted two-Gaussian decision problem
-                   (quadratic in the threshold).
+                   (quadratic in the threshold); the weighted errors they
+                   minimise are oracles in :mod:`rhkljn.exact`.
 
 The session tally reads keep masks, not labels: ``threshold_keep`` is the
 mask of ``threshold_detect`` labels other than 1 and ``ml_keep`` that of
@@ -212,37 +213,6 @@ def ml_detect_batch(values: np.ndarray, hyps: Sequence[GaussianHypothesis]) -> n
     return detect_moments(*_moments(values), hyps)
 
 
-def _z(th: float, mean: float, std: float) -> float:
-    if std > 0.0:
-        return (th - mean) / std
-    if th == mean:
-        return 0.0
-    return math.inf if th > mean else -math.inf
-
-
-def pe1(th: float, hyps: Sequence[GaussianHypothesis]) -> float:
-    """Weighted error between the left (m2) and center (m1) Gaussians at ``th``.
-
-    pe1 = 1/4 * Q((th-m2)/sigma2) + 1/2 * P(m_hat < th | center), with the
-    second term evaluated as Q((m1-th)/sigma1) to avoid cancellation in the
-    far tails.
-    """
-    by_label = {h.label: h for h in hyps}
-    h1, h2 = by_label[1], by_label[2]
-    return 0.25 * q_function(_z(th, h2.mean, h2.std)) + 0.5 * q_function(
-        _z(h1.mean, th, h1.std)
-    )
-
-
-def pe2(th: float, hyps: Sequence[GaussianHypothesis]) -> float:
-    """Weighted error between the center (m1) and right (m3) Gaussians at ``th``."""
-    by_label = {h.label: h for h in hyps}
-    h1, h3 = by_label[1], by_label[3]
-    return 0.25 * q_function(_z(h3.mean, th, h3.std)) + 0.5 * q_function(
-        _z(th, h1.mean, h1.std)
-    )
-
-
 def _log_balance(
     y: float,
     m_heavy: float,
@@ -258,25 +228,6 @@ def _log_balance(
         - (y - m_light) ** 2 / (2.0 * s_light**2)
         - math.log(w_heavy * s_light / (w_light * s_heavy))
     )
-
-
-def stationarity_residual(
-    y: float,
-    m_heavy: float,
-    s_heavy: float,
-    w_heavy: float,
-    m_light: float,
-    s_light: float,
-    w_light: float,
-) -> float:
-    """Relative mismatch of the two weighted densities at ``y``.
-
-    Equals |lhs - rhs| / rhs for the balance
-    (w_light/s_light)*phi((y-m_light)/s_light) =
-    (w_heavy/s_heavy)*phi((y-m_heavy)/s_heavy), evaluated in log space so it
-    stays meaningful when both densities underflow.
-    """
-    return abs(math.expm1(-_log_balance(y, m_heavy, s_heavy, w_heavy, m_light, s_light, w_light)))
 
 
 def min_error_threshold(

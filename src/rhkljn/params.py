@@ -436,10 +436,18 @@ SEPARABILITY_FACTOR = 1.0
 
 @dataclass(frozen=True)
 class SeparabilityReport:
-    """Margin of the bias against the separability lower bound."""
+    """Margin of the bias against the separability lower bound.
+
+    The k's are 3-sigma rules on per-sample spreads, but the detectors
+    threshold the sample mean of n samples, whose spread is sigma/sqrt(n):
+    the verdict reads the margin on the sample mean, ratio * sqrt(n).
+    """
 
     ratio: float
-    """m_l / (max(k1..k4) * sqrt(a*r_l0)); 0 when the bound is infinite."""
+    """m_l / (max(k1..k4) * sqrt(a*r_l0)), the paper's per-sample margin; 0 when the bound is infinite."""
+
+    sample_mean_ratio: float
+    """ratio * sqrt(samples_per_chip), the margin on the sample mean; the verdict reads it."""
 
     k_max: float
     sigma_r_l0: float
@@ -448,8 +456,8 @@ class SeparabilityReport:
     def __str__(self) -> str:
         verdict = "separable" if self.separable else "NOT separable"
         return (
-            f"margin ratio {self.ratio:.4g} (k_max={self.k_max:.4g}, "
-            f"sigma_r_l0={self.sigma_r_l0:.4g} V, factor={SEPARABILITY_FACTOR:g}): {verdict}"
+            f"margin ratio {self.ratio:.4g} (k_max={self.k_max:.4g}, sigma_r_l0={self.sigma_r_l0:.4g} V), "
+            f"sample-mean ratio {self.sample_mean_ratio:.4g} (factor={SEPARABILITY_FACTOR:g}): {verdict}"
         )
 
 
@@ -457,7 +465,8 @@ def check_separability(params: SystemParams, stats: DerivedStats) -> Separabilit
     """Report the bias margin m_l / (k_max * sigma_r_l0) and a pass/fail.
 
     The scheme's condition is a ">>" on the bias; the tool reports the ratio
-    and flags separable when it exceeds :data:`SEPARABILITY_FACTOR`.  A
+    and flags separable when the sample-mean ratio, ratio *
+    sqrt(samples_per_chip), exceeds :data:`SEPARABILITY_FACTOR`.  A
     zero-noise configuration has ratio inf when its bias is positive and
     ``k_max`` finite, and 0 otherwise.
     """
@@ -469,8 +478,13 @@ def check_separability(params: SystemParams, stats: DerivedStats) -> Separabilit
     else:
         bound = stats.k_max * sigma_r
         ratio = 0.0 if math.isinf(bound) else params.m_l / bound
+    sample_mean_ratio = ratio * math.sqrt(params.samples_per_chip)
     return SeparabilityReport(
-        ratio=ratio, k_max=stats.k_max, sigma_r_l0=sigma_r, separable=ratio > SEPARABILITY_FACTOR
+        ratio=ratio,
+        sample_mean_ratio=sample_mean_ratio,
+        k_max=stats.k_max,
+        sigma_r_l0=sigma_r,
+        separable=sample_mean_ratio > SEPARABILITY_FACTOR,
     )
 
 

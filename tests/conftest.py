@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -60,3 +62,42 @@ def assert_parties_agree(params, n_bits, seed, detectors):
     for name in detectors:
         assert [getattr(alice[name], c) for c in counts] == [getattr(bob[name], c) for c in counts], name
     return m_hat.size
+
+
+def count_moments(p_by_main, units, bits):
+    """Mean and variance of a count over ``bits`` bits of ``units`` units
+    each, given the per-unit probability under each of the equally likely
+    main-bit pairs.
+
+    Given its main pair, a bit's count is binomial; the spread of the pair
+    means adds the between-main term, which makes a kept-chip count about
+    five times as wide as a binomial one.
+    """
+    p = np.asarray(p_by_main, dtype=float)
+    means = units * p
+    within = float(np.mean(means * (1.0 - p)))
+    return bits * float(np.mean(means)), bits * (within + float(np.var(means)))
+
+
+def assert_pooled(observed, mean, var):
+    """Counts observed at several seeds against their expected mean and
+    variance (scalars, or one per seed); returns the pooled z.
+
+    The pooled z, sum(observed - mean) / sqrt(sum(var)), must be within 4,
+    and the sample variance of the per-seed z's must lie inside the 99.9 %
+    band of chi2(k - 1) / (k - 1), its law for k independent standard
+    normals, so a variance off by a factor fails too.  Unlike a check
+    that every seed's interval holds, which fails 1 - 0.95^k of the time
+    for a correct engine, neither depends on a lucky seed.
+    """
+    from scipy.stats import chi2
+
+    observed = np.asarray(observed, dtype=float)
+    k = observed.size
+    mean, var = np.broadcast_to(mean, (k,)), np.broadcast_to(var, (k,))
+    pooled = float(np.sum(observed - mean) / math.sqrt(np.sum(var)))
+    assert abs(pooled) <= 4.0, (pooled, observed.tolist(), mean.tolist())
+    spread = float(np.var((observed - mean) / np.sqrt(var), ddof=1))
+    lo, hi = chi2.ppf([0.0005, 0.9995], k - 1) / (k - 1)
+    assert lo <= spread <= hi, (spread, (lo, hi), observed.tolist(), mean.tolist())
+    return pooled

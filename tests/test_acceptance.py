@@ -1,6 +1,7 @@
-"""Acceptance suite: one test per exit criterion, at the stated tolerances.
+"""Acceptance suite: one test per exit criterion, at the stated tolerances,
+and exact-value checks beside the Monte Carlo criteria 5-7.
 
-Run `pytest tests/test_acceptance.py -v -s` for one PASS line per criterion.
+Run `pytest tests/test_acceptance.py -v -s` for one PASS line per check.
 The Monte Carlo criteria run at the desk-scale budget of 1e5 main bits.
 """
 
@@ -12,7 +13,9 @@ from scipy.stats import norm, spearmanr
 
 from rhkljn import SystemParams, chip_moments, run_compare, run_session, run_sweep, SweepSpec
 from rhkljn.channel import ChipState, sample_chip
-from rhkljn.detectors import ml_detect_batch, pe1, pe2, stationarity_residual
+from rhkljn.detectors import ml_detect_batch
+from rhkljn.config import apply_scenario
+from rhkljn.exact import classical_row, pe1, pe2, stationarity_residual, threshold_row
 from rhkljn.params import derive_stats, fine_tuned_bias
 from rhkljn.pls import IDEAL_DISCARD, ResistorTolerance, delta_m, empirical_eve_confusion, rho, sigma_max, sop
 from rhkljn.cli import main
@@ -235,6 +238,70 @@ def test_criterion_7_classical_comparison():
     assert cis_overlap(tuned[top], good[top])
     report(7, "hopping scheme at least one decade below the classical baseline at matched "
               "rates; fine-tuned and good agree at the top rate")
+
+
+# Exact values beside criteria 5-7 (rhkljn.exact).  Those criteria read
+# Monte Carlo rows, which at 1e5 bits see no error from n = 10 up, so
+# their monotonicity cannot fail there; these checks can.
+
+
+def exact_row(params, scenario, detector="optimum"):
+    params = apply_scenario(params, scenario)
+    return threshold_row(params, derive_stats(params), detector)
+
+
+def test_criterion_5_exact_bep_falls_with_samples():
+    ns = (1, 2, 3, 5, 10, 20, 40)
+    for scenario in ("good", "moderate"):
+        for detector in ("simple", "optimum"):
+            rows = [exact_row(SystemParams(samples_per_chip=n), scenario, detector) for n in ns]
+            assert not any(row.underflow for row in rows)
+            beps = [row.bep for row in rows]
+            assert all(nxt < prev for prev, nxt in zip(beps, beps[1:])), (scenario, detector, beps)
+    report(5, "exact BEP falls strictly over n = 1, 2, 3, 5, 10, 20, 40 for simple and optimum, "
+              "good and moderate (good, optimum: 9.93e-3 at n=1 to 1.51e-30 at n=40)")
+
+
+def test_criterion_5_exact_optimum_above_simple_at_one_sample():
+    # the optimum thresholds minimise the misclassification of the three
+    # middle Gaussians, not the BEP of the chips the gate and they keep
+    opt, simple = (exact_row(SystemParams(samples_per_chip=1), "good", d).bep for d in ("optimum", "simple"))
+    assert (float(f"{opt:.5g}"), float(f"{simple:.5g}")) == (9.9298e-3, 9.8978e-3)
+    assert opt > simple
+    report(5, f"in exact values optimum's BEP {opt:.5g} exceeds simple's {simple:.5g} at n=1 (good): "
+              "the optimum <= simple clause holds on the Monte Carlo rows only")
+
+
+def test_criterion_6_exact_parameter_trends():
+    grids = {
+        "beta": ((3.4, 3.55, 3.7, 3.85, 4.0), +1),
+        "alpha": ((9.0, 10.5, 12.0, 13.5, 15.0), +1),
+        "gamma": ((40.0, 43.75, 47.5, 51.25, 55.0), -1),
+    }
+    for parameter, (values, sign) in grids.items():
+        for detector in ("simple", "optimum"):
+            beps = [exact_row(SystemParams(samples_per_chip=3, **{parameter: v}), "good", detector).bep for v in values]
+            steps = [sign * (nxt - prev) for prev, nxt in zip(beps, beps[1:])]
+            assert all(step > 0 for step in steps), (parameter, detector, beps)
+    report(6, "exact BEP rises strictly with beta and alpha and falls with gamma at n=3 (simple and optimum)")
+
+
+def test_criterion_7_exact_classical_comparison():
+    base = SystemParams()
+    gated = 0
+    for rate in (2e4, 3e4, 5e4, 1e5, 2e5):
+        n = round(rate * base.chip_duration)
+        classical = classical_row(base.replace(chips_per_bit=1, samples_per_chip=base.chips_per_bit * n)).bep
+        tuned = exact_row(base.replace(samples_per_chip=n), "fine_tuned")
+        good = exact_row(base.replace(samples_per_chip=n), "good")
+        if classical >= 1e-3:
+            gated += 1
+            assert tuned.bep <= 0.1 * classical and good.bep <= 0.1 * classical, (rate, tuned.bep, good.bep, classical)
+        # ten times the separability bound leaks past erfc's range from n = 2
+        assert tuned.bep == 0.0 and tuned.underflow, (rate, tuned)
+    assert gated >= 3
+    report(7, f"exact hopping BEP (fine_tuned and good) at least one decade below the exact classical BEP at the "
+              f"{gated} rates where it is >= 1e-3; fine_tuned's reads 0, flagged as underflow")
 
 
 def test_criterion_8_security_properties(security_session):

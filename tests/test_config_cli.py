@@ -1018,24 +1018,30 @@ class TestCli:
         assert not out.exists()
 
     def test_import_loads_no_scipy_pool_or_channel(self):
-        # scipy serves the tests and the benchmark oracle, the process pool
-        # only --jobs above 1 and rhkljn.channel only tests and demos: a
-        # fresh command imports none of them
+        # scipy serves the tests, the benchmark oracle and the classical
+        # exact row, the process pool only --jobs above 1, and
+        # rhkljn.channel and rhkljn.exact only tests and demos: a fresh
+        # command imports none of them, and the exact module no scipy
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-        unused = ("scipy", "multiprocessing", "concurrent.futures", "rhkljn.channel")
-        code = (
-            "import sys, rhkljn.cli\n"
-            f"print(sorted(m for m in sys.modules if any(m == u or m.startswith(u + '.') for u in {unused!r})))"
-        )
-        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "[]"
+        imports = {
+            "rhkljn.cli": ("scipy", "multiprocessing", "concurrent.futures", "rhkljn.channel", "rhkljn.exact"),
+            "rhkljn.exact": ("scipy",),
+        }
+        for module, unused in imports.items():
+            code = (
+                f"import sys, {module}\n"
+                f"print(sorted(m for m in sys.modules if any(m == u or m.startswith(u + '.') for u in {unused!r})))"
+            )
+            proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+            assert proc.returncode == 0, proc.stderr
+            assert proc.stdout.strip() == "[]", module
 
     # a grid's message names the point that fails, whatever the swept parameter
     def test_strict_non_separable_exits_two(self, capsys):
         runs = [
-            (["stats"], ""),
+            # the default 20 samples per chip are separable at good
+            (["stats", "--samples-per-chip", "3"], ""),
             (["sweep", "--sweep", "gamma", "--values", "20,8", "--alpha", "19", "--beta", "2.7"], "gamma=20 good: "),
             (["sweep", "--sweep", "n", "--values", "3,5"], "n=3 good: "),
             (["compare", "--values", "2e4", "--scenarios", "moderate"], "rate=20000 moderate: "),
@@ -1065,6 +1071,8 @@ class TestCli:
 
     def test_strict_separable_passes(self, capsys):
         assert main(["stats", "--strict", "--scenario", "fine_tuned"]) == 0
+        # good turns separable from 4 samples per chip
+        assert main(["stats", "--strict", "--samples-per-chip", "5"]) == 0
 
     # without --strict a grid flags each non-separable session on stderr,
     # with its point, and the CSV stays as it was
@@ -1572,8 +1580,9 @@ class TestCli:
         "argv, marker",
         [
             (
-                ["sweep", "--sweep", "beta", "--values", "3.4,3.7,4.0", "--scenarios", "fine_tuned,good"],
-                "\nrh,beta,4,good,optimum,",
+                # at 20 samples per chip only beta 9, good, is non-separable
+                ["sweep", "--sweep", "beta", "--values", "3.4,3.7,9", "--scenarios", "fine_tuned,good"],
+                "\nrh,beta,9,good,optimum,",
             ),
             (
                 ["compare", "--values", "2e4,5e4", "--scenarios", "fine_tuned,good"],

@@ -18,12 +18,10 @@ from rhkljn.detectors import (
     ml_detect_batch,
     ml_keep,
     moment_costs,
-    pe1,
-    pe2,
     q_function,
-    stationarity_residual,
     threshold_detect,
 )
+from rhkljn.exact import pe1, pe2, stationarity_residual
 from rhkljn.params import derive_stats, fine_tuned_bias
 from rhkljn.protocol import _ChunkSpec, _rh_chunk_arrays
 from conftest import random_valid_params

@@ -56,8 +56,8 @@ STDOUT_SHA256 = {
     "pls_outage": "f9831ac7ddd64cafadfd98e20286bd46dea6aeb60c67d5bd65c0f8c9f9f9b3b9",
     "readme_fig_n": "5852ee8cf53dc84d049c521d728d75df0679bb0825e6803153d7133d6e7bfcfe",
     "readme_compare": "4d06ff7ea53064e996e053a8e880eeab359fc621e88377b8b165ac13c3935403",
-    "stats": "d1605b1a6f4e6328dbc27dd2fca72144523c32ceefc8258d52fd4885feb636a2",
-    "stats_moderate_a7_b2": "2fe7bbed0053b74a41e50dbcc6b9e95999cebd96b5e66fb8378f2207071f601b",
+    "stats": "4f88a62683f8aef797fc4d6902d661d8c28a2ee15234fde48de6889e009863e5",
+    "stats_moderate_a7_b2": "6877e057b74a27fe25b83800e4a42f0dc04ea268c78704114ae6ea41736d751b",
     "pls_tolerance_default_trials": "a440c69a75b3462db460f3c1a5841bf1d9703a1a6f96ad0a8ae5e7c3e4638980",
 }
 

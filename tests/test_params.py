@@ -13,6 +13,7 @@ from scipy.optimize import brentq
 
 from rhkljn import SystemParams, chip_moments, state_moments
 from rhkljn.config import SCENARIOS, apply_scenario
+from rhkljn.exact import threshold_row
 from rhkljn.params import (
     InvalidParamsError,
     NonSeparableError,
@@ -332,7 +333,10 @@ class TestSeparability:
         assert sigma_r == pytest.approx(2.8775e-5, rel=1e-4)
         assert report.ratio == pytest.approx(1e-4 / (default_stats.k1 * sigma_r), rel=1e-12)
         assert report.ratio == pytest.approx(0.5375, abs=5e-4)
-        assert not report.separable
+        # the verdict reads the margin on the mean of the 20 samples
+        assert report.sample_mean_ratio == pytest.approx(report.ratio * math.sqrt(20), rel=1e-15)
+        assert report.sample_mean_ratio == pytest.approx(2.404, abs=5e-4)
+        assert report.separable
 
     def test_fine_tuned_margin_is_ten(self, default_params):
         tuned = default_params.replace(m_l=fine_tuned_bias(default_params))
@@ -340,14 +344,40 @@ class TestSeparability:
         assert report.ratio == pytest.approx(10.0, rel=1e-12)
         assert report.separable
 
-    # the verdict is ratio > 1, and the report names that factor
+    # the verdict is ratio * sqrt(n) > 1, and the report names that factor
     def test_verdict_flips_at_ratio_one(self, default_params):
-        for margin in (0.999, 1.001):
-            params = default_params.replace(m_l=fine_tuned_bias(default_params, margin=margin))
+        for n, margin in itertools.product((1, 3, 20), (0.999, 1.001)):
+            base = default_params.replace(samples_per_chip=n)
+            params = base.replace(m_l=fine_tuned_bias(base, margin=margin / math.sqrt(n)))
             report = check_separability(params, derive_stats(params))
-            assert report.ratio == pytest.approx(margin, rel=1e-12)
+            assert report.sample_mean_ratio == pytest.approx(margin, rel=1e-12)
             assert report.separable == (margin > 1.0)
             assert "factor=1)" in str(report)
+
+    # the README's scenarios turn separable from 4 samples per chip
+    @pytest.mark.parametrize("scenario, below, above", [("good", 0.931, 1.075), ("moderate", 0.884, 1.021)])
+    def test_verdict_flips_between_three_and_four_samples(self, scenario, below, above):
+        reports = []
+        for n in (3, 4):
+            params = apply_scenario(SystemParams(samples_per_chip=n), scenario)
+            reports.append(check_separability(params, derive_stats(params)))
+        assert [round(r.sample_mean_ratio, 3) for r in reports] == [below, above]
+        assert [r.separable for r in reports] == [False, True]
+
+    # the least bias whose exact optimum BEP reaches 1e-6 (good's resistors)
+    # falls as 1/sqrt(n), so its margin on the sample mean is one number
+    def test_sample_mean_ratio_is_invariant_at_a_target_bep(self):
+        def log_bep_gap(log_m_l, n):
+            params = SystemParams(samples_per_chip=n, m_l=10.0**log_m_l)
+            return math.log10(threshold_row(params, derive_stats(params), "optimum").bep) + 6.0
+
+        for n, m_l in ((1, 2.50e-4), (3, 1.44e-4), (10, 7.90e-5), (40, 3.95e-5)):
+            # bracketed within a factor 2, where the BEP stays above erfc's underflow
+            least = 10.0 ** brentq(log_bep_gap, math.log10(m_l / 2), math.log10(m_l * 2), args=(n,), xtol=1e-12)
+            assert least == pytest.approx(m_l, rel=5e-3), n
+            params = SystemParams(samples_per_chip=n, m_l=least)
+            report = check_separability(params, derive_stats(params))
+            assert report.sample_mean_ratio == pytest.approx(1.342, rel=0.01), n
 
     # a noiseless channel does not make a zero bias separable
     def test_zero_bias_not_separable(self, default_params):

@@ -5,11 +5,11 @@ README's command block (``test_readme``) under a profile hook and lists
 every function and method of ``detectors``, ``protocol``, ``pls``,
 ``params``, ``sweep`` and ``rng`` that none of them called.  The oracles,
 independent checks that no command runs, are exempt, with the module
-functions they call: ``eve_observe``, ``pe1``/``pe2``,
-``stationarity_residual``, ``ml_detect_batch`` and
-``empirical_eve_confusion`` (``rhkljn.channel``, the raw-sample oracle, is
-a module of its own and not checked).  Anything else that no command
-reaches is dead code or an oracle that needs a name here.
+functions they call: ``eve_observe``, ``ml_detect_batch`` and
+``empirical_eve_confusion``.  ``rhkljn.channel``, the raw-sample oracle,
+and ``rhkljn.exact``, the closed-form one, are modules of their own and
+not checked.  Anything else that no command reaches is dead code or an
+oracle that needs a name here.
 
 Run as a script, this file prints the unreached names as JSON.
 """
@@ -25,7 +25,7 @@ from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
 
-ORACLES = {"eve_observe", "pe1", "pe2", "stationarity_residual", "ml_detect_batch", "empirical_eve_confusion"}
+ORACLES = {"eve_observe", "ml_detect_batch", "empirical_eve_confusion"}
 
 
 def functions(module) -> dict:
