@@ -5,7 +5,7 @@
 import numpy as np
 
 from rhkljn import SystemParams
-from rhkljn.detectors import ml_detect_batch, threshold_detect
+from rhkljn.detectors import ml_detect_batch
 from rhkljn.exact import pe1, pe2
 from rhkljn.params import derive_stats
 
@@ -33,7 +33,9 @@ values = mean[:, None] + std[:, None] * rng.standard_normal((chips, n))
 m_hat = values.mean(axis=1)
 
 ml = ml_detect_batch(values, hyps)
-simple = threshold_detect(m_hat, stats.th3, stats.th4)
-optimum = threshold_detect(m_hat, stats.th3_opt, stats.th4_opt)
+# the threshold labels are the interval rule's, without its gate
+thresholds = stats.thresholds()
+simple = thresholds.label(m_hat, "simple")
+optimum = thresholds.label(m_hat, "optimum")
 for name, labels in (("ml", ml), ("simple", simple), ("optimum", optimum)):
     print(f"{name:8s} misclassification: {np.mean(labels != truth):.4f}")

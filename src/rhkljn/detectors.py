@@ -1,8 +1,8 @@
 """Gaussian detection for the middle band: gate, ML, simple and optimum thresholds.
 
-A chip is first gated on its sample mean (``gate``: anything near the
-all-low or all-high clusters is discarded), then one of three detectors
-assigns the label g of the middle Gaussian that produced it:
+A chip is first gated on its sample mean (anything near the all-low or
+all-high clusters is discarded), then one of three detectors assigns the
+label g of the middle Gaussian that produced it:
 
 * ML            -- maximum-likelihood over the three hypotheses, cost
                    M_g = N*ln(sigma_g) + ||v - m_g||^2 / (2*sigma_g^2),
@@ -12,17 +12,16 @@ assigns the label g of the middle Gaussian that produced it:
                    it too).  ``detect_moments`` labels chips from (m_hat, S)
                    as the ``argmin`` of those costs, for the trace;
                    ``ml_detect_batch`` from (..., N) raw samples, the oracle;
-* simple        -- ``threshold_detect`` with the midpoints (m2+m1)/2 and
-                   (m1+m3)/2;
-* optimum       -- ``threshold_detect`` with the minimum-error thresholds
-                   obtained from the weighted two-Gaussian decision problem
-                   (quadratic in the threshold); the weighted errors they
-                   minimise are oracles in :mod:`rhkljn.exact`.
+* simple        -- the midpoint thresholds (m2+m1)/2 and (m1+m3)/2;
+* optimum       -- the minimum-error thresholds obtained from the weighted
+                   two-Gaussian decision problem (quadratic in the
+                   threshold); the weighted errors they minimise are
+                   oracles in :mod:`rhkljn.exact`.
 
-The session tally reads keep masks, not labels: ``threshold_keep`` is the
-mask of ``threshold_detect`` labels other than 1 and ``ml_keep`` that of
-``detect_moments``, each built without the labels.  ``q_function`` takes a
-scalar.
+The gate and both threshold detectors are one interval rule on m_hat,
+:class:`ThresholdSet`.  The tally reads keep masks, built without labels:
+``ThresholdSet.keep`` and ``ml_keep``, the mask of ``detect_moments``
+labels other than 1.  ``q_function`` takes a scalar.
 
 Label convention: g indexes the mean, so g=1 is the center Gaussian (mean
 m1, discarded by the protocol), g=2 the left one (m2) and g=3 the right one
@@ -64,7 +63,14 @@ class GaussianHypothesis:
 
 @dataclass(frozen=True)
 class ThresholdSet:
-    """All decision thresholds: gate (th1/th2), simple (th3/th4), optimum."""
+    """The decision thresholds, and the one interval rule on a sample mean.
+
+    The gate passes th1 <= m_hat <= th2, closed at both ends.  A ``simple``
+    (th3/th4) or ``optimum`` (th3_opt/th4_opt) detector labels the band
+    lo < m_hat <= hi, open below and closed above, g = 1, above it g = 3
+    and below it (or at NaN) g = 2, with (lo, hi) its :meth:`pair` clamped
+    to the gate.  So a chip is kept on [th1, lo] and (hi, th2].
+    """
 
     th1: float
     th2: float
@@ -81,24 +87,24 @@ class ThresholdSet:
             return self.th3_opt, self.th4_opt
         raise ValueError(f"unknown threshold kind {kind!r}")
 
+    def kept_intervals(self, kind: str) -> tuple[tuple[float, float], tuple[float, float]]:
+        """The edges of [th1, lo] and (hi, th2], where ``kind`` keeps a chip."""
+        lo, hi = self.pair(kind)
+        return (self.th1, min(lo, self.th2)), (max(hi, self.th1), self.th2)
 
-def gate(m_hat, ts: ThresholdSet):
-    """True where the chip is kept: th1 <= m_hat <= th2, discard outside."""
-    return (m_hat >= ts.th1) & (m_hat <= ts.th2)
+    def gate(self, m_hat):
+        """Where th1 <= m_hat <= th2 (never at NaN)."""
+        return (m_hat >= self.th1) & (m_hat <= self.th2)
 
+    def keep(self, m_hat: np.ndarray, kind: str) -> np.ndarray:
+        """``label(m_hat, kind) != 1`` for an array, without the labels."""
+        (_, lo), (hi, _) = self.kept_intervals(kind)
+        return ~((m_hat > lo) & (m_hat <= hi))
 
-def threshold_detect(m_hat, th3: float, th4: float) -> np.ndarray:
-    """g=3 above th4, g=1 above th3, else g=2."""
-    return np.where(m_hat > th4, 3, np.where(m_hat > th3, 1, 2))
-
-
-def threshold_keep(m_hat: np.ndarray, th3: float, th4: float) -> np.ndarray:
-    """``threshold_detect(m_hat, th3, th4) != 1`` for an array, without the labels.
-
-    g = 1 exactly where th3 < m_hat <= th4, so the mask is its complement
-    (a NaN, labelled 2, is kept too).
-    """
-    return ~((m_hat > th3) & (m_hat <= th4))
+    def label(self, m_hat, kind: str) -> np.ndarray:
+        """The labels g of ``kind``, without the gate."""
+        (_, lo), (hi, _) = self.kept_intervals(kind)
+        return np.where(m_hat > hi, 3, np.where(m_hat > lo, 1, 2))
 
 
 # zero-variance hypotheses are point masses; "equals the mean" allows a few

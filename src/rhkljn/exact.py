@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .detectors import GaussianHypothesis
-from .params import DerivedStats, SystemParams, state_moments
+from .params import DerivedStats, SystemParams, classical_band, state_moments
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -106,14 +106,12 @@ def _row(keeps: Sequence[float], errors: Sequence[float], has_mass: bool) -> Exa
 def threshold_row(params: SystemParams, stats: DerivedStats, detector: str) -> ExactRow:
     """The exact row of the ``simple`` or ``optimum`` detector.
 
-    A chip is kept when the gate th1 <= m_hat <= th2 passes it and m_hat
-    is outside the centre band (lo, hi] of ``stats.thresholds().pair(detector)``,
-    i.e. on (th1, lo] or (hi, th2]; it is an error when its sub-bits are
+    A chip is kept on ``stats.thresholds().kept_intervals(detector)``,
+    [th1, lo] and (hi, th2], whose closed edge th1 :func:`interval_mass`
+    leaves out (no mass at sd > 0); it is an error when its sub-bits are
     equal.  ``stats`` is ``derive_stats(params)``.
     """
-    lo, hi = stats.thresholds().pair(detector)
-    th1, th2 = stats.th1, stats.th2
-    kept = ((th1, min(lo, th2)), (max(hi, th1), th2))
+    kept = stats.thresholds().kept_intervals(detector)
     means, variances = state_moments(params)
     n = params.samples_per_chip
     keeps, errors = [], []
@@ -130,9 +128,8 @@ def classical_row(params: SystemParams) -> ExactRow:
 
     The mean of squares of n = ``params.samples_per_chip`` samples of the
     main-pair state (b_a, b_b, 0, 0) is v_hat = var * chi2(n) / n; a bit is
-    kept when v_hat lies in the band between the midpoints of the three
-    case variances (the session engine's band), and it is an error when its
-    main bits are equal.
+    kept when v_hat lies in :func:`~rhkljn.params.classical_band`, the
+    session engine's band, and it is an error when its main bits are equal.
     """
     # scipy serves this oracle alone: importing it here keeps it out of
     # every process that imports the module for the threshold rows
@@ -141,10 +138,10 @@ def classical_row(params: SystemParams) -> ExactRow:
     if params.temperature == 0.0:
         raise ValueError("the classical row needs a noisy channel: at temperature 0 every variance is 0")
     n = params.samples_per_chip
-    var = state_moments(params)[1][[0, 4, 8, 12]].tolist()
-    lo, hi = 0.5 * (var[0] + var[1]), 0.5 * (var[1] + var[3])
+    variances = state_moments(params)[1]
+    lo, hi = classical_band(variances)
     keeps = []
-    for v in var:
+    for v in variances[[0, 4, 8, 12]].tolist():
         x_lo, x_hi = lo * n / v, hi * n / v
         # as interval_mass does: a band on one side of the mean n is a
         # difference of that side's tails, one that holds it 1 less both

@@ -215,6 +215,12 @@ def state_moments(params: SystemParams):
     return means.ravel(), variances.ravel()
 
 
+def classical_band(variances) -> tuple[float, float]:
+    """The classical keep band, lo <= v_hat <= hi: the midpoints of the case
+    variances of its bank, the states (b_a, b_b, 0, 0) of :func:`state_moments`."""
+    return 0.5 * (variances[0] + variances[4]), 0.5 * (variances[4] + variances[12])
+
+
 @dataclass(frozen=True)
 class MixtureComponent:
     """One entry of a per-state mixture: the Gaussian seen for a sub-bit pair."""
@@ -280,14 +286,7 @@ class DerivedStats:
         return max(self.k1, self.k2, self.k3, self.k4)
 
     def thresholds(self) -> "_det.ThresholdSet":
-        return _det.ThresholdSet(
-            th1=self.th1,
-            th2=self.th2,
-            th3=self.th3,
-            th4=self.th4,
-            th3_opt=self.th3_opt,
-            th4_opt=self.th4_opt,
-        )
+        return _det.ThresholdSet(**{f.name: getattr(self, f.name) for f in fields(_det.ThresholdSet)})
 
     def middle_hypotheses(self) -> tuple["_det.GaussianHypothesis", ...]:
         """The three middle-band hypotheses (label g indexes the mean m_g)."""

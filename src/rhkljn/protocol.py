@@ -2,11 +2,12 @@
 
 One chip runs in three steps from either party's perspective: gate the
 sample mean against th1/th2 (rejects the all-low/all-high states), detect
-the middle Gaussian with the configured detector, then either discard
-(g = 1, the center Gaussian) or exchange by the flip rule: the partner's
-main bit and sub-bit are the negations of one's own.  Both parties see the
-same samples and the same public thresholds, so their keep/discard verdicts
-and detected labels are always identical.
+the middle Gaussian with the configured detector (the threshold rule is
+:class:`rhkljn.detectors.ThresholdSet`), then either discard (g = 1, the
+center Gaussian) or exchange by the flip rule: the partner's main bit and
+sub-bit are the negations of one's own.  Both parties see the same samples
+and the same public thresholds, so their keep/discard verdicts and
+detected labels are always identical.
 
 Sessions draw i.i.d. uniform secrets, run every chip, and reduce to integer
 tallies.  The session engine draws each chip as its sufficient statistics,
@@ -63,7 +64,7 @@ import numpy as np
 
 from . import detectors as det
 # derive_stats is not called here: the name stays because bench/worker.py traces it
-from .params import DerivedStats, SystemParams, derive_stats, state_moments  # noqa: F401
+from .params import DerivedStats, SystemParams, classical_band, derive_stats, state_moments  # noqa: F401
 from .rng import substream
 
 DETECTOR_CHOICES = ("ml", "simple", "optimum")
@@ -234,11 +235,7 @@ class _ChunkSpec:
     def __post_init__(self) -> None:
         self.table = _draw_table(self.params)
         if self.stats is None:
-            # the classical bank is the sub-bit-0 column of the hopping
-            # bank, the states (b_a, b_b, 0, 0) at index 4 * mains; its
-            # band is the variance midpoints of its three cases
-            var = self.table[2]
-            self.band = (0.5 * (var[0] + var[4]), 0.5 * (var[4] + var[12]))
+            self.band = classical_band(self.table[2])
             return
         self.thresholds = self.stats.thresholds()
         if "ml" in self.detectors:
@@ -257,10 +254,10 @@ def _rh_chunk_arrays(spec: _ChunkSpec):
 
     ``state`` is each chip's flat state index 8*b_a + 4*b_b + 2*s_a + s_b,
     ``eve`` Eve's guess of b_a, ``m_hat`` the chip's sample mean and
-    ``gate_keep`` the gate's verdict, all ``(bits, chips)``; ``gated`` is
-    the gate-kept chips' flat indices, ``np.flatnonzero(gate_keep)``, and
-    ``scatter`` is S at those chips, 1-D; both are ``None`` unless ``ml``
-    runs.
+    ``gate_keep`` the gate's verdict (``ThresholdSet.gate``), all
+    ``(bits, chips)``; ``gated`` is the gate-kept chips' flat indices,
+    ``np.flatnonzero(gate_keep)``, and ``scatter`` is S at those chips,
+    1-D; both are ``None`` unless ``ml`` runs.
 
     A chip is drawn as its sufficient statistics, not as raw samples: given
     the chip state, the n samples are i.i.d. N(mu, sigma^2), so their mean
@@ -292,7 +289,7 @@ def _rh_chunk_arrays(spec: _ChunkSpec):
     m_hat = sd.take(state)
     m_hat *= rng.standard_normal((n_bits, chips))
     m_hat += mu.take(state)
-    gate_keep = det.gate(m_hat, spec.thresholds)
+    gate_keep = spec.thresholds.gate(m_hat)
     scatter = gated = None
     if "ml" in spec.detectors:
         # a gather at the kept chips' flat indices is several times cheaper
@@ -323,7 +320,7 @@ def _tally_chunk(spec, state, eve, m_hat, gate_keep, scatter, gated):
     """One tally per detector, and the gate.
 
     A detector keeps a gated chip unless it labels it g = 1; the tally
-    reads that mask (:func:`rhkljn.detectors.threshold_keep`, or
+    reads that mask (the interval rule's ``ThresholdSet.keep``, or
     :func:`rhkljn.detectors.ml_keep` on the gated chips alone, at their
     flat indices ``gated``) and builds no label array, so the trace, which
     shows the labels, gets them from :func:`_detector_labels`.
@@ -335,7 +332,7 @@ def _tally_chunk(spec, state, eve, m_hat, gate_keep, scatter, gated):
             kept = gate_keep.copy()
             kept.put(gated, det.ml_keep(m_hat.take(gated), scatter, spec.params.samples_per_chip, spec.hyps))
         else:
-            kept = gate_keep & det.threshold_keep(m_hat, *spec.thresholds.pair(name))
+            kept = gate_keep & spec.thresholds.keep(m_hat, name)
         keeps[name] = kept
     return _count(keeps, gate_keep, state, eve), gate_keep
 
@@ -343,8 +340,8 @@ def _tally_chunk(spec, state, eve, m_hat, gate_keep, scatter, gated):
 def _detector_labels(spec: _ChunkSpec, m_hat, gate_keep, scatter) -> dict[str, np.ndarray]:
     """Every detector's labels on a chunk, as the trace shows them.
 
-    The threshold detectors' come from
-    :func:`rhkljn.detectors.threshold_detect` on ``m_hat``; the ``ml``
+    The threshold detectors' come from the interval rule's
+    ``ThresholdSet.label`` on ``m_hat``; the ``ml``
     labels from :func:`rhkljn.detectors.detect_moments` on the gate-kept
     chips' (m_hat, S), the only chips S is drawn for, and 0 elsewhere.
     """
@@ -356,7 +353,7 @@ def _detector_labels(spec: _ChunkSpec, m_hat, gate_keep, scatter) -> dict[str, n
                 m_hat[gate_keep], scatter, spec.params.samples_per_chip, spec.hyps
             )
         else:
-            labels[name] = det.threshold_detect(m_hat, *spec.thresholds.pair(name))
+            labels[name] = spec.thresholds.label(m_hat, name)
     return labels
 
 

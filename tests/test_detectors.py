@@ -1,10 +1,14 @@
 """Detector behavior against brute-force and high-precision oracles."""
 
+import dataclasses
 import math
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.stats import norm
 
 from rhkljn import SystemParams, chip_moments
@@ -13,13 +17,11 @@ from rhkljn.config import SCENARIOS, apply_scenario
 from rhkljn.detectors import (
     GaussianHypothesis,
     detect_moments,
-    gate,
     min_error_threshold,
     ml_detect_batch,
     ml_keep,
     moment_costs,
     q_function,
-    threshold_detect,
 )
 from rhkljn.exact import pe1, pe2, stationarity_residual
 from rhkljn.params import derive_stats, fine_tuned_bias
@@ -50,51 +52,88 @@ class TestSampleMean:
         assert abs(samples.mean() - default_stats.m3) < 5 * se
 
 
-class TestGate:
-    def test_all_low_center_discarded(self, default_params, default_stats):
-        assert not gate(default_params.m_l, default_stats.thresholds())
-
-    def test_middle_mean_kept(self, default_stats):
-        assert gate(default_stats.m1, default_stats.thresholds())
-
-    def test_all_high_center_discarded(self, default_params, default_stats):
-        assert not gate(default_params.m_h, default_stats.thresholds())
-
-    def test_array_matches_scalar(self, default_params, default_stats):
-        ts = default_stats.thresholds()
-        grid = np.linspace(default_params.m_l, default_params.m_h, 4001)
-        grid = np.concatenate([grid, [ts.th1, ts.th2]])
-        keep = gate(grid, ts)
-        assert keep.shape == grid.shape and keep.dtype == bool
-        assert keep.tolist() == [gate(float(m), ts) for m in grid]
-        assert keep.any() and not keep.all()
+def scenario_point(scenario):
+    params = apply_scenario(SystemParams(), scenario)
+    return params, derive_stats(params)
 
 
-class TestThresholdDetect:
-    def test_three_regions(self, default_stats):
-        s = default_stats
-        assert threshold_detect(s.m3, s.th3, s.th4) == 3
-        assert threshold_detect(s.m1, s.th3, s.th4) == 1
-        assert threshold_detect(s.m2, s.th3, s.th4) == 2
+@pytest.mark.parametrize("kind", ["simple", "optimum"])
+@pytest.mark.parametrize("scenario", ["good", "moderate"])
+class TestIntervalRule:
+    """``ThresholdSet``'s verdicts against the sides its docstring states:
+    the gate [th1, th2], the centre band (lo, hi] and so the kept intervals
+    [th1, lo] and (hi, th2].  ("good" has the default bias.)"""
 
-    def test_monotone_step_order(self, default_stats):
-        s = default_stats
-        grid = np.linspace(s.m2 - 1e-4, s.m3 + 1e-4, 2001)
-        labels = threshold_detect(grid, s.th3, s.th4).tolist()
-        order = {2: 0, 1: 1, 3: 2}
-        ranks = [order[g] for g in labels]
-        assert ranks == sorted(ranks)
+    @staticmethod
+    def verdicts(ts, kind, m_hat):
+        """The gate, keep mask and labels at ``m_hat``, checked against
+        the documented sides of ``kept_intervals``."""
+        m_hat = np.asarray(m_hat, dtype=float)
+        (th1, lo), (hi, th2) = ts.kept_intervals(kind)
+        gate, keep, label = ts.gate(m_hat), ts.keep(m_hat, kind), ts.label(m_hat, kind)
+        assert gate.dtype == keep.dtype == bool and gate.shape == keep.shape == label.shape == m_hat.shape
+        kept = ((th1 <= m_hat) & (m_hat <= lo)) | ((hi < m_hat) & (m_hat <= th2))
+        assert np.array_equal(gate & keep, kept)
+        assert np.array_equal(keep, label != 1)
+        assert np.array_equal(label == 1, (lo < m_hat) & (m_hat <= hi))
+        assert np.array_equal(label == 3, m_hat > hi)
+        assert not gate[np.isnan(m_hat)].any()
+        return gate, keep, label
 
-    @pytest.mark.parametrize("kind", ["simple", "optimum"])
-    def test_array_matches_scalar(self, default_params, default_stats, kind):
-        th_lo, th_hi = default_stats.thresholds().pair(kind)
-        grid = np.linspace(default_params.m_l, default_params.m_h, 4000)
-        grid = np.concatenate([grid, [th_lo, th_hi]]).reshape(-1, 3)
-        labels = threshold_detect(grid, th_lo, th_hi)
-        assert labels.shape == grid.shape
-        scalar = [[3 if m > th_hi else 1 if m > th_lo else 2 for m in row.tolist()] for row in grid]
-        assert labels.tolist() == scalar
-        assert set(labels.ravel().tolist()) == {1, 2, 3}
+    @staticmethod
+    def edges(ts):
+        """Every threshold with its 1-ulp neighbours, then -inf, inf and NaN."""
+        near = [x for th in dataclasses.astuple(ts) for x in (np.nextafter(th, -np.inf), th, np.nextafter(th, np.inf))]
+        return np.array(near + [-np.inf, np.inf, np.nan])
+
+    def test_every_edge(self, scenario, kind):
+        _, stats = scenario_point(scenario)
+        ts = stats.thresholds()
+        assert ts.th1 < ts.pair(kind)[0] <= ts.pair(kind)[1] < ts.th2  # the clamps change nothing
+        gate, keep, label = self.verdicts(ts, kind, self.edges(ts))
+        assert not gate[-3:].any() and keep[-3:].all()
+        # each threshold's (gate, keep) verdicts at its lower neighbour, itself and its upper one
+        near = zip(gate[:-3].reshape(-1, 3).tolist(), keep[:-3].reshape(-1, 3).tolist())
+        by_edge = dict(zip(dataclasses.astuple(ts), near))
+        # the gate is closed at both ends, the band open below and closed above
+        assert by_edge[ts.th1][0] == [False, True, True] and by_edge[ts.th2][0] == [True, True, False]
+        lo, hi = ts.pair(kind)
+        assert by_edge[lo][1] == [True, True, False] and by_edge[hi][1] == [False, False, True]
+        assert label[-1] == 2
+
+    def test_equal_band_edges_keep_everything(self, scenario, kind):
+        _, stats = scenario_point(scenario)
+        th = stats.thresholds().pair(kind)[0]
+        ts = dataclasses.replace(stats.thresholds(), th3=th, th4=th, th3_opt=th, th4_opt=th)
+        _, keep, label = self.verdicts(ts, kind, self.edges(ts))
+        assert keep.all() and 1 not in label
+
+    def test_regions(self, scenario, kind):
+        params, stats = scenario_point(scenario)
+        ts = stats.thresholds()
+        # the all-low and all-high centres fail the gate, the middle means pass it
+        assert ts.gate(params.m_l) is False and ts.gate(params.m_h) is False
+        assert ts.gate(stats.m1) and ts.gate(stats.m2) and ts.gate(stats.m3)
+        assert ts.label(np.array([stats.m2, stats.m1, stats.m3]), kind).tolist() == [2, 1, 3]
+        grid = np.linspace(params.m_l, params.m_h, 4001)
+        gate, _, label = self.verdicts(ts, kind, grid.reshape(-1, 1))
+        assert gate.ravel().tolist() == [ts.gate(float(m)) for m in grid]
+        assert gate.any() and not gate.all()
+        ranks = [{2: 0, 1: 1, 3: 2}[g] for g in label.ravel().tolist()]
+        assert ranks == sorted(ranks) and set(label.ravel().tolist()) == {1, 2, 3}
+
+    @settings(deadline=None, derandomize=True, database=None, max_examples=200)
+    @given(
+        arrays(np.float64, st.integers(0, 50), elements=st.one_of(st.floats(), st.floats(0.0, 4e-3))),
+        st.lists(st.floats(0.0, 4e-3), min_size=2, max_size=2),
+    )
+    def test_any_sample_means(self, scenario, kind, m_hat, band):
+        ts = scenario_point(scenario)[1].thresholds()
+        self.verdicts(ts, kind, m_hat)
+        # a band drawn anywhere, also past either gate edge, where the clamps act
+        lo, hi = sorted(band)
+        ts = dataclasses.replace(ts, th3=lo, th4=hi, th3_opt=lo, th4_opt=hi)
+        self.verdicts(ts, kind, np.concatenate([m_hat, self.edges(ts)]))
 
 
 class TestSimpleThresholds:
@@ -484,5 +523,5 @@ class TestMlThresholdConsistency:
         )
         ml_labels = ml_detect_batch(values, hyps)
         m_hat = values.mean(axis=1)
-        th_labels = threshold_detect(m_hat, s.th3_opt, s.th4_opt)
+        th_labels = s.thresholds().label(m_hat, "optimum")
         assert np.mean(ml_labels == th_labels) >= 0.999

@@ -115,13 +115,15 @@ class TestThresholdRows:
         params = apply_scenario(SystemParams(samples_per_chip=40), scenario)
         stats = derive_stats(params)
         row = threshold_row(params, stats, detector)
-        lo, hi = stats.thresholds().pair(detector)
         with mpmath.workdps(50):
-            edges = [(stats.th1, min(lo, stats.th2)), (max(hi, stats.th1), stats.th2)]
             keep = error = mpmath.mpf(0)
             for k, (mu, var) in enumerate(zip(*(t.tolist() for t in state_moments(params)))):
                 sd = mpmath.sqrt(mpmath.mpf(var) / 40)
-                mass = sum(mpmath.ncdf((b - mu) / sd) - mpmath.ncdf((a - mu) / sd) for a, b in edges if a < b)
+                mass = sum(
+                    mpmath.ncdf((b - mu) / sd) - mpmath.ncdf((a - mu) / sd)
+                    for a, b in stats.thresholds().kept_intervals(detector)
+                    if a < b
+                )
                 keep += mass / 16
                 error += mass / 16 if (k >> 1 & 1) == (k & 1) else 0
             assert abs(row.keep - keep) <= 1e-10 * keep

@@ -21,7 +21,7 @@ import pytest
 from rhkljn import SystemParams, run_session
 from rhkljn.channel import ChipState, sample_chip
 from rhkljn.config import apply_scenario
-from rhkljn.detectors import gate, ml_detect_batch
+from rhkljn.detectors import ml_detect_batch
 from rhkljn.params import derive_stats
 
 SEEDS = (301, 302, 303, 304, 305)
@@ -40,7 +40,7 @@ def _reference(params, stats, seed):
         state = ChipState(*((index >> k) & 1 for k in (3, 2, 1, 0)))
         # one call draws every chip's samples, all i.i.d. given the state
         values = sample_chip(state, n * REFERENCE_CHIPS, rng, params).reshape(REFERENCE_CHIPS, n)
-        keep = gate(values.mean(axis=-1), stats.thresholds())
+        keep = stats.thresholds().gate(values.mean(axis=-1))
         keep &= ml_detect_batch(values, stats.middle_hypotheses()) != 1
         kept[index] = keep.mean()
         errors[index] = kept[index] if state.s_a == state.s_b else 0.0

@@ -24,7 +24,6 @@ from rhkljn import (
 )
 from rhkljn import protocol
 from rhkljn.channel import ChipState, sample_chip
-from rhkljn.detectors import gate, threshold_detect, threshold_keep
 from rhkljn.params import derive_stats
 from rhkljn.pls import IDEAL_DISCARD
 from rhkljn.protocol import (
@@ -121,7 +120,7 @@ def noiseless_bit(a_main, a_subs, b_main, b_subs, detector="optimum"):
             for sa, sb in zip(a_sub[0], b_sub[0])
         ]
     ).T
-    gate_keep = gate(m_hat, stats.thresholds())
+    gate_keep = stats.thresholds().gate(m_hat)
     scatter = np.zeros(np.count_nonzero(gate_keep))
     eve = np.zeros_like(a_sub)
     out = []
@@ -700,31 +699,8 @@ class TestChunkPlan:
 
 
 class TestThresholdKeep:
-    """The tally's keep masks against the labels of ``threshold_detect`` and
+    """The tally's keep masks against the labels of the interval rule and
     ``detect_moments``."""
-
-    @staticmethod
-    def assert_mask_matches_labels(m_hat, th3, th4):
-        m_hat = np.asarray(m_hat, dtype=float)
-        assert np.array_equal(threshold_keep(m_hat, th3, th4), threshold_detect(m_hat, th3, th4) != 1)
-
-    @pytest.mark.parametrize("kind", ["simple", "optimum"])
-    def test_boundaries(self, default_stats, kind):
-        th3, th4 = default_stats.thresholds().pair(kind)
-        edges = []
-        for th in (th3, th4):
-            edges += [np.nextafter(th, -np.inf), th, np.nextafter(th, np.inf)]
-        m_hat = np.array(edges + [-np.inf, np.inf, 0.0, 0.5 * (th3 + th4)])
-        self.assert_mask_matches_labels(m_hat, th3, th4)
-        # only the open-closed band (th3, th4] is labelled 1
-        keep = threshold_keep(m_hat, th3, th4)
-        assert keep.tolist() == [True, True, False, False, False, True, True, True, True, False]
-
-    def test_equal_thresholds_keep_everything(self, default_stats):
-        th = default_stats.th3_opt
-        m_hat = np.array([np.nextafter(th, -np.inf), th, np.nextafter(th, np.inf), -np.inf, np.inf])
-        self.assert_mask_matches_labels(m_hat, th, th)
-        assert threshold_keep(m_hat, th, th).all()
 
     def test_chunk_tally_equals_label_tally(self):
         # 1e5 chips: the tally's counts against counts made from the labels
@@ -741,9 +717,9 @@ class TestThresholdKeep:
         assert gate is gate_keep and gate_keep.dtype == bool
         labels = _detector_labels(spec, m_hat, gate_keep, scatter)
         for name in spec.detectors:
-            if name != "ml":
-                self.assert_mask_matches_labels(m_hat, *stats.thresholds().pair(name))
             g = labels[name]
+            if name != "ml":
+                assert np.array_equal(stats.thresholds().keep(m_hat, name), g != 1)
             kept = gate_keep & (g != 1)
             tally = tallies[name]
             assert tally.total_chips == m_hat.size == 100_000
