@@ -136,6 +136,54 @@ class TestIntervalRule:
         self.verdicts(ts, kind, np.concatenate([m_hat, self.edges(ts)]))
 
 
+class TestGate:
+    def test_all_low_center_discarded(self, default_params, default_stats):
+        assert not default_stats.thresholds().gate(default_params.m_l)
+
+    def test_middle_mean_kept(self, default_stats):
+        assert default_stats.thresholds().gate(default_stats.m1)
+
+    def test_all_high_center_discarded(self, default_params, default_stats):
+        assert not default_stats.thresholds().gate(default_params.m_h)
+
+    def test_array_matches_scalar(self, default_params, default_stats):
+        ts = default_stats.thresholds()
+        grid = np.linspace(default_params.m_l, default_params.m_h, 4001)
+        grid = np.concatenate([grid, [ts.th1, ts.th2]])
+        keep = ts.gate(grid)
+        assert keep.shape == grid.shape and keep.dtype == bool
+        assert keep.tolist() == [ts.gate(float(m)) for m in grid]
+        assert keep.any() and not keep.all()
+
+
+class TestThresholdDetect:
+    def test_three_regions(self, default_stats):
+        s, ts = default_stats, default_stats.thresholds()
+        assert ts.label(s.m3, "simple") == 3
+        assert ts.label(s.m1, "simple") == 1
+        assert ts.label(s.m2, "simple") == 2
+
+    def test_monotone_step_order(self, default_stats):
+        s = default_stats
+        grid = np.linspace(s.m2 - 1e-4, s.m3 + 1e-4, 2001)
+        labels = s.thresholds().label(grid, "simple").tolist()
+        order = {2: 0, 1: 1, 3: 2}
+        ranks = [order[g] for g in labels]
+        assert ranks == sorted(ranks)
+
+    @pytest.mark.parametrize("kind", ["simple", "optimum"])
+    def test_array_matches_scalar(self, default_params, default_stats, kind):
+        ts = default_stats.thresholds()
+        th_lo, th_hi = ts.pair(kind)
+        grid = np.linspace(default_params.m_l, default_params.m_h, 4000)
+        grid = np.concatenate([grid, [th_lo, th_hi]]).reshape(-1, 3)
+        labels = ts.label(grid, kind)
+        assert labels.shape == grid.shape
+        scalar = [[3 if m > th_hi else 1 if m > th_lo else 2 for m in row.tolist()] for row in grid]
+        assert labels.tolist() == scalar
+        assert set(labels.ravel().tolist()) == {1, 2, 3}
+
+
 class TestSimpleThresholds:
     def test_default_values(self, default_stats):
         th3, th4 = default_stats.th3, default_stats.th4
