@@ -8,7 +8,9 @@ Run from the root of a checkout (outside the test paths, so a plain
 Each case times one layer on fixed inputs: the draw (``_rh_chunk_arrays``)
 and the tally (``_tally_chunk``) of one 1024-bit chunk of 10 chips at
 n = 3 and 10, with ``optimum`` alone and with all three detectors; one
-classical chunk (``_classical_chunk``); ``pls.sop`` at 30,000 trials,
+classical chunk (``_classical_chunk``); a session's set-up, ``derive_stats``
+and the chunk plan (``_ChunkSpec``) of one hopping point, and the plan of
+one classical point; ``pls.sop`` at 30,000 trials,
 and the bank draw and the divider of one of its blocks
 (``ResistorTolerance.draw`` of ``pls._SOP_BLOCK`` banks, and
 ``chip_moments`` over them); and the front end of ``cli.main`` on each
@@ -71,6 +73,26 @@ def test_classical_chunk(benchmark):
     plan = protocol._ChunkSpec(params, None, ("classical",), CHUNK_BITS, 1, (0x53,))
     tally = benchmark(protocol._classical_chunk, plan.chunk(CHUNK_BITS, plan.key + (0,)))["classical"]
     assert tally.total_chips == CHUNK_BITS
+
+
+# fig_n's hopping point at n = 10 and compare's classical row at 5e4 samples/s
+SETUP_PARAMS = {
+    "hopping": apply_scenario(SystemParams(samples_per_chip=10), "good"),
+    "classical": SystemParams(m_l=0.0, chips_per_bit=1, samples_per_chip=50),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(SETUP_PARAMS))
+def test_session_setup(benchmark, kind):
+    params = SETUP_PARAMS[kind]
+
+    def setup():
+        if kind == "classical":
+            return protocol._ChunkSpec(params, None, ("classical",), CHUNK_BITS, 1, (0x53,))
+        return protocol._ChunkSpec(params, derive_stats(params), protocol.DETECTOR_CHOICES, CHUNK_BITS, 1, (0x51,))
+
+    plan = benchmark(setup)
+    assert plan.table[0].shape == (16,)
 
 
 def test_sop(benchmark):

@@ -96,10 +96,10 @@ class ThresholdSet:
         """Where th1 <= m_hat <= th2 (never at NaN)."""
         return (m_hat >= self.th1) & (m_hat <= self.th2)
 
-    def keep(self, m_hat: np.ndarray, kind: str) -> np.ndarray:
-        """``label(m_hat, kind) != 1`` for an array, without the labels."""
+    def keep(self, m_hat, kind: str) -> np.ndarray:
+        """``label(m_hat, kind) != 1``, without the labels."""
         (_, lo), (hi, _) = self.kept_intervals(kind)
-        return ~((m_hat > lo) & (m_hat <= hi))
+        return np.logical_not((m_hat > lo) & (m_hat <= hi))
 
     def label(self, m_hat, kind: str) -> np.ndarray:
         """The labels g of ``kind``, without the gate."""

@@ -112,7 +112,7 @@ def threshold_row(params: SystemParams, stats: DerivedStats, detector: str) -> E
     equal.  ``stats`` is ``derive_stats(params)``.
     """
     kept = stats.thresholds().kept_intervals(detector)
-    means, variances = state_moments(params)
+    means, variances = stats.state_means, stats.state_variances
     n = params.samples_per_chip
     keeps, errors = [], []
     for k, (mu, var) in enumerate(zip(means.tolist(), variances.tolist())):

@@ -12,13 +12,14 @@ metrics) is driven by what is defined here:
 * :func:`chip_moments` is the chip-state model: the (mean, variance) of
   the common voltage for any (main, sub) bit pair of the two parties,
   through :func:`divider_moments`, the two-resistor divider whose noise
-  is that of the resistors in parallel.  Sessions, the mixture tables,
+  is that of the resistors in parallel.  Sessions, Eve's hypotheses,
   the classical baseline and the outage Monte Carlo all read it.
-* :class:`DerivedStats` holds every derived quantity: the coefficients
-  ``c1..c4`` of the middle means, the three middle Gaussian moments (the
-  means in closed form, the variances read from the state table), the
-  separability coefficients ``k1..k4``, the gate and detector thresholds,
-  and the full per-state mixture tables for all 16 bit configurations.
+* :class:`DerivedStats` holds every derived quantity: the 16-state table
+  of :func:`state_moments` (the one copy sessions, Eve and the exact rows
+  read), the coefficients ``c1..c4`` of the middle means, the three
+  middle Gaussian moments (the means in closed form, the variances read
+  from the state table), the separability coefficients ``k1..k4`` and
+  the gate and detector thresholds.
 
 Both dataclasses are frozen; instances are immutable and safe to share
 across worker processes.
@@ -235,14 +236,16 @@ class MixtureComponent:
 class DerivedStats:
     """Every quantity derived from a :class:`SystemParams`.
 
+    ``state_means`` and ``state_variances`` are the :func:`state_moments`
+    table, read-only, the one table sessions draw from and Eve scores.
     The canonical middle-band model everywhere downstream is the three
     Gaussians (m2, var2), (m1, var1), (m3, var3).  The means are the
-    closed forms m_g = c_g * m_l; var1..var4 are the mixture-table
-    variances of the mixed state (0, 1) at sub-bits (0, 0), (0, 1), (1, 0)
-    and (1, 1), the variances sessions draw from.  ``var4``, both sub-bits
-    hopped, is ``noise_var_per_ohm * (r_l1 || r_h1) = beta * var1`` and
-    enters no detector.  ``note`` names the optimum thresholds that fell
-    back to the simple midpoints, None when neither did.
+    closed forms m_g = c_g * m_l; var1..var4 are the table's variances of
+    the mixed state (0, 1) at sub-bits (0, 0), (0, 1), (1, 0) and (1, 1),
+    flat indices 4..7.  ``var4``, both sub-bits hopped, is
+    ``noise_var_per_ohm * (r_l1 || r_h1) = beta * var1`` and enters no
+    detector.  ``note`` names the optimum thresholds that fell back to the
+    simple midpoints, None when neither did.
     """
 
     c1: float
@@ -266,8 +269,24 @@ class DerivedStats:
     th4: float
     th3_opt: float
     th4_opt: float
-    mixture_tables: dict[tuple[int, int], tuple[MixtureComponent, ...]] = field(repr=False)
+    state_means: np.ndarray = field(repr=False, compare=False)
+    state_variances: np.ndarray = field(repr=False, compare=False)
     note: str | None = None
+
+    @property
+    def mixture_tables(self) -> dict[tuple[int, int], tuple[MixtureComponent, ...]]:
+        """The state table by main-bit pair (b_a, b_b), each pair's four
+        sub-bit components in (s_a, s_b) order; built on each access."""
+        means, variances = self.state_means.tolist(), self.state_variances.tolist()
+        subs = ((0, 0), (0, 1), (1, 0), (1, 1))
+        return {
+            (b_a, b_b): tuple(
+                MixtureComponent(sub_bits=sub, mean=means[k], variance=variances[k])
+                for k, sub in enumerate(subs, start=8 * b_a + 4 * b_b)
+            )
+            for b_a in (0, 1)
+            for b_b in (0, 1)
+        }
 
     @property
     def sigma1(self) -> float:
@@ -352,26 +371,6 @@ def separability_coefficients(params: SystemParams) -> tuple[float, float, float
     return k1, k2, k3, k4
 
 
-def _mixture_tables(
-    params: SystemParams,
-) -> dict[tuple[int, int], tuple[MixtureComponent, ...]]:
-    """Mean/variance of the common voltage for all 16 bit configurations.
-
-    The :func:`state_moments` table, the one sessions draw from; each
-    main-bit pair keeps its four sub-bit components in (s_a, s_b) order.
-    """
-    means, variances = (t.tolist() for t in state_moments(params))
-    subs = ((0, 0), (0, 1), (1, 0), (1, 1))
-    return {
-        (b_a, b_b): tuple(
-            MixtureComponent(sub_bits=sub, mean=means[k], variance=variances[k])
-            for k, sub in enumerate(subs, start=8 * b_a + 4 * b_b)
-        )
-        for b_a in (0, 1)
-        for b_b in (0, 1)
-    }
-
-
 def derive_stats(params: SystemParams) -> DerivedStats:
     """Populate every derived quantity of the scheme for the given parameters.
 
@@ -383,9 +382,10 @@ def derive_stats(params: SystemParams) -> DerivedStats:
     """
     c1, c2, c3, c4 = derive_coefficients(params)
     m1, m2, m3 = c1 * params.m_l, c2 * params.m_l, c3 * params.m_l
-    mixture_tables = _mixture_tables(params)
+    state_means, state_variances = state_moments(params)
+    state_means.flags.writeable = state_variances.flags.writeable = False
     # the mixed state (0, 1) at sub-bits (0, 0), (0, 1), (1, 0), (1, 1)
-    var1, var2, var3, var4 = (c.variance for c in mixture_tables[(0, 1)])
+    var1, var2, var3, var4 = state_variances[4:8].tolist()
     try:
         k1, k2, k3, k4 = separability_coefficients(params)
     except NonSeparableError:
@@ -424,7 +424,8 @@ def derive_stats(params: SystemParams) -> DerivedStats:
         th4=th4,
         th3_opt=th3 if th3_opt is None else th3_opt,
         th4_opt=th4 if th4_opt is None else th4_opt,
-        mixture_tables=mixture_tables,
+        state_means=state_means,
+        state_variances=state_variances,
         note=note,
     )
 

@@ -21,12 +21,13 @@ whose low two bits are the sub-bits (s_a, s_b) and whose bit 2 is Eve's
 coin; then m_hat; then, after the gate, S for the gate-kept chips alone
 (:func:`_rh_chunk_arrays`).  Each chip's state is the flat
 index 8*b_a + 4*b_b + 2*s_a + s_b of the 16-state table of
-:func:`rhkljn.params.state_moments`, the table Eve's hypotheses come from;
-its mean and variance are looked up there, and the tally reads the
-parties' bits from it with bit tests.  S is drawn only when the ``ml``
-detector, the one detector that reads it, runs, and only on the chips it
-scores.  Every detector is tallied from a keep mask; labels are built
-only for the trace.  The stream is engine version :data:`ENGINE_VERSION`.
+:func:`rhkljn.params.state_moments`, stored once in the session's
+``DerivedStats`` (``state_means``, ``state_variances``), the table Eve's
+hypotheses come from; its mean and variance are looked up there, and the
+tally reads the parties' bits from it with bit tests.  S is drawn only
+when the ``ml`` detector, the one detector that reads it, runs, and only
+on the chips it scores.  Every detector is tallied from a keep mask;
+labels are built only for the trace.  The stream is engine version :data:`ENGINE_VERSION`.
 Work is split into fixed-size chunks of bits, each with its own seed
 substream, so results are bit-identical across worker counts.  A session
 builds its chunk plan (:class:`_ChunkSpec`: the state table, thresholds
@@ -159,9 +160,8 @@ def eve_observe(
     when given, otherwise the lexicographically first argmax is returned).
     """
     m_hat, scatter, n = det._moments(samples)
-    # the components in flat-state order 8*b_a + 4*b_b + 2*s_a + s_b
-    comps = [c for entries in stats.mixture_tables.values() for c in entries]
-    costs = det.moment_costs(m_hat, scatter, n, [c.mean for c in comps], [math.sqrt(c.variance) for c in comps])
+    # the 16 states in flat order 8*b_a + 4*b_b + 2*s_a + s_b
+    costs = det.moment_costs(m_hat, scatter, n, stats.state_means, np.sqrt(stats.state_variances))
     log_liks = [-cost for cost in costs.tolist()]
 
     # relative weights exp(ll - peak); when the peak is infinite (a matching
@@ -198,31 +198,19 @@ def eve_observe(
 # ----------------------------------------------------------------------
 
 
-@functools.lru_cache(maxsize=64)
-def _draw_table(params: SystemParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(mu, sqrt(var / n), var) of the 16 chip states, built once per process and params.
-
-    The arrays are shared by every chunk drawn at ``params``, so they are
-    read-only.
-    """
-    mu, var = state_moments(params)
-    table = (mu, np.sqrt(var / params.samples_per_chip), var)
-    for column in table:
-        column.flags.writeable = False
-    return table
-
-
 @dataclass
 class _ChunkSpec:
     """A session's chunk plan, or one chunk of it.
 
     Built once per session from its parameters, statistics, detectors,
     seed and point key; building it derives everything a chunk reads
-    and that stays fixed for the session: the :func:`_draw_table` arrays,
-    the :class:`~rhkljn.detectors.ThresholdSet`, the sigma-sorted middle
+    and that stays fixed for the session: ``table``, the (mu,
+    sqrt(var / n), var) of the 16 chip states, from the statistics' state
+    table, the :class:`~rhkljn.detectors.ThresholdSet` and the middle
     hypotheses when ``ml`` runs and, for the classical baseline (``stats``
-    None), its variance band.  :meth:`chunk` copies the plan for one chunk,
-    with that chunk's size and substream key, and derives nothing again.
+    None, the table then from :func:`~rhkljn.params.state_moments`), its
+    variance band.  :meth:`chunk` copies the plan for one chunk, with that
+    chunk's size and substream key, and derives nothing again.
     """
 
     params: SystemParams
@@ -233,13 +221,15 @@ class _ChunkSpec:
     key: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        self.table = _draw_table(self.params)
         if self.stats is None:
-            self.band = classical_band(self.table[2])
-            return
-        self.thresholds = self.stats.thresholds()
-        if "ml" in self.detectors:
-            self.hyps = tuple(sorted(self.stats.middle_hypotheses(), key=lambda h: h.std))
+            mu, var = state_moments(self.params)
+            self.band = classical_band(var)
+        else:
+            mu, var = self.stats.state_means, self.stats.state_variances
+            self.thresholds = self.stats.thresholds()
+            if "ml" in self.detectors:
+                self.hyps = self.stats.middle_hypotheses()
+        self.table = (mu, np.sqrt(var / self.params.samples_per_chip), var)
 
     def chunk(self, n_bits: int, key: tuple[int, ...]) -> "_ChunkSpec":
         """The plan for one chunk of ``n_bits`` bits drawn from substream ``key``."""
@@ -265,8 +255,7 @@ def _rh_chunk_arrays(spec: _ChunkSpec):
     S = sum((v - m_hat)^2) ~ sigma^2 * chi^2(n - 1), drawn as
     sigma^2 * 2 * Gamma((n - 1)/2) (identically zero at n = 1).  (mu,
     sigma^2) come from the 16-state :func:`rhkljn.params.state_moments`
-    table, looked up by the state index in the plan's :func:`_draw_table`
-    arrays.
+    table, looked up by the state index in the plan's ``table``.
 
     Draw order is fixed, so the stream is a pure function of the chunk
     key: first the coins, one byte per bit, then one byte per chip in bit

@@ -920,7 +920,7 @@ class TestCli:
         params = SystemParams()
         stats = derive_stats(params)
         param_rows = ("alpha", "beta", "gamma", "m_l", "m_h", "r_l0", "r_l1", "r_h0", "r_h1", "noise_var_per_ohm")
-        derived_rows = [f.name for f in fields(DerivedStats) if f.name not in ("mixture_tables", "note")]
+        derived_rows = [f.name for f in fields(DerivedStats) if f.name not in ("state_means", "state_variances", "note")]
         derived_rows += ["sigma1", "sigma2", "sigma3"]
         assert main(["stats"]) == EXIT_OK
         *table, separability = capsys.readouterr().out.splitlines()

@@ -101,6 +101,14 @@ class TestIntervalRule:
         assert by_edge[lo][1] == [True, True, False] and by_edge[hi][1] == [False, False, True]
         assert label[-1] == 2
 
+    def test_scalar_keep_is_the_label_verdict(self, scenario, kind):
+        # a Python float, at each edge of the kept intervals and its
+        # 1-ulp neighbours: keep is a bool verdict, not ~ of one
+        ts = scenario_point(scenario)[1].thresholds()
+        for edge in (x for interval in ts.kept_intervals(kind) for x in interval):
+            for m in (math.nextafter(edge, -math.inf), edge, math.nextafter(edge, math.inf)):
+                assert bool(ts.keep(m, kind)) == (ts.label(m, kind) != 1), m
+
     def test_equal_band_edges_keep_everything(self, scenario, kind):
         _, stats = scenario_point(scenario)
         th = stats.thresholds().pair(kind)[0]

@@ -16,6 +16,7 @@ from rhkljn.config import SCENARIOS, apply_scenario
 from rhkljn.exact import threshold_row
 from rhkljn.params import (
     InvalidParamsError,
+    MixtureComponent,
     NonSeparableError,
     check_separability,
     derive_coefficients,
@@ -193,6 +194,24 @@ class TestMixtureTables:
             for e in entries:
                 assert type(e.mean) is float and type(e.variance) is float
 
+    @pytest.mark.parametrize(
+        "params",
+        [apply_scenario(SystemParams(), s) for s in ("good", "moderate", "fine_tuned")]
+        + [SystemParams(alpha=7.0, beta=2.0)],
+        ids=["good", "moderate", "fine_tuned", "alpha7-beta2"],
+    )
+    def test_view_matches_a_per_state_build(self, params):
+        # the view, built from the stored table, against one chip_moments
+        # call per state, entry for entry: mean, variance, sub-bits, weight
+        want = {
+            (b_a, b_b): tuple(
+                MixtureComponent((s_a, s_b), *(float(x) for x in chip_moments(params, b_a, b_b, s_a, s_b)))
+                for s_a, s_b in itertools.product((0, 1), repeat=2)
+            )
+            for b_a, b_b in itertools.product((0, 1), repeat=2)
+        }
+        assert derive_stats(params).mixture_tables == want
+
 
 class TestStateMoments:
     def test_flat_index_matches_per_state_chip_moments(self, rng):
@@ -204,6 +223,16 @@ class TestStateMoments:
                 k = 8 * b_a + 4 * b_b + 2 * s_a + s_b
                 mean, var = chip_moments(params, b_a, b_b, s_a, s_b)
                 assert (means[k], variances[k]) == (mean, var), (b_a, b_b, s_a, s_b)
+
+    def test_stats_store_the_table_read_only(self, rng):
+        for params in [SystemParams(), SystemParams(temperature=0.0)] + [random_valid_params(rng) for _ in range(5)]:
+            stats = derive_stats(params)
+            for stored, want in zip((stats.state_means, stats.state_variances), state_moments(params)):
+                assert stored.dtype == want.dtype and stored.tobytes() == want.tobytes()
+                assert not stored.flags.writeable
+                with pytest.raises(ValueError, match="read-only"):
+                    stored[0] = 0.0
+            assert [stats.var1, stats.var2, stats.var3, stats.var4] == stats.state_variances[4:8].tolist()
 
     @pytest.mark.parametrize("scenario", SCENARIOS)
     def test_at_most_one_ulp_from_the_squared_weight_form(self, scenario):

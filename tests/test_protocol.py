@@ -596,7 +596,8 @@ class TestChunkTableDraw:
         assert state.shape == eve.shape == (n_bits, chips)
         assert [a.tolist() for a in party_bits(state)] == [a.tolist() for a in (a_main, b_main, a_sub, b_sub)]
         assert np.array_equal(eve, want_eve)
-        mu, sd, _ = protocol._draw_table(params)
+        mu, var = state_moments(params)
+        sd = np.sqrt(var / params.samples_per_chip)
         assert np.array_equal(m_hat, sd[state] * split.standard_normal((n_bits, chips)) + mu[state])
 
     def test_states_and_eve_are_uniform_and_independent(self):
@@ -615,19 +616,22 @@ class TestChunkTableDraw:
             assert counts.size == cells
             assert chisquare(counts).pvalue >= 1e-4, counts
 
-    def test_draw_table_is_cached_read_only_and_keyed_on_n(self):
-        three = protocol._draw_table(SystemParams(samples_per_chip=3))
-        assert protocol._draw_table(SystemParams(samples_per_chip=3)) is three
-        for column in three:
-            assert not column.flags.writeable
-            with pytest.raises(ValueError, match="read-only"):
-                column[0] = 0.0
-        twenty = protocol._draw_table(SystemParams(samples_per_chip=20))
+    def test_plan_table_reads_the_stats_table_keyed_on_n(self):
+        # a hopping plan reads its statistics' stored table; a classical
+        # plan, which has no statistics, builds the same one
         mu, var = state_moments(SystemParams())
-        for table, n in ((three, 3), (twenty, 20)):
-            assert np.array_equal(table[0], mu) and np.array_equal(table[2], var)
-            assert np.array_equal(table[1], np.sqrt(var / n))
-        assert not np.array_equal(three[1], twenty[1])
+        sds = []
+        for n in (3, 20):
+            params = SystemParams(samples_per_chip=n)
+            stats = derive_stats(params)
+            hopping = _ChunkSpec(params, stats, ("optimum",), 10, 1, (0,)).table
+            assert hopping[0] is stats.state_means and hopping[2] is stats.state_variances
+            classical = _ChunkSpec(params, None, ("classical",), 10, 1, (0,)).table
+            for table in (hopping, classical):
+                assert np.array_equal(table[0], mu) and np.array_equal(table[2], var)
+                assert np.array_equal(table[1], np.sqrt(var / n))
+            sds.append(hopping[1])
+        assert not np.array_equal(*sds)
 
     # the coins are read from the bit generator's raw 64-bit words; on
     # PCG64 they are the bytes of Generator.bytes, at lengths that end
@@ -649,7 +653,7 @@ class TestChunkPlan:
 
     @pytest.fixture()
     def calls(self, monkeypatch):
-        counts = {"thresholds": 0, "middle_hypotheses": 0, "_draw_table": 0}
+        counts = {"thresholds": 0, "middle_hypotheses": 0, "state_moments": 0}
 
         def counted(name, real):
             def wrapper(*args, **kwargs):
@@ -662,26 +666,42 @@ class TestChunkPlan:
 
         for name in ("thresholds", "middle_hypotheses"):
             monkeypatch.setattr(DerivedStats, name, counted(name, getattr(DerivedStats, name)))
-        monkeypatch.setattr(protocol, "_draw_table", counted("_draw_table", protocol._draw_table))
+        monkeypatch.setattr(protocol, "state_moments", counted("state_moments", protocol.state_moments))
         return counts
 
     def test_session_builds_its_plan_once(self, calls):
         params, stats = params_and_stats(samples_per_chip=3)
         tallies = run_session(450, params, stats, seed=3, detectors=DETECTOR_CHOICES, chunk_bits=100)
         assert tallies["ml"].total_chips == 4_500  # five chunks
-        assert calls == {"thresholds": 1, "middle_hypotheses": 1, "_draw_table": 1}
+        assert calls == {"thresholds": 1, "middle_hypotheses": 1, "state_moments": 0}
 
     def test_traced_session_builds_its_plan_once(self, calls):
         log = io.StringIO()
         run_session(450, *params_and_stats(), seed=3, detectors=DETECTOR_CHOICES, trace=log, chunk_bits=100)
         assert len(log.getvalue().splitlines()) == 4_500
-        assert calls == {"thresholds": 1, "middle_hypotheses": 1, "_draw_table": 1}
+        assert calls == {"thresholds": 1, "middle_hypotheses": 1, "state_moments": 0}
 
     def test_classical_session_builds_its_plan_once(self, calls):
         params = SystemParams(m_l=0.0, chips_per_bit=1, samples_per_chip=30)
         tallies = run_classical_session(450, params, seed=3, chunk_bits=100)
         assert tallies["classical"].total_chips == 450
-        assert calls == {"thresholds": 0, "middle_hypotheses": 0, "_draw_table": 1}
+        assert calls == {"thresholds": 0, "middle_hypotheses": 0, "state_moments": 1}
+
+    def test_compare_builds_one_state_table_per_session(self, monkeypatch, capsys):
+        # one per hopping point, in derive_stats (2 scenarios x 5 rates),
+        # and one per classical plan (5 rates)
+        from rhkljn import cli, params
+
+        calls = []
+
+        def counted(p):
+            calls.append(p)
+            return state_moments(p)
+
+        for module in (params, protocol):
+            monkeypatch.setattr(module, "state_moments", counted)
+        assert cli.main(["compare", "--values", "2e4,3e4,5e4,1e5,2e5", "--bits", "100"]) == 0
+        assert len(calls) == 15
 
     def test_chunk_copies_the_plan_with_its_own_size_and_key(self):
         params, stats = params_and_stats()
@@ -690,7 +710,8 @@ class TestChunkPlan:
         assert (chunk.n_bits, chunk.key, plan.n_bits, plan.key) == (100, (9, 3), 5_000, (9,))
         for name in ("params", "stats", "detectors", "master_seed", "table", "thresholds", "hyps"):
             assert getattr(chunk, name) is getattr(plan, name), name
-        assert [h.std for h in plan.hyps] == sorted(h.std for h in stats.middle_hypotheses())
+        # in label order: the ML detector sorts the hypotheses by sigma itself
+        assert plan.hyps == stats.middle_hypotheses()
 
     def test_tally_add_sums_every_field(self):
         a = DetectorTally(*range(1, 8))
