@@ -21,7 +21,9 @@ label g of the middle Gaussian that produced it:
 The gate and both threshold detectors are one interval rule on m_hat,
 :class:`ThresholdSet`.  The tally reads keep masks, built without labels:
 ``ThresholdSet.keep`` and ``ml_keep``, the mask of ``detect_moments``
-labels other than 1.  ``q_function`` takes a scalar.
+labels other than 1, which the session engine runs only inside
+``ml_center_band``, the m_hat interval outside which ML keeps a chip
+whatever its S.  ``q_function`` takes a scalar.
 
 Label convention: g indexes the mean, so g=1 is the center Gaussian (mean
 m1, discarded by the protocol), g=2 the left one (m2) and g=3 the right one
@@ -200,6 +202,53 @@ def ml_keep(
             # an earlier hypothesis takes the chip on a tie, a later one only below
             keep |= (cost <= center) if i < k else (cost < center)
     return keep
+
+
+# the center band's edges are pushed out by this fraction of their distance
+# from m1, plus this fraction of |m1|; a center variance within this
+# fraction of another's gives the whole line
+_BAND_MARGIN = 1e-6
+
+
+def ml_center_band(hyps: Sequence[GaussianHypothesis]) -> tuple[float, float]:
+    """ML's center band ``(lo, hi)``: :func:`ml_keep` keeps every chip with
+    m_hat < lo or m_hat > hi, whatever its S >= 0 and its n.
+
+    With x = m_hat - m1, the center's cost less that of another hypothesis
+    o is n*D_o(x) + S*(1/(2*sigma1^2) - 1/(2*sigma_o^2)), where D_o(x) =
+    ln(sigma1/sigma_o) + x^2/(2*sigma1^2) - (x - (m_o - m1))^2/(2*sigma_o^2)
+    is the difference at S = 0, over n.  When sigma1 < sigma_o the S term
+    grows with S, and D_o is a convex quadratic, negative at x = 0, so it
+    has a real root on each side of m1, and its sign does not depend on n.
+    The band is where both D_o are negative, where the center beats both
+    others at S = 0; it always holds m1.  Outside it some D_o is positive,
+    so o's cost is strictly below the center's at every S (no tie, which
+    the center, first in the sigma order, would win) and the chip is kept.
+    Each edge is widened by ``_BAND_MARGIN`` of its distance from m1,
+    which raises D_o there by at least that fraction of |D_o(0)|, far
+    above the costs' rounding, and of |m1|, the rounding of the edge.
+    The whole line is returned when a sigma is 0 or the center's variance
+    is not below both others' by a relative gap of ``_BAND_MARGIN``: the
+    point masses and beta = 1, where ML needs S for every chip.
+    """
+    center = next(h for h in hyps if h.label == 1)
+    others = [h for h in hyps if h.label != 1]
+    var_c = center.std**2
+    if var_c == 0.0 or any(h.std**2 * (1.0 - _BAND_MARGIN) <= var_c for h in others):
+        return -math.inf, math.inf
+    x_lo, x_hi = -math.inf, math.inf
+    for h in others:
+        var_o, delta = h.std**2, h.mean - center.mean
+        # D_o(x) = a*x^2 + b*x + c, with a > 0 and c < 0
+        a = 0.5 / var_c - 0.5 / var_o
+        b = delta / var_o
+        c = math.log(center.std / h.std) - 0.5 * delta**2 / var_o
+        # q-form roots, immune to cancellation; q != 0 since b^2 - 4*a*c > b^2
+        q = -0.5 * (b + math.copysign(math.sqrt(b * b - 4.0 * a * c), b))
+        lo, hi = sorted((q / a, c / q))
+        x_lo, x_hi = max(x_lo, lo), min(x_hi, hi)
+    scale, pad = 1.0 + _BAND_MARGIN, _BAND_MARGIN * abs(center.mean)
+    return center.mean + x_lo * scale - pad, center.mean + x_hi * scale + pad
 
 
 def _moments(values) -> tuple[np.ndarray, np.ndarray, int]:

@@ -237,7 +237,8 @@ class DerivedStats:
     """Every quantity derived from a :class:`SystemParams`.
 
     ``state_means`` and ``state_variances`` are the :func:`state_moments`
-    table, read-only, the one table sessions draw from and Eve scores.
+    table, read-only (in a pickled copy too), the one table sessions draw
+    from and Eve scores.
     The canonical middle-band model everywhere downstream is the three
     Gaussians (m2, var2), (m1, var1), (m3, var3).  The means are the
     closed forms m_g = c_g * m_l; var1..var4 are the table's variances of
@@ -272,6 +273,14 @@ class DerivedStats:
     state_means: np.ndarray = field(repr=False, compare=False)
     state_variances: np.ndarray = field(repr=False, compare=False)
     note: str | None = None
+
+    def __post_init__(self) -> None:
+        self.state_means.flags.writeable = self.state_variances.flags.writeable = False
+
+    def __reduce__(self):
+        # unpickled through __init__, so a --jobs worker's table is read-only
+        # too: numpy unpickles every array writeable
+        return DerivedStats, tuple(getattr(self, f.name) for f in fields(self))
 
     @property
     def mixture_tables(self) -> dict[tuple[int, int], tuple[MixtureComponent, ...]]:
@@ -383,7 +392,6 @@ def derive_stats(params: SystemParams) -> DerivedStats:
     c1, c2, c3, c4 = derive_coefficients(params)
     m1, m2, m3 = c1 * params.m_l, c2 * params.m_l, c3 * params.m_l
     state_means, state_variances = state_moments(params)
-    state_means.flags.writeable = state_variances.flags.writeable = False
     # the mixed state (0, 1) at sub-bits (0, 0), (0, 1), (1, 0), (1, 1)
     var1, var2, var3, var4 = state_variances[4:8].tolist()
     try:

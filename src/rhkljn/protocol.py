@@ -18,16 +18,19 @@ with n.  Per chunk the draw order is: the coin bytes, read from the bit
 generator's raw words (the bytes of ``rng.bytes`` on PCG64), one byte per
 bit, whose low two bits are the mains (b_a, b_b), and one byte per chip,
 whose low two bits are the sub-bits (s_a, s_b) and whose bit 2 is Eve's
-coin; then m_hat; then, after the gate, S for the gate-kept chips alone
-(:func:`_rh_chunk_arrays`).  Each chip's state is the flat
-index 8*b_a + 4*b_b + 2*s_a + s_b of the 16-state table of
-:func:`rhkljn.params.state_moments`, stored once in the session's
+coin; then m_hat; then, after the gate, S for the gate-kept chips inside
+ML's center band (:func:`rhkljn.detectors.ml_center_band`), outside which
+ML keeps a chip whatever its S (:func:`_rh_chunk_arrays`).  Each chip's
+state is the flat index 8*b_a + 4*b_b + 2*s_a + s_b of the 16-state table
+of :func:`rhkljn.params.state_moments`, stored once in the session's
 ``DerivedStats`` (``state_means``, ``state_variances``), the table Eve's
 hypotheses come from; its mean and variance are looked up there, and the
 tally reads the parties' bits from it with bit tests.  S is drawn only
 when the ``ml`` detector, the one detector that reads it, runs, and only
-on the chips it scores.  Every detector is tallied from a keep mask;
-labels are built only for the trace.  The stream is engine version :data:`ENGINE_VERSION`.
+on the chips whose verdict it can change.  Every detector is tallied
+from a keep mask; labels are built only for the trace, which draws S for
+the other gate-kept chips after the chunk's draws.  The stream is engine
+version :data:`ENGINE_VERSION`.
 Work is split into fixed-size chunks of bits, each with its own seed
 substream, so results are bit-identical across worker counts.  A session
 builds its chunk plan (:class:`_ChunkSpec`: the state table, thresholds
@@ -71,9 +74,10 @@ from .rng import substream
 DETECTOR_CHOICES = ("ml", "simple", "optimum")
 DEFAULT_CHUNK_BITS = 1024
 
-ENGINE_VERSION = 2
+ENGINE_VERSION = 3
 """The version of the chunk draw.  Output bytes are a pure function of the
-command, its seed and this version, which changes whenever a draw moves."""
+command, its seed and this version, which changes whenever a draw moves.
+Version 3 draws ML's S only inside its center band; no other draw moved."""
 
 
 def check_names(kind: str, names, choices) -> tuple[str, ...]:
@@ -206,8 +210,10 @@ class _ChunkSpec:
     seed and point key; building it derives everything a chunk reads
     and that stays fixed for the session: ``table``, the (mu,
     sqrt(var / n), var) of the 16 chip states, from the statistics' state
-    table, the :class:`~rhkljn.detectors.ThresholdSet` and the middle
-    hypotheses when ``ml`` runs and, for the classical baseline (``stats``
+    table, the :class:`~rhkljn.detectors.ThresholdSet` and, when ``ml``
+    runs, the middle hypotheses and ``ml_band``, ML's center band
+    (:func:`~rhkljn.detectors.ml_center_band`) within the gate, and, for
+    the classical baseline (``stats``
     None, the table then from :func:`~rhkljn.params.state_moments`), its
     variance band.  :meth:`chunk` copies the plan for one chunk, with that
     chunk's size and substream key, and derives nothing again.
@@ -229,6 +235,9 @@ class _ChunkSpec:
             self.thresholds = self.stats.thresholds()
             if "ml" in self.detectors:
                 self.hyps = self.stats.middle_hypotheses()
+                lo, hi = det.ml_center_band(self.hyps)
+                # within the gate: the chips whose S is drawn
+                self.ml_band = max(lo, self.thresholds.th1), min(hi, self.thresholds.th2)
         self.table = (mu, np.sqrt(var / self.params.samples_per_chip), var)
 
     def chunk(self, n_bits: int, key: tuple[int, ...]) -> "_ChunkSpec":
@@ -239,15 +248,17 @@ class _ChunkSpec:
         return spec
 
 
-def _rh_chunk_arrays(spec: _ChunkSpec):
-    """Draw one chunk of bits; returns ``(state, eve, m_hat, gate_keep, scatter, gated)``.
+def _rh_chunk_arrays(spec: _ChunkSpec, rng: np.random.Generator | None = None):
+    """Draw one chunk of bits; returns ``(state, eve, m_hat, gate_keep, scatter, scored)``.
 
     ``state`` is each chip's flat state index 8*b_a + 4*b_b + 2*s_a + s_b,
     ``eve`` Eve's guess of b_a, ``m_hat`` the chip's sample mean and
     ``gate_keep`` the gate's verdict (``ThresholdSet.gate``), all
-    ``(bits, chips)``; ``gated`` is the gate-kept chips' flat indices,
-    ``np.flatnonzero(gate_keep)``, and ``scatter`` is S at those chips,
-    1-D; both are ``None`` unless ``ml`` runs.
+    ``(bits, chips)``; ``scored`` is the flat indices of the gate-kept
+    chips inside ML's center band ``spec.ml_band``, the only chips whose
+    ML verdict S can change, and ``scatter`` is S at those chips, 1-D;
+    both are ``None`` unless ``ml`` runs.  ``rng`` is the chunk's
+    substream, made here when not given.
 
     A chip is drawn as its sufficient statistics, not as raw samples: given
     the chip state, the n samples are i.i.d. N(mu, sigma^2), so their mean
@@ -263,31 +274,40 @@ def _rh_chunk_arrays(spec: _ChunkSpec):
     a chip byte's low two bits are (s_a, s_b) and its bit 2 is Eve's coin;
     every other bit is unread.  Then m_hat, then the gate, then, only when
     ``ml``, the one detector that reads S, runs, S for the gate-kept chips
-    alone.  S comes last, so skipping it moves no other draw.
+    inside ML's center band, in flat order.  S comes last, so skipping it
+    moves no other draw.
     """
     n_bits, chips = spec.n_bits, spec.params.chips_per_bit
-    rng = substream(spec.master_seed, spec.key)
+    if rng is None:
+        rng = substream(spec.master_seed, spec.key)
 
     coins = _coin_bytes(rng, n_bits * (1 + chips))
     chip = coins[n_bits:].reshape(n_bits, chips)
     state = ((coins[:n_bits] & 3) << 2)[:, None] | (chip & 3)
     eve = (chip >> 2) & 1
 
-    mu, sd, var = spec.table
+    mu, sd, _ = spec.table
     # mu + sd * z, in place; take is the cheaper gather
     m_hat = sd.take(state)
     m_hat *= rng.standard_normal((n_bits, chips))
     m_hat += mu.take(state)
     gate_keep = spec.thresholds.gate(m_hat)
-    scatter = gated = None
+    scatter = scored = None
     if "ml" in spec.detectors:
-        # a gather at the kept chips' flat indices is several times cheaper
-        # than boolean indexing with the gate, and picks them in the same order
-        gated = np.flatnonzero(gate_keep)
-        kept_state = state.take(gated)
-        scatter = 2.0 * rng.standard_gamma(0.5 * (spec.params.samples_per_chip - 1), kept_state.size)
-        scatter *= var.take(kept_state)
-    return state, eve, m_hat, gate_keep, scatter, gated
+        lo, hi = spec.ml_band
+        # the gate-kept chips in the band; a gather at their flat indices
+        # is several times cheaper than boolean indexing, in the same order
+        scored = np.flatnonzero((m_hat >= lo) & (m_hat <= hi))
+        scatter = _draw_scatter(rng, spec, state.take(scored))
+    return state, eve, m_hat, gate_keep, scatter, scored
+
+
+def _draw_scatter(rng: np.random.Generator, spec: _ChunkSpec, state: np.ndarray) -> np.ndarray:
+    """S ~ var * chi^2(n - 1) for chips of flat states ``state``, drawn as
+    var * 2 * Gamma((n - 1)/2), one gamma per chip in order."""
+    scatter = 2.0 * rng.standard_gamma(0.5 * (spec.params.samples_per_chip - 1), state.size)
+    scatter *= spec.table[2].take(state)
+    return scatter
 
 
 def _coin_bytes(rng: np.random.Generator, k: int) -> np.ndarray:
@@ -305,21 +325,22 @@ def _rh_chunk(spec: _ChunkSpec) -> dict[str, DetectorTally]:
     return _tally_chunk(spec, *_rh_chunk_arrays(spec))[0]
 
 
-def _tally_chunk(spec, state, eve, m_hat, gate_keep, scatter, gated):
+def _tally_chunk(spec, state, eve, m_hat, gate_keep, scatter, scored):
     """One tally per detector, and the gate.
 
     A detector keeps a gated chip unless it labels it g = 1; the tally
     reads that mask (the interval rule's ``ThresholdSet.keep``, or
-    :func:`rhkljn.detectors.ml_keep` on the gated chips alone, at their
-    flat indices ``gated``) and builds no label array, so the trace, which
-    shows the labels, gets them from :func:`_detector_labels`.
+    :func:`rhkljn.detectors.ml_keep` on the chips inside ML's center band
+    alone, at their flat indices ``scored``, every other gated chip kept)
+    and builds no label array, so the trace, which shows the labels, gets
+    them from :func:`_detector_labels`.
     """
     keeps = {}
     for name in spec.detectors:
         if name == "ml":
-            # ml_keep on the gated chips, gathered and put back at their flat indices
+            # ml_keep on the scored chips, gathered and put back at their flat indices
             kept = gate_keep.copy()
-            kept.put(gated, det.ml_keep(m_hat.take(gated), scatter, spec.params.samples_per_chip, spec.hyps))
+            kept.put(scored, det.ml_keep(m_hat.take(scored), scatter, spec.params.samples_per_chip, spec.hyps))
         else:
             kept = gate_keep & spec.thresholds.keep(m_hat, name)
         keeps[name] = kept
@@ -330,9 +351,10 @@ def _detector_labels(spec: _ChunkSpec, m_hat, gate_keep, scatter) -> dict[str, n
     """Every detector's labels on a chunk, as the trace shows them.
 
     The threshold detectors' come from the interval rule's
-    ``ThresholdSet.label`` on ``m_hat``; the ``ml``
-    labels from :func:`rhkljn.detectors.detect_moments` on the gate-kept
-    chips' (m_hat, S), the only chips S is drawn for, and 0 elsewhere.
+    ``ThresholdSet.label`` on ``m_hat``; the ``ml`` labels from
+    :func:`rhkljn.detectors.detect_moments` on the gate-kept chips'
+    (m_hat, S), ``scatter`` holding S at each of them in flat order
+    (:func:`_gated_scatter`), and 0 elsewhere.
     """
     labels = {}
     for name in spec.detectors:
@@ -490,10 +512,30 @@ def run_session(
     return _run_chunks(traced, spec, num_bits, chunk_bits, share)
 
 
+def _gated_scatter(rng: np.random.Generator, spec: _ChunkSpec, state, gate_keep, scatter, scored) -> np.ndarray:
+    """S at every gate-kept chip, in flat order: ``scatter`` at the chips
+    ``scored`` and, drawn from ``rng`` after them, S at the others."""
+    gated = np.flatnonzero(gate_keep)
+    inside = np.isin(gated, scored, assume_unique=True)
+    full = np.empty(gated.size)
+    full[inside] = scatter
+    full[~inside] = _draw_scatter(rng, spec, state.take(gated[~inside]))
+    return full
+
+
 def _traced_chunk(spec: _ChunkSpec, trace, chunk_bits: int) -> dict[str, DetectorTally]:
-    arrays = _rh_chunk_arrays(spec)
-    state, _, m_hat, gate_keep, scatter, _ = arrays
+    """A chunk's tallies, as :func:`_rh_chunk`'s, and one trace line per chip.
+
+    The ``ml`` labels need S at every gate-kept chip; those outside the
+    center band get theirs from the substream after the chunk's own
+    draws, so the tallies stay those of the untraced chunk.
+    """
+    rng = substream(spec.master_seed, spec.key)
+    arrays = _rh_chunk_arrays(spec, rng)
+    state, _, m_hat, gate_keep, scatter, scored = arrays
     tallies, _ = _tally_chunk(spec, *arrays)
+    if scatter is not None:
+        scatter = _gated_scatter(rng, spec, state, gate_keep, scatter, scored)
     labels = _detector_labels(spec, m_hat, gate_keep, scatter)
     b_a, b_b, s_a, s_b = ((state >> k) & 1 for k in (3, 2, 1, 0))
     base_bit = spec.key[-1] * chunk_bits

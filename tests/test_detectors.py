@@ -18,6 +18,7 @@ from rhkljn.detectors import (
     GaussianHypothesis,
     detect_moments,
     min_error_threshold,
+    ml_center_band,
     ml_detect_batch,
     ml_keep,
     moment_costs,
@@ -25,7 +26,8 @@ from rhkljn.detectors import (
 )
 from rhkljn.exact import pe1, pe2, stationarity_residual
 from rhkljn.params import derive_stats, fine_tuned_bias
-from rhkljn.protocol import _ChunkSpec, _rh_chunk_arrays
+from rhkljn.protocol import _ChunkSpec, _gated_scatter, _rh_chunk_arrays
+from rhkljn.rng import substream
 from conftest import random_valid_params
 
 
@@ -431,7 +433,10 @@ class TestMlKeep:
     def test_session_chunks(self, scenario, n):
         params = apply_scenario(SystemParams(samples_per_chip=n), scenario)
         spec = _ChunkSpec(params, derive_stats(params), ("ml",), 1024, 60 + n, (0,))
-        _, _, m_hat, gate_keep, scatter, _ = _rh_chunk_arrays(spec)
+        # S at every gate-kept chip, as the trace draws it
+        rng = substream(60 + n, (0,))
+        state, _, m_hat, gate_keep, scatter, scored = _rh_chunk_arrays(spec, rng)
+        scatter = _gated_scatter(rng, spec, state, gate_keep, scatter, scored)
         keep = self.assert_matches_labels(m_hat[gate_keep], scatter, n, spec.stats.middle_hypotheses())
         assert keep.any() and not keep.all()
 
@@ -483,6 +488,55 @@ class TestMlKeep:
         _, _, m_hat, gate_keep, scatter, _ = _rh_chunk_arrays(spec)
         keep = self.assert_matches_labels(m_hat[gate_keep], scatter, 5, stats.middle_hypotheses())
         assert keep.any() and not keep.all()
+
+
+class TestMlCenterBand:
+    """Outside ``ml_center_band`` ML keeps a chip whatever its S."""
+
+    @settings(deadline=None, derandomize=True, database=None, max_examples=200)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 40))
+    def test_outside_the_band_ml_keeps_at_any_scatter(self, seed, n):
+        rng = np.random.default_rng(seed)
+        stats = derive_stats(random_valid_params(rng, samples_per_chip=n))
+        hyps = stats.middle_hypotheses()
+        lo, hi = ml_center_band(hyps)
+        assert lo < stats.m1 < hi
+        # the last ulp outside each edge, one band margin (1e-6 of the
+        # band's width) out, and spread over a band's width on either side
+        width = hi - lo
+        m_hat = np.concatenate(
+            [
+                [np.nextafter(lo, -np.inf), np.nextafter(hi, np.inf), lo - 1e-6 * width, hi + 1e-6 * width],
+                rng.uniform(lo - width, lo, 200),
+                np.nextafter(rng.uniform(hi, hi + width, 200), np.inf),
+            ]
+        )
+        var1 = stats.var1
+        for scatter in (0.0, var1 * rng.chisquare(max(n - 1, 1), m_hat.size), 1e6 * var1):
+            assert ml_keep(m_hat, np.broadcast_to(scatter, m_hat.shape), n, hyps).all(), scatter
+        # and the band is tight: at S = 0 the center takes every chip 1 %
+        # of the way in from an edge, and m1 itself
+        inside = np.array([stats.m1, lo + 0.01 * (stats.m1 - lo), hi - 0.01 * (hi - stats.m1)])
+        assert not ml_keep(inside, np.zeros(3), n, hyps).any()
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [dict(temperature=0.0), dict(beta=1.0), dict(alpha=1.0, beta=1.0)],
+        ids=["point_masses", "beta_1", "alpha_beta_1"],
+    )
+    def test_whole_line_without_a_strictly_narrowest_center(self, overrides):
+        assert ml_center_band(derive_stats(SystemParams(**overrides)).middle_hypotheses()) == (-math.inf, math.inf)
+
+    def test_whole_line_when_the_center_is_not_narrowest(self):
+        # another as narrow as the center, or within the band margin of it
+        # (a variance gap of 2e-7), or narrower
+        for std in (1.0, 1.0 + 1e-7, 1.0 - 1e-7, 0.5):
+            hyps = (
+                GaussianHypothesis(label=1, mean=0.0, std=1.0),
+                GaussianHypothesis(label=2, mean=-3.0, std=std),
+                GaussianHypothesis(label=3, mean=3.0, std=2.0),
+            )
+            assert ml_center_band(hyps) == (-math.inf, math.inf), std
 
 
 class TestErrorProbabilities:

@@ -1,7 +1,9 @@
 """Closed-form parameter statistics against hand-computed and reference values."""
 
+import copy
 import itertools
 import math
+import pickle
 
 import mpmath
 import numpy as np
@@ -233,6 +235,16 @@ class TestStateMoments:
                 with pytest.raises(ValueError, match="read-only"):
                     stored[0] = 0.0
             assert [stats.var1, stats.var2, stats.var3, stats.var4] == stats.state_variances[4:8].tolist()
+
+    def test_a_pickled_copy_stays_read_only(self):
+        # a --jobs grid pickles each session's stats to its worker, and
+        # numpy unpickles an array writeable
+        stats = derive_stats(SystemParams(alpha=7.0, beta=2.0))
+        for copied in (pickle.loads(pickle.dumps(stats)), copy.deepcopy(stats)):
+            assert copied == stats and copied.note == stats.note
+            for stored, want in zip((copied.state_means, copied.state_variances), (stats.state_means, stats.state_variances)):
+                assert stored is not want and stored.tobytes() == want.tobytes()
+                assert not stored.flags.writeable
 
     @pytest.mark.parametrize("scenario", SCENARIOS)
     def test_at_most_one_ulp_from_the_squared_weight_form(self, scenario):

@@ -24,6 +24,7 @@ from rhkljn import (
 )
 from rhkljn import protocol
 from rhkljn.channel import ChipState, sample_chip
+from rhkljn.detectors import ml_center_band, ml_keep
 from rhkljn.params import derive_stats
 from rhkljn.pls import IDEAL_DISCARD
 from rhkljn.protocol import (
@@ -347,6 +348,19 @@ class TestRunSession:
         for token in ("bit=", "chip=", "b_a=", "s_b=", "m_hat=", "optimum:"):
             assert token in first
 
+    def test_traced_tallies_are_the_untraced_ones(self):
+        # the trace draws S for the gated chips outside ML's center band
+        # after each chunk's draws, so no tally moves; its ml verdicts are
+        # the tally's
+        params, stats = params_and_stats(samples_per_chip=3)
+        untraced = run_session(2_500, params, stats, seed=12, detectors=DETECTOR_CHOICES)
+        buf = io.StringIO()
+        traced = run_session(2_500, params, stats, seed=12, detectors=DETECTOR_CHOICES, trace=buf)
+        assert traced == untraced
+        log = buf.getvalue()
+        assert log.count(":exchanged") == sum(t.kept_chips for t in untraced.values())
+        assert log.count("ml:1:discarded_g1") == untraced["ml"].discarded_g1 > 0
+
     def test_invalid_inputs(self):
         params, stats = params_and_stats()
         with pytest.raises(ValueError):
@@ -473,7 +487,7 @@ class TestChunkSampler:
 
     # fixed before the first run: about 1% family-wise false alarm over the
     # KS tests below (m_hat per state and pooled over the 16 states at 4
-    # sample counts; S per gated state and pooled over the gated chips at 3)
+    # sample counts; S per scored state and pooled over the scored chips at 3)
     KS_P_FLOOR = 1e-4
 
     @staticmethod
@@ -496,9 +510,9 @@ class TestChunkSampler:
     @pytest.mark.parametrize("n", [1, 2, 3, 20])
     def test_moments_follow_chip_distribution(self, n):
         params = SystemParams(samples_per_chip=n)
-        state, _, m_hat, gate_keep, scatter, _ = self.chunk(params, 4_000, seed=41)
-        gated_state = state[gate_keep]
-        assert scatter.shape == gated_state.shape
+        state, _, m_hat, gate_keep, scatter, scored = self.chunk(params, 4_000, seed=41)
+        scored_state = state.take(scored)
+        assert scatter.shape == scored_state.shape
         z = np.empty_like(m_hat)
         s_over_var = np.empty_like(scatter)
         for index, chip_state in self.by_state():
@@ -507,12 +521,13 @@ class TestChunkSampler:
             assert sel.sum() > 1_000
             z[sel] = (m_hat[sel] - mean) / math.sqrt(var / n)
             assert kstest(z[sel], norm.cdf).pvalue >= self.KS_P_FLOOR, chip_state
-            # S exists for the gate-kept chips alone: every chip of a mixed
-            # state, few of the all-low and all-high ones
-            gated = gated_state == index
-            s_over_var[gated] = scatter[gated] / var
-            if n > 1 and gated.sum() > 1_000:
-                assert kstest(s_over_var[gated], chi2(n - 1).cdf).pvalue >= self.KS_P_FLOOR, chip_state
+            # S exists for the gate-kept chips inside ML's center band
+            # alone, most of them near m1; S is independent of m_hat, so
+            # picking chips by m_hat leaves its law as it is
+            scored = scored_state == index
+            s_over_var[scored] = scatter[scored] / var
+            if n > 1 and scored.sum() > 1_000:
+                assert kstest(s_over_var[scored], chi2(n - 1).cdf).pvalue >= self.KS_P_FLOOR, chip_state
         # pooled over all states: ~16x the power of one state against a common bias
         assert kstest(z.ravel(), norm.cdf).pvalue >= self.KS_P_FLOOR
         if n == 1:
@@ -545,16 +560,19 @@ class TestChunkTableDraw:
     @staticmethod
     def replay(params, stats, n_bits, seed, key):
         """The chunk redrawn in the documented order, every chip's moments
-        from a broadcast :func:`chip_moments` call."""
+        from a broadcast :func:`chip_moments` call, and S for the gate-kept
+        chips inside ML's center band."""
         chips, n = params.chips_per_bit, params.samples_per_chip
         rng = substream(seed, key)
         a_main, b_main, a_sub, b_sub, eve = replay_coins(rng, n_bits, chips)
         mu, var = chip_moments(params, a_main[:, None], b_main[:, None], a_sub, b_sub)
         m_hat = mu + np.sqrt(var / n) * rng.standard_normal((n_bits, chips))
         gate_keep = (m_hat >= stats.th1) & (m_hat <= stats.th2)
-        scatter = var[gate_keep] * (2.0 * rng.standard_gamma(0.5 * (n - 1), np.count_nonzero(gate_keep)))
+        lo, hi = ml_center_band(stats.middle_hypotheses())
+        in_band = gate_keep & (m_hat >= lo) & (m_hat <= hi)
+        scatter = var[in_band] * (2.0 * rng.standard_gamma(0.5 * (n - 1), np.count_nonzero(in_band)))
         state = 8 * a_main[:, None] + 4 * b_main[:, None] + 2 * a_sub + b_sub
-        return state, eve, m_hat, gate_keep, scatter
+        return state, eve, m_hat, gate_keep, scatter, np.flatnonzero(in_band)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 20])
     def test_table_draw_equals_per_chip_moments(self, n, rng):
@@ -565,6 +583,7 @@ class TestChunkTableDraw:
             spec = _ChunkSpec(params, stats, ("ml",), 300, 50 + i, (7, i))
             got = _rh_chunk_arrays(spec)
             want = self.replay(params, stats, 300, 50 + i, (7, i))
+            assert len(got) == len(want)
             for g, w in zip(got, want):
                 assert np.array_equal(g, w), params
 
@@ -574,11 +593,13 @@ class TestChunkTableDraw:
         stats = derive_stats(params)
         without = _rh_chunk_arrays(_ChunkSpec(params, stats, ("optimum",), 400, 8, (1,)))
         with_ml = _rh_chunk_arrays(_ChunkSpec(params, stats, ("ml", "optimum"), 400, 8, (1,)))
-        assert without[4] is None
-        # one S per gate-kept chip, and none for the chips the gate discards
-        gate_keep = with_ml[3]
-        assert with_ml[4].shape == (np.count_nonzero(gate_keep),)
-        assert 0 < gate_keep.sum() < gate_keep.size
+        assert without[4] is None and without[5] is None
+        # one S per gate-kept chip inside ML's center band, and none for the
+        # others: those the gate discards and those ML keeps at any S
+        gate_keep, scatter, scored = with_ml[3:]
+        assert scatter.shape == scored.shape
+        assert np.all(gate_keep.flat[scored])
+        assert 0 < scored.size < np.count_nonzero(gate_keep) < gate_keep.size
         # S is the last draw: every other array is the same with or without it
         for i in range(4):
             assert np.array_equal(without[i], with_ml[i]), i
@@ -728,14 +749,18 @@ class TestThresholdKeep:
         params = SystemParams(samples_per_chip=2)
         stats = derive_stats(params)
         spec = _ChunkSpec(params, stats, DETECTOR_CHOICES, 10_000, 19, (0,))
-        arrays = _rh_chunk_arrays(spec)
-        state, eve, m_hat, gate_keep, scatter, _ = arrays
+        rng = substream(19, (0,))
+        arrays = _rh_chunk_arrays(spec, rng)
+        state, eve, m_hat, gate_keep, scatter, scored = arrays
         a_main, b_main, a_sub, b_sub = party_bits(state)
         result = _tally_chunk(spec, *arrays)
         # the tallies and the gate: no detector's labels are built
         assert len(result) == 2
         tallies, gate = result
         assert gate is gate_keep and gate_keep.dtype == bool
+        # the ml labels read S at every gate-kept chip, drawn after the
+        # chunk's for those outside the center band, as the trace does
+        scatter = protocol._gated_scatter(rng, spec, state, gate_keep, scatter, scored)
         labels = _detector_labels(spec, m_hat, gate_keep, scatter)
         for name in spec.detectors:
             g = labels[name]
@@ -752,7 +777,50 @@ class TestThresholdKeep:
 
 
 class TestMlTally:
-    """``ml`` is tallied from :func:`rhkljn.detectors.ml_keep` on the gated chips."""
+    """``ml`` is tallied from :func:`rhkljn.detectors.ml_keep` on the gated
+    chips inside its center band, and keeps every other gated chip."""
+
+    @staticmethod
+    def full_tally(spec, rng, state, eve, m_hat, gate_keep, scatter, scored):
+        """The ``ml`` tally of ``ml_keep`` on every gate-kept chip, those
+        outside the band at S drawn after the chunk's."""
+        scatter = protocol._gated_scatter(rng, spec, state, gate_keep, scatter, scored)
+        kept = gate_keep.copy()
+        kept[gate_keep] = ml_keep(m_hat[gate_keep], scatter, spec.params.samples_per_chip, spec.hyps)
+        return protocol._count({"ml": kept}, gate_keep, state, eve)
+
+    # the point masses and beta = 1 have no strictly narrowest center, so S
+    # is drawn for every gated chip; at alpha = beta the center is still
+    # the narrowest
+    @pytest.mark.parametrize(
+        "overrides, whole_line",
+        [({}, False), (NOISELESS, True), (dict(beta=1.0), True), (dict(alpha=3.5), False), (dict(samples_per_chip=1), False)],
+        ids=["good", "point_masses", "beta_1", "alpha_eq_beta", "one_sample"],
+    )
+    def test_band_tally_equals_ml_keep_on_every_gated_chip(self, overrides, whole_line):
+        params, stats = params_and_stats(**overrides)
+        spec = _ChunkSpec(params, stats, ("ml",), 2_000, 23, (0,))
+        rng = substream(23, (0,))
+        arrays = _rh_chunk_arrays(spec, rng)
+        tally = _tally_chunk(spec, *arrays)[0]
+        assert tally == self.full_tally(spec, rng, *arrays)
+        gate_keep, scored = arrays[3], arrays[5]
+        assert np.array_equal(scored, np.flatnonzero(gate_keep)) == whole_line
+
+    def test_chunk_with_no_chip_in_the_band(self):
+        # the band's chips moved past th2, out of the gate: S is drawn for
+        # no chip, and ml keeps every gated chip
+        params, stats = params_and_stats()
+        spec = _ChunkSpec(params, stats, ("ml",), 500, 29, (0,))
+        state, eve, m_hat, *_ = _rh_chunk_arrays(spec)
+        lo, hi = spec.ml_band
+        m_hat[(m_hat >= lo) & (m_hat <= hi)] = 2.0 * stats.th2
+        gate_keep = stats.thresholds().gate(m_hat)
+        rng = substream(29, (1,))
+        arrays = (state, eve, m_hat, gate_keep, np.empty(0), np.empty(0, dtype=np.intp))
+        tally = _tally_chunk(spec, *arrays)[0]["ml"]
+        assert tally.kept_chips == np.count_nonzero(gate_keep) > 0
+        assert {"ml": tally} == self.full_tally(spec, rng, *arrays)
 
     def test_peak_allocation_is_bounded(self):
         # a deterministic guard on the temporaries of the ml path: one

@@ -3,9 +3,10 @@
 A fresh interpreter runs the golden commands (``test_golden``) and the
 README's command block (``test_readme``) under a profile hook and lists
 every function and method of ``detectors``, ``protocol``, ``pls``,
-``params``, ``sweep`` and ``rng`` that none of them called.  The oracles,
-independent checks that no command runs, are exempt, with the module
-functions they call: ``eve_observe``, ``ml_detect_batch``,
+``params``, ``sweep`` and ``rng`` that none of them called on any thread
+of that interpreter (a pool worker, another process, is not seen).  The
+oracles, independent checks that no command runs, are exempt, with the
+module functions they call: ``eve_observe``, ``ml_detect_batch``,
 ``empirical_eve_confusion`` and ``DerivedStats.mixture_tables``, the view
 of the state table that the benchmark's frozen oracle reads.
 ``rhkljn.channel``, the raw-sample oracle, and ``rhkljn.exact``, the
@@ -22,6 +23,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
@@ -54,13 +56,22 @@ def unreached() -> list[str]:
     argvs.append(test_golden.TRACE_ARGV + ("--trace", "trace.log"))
     argvs += [argv if argv[0] == "stats" else argv + ["--bits", "300"] for argv in test_readme.COMMANDS]
     reached = set()
-    sys.setprofile(lambda frame, event, arg: reached.add(frame.f_code) if event == "call" else None)
+
+    def hook(frame, event, arg):
+        if event == "call":
+            reached.add(frame.f_code)
+
+    # the threads a command starts too: a --jobs pool pickles its tasks on
+    # a queue's feeder thread
+    threading.setprofile(hook)
+    sys.setprofile(hook)
     try:
         for argv in argvs:
             with contextlib.redirect_stdout(io.StringIO()):
                 assert cli.main(list(argv)) == 0, argv
     finally:
         sys.setprofile(None)
+        threading.setprofile(None)
 
     names = {}
     for module in (detectors, params, pls, protocol, rng, sweep):
