@@ -7,7 +7,9 @@ Run from the root of a checkout (outside the test paths, so a plain
 
 Each case times one layer on fixed inputs: the draw (``_rh_chunk_arrays``)
 and the tally (``_tally_chunk``) of one 1024-bit chunk of 10 chips at
-n = 3 and 10, with ``optimum`` alone and with all three detectors; one
+n = 3 and 10, with ``optimum`` alone and with all three detectors; ML's
+verdict (``detectors.ml_keep``) on the scored chips of one such chunk, those
+inside ML's center band, at n = 3 and 10; one
 classical chunk (``_classical_chunk``); a session's set-up, ``derive_stats``
 and the chunk plan (``_ChunkSpec``) of one hopping point, and the plan of
 one classical point; ``pls.sop`` at 30,000 trials,
@@ -33,7 +35,7 @@ import argparse  # noqa: E402
 
 import numpy as np  # noqa: E402
 
-from rhkljn import cli, pls, protocol  # noqa: E402
+from rhkljn import cli, detectors, pls, protocol  # noqa: E402
 from rhkljn.config import apply_scenario  # noqa: E402
 from rhkljn.params import SystemParams, chip_moments, derive_stats  # noqa: E402
 from rhkljn.pls import ResistorTolerance, delta_m, sigma_max, sop  # noqa: E402
@@ -65,6 +67,15 @@ def test_chunk_tally(benchmark, n, detectors):
     arrays = protocol._rh_chunk_arrays(spec)
     tallies, _ = benchmark(protocol._tally_chunk, spec, *arrays)
     assert list(tallies) == list(spec.detectors)
+
+
+@pytest.mark.parametrize("n", [3, 10])
+def test_ml_keep(benchmark, n):
+    # ML's verdict on the chunk's scored chips, as the tally gathers them
+    spec = chunk_spec(n, ("ml",))
+    _, _, m_hat, _, scatter, scored = protocol._rh_chunk_arrays(spec)
+    keep = benchmark(detectors.ml_keep, m_hat.take(scored), scatter, n, spec.hyps)
+    assert keep.shape == scored.shape and keep.dtype == bool
 
 
 def test_classical_chunk(benchmark):

@@ -21,9 +21,11 @@ label g of the middle Gaussian that produced it:
 The gate and both threshold detectors are one interval rule on m_hat,
 :class:`ThresholdSet`.  The tally reads keep masks, built without labels:
 ``ThresholdSet.keep`` and ``ml_keep``, the mask of ``detect_moments``
-labels other than 1, which the session engine runs only inside
-``ml_center_band``, the m_hat interval outside which ML keeps a chip
-whatever its S.  ``q_function`` takes a scalar.
+labels other than 1: where the center is strictly the narrowest, the sign
+of one quadratic per other hypothesis in (m_hat - m1, S/n + (m_hat - m1)^2),
+whose roots at S = 0 give ``ml_center_band``, outside which ML keeps a chip
+whatever its S (the session engine scores only the chips inside it);
+otherwise the labels themselves.  ``q_function`` takes a scalar.
 
 Label convention: g indexes the mean, so g=1 is the center Gaussian (mean
 m1, discarded by the protocol), g=2 the left one (m2) and g=3 the right one
@@ -114,26 +116,6 @@ class ThresholdSet:
 _DEGENERATE_RTOL = 1e-12
 
 
-def _moment_cost(m_hat: np.ndarray, scatter: np.ndarray, n: int, mean: float, std: float, out):
-    """The cost of one hypothesis, written into ``out``; see :func:`moment_costs`.
-
-    The steps of ``n*ln(std) + (scatter + n*(m_hat - mean)**2) / (2*std**2)``
-    run in place, in that order (IEEE + and * commute, so no bit moves).
-    """
-    if std == 0.0:
-        tol = _DEGENERATE_RTOL * max(abs(mean), 1e-300)
-        exact = (np.abs(m_hat - mean) <= tol) & (scatter <= n * tol**2)
-        np.copyto(out, np.where(exact, -np.inf, np.inf))
-        return out
-    np.subtract(m_hat, mean, out=out)
-    np.square(out, out=out)
-    out *= n
-    out += scatter
-    out /= 2.0 * std**2
-    out += n * math.log(std)
-    return out
-
-
 def moment_costs(
     m_hat: np.ndarray,
     scatter: np.ndarray,
@@ -154,7 +136,12 @@ def moment_costs(
     scatter = np.asarray(scatter, dtype=float)
     costs = np.empty(np.broadcast_shapes(m_hat.shape, scatter.shape) + (len(means),))
     for j, (mean, std) in enumerate(zip(means, stds)):
-        _moment_cost(m_hat, scatter, n, mean, std, costs[..., j])
+        if std == 0.0:
+            tol = _DEGENERATE_RTOL * max(abs(mean), 1e-300)
+            exact = (np.abs(m_hat - mean) <= tol) & (scatter <= n * tol**2)
+            costs[..., j] = np.where(exact, -np.inf, np.inf)
+        else:
+            costs[..., j] = (n * (m_hat - mean) ** 2 + scatter) / (2.0 * std**2) + n * math.log(std)
     return costs
 
 
@@ -175,6 +162,35 @@ def detect_moments(
     return np.array([h.label for h in ordered])[np.argmin(costs, axis=-1)]
 
 
+# the center band's edges are pushed out by this fraction of their distance
+# from m1, plus this fraction of |m1|; a center variance within this
+# fraction of another's gives the whole line
+_BAND_MARGIN = 1e-6
+
+
+def _center_quadratics(hyps: Sequence[GaussianHypothesis]) -> tuple[float, list] | None:
+    """``(m1, [(a, b, c), ...])``, one quadratic per other hypothesis o, or
+    ``None`` unless the center is strictly the narrowest (a sigma of 0, or
+    variances within a relative ``_BAND_MARGIN``: the point masses, beta = 1).
+
+    With x = m_hat - m1 and u = S/n + x^2, the center's cost less o's, over
+    n, is a*u + b*x + c, the unequal-variance Gaussian quadratic boundary:
+    a = 1/(2*sigma1^2) - 1/(2*sigma_o^2) > 0, b = (m_o - m1)/sigma_o^2 and
+    c = ln(sigma1/sigma_o) - (m_o - m1)^2/(2*sigma_o^2) < 0.
+    """
+    center = next(h for h in hyps if h.label == 1)
+    others = [h for h in hyps if h.label != 1]
+    var_c = center.std**2
+    if var_c == 0.0 or any(h.std**2 * (1.0 - _BAND_MARGIN) <= var_c for h in others):
+        return None
+    quads = []
+    for h in others:
+        var_o, delta = h.std**2, h.mean - center.mean
+        c = math.log(center.std / h.std) - 0.5 * delta**2 / var_o
+        quads.append((0.5 / var_c - 0.5 / var_o, delta / var_o, c))
+    return center.mean, quads
+
+
 def ml_keep(
     m_hat: np.ndarray,
     scatter: np.ndarray,
@@ -183,72 +199,48 @@ def ml_keep(
 ) -> np.ndarray:
     """``detect_moments(m_hat, scatter, n, hyps) != 1`` for arrays, without the labels.
 
-    In :func:`detect_moments` the center hypothesis (label 1) takes a chip
-    when its cost is below that of every hypothesis before it in the sigma
-    order and no higher than that of every one after it; the mask is the
-    complement, one comparison per other hypothesis, with one buffer for
-    the center's cost and one for the others'.  (A NaN cost, which no chip
-    the gate keeps has, follows the comparisons, not the ``argmin``.)
+    A strictly narrowest center is first in the sigma order and wins ties,
+    so a chip is kept where a*u + b*x + c > 0 for one of
+    :func:`_center_quadratics`: no cost is evaluated, and the chips so far
+    out that every cost overflows to +inf, which ``argmin`` gives the
+    center, are kept.  Otherwise the mask is read off the labels.
     """
-    shape = np.broadcast_shapes(np.shape(m_hat), np.shape(scatter))
-    ordered = sorted(hyps, key=lambda h: h.std)
-    k = [h.label for h in ordered].index(1)
-    center = _moment_cost(m_hat, scatter, n, ordered[k].mean, ordered[k].std, np.empty(shape))
-    cost = np.empty(shape)
-    keep = np.zeros(shape, dtype=bool)
-    for i, h in enumerate(ordered):
-        if i != k:
-            _moment_cost(m_hat, scatter, n, h.mean, h.std, cost)
-            # an earlier hypothesis takes the chip on a tie, a later one only below
-            keep |= (cost <= center) if i < k else (cost < center)
+    quadratics = _center_quadratics(hyps)
+    if quadratics is None:
+        return detect_moments(m_hat, scatter, n, hyps) != 1
+    m1, quads = quadratics
+    x = np.asarray(m_hat, dtype=float) - m1
+    u = np.asarray(scatter, dtype=float) / n + x * x
+    keep = np.zeros(u.shape, dtype=bool)
+    for a, b, c in quads:
+        keep |= a * u + b * x + c > 0.0
     return keep
-
-
-# the center band's edges are pushed out by this fraction of their distance
-# from m1, plus this fraction of |m1|; a center variance within this
-# fraction of another's gives the whole line
-_BAND_MARGIN = 1e-6
 
 
 def ml_center_band(hyps: Sequence[GaussianHypothesis]) -> tuple[float, float]:
     """ML's center band ``(lo, hi)``: :func:`ml_keep` keeps every chip with
     m_hat < lo or m_hat > hi, whatever its S >= 0 and its n.
 
-    With x = m_hat - m1, the center's cost less that of another hypothesis
-    o is n*D_o(x) + S*(1/(2*sigma1^2) - 1/(2*sigma_o^2)), where D_o(x) =
-    ln(sigma1/sigma_o) + x^2/(2*sigma1^2) - (x - (m_o - m1))^2/(2*sigma_o^2)
-    is the difference at S = 0, over n.  When sigma1 < sigma_o the S term
-    grows with S, and D_o is a convex quadratic, negative at x = 0, so it
-    has a real root on each side of m1, and its sign does not depend on n.
-    The band is where both D_o are negative, where the center beats both
-    others at S = 0; it always holds m1.  Outside it some D_o is positive,
-    so o's cost is strictly below the center's at every S (no tie, which
-    the center, first in the sigma order, would win) and the chip is kept.
-    Each edge is widened by ``_BAND_MARGIN`` of its distance from m1,
-    which raises D_o there by at least that fraction of |D_o(0)|, far
-    above the costs' rounding, and of |m1|, the rounding of the edge.
-    The whole line is returned when a sigma is 0 or the center's variance
-    is not below both others' by a relative gap of ``_BAND_MARGIN``: the
-    point masses and beta = 1, where ML needs S for every chip.
+    The band is where both quadratics of :func:`_center_quadratics` are
+    negative at S = 0 (u = x^2); each is convex with c < 0, so m1 lies
+    between its two real roots, and a > 0 only raises it with S.  Each
+    edge is widened by ``_BAND_MARGIN`` of its distance from m1, which
+    raises the quadratic there by at least that fraction of |c|, far above
+    the rounding, and of |m1|, the rounding of the edge.  Where the center
+    is not strictly the narrowest, the whole line.
     """
-    center = next(h for h in hyps if h.label == 1)
-    others = [h for h in hyps if h.label != 1]
-    var_c = center.std**2
-    if var_c == 0.0 or any(h.std**2 * (1.0 - _BAND_MARGIN) <= var_c for h in others):
+    quadratics = _center_quadratics(hyps)
+    if quadratics is None:
         return -math.inf, math.inf
+    m1, quads = quadratics
     x_lo, x_hi = -math.inf, math.inf
-    for h in others:
-        var_o, delta = h.std**2, h.mean - center.mean
-        # D_o(x) = a*x^2 + b*x + c, with a > 0 and c < 0
-        a = 0.5 / var_c - 0.5 / var_o
-        b = delta / var_o
-        c = math.log(center.std / h.std) - 0.5 * delta**2 / var_o
+    for a, b, c in quads:
         # q-form roots, immune to cancellation; q != 0 since b^2 - 4*a*c > b^2
         q = -0.5 * (b + math.copysign(math.sqrt(b * b - 4.0 * a * c), b))
         lo, hi = sorted((q / a, c / q))
         x_lo, x_hi = max(x_lo, lo), min(x_hi, hi)
-    scale, pad = 1.0 + _BAND_MARGIN, _BAND_MARGIN * abs(center.mean)
-    return center.mean + x_lo * scale - pad, center.mean + x_hi * scale + pad
+    scale, pad = 1.0 + _BAND_MARGIN, _BAND_MARGIN * abs(m1)
+    return m1 + x_lo * scale - pad, m1 + x_hi * scale + pad
 
 
 def _moments(values) -> tuple[np.ndarray, np.ndarray, int]:

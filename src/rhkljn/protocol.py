@@ -330,10 +330,11 @@ def _tally_chunk(spec, state, eve, m_hat, gate_keep, scatter, scored):
 
     A detector keeps a gated chip unless it labels it g = 1; the tally
     reads that mask (the interval rule's ``ThresholdSet.keep``, or
-    :func:`rhkljn.detectors.ml_keep` on the chips inside ML's center band
-    alone, at their flat indices ``scored``, every other gated chip kept)
-    and builds no label array, so the trace, which shows the labels, gets
-    them from :func:`_detector_labels`.
+    :func:`rhkljn.detectors.ml_keep`, ML's center verdict as a quadratic in
+    (m_hat - m1, S/n + (m_hat - m1)^2), on the chips inside ML's center
+    band alone, at their flat indices ``scored``, every other gated chip
+    kept) and builds no label array, so the trace, which shows the labels,
+    gets them from :func:`_detector_labels`.
     """
     keeps = {}
     for name in spec.detectors:

@@ -333,15 +333,19 @@ class TestMomentForm:
 
 
 class TestRunningMinimum:
-    """``detect_moments`` and ``ml_keep``, which compares the center's cost
-    with each other one, against ``argmin`` over the stacked
-    :func:`moment_costs`, written out here."""
+    """``detect_moments`` and ``ml_keep`` against ``argmin`` over the stacked
+    :func:`moment_costs`, written out here.  Where every cost overflows to
+    +inf, ``argmin`` gives the tie to the narrowest hypothesis; when that is
+    a strictly narrowest center, ``ml_keep``'s quadratics keep the chip
+    instead, ML's exact verdict (far out, the narrowest hypothesis loses),
+    so there the mask is held to that and not to the overflowed labels."""
 
     @staticmethod
     def argmin_labels(m_hat, scatter, n, hyps):
+        """The labels, and the stacked costs in sigma order."""
         ordered = sorted(hyps, key=lambda h: h.std)
         costs = moment_costs(m_hat, scatter, n, [h.mean for h in ordered], [h.std for h in ordered])
-        return np.array([h.label for h in ordered])[np.argmin(costs, axis=-1)]
+        return np.array([h.label for h in ordered])[np.argmin(costs, axis=-1)], costs
 
     @staticmethod
     def chips(hyps, n, rng, size):
@@ -349,7 +353,7 @@ class TestRunningMinimum:
         with zero scatter (the point masses' support), a tenth exactly
         halfway between two means (equal-variance ties) and a hundredth so
         far out that every cost overflows to +inf (a tie of all three,
-        which the smallest variance wins)."""
+        which the smallest variance wins in ``argmin``)."""
         means = np.array([h.mean for h in hyps])
         stds = np.array([h.std for h in hyps])
         pick = rng.integers(0, len(hyps), size)
@@ -395,7 +399,7 @@ class TestRunningMinimum:
         rng = np.random.default_rng(400 + n)
         m_hat, scatter = self.chips(hyps, n, rng, 100_000)
         with np.errstate(over="ignore"):
-            want = self.argmin_labels(m_hat, scatter, n, hyps)
+            want, costs = self.argmin_labels(m_hat, scatter, n, hyps)
             got = detect_moments(m_hat, scatter, n, hyps)
             # the chunk shape and a single chip give the same labels
             grid = detect_moments(m_hat.reshape(-1, 10), scatter.reshape(-1, 10), n, hyps)
@@ -403,7 +407,14 @@ class TestRunningMinimum:
         assert np.array_equal(got, want)
         assert np.array_equal(grid.ravel(), want)
         assert detect_moments(m_hat[0], scatter[0], n, hyps) == want[0]
-        assert np.array_equal(keep, want != 1)
+        if ml_center_band(hyps) == (-math.inf, math.inf):
+            # no strictly narrowest center: the mask is the labels' on every chip
+            assert np.array_equal(keep, want != 1)
+        else:
+            finite = np.isfinite(costs).all(axis=-1)
+            assert np.array_equal(keep[finite], want[finite] != 1)
+            # the far chips, where every cost overflowed, are kept
+            assert (~finite).any() and keep[~finite].all()
 
     def test_ties_and_infinite_costs_occur(self):
         # the cases the oracle comparison above is there for
@@ -419,7 +430,10 @@ class TestRunningMinimum:
 
 
 class TestMlKeep:
-    """``ml_keep`` is ``detect_moments(...) != 1``: the tally's ``ml`` mask."""
+    """``ml_keep``, the tally's ``ml`` mask, is ``detect_moments(...) != 1``
+    on chips of finite costs: the sign test of the center's quadratics when
+    the center is strictly the narrowest, the labels themselves otherwise.
+    ``moment_costs`` is the reference."""
 
     @staticmethod
     def assert_matches_labels(m_hat, scatter, n, hyps):
@@ -427,6 +441,43 @@ class TestMlKeep:
         assert keep.dtype == bool
         assert np.array_equal(keep, detect_moments(m_hat, scatter, n, hyps) != 1)
         return keep
+
+    def assert_matches_around_the_band(self, stats, n, rng):
+        """Chips uniform over the center band +- 20 % of its width (the gate
+        for the whole line) and on each mean, at S = 0, a
+        sigma1^2*chi^2(n - 1) draw and 1e6*sigma1^2; returns the mask at
+        S = 0."""
+        hyps = stats.middle_hypotheses()
+        lo, hi = ml_center_band(hyps)
+        if math.isinf(lo):
+            lo, hi = stats.th1, stats.th2
+        width = hi - lo
+        m_hat = np.append(rng.uniform(lo - 0.2 * width, hi + 0.2 * width, 1000), [h.mean for h in hyps])
+        keeps = [
+            self.assert_matches_labels(m_hat, np.broadcast_to(scatter, m_hat.shape), n, hyps)
+            for scatter in (0.0, stats.var1 * rng.chisquare(max(n - 1, 1), m_hat.size), 1e6 * stats.var1)
+        ]
+        return keeps[0]
+
+    @settings(deadline=None, derandomize=True, database=None, max_examples=200)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 40))
+    def test_sign_test_equals_the_labels(self, seed, n):
+        rng = np.random.default_rng(seed)
+        stats = derive_stats(random_valid_params(rng, samples_per_chip=n))
+        assert ml_center_band(stats.middle_hypotheses()) != (-math.inf, math.inf)
+        keep = self.assert_matches_around_the_band(stats, n, rng)
+        assert keep.any() and not keep.all()
+
+    @pytest.mark.parametrize("n", [1, 3, 40])
+    @pytest.mark.parametrize(
+        "overrides",
+        [dict(temperature=0.0), dict(beta=1.0), dict(alpha=1.0, beta=1.0)],
+        ids=["point_masses", "beta_1", "alpha_beta_1"],
+    )
+    def test_whole_line_reads_the_labels(self, overrides, n):
+        stats = derive_stats(SystemParams(samples_per_chip=n, **overrides))
+        assert ml_center_band(stats.middle_hypotheses()) == (-math.inf, math.inf)
+        self.assert_matches_around_the_band(stats, n, np.random.default_rng(n))
 
     @pytest.mark.parametrize("n", [1, 2, 3, 40])
     @pytest.mark.parametrize("scenario", SCENARIOS)
