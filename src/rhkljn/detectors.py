@@ -10,8 +10,9 @@ label g of the middle Gaussian that produced it:
                    ``moment_costs``, the one Gaussian likelihood of the
                    package (the eavesdropper scores her 16 components with
                    it too).  ``detect_moments`` labels chips from (m_hat, S)
-                   as the ``argmin`` of those costs, for the trace;
-                   ``ml_detect_batch`` from (..., N) raw samples, the oracle;
+                   as the ``argmin`` of those costs, the reference for
+                   ``ml_keep``; ``ml_detect_batch`` from (..., N) raw
+                   samples, the oracle;
 * simple        -- the midpoint thresholds (m2+m1)/2 and (m1+m3)/2;
 * optimum       -- the minimum-error thresholds obtained from the weighted
                    two-Gaussian decision problem (quadratic in the

@@ -6,8 +6,8 @@ the middle Gaussian with the configured detector (the threshold rule is
 :class:`rhkljn.detectors.ThresholdSet`), then either discard (g = 1, the
 center Gaussian) or exchange by the flip rule: the partner's main bit and
 sub-bit are the negations of one's own.  Both parties see the same samples
-and the same public thresholds, so their keep/discard verdicts and
-detected labels are always identical.
+and the same public thresholds, so their keep/discard verdicts are
+always identical.
 
 Sessions draw i.i.d. uniform secrets, run every chip, and reduce to integer
 tallies.  The session engine draws each chip as its sufficient statistics,
@@ -28,9 +28,8 @@ hypotheses come from; its mean and variance are looked up there, and the
 tally reads the parties' bits from it with bit tests.  S is drawn only
 when the ``ml`` detector, the one detector that reads it, runs, and only
 on the chips whose verdict it can change.  Every detector is tallied
-from a keep mask; labels are built only for the trace, which draws S for
-the other gate-kept chips after the chunk's draws.  The stream is engine
-version :data:`ENGINE_VERSION`.
+from a keep mask, and the trace prints those masks; no label is built.
+The stream is engine version :data:`ENGINE_VERSION`.
 Work is split into fixed-size chunks of bits, each with its own seed
 substream, so results are bit-identical across worker counts.  A session
 builds its chunk plan (:class:`_ChunkSpec`: the state table, thresholds
@@ -248,7 +247,7 @@ class _ChunkSpec:
         return spec
 
 
-def _rh_chunk_arrays(spec: _ChunkSpec, rng: np.random.Generator | None = None):
+def _rh_chunk_arrays(spec: _ChunkSpec):
     """Draw one chunk of bits; returns ``(state, eve, m_hat, gate_keep, scatter, scored)``.
 
     ``state`` is each chip's flat state index 8*b_a + 4*b_b + 2*s_a + s_b,
@@ -257,8 +256,7 @@ def _rh_chunk_arrays(spec: _ChunkSpec, rng: np.random.Generator | None = None):
     ``(bits, chips)``; ``scored`` is the flat indices of the gate-kept
     chips inside ML's center band ``spec.ml_band``, the only chips whose
     ML verdict S can change, and ``scatter`` is S at those chips, 1-D;
-    both are ``None`` unless ``ml`` runs.  ``rng`` is the chunk's
-    substream, made here when not given.
+    both are ``None`` unless ``ml`` runs.
 
     A chip is drawn as its sufficient statistics, not as raw samples: given
     the chip state, the n samples are i.i.d. N(mu, sigma^2), so their mean
@@ -278,8 +276,7 @@ def _rh_chunk_arrays(spec: _ChunkSpec, rng: np.random.Generator | None = None):
     moves no other draw.
     """
     n_bits, chips = spec.n_bits, spec.params.chips_per_bit
-    if rng is None:
-        rng = substream(spec.master_seed, spec.key)
+    rng = substream(spec.master_seed, spec.key)
 
     coins = _coin_bytes(rng, n_bits * (1 + chips))
     chip = coins[n_bits:].reshape(n_bits, chips)
@@ -298,16 +295,9 @@ def _rh_chunk_arrays(spec: _ChunkSpec, rng: np.random.Generator | None = None):
         # the gate-kept chips in the band; a gather at their flat indices
         # is several times cheaper than boolean indexing, in the same order
         scored = np.flatnonzero((m_hat >= lo) & (m_hat <= hi))
-        scatter = _draw_scatter(rng, spec, state.take(scored))
+        scatter = 2.0 * rng.standard_gamma(0.5 * (spec.params.samples_per_chip - 1), scored.size)
+        scatter *= spec.table[2].take(state.take(scored))
     return state, eve, m_hat, gate_keep, scatter, scored
-
-
-def _draw_scatter(rng: np.random.Generator, spec: _ChunkSpec, state: np.ndarray) -> np.ndarray:
-    """S ~ var * chi^2(n - 1) for chips of flat states ``state``, drawn as
-    var * 2 * Gamma((n - 1)/2), one gamma per chip in order."""
-    scatter = 2.0 * rng.standard_gamma(0.5 * (spec.params.samples_per_chip - 1), state.size)
-    scatter *= spec.table[2].take(state)
-    return scatter
 
 
 def _coin_bytes(rng: np.random.Generator, k: int) -> np.ndarray:
@@ -326,15 +316,16 @@ def _rh_chunk(spec: _ChunkSpec) -> dict[str, DetectorTally]:
 
 
 def _tally_chunk(spec, state, eve, m_hat, gate_keep, scatter, scored):
-    """One tally per detector, and the gate.
+    """One tally per detector, and the keep masks they count.
 
     A detector keeps a gated chip unless it labels it g = 1; the tally
     reads that mask (the interval rule's ``ThresholdSet.keep``, or
     :func:`rhkljn.detectors.ml_keep`, ML's center verdict as a quadratic in
     (m_hat - m1, S/n + (m_hat - m1)^2), on the chips inside ML's center
     band alone, at their flat indices ``scored``, every other gated chip
-    kept) and builds no label array, so the trace, which shows the labels,
-    gets them from :func:`_detector_labels`.
+    kept) and builds no label array.  Returns ``(tallies, keeps)``,
+    ``keeps`` the ``(bits, chips)`` mask of each detector, which the trace
+    prints.
     """
     keeps = {}
     for name in spec.detectors:
@@ -345,28 +336,7 @@ def _tally_chunk(spec, state, eve, m_hat, gate_keep, scatter, scored):
         else:
             kept = gate_keep & spec.thresholds.keep(m_hat, name)
         keeps[name] = kept
-    return _count(keeps, gate_keep, state, eve), gate_keep
-
-
-def _detector_labels(spec: _ChunkSpec, m_hat, gate_keep, scatter) -> dict[str, np.ndarray]:
-    """Every detector's labels on a chunk, as the trace shows them.
-
-    The threshold detectors' come from the interval rule's
-    ``ThresholdSet.label`` on ``m_hat``; the ``ml`` labels from
-    :func:`rhkljn.detectors.detect_moments` on the gate-kept chips'
-    (m_hat, S), ``scatter`` holding S at each of them in flat order
-    (:func:`_gated_scatter`), and 0 elsewhere.
-    """
-    labels = {}
-    for name in spec.detectors:
-        if name == "ml":
-            labels[name] = np.zeros(m_hat.shape, int)
-            labels[name][gate_keep] = det.detect_moments(
-                m_hat[gate_keep], scatter, spec.params.samples_per_chip, spec.hyps
-            )
-        else:
-            labels[name] = spec.thresholds.label(m_hat, name)
-    return labels
+    return _count(keeps, gate_keep, state, eve), keeps
 
 
 def _low_bits_equal(x: np.ndarray) -> np.ndarray:
@@ -513,44 +483,25 @@ def run_session(
     return _run_chunks(traced, spec, num_bits, chunk_bits, share)
 
 
-def _gated_scatter(rng: np.random.Generator, spec: _ChunkSpec, state, gate_keep, scatter, scored) -> np.ndarray:
-    """S at every gate-kept chip, in flat order: ``scatter`` at the chips
-    ``scored`` and, drawn from ``rng`` after them, S at the others."""
-    gated = np.flatnonzero(gate_keep)
-    inside = np.isin(gated, scored, assume_unique=True)
-    full = np.empty(gated.size)
-    full[inside] = scatter
-    full[~inside] = _draw_scatter(rng, spec, state.take(gated[~inside]))
-    return full
-
-
 def _traced_chunk(spec: _ChunkSpec, trace, chunk_bits: int) -> dict[str, DetectorTally]:
-    """A chunk's tallies, as :func:`_rh_chunk`'s, and one trace line per chip.
-
-    The ``ml`` labels need S at every gate-kept chip; those outside the
-    center band get theirs from the substream after the chunk's own
-    draws, so the tallies stay those of the untraced chunk.
-    """
-    rng = substream(spec.master_seed, spec.key)
-    arrays = _rh_chunk_arrays(spec, rng)
-    state, _, m_hat, gate_keep, scatter, scored = arrays
-    tallies, _ = _tally_chunk(spec, *arrays)
-    if scatter is not None:
-        scatter = _gated_scatter(rng, spec, state, gate_keep, scatter, scored)
-    labels = _detector_labels(spec, m_hat, gate_keep, scatter)
+    """A chunk's tallies, as :func:`_rh_chunk`'s, and one trace line per
+    chip: its state, m_hat and each detector's verdict, read from the keep
+    masks the tally counted and the gate."""
+    arrays = _rh_chunk_arrays(spec)
+    state, _, m_hat, gate_keep, _, _ = arrays
+    tallies, keeps = _tally_chunk(spec, *arrays)
     b_a, b_b, s_a, s_b = ((state >> k) & 1 for k in (3, 2, 1, 0))
     base_bit = spec.key[-1] * chunk_bits
     for i in range(spec.n_bits):
         for c in range(spec.params.chips_per_bit):
             verdicts = []
             for name in spec.detectors:
-                g = int(labels[name][i, c])
-                if not gate_keep[i, c]:
-                    verdicts.append(f"{name}:-:discarded_gate")
-                elif g == 1:
-                    verdicts.append(f"{name}:1:discarded_g1")
+                if keeps[name][i, c]:
+                    verdicts.append(f"{name}:exchanged")
+                elif gate_keep[i, c]:
+                    verdicts.append(f"{name}:discarded_g1")
                 else:
-                    verdicts.append(f"{name}:{g}:exchanged")
+                    verdicts.append(f"{name}:discarded_gate")
             trace.write(
                 f"bit={base_bit + i} chip={c + 1} "
                 f"b_a={b_a[i, c]} b_b={b_b[i, c]} s_a={s_a[i, c]} s_b={s_b[i, c]} "

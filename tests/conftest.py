@@ -40,6 +40,15 @@ def party_bits(state):
     return state[:, 0] >> 3, (state[:, 0] >> 2) & 1, (state >> 1) & 1, state & 1
 
 
+def scatter_everywhere(rng, spec, state, scatter, scored):
+    """S at every chip of a chunk: the engine's ``scatter`` at the flat
+    indices ``scored``, inside ML's center band, and a sigma^2*chi^2(n - 1)
+    draw from ``rng`` at the others, where ML keeps a chip whatever its S."""
+    full = 2.0 * rng.standard_gamma(0.5 * (spec.params.samples_per_chip - 1), state.shape) * spec.table[2][state]
+    full.put(scored, scatter)
+    return full
+
+
 def swap_parties(state):
     """Bob's view of flat state indices: the party bits of each pair swapped."""
     return ((state & 0b1010) >> 1) | ((state & 0b0101) << 1)

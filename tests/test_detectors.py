@@ -26,9 +26,8 @@ from rhkljn.detectors import (
 )
 from rhkljn.exact import pe1, pe2, stationarity_residual
 from rhkljn.params import derive_stats, fine_tuned_bias
-from rhkljn.protocol import _ChunkSpec, _gated_scatter, _rh_chunk_arrays
-from rhkljn.rng import substream
-from conftest import random_valid_params
+from rhkljn.protocol import _ChunkSpec, _rh_chunk_arrays
+from conftest import random_valid_params, scatter_everywhere
 
 
 class TestQFunction:
@@ -481,13 +480,13 @@ class TestMlKeep:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 40])
     @pytest.mark.parametrize("scenario", SCENARIOS)
-    def test_session_chunks(self, scenario, n):
+    def test_session_chunks(self, scenario, n, rng):
         params = apply_scenario(SystemParams(samples_per_chip=n), scenario)
         spec = _ChunkSpec(params, derive_stats(params), ("ml",), 1024, 60 + n, (0,))
-        # S at every gate-kept chip, as the trace draws it
-        rng = substream(60 + n, (0,))
-        state, _, m_hat, gate_keep, scatter, scored = _rh_chunk_arrays(spec, rng)
-        scatter = _gated_scatter(rng, spec, state, gate_keep, scatter, scored)
+        # S at every gate-kept chip: the engine's inside ML's center band,
+        # the test's own draw outside it, where any S gives the same verdict
+        state, _, m_hat, gate_keep, scatter, scored = _rh_chunk_arrays(spec)
+        scatter = scatter_everywhere(rng, spec, state, scatter, scored)[gate_keep]
         keep = self.assert_matches_labels(m_hat[gate_keep], scatter, n, spec.stats.middle_hypotheses())
         assert keep.any() and not keep.all()
 

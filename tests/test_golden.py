@@ -75,9 +75,10 @@ HELP_SHA256 = {
 DEMO_CHANNEL_SHA256 = "cb41e2b9df25929db0946f0ccab4f75e6a672f1f37752f178c7ebee86bf1cce8"
 
 TRACE_ARGV = ("sweep", "--sweep", "n", "--values", "5", "--detectors", "ml,simple,optimum", "--bits", str(GOLDEN_BITS))
+# a trace line: bit= chip= b_a= b_b= s_a= s_b= m_hat= and one name:verdict per detector
 TRACE_SHA256 = {
     "stdout": "322045a452db06b832833bc6ffce986423a65862efbe88e77cbecc9bc2713659",
-    "trace": "a07fba2d74de3a5cf72747a7b9fa866f669c449da9799dbaccf7f32c7e536ed0",
+    "trace": "0a3593a5f7daf11df7139b03c2523c8bbb82493b892e176fd1cdd8f509bd3b67",
 }
 
 

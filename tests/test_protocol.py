@@ -24,14 +24,13 @@ from rhkljn import (
 )
 from rhkljn import protocol
 from rhkljn.channel import ChipState, sample_chip
-from rhkljn.detectors import ml_center_band, ml_keep
+from rhkljn.detectors import detect_moments, ml_center_band, ml_keep
 from rhkljn.params import derive_stats
 from rhkljn.pls import IDEAL_DISCARD
 from rhkljn.protocol import (
     DETECTOR_CHOICES,
     DetectorTally,
     _ChunkSpec,
-    _detector_labels,
     _rh_chunk_arrays,
     _tally_chunk,
     eve_observe,
@@ -42,6 +41,7 @@ from conftest import (
     assert_parties_agree,
     party_bits,
     random_valid_params,
+    scatter_everywhere,
     swap_parties,
 )
 
@@ -55,6 +55,15 @@ def params_and_stats(**param_overrides):
 NOISELESS = dict(temperature=0.0)
 
 
+def chunk_labels(spec, m_hat, scatter, name):
+    """A detector's labels g on a chunk: the interval rule's
+    ``ThresholdSet.label`` for a threshold detector, and for ``ml``
+    ``detect_moments`` at each chip's (m_hat, S), S from ``scatter``."""
+    if name == "ml":
+        return detect_moments(m_hat, scatter, spec.params.samples_per_chip, spec.hyps)
+    return spec.stats.thresholds().label(m_hat, name)
+
+
 class TestChipVerdicts:
     """Per-chip gate, label and keep verdicts of the engine, for every detector."""
 
@@ -66,14 +75,16 @@ class TestChipVerdicts:
         stats = derive_stats(params)
         spec = _ChunkSpec(params, stats, (detector,), 400, 7, (0,))
         arrays = _rh_chunk_arrays(spec)
-        state, _, m_hat, gate_keep, scatter, _ = arrays
+        state, _, m_hat, gate_keep, _, _ = arrays
         a_main, b_main, a_sub, b_sub = party_bits(state)
-        tallies, _ = _tally_chunk(spec, *arrays)
+        tallies, keeps = _tally_chunk(spec, *arrays)
 
         mixed = np.broadcast_to((a_main != b_main)[:, None], a_sub.shape)
         assert np.array_equal(gate_keep, mixed)
-        g = _detector_labels(spec, m_hat, gate_keep, scatter)[detector]
+        # at zero temperature every chip's S is 0
+        g = chunk_labels(spec, m_hat, np.zeros(m_hat.shape), detector)
         kept = gate_keep & (g != 1)
+        assert np.array_equal(keeps[detector], kept)
         # kept exactly when the mains and the sub-bits both differ, which is
         # when the flip rule recovers the partner's bits
         assert np.array_equal(kept, mixed & (a_sub != b_sub))
@@ -127,7 +138,7 @@ def noiseless_bit(a_main, a_subs, b_main, b_subs, detector="optimum"):
     out = []
     for own in (state, swap_parties(state)):
         tallies, _ = _tally_chunk(spec, own, eve, m_hat, gate_keep, scatter, np.flatnonzero(gate_keep))
-        g = _detector_labels(spec, m_hat, gate_keep, scatter)[detector]
+        g = chunk_labels(spec, m_hat, np.zeros(m_hat.shape), detector)
         out.append((decisions(gate_keep, g)[0], g[0], tallies[detector]))
     return out
 
@@ -167,9 +178,9 @@ class TestRunChip:
         params = SystemParams()
         stats = derive_stats(params)
         spec = _ChunkSpec(params, stats, ("optimum",), 500, 29, (0,))
-        state, _, m_hat, gate_keep, scatter, _ = _rh_chunk_arrays(spec)
+        state, _, m_hat, gate_keep, _, _ = _rh_chunk_arrays(spec)
         a_main, b_main, a_sub, b_sub = party_bits(state)
-        g = _detector_labels(spec, m_hat, gate_keep, scatter)["optimum"]
+        g = stats.thresholds().label(m_hat, "optimum")
 
         middle = {1: stats.m1, 2: stats.m2, 3: stats.m3}
         true_g = np.zeros_like(g)
@@ -340,26 +351,38 @@ class TestRunSession:
     def test_trace_logs_every_chip(self):
         params, stats = params_and_stats()
         buf = io.StringIO()
-        result = run_session(20, params, stats, seed=8, trace=buf)
+        detectors = ("optimum", "ml", "simple")
+        result = run_session(20, params, stats, seed=8, detectors=detectors, trace=buf)
         lines = buf.getvalue().strip().splitlines()
         assert len(lines) == 20 * params.chips_per_bit
         assert result["optimum"].total_chips == len(lines)
         first = lines[0]
-        for token in ("bit=", "chip=", "b_a=", "s_b=", "m_hat=", "optimum:"):
+        for token in ("bit=", "chip=", "b_a=", "s_b=", "m_hat="):
             assert token in first
+        # one name:verdict field per detector, in the requested order
+        verdicts = ("exchanged", "discarded_g1", "discarded_gate")
+        for line in lines:
+            fields = [field.split(":") for field in line.split()[7:]]
+            assert [name for name, _ in fields] == list(detectors), line
+            assert all(verdict in verdicts for _, verdict in fields), line
 
     def test_traced_tallies_are_the_untraced_ones(self):
-        # the trace draws S for the gated chips outside ML's center band
-        # after each chunk's draws, so no tally moves; its ml verdicts are
-        # the tally's
-        params, stats = params_and_stats(samples_per_chip=3)
-        untraced = run_session(2_500, params, stats, seed=12, detectors=DETECTOR_CHOICES)
-        buf = io.StringIO()
-        traced = run_session(2_500, params, stats, seed=12, detectors=DETECTOR_CHOICES, trace=buf)
-        assert traced == untraced
-        log = buf.getvalue()
-        assert log.count(":exchanged") == sum(t.kept_chips for t in untraced.values())
-        assert log.count("ml:1:discarded_g1") == untraced["ml"].discarded_g1 > 0
+        # the trace prints the keep masks the tally counted and draws
+        # nothing more, so no tally moves; at gamma = 8 and n = 1 the three
+        # detectors keep different chips
+        for overrides, num_bits in ((dict(samples_per_chip=3), 2_500), (dict(gamma=8.0, samples_per_chip=1), 4_000)):
+            params, stats = params_and_stats(**overrides)
+            untraced = run_session(num_bits, params, stats, seed=12, detectors=DETECTOR_CHOICES)
+            buf = io.StringIO()
+            traced = run_session(num_bits, params, stats, seed=12, detectors=DETECTOR_CHOICES, trace=buf)
+            assert traced == untraced
+            log = buf.getvalue()
+            assert log.count(":exchanged") == sum(t.kept_chips for t in untraced.values())
+            for name, tally in untraced.items():
+                assert log.count(f" {name}:exchanged") == tally.kept_chips, name
+                assert log.count(f" {name}:discarded_g1") == tally.discarded_g1 > 0, name
+                assert log.count(f" {name}:discarded_gate") == tally.discarded_gate > 0, name
+        assert len({t.kept_chips for t in untraced.values()}) == 3
 
     def test_invalid_inputs(self):
         params, stats = params_and_stats()
@@ -744,29 +767,28 @@ class TestThresholdKeep:
     """The tally's keep masks against the labels of the interval rule and
     ``detect_moments``."""
 
-    def test_chunk_tally_equals_label_tally(self):
+    def test_chunk_tally_equals_label_tally(self, rng):
         # 1e5 chips: the tally's counts against counts made from the labels
         params = SystemParams(samples_per_chip=2)
         stats = derive_stats(params)
         spec = _ChunkSpec(params, stats, DETECTOR_CHOICES, 10_000, 19, (0,))
-        rng = substream(19, (0,))
-        arrays = _rh_chunk_arrays(spec, rng)
+        arrays = _rh_chunk_arrays(spec)
         state, eve, m_hat, gate_keep, scatter, scored = arrays
         a_main, b_main, a_sub, b_sub = party_bits(state)
         result = _tally_chunk(spec, *arrays)
-        # the tallies and the gate: no detector's labels are built
+        # the tallies and the keep masks they counted: no label is built
         assert len(result) == 2
-        tallies, gate = result
-        assert gate is gate_keep and gate_keep.dtype == bool
-        # the ml labels read S at every gate-kept chip, drawn after the
-        # chunk's for those outside the center band, as the trace does
-        scatter = protocol._gated_scatter(rng, spec, state, gate_keep, scatter, scored)
-        labels = _detector_labels(spec, m_hat, gate_keep, scatter)
+        tallies, keeps = result
+        assert list(keeps) == list(spec.detectors)
+        # the ml labels read S at every gate-kept chip; outside the center
+        # band any S gives the same verdict, so the test draws its own
+        scatter = scatter_everywhere(rng, spec, state, scatter, scored)
         for name in spec.detectors:
-            g = labels[name]
+            g = chunk_labels(spec, m_hat, scatter, name)
             if name != "ml":
                 assert np.array_equal(stats.thresholds().keep(m_hat, name), g != 1)
             kept = gate_keep & (g != 1)
+            assert keeps[name].dtype == bool and np.array_equal(keeps[name], kept), name
             tally = tallies[name]
             assert tally.total_chips == m_hat.size == 100_000
             assert tally.kept_chips == int(kept.sum())
@@ -783,8 +805,8 @@ class TestMlTally:
     @staticmethod
     def full_tally(spec, rng, state, eve, m_hat, gate_keep, scatter, scored):
         """The ``ml`` tally of ``ml_keep`` on every gate-kept chip, those
-        outside the band at S drawn after the chunk's."""
-        scatter = protocol._gated_scatter(rng, spec, state, gate_keep, scatter, scored)
+        outside the band at S drawn from ``rng``."""
+        scatter = scatter_everywhere(rng, spec, state, scatter, scored)[gate_keep]
         kept = gate_keep.copy()
         kept[gate_keep] = ml_keep(m_hat[gate_keep], scatter, spec.params.samples_per_chip, spec.hyps)
         return protocol._count({"ml": kept}, gate_keep, state, eve)
@@ -797,17 +819,16 @@ class TestMlTally:
         [({}, False), (NOISELESS, True), (dict(beta=1.0), True), (dict(alpha=3.5), False), (dict(samples_per_chip=1), False)],
         ids=["good", "point_masses", "beta_1", "alpha_eq_beta", "one_sample"],
     )
-    def test_band_tally_equals_ml_keep_on_every_gated_chip(self, overrides, whole_line):
+    def test_band_tally_equals_ml_keep_on_every_gated_chip(self, overrides, whole_line, rng):
         params, stats = params_and_stats(**overrides)
         spec = _ChunkSpec(params, stats, ("ml",), 2_000, 23, (0,))
-        rng = substream(23, (0,))
-        arrays = _rh_chunk_arrays(spec, rng)
+        arrays = _rh_chunk_arrays(spec)
         tally = _tally_chunk(spec, *arrays)[0]
         assert tally == self.full_tally(spec, rng, *arrays)
         gate_keep, scored = arrays[3], arrays[5]
         assert np.array_equal(scored, np.flatnonzero(gate_keep)) == whole_line
 
-    def test_chunk_with_no_chip_in_the_band(self):
+    def test_chunk_with_no_chip_in_the_band(self, rng):
         # the band's chips moved past th2, out of the gate: S is drawn for
         # no chip, and ml keeps every gated chip
         params, stats = params_and_stats()
@@ -816,7 +837,6 @@ class TestMlTally:
         lo, hi = spec.ml_band
         m_hat[(m_hat >= lo) & (m_hat <= hi)] = 2.0 * stats.th2
         gate_keep = stats.thresholds().gate(m_hat)
-        rng = substream(29, (1,))
         arrays = (state, eve, m_hat, gate_keep, np.empty(0), np.empty(0, dtype=np.intp))
         tally = _tally_chunk(spec, *arrays)[0]["ml"]
         assert tally.kept_chips == np.count_nonzero(gate_keep) > 0

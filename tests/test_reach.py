@@ -7,8 +7,11 @@ every function and method of ``detectors``, ``protocol``, ``pls``,
 of that interpreter (a pool worker, another process, is not seen).  The
 oracles, independent checks that no command runs, are exempt, with the
 module functions they call: ``eve_observe``, ``ml_detect_batch``,
-``empirical_eve_confusion`` and ``DerivedStats.mixture_tables``, the view
-of the state table that the benchmark's frozen oracle reads.
+``empirical_eve_confusion``, ``DerivedStats.mixture_tables``, the view
+of the state table that the benchmark's frozen oracle reads, and
+``ThresholdSet.label``, the interval rule's labels: the tally and the
+trace read its keep mask, which the tests check against these labels,
+and ``demos/demo_detectors.py`` prints them.
 ``rhkljn.channel``, the raw-sample oracle, and ``rhkljn.exact``, the
 closed-form one, are modules of their own and not checked.  Anything else
 that no command reaches is dead code or an oracle that needs a name here.
@@ -28,7 +31,13 @@ from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
 
-ORACLES = {"eve_observe", "ml_detect_batch", "empirical_eve_confusion", "DerivedStats.mixture_tables"}
+ORACLES = {
+    "eve_observe",
+    "ml_detect_batch",
+    "empirical_eve_confusion",
+    "DerivedStats.mixture_tables",
+    "ThresholdSet.label",
+}
 
 
 def functions(module) -> dict:
@@ -103,6 +112,7 @@ def test_oracles_exist():
 
     defined = {name for module in (detectors, pls, protocol) for name in vars(module)}
     defined |= {f"DerivedStats.{name}" for name in vars(params.DerivedStats)}
+    defined |= {f"ThresholdSet.{name}" for name in vars(detectors.ThresholdSet)}
     assert ORACLES <= defined
 
 
