@@ -12,7 +12,9 @@ verdict (``detectors.ml_keep``) on the scored chips of one such chunk, those
 inside ML's center band, at n = 3 and 10; one
 classical chunk (``_classical_chunk``); a session's set-up, ``derive_stats``
 and the chunk plan (``_ChunkSpec``) of one hopping point, and the plan of
-one classical point; ``pls.sop`` at 30,000 trials,
+one classical point; ``derive_stats`` alone on that hopping point (its
+state table, separability coefficients and thresholds); ``pls.sop`` at
+30,000 trials,
 and the bank draw and the divider of one of its blocks
 (``ResistorTolerance.draw`` of ``pls._SOP_BLOCK`` banks, and
 ``chip_moments`` over them); and the front end of ``cli.main`` on each
@@ -104,6 +106,11 @@ def test_session_setup(benchmark, kind):
 
     plan = benchmark(setup)
     assert plan.table[0].shape == (16,)
+
+
+def test_derive_stats(benchmark):
+    stats = benchmark(derive_stats, SETUP_PARAMS["hopping"])
+    assert stats.note is None and stats.m2 < stats.th3_opt < stats.m1 < stats.th4_opt < stats.m3
 
 
 def test_sop(benchmark):

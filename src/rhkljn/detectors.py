@@ -14,10 +14,11 @@ label g of the middle Gaussian that produced it:
                    ``ml_keep``; ``ml_detect_batch`` from (..., N) raw
                    samples, the oracle;
 * simple        -- the midpoint thresholds (m2+m1)/2 and (m1+m3)/2;
-* optimum       -- the minimum-error thresholds obtained from the weighted
-                   two-Gaussian decision problem (quadratic in the
-                   threshold); the weighted errors they minimise are
-                   oracles in :mod:`rhkljn.exact`.
+* optimum       -- the minimum-error thresholds of the center, at prior
+                   1/2, against each other hypothesis, at 1/4:
+                   ``min_error_threshold``, a root of ML's center quadratic
+                   at S = 0 shifted by ln 2; the weighted errors they
+                   minimise are oracles in :mod:`rhkljn.exact`.
 
 The gate and both threshold detectors are one interval rule on m_hat,
 :class:`ThresholdSet`.  The tally reads keep masks, built without labels:
@@ -26,7 +27,10 @@ labels other than 1: where the center is strictly the narrowest, the sign
 of one quadratic per other hypothesis in (m_hat - m1, S/n + (m_hat - m1)^2),
 whose roots at S = 0 give ``ml_center_band``, outside which ML keeps a chip
 whatever its S (the session engine scores only the chips inside it);
-otherwise the labels themselves.  ``q_function`` takes a scalar.
+otherwise the labels themselves.  Those quadratics are the one
+unequal-variance boundary of the module (``_boundary``) and ``_q`` its one
+root formula, for the band and the optimum thresholds alike.
+``q_function`` takes a scalar.
 
 Label convention: g indexes the mean, so g=1 is the center Gaussian (mean
 m1, discarded by the protocol), g=2 the left one (m2) and g=3 the right one
@@ -42,6 +46,7 @@ from typing import Sequence
 import numpy as np
 
 _SQRT2 = math.sqrt(2.0)
+_LN2 = math.log(2.0)
 
 
 def q_function(x: float) -> float:
@@ -169,27 +174,37 @@ def detect_moments(
 _BAND_MARGIN = 1e-6
 
 
-def _center_quadratics(hyps: Sequence[GaussianHypothesis]) -> tuple[float, list] | None:
-    """``(m1, [(a, b, c), ...])``, one quadratic per other hypothesis o, or
-    ``None`` unless the center is strictly the narrowest (a sigma of 0, or
-    variances within a relative ``_BAND_MARGIN``: the point masses, beta = 1).
+def _boundary(center: GaussianHypothesis, other: GaussianHypothesis) -> tuple[float, float, float]:
+    """``(a, b, c)``: with x = m_hat - m1 and u = S/n + x^2, the center's cost
+    less ``other``'s, over n, is a*u + b*x + c, the unequal-variance Gaussian
+    quadratic boundary: a = 1/(2*sigma1^2) - 1/(2*sigma_o^2),
+    b = (m_o - m1)/sigma_o^2 and c = ln(sigma1/sigma_o) - (m_o - m1)^2/(2*sigma_o^2),
+    so a >= 0 and c <= 0 wherever sigma1 <= sigma_o.
+    """
+    var_c, var_o, delta = center.std**2, other.std**2, other.mean - center.mean
+    return 0.5 / var_c - 0.5 / var_o, delta / var_o, math.log(center.std / other.std) - 0.5 * delta**2 / var_o
 
-    With x = m_hat - m1 and u = S/n + x^2, the center's cost less o's, over
-    n, is a*u + b*x + c, the unequal-variance Gaussian quadratic boundary:
-    a = 1/(2*sigma1^2) - 1/(2*sigma_o^2) > 0, b = (m_o - m1)/sigma_o^2 and
-    c = ln(sigma1/sigma_o) - (m_o - m1)^2/(2*sigma_o^2) < 0.
+
+def _q(a: float, b: float, c: float) -> float:
+    """q = -(b + sign(b)*sqrt(b^2 - 4*a*c))/2 for a >= 0 > c, so that the
+    roots of a*x^2 + b*x + c, which straddle 0, are q/a and c/q, the one on
+    b's side, immune to cancellation.  The square root is a hypot, which
+    overflows only where a or c does (b^2 overflows past |b| = 1e154)."""
+    return -0.5 * (b + math.copysign(math.hypot(b, 2.0 * math.sqrt(a) * math.sqrt(-c)), b))
+
+
+def _center_quadratics(hyps: Sequence[GaussianHypothesis]) -> tuple[float, list] | None:
+    """``(m1, [(a, b, c), ...])``, the :func:`_boundary` of the center
+    against each other hypothesis, or ``None`` unless the center is strictly
+    the narrowest (a sigma of 0, or variances within a relative
+    ``_BAND_MARGIN``: the point masses, beta = 1), where every a > 0.
     """
     center = next(h for h in hyps if h.label == 1)
     others = [h for h in hyps if h.label != 1]
     var_c = center.std**2
     if var_c == 0.0 or any(h.std**2 * (1.0 - _BAND_MARGIN) <= var_c for h in others):
         return None
-    quads = []
-    for h in others:
-        var_o, delta = h.std**2, h.mean - center.mean
-        c = math.log(center.std / h.std) - 0.5 * delta**2 / var_o
-        quads.append((0.5 / var_c - 0.5 / var_o, delta / var_o, c))
-    return center.mean, quads
+    return center.mean, [_boundary(center, h) for h in others]
 
 
 def ml_keep(
@@ -236,8 +251,7 @@ def ml_center_band(hyps: Sequence[GaussianHypothesis]) -> tuple[float, float]:
     m1, quads = quadratics
     x_lo, x_hi = -math.inf, math.inf
     for a, b, c in quads:
-        # q-form roots, immune to cancellation; q != 0 since b^2 - 4*a*c > b^2
-        q = -0.5 * (b + math.copysign(math.sqrt(b * b - 4.0 * a * c), b))
+        q = _q(a, b, c)  # != 0 since a*c < 0
         lo, hi = sorted((q / a, c / q))
         x_lo, x_hi = max(x_lo, lo), min(x_hi, hi)
     scale, pad = 1.0 + _BAND_MARGIN, _BAND_MARGIN * abs(m1)
@@ -261,85 +275,24 @@ def ml_detect_batch(values: np.ndarray, hyps: Sequence[GaussianHypothesis]) -> n
     return detect_moments(*_moments(values), hyps)
 
 
-def _log_balance(
-    y: float,
-    m_heavy: float,
-    s_heavy: float,
-    w_heavy: float,
-    m_light: float,
-    s_light: float,
-    w_light: float,
-) -> float:
-    """log of the density-balance ratio; zero exactly at the optimum threshold."""
-    return (
-        (y - m_heavy) ** 2 / (2.0 * s_heavy**2)
-        - (y - m_light) ** 2 / (2.0 * s_light**2)
-        - math.log(w_heavy * s_light / (w_light * s_heavy))
-    )
+def min_error_threshold(center: GaussianHypothesis, other: GaussianHypothesis) -> float | None:
+    """The threshold between the center, at prior 1/2, and ``other``, at 1/4,
+    that minimizes the weighted decision error.
 
+    The priors shift the :func:`_boundary` at S = 0 and n = 1 to
+    a*x^2 + b*x + c - ln 2 = 0, with x = y - m1; the threshold is its root
+    on ``other``'s side of m1, y = m1 + (c - ln 2)/q.  That root exists
+    wherever center.std <= other.std, which every beta >= 1 gives the middle
+    band (a >= 0 and c - ln 2 < 0), and stays finite at a = 0 (beta = 1),
+    where it is the linear root.
 
-def min_error_threshold(
-    m_heavy: float,
-    s_heavy: float,
-    w_heavy: float,
-    m_light: float,
-    s_light: float,
-    w_light: float,
-) -> float | None:
-    """Threshold between two weighted Gaussians minimizing the decision error.
-
-    Solves the quadratic A*y^2 + B*y + C = 0 obtained from equating the two
-    weighted densities, with A = 1 - s_heavy^2/s_light^2,
-    B = -2*m_heavy + 2*(s_heavy^2/s_light^2)*m_light and
-    C = m_heavy^2 - (s_heavy^2/s_light^2)*m_light^2
-        - 2*s_heavy^2*ln(w_heavy*s_light/(w_light*s_heavy)).
-    The root lying between the two means is selected and polished by a few
-    Newton steps until the density-balance residual is at machine level.
-
-    Returns None when no real root lies strictly between the means, so the
-    caller chooses the fallback; degenerate zero-variance or equal-mean
-    inputs return the midpoint.
+    Returns None when the root is not strictly between the means, so the
+    caller chooses the fallback; a zero std or equal means give the midpoint.
     """
-    lo, hi = min(m_heavy, m_light), max(m_heavy, m_light)
-    if s_heavy <= 0.0 or s_light <= 0.0 or lo == hi:
-        return 0.5 * (m_heavy + m_light)
-
-    ratio = (s_heavy / s_light) ** 2
-    log_term = math.log(w_heavy * s_light / (w_light * s_heavy))
-    a = 1.0 - ratio
-    b = -2.0 * m_heavy + 2.0 * ratio * m_light
-    c = m_heavy**2 - ratio * m_light**2 - 2.0 * s_heavy**2 * log_term
-
-    candidates: list[float] = []
-    if abs(a) < 1e-12:
-        if b != 0.0:
-            candidates.append(-c / b)
-    else:
-        disc = b * b - 4.0 * a * c
-        if disc >= 0.0:
-            # q-form quadratic roots: immune to cancellation when b dominates
-            q = -0.5 * (b + math.copysign(math.sqrt(disc), b))
-            candidates.append(q / a)
-            if q != 0.0:
-                candidates.append(c / q)
-
-    inside = [y for y in candidates if lo < y < hi]
-    if not inside:
-        return None
-
-    y = inside[0]
-    # Newton polish on the log balance; it is monotone between the means.
-    for _ in range(8):
-        g = _log_balance(y, m_heavy, s_heavy, w_heavy, m_light, s_light, w_light)
-        gp = (y - m_heavy) / s_heavy**2 - (y - m_light) / s_light**2
-        if gp == 0.0:
-            break
-        step = g / gp
-        y_new = y - step
-        if not lo < y_new < hi:
-            break
-        y = y_new
-        if abs(step) <= 1e-16 * max(abs(y), 1e-300):
-            break
-    return y
-
+    m1, m_o = center.mean, other.mean
+    if center.std <= 0.0 or other.std <= 0.0 or m1 == m_o:
+        return 0.5 * (m1 + m_o)
+    a, b, c = _boundary(center, other)
+    # where the variances tie (beta -> 1), rounding can leave a below 0
+    y = m1 + (c - _LN2) / _q(max(a, 0.0), b, c - _LN2)
+    return y if min(m1, m_o) < y < max(m1, m_o) else None

@@ -194,7 +194,8 @@ def stationarity_residual(
     (w_light/s_light)*phi((y-m_light)/s_light) =
     (w_heavy/s_heavy)*phi((y-m_heavy)/s_heavy), from the log of each
     side, so it stays meaningful when both densities underflow.  Written
-    apart from the threshold solver's own balance, which it checks.
+    in the means and stds, apart from the centred quadratic that
+    :func:`rhkljn.detectors.min_error_threshold` solves, which it checks.
     """
 
     def log_density(mean: float, std: float, weight: float) -> float:

@@ -210,9 +210,16 @@ def state_moments(params: SystemParams):
 
     The flat index of state (b_a, b_b, s_a, s_b) is
     ``8*b_a + 4*b_b + 2*s_a + s_b``.  One :func:`chip_moments` call over
-    the grid of all states.
+    the grid of all states.  Raises :class:`InvalidParamsError` where a
+    mean or variance is not finite: resistors, biases or a 4kTB so large
+    that the divider overflows.
     """
-    means, variances = chip_moments(params, *np.ix_((0, 1), (0, 1), (0, 1), (0, 1)))
+    with np.errstate(over="ignore", invalid="ignore"):  # reported just below
+        means, variances = chip_moments(params, *np.ix_((0, 1), (0, 1), (0, 1), (0, 1)))
+    if not np.isfinite((means, variances)).all():
+        raise InvalidParamsError(
+            "the chip-state table is not finite: the resistors, biases or 4kTB overflow the divider"
+        )
     return means.ravel(), variances.ravel()
 
 
@@ -383,11 +390,11 @@ def separability_coefficients(params: SystemParams) -> tuple[float, float, float
 def derive_stats(params: SystemParams) -> DerivedStats:
     """Populate every derived quantity of the scheme for the given parameters.
 
-    The optimum thresholds come from the minimum-error quadratic solver in
-    :mod:`rhkljn.detectors`.  One without a root between its two means
-    falls back to the simple midpoint, and ``note`` names it; when the
-    configuration is degenerate (zero noise) the solver itself returns
-    the midpoints.
+    The optimum thresholds are :func:`rhkljn.detectors.min_error_threshold`,
+    the root of ML's center quadratic shifted by the 1/2 : 1/4 priors.  One
+    without a root between its two means falls back to the simple
+    midpoint, and ``note`` names it; when the configuration is degenerate
+    (zero noise) the midpoints are the thresholds themselves.
     """
     c1, c2, c3, c4 = derive_coefficients(params)
     m1, m2, m3 = c1 * params.m_l, c2 * params.m_l, c3 * params.m_l
@@ -403,9 +410,9 @@ def derive_stats(params: SystemParams) -> DerivedStats:
     th1 = 0.5 * (params.m_l + m2)
     th2 = 0.5 * (params.m_h + m3)
     th3, th4 = 0.5 * (m2 + m1), 0.5 * (m1 + m3)
-    s1, s2, s3 = math.sqrt(var1), math.sqrt(var2), math.sqrt(var3)
-    th3_opt = _det.min_error_threshold(m1, s1, 0.5, m2, s2, 0.25)
-    th4_opt = _det.min_error_threshold(m1, s1, 0.5, m3, s3, 0.25)
+    center = _det.GaussianHypothesis(1, m1, math.sqrt(var1))
+    th3_opt = _det.min_error_threshold(center, _det.GaussianHypothesis(2, m2, math.sqrt(var2)))
+    th4_opt = _det.min_error_threshold(center, _det.GaussianHypothesis(3, m3, math.sqrt(var3)))
     fell_back = " and ".join(name for name, th in (("th3_opt", th3_opt), ("th4_opt", th4_opt)) if th is None)
     note = None
     if fell_back:

@@ -1001,6 +1001,14 @@ class TestCli:
                 ["compare", "--values", "2e4", "--config", "scenario=good,,moderate\n"],
                 "scenarios list 'good,,moderate' has a blank item",
             ),
+            # finite inputs whose chip-state table overflows fail before any
+            # session, with no RuntimeWarning (the suite fails on one)
+            (["stats", "--r-l0", "1e308"], "the chip-state table is not finite"),
+            (["stats", "--r-l0", "1e200"], "the chip-state table is not finite"),
+            (["stats", "--temperature", "1e300", "--bandwidth", "1e308"], "the chip-state table is not finite"),
+            (["stats", "--m-l", "1e300", "--gamma", "1e10"], "the chip-state table is not finite"),
+            (["sweep", "--sweep", "n", "--values", "3", "--r-l0", "1e200"], "the chip-state table is not finite"),
+            (["compare", "--values", "2e4", "--r-l0", "1e308"], "the chip-state table is not finite"),
         ],
     )
     def test_empty_or_non_finite_input_exits_one(self, tmp_path, capsys, argv, message):

@@ -641,9 +641,9 @@ class TestOptimumThresholds:
         assert pe2(default_stats.th4_opt, hyps) <= pe2(default_stats.th4, hyps)
 
     def test_equal_variance_linear_root(self):
-        # A = 0: the balance reduces to a shifted midpoint
+        # a = 0: the balance reduces to a shifted midpoint
         m_heavy, m_light, s, w_heavy, w_light = 1.0, 0.0, 0.1, 0.5, 0.25
-        got = min_error_threshold(m_heavy, s, w_heavy, m_light, s, w_light)
+        got = min_error_threshold(GaussianHypothesis(1, m_heavy, s), GaussianHypothesis(2, m_light, s))
         expected = 0.5 * (m_heavy + m_light) - s**2 * math.log(w_heavy / w_light) / (
             m_heavy - m_light
         )
@@ -651,10 +651,63 @@ class TestOptimumThresholds:
 
     # the caller picks the fallback (derive_stats takes the midpoint)
     def test_no_root_returns_none(self):
-        assert min_error_threshold(1.0, 10.0, 0.5, 0.99, 20.0, 0.25) is None
+        assert min_error_threshold(GaussianHypothesis(1, 1.0, 10.0), GaussianHypothesis(2, 0.99, 20.0)) is None
 
     def test_zero_noise_returns_midpoint(self):
-        assert min_error_threshold(1.0, 0.0, 0.5, 0.0, 0.0, 0.25) == 0.5
+        assert min_error_threshold(GaussianHypothesis(1, 1.0, 0.0), GaussianHypothesis(2, 0.0, 0.0)) == 0.5
+
+    @settings(deadline=None, derandomize=True, database=None, max_examples=300)
+    @given(seed=st.integers(0, 2**32 - 1), margin=st.floats(0.05, 20.0))
+    def test_falls_back_exactly_where_the_balance_keeps_its_sign(self, seed, margin):
+        # the log of (1/2)*N(y; m1, var1) over (1/4)*N(y; mo, var_o) is > 0 at
+        # y = m1, so a root lies between the means iff it is < 0 at y = mo
+        base = random_valid_params(np.random.default_rng(seed))
+        s = derive_stats(base.replace(m_l=fine_tuned_bias(base, margin=margin)))
+        for name, mo, var_o in (("th3_opt", s.m2, s.var2), ("th4_opt", s.m3, s.var3)):
+            balance = math.log(2.0) + 0.5 * math.log(var_o / s.var1) - (mo - s.m1) ** 2 / (2.0 * s.var1)
+            fell_back = name in (s.note or "")
+            assert fell_back == (balance >= 0.0), (name, balance)
+            if not fell_back:
+                residual = stationarity_residual(getattr(s, name), s.m1, s.sigma1, 0.5, mo, math.sqrt(var_o), 0.25)
+                assert residual < 1e-9, name
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            # var2 < var1 by rounding, so the quadratic's a < 0
+            dict(alpha=10.790260958836216, beta=1.0000000000000009, r_l0=922523.6811617471, temperature=4.09e-29),
+            # b = (m_o - m1)/var_o ~ 1e157: b^2 overflows
+            dict(temperature=1e-150),
+        ],
+    )
+    def test_roots_at_the_edges_of_the_range(self, overrides):
+        # the exact balance, on the table's doubles, changes sign within
+        # 2 ulps of each threshold (sigma is ~1 ulp of m1 in the first case)
+        s = derive_stats(SystemParams(**overrides))
+        assert s.note is None
+        with mpmath.workdps(50):
+            m1, var1 = mpmath.mpf(s.m1), mpmath.mpf(s.var1)
+            for th, mo, var_o in ((s.th3_opt, s.m2, s.var2), (s.th4_opt, s.m3, s.var3)):
+                mo, var_o = mpmath.mpf(mo), mpmath.mpf(var_o)
+
+                def balance(y):
+                    y = mpmath.mpf(y)
+                    return mpmath.log(2 * mpmath.sqrt(var_o / var1)) - (y - m1) ** 2 / (2 * var1) + (y - mo) ** 2 / (2 * var_o)
+
+                assert balance(th - 2 * math.ulp(th)) * balance(th + 2 * math.ulp(th)) < 0
+
+    def test_variances_that_tie_give_the_linear_root(self):
+        # beta = 1 + 1e-11: the variances agree to ~1e-11, the quadratic
+        # term vanishes and the root is the equal-variance closed form, a
+        # tenth of the means' distance (4e-15) past their midpoint; an
+        # absolute-coordinate solver loses it to cancellation
+        s = derive_stats(SystemParams(beta=1.0 + 1e-11, temperature=1e-18))
+        assert s.note is None
+        for th, mo in ((s.th3_opt, s.m2), (s.th4_opt, s.m3)):
+            expected = 0.5 * (s.m1 + mo) - s.var1 * math.log(2.0) / (s.m1 - mo)
+            assert th == pytest.approx(expected, rel=1e-12)
+            # the offset from m1 resolves the shift that rel 1e-12 of th cannot
+            assert th - s.m1 == pytest.approx(expected - s.m1, rel=1e-3)
 
     def test_beats_midpoint_across_random_draws(self, rng):
         for _ in range(20):

@@ -476,11 +476,17 @@ class TestValidation:
             {"m_l": math.nan},
             {"temperature": math.inf},
             {"alpha": math.inf},
+            # finite values whose chip-state table overflows: r_a + r_b,
+            # r_a * r_b, 4kTB and m_h
+            {"r_l0": 1e308},
+            {"r_l0": 1e200},
+            {"temperature": 1e300, "bandwidth": 1e308},
+            {"m_l": 1e300, "gamma": 1e10},
         ],
     )
     def test_invalid_params_raise(self, kwargs):
         with pytest.raises(InvalidParamsError):
-            SystemParams(**kwargs)
+            state_moments(SystemParams(**kwargs))
 
 
 class TestRandomizedProperties:
