@@ -7,9 +7,11 @@ Run from the root of a checkout (outside the test paths, so a plain
 
 Each case times one layer on fixed inputs: the draw (``_rh_chunk_arrays``)
 and the tally (``_tally_chunk``) of one 1024-bit chunk of 10 chips at
-n = 3 and 10, with ``optimum`` alone and with all three detectors; ML's
-verdict (``detectors.ml_keep``) on the scored chips of one such chunk, those
-inside ML's center band, at n = 3 and 10; one
+n = 3 and 10, ``good``, with ``optimum`` alone, ``ml`` alone and all three
+detectors; ML's verdict (``detectors.ml_keep``) on the scored chips of one
+chunk, those in the shells of ML's center band outside its core, at n = 3
+and 10, at a bias where about 1,000 chips a chunk fall there (at ``good``
+almost none do); one
 classical chunk (``_classical_chunk``); a session's set-up, ``derive_stats``
 and the chunk plan (``_ChunkSpec``) of one hopping point, and the plan of
 one classical point; ``derive_stats`` alone on that hopping point (its
@@ -44,12 +46,15 @@ from rhkljn.pls import ResistorTolerance, delta_m, sigma_max, sop  # noqa: E402
 from rhkljn.rng import substream  # noqa: E402
 
 CHUNK_BITS = protocol.DEFAULT_CHUNK_BITS
-DETECTOR_SETS = {"optimum": ("optimum",), "all": protocol.DETECTOR_CHOICES}
+DETECTOR_SETS = {"optimum": ("optimum",), "ml": ("ml",), "all": protocol.DETECTOR_CHOICES}
+# the m_l at which about 1,000 chips of a chunk fall in ML's band shells
+SHELL_M_L = {3: 6e-5, 10: 3.5e-5}
 
 
-def chunk_spec(n: int, detectors: tuple[str, ...]) -> protocol._ChunkSpec:
-    """Chunk 0 of a session at samples per chip ``n``, ``good`` scenario."""
-    params = apply_scenario(SystemParams(samples_per_chip=n), "good")
+def chunk_spec(n: int, detectors: tuple[str, ...], params: SystemParams | None = None) -> protocol._ChunkSpec:
+    """Chunk 0 of a session at samples per chip ``n``, ``good`` scenario
+    unless ``params`` are given."""
+    params = params or apply_scenario(SystemParams(samples_per_chip=n), "good")
     plan = protocol._ChunkSpec(params, derive_stats(params), detectors, CHUNK_BITS, 1, (0x51,))
     return plan.chunk(CHUNK_BITS, plan.key + (0,))
 
@@ -74,10 +79,10 @@ def test_chunk_tally(benchmark, n, detectors):
 @pytest.mark.parametrize("n", [3, 10])
 def test_ml_keep(benchmark, n):
     # ML's verdict on the chunk's scored chips, as the tally gathers them
-    spec = chunk_spec(n, ("ml",))
+    spec = chunk_spec(n, ("ml",), SystemParams(samples_per_chip=n, m_l=SHELL_M_L[n]))
     _, _, m_hat, _, scatter, scored = protocol._rh_chunk_arrays(spec)
     keep = benchmark(detectors.ml_keep, m_hat.take(scored), scatter, n, spec.hyps)
-    assert keep.shape == scored.shape and keep.dtype == bool
+    assert keep.shape == scored.shape and keep.dtype == bool and scored.size > 500
 
 
 def test_classical_chunk(benchmark):

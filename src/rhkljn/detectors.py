@@ -26,10 +26,13 @@ The gate and both threshold detectors are one interval rule on m_hat,
 labels other than 1: where the center is strictly the narrowest, the sign
 of one quadratic per other hypothesis in (m_hat - m1, S/n + (m_hat - m1)^2),
 whose roots at S = 0 give ``ml_center_band``, outside which ML keeps a chip
-whatever its S (the session engine scores only the chips inside it);
-otherwise the labels themselves.  Those quadratics are the one
+whatever its S; otherwise the labels themselves.  Inside the band,
+``ml_core`` is the interval where ML discards a chip at every S it draws
+but with probability at most ``ML_CORE_TAIL``: the band's quadratics
+lifted by a Chernoff bound on S's tail.  The session engine scores only
+the band's two shells outside that core.  Those quadratics are the one
 unequal-variance boundary of the module (``_boundary``) and ``_q`` its one
-root formula, for the band and the optimum thresholds alike.
+root formula, for the band, its core and the optimum thresholds alike.
 ``q_function`` takes a scalar.
 
 Label convention: g indexes the mean, so g=1 is the center Gaussian (mean
@@ -180,9 +183,24 @@ def _boundary(center: GaussianHypothesis, other: GaussianHypothesis) -> tuple[fl
     quadratic boundary: a = 1/(2*sigma1^2) - 1/(2*sigma_o^2),
     b = (m_o - m1)/sigma_o^2 and c = ln(sigma1/sigma_o) - (m_o - m1)^2/(2*sigma_o^2),
     so a >= 0 and c <= 0 wherever sigma1 <= sigma_o.
+
+    The mean gap is taken in sigma_o units, r = (m_o - m1)/sigma_o, so that
+    b = r/sigma_o and c = ln(sigma1/sigma_o) - r^2/2 overflow only where r
+    does.  Raises :class:`~rhkljn.params.InvalidParamsError` unless all
+    three are finite: every caller, and the core's lift of c, needs them so.
     """
-    var_c, var_o, delta = center.std**2, other.std**2, other.mean - center.mean
-    return 0.5 / var_c - 0.5 / var_o, delta / var_o, math.log(center.std / other.std) - 0.5 * delta**2 / var_o
+    r = (other.mean - center.mean) / other.std
+    # divided twice, not by a square that can underflow to 0
+    a = 0.5 / center.std / center.std - 0.5 / other.std / other.std
+    b, c = r / other.std, math.log(center.std / other.std) - 0.5 * r * r
+    if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(c)):
+        from .params import InvalidParamsError  # params imports this module
+
+        raise InvalidParamsError(
+            f"the ML boundary of the center against hypothesis {other.label} is not finite: "
+            "its mean gap is too wide, or a variance too small, for double precision"
+        )
+    return a, b, c
 
 
 def _q(a: float, b: float, c: float) -> float:
@@ -233,6 +251,28 @@ def ml_keep(
     return keep
 
 
+def _inner_interval(quads: list, lift: float) -> tuple[float, float] | None:
+    """``(x_lo, x_hi)``, where every a*x^2 + b*x + c + a*lift <= 0, each
+    quadratic's roots from :func:`_q`; ``None`` where a lifted c is >= 0,
+    so that no x is."""
+    x_lo, x_hi = -math.inf, math.inf
+    for a, b, c in quads:
+        c += a * lift
+        if c >= 0.0:
+            return None
+        q = _q(a, b, c)  # != 0 since a*c < 0
+        lo, hi = sorted((q / a, c / q))
+        x_lo, x_hi = max(x_lo, lo), min(x_hi, hi)
+    return x_lo, x_hi
+
+
+def _edges(m1: float, x_lo: float, x_hi: float, margin: float) -> tuple[float, float]:
+    """``(m1 + x_lo, m1 + x_hi)``, each edge moved out by ``margin`` of its
+    distance from m1 and of |m1| (in, for a negative ``margin``)."""
+    scale, pad = 1.0 + margin, margin * abs(m1)
+    return m1 + x_lo * scale - pad, m1 + x_hi * scale + pad
+
+
 def ml_center_band(hyps: Sequence[GaussianHypothesis]) -> tuple[float, float]:
     """ML's center band ``(lo, hi)``: :func:`ml_keep` keeps every chip with
     m_hat < lo or m_hat > hi, whatever its S >= 0 and its n.
@@ -249,13 +289,69 @@ def ml_center_band(hyps: Sequence[GaussianHypothesis]) -> tuple[float, float]:
     if quadratics is None:
         return -math.inf, math.inf
     m1, quads = quadratics
-    x_lo, x_hi = -math.inf, math.inf
-    for a, b, c in quads:
-        q = _q(a, b, c)  # != 0 since a*c < 0
-        lo, hi = sorted((q / a, c / q))
-        x_lo, x_hi = max(x_lo, lo), min(x_hi, hi)
-    scale, pad = 1.0 + _BAND_MARGIN, _BAND_MARGIN * abs(m1)
-    return m1 + x_lo * scale - pad, m1 + x_hi * scale + pad
+    return _edges(m1, *_inner_interval(quads, 0.0), _BAND_MARGIN)
+
+
+ML_CORE_TAIL = 2.0**-100
+"""The probability below which :func:`ml_core` takes ML's discard as
+certain.  A chip in the core is discarded without an S: if its state's
+sample mean reaches ML's band with probability at least this, a drawn S
+would have made ML keep it with probability at most this; any other
+state reaches the band with probability below it.  So, against drawing
+every S, ML's keep probability of a chip moves by less than
+2 * ML_CORE_TAIL = 2^-99."""
+
+
+def _gamma_tail_point(k: float) -> float:
+    """The g > k where Chernoff's bound on a Gamma(k) tail, P(G >= g) <=
+    (g/k)^k * e^(k - g), equals :data:`ML_CORE_TAIL`; 0 at k = 0, where G = 0.
+
+    Newton's method on the bound's logarithm, concave and falling in g > k,
+    from g = 2*(k*ln 2 - ln tail), the root of the looser bound at t = 1/2:
+    started above the root, each step stays above it, where the bound is
+    at most the tail."""
+    if k == 0.0:
+        return 0.0
+    log_tail = math.log(ML_CORE_TAIL)
+    g = 2.0 * (k * _LN2 - log_tail)
+    while True:
+        step = (k * math.log(g / k) + k - g - log_tail) / (k / g - 1.0)
+        g -= step
+        if step <= 1e-12 * g:
+            return g
+
+
+def ml_core(hyps: Sequence[GaussianHypothesis], n: int, state_means, state_variances) -> tuple[float, float]:
+    """ML's certain-discard core ``(lo, hi)`` at ``n`` samples a chip: a
+    chip with lo <= m_hat <= hi is discarded by ML at every S but with
+    probability at most :data:`ML_CORE_TAIL`.  Empty, with lo > hi, where
+    the center is not strictly the narrowest or no S is that certain.
+
+    ML discards a chip exactly where S <= n*T(m_hat), with T(m1 + x) the
+    least over :func:`_center_quadratics` of -(a*x^2 + b*x + c)/a.  A chip
+    of state variance var has S = var*2*G, G ~ Gamma((n - 1)/2), so
+    P(S > n*s_cap) <= ML_CORE_TAIL for var <= var_cap, at
+    s_cap = 2*var_cap*g/n with g from :func:`_gamma_tail_point`.  var_cap is
+    the largest of the ``state_variances`` whose m_hat ~ N(mean, var/n)
+    lands in :func:`ml_center_band` with probability at least the tail,
+    bounded by the normal tail past the band's nearer edge.  The core is
+    {T >= s_cap}, the band with every c raised by a*s_cap; its edges are
+    pulled in by ``_BAND_MARGIN`` as the band's are pushed out.
+    """
+    quadratics = _center_quadratics(hyps)
+    if quadratics is None:
+        return math.inf, -math.inf
+    m1, quads = quadratics
+    band_lo, band_hi = ml_center_band(hyps)
+    var_cap = 0.0
+    for mean, var in zip(state_means.tolist(), state_variances.tolist()):
+        gap = max(band_lo - mean, mean - band_hi)
+        if gap <= 0.0 or q_function(gap / math.sqrt(var / n)) >= ML_CORE_TAIL:
+            var_cap = max(var_cap, var)
+    inner = _inner_interval(quads, 2.0 * var_cap * _gamma_tail_point(0.5 * (n - 1)) / n)
+    if inner is None:
+        return math.inf, -math.inf
+    return _edges(m1, *inner, -_BAND_MARGIN)
 
 
 def _moments(values) -> tuple[np.ndarray, np.ndarray, int]:

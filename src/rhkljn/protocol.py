@@ -18,17 +18,20 @@ with n.  Per chunk the draw order is: the coin bytes, read from the bit
 generator's raw words (the bytes of ``rng.bytes`` on PCG64), one byte per
 bit, whose low two bits are the mains (b_a, b_b), and one byte per chip,
 whose low two bits are the sub-bits (s_a, s_b) and whose bit 2 is Eve's
-coin; then m_hat; then, after the gate, S for the gate-kept chips inside
-ML's center band (:func:`rhkljn.detectors.ml_center_band`), outside which
-ML keeps a chip whatever its S (:func:`_rh_chunk_arrays`).  Each chip's
-state is the flat index 8*b_a + 4*b_b + 2*s_a + s_b of the 16-state table
-of :func:`rhkljn.params.state_moments`, stored once in the session's
-``DerivedStats`` (``state_means``, ``state_variances``), the table Eve's
-hypotheses come from; its mean and variance are looked up there, and the
-tally reads the parties' bits from it with bit tests.  S is drawn only
-when the ``ml`` detector, the one detector that reads it, runs, and only
-on the chips whose verdict it can change.  Every detector is tallied
-from a keep mask, and the trace prints those masks; no label is built.
+coin; then m_hat; then, after the gate, S for the gate-kept chips in the
+two shells of ML's center band (:func:`rhkljn.detectors.ml_center_band`),
+outside which ML keeps a chip whatever its S, around its core
+(:func:`rhkljn.detectors.ml_core`), inside which ML discards a chip at
+every S but with probability at most 2^-100 (:func:`_rh_chunk_arrays`).
+Each chip's state is the flat index 8*b_a + 4*b_b + 2*s_a + s_b of the
+16-state table of :func:`rhkljn.params.state_moments`, stored once in the
+session's ``DerivedStats`` (``state_means``, ``state_variances``), the
+table Eve's hypotheses come from; its mean and variance are looked up
+there, and the tally reads the parties' bits from it with bit tests.  S
+is drawn only when the ``ml`` detector, the one detector that reads it,
+runs, and only on the chips whose verdict it can change but with
+probability 2^-100.  Every detector is tallied from a keep mask, and the
+trace prints those masks; no label is built.
 The stream is engine version :data:`ENGINE_VERSION`.
 Work is split into fixed-size chunks of bits, each with its own seed
 substream, so results are bit-identical across worker counts.  A session
@@ -73,10 +76,11 @@ from .rng import substream
 DETECTOR_CHOICES = ("ml", "simple", "optimum")
 DEFAULT_CHUNK_BITS = 1024
 
-ENGINE_VERSION = 3
+ENGINE_VERSION = 4
 """The version of the chunk draw.  Output bytes are a pure function of the
 command, its seed and this version, which changes whenever a draw moves.
-Version 3 draws ML's S only inside its center band; no other draw moved."""
+Version 3 drew ML's S only inside its center band; version 4 only in the
+band's shells, outside its certain-discard core.  No other draw moved."""
 
 
 def check_names(kind: str, names, choices) -> tuple[str, ...]:
@@ -210,12 +214,14 @@ class _ChunkSpec:
     and that stays fixed for the session: ``table``, the (mu,
     sqrt(var / n), var) of the 16 chip states, from the statistics' state
     table, the :class:`~rhkljn.detectors.ThresholdSet` and, when ``ml``
-    runs, the middle hypotheses and ``ml_band``, ML's center band
-    (:func:`~rhkljn.detectors.ml_center_band`) within the gate, and, for
-    the classical baseline (``stats``
-    None, the table then from :func:`~rhkljn.params.state_moments`), its
-    variance band.  :meth:`chunk` copies the plan for one chunk, with that
-    chunk's size and substream key, and derives nothing again.
+    runs, the middle hypotheses, ``ml_band``, ML's center band
+    (:func:`~rhkljn.detectors.ml_center_band`) within the gate, and
+    ``ml_core``, its certain-discard core
+    (:func:`~rhkljn.detectors.ml_core`), and, for the classical baseline
+    (``stats`` None, the table then from
+    :func:`~rhkljn.params.state_moments`), its variance band.
+    :meth:`chunk` copies the plan for one chunk, with that chunk's size
+    and substream key, and derives nothing again.
     """
 
     params: SystemParams
@@ -235,8 +241,9 @@ class _ChunkSpec:
             if "ml" in self.detectors:
                 self.hyps = self.stats.middle_hypotheses()
                 lo, hi = det.ml_center_band(self.hyps)
-                # within the gate: the chips whose S is drawn
+                # within the gate: the chips whose S is drawn, outside the core
                 self.ml_band = max(lo, self.thresholds.th1), min(hi, self.thresholds.th2)
+                self.ml_core = det.ml_core(self.hyps, self.params.samples_per_chip, mu, var)
         self.table = (mu, np.sqrt(var / self.params.samples_per_chip), var)
 
     def chunk(self, n_bits: int, key: tuple[int, ...]) -> "_ChunkSpec":
@@ -254,9 +261,10 @@ def _rh_chunk_arrays(spec: _ChunkSpec):
     ``eve`` Eve's guess of b_a, ``m_hat`` the chip's sample mean and
     ``gate_keep`` the gate's verdict (``ThresholdSet.gate``), all
     ``(bits, chips)``; ``scored`` is the flat indices of the gate-kept
-    chips inside ML's center band ``spec.ml_band``, the only chips whose
-    ML verdict S can change, and ``scatter`` is S at those chips, 1-D;
-    both are ``None`` unless ``ml`` runs.
+    chips in the shells of ML's center band ``spec.ml_band``, the band
+    less its core ``spec.ml_core``: the only chips whose ML verdict S can
+    change but with probability 2^-100.  ``scatter`` is S at those chips,
+    1-D; both are ``None`` unless ``ml`` runs.
 
     A chip is drawn as its sufficient statistics, not as raw samples: given
     the chip state, the n samples are i.i.d. N(mu, sigma^2), so their mean
@@ -272,7 +280,7 @@ def _rh_chunk_arrays(spec: _ChunkSpec):
     a chip byte's low two bits are (s_a, s_b) and its bit 2 is Eve's coin;
     every other bit is unread.  Then m_hat, then the gate, then, only when
     ``ml``, the one detector that reads S, runs, S for the gate-kept chips
-    inside ML's center band, in flat order.  S comes last, so skipping it
+    in the band's shells, in flat order.  S comes last, so skipping it
     moves no other draw.
     """
     n_bits, chips = spec.n_bits, spec.params.chips_per_bit
@@ -291,10 +299,11 @@ def _rh_chunk_arrays(spec: _ChunkSpec):
     gate_keep = spec.thresholds.gate(m_hat)
     scatter = scored = None
     if "ml" in spec.detectors:
-        lo, hi = spec.ml_band
-        # the gate-kept chips in the band; a gather at their flat indices
-        # is several times cheaper than boolean indexing, in the same order
-        scored = np.flatnonzero((m_hat >= lo) & (m_hat <= hi))
+        (lo, hi), (core_lo, core_hi) = spec.ml_band, spec.ml_core
+        # the gate-kept chips in the band, outside its core; a gather at
+        # their flat indices is several times cheaper than boolean
+        # indexing, in the same order
+        scored = np.flatnonzero((m_hat >= lo) & (m_hat <= hi) & ((m_hat < core_lo) | (m_hat > core_hi)))
         scatter = 2.0 * rng.standard_gamma(0.5 * (spec.params.samples_per_chip - 1), scored.size)
         scatter *= spec.table[2].take(state.take(scored))
     return state, eve, m_hat, gate_keep, scatter, scored
@@ -321,9 +330,10 @@ def _tally_chunk(spec, state, eve, m_hat, gate_keep, scatter, scored):
     A detector keeps a gated chip unless it labels it g = 1; the tally
     reads that mask (the interval rule's ``ThresholdSet.keep``, or
     :func:`rhkljn.detectors.ml_keep`, ML's center verdict as a quadratic in
-    (m_hat - m1, S/n + (m_hat - m1)^2), on the chips inside ML's center
-    band alone, at their flat indices ``scored``, every other gated chip
-    kept) and builds no label array.  Returns ``(tallies, keeps)``,
+    (m_hat - m1, S/n + (m_hat - m1)^2), on the chips in the shells of ML's
+    center band alone, at their flat indices ``scored``, every gated chip
+    in its core ``spec.ml_core`` discarded and every other one kept) and
+    builds no label array.  Returns ``(tallies, keeps)``,
     ``keeps`` the ``(bits, chips)`` mask of each detector, which the trace
     prints.
     """
@@ -331,7 +341,8 @@ def _tally_chunk(spec, state, eve, m_hat, gate_keep, scatter, scored):
     for name in spec.detectors:
         if name == "ml":
             # ml_keep on the scored chips, gathered and put back at their flat indices
-            kept = gate_keep.copy()
+            core_lo, core_hi = spec.ml_core
+            kept = gate_keep & ((m_hat < core_lo) | (m_hat > core_hi))
             kept.put(scored, det.ml_keep(m_hat.take(scored), scatter, spec.params.samples_per_chip, spec.hyps))
         else:
             kept = gate_keep & spec.thresholds.keep(m_hat, name)

@@ -42,8 +42,10 @@ def party_bits(state):
 
 def scatter_everywhere(rng, spec, state, scatter, scored):
     """S at every chip of a chunk: the engine's ``scatter`` at the flat
-    indices ``scored``, inside ML's center band, and a sigma^2*chi^2(n - 1)
-    draw from ``rng`` at the others, where ML keeps a chip whatever its S."""
+    indices ``scored``, the shells of ML's center band, and a
+    sigma^2*chi^2(n - 1) draw from ``rng`` at the others, where ML keeps a
+    chip whatever its S (outside the band) or discards it at every S but
+    with probability 2^-100 (in the band's core)."""
     full = 2.0 * rng.standard_gamma(0.5 * (spec.params.samples_per_chip - 1), state.shape) * spec.table[2][state]
     full.put(scored, scatter)
     return full

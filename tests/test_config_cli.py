@@ -1009,6 +1009,10 @@ class TestCli:
             (["stats", "--m-l", "1e300", "--gamma", "1e10"], "the chip-state table is not finite"),
             (["sweep", "--sweep", "n", "--values", "3", "--r-l0", "1e200"], "the chip-state table is not finite"),
             (["compare", "--values", "2e4", "--r-l0", "1e308"], "the chip-state table is not finite"),
+            # a finite table whose ML boundary is not: no traceback, and no
+            # midpoint fallback where the means are merely far apart
+            (["stats", "--m-l", "1e160"], "the ML boundary of the center against hypothesis 2 is not finite"),
+            (["stats", "--m-l", "1e150"], "the ML boundary of the center against hypothesis 2 is not finite"),
         ],
     )
     def test_empty_or_non_finite_input_exits_one(self, tmp_path, capsys, argv, message):

@@ -9,16 +9,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy.special import gammaincc
 from scipy.stats import norm
 
 from rhkljn import SystemParams, chip_moments
 from rhkljn.channel import ChipState, sample_chip
 from rhkljn.config import SCENARIOS, apply_scenario
 from rhkljn.detectors import (
+    ML_CORE_TAIL,
     GaussianHypothesis,
     detect_moments,
     min_error_threshold,
     ml_center_band,
+    ml_core,
     ml_detect_batch,
     ml_keep,
     moment_costs,
@@ -483,8 +486,9 @@ class TestMlKeep:
     def test_session_chunks(self, scenario, n, rng):
         params = apply_scenario(SystemParams(samples_per_chip=n), scenario)
         spec = _ChunkSpec(params, derive_stats(params), ("ml",), 1024, 60 + n, (0,))
-        # S at every gate-kept chip: the engine's inside ML's center band,
-        # the test's own draw outside it, where any S gives the same verdict
+        # S at every gate-kept chip: the engine's in the shells of ML's
+        # center band, the test's own draw elsewhere, where S decides nothing
+        # (but with probability 2^-100 in the band's core)
         state, _, m_hat, gate_keep, scatter, scored = _rh_chunk_arrays(spec)
         scatter = scatter_everywhere(rng, spec, state, scatter, scored)[gate_keep]
         keep = self.assert_matches_labels(m_hat[gate_keep], scatter, n, spec.stats.middle_hypotheses())
@@ -587,6 +591,72 @@ class TestMlCenterBand:
                 GaussianHypothesis(label=3, mean=3.0, std=2.0),
             )
             assert ml_center_band(hyps) == (-math.inf, math.inf), std
+
+
+def band_masses(stats, n, lo, hi):
+    """P(lo <= m_hat <= hi) for each of the 16 chip states at n samples,
+    m_hat ~ N(mean, var/n), from the tail on each state's far side."""
+    mu, sd = stats.state_means, np.sqrt(stats.state_variances / n)
+    below = norm.sf((lo - mu) / sd) - norm.sf((hi - mu) / sd)
+    above = norm.cdf((hi - mu) / sd) - norm.cdf((lo - mu) / sd)
+    return np.where(mu < stats.m1, below, above)
+
+
+class TestMlCore:
+    """Inside ``ml_core`` ML discards a chip whatever S it draws, but with
+    probability at most ``ML_CORE_TAIL``."""
+
+    @staticmethod
+    def threshold(stats, n, m_hat):
+        """n*T(m_hat): ML discards a chip exactly where S <= n*T, from the
+        costs at S = 0, which each grow by S times a = 1/(2*sigma^2)."""
+        hyps = stats.middle_hypotheses()
+        costs = moment_costs(m_hat, 0.0, n, [h.mean for h in hyps], [h.std for h in hyps])
+        a = [0.5 / hyps[0].std**2 - 0.5 / h.std**2 for h in hyps[1:]]
+        return min(-(costs[0] - costs[j]) / a[j - 1] for j in (1, 2))
+
+    @settings(deadline=None, derandomize=True, database=None, max_examples=200)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from([1, 2, 3, 5, 10, 40]))
+    def test_discard_is_certain_at_every_reaching_state(self, seed, n):
+        stats = derive_stats(random_valid_params(np.random.default_rng(seed), samples_per_chip=n))
+        hyps = stats.middle_hypotheses()
+        band_lo, band_hi = ml_center_band(hyps)
+        lo, hi = ml_core(hyps, n, stats.state_means, stats.state_variances)
+        if lo > hi:
+            return
+        assert band_lo < lo < stats.m1 < hi < band_hi
+        # the states whose m_hat reaches the band but with probability below
+        # the tail are left out; T is concave, least on the core at an edge
+        reaching = stats.state_variances[band_masses(stats, n, band_lo, band_hi) >= ML_CORE_TAIL]
+        for edge in (lo, hi):
+            n_t = self.threshold(stats, n, edge)
+            if n == 1:
+                assert n_t >= 0.0  # S = 0
+            else:
+                # S = var * 2 * Gamma((n - 1)/2)
+                assert np.all(gammaincc(0.5 * (n - 1), 0.5 * n_t / reaching) <= ML_CORE_TAIL), edge
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 10, 20, 40])
+    def test_core_leaves_under_one_shell_chip_a_chunk_at_good(self, n):
+        # each of the 16 states draws 1/16 of a 1024-bit chunk's 10,240
+        # chips; a looser tail bound, or a variance cap over all 16 states,
+        # leaves hundreds of chips a chunk in the shells, or no core
+        stats = derive_stats(apply_scenario(SystemParams(samples_per_chip=n), "good"))
+        hyps = stats.middle_hypotheses()
+        band_lo, band_hi = ml_center_band(hyps)
+        lo, hi = ml_core(hyps, n, stats.state_means, stats.state_variances)
+        shell = band_masses(stats, n, band_lo, lo) + band_masses(stats, n, hi, band_hi)
+        assert 10_240 / 16 * shell.sum() < 0.5
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [dict(temperature=0.0), dict(beta=1.0), dict(alpha=1.0, beta=1.0)],
+        ids=["point_masses", "beta_1", "alpha_beta_1"],
+    )
+    def test_empty_without_a_strictly_narrowest_center(self, overrides):
+        stats = derive_stats(SystemParams(samples_per_chip=3, **overrides))
+        lo, hi = ml_core(stats.middle_hypotheses(), 3, stats.state_means, stats.state_variances)
+        assert lo > hi
 
 
 class TestErrorProbabilities:

@@ -46,9 +46,9 @@ CLI_COMMANDS = {
     "pls_tolerance_default_trials": ("pls", "--tolerance", "0.01", "--gamma-t", "3.34"),
 }
 
-# the engine version these digests were made with (version 3 moved ML's S
-# stream only, and no digest with it)
-GOLDEN_ENGINE_VERSION = 3
+# the engine version these digests were made with (versions 3 and 4 moved
+# ML's S stream only, and no digest with it)
+GOLDEN_ENGINE_VERSION = 4
 
 STDOUT_SHA256 = {
     "fig_n": "1a5a3daaa1e5444dd0350d0a6693f0781741e497d2815f439fb7b55629ea9704",

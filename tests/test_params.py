@@ -482,11 +482,16 @@ class TestValidation:
             {"r_l0": 1e200},
             {"temperature": 1e300, "bandwidth": 1e308},
             {"m_l": 1e300, "gamma": 1e10},
+            # a finite table whose ML boundary is not: the mean gap over
+            # sigma_o squared overflows, or a variance is all but 0
+            {"m_l": 1e160},
+            {"m_l": 1e150},
+            {"temperature": 1e-298},
         ],
     )
     def test_invalid_params_raise(self, kwargs):
         with pytest.raises(InvalidParamsError):
-            state_moments(SystemParams(**kwargs))
+            derive_stats(SystemParams(**kwargs))
 
 
 class TestRandomizedProperties:

@@ -7,6 +7,7 @@ import math
 import multiprocessing
 import operator
 import os
+import statistics
 import tracemalloc
 import warnings
 
@@ -24,7 +25,7 @@ from rhkljn import (
 )
 from rhkljn import protocol
 from rhkljn.channel import ChipState, sample_chip
-from rhkljn.detectors import detect_moments, ml_center_band, ml_keep
+from rhkljn.detectors import detect_moments, ml_center_band, ml_core, ml_keep
 from rhkljn.params import derive_stats
 from rhkljn.pls import IDEAL_DISCARD
 from rhkljn.protocol import (
@@ -530,33 +531,44 @@ class TestChunkSampler:
         for index in range(16):
             yield index, ChipState(*((index >> k) & 1 for k in (3, 2, 1, 0)))
 
+    # plans whose band shells hold over 1,000 of the 40,000 chips: at
+    # m_l = 6e-5, n = 3 about 40 % of ML's center band lies outside its
+    # core; at n = 2 and 20 these m_l leave no core, so S is drawn over the
+    # whole band; at n = 1 S is 0, and beta = 1 leaves no core either
+    SHELL_PLANS = {1: dict(beta=1.0), 2: dict(m_l=6e-5), 3: dict(m_l=6e-5), 20: dict(m_l=2e-5)}
+
     @pytest.mark.parametrize("n", [1, 2, 3, 20])
     def test_moments_follow_chip_distribution(self, n):
         params = SystemParams(samples_per_chip=n)
-        state, _, m_hat, gate_keep, scatter, scored = self.chunk(params, 4_000, seed=41)
-        scored_state = state.take(scored)
-        assert scatter.shape == scored_state.shape
+        state, _, m_hat, *_ = self.chunk(params, 4_000, seed=41)
         z = np.empty_like(m_hat)
-        s_over_var = np.empty_like(scatter)
         for index, chip_state in self.by_state():
             mean, var = chip_moments(params, *chip_state)
             sel = state == index
             assert sel.sum() > 1_000
             z[sel] = (m_hat[sel] - mean) / math.sqrt(var / n)
             assert kstest(z[sel], norm.cdf).pvalue >= self.KS_P_FLOOR, chip_state
-            # S exists for the gate-kept chips inside ML's center band
-            # alone, most of them near m1; S is independent of m_hat, so
-            # picking chips by m_hat leaves its law as it is
-            scored = scored_state == index
-            s_over_var[scored] = scatter[scored] / var
-            if n > 1 and scored.sum() > 1_000:
-                assert kstest(s_over_var[scored], chi2(n - 1).cdf).pvalue >= self.KS_P_FLOOR, chip_state
         # pooled over all states: ~16x the power of one state against a common bias
         assert kstest(z.ravel(), norm.cdf).pvalue >= self.KS_P_FLOOR
+
+        # S exists for the gate-kept chips in the shells of ML's center
+        # band alone; S is independent of m_hat, so picking chips by m_hat
+        # leaves its law as it is
+        params = SystemParams(samples_per_chip=n, **self.SHELL_PLANS[n])
+        state, _, _, _, scatter, scored = self.chunk(params, 4_000, seed=41)
+        scored_state = state.take(scored)
+        assert scatter.shape == scored_state.shape and scored.size > 1_000
         if n == 1:
             assert np.all(scatter == 0.0)
-        else:
-            assert kstest(s_over_var, chi2(n - 1).cdf).pvalue >= self.KS_P_FLOOR
+            return
+        s_over_var = np.empty_like(scatter)
+        for index, chip_state in self.by_state():
+            _, var = chip_moments(params, *chip_state)
+            scored = scored_state == index
+            s_over_var[scored] = scatter[scored] / var
+            if scored.sum() > 1_000:
+                assert kstest(s_over_var[scored], chi2(n - 1).cdf).pvalue >= self.KS_P_FLOOR, chip_state
+        assert kstest(s_over_var, chi2(n - 1).cdf).pvalue >= self.KS_P_FLOOR
 
     def test_noiseless_chunk_is_exact(self):
         params = SystemParams(temperature=0.0, samples_per_chip=5)
@@ -584,22 +596,26 @@ class TestChunkTableDraw:
     def replay(params, stats, n_bits, seed, key):
         """The chunk redrawn in the documented order, every chip's moments
         from a broadcast :func:`chip_moments` call, and S for the gate-kept
-        chips inside ML's center band."""
+        chips inside ML's center band but outside its core."""
         chips, n = params.chips_per_bit, params.samples_per_chip
         rng = substream(seed, key)
         a_main, b_main, a_sub, b_sub, eve = replay_coins(rng, n_bits, chips)
         mu, var = chip_moments(params, a_main[:, None], b_main[:, None], a_sub, b_sub)
         m_hat = mu + np.sqrt(var / n) * rng.standard_normal((n_bits, chips))
         gate_keep = (m_hat >= stats.th1) & (m_hat <= stats.th2)
-        lo, hi = ml_center_band(stats.middle_hypotheses())
-        in_band = gate_keep & (m_hat >= lo) & (m_hat <= hi)
-        scatter = var[in_band] * (2.0 * rng.standard_gamma(0.5 * (n - 1), np.count_nonzero(in_band)))
+        hyps = stats.middle_hypotheses()
+        lo, hi = ml_center_band(hyps)
+        core_lo, core_hi = ml_core(hyps, n, stats.state_means, stats.state_variances)
+        in_shell = gate_keep & (m_hat >= lo) & (m_hat <= hi) & ~((m_hat >= core_lo) & (m_hat <= core_hi))
+        scatter = var[in_shell] * (2.0 * rng.standard_gamma(0.5 * (n - 1), np.count_nonzero(in_shell)))
         state = 8 * a_main[:, None] + 4 * b_main[:, None] + 2 * a_sub + b_sub
-        return state, eve, m_hat, gate_keep, scatter, np.flatnonzero(in_band)
+        return state, eve, m_hat, gate_keep, scatter, np.flatnonzero(in_shell)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 20])
     def test_table_draw_equals_per_chip_moments(self, n, rng):
-        configs = [SystemParams(samples_per_chip=n)]
+        # the defaults, where ML's band shells are all but empty, a plan
+        # whose shells hold chips, and random draws
+        configs = [SystemParams(samples_per_chip=n), SystemParams(samples_per_chip=n, **TestChunkSampler.SHELL_PLANS[n])]
         configs += [random_valid_params(rng, samples_per_chip=n) for _ in range(4)]
         for i, params in enumerate(configs):
             stats = derive_stats(params)
@@ -612,17 +628,25 @@ class TestChunkTableDraw:
 
     @pytest.mark.parametrize("n", [1, 3, 20])
     def test_scatter_is_drawn_only_for_ml(self, n):
-        params = SystemParams(samples_per_chip=n)
+        # m_l where ML's band at n = 3 and 20 is part core, part shell
+        params = SystemParams(samples_per_chip=n, m_l={1: 1e-4, 3: 6e-5, 20: 2.8e-5}[n])
         stats = derive_stats(params)
         without = _rh_chunk_arrays(_ChunkSpec(params, stats, ("optimum",), 400, 8, (1,)))
         with_ml = _rh_chunk_arrays(_ChunkSpec(params, stats, ("ml", "optimum"), 400, 8, (1,)))
         assert without[4] is None and without[5] is None
-        # one S per gate-kept chip inside ML's center band, and none for the
-        # others: those the gate discards and those ML keeps at any S
-        gate_keep, scatter, scored = with_ml[3:]
+        # one S per gate-kept chip in the band's shells, and none for the
+        # others: those the gate discards, those ML keeps at any S outside
+        # the band and those it discards at any likely S in its core
+        m_hat, gate_keep, scatter, scored = with_ml[2:]
+        hyps = stats.middle_hypotheses()
+        lo, hi = ml_center_band(hyps)
+        core_lo, core_hi = ml_core(hyps, n, stats.state_means, stats.state_variances)
+        in_core = gate_keep & (m_hat >= core_lo) & (m_hat <= core_hi)
         assert scatter.shape == scored.shape
-        assert np.all(gate_keep.flat[scored])
-        assert 0 < scored.size < np.count_nonzero(gate_keep) < gate_keep.size
+        assert np.array_equal(scored, np.flatnonzero(gate_keep & (m_hat >= lo) & (m_hat <= hi) & ~in_core))
+        # at n = 1, where S = 0, the core is the band less its margins
+        assert (scored.size > 0) == (n > 1)
+        assert 0 < np.count_nonzero(in_core) < np.count_nonzero(gate_keep) < gate_keep.size
         # S is the last draw: every other array is the same with or without it
         for i in range(4):
             assert np.array_equal(without[i], with_ml[i]), i
@@ -780,8 +804,9 @@ class TestThresholdKeep:
         assert len(result) == 2
         tallies, keeps = result
         assert list(keeps) == list(spec.detectors)
-        # the ml labels read S at every gate-kept chip; outside the center
-        # band any S gives the same verdict, so the test draws its own
+        # the ml labels read S at every gate-kept chip; outside the band's
+        # shells S decides nothing (but with probability 2^-100 in its
+        # core), so the test draws its own
         scatter = scatter_everywhere(rng, spec, state, scatter, scored)
         for name in spec.detectors:
             g = chunk_labels(spec, m_hat, scatter, name)
@@ -798,14 +823,33 @@ class TestThresholdKeep:
             assert tally.eve_correct == int((kept & (eve == a_main[:, None])).sum())
 
 
+def v3_ml_mask(spec):
+    """ML's keep mask of a chunk as engine version 3 drew it: the chunk's
+    coins and sample means as the engine draws them, then S for every
+    gate-kept chip inside ML's center band, core and shells alike, in flat
+    order, and ``ml_keep`` on each of them."""
+    n = spec.params.samples_per_chip
+    state, _, m_hat, gate_keep, _, _ = _rh_chunk_arrays(spec)
+    rng = substream(spec.master_seed, spec.key)
+    protocol._coin_bytes(rng, m_hat.size + spec.n_bits)
+    rng.standard_normal(m_hat.shape)
+    lo, hi = spec.ml_band
+    band = np.flatnonzero((m_hat >= lo) & (m_hat <= hi))
+    scatter = 2.0 * rng.standard_gamma(0.5 * (n - 1), band.size) * spec.table[2].take(state.take(band))
+    kept = gate_keep.copy()
+    kept.put(band, ml_keep(m_hat.take(band), scatter, n, spec.hyps))
+    return kept
+
+
 class TestMlTally:
     """``ml`` is tallied from :func:`rhkljn.detectors.ml_keep` on the gated
-    chips inside its center band, and keeps every other gated chip."""
+    chips in the shells of its center band, discards those in the band's
+    core and keeps every other gated chip."""
 
     @staticmethod
     def full_tally(spec, rng, state, eve, m_hat, gate_keep, scatter, scored):
         """The ``ml`` tally of ``ml_keep`` on every gate-kept chip, those
-        outside the band at S drawn from ``rng``."""
+        outside the band's shells at S drawn from ``rng``."""
         scatter = scatter_everywhere(rng, spec, state, scatter, scored)[gate_keep]
         kept = gate_keep.copy()
         kept[gate_keep] = ml_keep(m_hat[gate_keep], scatter, spec.params.samples_per_chip, spec.hyps)
@@ -841,6 +885,37 @@ class TestMlTally:
         tally = _tally_chunk(spec, *arrays)[0]["ml"]
         assert tally.kept_chips == np.count_nonzero(gate_keep) > 0
         assert {"ml": tally} == self.full_tally(spec, rng, *arrays)
+
+    # no S is in doubt: S = 0 at n = 1, and no core where the center is
+    # not strictly the narrowest, so S is drawn for every band chip
+    @pytest.mark.parametrize(
+        "overrides", [dict(samples_per_chip=1), NOISELESS, dict(beta=1.0)], ids=["one_sample", "point_masses", "beta_1"]
+    )
+    def test_mask_is_version_3s_where_no_s_is_in_doubt(self, overrides):
+        params, stats = params_and_stats(**overrides)
+        spec = _ChunkSpec(params, stats, ("ml",), 2_000, 31, (0,))
+        keep = _tally_chunk(spec, *_rh_chunk_arrays(spec))[1]["ml"]
+        assert np.array_equal(keep, v3_ml_mask(spec))
+
+    def test_kept_counts_match_version_3_on_populated_shells(self):
+        # at m_l = 6e-5, n = 3 about 1,000 chips a chunk fall in the band's
+        # shells; over 40 seeds ML keeps as many chips as when S is drawn
+        # for every band chip.  The masks differ only in the shells, where
+        # S lands on other chips; in the core, only with probability 2^-100
+        params, stats = params_and_stats(samples_per_chip=3, m_l=6e-5)
+        diffs, shells = [], 0
+        for seed in range(40):
+            spec = _ChunkSpec(params, stats, ("ml",), 1024, 700 + seed, (0,))
+            arrays = _rh_chunk_arrays(spec)
+            keep, old = _tally_chunk(spec, *arrays)[1]["ml"], v3_ml_mask(spec)
+            outside = np.ones(keep.size, dtype=bool)
+            outside[arrays[5]] = False
+            assert np.array_equal(keep.ravel()[outside], old.ravel()[outside])
+            shells += arrays[5].size
+            diffs.append(int(keep.sum()) - int(old.sum()))
+        assert shells >= 40 * 1_000
+        assert any(diffs)
+        assert abs(sum(diffs)) <= 4 * math.sqrt(len(diffs)) * statistics.stdev(diffs)
 
     def test_peak_allocation_is_bounded(self):
         # a deterministic guard on the temporaries of the ml path: one
