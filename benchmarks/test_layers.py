@@ -8,10 +8,10 @@ Run from the root of a checkout (outside the test paths, so a plain
 Each case times one layer on fixed inputs: the draw (``_rh_chunk_arrays``)
 and the tally (``_tally_chunk``) of one 1024-bit chunk of 10 chips at
 n = 3 and 10, ``good``, with ``optimum`` alone, ``ml`` alone and all three
-detectors; ML's verdict (``detectors.ml_keep``) on the scored chips of one
-chunk, those in the shells of ML's center band outside its core, at n = 3
-and 10, at a bias where about 1,000 chips a chunk fall there (at ``good``
-almost none do); one
+detectors; the tally with ``ml`` alone at a bias where about 1,000 chips
+a chunk fall in the shells of ML's center band outside its core, the
+chips it labels with ``detectors.detect_moments``, at n = 3 and 10 (at
+``good`` almost none do); one
 classical chunk (``_classical_chunk``); a session's set-up, ``derive_stats``
 and the chunk plan (``_ChunkSpec``) of one hopping point, and the plan of
 one classical point; ``derive_stats`` alone on that hopping point (its
@@ -39,7 +39,7 @@ import argparse  # noqa: E402
 
 import numpy as np  # noqa: E402
 
-from rhkljn import cli, detectors, pls, protocol  # noqa: E402
+from rhkljn import cli, pls, protocol  # noqa: E402
 from rhkljn.config import apply_scenario  # noqa: E402
 from rhkljn.params import SystemParams, chip_moments, derive_stats  # noqa: E402
 from rhkljn.pls import ResistorTolerance, delta_m, sigma_max, sop  # noqa: E402
@@ -77,12 +77,12 @@ def test_chunk_tally(benchmark, n, detectors):
 
 
 @pytest.mark.parametrize("n", [3, 10])
-def test_ml_keep(benchmark, n):
-    # ML's verdict on the chunk's scored chips, as the tally gathers them
+def test_ml_shell_tally(benchmark, n):
+    # the tally that labels ML's shell chips, on a chunk whose shells hold them
     spec = chunk_spec(n, ("ml",), SystemParams(samples_per_chip=n, m_l=SHELL_M_L[n]))
-    _, _, m_hat, _, scatter, scored = protocol._rh_chunk_arrays(spec)
-    keep = benchmark(detectors.ml_keep, m_hat.take(scored), scatter, n, spec.hyps)
-    assert keep.shape == scored.shape and keep.dtype == bool and scored.size > 500
+    arrays = protocol._rh_chunk_arrays(spec)
+    tallies, _ = benchmark(protocol._tally_chunk, spec, *arrays)
+    assert list(tallies) == ["ml"] and arrays[5].size > 500
 
 
 def test_classical_chunk(benchmark):

@@ -10,9 +10,9 @@ label g of the middle Gaussian that produced it:
                    ``moment_costs``, the one Gaussian likelihood of the
                    package (the eavesdropper scores her 16 components with
                    it too).  ``detect_moments`` labels chips from (m_hat, S)
-                   as the ``argmin`` of those costs, the reference for
-                   ``ml_keep``; ``ml_detect_batch`` from (..., N) raw
-                   samples, the oracle;
+                   as the ``argmin`` of those costs, ML's one verdict,
+                   which the tally reads; ``ml_detect_batch`` from (..., N)
+                   raw samples, the oracle;
 * simple        -- the midpoint thresholds (m2+m1)/2 and (m1+m3)/2;
 * optimum       -- the minimum-error thresholds of the center, at prior
                    1/2, against each other hypothesis, at 1/4:
@@ -21,19 +21,19 @@ label g of the middle Gaussian that produced it:
                    minimise are oracles in :mod:`rhkljn.exact`.
 
 The gate and both threshold detectors are one interval rule on m_hat,
-:class:`ThresholdSet`.  The tally reads keep masks, built without labels:
-``ThresholdSet.keep`` and ``ml_keep``, the mask of ``detect_moments``
-labels other than 1: where the center is strictly the narrowest, the sign
-of one quadratic per other hypothesis in (m_hat - m1, S/n + (m_hat - m1)^2),
-whose roots at S = 0 give ``ml_center_band``, outside which ML keeps a chip
-whatever its S; otherwise the labels themselves.  Inside the band,
-``ml_core`` is the interval where ML discards a chip at every S it draws
-but with probability at most ``ML_CORE_TAIL``: the band's quadratics
-lifted by a Chernoff bound on S's tail.  The session engine scores only
-the band's two shells outside that core.  Those quadratics are the one
-unequal-variance boundary of the module (``_boundary``) and ``_q`` its one
-root formula, for the band, its core and the optimum thresholds alike.
-``q_function`` takes a scalar.
+:class:`ThresholdSet`.  The tally reads keep masks: ``ThresholdSet.keep``,
+built without labels, and the ``detect_moments`` labels other than 1.
+Where the center is strictly the narrowest, ML's verdict against each
+other hypothesis is the sign of one quadratic in (m_hat - m1,
+S/n + (m_hat - m1)^2), and those quadratics only plan where S is drawn:
+their roots at S = 0 give ``ml_center_band``, outside which ML keeps a
+chip whatever its S, and, lifted by a Chernoff bound on S's tail,
+``ml_core``, the interval inside the band where ML discards a chip at
+every S it draws but with probability at most ``ML_CORE_TAIL``.  The
+session engine labels only the band's two shells outside that core.
+Those quadratics are the one unequal-variance boundary of the module
+(``_boundary``) and ``_q`` its one root formula, for the band, its core
+and the optimum thresholds alike.  ``q_function`` takes a scalar.
 
 Label convention: g indexes the mean, so g=1 is the center Gaussian (mean
 m1, discarded by the protocol), g=2 the left one (m2) and g=3 the right one
@@ -164,7 +164,10 @@ def detect_moments(
 
     Each chip takes the hypothesis of least :func:`moment_costs`; exact
     ties break toward the smaller variance, then the earlier hypothesis:
-    the ``argmin`` over the costs in that order.
+    the ``argmin`` over the costs in that order.  Where every cost
+    overflows to +inf, that tie gives the narrowest hypothesis, not ML's
+    exact verdict (far out the narrowest loses, the center too); the engine
+    never asks there, keeping a chip outside :func:`ml_center_band` unlabeled.
     """
     ordered = sorted(hyps, key=lambda h: h.std)
     costs = moment_costs(m_hat, scatter, n, [h.mean for h in ordered], [h.std for h in ordered])
@@ -215,7 +218,9 @@ def _center_quadratics(hyps: Sequence[GaussianHypothesis]) -> tuple[float, list]
     """``(m1, [(a, b, c), ...])``, the :func:`_boundary` of the center
     against each other hypothesis, or ``None`` unless the center is strictly
     the narrowest (a sigma of 0, or variances within a relative
-    ``_BAND_MARGIN``: the point masses, beta = 1), where every a > 0.
+    ``_BAND_MARGIN``: the point masses, beta = 1), where every a > 0.  At
+    finite costs :func:`detect_moments` labels a chip other than 1 exactly
+    where a*u + b*x + c > 0 for one; they plan the band and its core.
     """
     center = next(h for h in hyps if h.label == 1)
     others = [h for h in hyps if h.label != 1]
@@ -223,32 +228,6 @@ def _center_quadratics(hyps: Sequence[GaussianHypothesis]) -> tuple[float, list]
     if var_c == 0.0 or any(h.std**2 * (1.0 - _BAND_MARGIN) <= var_c for h in others):
         return None
     return center.mean, [_boundary(center, h) for h in others]
-
-
-def ml_keep(
-    m_hat: np.ndarray,
-    scatter: np.ndarray,
-    n: int,
-    hyps: Sequence[GaussianHypothesis],
-) -> np.ndarray:
-    """``detect_moments(m_hat, scatter, n, hyps) != 1`` for arrays, without the labels.
-
-    A strictly narrowest center is first in the sigma order and wins ties,
-    so a chip is kept where a*u + b*x + c > 0 for one of
-    :func:`_center_quadratics`: no cost is evaluated, and the chips so far
-    out that every cost overflows to +inf, which ``argmin`` gives the
-    center, are kept.  Otherwise the mask is read off the labels.
-    """
-    quadratics = _center_quadratics(hyps)
-    if quadratics is None:
-        return detect_moments(m_hat, scatter, n, hyps) != 1
-    m1, quads = quadratics
-    x = np.asarray(m_hat, dtype=float) - m1
-    u = np.asarray(scatter, dtype=float) / n + x * x
-    keep = np.zeros(u.shape, dtype=bool)
-    for a, b, c in quads:
-        keep |= a * u + b * x + c > 0.0
-    return keep
 
 
 def _inner_interval(quads: list, lift: float) -> tuple[float, float] | None:
@@ -274,8 +253,9 @@ def _edges(m1: float, x_lo: float, x_hi: float, margin: float) -> tuple[float, f
 
 
 def ml_center_band(hyps: Sequence[GaussianHypothesis]) -> tuple[float, float]:
-    """ML's center band ``(lo, hi)``: :func:`ml_keep` keeps every chip with
-    m_hat < lo or m_hat > hi, whatever its S >= 0 and its n.
+    """ML's center band ``(lo, hi)``: at finite costs :func:`detect_moments`
+    labels every chip with m_hat < lo or m_hat > hi other than 1, whatever
+    its S >= 0 and its n.
 
     The band is where both quadratics of :func:`_center_quadratics` are
     negative at S = 0 (u = x^2); each is convex with c < 0, so m1 lies

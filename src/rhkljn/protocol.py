@@ -31,7 +31,7 @@ there, and the tally reads the parties' bits from it with bit tests.  S
 is drawn only when the ``ml`` detector, the one detector that reads it,
 runs, and only on the chips whose verdict it can change but with
 probability 2^-100.  Every detector is tallied from a keep mask, and the
-trace prints those masks; no label is built.
+trace prints those masks; only ML builds labels, on those chips alone.
 The stream is engine version :data:`ENGINE_VERSION`.
 Work is split into fixed-size chunks of bits, each with its own seed
 substream, so results are bit-identical across worker counts.  A session
@@ -328,22 +328,22 @@ def _tally_chunk(spec, state, eve, m_hat, gate_keep, scatter, scored):
     """One tally per detector, and the keep masks they count.
 
     A detector keeps a gated chip unless it labels it g = 1; the tally
-    reads that mask (the interval rule's ``ThresholdSet.keep``, or
-    :func:`rhkljn.detectors.ml_keep`, ML's center verdict as a quadratic in
-    (m_hat - m1, S/n + (m_hat - m1)^2), on the chips in the shells of ML's
-    center band alone, at their flat indices ``scored``, every gated chip
-    in its core ``spec.ml_core`` discarded and every other one kept) and
-    builds no label array.  Returns ``(tallies, keeps)``,
-    ``keeps`` the ``(bits, chips)`` mask of each detector, which the trace
-    prints.
+    reads that mask: the interval rule's ``ThresholdSet.keep``, or, for
+    ``ml``, :func:`rhkljn.detectors.detect_moments` on the chips in the
+    shells of ML's center band alone, at their flat indices ``scored``,
+    every gated chip in its core ``spec.ml_core`` discarded and every
+    other one kept.  Returns ``(tallies, keeps)``, ``keeps`` the
+    ``(bits, chips)`` mask of each detector, which the trace prints.
     """
     keeps = {}
     for name in spec.detectors:
         if name == "ml":
-            # ml_keep on the scored chips, gathered and put back at their flat indices
             core_lo, core_hi = spec.ml_core
             kept = gate_keep & ((m_hat < core_lo) | (m_hat > core_hi))
-            kept.put(scored, det.ml_keep(m_hat.take(scored), scatter, spec.params.samples_per_chip, spec.hyps))
+            # at "good" nearly every chunk's shells are empty, where a call still costs ~20 us
+            if scored.size:
+                labels = det.detect_moments(m_hat.take(scored), scatter, spec.params.samples_per_chip, spec.hyps)
+                kept.put(scored, labels != 1)
         else:
             kept = gate_keep & spec.thresholds.keep(m_hat, name)
         keeps[name] = kept

@@ -18,18 +18,19 @@ from rhkljn.config import SCENARIOS, apply_scenario
 from rhkljn.detectors import (
     ML_CORE_TAIL,
     GaussianHypothesis,
+    _center_quadratics,
+    _gamma_tail_point,
     detect_moments,
     min_error_threshold,
     ml_center_band,
     ml_core,
     ml_detect_batch,
-    ml_keep,
     moment_costs,
     q_function,
 )
 from rhkljn.exact import pe1, pe2, stationarity_residual
 from rhkljn.params import derive_stats, fine_tuned_bias
-from rhkljn.protocol import _ChunkSpec, _rh_chunk_arrays
+from rhkljn.protocol import _ChunkSpec, _rh_chunk_arrays, _tally_chunk
 from conftest import random_valid_params, scatter_everywhere
 
 
@@ -335,19 +336,16 @@ class TestMomentForm:
 
 
 class TestRunningMinimum:
-    """``detect_moments`` and ``ml_keep`` against ``argmin`` over the stacked
+    """``detect_moments`` against ``argmin`` over the stacked
     :func:`moment_costs`, written out here.  Where every cost overflows to
-    +inf, ``argmin`` gives the tie to the narrowest hypothesis; when that is
-    a strictly narrowest center, ``ml_keep``'s quadratics keep the chip
-    instead, ML's exact verdict (far out, the narrowest hypothesis loses),
-    so there the mask is held to that and not to the overflowed labels."""
+    +inf, ``argmin`` gives the tie to the narrowest hypothesis."""
 
     @staticmethod
     def argmin_labels(m_hat, scatter, n, hyps):
-        """The labels, and the stacked costs in sigma order."""
+        """The labels from the stacked costs in sigma order."""
         ordered = sorted(hyps, key=lambda h: h.std)
         costs = moment_costs(m_hat, scatter, n, [h.mean for h in ordered], [h.std for h in ordered])
-        return np.array([h.label for h in ordered])[np.argmin(costs, axis=-1)], costs
+        return np.array([h.label for h in ordered])[np.argmin(costs, axis=-1)]
 
     @staticmethod
     def chips(hyps, n, rng, size):
@@ -401,22 +399,13 @@ class TestRunningMinimum:
         rng = np.random.default_rng(400 + n)
         m_hat, scatter = self.chips(hyps, n, rng, 100_000)
         with np.errstate(over="ignore"):
-            want, costs = self.argmin_labels(m_hat, scatter, n, hyps)
+            want = self.argmin_labels(m_hat, scatter, n, hyps)
             got = detect_moments(m_hat, scatter, n, hyps)
             # the chunk shape and a single chip give the same labels
             grid = detect_moments(m_hat.reshape(-1, 10), scatter.reshape(-1, 10), n, hyps)
-            keep = ml_keep(m_hat, scatter, n, hyps)
         assert np.array_equal(got, want)
         assert np.array_equal(grid.ravel(), want)
         assert detect_moments(m_hat[0], scatter[0], n, hyps) == want[0]
-        if ml_center_band(hyps) == (-math.inf, math.inf):
-            # no strictly narrowest center: the mask is the labels' on every chip
-            assert np.array_equal(keep, want != 1)
-        else:
-            finite = np.isfinite(costs).all(axis=-1)
-            assert np.array_equal(keep[finite], want[finite] != 1)
-            # the far chips, where every cost overflowed, are kept
-            assert (~finite).any() and keep[~finite].all()
 
     def test_ties_and_infinite_costs_occur(self):
         # the cases the oracle comparison above is there for
@@ -432,43 +421,47 @@ class TestRunningMinimum:
 
 
 class TestMlKeep:
-    """``ml_keep``, the tally's ``ml`` mask, is ``detect_moments(...) != 1``
-    on chips of finite costs: the sign test of the center's quadratics when
-    the center is strictly the narrowest, the labels themselves otherwise.
-    ``moment_costs`` is the reference."""
+    """ML's keep mask, ``detect_moments(...) != 1``, which the tally reads at
+    the shells of ML's center band.  Where the center is strictly the
+    narrowest, the band and its core are planned from the center's
+    quadratics (:func:`_center_quadratics`), so at finite costs their sign
+    must be the labels: :meth:`sign_keep` is that sign test, the oracle."""
 
     @staticmethod
-    def assert_matches_labels(m_hat, scatter, n, hyps):
-        keep = ml_keep(m_hat, scatter, n, hyps)
-        assert keep.dtype == bool
-        assert np.array_equal(keep, detect_moments(m_hat, scatter, n, hyps) != 1)
-        return keep
-
-    def assert_matches_around_the_band(self, stats, n, rng):
-        """Chips uniform over the center band +- 20 % of its width (the gate
-        for the whole line) and on each mean, at S = 0, a
-        sigma1^2*chi^2(n - 1) draw and 1e6*sigma1^2; returns the mask at
-        S = 0."""
-        hyps = stats.middle_hypotheses()
-        lo, hi = ml_center_band(hyps)
-        if math.isinf(lo):
-            lo, hi = stats.th1, stats.th2
-        width = hi - lo
-        m_hat = np.append(rng.uniform(lo - 0.2 * width, hi + 0.2 * width, 1000), [h.mean for h in hyps])
-        keeps = [
-            self.assert_matches_labels(m_hat, np.broadcast_to(scatter, m_hat.shape), n, hyps)
-            for scatter in (0.0, stats.var1 * rng.chisquare(max(n - 1, 1), m_hat.size), 1e6 * stats.var1)
-        ]
-        return keeps[0]
+    def sign_keep(m_hat, scatter, n, hyps):
+        """Where a*u + b*x + c > 0 for one of the center's quadratics, with
+        x = m_hat - m1 and u = S/n + x^2."""
+        m1, quads = _center_quadratics(hyps)
+        x = np.asarray(m_hat, dtype=float) - m1
+        u = np.asarray(scatter, dtype=float) / n + x * x
+        return np.any([a * u + b * x + c > 0.0 for a, b, c in quads], axis=0)
 
     @settings(deadline=None, derandomize=True, database=None, max_examples=200)
-    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 40))
+    @given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from([1, 2, 3, 5, 10, 40]))
     def test_sign_test_equals_the_labels(self, seed, n):
-        rng = np.random.default_rng(seed)
-        stats = derive_stats(random_valid_params(rng, samples_per_chip=n))
-        assert ml_center_band(stats.middle_hypotheses()) != (-math.inf, math.inf)
-        keep = self.assert_matches_around_the_band(stats, n, rng)
-        assert keep.any() and not keep.all()
+        # the shells' chips never reach the tie rule of overflowed costs: at
+        # the band's edges (one ulp in), the core's edges and m1, at S = 0,
+        # at the S that the widest state exceeds with probability at most
+        # ML_CORE_TAIL, and at 1e6*var1, every cost is finite and the
+        # labels are the quadratics' sign
+        stats = derive_stats(random_valid_params(np.random.default_rng(seed), samples_per_chip=n))
+        hyps = stats.middle_hypotheses()
+        lo, hi = ml_center_band(hyps)
+        core_lo, core_hi = ml_core(hyps, n, stats.state_means, stats.state_variances)
+        points = [np.nextafter(lo, stats.m1), np.nextafter(hi, stats.m1), stats.m1]
+        if core_lo <= core_hi:
+            points += [core_lo, core_hi]
+        m_hat = np.array(points)
+        var_max = stats.state_variances.max()
+        for scatter in (0.0, 2.0 * var_max * _gamma_tail_point(0.5 * (n - 1)), 1e6 * stats.var1):
+            scatter = np.full(m_hat.shape, scatter)
+            costs = moment_costs(m_hat, scatter, n, [h.mean for h in hyps], [h.std for h in hyps])
+            assert np.isfinite(costs).all(), scatter
+            keep = detect_moments(m_hat, scatter, n, hyps) != 1
+            assert np.array_equal(keep, self.sign_keep(m_hat, scatter, n, hyps)), scatter
+            if not scatter.any():
+                # at S = 0 the band's edges are kept and m1 and the core discarded
+                assert keep.tolist() == [True, True] + [False] * (m_hat.size - 2)
 
     @pytest.mark.parametrize("n", [1, 3, 40])
     @pytest.mark.parametrize(
@@ -477,9 +470,18 @@ class TestMlKeep:
         ids=["point_masses", "beta_1", "alpha_beta_1"],
     )
     def test_whole_line_reads_the_labels(self, overrides, n):
-        stats = derive_stats(SystemParams(samples_per_chip=n, **overrides))
-        assert ml_center_band(stats.middle_hypotheses()) == (-math.inf, math.inf)
-        self.assert_matches_around_the_band(stats, n, np.random.default_rng(n))
+        # no strictly narrowest center, so no quadratics: the engine draws S
+        # at every gate-kept chip and its mask is the labels there
+        params = SystemParams(samples_per_chip=n, **overrides)
+        stats = derive_stats(params)
+        assert _center_quadratics(stats.middle_hypotheses()) is None
+        spec = _ChunkSpec(params, stats, ("ml",), 1024, 40 + n, (0,))
+        arrays = _rh_chunk_arrays(spec)
+        _, _, m_hat, gate_keep, scatter, scored = arrays
+        assert np.array_equal(scored, np.flatnonzero(gate_keep))
+        want = gate_keep.copy()
+        want[gate_keep] = detect_moments(m_hat[gate_keep], scatter, n, spec.hyps) != 1
+        assert np.array_equal(_tally_chunk(spec, *arrays)[1]["ml"], want)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 40])
     @pytest.mark.parametrize("scenario", SCENARIOS)
@@ -487,11 +489,12 @@ class TestMlKeep:
         params = apply_scenario(SystemParams(samples_per_chip=n), scenario)
         spec = _ChunkSpec(params, derive_stats(params), ("ml",), 1024, 60 + n, (0,))
         # S at every gate-kept chip: the engine's in the shells of ML's
-        # center band, the test's own draw elsewhere, where S decides nothing
-        # (but with probability 2^-100 in the band's core)
+        # center band, the test's own draw elsewhere, where the engine
+        # labels no chip
         state, _, m_hat, gate_keep, scatter, scored = _rh_chunk_arrays(spec)
-        scatter = scatter_everywhere(rng, spec, state, scatter, scored)[gate_keep]
-        keep = self.assert_matches_labels(m_hat[gate_keep], scatter, n, spec.stats.middle_hypotheses())
+        m_hat, scatter = m_hat[gate_keep], scatter_everywhere(rng, spec, state, scatter, scored)[gate_keep]
+        keep = detect_moments(m_hat, scatter, n, spec.hyps) != 1
+        assert np.array_equal(keep, self.sign_keep(m_hat, scatter, n, spec.hyps))
         assert keep.any() and not keep.all()
 
     def test_exact_ties_on_either_side_of_the_center(self):
@@ -509,7 +512,7 @@ class TestMlKeep:
         scatter = np.zeros_like(m_hat)
         with np.errstate(over="ignore"):
             costs = moment_costs(m_hat, scatter, 3, [h.mean for h in hyps], [h.std for h in hyps])
-            keep = self.assert_matches_labels(m_hat, scatter, 3, hyps)
+            keep = detect_moments(m_hat, scatter, 3, hyps) != 1
         assert costs[0, 0] == costs[0, 1] and costs[1, 1] == costs[1, 2]
         assert np.all(costs[4:] == np.inf)
         assert keep.tolist() == [True, False, False, True, True, True]
@@ -529,7 +532,7 @@ class TestMlKeep:
         hyps = [GaussianHypothesis(label=g, mean=m, std=sd) for g, m, sd in triples]
         m_hat = np.array(m_hat)
         with np.errstate(over="ignore"):
-            keep = self.assert_matches_labels(m_hat, np.zeros_like(m_hat), 1, hyps)
+            keep = detect_moments(m_hat, np.zeros_like(m_hat), 1, hyps) != 1
         assert keep.tolist() == want
 
     def test_noiseless_chips(self):
@@ -540,7 +543,7 @@ class TestMlKeep:
         assert all(h.std == 0.0 for h in stats.middle_hypotheses())
         spec = _ChunkSpec(params, stats, ("ml",), 400, 7, (0,))
         _, _, m_hat, gate_keep, scatter, _ = _rh_chunk_arrays(spec)
-        keep = self.assert_matches_labels(m_hat[gate_keep], scatter, 5, stats.middle_hypotheses())
+        keep = detect_moments(m_hat[gate_keep], scatter, 5, stats.middle_hypotheses()) != 1
         assert keep.any() and not keep.all()
 
 
@@ -567,11 +570,11 @@ class TestMlCenterBand:
         )
         var1 = stats.var1
         for scatter in (0.0, var1 * rng.chisquare(max(n - 1, 1), m_hat.size), 1e6 * var1):
-            assert ml_keep(m_hat, np.broadcast_to(scatter, m_hat.shape), n, hyps).all(), scatter
+            assert (detect_moments(m_hat, np.broadcast_to(scatter, m_hat.shape), n, hyps) != 1).all(), scatter
         # and the band is tight: at S = 0 the center takes every chip 1 %
         # of the way in from an edge, and m1 itself
         inside = np.array([stats.m1, lo + 0.01 * (stats.m1 - lo), hi - 0.01 * (hi - stats.m1)])
-        assert not ml_keep(inside, np.zeros(3), n, hyps).any()
+        assert (detect_moments(inside, np.zeros(3), n, hyps) == 1).all()
 
     @pytest.mark.parametrize(
         "overrides",

@@ -25,7 +25,7 @@ from rhkljn import (
 )
 from rhkljn import protocol
 from rhkljn.channel import ChipState, sample_chip
-from rhkljn.detectors import detect_moments, ml_center_band, ml_core, ml_keep
+from rhkljn.detectors import detect_moments, ml_center_band, ml_core
 from rhkljn.params import derive_stats
 from rhkljn.pls import IDEAL_DISCARD
 from rhkljn.protocol import (
@@ -827,7 +827,7 @@ def v3_ml_mask(spec):
     """ML's keep mask of a chunk as engine version 3 drew it: the chunk's
     coins and sample means as the engine draws them, then S for every
     gate-kept chip inside ML's center band, core and shells alike, in flat
-    order, and ``ml_keep`` on each of them."""
+    order, and ML's keep, ``detect_moments(...) != 1``, on each of them."""
     n = spec.params.samples_per_chip
     state, _, m_hat, gate_keep, _, _ = _rh_chunk_arrays(spec)
     rng = substream(spec.master_seed, spec.key)
@@ -837,22 +837,23 @@ def v3_ml_mask(spec):
     band = np.flatnonzero((m_hat >= lo) & (m_hat <= hi))
     scatter = 2.0 * rng.standard_gamma(0.5 * (n - 1), band.size) * spec.table[2].take(state.take(band))
     kept = gate_keep.copy()
-    kept.put(band, ml_keep(m_hat.take(band), scatter, n, spec.hyps))
+    kept.put(band, detect_moments(m_hat.take(band), scatter, n, spec.hyps) != 1)
     return kept
 
 
 class TestMlTally:
-    """``ml`` is tallied from :func:`rhkljn.detectors.ml_keep` on the gated
-    chips in the shells of its center band, discards those in the band's
-    core and keeps every other gated chip."""
+    """``ml`` is tallied from the :func:`rhkljn.detectors.detect_moments`
+    labels of the gated chips in the shells of its center band, discards
+    those in the band's core and keeps every other gated chip."""
 
     @staticmethod
     def full_tally(spec, rng, state, eve, m_hat, gate_keep, scatter, scored):
-        """The ``ml`` tally of ``ml_keep`` on every gate-kept chip, those
-        outside the band's shells at S drawn from ``rng``."""
+        """The ``ml`` tally of ``detect_moments(...) != 1`` on every
+        gate-kept chip, those outside the band's shells at S drawn from
+        ``rng``."""
         scatter = scatter_everywhere(rng, spec, state, scatter, scored)[gate_keep]
         kept = gate_keep.copy()
-        kept[gate_keep] = ml_keep(m_hat[gate_keep], scatter, spec.params.samples_per_chip, spec.hyps)
+        kept[gate_keep] = detect_moments(m_hat[gate_keep], scatter, spec.params.samples_per_chip, spec.hyps) != 1
         return protocol._count({"ml": kept}, gate_keep, state, eve)
 
     # the point masses and beta = 1 have no strictly narrowest center, so S
