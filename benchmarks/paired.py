@@ -10,11 +10,13 @@ Each revision's ``src/rhkljn`` is extracted with ``git archive`` into a
 fresh temporary directory and imported under a package name of its own
 (``rhkljn_parent``, ``rhkljn_change``), so both run in one interpreter
 on the same numpy.  For uncommitted work pass ``--change $(git stash
-create)``.  Each side makes one untimed warm-up call, whose standard
-output (CSV or report) must be the same bytes on both; then the rounds
+create)``.  Each side makes one untimed warm-up call; then the rounds
 alternate which side runs first.  The result is one JSON object:
-milliseconds per call as (q1, median, q3) for each side and the number
-of rounds in which the change was faster.
+``same_stdout``, whether the two warm-up calls printed the same bytes
+(CSV or report), which is reported and not checked, since a change of
+the engine version moves it wherever a count moves; milliseconds per
+call as (q1, median, q3) for each side; and the number of rounds in
+which the change was faster.
 
 Both copies are made the same way on purpose.  A checkout that holds
 ``__pycache__`` from an earlier run and a fresh one are not on equal

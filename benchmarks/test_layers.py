@@ -7,8 +7,10 @@ Run from the root of a checkout (outside the test paths, so a plain
 
 Each case times one layer on fixed inputs: the draw (``_rh_chunk_arrays``)
 and the tally (``_tally_chunk``) of one 1024-bit chunk of 10 chips at
-n = 3 and 10, ``good``, with ``optimum`` alone, ``ml`` alone and all three
-detectors; the tally with ``ml`` alone at a bias where about 1,000 chips
+n = 3, 10 and 20, ``good``, with ``optimum`` alone, ``ml`` alone and all
+three detectors (at n = 3 every chip draws its sample mean; at n = 10 the
+chips of 8 of the 16 states, at n = 20 of 3, the others being certain);
+the draw at ``fine_tuned``, n = 3, where no chip draws one; the tally with ``ml`` alone at a bias where about 1,000 chips
 a chunk fall in the shells of ML's center band outside its core, the
 chips it labels with ``detectors.detect_moments``, at n = 3 and 10 (at
 ``good`` almost none do); one
@@ -60,15 +62,22 @@ def chunk_spec(n: int, detectors: tuple[str, ...], params: SystemParams | None =
 
 
 @pytest.mark.parametrize("detectors", sorted(DETECTOR_SETS))
-@pytest.mark.parametrize("n", [3, 10])
+@pytest.mark.parametrize("n", [3, 10, 20])
 def test_chunk_draw(benchmark, n, detectors):
     spec = chunk_spec(n, DETECTOR_SETS[detectors])
     state, *_ = benchmark(protocol._rh_chunk_arrays, spec)
     assert state.shape == (CHUNK_BITS, spec.params.chips_per_bit)
 
 
+def test_chunk_draw_fine_tuned(benchmark):
+    # compare's fine-tuned rows: every state is certain, so no chip draws a normal
+    spec = chunk_spec(3, ("optimum",), apply_scenario(SystemParams(samples_per_chip=3), "fine_tuned"))
+    state, *_ = benchmark(protocol._rh_chunk_arrays, spec)
+    assert not spec.need.any() and state.shape == (CHUNK_BITS, spec.params.chips_per_bit)
+
+
 @pytest.mark.parametrize("detectors", sorted(DETECTOR_SETS))
-@pytest.mark.parametrize("n", [3, 10])
+@pytest.mark.parametrize("n", [3, 10, 20])
 def test_chunk_tally(benchmark, n, detectors):
     spec = chunk_spec(n, DETECTOR_SETS[detectors])
     arrays = protocol._rh_chunk_arrays(spec)

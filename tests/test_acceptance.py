@@ -21,9 +21,12 @@ from rhkljn.pls import IDEAL_DISCARD, ResistorTolerance, delta_m, empirical_eve_
 from rhkljn.cli import main
 from conftest import assert_parties_agree, random_valid_params
 
-# fixture seed for every Monte Carlo criterion; seed 1 happens to hit a
-# one-in-thousands single-leak fluctuation at n=10 that breaks the strict
-# monotonicity wording, so the suite pins the next seed
+# fixture seed for every Monte Carlo criterion.  Under engine version 5
+# the whole file passes at seeds 1-3, 5 and 8-12; at seeds 4, 6 and 7
+# test_criterion_5_bep_versus_samples fails its "good <= moderate" check,
+# ml at n=5, where each scenario expects only a few errors per 1e5 bits
+# and two Poisson counts that small come out in the wrong order at a fair
+# share of seeds (the exact-ordering checks carry that claim)
 SEED = 2
 BITS = 100_000
 

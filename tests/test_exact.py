@@ -15,7 +15,7 @@ from rhkljn import SystemParams, run_session, state_moments
 from rhkljn.config import apply_scenario
 from rhkljn.exact import classical_row, interval_mass, threshold_row
 from rhkljn.params import derive_stats
-from rhkljn.protocol import run_classical_session
+from rhkljn.protocol import _ChunkSpec, run_classical_session
 from conftest import assert_pooled, count_moments
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -211,3 +211,40 @@ def test_classical_sessions_match_the_classical_rows(n):
     runs = [run_classical_session(MC_BITS, params, seed=seed)["classical"] for seed in MC_SEEDS]
     assert_pooled([run.kept_chips for run in runs], *count_moments(row.keep_by_main, 1, MC_BITS))
     assert_pooled([run.sub_bit_errors for run in runs], *count_moments(row.error_by_main, 1, MC_BITS))
+
+
+# rows whose plans skip the certain states' normals (engine version 5),
+# at seeds used nowhere else: the kept chips and the gate's discards
+# against their exact laws; errors only where at least 30 are expected,
+# since below that a normal z is unsound and the Poisson count is tested
+# nowhere yet (at 1e5 bits these rows expect ~0-9)
+SKIP_SEEDS = (9201, 9202, 9203, 9204, 9205)
+
+
+def gate_by_main(params, stats):
+    """The gate's pass fraction, th1 < m_hat <= th2, given each main pair."""
+    n, (th1, th2) = params.samples_per_chip, (stats.th1, stats.th2)
+    passes = [
+        interval_mass(th1, th2, mu, math.sqrt(var / n))
+        for mu, var in zip(stats.state_means.tolist(), stats.state_variances.tolist())
+    ]
+    return [math.fsum(passes[j : j + 4]) / 4 for j in range(0, 16, 4)]
+
+
+@pytest.mark.parametrize("scenario", ["good", "moderate"])
+@pytest.mark.parametrize("n", [5, 20])
+def test_skipping_sessions_match_the_threshold_rows(scenario, n):
+    params = apply_scenario(SystemParams(samples_per_chip=n), scenario)
+    stats = derive_stats(params)
+    detectors = ("simple", "optimum")
+    assert not _ChunkSpec(params, stats, detectors, MC_BITS, 0, ()).full_draw
+    runs = [run_session(MC_BITS, params, stats, seed=seed, detectors=detectors) for seed in SKIP_SEEDS]
+    chips = params.chips_per_bit
+    discarded = count_moments([1.0 - p for p in gate_by_main(params, stats)], chips, MC_BITS)
+    for detector in detectors:
+        row = threshold_row(params, stats, detector)
+        assert_pooled([run[detector].kept_chips for run in runs], *count_moments(row.keep_by_main, chips, MC_BITS))
+        assert_pooled([run[detector].discarded_gate for run in runs], *discarded)
+        errors = count_moments(row.error_by_main, chips, MC_BITS)
+        if errors[0] >= 30:
+            assert_pooled([run[detector].sub_bit_errors for run in runs], *errors)

@@ -47,8 +47,9 @@ CLI_COMMANDS = {
 }
 
 # the engine version these digests were made with (versions 3 and 4 moved
-# ML's S stream only, and no digest with it)
-GOLDEN_ENGINE_VERSION = 4
+# ML's S stream only, and no digest with it; version 5 skips the normals of
+# certain states, which moved only the trace log's m_hat, no count)
+GOLDEN_ENGINE_VERSION = 5
 
 STDOUT_SHA256 = {
     "fig_n": "1a5a3daaa1e5444dd0350d0a6693f0781741e497d2815f439fb7b55629ea9704",
@@ -78,7 +79,7 @@ TRACE_ARGV = ("sweep", "--sweep", "n", "--values", "5", "--detectors", "ml,simpl
 # a trace line: bit= chip= b_a= b_b= s_a= s_b= m_hat= and one name:verdict per detector
 TRACE_SHA256 = {
     "stdout": "322045a452db06b832833bc6ffce986423a65862efbe88e77cbecc9bc2713659",
-    "trace": "0a3593a5f7daf11df7139b03c2523c8bbb82493b892e176fd1cdd8f509bd3b67",
+    "trace": "e6cc85ef22fb51423e810cc579cb25facae8575188442b30fb38613a613d4cbc",
 }
 
 

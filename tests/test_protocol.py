@@ -13,6 +13,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import binomtest, chi2, chisquare, kstest, norm
 
 from rhkljn import (
@@ -25,7 +27,9 @@ from rhkljn import (
 )
 from rhkljn import protocol
 from rhkljn.channel import ChipState, sample_chip
+from rhkljn.config import apply_scenario
 from rhkljn.detectors import detect_moments, ml_center_band, ml_core
+from rhkljn.exact import interval_mass
 from rhkljn.params import derive_stats
 from rhkljn.pls import IDEAL_DISCARD
 from rhkljn.protocol import (
@@ -539,17 +543,25 @@ class TestChunkSampler:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 20])
     def test_moments_follow_chip_distribution(self, n):
+        # at n = 20 13 of the 16 states are certain: their chips hold the
+        # state mean, and the others draw theirs
         params = SystemParams(samples_per_chip=n)
+        need = _ChunkSpec(params, derive_stats(params), ("ml",), 1, 41, (0,)).need
+        assert np.count_nonzero(need) == {1: 16, 2: 16, 3: 16, 20: 3}[n]
         state, _, m_hat, *_ = self.chunk(params, 4_000, seed=41)
         z = np.empty_like(m_hat)
         for index, chip_state in self.by_state():
             mean, var = chip_moments(params, *chip_state)
             sel = state == index
             assert sel.sum() > 1_000
+            if not need[index]:
+                assert np.all(m_hat[sel] == mean), chip_state
+                continue
             z[sel] = (m_hat[sel] - mean) / math.sqrt(var / n)
             assert kstest(z[sel], norm.cdf).pvalue >= self.KS_P_FLOOR, chip_state
-        # pooled over all states: ~16x the power of one state against a common bias
-        assert kstest(z.ravel(), norm.cdf).pvalue >= self.KS_P_FLOOR
+        # pooled over the drawn states: up to ~16x the power of one state
+        # against a common bias
+        assert kstest(z[need.take(state)], norm.cdf).pvalue >= self.KS_P_FLOOR
 
         # S exists for the gate-kept chips in the shells of ML's center
         # band alone; S is independent of m_hat, so picking chips by m_hat
@@ -589,27 +601,35 @@ def replay_coins(rng, n_bits, chips):
     return (bit >> 1) & 1, bit & 1, (chip >> 1) & 1, chip & 1, (chip >> 2) & 1
 
 
+def replay_chunk(params, stats, n_bits, seed, key, need=None):
+    """A chunk redrawn in the documented order, every chip's moments from a
+    broadcast :func:`chip_moments` call: the coins; a normal for each chip
+    whose state ``need`` (16 bools) marks, in flat order, the other chips
+    holding their state mean; then S for the gate-kept chips inside ML's
+    center band but outside its core.  ``need`` None, a normal for every
+    chip, is the version-4 draw."""
+    chips, n = params.chips_per_bit, params.samples_per_chip
+    rng = substream(seed, key)
+    a_main, b_main, a_sub, b_sub, eve = replay_coins(rng, n_bits, chips)
+    mu, var = chip_moments(params, a_main[:, None], b_main[:, None], a_sub, b_sub)
+    state = 8 * a_main[:, None] + 4 * b_main[:, None] + 2 * a_sub + b_sub
+    if need is None:
+        m_hat = mu + np.sqrt(var / n) * rng.standard_normal((n_bits, chips))
+    else:
+        drawn = need[state]
+        m_hat = mu.copy()
+        m_hat[drawn] = np.sqrt(var[drawn] / n) * rng.standard_normal(np.count_nonzero(drawn)) + mu[drawn]
+    gate_keep = (m_hat >= stats.th1) & (m_hat <= stats.th2)
+    hyps = stats.middle_hypotheses()
+    lo, hi = ml_center_band(hyps)
+    core_lo, core_hi = ml_core(hyps, n, stats.state_means, stats.state_variances)
+    in_shell = gate_keep & (m_hat >= lo) & (m_hat <= hi) & ~((m_hat >= core_lo) & (m_hat <= core_hi))
+    scatter = var[in_shell] * (2.0 * rng.standard_gamma(0.5 * (n - 1), np.count_nonzero(in_shell)))
+    return state, eve, m_hat, gate_keep, scatter, np.flatnonzero(in_shell)
+
+
 class TestChunkTableDraw:
     """The engine's table lookup and draw order against a hand-built replay."""
-
-    @staticmethod
-    def replay(params, stats, n_bits, seed, key):
-        """The chunk redrawn in the documented order, every chip's moments
-        from a broadcast :func:`chip_moments` call, and S for the gate-kept
-        chips inside ML's center band but outside its core."""
-        chips, n = params.chips_per_bit, params.samples_per_chip
-        rng = substream(seed, key)
-        a_main, b_main, a_sub, b_sub, eve = replay_coins(rng, n_bits, chips)
-        mu, var = chip_moments(params, a_main[:, None], b_main[:, None], a_sub, b_sub)
-        m_hat = mu + np.sqrt(var / n) * rng.standard_normal((n_bits, chips))
-        gate_keep = (m_hat >= stats.th1) & (m_hat <= stats.th2)
-        hyps = stats.middle_hypotheses()
-        lo, hi = ml_center_band(hyps)
-        core_lo, core_hi = ml_core(hyps, n, stats.state_means, stats.state_variances)
-        in_shell = gate_keep & (m_hat >= lo) & (m_hat <= hi) & ~((m_hat >= core_lo) & (m_hat <= core_hi))
-        scatter = var[in_shell] * (2.0 * rng.standard_gamma(0.5 * (n - 1), np.count_nonzero(in_shell)))
-        state = 8 * a_main[:, None] + 4 * b_main[:, None] + 2 * a_sub + b_sub
-        return state, eve, m_hat, gate_keep, scatter, np.flatnonzero(in_shell)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 20])
     def test_table_draw_equals_per_chip_moments(self, n, rng):
@@ -621,7 +641,7 @@ class TestChunkTableDraw:
             stats = derive_stats(params)
             spec = _ChunkSpec(params, stats, ("ml",), 300, 50 + i, (7, i))
             got = _rh_chunk_arrays(spec)
-            want = self.replay(params, stats, 300, 50 + i, (7, i))
+            want = replay_chunk(params, stats, 300, 50 + i, (7, i), spec.need)
             assert len(got) == len(want)
             for g, w in zip(got, want):
                 assert np.array_equal(g, w), params
@@ -664,9 +684,15 @@ class TestChunkTableDraw:
         assert state.shape == eve.shape == (n_bits, chips)
         assert [a.tolist() for a in party_bits(state)] == [a.tolist() for a in (a_main, b_main, a_sub, b_sub)]
         assert np.array_equal(eve, want_eve)
+        # the defaults' n = 20 is a skipping plan: the chips of needed
+        # states draw their normals in flat order, the others hold the mean
         mu, var = state_moments(params)
         sd = np.sqrt(var / params.samples_per_chip)
-        assert np.array_equal(m_hat, sd[state] * split.standard_normal((n_bits, chips)) + mu[state])
+        assert not spec.full_draw
+        drawn = spec.need[state]
+        want = mu[state]
+        want[drawn] = sd[state[drawn]] * split.standard_normal(np.count_nonzero(drawn)) + mu[state[drawn]]
+        assert np.array_equal(m_hat, want)
 
     def test_states_and_eve_are_uniform_and_independent(self):
         # 10^5 bits of 10 chips: the chips of a bit share its mains, so the
@@ -714,6 +740,159 @@ class TestChunkTableDraw:
         assert coins.tobytes() == ref.bytes(k)
         assert np.array_equal(raw.standard_normal(37), ref.standard_normal(37))
         assert np.array_equal(raw.standard_gamma(1.5, 37), ref.standard_gamma(1.5, 37))
+
+
+class TestCertainStates:
+    """A plan marks a state certain when its m_hat leaves the cell of its
+    mean, between two verdict edges, with probability below 2^-100; where
+    at least ``MIN_CERTAIN_STATES`` are, their chips draw no normal."""
+
+    @staticmethod
+    def verdict_edges(spec):
+        """Every edge at which a verdict of ``spec``'s detectors can change,
+        and ML's shells, the band less its core, where it reads S; written
+        out here from the plan's thresholds, band and core, so that an edge
+        the plan leaves out fails the bound."""
+        t = spec.thresholds
+        edges = [t.th1, t.th2]
+        for name in spec.detectors:
+            if name != "ml":
+                (_, lo), (hi, _) = t.kept_intervals(name)
+                edges += [lo, hi]
+        shells = []
+        if "ml" in spec.detectors:
+            (lo, hi), (core_lo, core_hi) = spec.ml_band, spec.ml_core
+            edges += [lo, hi]
+            if core_lo <= core_hi:
+                edges += [core_lo, core_hi]
+                shells = [(lo, core_lo), (core_hi, hi)]
+            else:
+                shells = [(lo, hi)]
+        return edges, shells
+
+    @settings(deadline=None, derandomize=True, database=None, max_examples=200)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.sampled_from([1, 2, 3, 5, 10, 40]),
+        detectors=st.sampled_from([("optimum",), ("simple",), ("ml", "simple", "optimum")]),
+    )
+    def test_certain_states_leave_their_cell_below_the_bound(self, seed, n, detectors):
+        params = random_valid_params(np.random.default_rng(seed), samples_per_chip=n)
+        stats = derive_stats(params)
+        spec = _ChunkSpec(params, stats, detectors, 1, 1, (0,))
+        edges, shells = self.verdict_edges(spec)
+        for k, (mu, var) in enumerate(zip(stats.state_means.tolist(), stats.state_variances.tolist())):
+            if not spec.certain[k]:
+                continue
+            # the mass outside the cell, by the tail-safe oracle
+            sd = math.sqrt(var / n)
+            lo = max((e for e in edges if e < mu), default=-math.inf)
+            hi = min((e for e in edges if e > mu), default=math.inf)
+            outside = interval_mass(-math.inf, lo, mu, sd) + interval_mass(hi, math.inf, mu, sd)
+            assert outside < 2.0**-100, (k, mu, lo, hi, sd)
+            assert not any(a <= mu <= b for a, b in shells), k
+        assert np.array_equal(spec.need, np.ones(16, dtype=bool) if spec.full_draw else ~spec.certain)
+        assert spec.full_draw == (np.count_nonzero(spec.certain) < protocol.MIN_CERTAIN_STATES)
+
+    # the states that need a normal at "good", the same for optimum alone
+    # and for all three detectors; the fine-tuned bias leaves none
+    NEEDED_AT_GOOD = {1: 12, 2: 10, 3: 10, 5: 8, 10: 8, 20: 3, 40: 1}
+
+    @pytest.mark.parametrize("detectors", [("optimum",), DETECTOR_CHOICES])
+    @pytest.mark.parametrize("n", list(NEEDED_AT_GOOD))
+    def test_need_counts(self, n, detectors):
+        for scenario, needed in (("good", self.NEEDED_AT_GOOD[n]), ("fine_tuned", 0)):
+            params = apply_scenario(SystemParams(samples_per_chip=n), scenario)
+            spec = _ChunkSpec(params, derive_stats(params), detectors, 1, 1, (0,))
+            assert 16 - np.count_nonzero(spec.certain) == needed, scenario
+            # below the cut every state draws
+            assert spec.full_draw == (needed > 8)
+            assert np.count_nonzero(spec.need) == (16 if spec.full_draw else needed)
+
+    def test_edges_sd_zero_and_shells(self):
+        mu, sd = np.array([0.0, 0.5, 0.0, 0.5]), np.array([1e-3, 1e-3, 0.0, 0.0])
+        # a mean on an edge leaves half its mass past it; a point mass never moves
+        assert protocol._certain_states([0.0, 1.0], [], mu, sd).tolist() == [False, True, True, True]
+        # a shell reads S, so its states are not certain, unless their S is 0 too
+        assert protocol._certain_states([0.0, 1.0], [(0.0, 1.0)], mu, sd).tolist() == [False, False, True, True]
+        # a cell wider than ~12 sd each side is certain, ~11 is not
+        assert protocol._certain_states([-0.012, 0.012], [], mu[:1], sd[:1]).tolist() == [True]
+        assert protocol._certain_states([-0.011, 0.012], [], mu[:1], sd[:1]).tolist() == [False]
+
+    def test_noiseless_plan_draws_no_normal(self):
+        params, stats = params_and_stats(temperature=0.0, samples_per_chip=3)
+        spec = _ChunkSpec(params, stats, DETECTOR_CHOICES, 300, 5, (0,))
+        assert spec.certain.all() and not spec.need.any() and not spec.full_draw
+        state, _, m_hat, *_ = _rh_chunk_arrays(spec)
+        assert np.array_equal(m_hat, stats.state_means[state])
+
+    # skipping plans: the coins are version 4's, and on every certain chip
+    # so is every verdict
+    @pytest.mark.parametrize("scenario, n", [("good", 5), ("good", 20), ("good", 40), ("fine_tuned", 3)])
+    def test_certain_chips_keep_version_4s_verdicts(self, scenario, n):
+        params = apply_scenario(SystemParams(samples_per_chip=n), scenario)
+        stats = derive_stats(params)
+        spec = _ChunkSpec(params, stats, DETECTOR_CHOICES, 2_000, 61, (5, n))
+        assert not spec.full_draw
+        got = _rh_chunk_arrays(spec)
+        old = replay_chunk(params, stats, 2_000, 61, (5, n))
+        state = got[0]
+        assert np.array_equal(state, old[0]) and np.array_equal(got[1], old[1])
+        certain = spec.certain[state]
+        assert certain.sum() >= certain.size // 3
+        assert np.array_equal(got[2][certain], stats.state_means[state[certain]])
+        assert np.array_equal(got[3][certain], old[3][certain])
+        keeps, old_keeps = _tally_chunk(spec, *got)[1], _tally_chunk(spec, *old)[1]
+        for name in spec.detectors:
+            assert np.array_equal(keeps[name][certain], old_keeps[name][certain]), name
+
+    # plans below the cut, among them fig_beta_jobs2's and the compare and
+    # fig_n rows at n = 2-3: every array is version 4's, to the byte
+    @pytest.mark.parametrize(
+        "overrides, detectors",
+        [(dict(samples_per_chip=n), d) for n in (1, 2, 3) for d in (("optimum",), DETECTOR_CHOICES)]
+        + [(dict(samples_per_chip=3, beta=beta), ("optimum",)) for beta in (3.4, 3.55, 3.7, 3.85, 4.0)]
+        # "moderate" at n = 5: ML's edges leave 10 states uncertain, the
+        # threshold edges alone 8
+        + [(dict(samples_per_chip=5, m_l=9.5e-5), ("ml",))],
+    )
+    def test_below_the_cut_the_draw_is_version_4s(self, overrides, detectors):
+        params, stats = params_and_stats(**overrides)
+        spec = _ChunkSpec(params, stats, detectors, 500, 62, (6,))
+        assert spec.full_draw and spec.need.all()
+        got = _rh_chunk_arrays(spec)
+        want = replay_chunk(params, stats, 500, 62, (6,))
+        for g, w in zip(got[:4], want):
+            assert np.array_equal(g, w)
+        if "ml" in detectors:
+            assert np.array_equal(got[4], want[4]) and np.array_equal(got[5], want[5])
+        else:
+            assert got[4] is None and got[5] is None
+
+    def test_trace_draws_certain_chips_from_a_child_key(self):
+        # the defaults' n = 20 skips 13 states; the trace prints the
+        # engine's m_hat at the drawn chips and, at the certain ones, a draw
+        # from the chunk key's child (0, _TAG_TRACE), and the verdicts the
+        # tally counted, which are those of the printed m_hat
+        params, stats = params_and_stats()
+        buf = io.StringIO()
+        traced = run_session(300, params, stats, seed=14, detectors=DETECTOR_CHOICES, trace=buf)
+        assert traced == run_session(300, params, stats, seed=14, detectors=DETECTOR_CHOICES)
+        spec = _ChunkSpec(params, stats, DETECTOR_CHOICES, 300, 14, ()).chunk(300, (0,))
+        state, _, m_hat, *_ = _rh_chunk_arrays(spec)
+        certain = spec.certain[state]
+        mu, sd, _ = spec.table
+        z = substream(14, (0, protocol._TAG_TRACE)).standard_normal(np.count_nonzero(certain))
+        want = m_hat.copy()
+        want[certain] = sd[state[certain]] * z + mu[state[certain]]
+        assert not np.array_equal(want, m_hat)
+        lines = [line.split() for line in buf.getvalue().splitlines()]
+        assert [line[6] for line in lines] == [f"m_hat={x:.9g}" for x in want.ravel()]
+        t = spec.thresholds
+        for j, name in enumerate(spec.detectors):
+            exchanged = np.array([line[7 + j] == f"{name}:exchanged" for line in lines]).reshape(state.shape)
+            if name != "ml":
+                assert np.array_equal(exchanged, t.gate(want) & t.keep(want, name)), name
 
 
 class TestChunkPlan:
